@@ -13,22 +13,23 @@ Two ladder constructions live here side by side:
   varphi_1; it produces a cosine profile instead. The
   failed_factorization_residual quantifies exactly how far from a ladder it
   is (about 0.53 at beta = 0, never below 0.1);
-* the spectral ladder (apply_A_hat / apply_B_hat and their adjoints), defined
-  directly on expansion coefficients with the strictly increasing sequence
+* the spectral ladder (apply_A_hat / apply_B_hat), defined directly on
+  expansion coefficients with the strictly increasing sequence
   rho_n = lambda_{n+1}^2 - lambda_1^2. These are exact coefficient shifts
-  and do satisfy every ladder identity.
+  and do satisfy every ladder identity; on psi-expansions the same two maps
+  serve as B_hat^dag and A_hat^dag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
-from .grids import GridFunction
-from .market import MarketParams
+from .grids import GridFunction, multiply_exponential
+from .market import MarketParams, MarketView
 from .quadrature import legendre_rule
 
 FAMILY_MAX = 200
@@ -37,7 +38,7 @@ ANALYSIS_NODES = 1024
 
 
 @dataclass(frozen=True)
-class BarrierParams:
+class BarrierParams(MarketView):
     """Market parameters plus the log-price barriers a < b."""
 
     market: MarketParams
@@ -47,22 +48,6 @@ class BarrierParams:
     def __post_init__(self) -> None:
         if not self.a < self.b:
             raise ValueError(f"barriers must satisfy a < b, got ({self.a}, {self.b})")
-
-    @property
-    def sigma(self) -> float:
-        return self.market.sigma
-
-    @property
-    def r(self) -> float:
-        return self.market.r
-
-    @property
-    def beta(self) -> float:
-        return self.market.beta
-
-    @property
-    def gamma(self) -> float:
-        return self.market.gamma
 
     @property
     def width(self) -> float:
@@ -235,50 +220,49 @@ def _mode_matrix(params: BarrierParams, n_max: int, x: np.ndarray) -> np.ndarray
     )
 
 
+def _analyze(params: BarrierParams, f: Callable, n_max: int, nodes: int,
+             rate: float) -> SpectralVector:
+    """Coefficients <e^{rate x} Phi_n, f> on one Gauss-Legendre rule."""
+    rule = legendre_rule(nodes, params.a, params.b)
+    modes = _mode_matrix(params, n_max, rule.nodes)
+    weighted = rule.weights * np.exp(rate * rule.nodes) * np.asarray(f(rule.nodes))
+    return SpectralVector(modes @ weighted, n_max)
+
+
 def analyze_phi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCATION,
                 nodes: int = ANALYSIS_NODES) -> SpectralVector:
     """Coefficients c_n = <psi_n, f> of the varphi-expansion of f."""
-    rule = legendre_rule(nodes, params.a, params.b)
-    modes = _mode_matrix(params, n_max, rule.nodes)
-    weighted = rule.weights * np.exp(-params.beta * rule.nodes) * np.asarray(f(rule.nodes))
-    return SpectralVector(modes @ weighted, n_max)
+    return _analyze(params, f, n_max, nodes, -params.beta)
 
 
 def analyze_psi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCATION,
                 nodes: int = ANALYSIS_NODES) -> SpectralVector:
     """Coefficients d_n = <varphi_n, f> of the psi-expansion of f."""
-    rule = legendre_rule(nodes, params.a, params.b)
-    modes = _mode_matrix(params, n_max, rule.nodes)
-    weighted = rule.weights * np.exp(params.beta * rule.nodes) * np.asarray(f(rule.nodes))
-    return SpectralVector(modes @ weighted, n_max)
+    return _analyze(params, f, n_max, nodes, params.beta)
+
+
+def _synthesize(params: BarrierParams, v: SpectralVector, rate: float) -> Callable:
+    """The function e^{rate x} sum_n v_n Phi_n, zero outside (a, b)."""
+
+    def combination(x):
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        inside = (x_arr >= params.a) & (x_arr <= params.b)
+        modes = _mode_matrix(params, v.n_max, x_arr)
+        vals = np.exp(rate * x_arr) * (v.coeffs @ modes)
+        vals = np.where(inside, vals, 0.0)
+        return vals if np.ndim(x) else float(vals[0])
+
+    return combination
 
 
 def synthesize_phi(params: BarrierParams, v: SpectralVector) -> Callable:
     """The function sum_n c_n varphi_n, zero outside (a, b)."""
-
-    def combination(x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = (x_arr >= params.a) & (x_arr <= params.b)
-        modes = _mode_matrix(params, v.n_max, x_arr)
-        vals = np.exp(params.beta * x_arr) * (v.coeffs @ modes)
-        vals = np.where(inside, vals, 0.0)
-        return vals if np.ndim(x) else float(vals[0])
-
-    return combination
+    return _synthesize(params, v, params.beta)
 
 
 def synthesize_psi(params: BarrierParams, v: SpectralVector) -> Callable:
     """The function sum_n d_n psi_n, zero outside (a, b)."""
-
-    def combination(x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = (x_arr >= params.a) & (x_arr <= params.b)
-        modes = _mode_matrix(params, v.n_max, x_arr)
-        vals = np.exp(-params.beta * x_arr) * (v.coeffs @ modes)
-        vals = np.where(inside, vals, 0.0)
-        return vals if np.ndim(x) else float(vals[0])
-
-    return combination
+    return _synthesize(params, v, -params.beta)
 
 
 def _sqrt_rho(params: BarrierParams, n: np.ndarray) -> np.ndarray:
@@ -286,7 +270,7 @@ def _sqrt_rho(params: BarrierParams, n: np.ndarray) -> np.ndarray:
 
 
 def apply_A_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
-    """Lowering on the varphi-expansion: out_n = sqrt(rho_{n+1}) c_{n+1}."""
+    """Lowering: out_n = sqrt(rho_{n+1}) c_{n+1}; B_hat^dag on a psi-expansion."""
     out = np.zeros_like(v.coeffs)
     n = np.arange(1, v.n_max + 1)
     out[:-1] = _sqrt_rho(params, n) * v.coeffs[1:]
@@ -294,7 +278,7 @@ def apply_A_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
 
 
 def apply_B_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
-    """Raising on the varphi-expansion: out_n = sqrt(rho_n) c_{n-1}.
+    """Raising: out_n = sqrt(rho_n) c_{n-1}; A_hat^dag on a psi-expansion.
 
     The contribution that would land on mode n_max + 1 is reported in
     discarded_tail.
@@ -306,36 +290,11 @@ def apply_B_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
     return SpectralVector(out, v.n_max, discarded_tail=float(tail))
 
 
-def apply_A_hat_dag(params: BarrierParams, v: SpectralVector) -> SpectralVector:
-    """Raising on the psi-expansion: out_n = sqrt(rho_n) d_{n-1}; reports the tail."""
-    out = np.zeros_like(v.coeffs)
-    n = np.arange(1, v.n_max + 1)
-    out[1:] = _sqrt_rho(params, n) * v.coeffs[:-1]
-    tail = abs(_sqrt_rho(params, np.array([v.n_max + 1]))[0] * v.coeffs[-1])
-    return SpectralVector(out, v.n_max, discarded_tail=float(tail))
-
-
-def apply_B_hat_dag(params: BarrierParams, v: SpectralVector) -> SpectralVector:
-    """Lowering on the psi-expansion: out_n = sqrt(rho_{n+1}) d_{n+1}."""
-    out = np.zeros_like(v.coeffs)
-    n = np.arange(1, v.n_max + 1)
-    out[:-1] = _sqrt_rho(params, n) * v.coeffs[1:]
-    return SpectralVector(out, v.n_max)
-
-
-def _multiply_exponential(params: BarrierParams, f, rate: float):
-    if isinstance(f, GridFunction):
-        return f.with_samples(np.exp(rate * f.x) * f.samples)
-    if callable(f):
-        return lambda x: np.exp(rate * np.asarray(x, dtype=float)) * f(x)
-    raise TypeError(f"cannot multiply object of type {type(f).__name__}")
-
-
 def apply_S_phi(params: BarrierParams, f):
     """Multiply by S_phi = e^{2 beta x}; bounded on (a, b), maps psi_n to varphi_n."""
-    return _multiply_exponential(params, f, 2.0 * params.beta)
+    return multiply_exponential(f, 2.0 * params.beta)
 
 
 def apply_S_psi(params: BarrierParams, f):
     """Multiply by S_psi = e^{-2 beta x}; inverse of S_phi, maps varphi_n to psi_n."""
-    return _multiply_exponential(params, f, -2.0 * params.beta)
+    return multiply_exponential(f, -2.0 * params.beta)

@@ -22,7 +22,7 @@ from typing import List, Optional
 from .barrier import BarrierParams, DEFAULT_TRUNCATION
 from .harmonic import HarmonicParams
 from .kernels import DEFAULT_N_TRUNC, kernel_rows
-from .market import MarketParams
+from .market import MarketParams, beta_is_degenerate
 from .pb_core import run_all_checks
 from .pricing import (
     DEFAULT_NODES,
@@ -36,7 +36,6 @@ from .systems import barrier_system, harmonic_system
 KERNEL_COLUMNS = ("x", "x_prime", "tau", "which", "method", "value",
                   "tail_estimate", "rel_disagreement")
 Z_SCORE_LIMIT = 3.0
-BETA_DEGENERATE_EPS = 1e-12
 
 
 def _fmt(value) -> str:
@@ -106,9 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern = sub.add_parser("kernel", help="tabulate kernel values as CSV")
     add_common(p_kern)
     p_kern.add_argument("--x", default=None,
-                        help="comma list or lo:hi:count range of x points")
+                        help="comma list or lo:hi:count range of x points; one "
+                             "that starts with '-' needs '=': --x=-0.5:0.5:40")
     p_kern.add_argument("--x-prime", default=None,
-                        help="comma list or lo:hi:count range of x' points")
+                        help="comma list or lo:hi:count range of x' points; one "
+                             "that starts with '-' needs '=': --x-prime=-0.5,0.1")
     p_kern.add_argument("--tau", default=None, help="comma list of maturities")
     p_kern.add_argument("--which", choices=("p1", "p2", "both"), default=None)
     p_kern.add_argument("--method", choices=("spectral", "closed", "both"),
@@ -179,8 +180,16 @@ def _build_market(args, file_cfg) -> MarketParams:
     return MarketParams(sigma, r)
 
 
+def _log_barrier_params(args, file_cfg, market: MarketParams) -> BarrierParams:
+    a = _pick(args, file_cfg, "a")
+    b = _pick(args, file_cfg, "b")
+    if a is None or b is None:
+        raise ValueError("barrier model needs --a and --b (log-barriers)")
+    return BarrierParams(market, float(a), float(b))
+
+
 def _degenerate_note(beta: float) -> Optional[str]:
-    if abs(beta) < BETA_DEGENERATE_EPS:
+    if beta_is_degenerate(beta):
         return ("beta = 0 (sigma^2 = 2r): degenerate orthonormal regime, the two "
                 "eigenfamilies coincide")
     return None
@@ -206,12 +215,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             # achievable residuals scale with h^2 times derivative magnitudes
             tols = {"ladder_tol": 2e-5, "grid_tol": 1e-4, "number_tol": 1e-3}
     else:
-        a = _pick(args, file_cfg, "a")
-        b = _pick(args, file_cfg, "b")
-        if a is None or b is None:
-            raise ValueError("barrier model needs --a and --b (log-barriers)")
+        params = _log_barrier_params(args, file_cfg, market)
         n_trunc = int(_pick(args, file_cfg, "n_trunc", DEFAULT_TRUNCATION))
-        params = BarrierParams(market, float(a), float(b))
         system, theta = barrier_system(params, n_trunc)
         echo.update({"a": params.a, "b": params.b, "n_trunc": n_trunc})
     note = _degenerate_note(market.beta)
@@ -237,14 +242,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if model == "harmonic":
         params = HarmonicParams(market, float(_pick(args, file_cfg, "w", 0.0)))
     else:
-        a = _pick(args, file_cfg, "a")
-        b = _pick(args, file_cfg, "b")
-        if a is None or b is None:
-            raise ValueError("barrier model needs --a and --b (log-barriers)")
-        params = BarrierParams(market, float(a), float(b))
+        params = _log_barrier_params(args, file_cfg, market)
     beta = -params.beta if args.flip_beta else None
-    rows = kernel_rows(params, model, xs, x_primes, taus, whichs, methods,
-                       n_trunc, beta)
+    rows = kernel_rows(params, xs, x_primes, taus, whichs, methods, n_trunc, beta)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(KERNEL_COLUMNS)
@@ -319,10 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "price": cmd_price}
     try:
         return handlers[args.command](args)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

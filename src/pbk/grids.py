@@ -111,3 +111,12 @@ def same_grid(f: GridFunction, g: GridFunction, tol: float = 1e-9) -> bool:
         and abs(f.dx - g.dx) <= tol * f.dx
         and abs(f.x0 - g.x0) <= tol * max(1.0, abs(f.x0))
     )
+
+
+def multiply_exponential(f, rate: float):
+    """e^{rate x} f for a GridFunction or a callable."""
+    if isinstance(f, GridFunction):
+        return f.with_samples(np.exp(rate * f.x) * f.samples)
+    if callable(f):
+        return lambda x: np.exp(rate * np.asarray(x, dtype=float)) * f(x)
+    raise TypeError(f"cannot multiply object of type {type(f).__name__}")

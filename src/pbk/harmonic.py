@@ -23,14 +23,15 @@ Operators come in two interchangeable realizations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import math
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec, derivative, second_derivative
-from .market import MarketParams
+from .grids import (GridFunction, GridSpec, derivative, multiply_exponential,
+                    second_derivative)
+from .market import MarketParams, MarketView
 from .specialfn import hermite_function_sequence
 
 FAMILY_MAX = 60
@@ -40,27 +41,11 @@ DEFAULT_GRID_HALF_WIDTH = 8.0  # in units of sigma
 
 
 @dataclass(frozen=True)
-class HarmonicParams:
+class HarmonicParams(MarketView):
     """Market parameters plus the free shift constant w of the potential."""
 
     market: MarketParams
     w: float = 0.0
-
-    @property
-    def sigma(self) -> float:
-        return self.market.sigma
-
-    @property
-    def r(self) -> float:
-        return self.market.r
-
-    @property
-    def beta(self) -> float:
-        return self.market.beta
-
-    @property
-    def gamma(self) -> float:
-        return self.market.gamma
 
     @property
     def delta(self) -> float:
@@ -110,25 +95,18 @@ def _pad(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _d_du(c: np.ndarray) -> np.ndarray:
-    """Coefficients of d/du applied to sum c_k psi_k (psi normalized Hermite)."""
+def _times_u(c: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """Coefficients of u * sum c_k psi_k (psi normalized Hermite).
+
+    u = (a + a^dag)/sqrt 2 and d/du = (a - a^dag)/sqrt 2, so sign = -1 gives
+    the coefficients of d/du instead.
+    """
     n = len(c)
     out = np.zeros(n + 1, dtype=np.result_type(c, float))
     j = np.arange(n - 1)
     out[: n - 1] += np.sqrt((j + 1) / 2.0) * c[1:]
     j = np.arange(1, n + 1)
-    out[1 : n + 1] -= np.sqrt(j / 2.0) * c
-    return out
-
-
-def _times_u(c: np.ndarray) -> np.ndarray:
-    """Coefficients of u * sum c_k psi_k."""
-    n = len(c)
-    out = np.zeros(n + 1, dtype=np.result_type(c, float))
-    j = np.arange(n - 1)
-    out[: n - 1] += np.sqrt((j + 1) / 2.0) * c[1:]
-    j = np.arange(1, n + 1)
-    out[1 : n + 1] += np.sqrt(j / 2.0) * c
+    out[1 : n + 1] += sign * np.sqrt(j / 2.0) * c
     return out
 
 
@@ -166,10 +144,7 @@ class HermiteExpansion:
     def deriv_coeffs(self) -> np.ndarray:
         """Coefficients of d/dx, same tilt: tilt * c + (1/sigma) * d/du c."""
         base = _pad(self.coeffs, len(self.coeffs) + 1)
-        return self.tilt * base + _d_du(self.coeffs) / self.params.sigma
-
-    def times_u(self) -> "HermiteExpansion":
-        return HermiteExpansion(self.params, self.tilt, _times_u(self.coeffs))
+        return self.tilt * base + _times_u(self.coeffs, -1.0) / self.params.sigma
 
     def deriv(self) -> "HermiteExpansion":
         return HermiteExpansion(self.params, self.tilt, self.deriv_coeffs())
@@ -191,31 +166,25 @@ class HermiteExpansion:
 
 
 def _unit_expansion(params: HarmonicParams, n: int, tilt: float) -> HermiteExpansion:
+    if not 0 <= n <= FAMILY_MAX:
+        raise ValueError(f"family index must be in 0..{FAMILY_MAX}, got {n}")
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     return HermiteExpansion(params, tilt, coeffs)
 
 
-def _check_family_index(n: int) -> None:
-    if not 0 <= n <= FAMILY_MAX:
-        raise ValueError(f"family index must be in 0..{FAMILY_MAX}, got {n}")
-
-
 def phi_n(params: HarmonicParams, n: int) -> HermiteExpansion:
     """Orthonormal oscillator eigenfunction Phi_n (callable, exactly represented)."""
-    _check_family_index(n)
     return _unit_expansion(params, n, 0.0)
 
 
 def varphi_n(params: HarmonicParams, n: int) -> HermiteExpansion:
     """Eigenfunction e^{beta x} Phi_n of the non-self-adjoint Hamiltonian."""
-    _check_family_index(n)
     return _unit_expansion(params, n, params.beta)
 
 
 def psi_n(params: HarmonicParams, n: int) -> HermiteExpansion:
     """Adjoint-family member e^{-beta x} Phi_n; varphi_n with beta negated."""
-    _check_family_index(n)
     return _unit_expansion(params, n, -params.beta)
 
 
@@ -339,35 +308,31 @@ def apply_h_BS(params: HarmonicParams, f: Applicable):
     return _second_order(params, f, 0.0, False, params.gamma)
 
 
-def _multiply_exponential(params: HarmonicParams, f, rate: float):
-    """e^{rate * x} f for a callable, GridFunction, or HermiteExpansion."""
+def _multiply_exponential(f, rate: float):
+    """e^{rate * x} f; a HermiteExpansion only changes its tilt."""
     if isinstance(f, HermiteExpansion):
         return f.tilted(rate)
-    if isinstance(f, GridFunction):
-        return f.with_samples(np.exp(rate * f.x) * f.samples)
-    if callable(f):
-        return lambda x: np.exp(rate * np.asarray(x, dtype=float)) * f(x)
-    raise TypeError(f"cannot multiply object of type {type(f).__name__}")
+    return multiply_exponential(f, rate)
 
 
 def apply_rho(params: HarmonicParams, f):
     """Multiply by rho = e^{-beta x}."""
-    return _multiply_exponential(params, f, -params.beta)
+    return _multiply_exponential(f, -params.beta)
 
 
 def apply_rho_inv(params: HarmonicParams, f):
     """Multiply by rho^{-1} = e^{beta x}."""
-    return _multiply_exponential(params, f, params.beta)
+    return _multiply_exponential(f, params.beta)
 
 
 def apply_Theta(params: HarmonicParams, f):
     """Multiply by the metric Theta = rho^2 = e^{-2 beta x}; maps varphi_n to psi_n."""
-    return _multiply_exponential(params, f, -2.0 * params.beta)
+    return _multiply_exponential(f, -2.0 * params.beta)
 
 
 def apply_Theta_inv(params: HarmonicParams, f):
     """Multiply by Theta^{-1} = e^{2 beta x}; maps psi_n back to varphi_n."""
-    return _multiply_exponential(params, f, 2.0 * params.beta)
+    return _multiply_exponential(f, 2.0 * params.beta)
 
 
 def norm_squared_law(params: HarmonicParams, n: int, family: str = "varphi") -> float:

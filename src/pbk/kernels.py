@@ -4,6 +4,10 @@ Both kernels share one implementation with a sign s on the exponential
 prefactor e^{s beta (x - x')}: s = +1 gives p1, s = -1 gives p2, so the
 "replace beta by -beta" duality holds bit-for-bit by construction.
 
+Both models share one spectral sum over x and x' broadcast against each
+other; each supplies only its mode table, decay and prefactor. kernel_value
+and kernel_rows pick the model's functions by the type of the params.
+
 The closed forms are a Mehler-type Gaussian for the whole-line model and a
 Jacobi theta-3 combination for the interval model. An independent
 method-of-images oracle for the barrier kernel (killed drifted Brownian
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,8 +36,19 @@ IMAGE_MAX_WRAPS = 64
 ModelParams = Union[HarmonicParams, BarrierParams]
 
 _MODELS = ("harmonic", "barrier")
-_WHICH = ("p1", "p2")
+_SIGNS = {"p1": 1.0, "p2": -1.0}
 _METHODS = ("spectral", "closed")
+
+
+def _check_request(which: str, method: str, tau: float, n_trunc: int) -> None:
+    if which not in _SIGNS:
+        raise ValueError(f"which must be one of {tuple(_SIGNS)}, got {which!r}")
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 <= n_trunc <= N_TRUNC_CAP:
+        raise ValueError(f"n_trunc must be in 0..{N_TRUNC_CAP}, got {n_trunc}")
 
 
 @dataclass(frozen=True)
@@ -51,18 +66,11 @@ class KernelRequest:
     def __post_init__(self) -> None:
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
-        if self.which not in _WHICH:
-            raise ValueError(f"which must be one of {_WHICH}, got {self.which!r}")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not 0 <= self.n_trunc <= N_TRUNC_CAP:
-            raise ValueError(f"n_trunc must be in 0..{N_TRUNC_CAP}, got {self.n_trunc}")
+        _check_request(self.which, self.method, self.tau, self.n_trunc)
 
     @property
     def beta_sign(self) -> float:
-        return 1.0 if self.which == "p1" else -1.0
+        return _SIGNS[self.which]
 
 
 @dataclass(frozen=True)
@@ -85,90 +93,60 @@ class KernelValue:
         return self.tail_estimate > TAIL_WARN_THRESHOLD
 
 
-def _resolve_beta(params: ModelParams, beta: Optional[float]) -> float:
-    return params.beta if beta is None else float(beta)
-
-
-def _require_inside(params: BarrierParams, x: float, name: str) -> None:
-    if not params.a < x < params.b:
-        raise ValueError(
-            f"{name} = {x} lies outside the open barrier interval "
-            f"({params.a}, {params.b})"
-        )
-
-
 # ---------------------------------------------------------------------------
-# spectral sums (vector-capable in x_prime; scalars in the public wrappers)
+# spectral sums
 
 
-def harmonic_spectral_values(params: HarmonicParams, x: float, x_prime, tau: float,
+def _spectral_sum(modes: Callable, decay: np.ndarray, scale: float, shift: float,
+                  x, x_prime, tau: float, s: float, beta: float):
+    """scale e^{-tau shift + s beta (x - x')} sum_n decay_n modes(x)_n modes(x')_n
+    with x and x' broadcast against each other, returned together with the
+    magnitude of the last included term; floats when both points are scalars."""
+    x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
+    scalar = x.ndim == xp.ndim == 0
+    nd = max(x.ndim, xp.ndim, 1)
+    x, xp = (y.reshape((1,) * (nd - y.ndim) + y.shape) for y in (x, xp))
+    terms = (decay.reshape((-1,) + (1,) * nd) * modes(x)) * modes(xp)
+    prefactor = scale * np.exp(-tau * shift + s * beta * (x - xp))
+    value = prefactor * np.sum(terms, axis=0)
+    tail = np.abs(prefactor * terms[-1])
+    if scalar:
+        return float(value[0]), float(tail[0])
+    return value, tail
+
+
+def harmonic_spectral_values(params: HarmonicParams, x, x_prime, tau: float,
                              s: float, beta: float, n_trunc: int):
     """e^{-tau delta + s beta (x - x')} sum_n e^{-tau n} Phi_n(x) Phi_n(x'),
     returned together with the magnitude of the last included term."""
-    xp = np.asarray(x_prime, dtype=float)
-    scalar = xp.ndim == 0
-    xp1 = np.atleast_1d(xp)
-    u = params.scaled_argument(x)
-    v = params.scaled_argument(xp1)
-    seq_x = hermite_function_sequence(n_trunc, u)[:, 0] / math.sqrt(params.sigma)
-    seq_xp = hermite_function_sequence(n_trunc, v) / math.sqrt(params.sigma)
+
+    def modes(y):
+        u = params.scaled_argument(y)
+        return hermite_function_sequence(n_trunc, u) / math.sqrt(params.sigma)
+
     decay = np.exp(-tau * np.arange(n_trunc + 1))
-    terms = (decay * seq_x)[:, None] * seq_xp
-    prefactor = np.exp(-tau * params.delta + s * beta * (x - xp1))
-    value = prefactor * np.sum(terms, axis=0)
-    tail = np.abs(prefactor * terms[-1])
-    if scalar:
-        return float(value[0]), float(tail[0])
-    return value, tail
+    return _spectral_sum(modes, decay, 1.0, params.delta, x, x_prime, tau, s, beta)
 
 
-def barrier_spectral_values(params: BarrierParams, x: float, x_prime, tau: float,
+def barrier_spectral_values(params: BarrierParams, x, x_prime, tau: float,
                             s: float, beta: float, n_trunc: int):
     """(2/(b-a)) e^{-tau gamma + s beta (x - x')} sum of damped sine products."""
-    xp = np.asarray(x_prime, dtype=float)
-    scalar = xp.ndim == 0
-    xp1 = np.atleast_1d(xp)
     lam1 = params.wavenumber(1)
     orders = np.arange(1, n_trunc + 2)
+
+    def modes(y):
+        return np.sin(np.multiply.outer(orders, lam1 * (y - params.a)))
+
     decay = np.exp(-tau * params.k_squared * orders**2)
-    sin_x = np.sin(orders * lam1 * (x - params.a))
-    sin_xp = np.sin(np.multiply.outer(orders, lam1 * (xp1 - params.a)))
-    terms = (decay * sin_x)[:, None] * sin_xp
-    prefactor = (2.0 / params.width) * np.exp(-tau * params.gamma + s * beta * (x - xp1))
-    value = prefactor * np.sum(terms, axis=0)
-    tail = np.abs(prefactor * terms[-1])
-    if scalar:
-        return float(value[0]), float(tail[0])
-    return value, tail
-
-
-def kernel_spectral(req: KernelRequest, params: ModelParams,
-                    beta: Optional[float] = None) -> KernelValue:
-    """Truncated eigenfunction expansion of the requested kernel."""
-    b = _resolve_beta(params, beta)
-    s = req.beta_sign
-    if req.model == "harmonic":
-        if not isinstance(params, HarmonicParams):
-            raise TypeError("harmonic kernel requires HarmonicParams")
-        value, tail = harmonic_spectral_values(
-            params, req.x, req.x_prime, req.tau, s, b, req.n_trunc
-        )
-    else:
-        if not isinstance(params, BarrierParams):
-            raise TypeError("barrier kernel requires BarrierParams")
-        _require_inside(params, req.x, "x")
-        _require_inside(params, req.x_prime, "x_prime")
-        value, tail = barrier_spectral_values(
-            params, req.x, req.x_prime, req.tau, s, b, req.n_trunc
-        )
-    return KernelValue(float(value), float(tail))
+    return _spectral_sum(modes, decay, 2.0 / params.width, params.gamma,
+                         x, x_prime, tau, s, beta)
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-def harmonic_closed_value(params: HarmonicParams, x: float, x_prime, tau: float,
+def harmonic_closed_value(params: HarmonicParams, x, x_prime, tau: float,
                           s: float, beta: float):
     """Gaussian closed form of the damped-oscillator propagator.
 
@@ -191,18 +169,7 @@ def harmonic_closed_value(params: HarmonicParams, x: float, x_prime, tau: float,
     return norm * np.exp(exponent)
 
 
-def kernel_closed_harmonic(req: KernelRequest, params: HarmonicParams,
-                           beta: Optional[float] = None) -> KernelValue:
-    """Closed form of the whole-line kernel; rejects tau <= 0 (singular)."""
-    if req.model != "harmonic":
-        raise ValueError(f"expected a harmonic request, got model {req.model!r}")
-    b = _resolve_beta(params, beta)
-    value = harmonic_closed_value(params, req.x, req.x_prime, req.tau,
-                                  req.beta_sign, b)
-    return KernelValue(float(value))
-
-
-def barrier_closed_value(params: BarrierParams, x: float, x_prime, tau: float,
+def barrier_closed_value(params: BarrierParams, x, x_prime, tau: float,
                          s: float, beta: float):
     """Theta-3 closed form: the damped sine sum via
     sin(mA)sin(mB) = [cos(m(A-B)) - cos(m(A+B))]/2."""
@@ -215,27 +182,52 @@ def barrier_closed_value(params: BarrierParams, x: float, x_prime, tau: float,
     return prefactor * 0.5 * (k1 - k2)
 
 
-def kernel_closed_barrier(req: KernelRequest, params: BarrierParams,
-                          beta: Optional[float] = None) -> KernelValue:
-    """Closed form of the interval kernel; requires x, x' inside (a, b)."""
-    if req.model != "barrier":
-        raise ValueError(f"expected a barrier request, got model {req.model!r}")
-    _require_inside(params, req.x, "x")
-    _require_inside(params, req.x_prime, "x_prime")
-    b = _resolve_beta(params, beta)
-    value = barrier_closed_value(params, req.x, req.x_prime, req.tau,
-                                 req.beta_sign, b)
-    return KernelValue(float(value))
+# ---------------------------------------------------------------------------
+# the one entry point, by the type of the params
+
+
+def _model_functions(params: ModelParams) -> Tuple[str, Callable, Callable]:
+    """(model, spectral values, closed value) of the params' model.
+
+    The functions are read from this module's globals on every call, so a
+    wrapper installed over one of them sees every evaluation.
+    """
+    if isinstance(params, HarmonicParams):
+        return "harmonic", harmonic_spectral_values, harmonic_closed_value
+    if isinstance(params, BarrierParams):
+        return "barrier", barrier_spectral_values, barrier_closed_value
+    raise TypeError(f"params must be HarmonicParams or BarrierParams, "
+                    f"got {type(params).__name__}")
+
+
+def _evaluate(params: ModelParams, method: str, x, x_prime, tau: float, s: float,
+              beta: float, n_trunc: int):
+    """(value, tail) by one method; closed forms carry a zero tail. Barrier
+    points outside (a, b) raise ValueError."""
+    _, spectral, closed = _model_functions(params)
+    if isinstance(params, BarrierParams):
+        for name, points in (("x", x), ("x_prime", x_prime)):
+            for point in np.ravel(points).tolist():
+                if not params.a < point < params.b:
+                    raise ValueError(f"{name} = {point} lies outside the open "
+                                     f"barrier interval ({params.a}, {params.b})")
+    if method == "spectral":
+        return spectral(params, x, x_prime, tau, s, beta, n_trunc)
+    value = closed(params, x, x_prime, tau, s, beta)
+    return value, np.zeros(np.shape(value))
 
 
 def kernel_value(req: KernelRequest, params: ModelParams,
                  beta: Optional[float] = None) -> KernelValue:
-    """Dispatch on (model, method)."""
-    if req.method == "spectral":
-        return kernel_spectral(req, params, beta)
-    if req.model == "harmonic":
-        return kernel_closed_harmonic(req, params, beta)
-    return kernel_closed_barrier(req, params, beta)
+    """The requested kernel at one point; rejects params of the other model
+    with TypeError and barrier points outside (a, b) with ValueError."""
+    if req.model != _model_functions(params)[0]:
+        raise TypeError(f"{req.model} kernel requires {req.model.capitalize()}Params, "
+                        f"got {type(params).__name__}")
+    b = params.beta if beta is None else float(beta)
+    value, tail = _evaluate(params, req.method, req.x, req.x_prime, req.tau,
+                            req.beta_sign, b, req.n_trunc)
+    return KernelValue(float(value), float(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -284,43 +276,50 @@ def kernel_oracle_image_series(params: BarrierParams, x: float, x_prime: float,
 # batch evaluation for the CLI kernel table
 
 
-def kernel_rows(params: ModelParams, model: str, xs, x_primes, taus,
+def kernel_rows(params: ModelParams, xs, x_primes, taus,
                 whichs=("p1", "p2"), methods=("spectral", "closed"),
                 n_trunc: int = DEFAULT_N_TRUNC,
                 beta: Optional[float] = None) -> list:
     """Row dicts (x, x_prime, tau, which, method, value, tail_estimate,
-    rel_disagreement) for every grid combination.
+    rel_disagreement) for every grid combination, ordered by tau, x, x',
+    which and method.
 
-    rel_disagreement is |spectral - closed| / max(|closed|, tiny) when both
-    methods are requested, repeated on each row of the pair; empty otherwise.
+    Each (tau, which, method) is one call of the model's function over the
+    whole x by x' grid. rel_disagreement is |spectral - closed| /
+    max(|closed|, tiny) when both methods are requested, repeated on each row
+    of the pair; empty otherwise.
     """
+    xs = np.asarray(xs, dtype=float)
+    x_primes = np.asarray(x_primes, dtype=float)
+    b = params.beta if beta is None else float(beta)
+    both = "spectral" in methods and "closed" in methods
     rows = []
-    for tau in taus:
-        for x in xs:
-            for xp in x_primes:
+    for tau in map(float, taus):
+        tables = {}
+        for which in whichs:
+            for method in methods:
+                _check_request(which, method, tau, n_trunc)
+                tables[which, method] = _evaluate(params, method, xs[:, None],
+                                                  x_primes[None, :], tau,
+                                                  _SIGNS[which], b, n_trunc)
+        for i, x in enumerate(xs.tolist()):
+            for j, xp in enumerate(x_primes.tolist()):
                 for which in whichs:
-                    values = {}
-                    for method in methods:
-                        req = KernelRequest(model=model, which=which, x=float(x),
-                                            x_prime=float(xp), tau=float(tau),
-                                            method=method, n_trunc=n_trunc)
-                        values[method] = kernel_value(req, params, beta)
                     disagreement = None
-                    if "spectral" in values and "closed" in values:
-                        ref = max(abs(values["closed"].value), 1e-300)
-                        disagreement = abs(
-                            values["spectral"].value - values["closed"].value
-                        ) / ref
+                    if both:
+                        spectral = float(tables[which, "spectral"][0][i, j])
+                        closed = float(tables[which, "closed"][0][i, j])
+                        disagreement = abs(spectral - closed) / max(abs(closed), 1e-300)
                     for method in methods:
-                        kv = values[method]
+                        value, tail = tables[which, method]
                         rows.append({
-                            "x": float(x),
-                            "x_prime": float(xp),
-                            "tau": float(tau),
+                            "x": x,
+                            "x_prime": xp,
+                            "tau": tau,
                             "which": which,
                             "method": method,
-                            "value": kv.value,
-                            "tail_estimate": kv.tail_estimate,
+                            "value": float(value[i, j]),
+                            "tail_estimate": float(tail[i, j]),
                             "rel_disagreement": disagreement,
                         })
     return rows

@@ -12,6 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# sigma**2 = 2r computed in floats leaves beta at rounding-error size, not 0
+BETA_DEGENERATE_EPS = 1e-12
+
+
+def beta_is_degenerate(beta: float) -> bool:
+    """True in the orthonormal regime beta = 0, up to float rounding."""
+    return abs(beta) <= BETA_DEGENERATE_EPS
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -35,3 +43,13 @@ class MarketParams:
     def gamma(self) -> float:
         """Constant energy shift produced by the tilt."""
         return (self.sigma**2 / 2.0 + self.r) ** 2 / (2.0 * self.sigma**2)
+
+
+class MarketView:
+    """Base of the model params: sigma, r, beta and gamma read through from
+    the ``market`` field."""
+
+    sigma = property(lambda self: self.market.sigma)
+    r = property(lambda self: self.market.r)
+    beta = property(lambda self: self.market.beta)
+    gamma = property(lambda self: self.market.gamma)

@@ -15,14 +15,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .barrier import BarrierParams
-from .harmonic import HarmonicParams
 from .kernels import (
     DEFAULT_N_TRUNC,
+    ModelParams,
     barrier_spectral_values,
     harmonic_spectral_values,
 )
@@ -35,8 +35,6 @@ MC_CHUNK_PATHS = 1024
 # bridge steps with d0 d1 >= 18.5 sigma^2 dt cross with p < e^-37 and are dropped
 BRIDGE_NEAR = 18.5
 PRICE_WINDOW_SIGMAS = 10.0
-
-ModelParams = Union[HarmonicParams, BarrierParams]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numpy as np
 from . import barrier as bar
 from . import harmonic as har
 from .grids import GridFunction, GridSpec
+from .market import beta_is_degenerate
 from .pb_core import EigenSequence, LadderSystem, MetricOperator, TestFunction
 from .quadrature import adaptive_inner_product
 
@@ -27,8 +28,6 @@ OPERATOR_GRID_POINTS = 32001
 OPERATOR_GRID_HALF_WIDTH = 10.0  # in units of sigma
 BARRIER_GRID_POINTS = 4001
 INNER_REL_TOL = 1e-12
-# sigma**2 = 2r computed in floats leaves beta at rounding-error size, not 0
-BETA_DEGENERATE_EPS = 1e-12
 
 TEST_WIDTHS = (0.5, 1.0, 2.0)
 
@@ -124,7 +123,7 @@ def harmonic_system(params: har.HarmonicParams,
     tests = harmonic_test_functions()
     narrow = [f for f in tests if f.gaussian_decay_rate == 4.0]
     law = None
-    if abs(params.beta) <= BETA_DEGENERATE_EPS:
+    if beta_is_degenerate(params.beta):
         behavior = "constant"
     else:
         behavior = "increasing"
@@ -219,8 +218,9 @@ def barrier_system(params: bar.BarrierParams,
         family_psi=lambda n: bar.psi_n(params, n),
         lower_a=spectral(bar.apply_A_hat, bar.analyze_phi, bar.synthesize_phi),
         raise_b=spectral(bar.apply_B_hat, bar.analyze_phi, bar.synthesize_phi),
-        lower_b_dag=spectral(bar.apply_B_hat_dag, bar.analyze_psi, bar.synthesize_psi),
-        raise_a_dag=spectral(bar.apply_A_hat_dag, bar.analyze_psi, bar.synthesize_psi),
+        # on psi-coefficients B_hat^dag lowers like A_hat, A_hat^dag raises like B_hat
+        lower_b_dag=spectral(bar.apply_A_hat, bar.analyze_psi, bar.synthesize_psi),
+        raise_a_dag=spectral(bar.apply_B_hat, bar.analyze_psi, bar.synthesize_psi),
         eigens=EigenSequence(lambda n: bar.rho_coefficient(params, n)),
         inner=_barrier_inner(params),
         default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),

@@ -17,10 +17,8 @@ from pbk.barrier import (
     analyze_phi,
     analyze_psi,
     apply_A_hat,
-    apply_A_hat_dag,
     apply_A_naive,
     apply_B_hat,
-    apply_B_hat_dag,
     apply_B_naive,
     apply_S_phi,
     apply_S_psi,
@@ -317,7 +315,8 @@ class TestSpectralLadder:
     def test_dual_ladder_number_operator(self, box):
         coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
         coeffs[5] = 1.0
-        out = apply_A_hat_dag(box, apply_B_hat_dag(box, SpectralVector(coeffs)))
+        # on psi-coefficients A_hat^dag raises like B_hat, B_hat^dag lowers like A_hat
+        out = apply_B_hat(box, apply_A_hat(box, SpectralVector(coeffs)))
         assert out.coeffs[5] == pytest.approx(rho_coefficient(box, 5), rel=1e-13)
 
     def test_raising_reports_discarded_tail(self, box):
@@ -370,7 +369,7 @@ class TestSimilarityMaps:
         # primal number operator applied after S_phi
         x = np.linspace(box.a + 0.05, box.b - 0.05, 401)
 
-        dual = apply_A_hat_dag(box, apply_B_hat_dag(box, basis_vector(n)))
+        dual = apply_B_hat(box, apply_A_hat(box, basis_vector(n)))
         left = apply_S_phi(box, synthesize_psi(box, dual))(x)
 
         mapped = analyze_phi(box, apply_S_phi(box, psi_n(box, n)))

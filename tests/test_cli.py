@@ -164,6 +164,20 @@ class TestKernel:
         assert content.startswith("x,x_prime,tau")
         assert "\r\n" in content
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--tau", "0"], "tau"),
+        (["--tau", "0.5", "--n-trunc", "201"], "n_trunc"),
+        (["--tau", "0.5", "--x", "3.5"], "outside"),
+    ])
+    def test_invalid_table_exits_2(self, capsys, extra, message):
+        code, out, err = run_cli(capsys, [
+            "kernel", "--model", "barrier", "--a", "0", "--b", "3.141592653589793",
+            "--x", "1.0", "--x-prime", "1.5", *extra,
+        ])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 # ---------------------------------------------------------------------------
 # prices

@@ -2,6 +2,7 @@
 oracle, and the beta-flip duality between the two kernels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,8 @@ from pbk.kernels import (
     N_TRUNC_CAP,
     barrier_spectral_values,
     harmonic_spectral_values,
-    kernel_closed_barrier,
-    kernel_closed_harmonic,
     kernel_oracle_image_series,
     kernel_rows,
-    kernel_spectral,
     kernel_value,
 )
 from pbk.market import MarketParams
@@ -79,14 +77,11 @@ class TestKernelRequest:
             KernelValue(1.0, -1e-12)
 
     def test_model_params_mismatch(self, hp, bp):
-        with pytest.raises(TypeError):
-            kernel_spectral(h_req(), bp)
-        with pytest.raises(TypeError):
-            kernel_spectral(b_req(), hp)
-        with pytest.raises(ValueError):
-            kernel_closed_harmonic(b_req(), hp)
-        with pytest.raises(ValueError):
-            kernel_closed_barrier(h_req(), bp)
+        for method in ("spectral", "closed"):
+            with pytest.raises(TypeError, match="HarmonicParams"):
+                kernel_value(h_req(method=method), bp)
+            with pytest.raises(TypeError, match="BarrierParams"):
+                kernel_value(b_req(method=method), hp)
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +97,14 @@ class TestHarmonicAgreement:
             for xp in pts:
                 req = h_req(which=which, x=float(x), x_prime=float(xp), tau=0.3)
                 spectral = kernel_value(req, hp).value
-                closed = kernel_closed_harmonic(req, hp).value
+                closed = kernel_value(replace(req, method="closed"), hp).value
                 worst = max(worst, abs(spectral - closed) / abs(closed))
         assert worst <= 1e-8
 
     def test_long_time_ground_state_rate(self, hp):
         # for large tau the kernel decays at the bottom eigenvalue delta
-        v1 = kernel_closed_harmonic(h_req(method="closed", tau=30.0), hp).value
-        v2 = kernel_closed_harmonic(h_req(method="closed", tau=31.0), hp).value
+        v1 = kernel_value(h_req(method="closed", tau=30.0), hp).value
+        v2 = kernel_value(h_req(method="closed", tau=31.0), hp).value
         assert v2 / v1 == pytest.approx(math.exp(-hp.delta), rel=1e-12)
 
     def test_positive_inside(self, hp):
@@ -125,15 +120,15 @@ class TestBarrierAgreement:
             for xp in (0.4, 1.9):
                 req = b_req(x=x, x_prime=xp, tau=tau, n_trunc=n_trunc)
                 spectral = kernel_value(req, bp).value
-                closed = kernel_closed_barrier(req, bp).value
+                closed = kernel_value(replace(req, method="closed"), bp).value
                 worst = max(worst, abs(spectral - closed))
         assert worst <= 1e-10
 
     def test_long_time_ground_state_rate(self, bp):
         from pbk.barrier import eigenvalue
 
-        v1 = kernel_closed_barrier(b_req(method="closed", tau=400.0), bp).value
-        v2 = kernel_closed_barrier(b_req(method="closed", tau=401.0), bp).value
+        v1 = kernel_value(b_req(method="closed", tau=400.0), bp).value
+        v2 = kernel_value(b_req(method="closed", tau=401.0), bp).value
         assert v2 / v1 == pytest.approx(math.exp(-eigenvalue(bp, 0)), rel=1e-9)
 
     def test_outside_interval_rejected(self, bp):
@@ -143,10 +138,8 @@ class TestBarrierAgreement:
             kernel_value(b_req(x_prime=3.5, method="closed"), bp)
 
     def test_vanishes_toward_the_barrier(self, bp):
-        far = abs(kernel_closed_barrier(b_req(method="closed"), bp).value)
-        near = abs(
-            kernel_closed_barrier(b_req(method="closed", x_prime=1e-7), bp).value
-        )
+        far = abs(kernel_value(b_req(method="closed"), bp).value)
+        near = abs(kernel_value(b_req(method="closed", x_prime=1e-7), bp).value)
         assert near < 1e-5 * far
 
     def test_tail_warning_when_truncated_early(self, bp):
@@ -250,19 +243,68 @@ class TestVectorization:
 
 
 class TestKernelRows:
+    GRIDS = {"harmonic": ([-0.15, 0.0, 0.1], [-0.1, 0.05, 0.2, 0.3]),
+             "barrier": ([0.7, 1.5, 2.8], [0.4, 1.9, 2.5])}
+    TAUS = (0.3, 1.0)
+
     def test_row_count_and_disagreement(self, bp):
-        rows = kernel_rows(bp, "barrier", [1.0, 2.0], [1.5], [0.5],
+        rows = kernel_rows(bp, [1.0, 2.0], [1.5], [0.5],
                            whichs=("p1",), methods=("spectral", "closed"))
         assert len(rows) == 4
         assert all(r["rel_disagreement"] is not None for r in rows)
         assert all(r["rel_disagreement"] <= 1e-10 for r in rows)
 
     def test_single_method_leaves_disagreement_unset(self, hp):
-        rows = kernel_rows(hp, "harmonic", [0.0], [0.1], [0.3],
+        rows = kernel_rows(hp, [0.0], [0.1], [0.3],
                            whichs=("p1", "p2"), methods=("spectral",))
         assert len(rows) == 2
         assert all(r["rel_disagreement"] is None for r in rows)
 
     def test_closed_rows_have_zero_tail(self, hp):
-        rows = kernel_rows(hp, "harmonic", [0.0], [0.1], [0.4], methods=("closed",))
+        rows = kernel_rows(hp, [0.0], [0.1], [0.4], methods=("closed",))
         assert all(r["tail_estimate"] == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    def test_grid_matches_pointwise(self, hp, bp, model):
+        # one broadcast per (tau, which, method) against one kernel_value per row
+        params = hp if model == "harmonic" else bp
+        xs, xps = self.GRIDS[model]
+        rows = kernel_rows(params, xs, xps, self.TAUS)
+        keys = [(tau, x, xp, which, method) for tau in self.TAUS for x in xs
+                for xp in xps for which in ("p1", "p2")
+                for method in ("spectral", "closed")]
+        assert [(r["tau"], r["x"], r["x_prime"], r["which"], r["method"])
+                for r in rows] == keys
+        assert all(set(r) == {"x", "x_prime", "tau", "which", "method", "value",
+                              "tail_estimate", "rel_disagreement"} for r in rows)
+        peak = max(abs(r["value"]) for r in rows)
+        for r in rows:
+            req = KernelRequest(model, r["which"], r["x"], r["x_prime"], r["tau"],
+                                r["method"])
+            expected = kernel_value(req, params)
+            assert abs(r["value"] - expected.value) <= 1e-13 * peak
+            assert r["tail_estimate"] == pytest.approx(expected.tail_estimate,
+                                                       rel=1e-12, abs=1e-300)
+        for spectral, closed in zip(rows[::2], rows[1::2]):
+            gap = abs(spectral["value"] - closed["value"]) / abs(closed["value"])
+            assert spectral["rel_disagreement"] == closed["rel_disagreement"] == gap
+
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    def test_p2_rows_are_p1_rows_at_minus_beta(self, hp, bp, model):
+        params = hp if model == "harmonic" else bp
+        xs, xps = self.GRIDS[model]
+        p2 = kernel_rows(params, xs, xps, self.TAUS, whichs=("p2",))
+        flipped = kernel_rows(params, xs, xps, self.TAUS, whichs=("p1",),
+                              beta=-params.beta)
+        for a, b in zip(p2, flipped, strict=True):
+            assert (a["value"], a["tail_estimate"]) == (b["value"], b["tail_estimate"])
+
+    def test_invalid_tables_rejected(self, hp, bp):
+        with pytest.raises(ValueError, match="tau"):
+            kernel_rows(hp, [0.0], [0.1], [0.5, 0.0])
+        with pytest.raises(ValueError, match="n_trunc"):
+            kernel_rows(hp, [0.0], [0.1], [0.5], n_trunc=N_TRUNC_CAP + 1)
+        with pytest.raises(ValueError, match="x_prime = 3.5 lies outside"):
+            kernel_rows(bp, [1.0], [1.5, 3.5], [0.5])
+        with pytest.raises(TypeError):
+            kernel_rows(hp.market, [0.0], [0.1], [0.5])
