@@ -31,6 +31,7 @@ import numpy as np
 from .grids import GridFunction, multiply_exponential
 from .market import MarketParams, MarketView
 from .quadrature import legendre_rule
+from .tables import mode_table
 
 FAMILY_MAX = 200
 DEFAULT_TRUNCATION = 128
@@ -212,12 +213,15 @@ class SpectralVector:
 
 
 def _mode_matrix(params: BarrierParams, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Rows Phi_0(x)..Phi_{n_max}(x)."""
-    lam1 = params.wavenumber(1)
-    orders = np.arange(1, n_max + 2)
-    return math.sqrt(2.0 / params.width) * np.sin(
-        np.outer(orders, lam1 * (x - params.a))
-    )
+    """Rows Phi_0(x)..Phi_{n_max}(x), kept per (params, x) by `mode_table`."""
+
+    def sine_table(n: int, nodes: np.ndarray) -> np.ndarray:
+        orders = np.arange(1, n + 2)
+        return math.sqrt(2.0 / params.width) * np.sin(
+            np.outer(orders, params.wavenumber(1) * (nodes - params.a))
+        )
+
+    return mode_table(params, x, n_max, sine_table)
 
 
 def _analyze(params: BarrierParams, f: Callable, n_max: int, nodes: int,

@@ -200,6 +200,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     market = _build_market(args, file_cfg)
     model = _pick(args, file_cfg, "model")
     nmax = int(_pick(args, file_cfg, "nmax", 20))
+    if nmax < 0:
+        raise ValueError(f"--nmax must be >= 0, got {nmax}")
     echo = {"command": "diagnose", "model": model, "sigma": market.sigma,
             "r": market.r, "beta": market.beta, "gamma": market.gamma,
             "nmax": nmax}

@@ -33,6 +33,7 @@ from .grids import (GridFunction, GridSpec, derivative, multiply_exponential,
                     second_derivative)
 from .market import MarketParams, MarketView
 from .specialfn import hermite_function_sequence
+from .tables import mode_table
 
 FAMILY_MAX = 60
 
@@ -136,7 +137,7 @@ class HermiteExpansion:
     def __call__(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         u = self.params.scaled_argument(x_arr)
-        table = hermite_function_sequence(len(self.coeffs) - 1, u)
+        table = mode_table(self.params, u, len(self.coeffs) - 1, hermite_function_sequence)
         vals = (self.coeffs @ table.reshape(len(self.coeffs), -1)).reshape(u.shape)
         vals = vals / math.sqrt(self.params.sigma) * np.exp(self.tilt * x_arr)
         return vals if np.ndim(x) else complex(vals[0]) if np.iscomplexobj(vals) else float(vals[0])

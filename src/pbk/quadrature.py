@@ -153,15 +153,21 @@ def inner_product(f: Callable, g: Callable, rule: QuadratureRule) -> complex:
     return complex(total)
 
 
+@lru_cache(maxsize=128)
 def _make_rule(kind: str, n: int, center: float, scale: float,
                interval: Optional[Tuple[float, float]]) -> QuadratureRule:
+    """One rule per adaptive step, shared between calls with read-only arrays."""
     if kind == "gauss_hermite":
-        return hermite_rule(n, center=center, scale=scale)
-    if kind == "gauss_legendre":
+        rule = hermite_rule(n, center=center, scale=scale)
+    elif kind == "gauss_legendre":
         if interval is None:
             raise ValueError("gauss_legendre needs an interval")
-        return legendre_rule(n, *interval)
-    raise ValueError(f"unknown rule kind {kind!r}")
+        rule = legendre_rule(n, *interval)
+    else:
+        raise ValueError(f"unknown rule kind {kind!r}")
+    rule.nodes.setflags(write=False)
+    rule.weights.setflags(write=False)
+    return rule
 
 
 def adaptive_inner_product(

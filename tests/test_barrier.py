@@ -1,13 +1,16 @@
 """Double-barrier model: sine modes, the broken differential ladder, and the
 spectral ladder that replaces it."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbk import barrier, tables
 from pbk.barrier import (
     BarrierParams,
     DEFAULT_TRUNCATION,
@@ -32,7 +35,9 @@ from pbk.barrier import (
 )
 from pbk.grids import GridSpec, grid_norm
 from pbk.market import MarketParams
+from pbk.pb_core import run_all_checks
 from pbk.quadrature import legendre_rule
+from pbk.systems import barrier_system
 
 
 @pytest.fixture(scope="module")
@@ -408,3 +413,57 @@ class TestNormsAndPartialSums:
         assert np.all(np.diff(partial) >= 0.0)
         assert partial[-1] <= total + 1e-12
         assert partial[-1] == pytest.approx(total, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the per-params sine table cache
+
+
+class TestTableCache:
+    @staticmethod
+    def fresh_sine_table(params, n_max, x):
+        orders = np.arange(1, n_max + 2)
+        return math.sqrt(2.0 / params.width) * np.sin(
+            np.outer(orders, params.wavenumber(1) * (x - params.a))
+        )
+
+    def test_cached_rows_equal_a_fresh_table(self, market):
+        p = BarrierParams(market, 0.0, 2.71)
+        x = legendre_rule(256, p.a, p.b).nodes
+        for n in (3, 40, 5):
+            table = barrier._mode_matrix(p, n, x)
+            assert table.shape == (n + 1, x.size)
+            assert np.array_equal(table, self.fresh_sine_table(p, n, x))
+        assert len(tables._TABLES[p]) == 1
+        assert len(next(iter(tables._TABLES[p].values()))) == 41
+
+    def test_tables_are_read_only(self, market):
+        p = BarrierParams(market, 0.0, 2.72)
+        table = barrier._mode_matrix(p, 4, np.linspace(0.1, 2.0, 5))
+        with pytest.raises(ValueError):
+            table[1, 1] = 0.0
+
+    def test_entries_freed_with_the_params(self, market):
+        p = BarrierParams(market, 0.0, 2.73)
+        analyze_phi(p, varphi_n(p, 2), n_max=16)
+        assert p in tables._TABLES
+        alive = weakref.ref(p)
+        gc.collect()
+        before = len(tables._TABLES)
+        del p
+        gc.collect()
+        assert alive() is None
+        assert len(tables._TABLES) == before - 1
+
+    def test_report_repeats_and_matches_uncached(self, market, monkeypatch):
+        p = BarrierParams(market, 0.0, 2.74)
+
+        def report():
+            system, theta = barrier_system(p)
+            return run_all_checks(system, theta, 6).to_json()
+
+        first, second = report(), report()
+        assert '"all_pass": true' in first
+        assert second == first
+        monkeypatch.setattr(tables, "MAX_CACHED_NODES", 0)
+        assert report() == first

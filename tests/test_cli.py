@@ -109,6 +109,14 @@ class TestDiagnose:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("model", [["--model", "harmonic"],
+                                       ["--model", "barrier", "--a", "0", "--b", "1"]])
+    def test_negative_nmax_exits_2(self, capsys, model):
+        code, out, err = run_cli(capsys, ["diagnose", *model, "--nmax", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "--nmax" in err
+
 
 # ---------------------------------------------------------------------------
 # kernel tables

@@ -5,14 +5,16 @@ finite-difference realizations are checked for second-order convergence
 toward the same identities.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbk import harmonic
+from pbk import harmonic, tables
 from pbk.grids import GridSpec, grid_norm
 from pbk.harmonic import (
     HarmonicParams,
@@ -41,7 +43,10 @@ from pbk.harmonic import (
     varphi_n,
 )
 from pbk.market import MarketParams
+from pbk.pb_core import run_all_checks
 from pbk.quadrature import hermite_rule
+from pbk.specialfn import hermite_function_sequence
+from pbk.systems import harmonic_system
 
 
 def params_for(market, w=0.0):
@@ -410,3 +415,73 @@ def test_default_grid_covers_center(market):
     g = default_grid(p)
     assert g.points[0] < p.center < g.points[-1]
     assert g.n == harmonic.DEFAULT_GRID_POINTS
+
+
+# ---------------------------------------------------------------------------
+# the per-params Hermite table cache
+
+
+class TestTableCache:
+    @staticmethod
+    def expansion_uncached(f: HermiteExpansion, x):
+        u = f.params.scaled_argument(x)
+        table = hermite_function_sequence(len(f.coeffs) - 1, u)
+        return f.coeffs @ table / math.sqrt(f.params.sigma) * np.exp(f.tilt * x)
+
+    def test_cached_evaluation_is_bit_identical(self, market, monkeypatch):
+        p = params_for(market, w=0.32)
+        x = np.linspace(-1.0, 1.0, 301)
+        calls = []
+
+        def counting(n_max, u):
+            calls.append(n_max)
+            return hermite_function_sequence(n_max, u)
+
+        monkeypatch.setattr(harmonic, "hermite_function_sequence", counting)
+        rng = np.random.default_rng(7)
+        for n in (3, 40, 5):
+            f = HermiteExpansion(p, p.beta, rng.standard_normal(n + 1))
+            assert np.array_equal(f(x), self.expansion_uncached(f, x))
+        # built at degree 3, rebuilt at 40, and degree 5 read from that table
+        assert calls == [3, 40]
+
+    def test_tables_are_read_only(self, market):
+        p = params_for(market, w=0.33)
+        table = tables.mode_table(p, np.zeros(4), 2, hermite_function_sequence)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    def test_large_node_sets_are_not_kept(self, market):
+        p = params_for(market, w=0.34)
+        x = np.linspace(-1.0, 1.0, tables.MAX_CACHED_NODES + 1)
+        phi_n(p, 3)(x)
+        assert p not in tables._TABLES
+
+    def test_entries_freed_with_the_params(self, market):
+        p = params_for(market, w=0.35)
+        varphi_n(p, 4)(np.linspace(-1.0, 1.0, 11))
+        assert len(tables._TABLES[p]) == 1
+        alive = weakref.ref(p)
+        gc.collect()
+        before = len(tables._TABLES)
+        del p
+        gc.collect()
+        assert alive() is None
+        assert len(tables._TABLES) == before - 1
+
+    @pytest.mark.parametrize("route, tols", [
+        ("exact", {}),
+        ("grid", {"ladder_tol": 2e-5, "grid_tol": 1e-4, "number_tol": 1e-3}),
+    ])
+    def test_report_repeats_and_matches_uncached(self, market, monkeypatch, route, tols):
+        p = params_for(market, w=0.36)
+
+        def report():
+            system, theta = harmonic_system(p, route=route)
+            return run_all_checks(system, theta, 6, **tols).to_json()
+
+        first, second = report(), report()
+        assert '"all_pass": true' in first
+        assert second == first
+        monkeypatch.setattr(tables, "MAX_CACHED_NODES", 0)
+        assert report() == first

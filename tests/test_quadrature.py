@@ -7,6 +7,7 @@ import pytest
 
 from pbk.quadrature import (
     ADAPTIVE_CAP,
+    _make_rule,
     QuadratureConvergenceError,
     QuadratureEvaluationError,
     QuadratureRule,
@@ -156,3 +157,13 @@ class TestAdaptive:
     def test_missing_interval(self):
         with pytest.raises(ValueError):
             adaptive_inner_product(np.sin, np.sin, "gauss_legendre", 1e-10)
+
+    @pytest.mark.parametrize("kind, interval", [("gauss_hermite", None),
+                                                ("gauss_legendre", (0.0, 2.0))])
+    def test_step_rules_are_shared_and_read_only(self, kind, interval):
+        rule = _make_rule(kind, 64, 0.5, 1.5, interval)
+        assert _make_rule(kind, 64, 0.5, 1.5, interval) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 1.0
