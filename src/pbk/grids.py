@@ -2,8 +2,11 @@
 
 Differential operators in this package act on sampled functions by
 second-order central differences. Each application drops the two boundary
-samples, so a GridFunction remembers its own origin and step and the output
-of an operator is simply a shorter GridFunction starting one step in.
+samples, so the output of an operator is simply a shorter GridFunction
+starting one step in. A trimmed grid keeps its parent's origin and counts
+its start as an offset, so its points are the parent's points bit for bit
+(origin + dx * i for the parent's index i) and tables kept for the parent
+grid serve every trim as a column slice.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ MIN_SAMPLES = 9
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A uniform grid: n points starting at x0 with step dx."""
+    """A uniform grid: n points origin + dx * i for i = offset .. offset + n - 1."""
 
-    x0: float
+    origin: float
     dx: float
     n: int
+    offset: int = 0
 
     def __post_init__(self) -> None:
         if self.dx <= 0.0:
@@ -37,24 +41,30 @@ class GridSpec:
         return cls(lo, (hi - lo) / (n - 1), n)
 
     @property
+    def x0(self) -> float:
+        """The first point."""
+        return self.origin + self.dx * self.offset
+
+    @property
     def points(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+        return self.origin + self.dx * np.arange(self.offset, self.offset + self.n)
 
     def sample(self, fn) -> "GridFunction":
-        return GridFunction(self.x0, self.dx, np.asarray(fn(self.points)))
+        return GridFunction(self.origin, self.dx, np.asarray(fn(self.points)), self.offset)
 
     def interior(self, k: int) -> "GridSpec":
         """The grid with k points trimmed from each end."""
-        return GridSpec(self.x0 + k * self.dx, self.dx, self.n - 2 * k)
+        return GridSpec(self.origin, self.dx, self.n - 2 * k, self.offset + k)
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples of a function on a uniform grid."""
+    """Complex samples of a function on a uniform grid (see GridSpec)."""
 
-    x0: float
+    origin: float
     dx: float
     samples: np.ndarray = field(repr=False)
+    offset: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", np.asarray(self.samples))
@@ -72,32 +82,36 @@ class GridFunction:
         return self.samples.size
 
     @property
+    def x0(self) -> float:
+        return self.spec.x0
+
+    @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+        return self.spec.points
 
     @property
     def spec(self) -> GridSpec:
-        return GridSpec(self.x0, self.dx, self.n)
+        return GridSpec(self.origin, self.dx, self.n, self.offset)
 
     def interior(self, k: int) -> "GridFunction":
         if k <= 0:
             return self
-        return GridFunction(self.x0 + k * self.dx, self.dx, self.samples[k:-k])
+        return GridFunction(self.origin, self.dx, self.samples[k:-k], self.offset + k)
 
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
-        return GridFunction(self.x0, self.dx, samples)
+        return GridFunction(self.origin, self.dx, samples, self.offset)
 
 
 def derivative(f: GridFunction) -> GridFunction:
     """Second-order central first derivative; output is 2 samples shorter."""
     d = (f.samples[2:] - f.samples[:-2]) / (2.0 * f.dx)
-    return GridFunction(f.x0 + f.dx, f.dx, d)
+    return GridFunction(f.origin, f.dx, d, f.offset + 1)
 
 
 def second_derivative(f: GridFunction) -> GridFunction:
     """Second-order central second derivative; output is 2 samples shorter."""
     d = (f.samples[2:] - 2.0 * f.samples[1:-1] + f.samples[:-2]) / (f.dx * f.dx)
-    return GridFunction(f.x0 + f.dx, f.dx, d)
+    return GridFunction(f.origin, f.dx, d, f.offset + 1)
 
 
 def grid_norm(f: GridFunction) -> float:

@@ -33,12 +33,14 @@ from .grids import (GridFunction, GridSpec, derivative, multiply_exponential,
                     second_derivative)
 from .market import MarketParams, MarketView
 from .specialfn import hermite_function_sequence
-from .tables import mode_table
+from .tables import grid_table
 
 FAMILY_MAX = 60
 
 DEFAULT_GRID_POINTS = 8001
 DEFAULT_GRID_HALF_WIDTH = 8.0  # in units of sigma
+OPERATOR_GRID_POINTS = 32001
+OPERATOR_GRID_HALF_WIDTH = 10.0  # in units of sigma
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,13 @@ def default_grid(
     """Grid covering the eigenfunction envelope: center +- half_width * sigma."""
     c = params.center
     return GridSpec.over(c - half_width * params.sigma, c + half_width * params.sigma, n)
+
+
+def operator_grid(params: HarmonicParams) -> GridSpec:
+    """Fine grid for finite-difference fallbacks; keeps h^2 error near 1e-8."""
+    half = OPERATOR_GRID_HALF_WIDTH * params.sigma
+    return GridSpec.over(params.center - half, params.center + half,
+                         OPERATOR_GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +145,10 @@ class HermiteExpansion:
 
     def __call__(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        u = self.params.scaled_argument(x_arr)
-        table = mode_table(self.params, u, len(self.coeffs) - 1, hermite_function_sequence)
+        p = self.params
+        u = p.scaled_argument(x_arr)
+        table = grid_table(p, u, len(self.coeffs) - 1, hermite_function_sequence,
+                           lambda: p.scaled_argument(operator_grid(p).points))
         vals = (self.coeffs @ table.reshape(len(self.coeffs), -1)).reshape(u.shape)
         vals = vals / math.sqrt(self.params.sigma) * np.exp(self.tilt * x_arr)
         return vals if np.ndim(x) else complex(vals[0]) if np.iscomplexobj(vals) else float(vals[0])

@@ -89,7 +89,9 @@ class LadderSystem:
     The four operator fields take a function (or whatever the family members
     are) and return a function or a GridFunction. ``inner`` is a callable
     (f, g) -> complex realizing the model's inner product, conjugate-linear
-    in the first slot.
+    in the first slot. ``gram`` is the same inner product on blocks,
+    (fs, gs) -> the array of <f_i, g_j>, each function evaluated once per
+    rule; the biorthogonality and quasi-basis checks use it.
     """
 
     label: str
@@ -101,6 +103,7 @@ class LadderSystem:
     raise_a_dag: Callable
     eigens: EigenSequence
     inner: Callable
+    gram: Callable
     default_grid: GridSpec
     test_functions: Sequence[TestFunction] = field(default_factory=tuple)
     quasi_pairs: Sequence[Tuple[Callable, Callable]] = field(default_factory=tuple)
@@ -170,8 +173,11 @@ def _relative_residual(out, coeff: float, target: Optional[Callable],
                        reference: Callable, grid: GridSpec) -> float:
     """|| out - coeff * target || / || reference ||, all on the output's grid."""
     x, lhs, dx = _as_xy(out, grid)
-    rhs = coeff * np.asarray(target(x)) if target is not None else 0.0
     ref = np.asarray(reference(x))
+    if target is None:
+        rhs = 0.0
+    else:
+        rhs = coeff * (ref if target is reference else np.asarray(target(x)))
     ref_norm = _norm(ref, dx)
     if ref_norm == 0.0:
         raise ValueError("degenerate reference function with zero norm")
@@ -244,6 +250,12 @@ def check_number_operator(sys: LadderSystem, n_max: int, grid: Optional[GridSpec
     return CheckResult("number_operator", worst, tol)
 
 
+def _families(sys: LadderSystem, n_max: int) -> Tuple[list, list]:
+    """phi_0..phi_{n_max} and psi_0..psi_{n_max}, for the Gram-matrix checks."""
+    return ([sys.family_phi(n) for n in range(n_max + 1)],
+            [sys.family_psi(n) for n in range(n_max + 1)])
+
+
 def check_biorthogonality(sys: LadderSystem, n_max: int,
                           tol: float = ALGEBRAIC_TOL) -> CheckResult:
     """<phi_n, psi_m> = delta_nm for all pairs up to n_max."""
@@ -251,30 +263,22 @@ def check_biorthogonality(sys: LadderSystem, n_max: int,
         raise ValueError(
             f"biorthogonality check capped at n_max={LADDER_N_MAX_CAP}, got {n_max}"
         )
-    phis = [sys.family_phi(n) for n in range(n_max + 1)]
-    psis = [sys.family_psi(m) for m in range(n_max + 1)]
-    worst = 0.0
-    for n, phi in enumerate(phis):
-        for m, psi in enumerate(psis):
-            val = sys.inner(phi, psi)
-            target = 1.0 if n == m else 0.0
-            worst = max(worst, abs(val - target))
+    phis, psis = _families(sys, n_max)
+    worst = float(np.max(np.abs(sys.gram(phis, psis) - np.eye(n_max + 1))))
     return CheckResult("biorthogonality", worst, tol)
 
 
 def check_quasi_basis(sys: LadderSystem, test_pairs: Sequence[Tuple[Callable, Callable]],
                       n_max: int, tol: float = QUASI_BASIS_TOL) -> CheckResult:
     """Partial sums of both resolutions of <f, g> converge to the direct value."""
+    phis, psis = _families(sys, n_max)
     worst = 0.0
     for f, g in test_pairs:
         direct = sys.inner(f, g)
-        total = 0.0 + 0.0j
-        mirrored = 0.0 + 0.0j
-        for n in range(n_max + 1):
-            phi = sys.family_phi(n)
-            psi = sys.family_psi(n)
-            total += sys.inner(f, phi) * sys.inner(psi, g)
-            mirrored += sys.inner(f, psi) * sys.inner(phi, g)
+        f_phi, f_psi = np.split(sys.gram([f], phis + psis)[0], 2)
+        phi_g, psi_g = np.split(sys.gram(phis + psis, [g])[:, 0], 2)
+        total = complex(np.sum(f_phi * psi_g))
+        mirrored = complex(np.sum(f_psi * phi_g))
         worst = max(worst, abs(total - direct), abs(mirrored - direct))
     return CheckResult("quasi_basis", worst, tol)
 

@@ -222,11 +222,16 @@ def _simulate_block(block_index: int, size: int, x0: float, log_lo: float,
     below e^-37 = 8.5e-17, under the unit roundoff 2^-53 = 1.1e-16, so each
     omitted term log(1 - p) = -p moves the weight by less than one rounding,
     and all 2 * steps of them together by less than 2 * 512 * 8.5e-17 < 1e-13
-    relative at 512 steps.
+    relative at 512 steps. Since d0 d1 >= min(d0, d1)^2, a survivor whose
+    smallest gap to either barrier, over its path and the start x0, has
+    gap^2 >= BRIDGE_NEAR sigma^2 dt has no such step and keeps weight 1; the
+    comparison carries a relative margin of 1e-12 so that no row with a step
+    the product test would count as near is skipped.
     """
     key = np.array([cfg.seed % 2**64, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     dt = tau / cfg.steps
+    var_dt = sigma * sigma * dt
     scale = sigma * math.sqrt(dt)
     drift = (r - 0.5 * sigma * sigma) * dt
     values = np.zeros(size)
@@ -236,13 +241,18 @@ def _simulate_block(block_index: int, size: int, x0: float, log_lo: float,
         x += drift
         np.cumsum(x, axis=1, out=x)
         x += x0
-        alive = (x.min(axis=1) > log_lo) & (x.max(axis=1) < log_hi)
+        lows, highs = x.min(axis=1), x.max(axis=1)
+        alive = (lows > log_lo) & (highs < log_hi)
         x = x[alive]
         weights = 1.0
         if cfg.bridge_correction:
+            gap = np.minimum(np.minimum(lows[alive] - log_lo, log_hi - highs[alive]),
+                             min(x0 - log_lo, log_hi - x0))
+            near = gap * gap < BRIDGE_NEAR * var_dt * (1.0 + 1e-12)
+            weights = np.ones(x.shape[0])
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                weights = np.exp(_bridge_log_survival(x, x0, log_lo, log_hi,
-                                                      sigma * sigma * dt))
+                weights[near] = np.exp(_bridge_log_survival(x[near], x0, log_lo,
+                                                            log_hi, var_dt))
         values[start:start + alive.size][alive] = weights * payoff.as_log(x[:, -1])
     return float(np.sum(values)), float(np.sum(values * values))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import roots_hermite
@@ -124,6 +124,17 @@ def legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule("gauss_legendre", a + half * (u + 1.0), half * w, interval=(a, b))
 
 
+def _samples(fn: Callable, name: str, nodes: np.ndarray) -> np.ndarray:
+    vals = np.asarray(fn(nodes))
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        where = nodes[np.argmax(bad)]
+        raise QuadratureEvaluationError(
+            f"integrand {name} returned a non-finite sample at x={where!r}"
+        )
+    return vals
+
+
 def inner_product(f: Callable, g: Callable, rule: QuadratureRule) -> complex:
     """<f, g> = int conj(f(x)) g(x) dx approximated by the rule.
 
@@ -140,17 +151,22 @@ def inner_product(f: Callable, g: Callable, rule: QuadratureRule) -> complex:
         If either function returns a non-finite sample; the message names
         the offending node.
     """
-    fv = np.asarray(f(rule.nodes))
-    gv = np.asarray(g(rule.nodes))
-    for name, vals in (("f", fv), ("g", gv)):
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            where = rule.nodes[np.argmax(bad)]
-            raise QuadratureEvaluationError(
-                f"integrand {name} returned a non-finite sample at x={where!r}"
-            )
+    fv = _samples(f, "f", rule.nodes)
+    gv = _samples(g, "g", rule.nodes)
     total = np.sum(rule.weights * np.conj(fv) * gv)
     return complex(total)
+
+
+def gram_matrix(fs: Sequence[Callable], gs: Sequence[Callable],
+                rule: QuadratureRule) -> np.ndarray:
+    """The matrix of <f_i, g_j> on one rule: conj(F) diag(w) G^T.
+
+    Every function is sampled once; row i of F holds f_i at the nodes.
+    Raises QuadratureEvaluationError like `inner_product`.
+    """
+    f_rows = np.array([_samples(f, f"f[{i}]", rule.nodes) for i, f in enumerate(fs)])
+    g_rows = np.array([_samples(g, f"g[{j}]", rule.nodes) for j, g in enumerate(gs)])
+    return (np.conj(f_rows) * rule.weights) @ g_rows.T
 
 
 @lru_cache(maxsize=128)
@@ -170,6 +186,29 @@ def _make_rule(kind: str, n: int, center: float, scale: float,
     return rule
 
 
+def _adaptive(estimate: Callable, kind: str, rel_tol: float, center: float,
+              scale: float, interval: Optional[Tuple[float, float]]):
+    """The node doubling of both adaptive entry points; estimate(rule) may
+    return a scalar or an array, and every entry must pass the test."""
+    if rel_tol < MIN_REL_TOL:
+        raise ValueError(f"rel_tol must be >= {MIN_REL_TOL}, got {rel_tol}")
+    previous = None
+    current = None
+    n = ADAPTIVE_START
+    while n <= ADAPTIVE_CAP:
+        rule = _make_rule(kind, n, center, scale, interval)
+        previous, current = current, estimate(rule)
+        if previous is not None:
+            change = np.abs(current - previous)
+            denom = np.maximum(1.0, np.maximum(np.abs(current), np.abs(previous)))
+            if np.all(change <= rel_tol * denom):
+                return current
+        n *= 2
+    worst = np.argmax(change / denom)
+    raise QuadratureConvergenceError(complex(np.ravel(current)[worst]),
+                                     complex(np.ravel(previous)[worst]), rel_tol)
+
+
 def adaptive_inner_product(
     f: Callable,
     g: Callable,
@@ -183,25 +222,39 @@ def adaptive_inner_product(
     """Inner product with node doubling from 64 up to 4096 nodes.
 
     Successive estimates must differ by less than rel_tol relative to
-    max(1, |estimate|); the unit floor makes the criterion meaningful for
-    integrals that vanish (orthogonality checks). Returns the last estimate.
+    max(1, |estimate|, |previous|); the unit floor makes the criterion
+    meaningful for integrals that vanish (orthogonality checks). Returns the
+    last estimate.
 
     Raises
     ------
     QuadratureConvergenceError
         If the cap is reached while the last two estimates still disagree.
     """
-    if rel_tol < MIN_REL_TOL:
-        raise ValueError(f"rel_tol must be >= {MIN_REL_TOL}, got {rel_tol}")
-    previous = None
-    estimate = None
-    n = ADAPTIVE_START
-    while n <= ADAPTIVE_CAP:
-        rule = _make_rule(kind, n, center, scale, interval)
-        previous, estimate = estimate, inner_product(f, g, rule)
-        if previous is not None:
-            denom = max(1.0, abs(estimate), abs(previous))
-            if abs(estimate - previous) <= rel_tol * denom:
-                return estimate
-        n *= 2
-    raise QuadratureConvergenceError(estimate, previous, rel_tol)
+    return _adaptive(lambda rule: inner_product(f, g, rule), kind, rel_tol,
+                     center, scale, interval)
+
+
+def adaptive_gram(
+    fs: Sequence[Callable],
+    gs: Sequence[Callable],
+    kind: str,
+    rel_tol: float,
+    *,
+    center: float = 0.0,
+    scale: float = 1.0,
+    interval: Optional[Tuple[float, float]] = None,
+) -> np.ndarray:
+    """The matrix of <f_i, g_j> by the node doubling of `adaptive_inner_product`.
+
+    Every entry must settle by the same test; the rule of the last doubling
+    serves the whole block, and each function is sampled once per rule.
+
+    Raises
+    ------
+    QuadratureConvergenceError
+        If the cap is reached while some entry still disagrees; it carries
+        that entry's last two estimates.
+    """
+    return _adaptive(lambda rule: gram_matrix(fs, gs, rule), kind, rel_tol,
+                     center, scale, interval)

@@ -22,21 +22,12 @@ from . import harmonic as har
 from .grids import GridFunction, GridSpec
 from .market import beta_is_degenerate
 from .pb_core import EigenSequence, LadderSystem, MetricOperator, TestFunction
-from .quadrature import adaptive_inner_product
+from .quadrature import adaptive_gram, adaptive_inner_product
 
-OPERATOR_GRID_POINTS = 32001
-OPERATOR_GRID_HALF_WIDTH = 10.0  # in units of sigma
 BARRIER_GRID_POINTS = 4001
 INNER_REL_TOL = 1e-12
 
 TEST_WIDTHS = (0.5, 1.0, 2.0)
-
-
-def operator_grid(params: har.HarmonicParams) -> GridSpec:
-    """Fine grid for finite-difference fallbacks; keeps h^2 error near 1e-8."""
-    half = OPERATOR_GRID_HALF_WIDTH * params.sigma
-    return GridSpec.over(params.center - half, params.center + half,
-                         OPERATOR_GRID_POINTS)
 
 
 def harmonic_test_functions(widths: Tuple[float, ...] = TEST_WIDTHS):
@@ -62,17 +53,37 @@ def _decay_rate(f, default: float) -> float:
     return default if rate is None else float(rate)
 
 
-def _harmonic_inner(params: har.HarmonicParams) -> Callable:
-    base = 1.0 / (2.0 * params.sigma**2)
+def _inner_and_gram(kind: str, rule: Callable) -> Tuple[Callable, Callable]:
+    """The model's inner product and Gram matrix on one rule choice.
+
+    rule(fs, gs) gives the rule's keyword arguments for a block of functions
+    in each slot; an inner product is the block of one and one.
+    """
 
     def inner(f, g) -> complex:
-        rate = _decay_rate(f, base) + _decay_rate(g, base)
-        return adaptive_inner_product(
-            f, g, "gauss_hermite", INNER_REL_TOL,
-            center=params.center, scale=math.sqrt(2.0 / rate),
-        )
+        return adaptive_inner_product(f, g, kind, INNER_REL_TOL, **rule([f], [g]))
 
-    return inner
+    def gram(fs, gs) -> np.ndarray:
+        return adaptive_gram(fs, gs, kind, INNER_REL_TOL, **rule(fs, gs))
+
+    return inner, gram
+
+
+def _harmonic_quadrature(params: har.HarmonicParams) -> Tuple[Callable, Callable]:
+    """Hermite rules centred on the eigenfunctions, scaled to the decay rates."""
+    base = 1.0 / (2.0 * params.sigma**2)
+
+    def block_rate(fns) -> float:
+        rates = {_decay_rate(f, base) for f in fns}
+        if len(rates) != 1:
+            raise ValueError(f"a Gram block needs one Gaussian decay rate, got {rates}")
+        return rates.pop()
+
+    def rule(fs, gs) -> dict:
+        rate = block_rate(fs) + block_rate(gs)
+        return {"center": params.center, "scale": math.sqrt(2.0 / rate)}
+
+    return _inner_and_gram("gauss_hermite", rule)
 
 
 def _harmonic_op(params: har.HarmonicParams, op: Callable, grid: GridSpec,
@@ -109,7 +120,7 @@ def harmonic_system(params: har.HarmonicParams,
     if route not in ("exact", "grid"):
         raise ValueError(f"route must be 'exact' or 'grid', got {route!r}")
     exact = route == "exact"
-    op_grid = operator_grid(params)
+    op_grid = har.operator_grid(params)
     eval_grid = har.default_grid(params) if exact else op_grid
 
     def bind(op):
@@ -134,6 +145,7 @@ def harmonic_system(params: har.HarmonicParams,
                 * har.norm_squared_law(params, n, "psi")
             )
 
+    inner, gram = _harmonic_quadrature(params)
     system = LadderSystem(
         label=f"harmonic/{route}",
         family_phi=lambda n: har.varphi_n(params, n),
@@ -143,7 +155,8 @@ def harmonic_system(params: har.HarmonicParams,
         lower_b_dag=bind(har.apply_B_dag),
         raise_a_dag=bind(har.apply_A_dag),
         eigens=EigenSequence(lambda n: float(n)),
-        inner=_harmonic_inner(params),
+        inner=inner,
+        gram=gram,
         default_grid=eval_grid,
         test_functions=tests,
         quasi_pairs=[(narrow[0], narrow[1]), (narrow[0], narrow[0])],
@@ -155,15 +168,6 @@ def harmonic_system(params: har.HarmonicParams,
 
 # ---------------------------------------------------------------------------
 # barrier model
-
-
-def _barrier_inner(params: bar.BarrierParams) -> Callable:
-    def inner(f, g) -> complex:
-        return adaptive_inner_product(
-            f, g, "gauss_legendre", INNER_REL_TOL, interval=(params.a, params.b)
-        )
-
-    return inner
 
 
 def barrier_test_functions(params: bar.BarrierParams, n_trunc: int):
@@ -212,6 +216,8 @@ def barrier_system(params: bar.BarrierParams,
         label="S_psi = exp(-2 beta x)",
     )
     width = params.b - params.a
+    inner, gram = _inner_and_gram("gauss_legendre",
+                                  lambda fs, gs: {"interval": (params.a, params.b)})
     system = LadderSystem(
         label="barrier/spectral",
         family_phi=lambda n: bar.varphi_n(params, n),
@@ -222,7 +228,8 @@ def barrier_system(params: bar.BarrierParams,
         lower_b_dag=spectral(bar.apply_A_hat, bar.analyze_psi, bar.synthesize_psi),
         raise_a_dag=spectral(bar.apply_B_hat, bar.analyze_psi, bar.synthesize_psi),
         eigens=EigenSequence(lambda n: bar.rho_coefficient(params, n)),
-        inner=_barrier_inner(params),
+        inner=inner,
+        gram=gram,
         default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),
         test_functions=barrier_test_functions(params, n_trunc),
         quasi_pairs=barrier_quasi_pairs(params),

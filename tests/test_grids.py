@@ -52,6 +52,19 @@ def test_spec_interior_matches_function_interior():
     assert g.interior(3).points == pytest.approx(g.points[3:-3])
 
 
+def test_trimmed_points_are_the_parent_points():
+    g = GridSpec.over(-2.0, 2.0, 32001)
+    f = g.sample(np.sin)
+    once = derivative(f)
+    twice = second_derivative(once)
+    for k, trimmed in ((1, once), (2, twice), (2, f.interior(2)), (3, g.interior(3))):
+        points = trimmed.points if isinstance(trimmed, GridSpec) else trimmed.x
+        np.testing.assert_array_equal(points, g.points[k:-k])
+        assert trimmed.origin == g.origin and trimmed.offset == k
+        assert trimmed.x0 == g.origin + k * g.dx
+    assert f.interior(2).spec == g.interior(2)
+
+
 def test_derivative_of_sine():
     g = GridSpec.over(0.0, math.pi, 2001)
     d = derivative(g.sample(np.sin))

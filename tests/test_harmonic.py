@@ -36,6 +36,7 @@ from pbk.harmonic import (
     apply_Theta_inv,
     default_grid,
     norm_squared_law,
+    operator_grid,
     phi_n,
     psi_n,
     quadratic_potential,
@@ -468,6 +469,60 @@ class TestTableCache:
         gc.collect()
         assert alive() is None
         assert len(tables._TABLES) == before - 1
+
+    def test_operator_grid_trims_are_bit_identical(self, market, monkeypatch):
+        p = params_for(market, w=0.37)
+        grid = operator_grid(p)
+        sampled = grid.sample(varphi_n(p, 2))
+        once = apply_A(p, sampled)
+        twice = apply_B(p, once)
+        assert (once.n, twice.n) == (grid.n - 2, grid.n - 4)
+        sizes = []
+
+        def counting(n_max, u):
+            sizes.append(u.size)
+            return hermite_function_sequence(n_max, u)
+
+        monkeypatch.setattr(harmonic, "hermite_function_sequence", counting)
+        rng = np.random.default_rng(8)
+        for n, x in ((3, twice.x), (9, once.x), (4, grid.points), (6, twice.x)):
+            f = HermiteExpansion(p, p.beta, rng.standard_normal(n + 1))
+            assert np.array_equal(f(x), self.expansion_uncached(f, x))
+            table = tables.grid_table(p, p.scaled_argument(x), n, hermite_function_sequence,
+                                      lambda: p.scaled_argument(grid.points))
+            fresh = hermite_function_sequence(n, p.scaled_argument(x))
+            assert np.array_equal(table, fresh)
+        # one table over the whole grid, built at degree 3 and rebuilt at 9
+        assert sizes == [grid.n, grid.n]
+
+    def test_one_grid_table_per_params_freed_with_it(self, market):
+        p = params_for(market, w=0.38)
+        grid = operator_grid(p)
+        for n, k in ((2, 0), (5, 1), (4, 2)):
+            varphi_n(p, n)(grid.interior(k).points)
+        nodes, table = tables._GRID_TABLES[p]
+        assert table.shape == (6, grid.n)
+        assert not table.flags.writeable
+        assert np.array_equal(nodes, p.scaled_argument(grid.points))
+        alive = weakref.ref(p)
+        gc.collect()
+        before = len(tables._GRID_TABLES)
+        del p, nodes, table
+        gc.collect()
+        assert alive() is None
+        assert len(tables._GRID_TABLES) == before - 1
+
+    def test_other_large_node_sets_and_cache_off_keep_no_grid_table(self, market,
+                                                                    monkeypatch):
+        p = params_for(market, w=0.39)
+        grid = operator_grid(p)
+        shifted = GridSpec(grid.origin + 0.5 * grid.dx, grid.dx, grid.n - 2, 1)
+        phi_n(p, 3)(shifted.points)
+        phi_n(p, 3)(grid.points[::2])
+        assert p not in tables._GRID_TABLES
+        monkeypatch.setattr(tables, "MAX_CACHED_NODES", 0)
+        phi_n(p, 3)(grid.points)
+        assert p not in tables._GRID_TABLES and p not in tables._TABLES
 
     @pytest.mark.parametrize("route, tols", [
         ("exact", {}),

@@ -116,6 +116,7 @@ def degenerate_system():
         raise_a_dag=lambda f: f,
         eigens=EigenSequence(lambda n: float(n)),
         inner=lambda f, g: 0.0 + 0.0j,
+        gram=lambda fs, gs: np.zeros((len(fs), len(gs)), dtype=complex),
         default_grid=GridSpec.over(-1.0, 1.0, 101),
     )
 
@@ -190,6 +191,64 @@ class TestIndividualChecks:
         result = check_norm_growth(sys_h, 5)
         assert result.tolerance == 1e-10
         assert result.passed
+
+
+# ---------------------------------------------------------------------------
+# the Gram-matrix checks against pairwise adaptive quadrature
+
+
+def gram_systems(market, market_beta0):
+    return {
+        "harmonic beta -0.75": harmonic_system(HarmonicParams(market))[0],
+        "harmonic beta 0": harmonic_system(HarmonicParams(market_beta0))[0],
+        "barrier (0, pi)": barrier_system(BarrierParams(market, 0.0, math.pi))[0],
+    }
+
+
+SYSTEM_NAMES = ["harmonic beta -0.75", "harmonic beta 0", "barrier (0, pi)"]
+
+
+class TestGramChecks:
+    """One Gram matrix per block against one adaptive quadrature per pair."""
+
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_biorthogonality_matches_pairwise(self, market, market_beta0, name):
+        sys_ = gram_systems(market, market_beta0)[name]
+        n_max = LADDER_N_MAX_CAP
+        phis = [sys_.family_phi(n) for n in range(n_max + 1)]
+        psis = [sys_.family_psi(n) for n in range(n_max + 1)]
+        gram = sys_.gram(phis, psis)
+        pairwise = np.array([[sys_.inner(phi, psi) for psi in psis] for phi in phis])
+        assert gram.shape == (n_max + 1, n_max + 1)
+        assert np.max(np.abs(gram - pairwise)) <= 1e-13
+        result = check_biorthogonality(sys_, n_max)
+        assert result.passed
+        assert result.max_residual == float(np.max(np.abs(gram - np.eye(n_max + 1))))
+        assert abs(result.max_residual
+                   - np.max(np.abs(pairwise - np.eye(n_max + 1)))) <= 1e-13
+
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_quasi_basis_sums_match_pairwise(self, market, market_beta0, name):
+        sys_ = gram_systems(market, market_beta0)[name]
+        n_max = NORM_N_MAX_CAP
+        worst = 0.0
+        for f, g in sys_.quasi_pairs:
+            direct = sys_.inner(f, g)
+            total = mirrored = 0.0
+            for n in range(n_max + 1):
+                phi, psi = sys_.family_phi(n), sys_.family_psi(n)
+                total += sys_.inner(f, phi) * sys_.inner(psi, g)
+                mirrored += sys_.inner(f, psi) * sys_.inner(phi, g)
+            worst = max(worst, abs(total - direct), abs(mirrored - direct))
+        result = check_quasi_basis(sys_, sys_.quasi_pairs, n_max)
+        assert result.passed
+        assert abs(result.max_residual - worst) <= 1e-13
+
+    def test_harmonic_block_needs_one_decay_rate(self, harmonic):
+        sys_h, _ = harmonic
+        narrow, wide = sys_h.test_functions[0], sys_h.test_functions[2]
+        with pytest.raises(ValueError, match="decay rate"):
+            sys_h.gram([narrow, wide], [sys_h.family_phi(0)])
 
 
 # ---------------------------------------------------------------------------

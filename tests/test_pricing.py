@@ -10,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from pbk import pricing
 from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
 from pbk.pricing import (
+    BRIDGE_NEAR,
     MC_BLOCK_PATHS,
+    MC_CHUNK_PATHS,
     MCConfig,
     Payoff,
     PricingResult,
     _block_sizes,
+    _bridge_log_survival,
     _panels,
     _simulate_block,
     bs_closed_form,
@@ -314,6 +318,53 @@ def full_matrix_block(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg,
     return float(np.sum(values)), float(np.sum(values * values))
 
 
+def _survivor_paths(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg):
+    """The block's paths built as `_simulate_block` builds them, and the
+    survivor mask."""
+    key = np.array([cfg.seed % 2**64, block_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    dt = tau / cfg.steps
+    chunks = []
+    for start in range(0, size, MC_CHUNK_PATHS):
+        x = rng.standard_normal((min(MC_CHUNK_PATHS, size - start), cfg.steps))
+        x *= sigma * math.sqrt(dt)
+        x += (r - 0.5 * sigma * sigma) * dt
+        np.cumsum(x, axis=1, out=x)
+        x += x0
+        chunks.append(x)
+    x = np.concatenate(chunks)
+    return x, (x.min(axis=1) > log_lo) & (x.max(axis=1) < log_hi)
+
+
+def unskipped_block(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg,
+                    payoff):
+    """The block sums with `_bridge_log_survival` run on every survivor."""
+    x, alive = _survivor_paths(block_index, size, x0, log_lo, log_hi, sigma, r,
+                               tau, cfg)
+    values = np.zeros(size)
+    for start in range(0, size, MC_CHUNK_PATHS):
+        stop = min(start + MC_CHUNK_PATHS, size)
+        chunk = x[start:stop][alive[start:stop]]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            weights = np.exp(_bridge_log_survival(chunk, x0, log_lo, log_hi,
+                                                  sigma * sigma * tau / cfg.steps))
+        values[start:stop][alive[start:stop]] = weights * payoff.as_log(chunk[:, -1])
+    return float(np.sum(values)), float(np.sum(values * values))
+
+
+def near_rows(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg, payoff):
+    """Survivors with a step where d0 d1 < BRIDGE_NEAR sigma^2 dt, and all
+    survivors."""
+    x, alive = _survivor_paths(block_index, size, x0, log_lo, log_hi, sigma, r,
+                               tau, cfg)
+    x = np.concatenate([np.full((size, 1), x0), x], axis=1)[alive]
+    limit = BRIDGE_NEAR * sigma * sigma * tau / cfg.steps
+    d_lo, d_hi = x - log_lo, log_hi - x
+    near = ((d_lo[:, :-1] * d_lo[:, 1:] < limit)
+            | (d_hi[:, :-1] * d_hi[:, 1:] < limit)).any(axis=1)
+    return int(near.sum()), int(alive.sum())
+
+
 class TestBlockAgainstFullMatrix:
     """The near-barrier bridge weight against the all-steps formula, on
     barriers narrow enough that 32% to 100% of the survivors' steps are near
@@ -336,6 +387,37 @@ class TestBlockAgainstFullMatrix:
         want = full_matrix_block(*args)
         assert want[0] > 0.0
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    # (barriers, tau, steps, spot, rows near a barrier): the bridge runs only
+    # on survivors whose smallest gap to a barrier, start included, is near
+    SKIP_CASES = [
+        ((50.0, 200.0), 0.25, 64, 100.0, "none"),
+        ((80.0, 120.0), 0.25, 64, 100.0, "some"),
+        ((98.0, 130.0), 0.25, 64, 100.0, "all"),
+    ]
+
+    @pytest.mark.parametrize("barriers, tau, steps, spot, rows", SKIP_CASES)
+    def test_skipped_rows_change_nothing(self, monkeypatch, barriers, tau, steps,
+                                         spot, rows):
+        cfg = MCConfig(paths=2500, steps=steps, seed=13, bridge_correction=True)
+        args = (1, 2500, math.log(spot), math.log(barriers[0]),
+                math.log(barriers[1]), 0.2, 0.05, tau, cfg, Payoff.call(100.0))
+        near, survivors = near_rows(*args)
+        assert {"none": near == 0, "some": 0 < near < survivors,
+                "all": near == survivors > 0}[rows]
+        bridged = []
+
+        def counting(x, *rest):
+            bridged.append(x.shape[0])
+            return _bridge_log_survival(x, *rest)
+
+        monkeypatch.setattr(pricing, "_bridge_log_survival", counting)
+        got = _simulate_block(*args)
+        assert near <= sum(bridged) <= survivors
+        assert {"none": sum(bridged) == 0, "some": sum(bridged) < survivors,
+                "all": sum(bridged) == survivors}[rows]
+        np.testing.assert_allclose(got, full_matrix_block(*args), rtol=1e-12, atol=0.0)
+        assert got == unskipped_block(*args)
 
     def test_block_with_no_survivors(self):
         cfg = MCConfig(paths=300, steps=64, seed=5)

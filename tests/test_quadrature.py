@@ -11,7 +11,9 @@ from pbk.quadrature import (
     QuadratureConvergenceError,
     QuadratureEvaluationError,
     QuadratureRule,
+    adaptive_gram,
     adaptive_inner_product,
+    gram_matrix,
     hermite_rule,
     inner_product,
     legendre_rule,
@@ -167,3 +169,66 @@ class TestAdaptive:
             rule.nodes[0] = 0.0
         with pytest.raises(ValueError):
             rule.weights[0] = 1.0
+
+
+class TestGram:
+    FS = [np.sin, np.cos, lambda x: x * (math.pi - x)]
+    GS = [lambda x: np.sin(2.0 * x), np.exp]
+
+    def test_one_rule_matches_inner_products(self):
+        rule = legendre_rule(32, 0.0, math.pi)
+        gram = gram_matrix(self.FS, self.GS, rule)
+        assert gram.shape == (3, 2)
+        for i, f in enumerate(self.FS):
+            for j, g in enumerate(self.GS):
+                assert gram[i, j] == pytest.approx(inner_product(f, g, rule),
+                                                   rel=1e-14, abs=1e-14)
+
+    def test_conjugates_first_block(self):
+        rule = legendre_rule(16, 0.0, 1.0)
+        gram = gram_matrix([lambda x: 1j * np.ones_like(x)], [np.ones_like], rule)
+        assert gram[0, 0] == pytest.approx(-1j, abs=1e-14)
+
+    def test_adaptive_matches_pairwise(self):
+        gram = adaptive_gram(self.FS, self.GS, "gauss_legendre", 1e-12,
+                             interval=(0.0, math.pi))
+        for i, f in enumerate(self.FS):
+            for j, g in enumerate(self.GS):
+                pair = adaptive_inner_product(f, g, "gauss_legendre", 1e-12,
+                                              interval=(0.0, math.pi))
+                assert abs(gram[i, j] - pair) <= 1e-13 * max(1.0, abs(pair))
+
+    def test_each_function_sampled_once_per_rule(self):
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return np.exp(-(x**2))
+
+        adaptive_gram([counted], [counted, counted], "gauss_hermite", 1e-12)
+        # one call per slot and rule, and the rules double from 64 nodes
+        rules = sizes[::3]
+        assert sizes == [n for n in rules for _ in range(3)]
+        assert rules == [64 * 2**k for k in range(len(rules))] and len(rules) >= 2
+
+    def test_non_finite_sample_names_the_function(self):
+        rule = legendre_rule(16, 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureEvaluationError, match=r"g\[1\]"):
+                gram_matrix([np.sin], [np.sin, lambda x: 1.0 / (x - x)], rule)
+
+    def test_one_unsettled_entry_fails_the_block(self):
+        with pytest.raises(QuadratureConvergenceError) as info:
+            adaptive_gram(
+                [lambda x: np.exp(-(x**2)), lambda x: 1.0 / (1.0 + x**2)],
+                [np.ones_like],
+                "gauss_hermite",
+                1e-12,
+            )
+        assert info.value.last != info.value.previous
+        assert isinstance(info.value.last, complex)
+
+    def test_rel_tol_floor(self):
+        with pytest.raises(ValueError):
+            adaptive_gram([np.sin], [np.sin], "gauss_legendre", 1e-15,
+                          interval=(0.0, 1.0))
