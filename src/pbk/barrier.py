@@ -31,7 +31,6 @@ import numpy as np
 from .grids import GridFunction, multiply_exponential
 from .market import MarketParams, MarketView
 from .quadrature import legendre_rule
-from .tables import mode_table
 
 FAMILY_MAX = 200
 DEFAULT_TRUNCATION = 128
@@ -196,8 +195,10 @@ def failed_factorization_residual(params: BarrierParams, n_points: int = 16001) 
 class SpectralVector:
     """Expansion coefficients c_0..c_{n_max} of f = sum c_n varphi_n (or psi_n).
 
-    discarded_tail reports the magnitude a raising operator pushed past the
-    truncation cap instead of silently dropping it.
+    A coefficient matrix is a block of functions, one per row; the maps act
+    on the last axis. discarded_tail reports the magnitude a raising
+    operator pushed past the truncation cap instead of silently dropping it
+    (one value per row for a block).
     """
 
     coeffs: np.ndarray = field(repr=False)
@@ -206,22 +207,19 @@ class SpectralVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs)))
-        if self.coeffs.size != self.n_max + 1:
+        if self.coeffs.shape[-1] != self.n_max + 1:
             raise ValueError(
-                f"need n_max + 1 = {self.n_max + 1} coefficients, got {self.coeffs.size}"
+                f"need n_max + 1 = {self.n_max + 1} coefficients, "
+                f"got {self.coeffs.shape[-1]}"
             )
 
 
 def _mode_matrix(params: BarrierParams, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Rows Phi_0(x)..Phi_{n_max}(x), kept per (params, x) by `mode_table`."""
-
-    def sine_table(n: int, nodes: np.ndarray) -> np.ndarray:
-        orders = np.arange(1, n + 2)
-        return math.sqrt(2.0 / params.width) * np.sin(
-            np.outer(orders, params.wavenumber(1) * (nodes - params.a))
-        )
-
-    return mode_table(params, x, n_max, sine_table)
+    """Rows Phi_0(x)..Phi_{n_max}(x), built in one array."""
+    table = np.outer(np.arange(1, n_max + 2), params.wavenumber(1) * (x - params.a))
+    np.sin(table, out=table)
+    table *= math.sqrt(2.0 / params.width)
+    return table
 
 
 def _analyze(params: BarrierParams, f: Callable, n_max: int, nodes: int,
@@ -230,7 +228,7 @@ def _analyze(params: BarrierParams, f: Callable, n_max: int, nodes: int,
     rule = legendre_rule(nodes, params.a, params.b)
     modes = _mode_matrix(params, n_max, rule.nodes)
     weighted = rule.weights * np.exp(rate * rule.nodes) * np.asarray(f(rule.nodes))
-    return SpectralVector(modes @ weighted, n_max)
+    return SpectralVector((modes @ weighted.T).T, n_max)
 
 
 def analyze_phi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCATION,
@@ -251,10 +249,12 @@ def _synthesize(params: BarrierParams, v: SpectralVector, rate: float) -> Callab
     def combination(x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         inside = (x_arr >= params.a) & (x_arr <= params.b)
-        modes = _mode_matrix(params, v.n_max, x_arr)
-        vals = np.exp(rate * x_arr) * (v.coeffs @ modes)
+        vals = np.exp(rate * x_arr) * (v.coeffs @ _mode_matrix(params, v.n_max, x_arr))
         vals = np.where(inside, vals, 0.0)
-        return vals if np.ndim(x) else float(vals[0])
+        if np.ndim(x):
+            return vals
+        vals = vals[..., 0]
+        return vals if vals.ndim else float(vals)
 
     return combination
 
@@ -277,7 +277,7 @@ def apply_A_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
     """Lowering: out_n = sqrt(rho_{n+1}) c_{n+1}; B_hat^dag on a psi-expansion."""
     out = np.zeros_like(v.coeffs)
     n = np.arange(1, v.n_max + 1)
-    out[:-1] = _sqrt_rho(params, n) * v.coeffs[1:]
+    out[..., :-1] = _sqrt_rho(params, n) * v.coeffs[..., 1:]
     return SpectralVector(out, v.n_max)
 
 
@@ -289,9 +289,9 @@ def apply_B_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
     """
     out = np.zeros_like(v.coeffs)
     n = np.arange(1, v.n_max + 1)
-    out[1:] = _sqrt_rho(params, n) * v.coeffs[:-1]
-    tail = abs(_sqrt_rho(params, np.array([v.n_max + 1]))[0] * v.coeffs[-1])
-    return SpectralVector(out, v.n_max, discarded_tail=float(tail))
+    out[..., 1:] = _sqrt_rho(params, n) * v.coeffs[..., :-1]
+    tail = np.abs(_sqrt_rho(params, np.array(v.n_max + 1)) * v.coeffs[..., -1])
+    return SpectralVector(out, v.n_max, discarded_tail=tail if tail.ndim else float(tail))
 
 
 def apply_S_phi(params: BarrierParams, f):

@@ -2,11 +2,12 @@
 
 Differential operators in this package act on sampled functions by
 second-order central differences. Each application drops the two boundary
-samples, so the output of an operator is simply a shorter GridFunction
-starting one step in. A trimmed grid keeps its parent's origin and counts
-its start as an offset, so its points are the parent's points bit for bit
-(origin + dx * i for the parent's index i) and tables kept for the parent
-grid serve every trim as a column slice.
+samples, so a GridFunction remembers its own origin and step and the output
+of an operator is simply a shorter GridFunction starting one step in.
+
+A GridFunction holds one function (1-D samples) or a block of functions on
+the same grid (2-D samples, one function per row). Operators and norms act
+along the last axis, so each row of a block comes out as it would alone.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ MIN_SAMPLES = 9
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A uniform grid: n points origin + dx * i for i = offset .. offset + n - 1."""
+    """A uniform grid: n points starting at x0 with step dx."""
 
-    origin: float
+    x0: float
     dx: float
     n: int
-    offset: int = 0
 
     def __post_init__(self) -> None:
         if self.dx <= 0.0:
@@ -41,90 +41,78 @@ class GridSpec:
         return cls(lo, (hi - lo) / (n - 1), n)
 
     @property
-    def x0(self) -> float:
-        """The first point."""
-        return self.origin + self.dx * self.offset
-
-    @property
     def points(self) -> np.ndarray:
-        return self.origin + self.dx * np.arange(self.offset, self.offset + self.n)
+        return self.x0 + self.dx * np.arange(self.n)
 
     def sample(self, fn) -> "GridFunction":
-        return GridFunction(self.origin, self.dx, np.asarray(fn(self.points)), self.offset)
+        return GridFunction(self.x0, self.dx, np.asarray(fn(self.points)))
 
     def interior(self, k: int) -> "GridSpec":
         """The grid with k points trimmed from each end."""
-        return GridSpec(self.origin, self.dx, self.n - 2 * k, self.offset + k)
+        return GridSpec(self.x0 + k * self.dx, self.dx, self.n - 2 * k)
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples of a function on a uniform grid (see GridSpec)."""
+    """Complex samples of a function, or of a block of them, on a uniform grid."""
 
-    origin: float
+    x0: float
     dx: float
     samples: np.ndarray = field(repr=False)
-    offset: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", np.asarray(self.samples))
         if self.dx <= 0.0:
             raise ValueError(f"grid step must be positive, got {self.dx}")
-        if self.samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if self.samples.size < MIN_SAMPLES:
+        if self.samples.ndim not in (1, 2):
+            raise ValueError("samples must be one- or two-dimensional")
+        if self.n < MIN_SAMPLES:
             raise ValueError(
-                f"grid function needs at least {MIN_SAMPLES} samples, got {self.samples.size}"
+                f"grid function needs at least {MIN_SAMPLES} samples, got {self.n}"
             )
 
     @property
     def n(self) -> int:
-        return self.samples.size
-
-    @property
-    def x0(self) -> float:
-        return self.spec.x0
+        return self.samples.shape[-1]
 
     @property
     def x(self) -> np.ndarray:
-        return self.spec.points
+        return self.x0 + self.dx * np.arange(self.n)
 
     @property
     def spec(self) -> GridSpec:
-        return GridSpec(self.origin, self.dx, self.n, self.offset)
+        return GridSpec(self.x0, self.dx, self.n)
 
     def interior(self, k: int) -> "GridFunction":
         if k <= 0:
             return self
-        return GridFunction(self.origin, self.dx, self.samples[k:-k], self.offset + k)
+        return GridFunction(self.x0 + k * self.dx, self.dx, self.samples[..., k:-k])
 
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
-        return GridFunction(self.origin, self.dx, samples, self.offset)
+        return GridFunction(self.x0, self.dx, samples)
 
 
 def derivative(f: GridFunction) -> GridFunction:
     """Second-order central first derivative; output is 2 samples shorter."""
-    d = (f.samples[2:] - f.samples[:-2]) / (2.0 * f.dx)
-    return GridFunction(f.origin, f.dx, d, f.offset + 1)
+    d = f.samples[..., 2:] - f.samples[..., :-2]
+    d /= 2.0 * f.dx
+    return GridFunction(f.x0 + f.dx, f.dx, d)
 
 
 def second_derivative(f: GridFunction) -> GridFunction:
     """Second-order central second derivative; output is 2 samples shorter."""
-    d = (f.samples[2:] - 2.0 * f.samples[1:-1] + f.samples[:-2]) / (f.dx * f.dx)
-    return GridFunction(f.origin, f.dx, d, f.offset + 1)
+    d = f.samples[..., 2:] - 2.0 * f.samples[..., 1:-1]
+    d += f.samples[..., :-2]
+    d /= f.dx * f.dx
+    return GridFunction(f.x0 + f.dx, f.dx, d)
 
 
-def grid_norm(f: GridFunction) -> float:
-    """Discrete L2 norm sqrt(dx * sum |f_i|^2)."""
-    return float(np.sqrt(f.dx * np.sum(np.abs(f.samples) ** 2)))
-
-
-def same_grid(f: GridFunction, g: GridFunction, tol: float = 1e-9) -> bool:
-    return (
-        f.n == g.n
-        and abs(f.dx - g.dx) <= tol * f.dx
-        and abs(f.x0 - g.x0) <= tol * max(1.0, abs(f.x0))
-    )
+def grid_norm(f: GridFunction):
+    """Discrete L2 norm sqrt(dx * sum |f_i|^2); one per row for a block."""
+    squares = np.abs(f.samples)
+    np.square(squares, out=squares)  # in place: a block can be megabytes
+    norms = np.sqrt(f.dx * np.sum(squares, axis=-1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def multiply_exponential(f, rate: float):

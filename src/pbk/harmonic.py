@@ -18,6 +18,10 @@ Operators come in two interchangeable realizations:
 * on a ``HermiteExpansion`` (a finite combination e^{t x} sum c_k Phi_k),
   d/dx and multiplication by x are exact coefficient recurrences, so ladder
   and eigen identities can be checked to rounding error.
+
+Both realizations act on blocks as well: a GridFunction with 2-D samples or
+a HermiteExpansion with a coefficient matrix holds one function per row, so
+a map applies to a whole eigenfamily at once.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .grids import (GridFunction, GridSpec, derivative, multiply_exponential,
                     second_derivative)
 from .market import MarketParams, MarketView
 from .specialfn import hermite_function_sequence
-from .tables import grid_table
 
 FAMILY_MAX = 60
 
@@ -98,37 +101,41 @@ def operator_grid(params: HarmonicParams) -> GridSpec:
 
 
 def _pad(c: np.ndarray, n: int) -> np.ndarray:
-    if len(c) >= n:
+    """c with its last axis zero-padded to length n."""
+    if c.shape[-1] >= n:
         return c
-    out = np.zeros(n, dtype=c.dtype)
-    out[: len(c)] = c
+    out = np.zeros(c.shape[:-1] + (n,), dtype=c.dtype)
+    out[..., : c.shape[-1]] = c
     return out
 
 
 def _times_u(c: np.ndarray, sign: float = 1.0) -> np.ndarray:
-    """Coefficients of u * sum c_k psi_k (psi normalized Hermite).
+    """Coefficients of u * sum c_k psi_k (psi normalized Hermite), on the last axis.
 
     u = (a + a^dag)/sqrt 2 and d/du = (a - a^dag)/sqrt 2, so sign = -1 gives
     the coefficients of d/du instead.
     """
-    n = len(c)
-    out = np.zeros(n + 1, dtype=np.result_type(c, float))
+    n = c.shape[-1]
+    out = np.zeros(c.shape[:-1] + (n + 1,), dtype=np.result_type(c, float))
     j = np.arange(n - 1)
-    out[: n - 1] += np.sqrt((j + 1) / 2.0) * c[1:]
+    out[..., : n - 1] += np.sqrt((j + 1) / 2.0) * c[..., 1:]
     j = np.arange(1, n + 1)
-    out[1 : n + 1] += sign * np.sqrt(j / 2.0) * c
+    out[..., 1 : n + 1] += sign * np.sqrt(j / 2.0) * c
     return out
 
 
 @dataclass(frozen=True)
 class HermiteExpansion:
-    """Exact representation e^{tilt * x} * sum_k coeffs[k] Phi_k(x).
+    """Exact representation e^{tilt * x} * sum_k coeffs[..., k] Phi_k(x).
 
     Phi_k is the orthonormal oscillator eigenfunction for the params' sigma
     and w. The class is closed under d/dx, multiplication by x, and
     multiplication by exponentials, each implemented as an exact coefficient
     recurrence, which is what makes operator identities checkable to rounding
     error rather than finite-difference error.
+
+    A coefficient matrix is a block of functions with one tilt, one per row;
+    every map acts on the last axis, and evaluation gives one row each.
     """
 
     params: HarmonicParams
@@ -146,16 +153,23 @@ class HermiteExpansion:
     def __call__(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         p = self.params
-        u = p.scaled_argument(x_arr)
-        table = grid_table(p, u, len(self.coeffs) - 1, hermite_function_sequence,
-                           lambda: p.scaled_argument(operator_grid(p).points))
-        vals = (self.coeffs @ table.reshape(len(self.coeffs), -1)).reshape(u.shape)
-        vals = vals / math.sqrt(self.params.sigma) * np.exp(self.tilt * x_arr)
-        return vals if np.ndim(x) else complex(vals[0]) if np.iscomplexobj(vals) else float(vals[0])
+        table = hermite_function_sequence(self.coeffs.shape[-1] - 1,
+                                          p.scaled_argument(x_arr))
+        vals = self.coeffs @ table.reshape(len(table), -1)
+        del table  # freed at once: on the operator grid a block's table is megabytes
+        vals = vals.reshape(self.coeffs.shape[:-1] + x_arr.shape)
+        vals /= math.sqrt(p.sigma)
+        vals *= np.exp(self.tilt * x_arr)
+        if np.ndim(x):
+            return vals
+        vals = vals[..., 0]
+        if vals.ndim:
+            return vals
+        return complex(vals) if np.iscomplexobj(vals) else float(vals)
 
     def deriv_coeffs(self) -> np.ndarray:
         """Coefficients of d/dx, same tilt: tilt * c + (1/sigma) * d/du c."""
-        base = _pad(self.coeffs, len(self.coeffs) + 1)
+        base = _pad(self.coeffs, self.coeffs.shape[-1] + 1)
         return self.tilt * base + _times_u(self.coeffs, -1.0) / self.params.sigma
 
     def deriv(self) -> "HermiteExpansion":
@@ -171,7 +185,7 @@ class HermiteExpansion:
     def plus(self, other: "HermiteExpansion") -> "HermiteExpansion":
         if other.params != self.params or other.tilt != self.tilt:
             raise ValueError("can only add expansions with identical params and tilt")
-        n = max(len(self.coeffs), len(other.coeffs))
+        n = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
         return HermiteExpansion(
             self.params, self.tilt, _pad(self.coeffs, n) + _pad(other.coeffs, n)
         )
@@ -221,7 +235,7 @@ def _first_order(params: HarmonicParams, f: Applicable, d_sign: float, beta_step
     s = params.sigma
     shift = beta_steps * params.beta
     if isinstance(f, HermiteExpansion):
-        n = len(f.coeffs) + 1
+        n = f.coeffs.shape[-1] + 1
         coeffs = (s / math.sqrt(2.0)) * (
             d_sign * f.deriv_coeffs()
             + _times_u(f.coeffs) / s
@@ -231,8 +245,14 @@ def _first_order(params: HarmonicParams, f: Applicable, d_sign: float, beta_step
     _require_operator_grid(f)
     d = derivative(f)
     mid = f.interior(1)
-    factor = superpotential(params, d.x) + shift
-    return d.with_samples((s / math.sqrt(2.0)) * (d_sign * d.samples + factor * mid.samples))
+    # built in place: a block on the operator grid holds megabytes per copy
+    vals = (superpotential(params, d.x) + shift) * mid.samples
+    if d_sign > 0:
+        vals += d.samples
+    else:
+        vals -= d.samples
+    vals *= s / math.sqrt(2.0)
+    return d.with_samples(vals)
 
 
 def apply_A(params: HarmonicParams, f: Applicable):
@@ -277,7 +297,7 @@ def _second_order(
     if isinstance(f, HermiteExpansion):
         d1 = f.deriv()
         d2 = d1.deriv()
-        n = len(d2.coeffs)
+        n = d2.coeffs.shape[-1]
         coeffs = -(s**2 / 2.0) * d2.coeffs + drift * _pad(d1.coeffs, n)
         if with_potential:
             # V f = (sigma^2/2) W^2 f - f/2 with W f = (1/sigma) u f

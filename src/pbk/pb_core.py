@@ -5,8 +5,11 @@ eigenvalue sequence, and an inner product can be run through the same battery
 of checks: vacuum annihilation, ladder relations, biorthogonality,
 quasi-basis partial sums, metric conjugacy, and norm growth. The harness
 never assumes how the maps are realized: finite differences, exact
-coefficient recurrences, and spectral shifts all plug in as plain
-function-to-function maps.
+coefficient recurrences, and spectral shifts all plug in as plain maps.
+
+The harness works on blocks: a family block holds members 0..n_max, one per
+row, and each check is one operator application to a block plus one
+residual per row, reduced with max.
 
 Each check returns one or more report entries (name, max residual, tolerance,
 pass flag); a DiagnosticReport collects them and serializes to JSON.
@@ -19,13 +22,12 @@ quadrature identities are absolute against their exact integer values.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec
+from .grids import GridFunction, GridSpec, grid_norm
 
 ALGEBRAIC_TOL = 1e-10
 GRID_TOL = 1e-6
@@ -40,18 +42,15 @@ NORM_N_MAX_CAP = 60
 
 @dataclass(frozen=True)
 class EigenSequence:
-    """The eigenvalue sequence of the number-like operator; must start at 0."""
+    """The eigenvalue sequence of the number-like operator: 0 first, then increasing."""
 
     fn: Callable[[int], float]
-    strictly_increasing: bool = True
 
     def __post_init__(self) -> None:
         if self.fn(0) != 0.0:
             raise ValueError(f"eigenvalue sequence must start at 0, got {self.fn(0)}")
-        if self.strictly_increasing:
-            probe = [self.fn(k) for k in range(8)]
-            if any(b <= a for a, b in zip(probe, probe[1:])):
-                raise ValueError("eigenvalue sequence flagged increasing but is not")
+        if np.any(np.diff(_sequence(self.fn, 7)) <= 0.0):
+            raise ValueError("eigenvalue sequence must be strictly increasing")
 
     def __call__(self, n: int) -> float:
         return float(self.fn(n))
@@ -86,12 +85,15 @@ class TestFunction:
 class LadderSystem:
     """Everything the harness needs to know about one concrete model.
 
-    The four operator fields take a function (or whatever the family members
-    are) and return a function or a GridFunction. ``inner`` is a callable
-    (f, g) -> complex realizing the model's inner product, conjugate-linear
-    in the first slot. ``gram`` is the same inner product on blocks,
-    (fs, gs) -> the array of <f_i, g_j>, each function evaluated once per
-    rule; the biorthogonality and quasi-basis checks use it.
+    family_phi(n_max) and family_psi(n_max) give members 0..n_max as one
+    block: a callable whose values at points x have shape (n_max + 1,
+    len(x)), one row per member. A single function (1-D values) is a block
+    of one. The four operator fields take a block (or a single function)
+    and return a callable or a GridFunction with the same rows. ``inner``
+    is a callable (f, g) -> complex realizing the model's inner product,
+    conjugate-linear in the first slot. ``gram`` is the same inner product
+    on sequences of functions and blocks, (fs, gs) -> the array of
+    <f_i, g_j> over all their rows, each evaluated once per rule.
     """
 
     label: str
@@ -152,36 +154,45 @@ class DiagnosticReport:
 
 
 # ---------------------------------------------------------------------------
-# grid-norm plumbing
+# block plumbing
 
 
-def _as_xy(obj, grid: GridSpec) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Evaluation points, values, and step of an operator output."""
+def _sequence(fn: Callable[[int], float], n_max: int) -> np.ndarray:
+    """fn(0)..fn(n_max): the scalar sequences (eigenvalues, norm laws) of a block."""
+    return np.array([float(fn(n)) for n in range(n_max + 1)])
+
+
+def _stack(fns: Sequence[Callable]) -> Callable:
+    """Single functions as one block, one row each."""
+    return lambda x: np.array([f(x) for f in fns])
+
+
+def _on_grid(obj, grid: GridSpec) -> GridFunction:
+    """An operator output or a block as samples: on its own grid, else on grid."""
     if isinstance(obj, GridFunction):
-        return obj.x, obj.samples, obj.dx
+        return obj
     if callable(obj):
-        x = grid.points
-        return x, np.atleast_1d(np.asarray(obj(x))), grid.dx
+        return grid.sample(obj)
     raise TypeError(f"cannot evaluate object of type {type(obj).__name__} on a grid")
 
 
-def _norm(values: np.ndarray, dx: float) -> float:
-    return float(np.sqrt(dx * np.sum(np.abs(values) ** 2)))
+def _residual(out, coeff, reference: Callable, grid: GridSpec,
+              rows=slice(None)) -> float:
+    """max over rows i of || out_i - coeff_i * ref_i || / || ref_i ||.
 
-
-def _relative_residual(out, coeff: float, target: Optional[Callable],
-                       reference: Callable, grid: GridSpec) -> float:
-    """|| out - coeff * target || / || reference ||, all on the output's grid."""
-    x, lhs, dx = _as_xy(out, grid)
-    ref = np.asarray(reference(x))
-    if target is None:
-        rhs = 0.0
-    else:
-        rhs = coeff * (ref if target is reference else np.asarray(target(x)))
-    ref_norm = _norm(ref, dx)
-    if ref_norm == 0.0:
+    ref is reference evaluated on the output's grid, its rows picked by
+    rows; coeff holds one number per output row, or one for all of them.
+    """
+    lhs = _on_grid(out, grid)
+    ref = np.atleast_2d(reference(lhs.x))[rows]
+    ref_norm = grid_norm(lhs.with_samples(ref))
+    if np.any(ref_norm == 0.0):
         raise ValueError("degenerate reference function with zero norm")
-    return _norm(lhs - rhs, dx) / ref_norm
+    # formed in ref's own array: a block on the operator grid is megabytes a copy
+    diff = ref.astype(np.result_type(ref, lhs.samples), copy=False)
+    diff *= -np.asarray(coeff)[..., None]
+    diff += lhs.samples
+    return float(np.max(grid_norm(lhs.with_samples(diff)) / ref_norm))
 
 
 # ---------------------------------------------------------------------------
@@ -195,38 +206,35 @@ def check_vacua(sys: LadderSystem, grid: Optional[GridSpec] = None,
     phi0 = sys.family_phi(0)
     psi0 = sys.family_psi(0)
     for name, f in (("phi_0", phi0), ("psi_0", psi0)):
-        x, vals, dx = _as_xy(f, grid)
-        if _norm(vals, dx) == 0.0:
+        if np.any(grid_norm(_on_grid(f, grid)) == 0.0):
             raise ValueError(f"degenerate vacuum: {name} has zero norm on the grid")
-    r_phi = _relative_residual(sys.lower_a(phi0), 0.0, None, phi0, grid)
-    r_psi = _relative_residual(sys.lower_b_dag(psi0), 0.0, None, psi0, grid)
+    r_phi = _residual(sys.lower_a(phi0), 0.0, phi0, grid)
+    r_psi = _residual(sys.lower_b_dag(psi0), 0.0, psi0, grid)
     return CheckResult("vacua", max(r_phi, r_psi), tol)
 
 
 def check_ladder(sys: LadderSystem, n_max: int, grid: Optional[GridSpec] = None,
                  tol: float = LADDER_TOL) -> CheckResult:
-    """b phi_n = sqrt(e_{n+1}) phi_{n+1} and the three companion relations."""
+    """b phi_n = sqrt(e_{n+1}) phi_{n+1} and the three companion relations.
+
+    Lowering sends row n to sqrt(e_n) times row max(n - 1, 0), which is zero
+    at n = 0 since e_0 = 0; that residual is relative to phi_0 itself.
+    """
     if n_max > LADDER_N_MAX_CAP:
         raise ValueError(f"ladder check capped at n_max={LADDER_N_MAX_CAP}, got {n_max}")
     grid = grid or sys.default_grid
-    worst = 0.0
-    for n in range(n_max + 1):
-        phi = sys.family_phi(n)
-        psi = sys.family_psi(n)
-        up = math.sqrt(sys.eigens(n + 1))
-        down = math.sqrt(sys.eigens(n))
-        phi_up = sys.family_phi(n + 1)
-        psi_up = sys.family_psi(n + 1)
-        phi_dn = sys.family_phi(n - 1) if n >= 1 else None
-        psi_dn = sys.family_psi(n - 1) if n >= 1 else None
-        worst = max(worst, _relative_residual(sys.raise_b(phi), up, phi_up, phi_up, grid))
-        worst = max(worst, _relative_residual(sys.raise_a_dag(psi), up, psi_up, psi_up, grid))
-        if n == 0:
-            worst = max(worst, _relative_residual(sys.lower_a(phi), 0.0, None, phi, grid))
-            worst = max(worst, _relative_residual(sys.lower_b_dag(psi), 0.0, None, psi, grid))
-        else:
-            worst = max(worst, _relative_residual(sys.lower_a(phi), down, phi_dn, phi_dn, grid))
-            worst = max(worst, _relative_residual(sys.lower_b_dag(psi), down, psi_dn, psi_dn, grid))
+    phi, psi = sys.family_phi(n_max), sys.family_psi(n_max)
+    root = np.sqrt(_sequence(sys.eigens, n_max + 1))
+    above = slice(1, None)
+    below = np.maximum(np.arange(n_max + 1) - 1, 0)
+    relations = (
+        (sys.raise_b, phi, root[1:], sys.family_phi(n_max + 1), above),
+        (sys.raise_a_dag, psi, root[1:], sys.family_psi(n_max + 1), above),
+        (sys.lower_a, phi, root[:-1], phi, below),
+        (sys.lower_b_dag, psi, root[:-1], psi, below),
+    )
+    worst = max(_residual(op(block), coeff, target, grid, rows)
+                for op, block, coeff, target, rows in relations)
     return CheckResult("ladder", worst, tol)
 
 
@@ -234,26 +242,11 @@ def check_number_operator(sys: LadderSystem, n_max: int, grid: Optional[GridSpec
                           tol: float = GRID_TOL) -> CheckResult:
     """(b a) phi_n = e_n phi_n and (a^dag b^dag) psi_n = e_n psi_n."""
     grid = grid or sys.default_grid
-    worst = 0.0
-    for n in range(n_max + 1):
-        phi = sys.family_phi(n)
-        psi = sys.family_psi(n)
-        e_n = sys.eigens(n)
-        worst = max(
-            worst,
-            _relative_residual(sys.raise_b(sys.lower_a(phi)), e_n, phi, phi, grid),
-        )
-        worst = max(
-            worst,
-            _relative_residual(sys.raise_a_dag(sys.lower_b_dag(psi)), e_n, psi, psi, grid),
-        )
+    phi, psi = sys.family_phi(n_max), sys.family_psi(n_max)
+    e = _sequence(sys.eigens, n_max)
+    worst = max(_residual(sys.raise_b(sys.lower_a(phi)), e, phi, grid),
+                _residual(sys.raise_a_dag(sys.lower_b_dag(psi)), e, psi, grid))
     return CheckResult("number_operator", worst, tol)
-
-
-def _families(sys: LadderSystem, n_max: int) -> Tuple[list, list]:
-    """phi_0..phi_{n_max} and psi_0..psi_{n_max}, for the Gram-matrix checks."""
-    return ([sys.family_phi(n) for n in range(n_max + 1)],
-            [sys.family_psi(n) for n in range(n_max + 1)])
 
 
 def check_biorthogonality(sys: LadderSystem, n_max: int,
@@ -263,23 +256,28 @@ def check_biorthogonality(sys: LadderSystem, n_max: int,
         raise ValueError(
             f"biorthogonality check capped at n_max={LADDER_N_MAX_CAP}, got {n_max}"
         )
-    phis, psis = _families(sys, n_max)
-    worst = float(np.max(np.abs(sys.gram(phis, psis) - np.eye(n_max + 1))))
+    gram = sys.gram([sys.family_phi(n_max)], [sys.family_psi(n_max)])
+    worst = float(np.max(np.abs(gram - np.eye(n_max + 1))))
     return CheckResult("biorthogonality", worst, tol)
 
 
 def check_quasi_basis(sys: LadderSystem, test_pairs: Sequence[Tuple[Callable, Callable]],
                       n_max: int, tol: float = QUASI_BASIS_TOL) -> CheckResult:
-    """Partial sums of both resolutions of <f, g> converge to the direct value."""
-    phis, psis = _families(sys, n_max)
-    worst = 0.0
-    for f, g in test_pairs:
-        direct = sys.inner(f, g)
-        f_phi, f_psi = np.split(sys.gram([f], phis + psis)[0], 2)
-        phi_g, psi_g = np.split(sys.gram(phis + psis, [g])[:, 0], 2)
-        total = complex(np.sum(f_phi * psi_g))
-        mirrored = complex(np.sum(f_psi * phi_g))
-        worst = max(worst, abs(total - direct), abs(mirrored - direct))
+    """Partial sums of both resolutions of <f, g> converge to the direct value.
+
+    One Gram matrix per side covers every pair: <f, phi_n> and <f, psi_n>
+    for all f, <phi_n, g> and <psi_n, g> for all g.
+    """
+    if not test_pairs:
+        return CheckResult("quasi_basis", 0.0, tol)
+    families = [sys.family_phi(n_max), sys.family_psi(n_max)]
+    fs, gs = zip(*test_pairs)
+    direct = np.array([sys.inner(f, g) for f, g in test_pairs])
+    f_phi, f_psi = np.split(sys.gram(fs, families), 2, axis=1)
+    phi_g, psi_g = np.split(sys.gram(families, gs).T, 2, axis=1)
+    total = np.sum(f_phi * psi_g, axis=1)
+    mirrored = np.sum(f_psi * phi_g, axis=1)
+    worst = float(np.max(np.abs(np.concatenate([total - direct, mirrored - direct]))))
     return CheckResult("quasi_basis", worst, tol)
 
 
@@ -291,32 +289,30 @@ def check_theta_conjugacy(sys: LadderSystem, theta: MetricOperator, n_max: int,
 
     Returns two entries: the algebraic facts (pointwise conjugation, inverse
     roundtrip, positivity) at ``tol``, and the intertwining residual at
-    ``intertwining_tol`` since it involves operator applications.
+    ``intertwining_tol`` since it involves operator applications. The test
+    functions form one block for the maps, but their inner products go one
+    at a time: their Gaussian decay rates differ, and a Gram block needs one.
     """
     grid = grid or sys.default_grid
-    algebraic = 0.0
-    for n in range(n_max + 1):
-        phi = sys.family_phi(n)
-        psi = sys.family_psi(n)
-        algebraic = max(algebraic, _relative_residual(theta.apply(phi), 1.0, psi, psi, grid))
+    algebraic = _residual(theta.apply(sys.family_phi(n_max)), 1.0,
+                          sys.family_psi(n_max), grid)
     for f in sys.test_functions:
-        roundtrip = theta.apply_inverse(theta.apply(f))
-        algebraic = max(algebraic, _relative_residual(roundtrip, 1.0, f, f, grid))
         val = sys.inner(f, theta.apply(f))
         scale = abs(sys.inner(f, f))
         if val.real <= 0.0:
             algebraic = max(algebraic, abs(val.real) / scale + tol)
         algebraic = max(algebraic, abs(val.imag) / scale)
     intertwining = 0.0
-    for f in sys.test_functions:
-        left = theta.apply(sys.raise_b(sys.lower_a(f)))
-        right = sys.raise_a_dag(sys.lower_b_dag(theta.apply(f)))
-        x, lv, dx = _as_xy(left, grid)
-        _, rv, _ = _as_xy(right, grid)
-        if len(lv) != len(rv):
+    if sys.test_functions:
+        tests = _stack(sys.test_functions)
+        roundtrip = theta.apply_inverse(theta.apply(tests))
+        algebraic = max(algebraic, _residual(roundtrip, 1.0, tests, grid))
+        left = _on_grid(theta.apply(sys.raise_b(sys.lower_a(tests))), grid)
+        right = _on_grid(sys.raise_a_dag(sys.lower_b_dag(theta.apply(tests))), grid)
+        if left.n != right.n:
             raise ValueError("intertwining sides landed on different grids")
-        f_ref = _norm(np.asarray(f(x)), dx)
-        intertwining = max(intertwining, _norm(lv - rv, dx) / f_ref)
+        gap = grid_norm(left.with_samples(left.samples - right.samples))
+        intertwining = float(np.max(gap / grid_norm(left.with_samples(tests(left.x)))))
     return [
         CheckResult("theta_conjugacy", algebraic, tol),
         CheckResult("theta_intertwining", intertwining, intertwining_tol),
@@ -325,21 +321,20 @@ def check_theta_conjugacy(sys: LadderSystem, theta: MetricOperator, n_max: int,
 
 def check_norm_growth(sys: LadderSystem, n_max: int,
                       tol: float = NORM_LAW_TOL) -> CheckResult:
-    """Norm products ||phi_n|| ||psi_n||: closed-form match plus trend."""
+    """Norm products ||phi_n|| ||psi_n||: closed-form match plus trend.
+
+    The norms are the square roots of the Gram diagonals <phi_n, phi_n> and
+    <psi_n, psi_n>.
+    """
     if n_max > NORM_N_MAX_CAP:
         raise ValueError(f"norm check capped at n_max={NORM_N_MAX_CAP}, got {n_max}")
-    products = []
-    for n in range(n_max + 1):
-        phi = sys.family_phi(n)
-        psi = sys.family_psi(n)
-        n_phi = math.sqrt(abs(sys.inner(phi, phi)))
-        n_psi = math.sqrt(abs(sys.inner(psi, psi)))
-        products.append(n_phi * n_psi)
-    products = np.array(products)
+    n_phi, n_psi = (np.sqrt(np.abs(np.diagonal(sys.gram([f], [f]))))
+                    for f in (sys.family_phi(n_max), sys.family_psi(n_max)))
+    products = n_phi * n_psi
     worst = 0.0
     tolerance = tol
     if sys.norm_product_law is not None:
-        law = np.array([sys.norm_product_law(n) for n in range(n_max + 1)])
+        law = _sequence(sys.norm_product_law, n_max)
         worst = max(worst, float(np.max(np.abs(products - law) / law)))
     if sys.norm_behavior == "constant":
         tolerance = min(tol, NORM_CONSTANT_TOL)

@@ -23,6 +23,7 @@ from .barrier import BarrierParams
 from .kernels import (
     DEFAULT_N_TRUNC,
     ModelParams,
+    _check_request,
     barrier_spectral_values,
     harmonic_spectral_values,
 )
@@ -131,10 +132,7 @@ def price_spectral(params: ModelParams, which: str, payoff: Payoff, x: float,
     10-standard-deviation window for the whole-line model, with a panel
     break at the strike kink either way.
     """
-    if which not in ("p1", "p2"):
-        raise ValueError(f"which must be 'p1' or 'p2', got {which!r}")
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check_request(which, "spectral", tau, n_trunc)
     s = 1.0 if which == "p1" else -1.0
     b = params.beta if beta is None else float(beta)
     if isinstance(params, BarrierParams):

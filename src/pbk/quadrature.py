@@ -128,7 +128,7 @@ def _samples(fn: Callable, name: str, nodes: np.ndarray) -> np.ndarray:
     vals = np.asarray(fn(nodes))
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        where = nodes[np.argmax(bad)]
+        where = nodes[np.nonzero(bad)[-1][0]]
         raise QuadratureEvaluationError(
             f"integrand {name} returned a non-finite sample at x={where!r}"
         )
@@ -161,12 +161,19 @@ def gram_matrix(fs: Sequence[Callable], gs: Sequence[Callable],
                 rule: QuadratureRule) -> np.ndarray:
     """The matrix of <f_i, g_j> on one rule: conj(F) diag(w) G^T.
 
-    Every function is sampled once; row i of F holds f_i at the nodes.
+    Every function is sampled once. A function gives one row of F (or G),
+    a block (values of shape (k, nodes)) its k rows, in order.
     Raises QuadratureEvaluationError like `inner_product`.
     """
-    f_rows = np.array([_samples(f, f"f[{i}]", rule.nodes) for i, f in enumerate(fs)])
-    g_rows = np.array([_samples(g, f"g[{j}]", rule.nodes) for j, g in enumerate(gs)])
+    f_rows = _rows(fs, "f", rule.nodes)
+    g_rows = _rows(gs, "g", rule.nodes)
     return (np.conj(f_rows) * rule.weights) @ g_rows.T
+
+
+def _rows(fns: Sequence[Callable], name: str, nodes: np.ndarray) -> np.ndarray:
+    """Each function's samples as one row, each block's as its rows, stacked."""
+    return np.concatenate([np.atleast_2d(_samples(fn, f"{name}[{i}]", nodes))
+                           for i, fn in enumerate(fns)])
 
 
 @lru_cache(maxsize=128)

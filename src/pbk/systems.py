@@ -28,6 +28,7 @@ BARRIER_GRID_POINTS = 4001
 INNER_REL_TOL = 1e-12
 
 TEST_WIDTHS = (0.5, 1.0, 2.0)
+BARRIER_TEST_MODES = 4  # the barrier test functions combine varphi_0..varphi_4
 
 
 def harmonic_test_functions(widths: Tuple[float, ...] = TEST_WIDTHS):
@@ -145,11 +146,14 @@ def harmonic_system(params: har.HarmonicParams,
                 * har.norm_squared_law(params, n, "psi")
             )
 
+    def family(tilt):
+        return lambda n_max: har.HermiteExpansion(params, tilt, np.eye(n_max + 1))
+
     inner, gram = _harmonic_quadrature(params)
     system = LadderSystem(
         label=f"harmonic/{route}",
-        family_phi=lambda n: har.varphi_n(params, n),
-        family_psi=lambda n: har.psi_n(params, n),
+        family_phi=family(params.beta),
+        family_psi=family(-params.beta),
         lower_a=bind(har.apply_A),
         raise_b=bind(har.apply_B),
         lower_b_dag=bind(har.apply_B_dag),
@@ -170,7 +174,7 @@ def harmonic_system(params: har.HarmonicParams,
 # barrier model
 
 
-def barrier_test_functions(params: bar.BarrierParams, n_trunc: int):
+def barrier_test_functions(params: bar.BarrierParams):
     """Small finite combinations of varphi-modes (exactly analyzable)."""
     combos = {
         "varphi[0]+0.5*varphi[2]": {0: 1.0, 2: 0.5},
@@ -179,10 +183,10 @@ def barrier_test_functions(params: bar.BarrierParams, n_trunc: int):
     }
     fns = []
     for label, weights in combos.items():
-        coeffs = np.zeros(n_trunc + 1)
+        coeffs = np.zeros(BARRIER_TEST_MODES + 1)
         for k, v in weights.items():
             coeffs[k] = v
-        vec = bar.SpectralVector(coeffs, n_trunc)
+        vec = bar.SpectralVector(coeffs, BARRIER_TEST_MODES)
         fns.append(TestFunction(bar.synthesize_phi(params, vec), label))
     return fns
 
@@ -202,7 +206,16 @@ def barrier_quasi_pairs(params: bar.BarrierParams):
 def barrier_system(params: bar.BarrierParams,
                    n_trunc: int = bar.DEFAULT_TRUNCATION
                    ) -> Tuple[LadderSystem, MetricOperator]:
-    """The double-barrier model bound to the harness, in coefficient space."""
+    """The double-barrier model bound to the harness, in coefficient space.
+
+    A family block is the synthesis of the identity coefficient matrix.
+    """
+    if n_trunc < BARRIER_TEST_MODES:
+        raise ValueError(f"n_trunc must be at least {BARRIER_TEST_MODES}, the highest "
+                         f"mode of the test functions, got {n_trunc}")
+
+    def family(synthesize):
+        return lambda n_max: synthesize(params, bar.SpectralVector(np.eye(n_max + 1), n_max))
 
     def spectral(shift, analyze, synthesize):
         def apply(f):
@@ -220,8 +233,8 @@ def barrier_system(params: bar.BarrierParams,
                                   lambda fs, gs: {"interval": (params.a, params.b)})
     system = LadderSystem(
         label="barrier/spectral",
-        family_phi=lambda n: bar.varphi_n(params, n),
-        family_psi=lambda n: bar.psi_n(params, n),
+        family_phi=family(bar.synthesize_phi),
+        family_psi=family(bar.synthesize_psi),
         lower_a=spectral(bar.apply_A_hat, bar.analyze_phi, bar.synthesize_phi),
         raise_b=spectral(bar.apply_B_hat, bar.analyze_phi, bar.synthesize_phi),
         # on psi-coefficients B_hat^dag lowers like A_hat, A_hat^dag raises like B_hat
@@ -231,7 +244,7 @@ def barrier_system(params: bar.BarrierParams,
         inner=inner,
         gram=gram,
         default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),
-        test_functions=barrier_test_functions(params, n_trunc),
+        test_functions=barrier_test_functions(params),
         quasi_pairs=barrier_quasi_pairs(params),
         norm_behavior="bounded",
         norm_bounds=(1.0 - 1e-12, math.exp(abs(params.beta) * width)),

@@ -1,16 +1,13 @@
 """Double-barrier model: sine modes, the broken differential ladder, and the
 spectral ladder that replaces it."""
 
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbk import barrier, tables
 from pbk.barrier import (
     BarrierParams,
     DEFAULT_TRUNCATION,
@@ -35,9 +32,7 @@ from pbk.barrier import (
 )
 from pbk.grids import GridSpec, grid_norm
 from pbk.market import MarketParams
-from pbk.pb_core import run_all_checks
 from pbk.quadrature import legendre_rule
-from pbk.systems import barrier_system
 
 
 @pytest.fixture(scope="module")
@@ -416,54 +411,53 @@ class TestNormsAndPartialSums:
 
 
 # ---------------------------------------------------------------------------
-# the per-params sine table cache
+# blocks: one function per row of a coefficient matrix
 
 
-class TestTableCache:
+class TestBlocks:
     @staticmethod
-    def fresh_sine_table(params, n_max, x):
-        orders = np.arange(1, n_max + 2)
-        return math.sqrt(2.0 / params.width) * np.sin(
-            np.outer(orders, params.wavenumber(1) * (x - params.a))
-        )
+    def block(n_max=16):
+        coeffs = np.random.default_rng(9).standard_normal((3, n_max + 1))
+        coeffs[:, -1] = (0.0, 0.5, -2.0)
+        return SpectralVector(coeffs, n_max)
 
-    def test_cached_rows_equal_a_fresh_table(self, market):
-        p = BarrierParams(market, 0.0, 2.71)
-        x = legendre_rule(256, p.a, p.b).nodes
-        for n in (3, 40, 5):
-            table = barrier._mode_matrix(p, n, x)
-            assert table.shape == (n + 1, x.size)
-            assert np.array_equal(table, self.fresh_sine_table(p, n, x))
-        assert len(tables._TABLES[p]) == 1
-        assert len(next(iter(tables._TABLES[p].values()))) == 41
+    def test_ladder_maps_act_row_by_row(self, box):
+        block = self.block()
+        for op in (apply_A_hat, apply_B_hat):
+            out = op(box, block)
+            for i, row in enumerate(block.coeffs):
+                alone = op(box, SpectralVector(row, block.n_max))
+                np.testing.assert_array_equal(out.coeffs[i], alone.coeffs)
+                tail = out.discarded_tail
+                assert (tail if np.ndim(tail) == 0 else tail[i]) == alone.discarded_tail
+        assert apply_B_hat(box, block).discarded_tail[0] == 0.0
 
-    def test_tables_are_read_only(self, market):
-        p = BarrierParams(market, 0.0, 2.72)
-        table = barrier._mode_matrix(p, 4, np.linspace(0.1, 2.0, 5))
-        with pytest.raises(ValueError):
-            table[1, 1] = 0.0
+    def test_synthesis_and_analysis_rows_match_single_rows(self, box):
+        block = self.block()
+        x = np.linspace(box.a - 0.1, box.b + 0.1, 257)
+        for synthesize, analyze in ((synthesize_phi, analyze_phi),
+                                    (synthesize_psi, analyze_psi)):
+            f = synthesize(box, block)
+            values = f(x)
+            coeffs = analyze(box, f, n_max=24).coeffs
+            assert values.shape == (3, x.size) and coeffs.shape == (3, 25)
+            for i, row in enumerate(block.coeffs):
+                g = synthesize(box, SpectralVector(row, block.n_max))
+                # one matrix product against three: equal to the last few ulps
+                np.testing.assert_allclose(values[i], g(x), rtol=0.0,
+                                           atol=1e-15 * np.max(np.abs(values[i])))
+                np.testing.assert_allclose(coeffs[i], analyze(box, g, n_max=24).coeffs,
+                                           rtol=0.0, atol=1e-14)
+            np.testing.assert_array_equal(f(1.0), f(np.array([1.0]))[:, 0])
 
-    def test_entries_freed_with_the_params(self, market):
-        p = BarrierParams(market, 0.0, 2.73)
-        analyze_phi(p, varphi_n(p, 2), n_max=16)
-        assert p in tables._TABLES
-        alive = weakref.ref(p)
-        gc.collect()
-        before = len(tables._TABLES)
-        del p
-        gc.collect()
-        assert alive() is None
-        assert len(tables._TABLES) == before - 1
+    def test_identity_block_is_the_family(self, box):
+        x = np.linspace(box.a, box.b, 301)
+        for synthesize, member in ((synthesize_phi, varphi_n), (synthesize_psi, psi_n)):
+            values = synthesize(box, SpectralVector(np.eye(9), 8))(x)
+            for n in range(9):
+                np.testing.assert_allclose(values[n], member(box, n)(x), rtol=0.0,
+                                           atol=1e-14)
 
-    def test_report_repeats_and_matches_uncached(self, market, monkeypatch):
-        p = BarrierParams(market, 0.0, 2.74)
-
-        def report():
-            system, theta = barrier_system(p)
-            return run_all_checks(system, theta, 6).to_json()
-
-        first, second = report(), report()
-        assert '"all_pass": true' in first
-        assert second == first
-        monkeypatch.setattr(tables, "MAX_CACHED_NODES", 0)
-        assert report() == first
+    def test_block_size_must_match(self):
+        with pytest.raises(ValueError, match="coefficients"):
+            SpectralVector(np.zeros((3, 4)), n_max=4)

@@ -117,6 +117,14 @@ class TestDiagnose:
         assert out == ""
         assert "--nmax" in err
 
+    @pytest.mark.parametrize("n_trunc", ["2", "-1"])
+    def test_barrier_truncation_below_test_modes_exits_2(self, capsys, n_trunc):
+        code, out, err = run_cli(capsys, ["diagnose", "--model", "barrier", "--a", "0",
+                                          "--b", "3", f"--n-trunc={n_trunc}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_trunc must be at least 4")
+
 
 # ---------------------------------------------------------------------------
 # kernel tables
@@ -261,6 +269,15 @@ class TestPrice:
         ])
         assert code == 2
         assert "tau" in err
+
+    @pytest.mark.parametrize("model", [["--model", "barrier", "--lower", "80",
+                                        "--upper", "120"], ["--model", "harmonic"]])
+    @pytest.mark.parametrize("n_trunc", ["-1", "201"])
+    def test_truncation_outside_cap_exits_2(self, capsys, model, n_trunc):
+        code, out, err = run_cli(capsys, ["price", *model, f"--n-trunc={n_trunc}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_trunc must be in 0..200")
 
     def test_beta_zero_note_on_price(self, capsys):
         code, out, _ = run_cli(capsys, [

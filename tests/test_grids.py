@@ -12,7 +12,7 @@ from pbk.grids import (
     GridSpec,
     derivative,
     grid_norm,
-    same_grid,
+    multiply_exponential,
     second_derivative,
 )
 
@@ -52,17 +52,23 @@ def test_spec_interior_matches_function_interior():
     assert g.interior(3).points == pytest.approx(g.points[3:-3])
 
 
-def test_trimmed_points_are_the_parent_points():
-    g = GridSpec.over(-2.0, 2.0, 32001)
-    f = g.sample(np.sin)
-    once = derivative(f)
-    twice = second_derivative(once)
-    for k, trimmed in ((1, once), (2, twice), (2, f.interior(2)), (3, g.interior(3))):
-        points = trimmed.points if isinstance(trimmed, GridSpec) else trimmed.x
-        np.testing.assert_array_equal(points, g.points[k:-k])
-        assert trimmed.origin == g.origin and trimmed.offset == k
-        assert trimmed.x0 == g.origin + k * g.dx
-    assert f.interior(2).spec == g.interior(2)
+def test_block_rows_match_single_functions():
+    g = GridSpec.over(-2.0, 2.0, 401)
+    fns = (np.sin, np.cos, np.exp, lambda x: x**3 - x)
+    block = g.sample(lambda x: np.array([fn(x) for fn in fns]))
+    assert block.samples.shape == (len(fns), g.n) and block.n == g.n
+    maps = (derivative, second_derivative, lambda f: f.interior(3),
+            lambda f: multiply_exponential(f, -0.7))
+    for i, fn in enumerate(fns):
+        single = g.sample(fn)
+        for op in maps:
+            out, alone = op(block), op(single)
+            assert (out.x0, out.dx, out.n) == (alone.x0, alone.dx, alone.n)
+            np.testing.assert_array_equal(out.samples[i], alone.samples)
+        assert grid_norm(block)[i] == grid_norm(single)
+    assert isinstance(grid_norm(g.sample(np.sin)), float)
+    with pytest.raises(ValueError, match="dimensional"):
+        GridFunction(0.0, 0.1, np.ones((2, 2, 9)))
 
 
 def test_derivative_of_sine():
@@ -116,16 +122,6 @@ def test_grid_norm_complex():
     g = GridSpec.over(0.0, 1.0, 101)
     f = g.sample(lambda x: 1j * np.ones_like(x))
     assert grid_norm(f) == pytest.approx(math.sqrt(0.01 * 101))
-
-
-def test_same_grid():
-    g = GridSpec.over(0.0, 1.0, 11)
-    f1 = g.sample(np.sin)
-    f2 = g.sample(np.cos)
-    assert same_grid(f1, f2)
-    assert not same_grid(f1, f1.interior(1))
-    shifted = GridFunction(0.5, f1.dx, f1.samples)
-    assert not same_grid(f1, shifted)
 
 
 def test_with_samples_keeps_coordinates():

@@ -5,16 +5,14 @@ finite-difference realizations are checked for second-order convergence
 toward the same identities.
 """
 
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbk import harmonic, tables
+from pbk import harmonic
 from pbk.grids import GridSpec, grid_norm
 from pbk.harmonic import (
     HarmonicParams,
@@ -36,7 +34,6 @@ from pbk.harmonic import (
     apply_Theta_inv,
     default_grid,
     norm_squared_law,
-    operator_grid,
     phi_n,
     psi_n,
     quadratic_potential,
@@ -44,10 +41,7 @@ from pbk.harmonic import (
     varphi_n,
 )
 from pbk.market import MarketParams
-from pbk.pb_core import run_all_checks
 from pbk.quadrature import hermite_rule
-from pbk.specialfn import hermite_function_sequence
-from pbk.systems import harmonic_system
 
 
 def params_for(market, w=0.0):
@@ -419,124 +413,54 @@ def test_default_grid_covers_center(market):
 
 
 # ---------------------------------------------------------------------------
-# the per-params Hermite table cache
+# blocks: one function per row of a coefficient matrix or a sample matrix
 
 
-class TestTableCache:
+class TestBlocks:
+    MAPS = (apply_A, apply_B, apply_A_dag, apply_B_dag, apply_c, apply_H_eff,
+            apply_h_BS, apply_Theta, lambda p, f: f.deriv())
+
     @staticmethod
-    def expansion_uncached(f: HermiteExpansion, x):
-        u = f.params.scaled_argument(x)
-        table = hermite_function_sequence(len(f.coeffs) - 1, u)
-        return f.coeffs @ table / math.sqrt(f.params.sigma) * np.exp(f.tilt * x)
+    def block(market):
+        p = params_for(market, w=0.3)
+        coeffs = np.random.default_rng(5).standard_normal((4, 9))
+        return p, HermiteExpansion(p, p.beta, coeffs)
 
-    def test_cached_evaluation_is_bit_identical(self, market, monkeypatch):
-        p = params_for(market, w=0.32)
-        x = np.linspace(-1.0, 1.0, 301)
-        calls = []
+    def test_coefficient_maps_act_row_by_row(self, market):
+        p, block = self.block(market)
+        for op in self.MAPS:
+            out = op(p, block)
+            for i, row in enumerate(block.coeffs):
+                alone = op(p, HermiteExpansion(p, p.beta, row))
+                assert out.tilt == alone.tilt
+                np.testing.assert_array_equal(out.coeffs[i], alone.coeffs)
 
-        def counting(n_max, u):
-            calls.append(n_max)
-            return hermite_function_sequence(n_max, u)
+    def test_evaluation_rows_match_single_rows(self, market):
+        p, block = self.block(market)
+        x = np.linspace(-1.5, 1.5, 301)
+        values = block(x)
+        assert values.shape == (4, x.size)
+        for i, row in enumerate(block.coeffs):
+            alone = HermiteExpansion(p, p.beta, row)(x)
+            # one matrix product against four: equal to the last few ulps
+            np.testing.assert_allclose(values[i], alone, rtol=0.0,
+                                       atol=1e-15 * np.max(np.abs(alone)))
+        np.testing.assert_array_equal(block(0.2), block(np.array([0.2]))[:, 0])
 
-        monkeypatch.setattr(harmonic, "hermite_function_sequence", counting)
-        rng = np.random.default_rng(7)
-        for n in (3, 40, 5):
-            f = HermiteExpansion(p, p.beta, rng.standard_normal(n + 1))
-            assert np.array_equal(f(x), self.expansion_uncached(f, x))
-        # built at degree 3, rebuilt at 40, and degree 5 read from that table
-        assert calls == [3, 40]
+    def test_unit_rows_are_the_family_members(self, market):
+        p = params_for(market, w=0.3)
+        x = np.linspace(-1.5, 1.5, 301)
+        values = HermiteExpansion(p, p.beta, np.eye(7))(x)
+        for n in range(7):
+            np.testing.assert_array_equal(values[n], varphi_n(p, n)(x))
 
-    def test_tables_are_read_only(self, market):
-        p = params_for(market, w=0.33)
-        table = tables.mode_table(p, np.zeros(4), 2, hermite_function_sequence)
-        with pytest.raises(ValueError):
-            table[0, 0] = 1.0
-
-    def test_large_node_sets_are_not_kept(self, market):
-        p = params_for(market, w=0.34)
-        x = np.linspace(-1.0, 1.0, tables.MAX_CACHED_NODES + 1)
-        phi_n(p, 3)(x)
-        assert p not in tables._TABLES
-
-    def test_entries_freed_with_the_params(self, market):
-        p = params_for(market, w=0.35)
-        varphi_n(p, 4)(np.linspace(-1.0, 1.0, 11))
-        assert len(tables._TABLES[p]) == 1
-        alive = weakref.ref(p)
-        gc.collect()
-        before = len(tables._TABLES)
-        del p
-        gc.collect()
-        assert alive() is None
-        assert len(tables._TABLES) == before - 1
-
-    def test_operator_grid_trims_are_bit_identical(self, market, monkeypatch):
-        p = params_for(market, w=0.37)
-        grid = operator_grid(p)
-        sampled = grid.sample(varphi_n(p, 2))
-        once = apply_A(p, sampled)
-        twice = apply_B(p, once)
-        assert (once.n, twice.n) == (grid.n - 2, grid.n - 4)
-        sizes = []
-
-        def counting(n_max, u):
-            sizes.append(u.size)
-            return hermite_function_sequence(n_max, u)
-
-        monkeypatch.setattr(harmonic, "hermite_function_sequence", counting)
-        rng = np.random.default_rng(8)
-        for n, x in ((3, twice.x), (9, once.x), (4, grid.points), (6, twice.x)):
-            f = HermiteExpansion(p, p.beta, rng.standard_normal(n + 1))
-            assert np.array_equal(f(x), self.expansion_uncached(f, x))
-            table = tables.grid_table(p, p.scaled_argument(x), n, hermite_function_sequence,
-                                      lambda: p.scaled_argument(grid.points))
-            fresh = hermite_function_sequence(n, p.scaled_argument(x))
-            assert np.array_equal(table, fresh)
-        # one table over the whole grid, built at degree 3 and rebuilt at 9
-        assert sizes == [grid.n, grid.n]
-
-    def test_one_grid_table_per_params_freed_with_it(self, market):
-        p = params_for(market, w=0.38)
-        grid = operator_grid(p)
-        for n, k in ((2, 0), (5, 1), (4, 2)):
-            varphi_n(p, n)(grid.interior(k).points)
-        nodes, table = tables._GRID_TABLES[p]
-        assert table.shape == (6, grid.n)
-        assert not table.flags.writeable
-        assert np.array_equal(nodes, p.scaled_argument(grid.points))
-        alive = weakref.ref(p)
-        gc.collect()
-        before = len(tables._GRID_TABLES)
-        del p, nodes, table
-        gc.collect()
-        assert alive() is None
-        assert len(tables._GRID_TABLES) == before - 1
-
-    def test_other_large_node_sets_and_cache_off_keep_no_grid_table(self, market,
-                                                                    monkeypatch):
-        p = params_for(market, w=0.39)
-        grid = operator_grid(p)
-        shifted = GridSpec(grid.origin + 0.5 * grid.dx, grid.dx, grid.n - 2, 1)
-        phi_n(p, 3)(shifted.points)
-        phi_n(p, 3)(grid.points[::2])
-        assert p not in tables._GRID_TABLES
-        monkeypatch.setattr(tables, "MAX_CACHED_NODES", 0)
-        phi_n(p, 3)(grid.points)
-        assert p not in tables._GRID_TABLES and p not in tables._TABLES
-
-    @pytest.mark.parametrize("route, tols", [
-        ("exact", {}),
-        ("grid", {"ladder_tol": 2e-5, "grid_tol": 1e-4, "number_tol": 1e-3}),
-    ])
-    def test_report_repeats_and_matches_uncached(self, market, monkeypatch, route, tols):
-        p = params_for(market, w=0.36)
-
-        def report():
-            system, theta = harmonic_system(p, route=route)
-            return run_all_checks(system, theta, 6, **tols).to_json()
-
-        first, second = report(), report()
-        assert '"all_pass": true' in first
-        assert second == first
-        monkeypatch.setattr(tables, "MAX_CACHED_NODES", 0)
-        assert report() == first
+    def test_grid_maps_act_row_by_row(self, market):
+        p, block = self.block(market)
+        grid = GridSpec.over(-1.5, 1.5, 601)
+        sampled = grid.sample(block)
+        for op in self.MAPS[:-1]:
+            out = op(p, sampled)
+            for i in range(len(block.coeffs)):
+                alone = op(p, sampled.with_samples(sampled.samples[i]))
+                assert (out.x0, out.n) == (alone.x0, alone.n)
+                np.testing.assert_array_equal(out.samples[i], alone.samples)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pbk.grids import GridSpec
+from pbk.grids import GridFunction, GridSpec
 from pbk.market import MarketParams
 from pbk.pb_core import (
     ALGEBRAIC_TOL,
@@ -22,11 +22,14 @@ from pbk.pb_core import (
     check_biorthogonality,
     check_ladder,
     check_norm_growth,
+    check_number_operator,
     check_quasi_basis,
     check_theta_conjugacy,
     check_vacua,
     run_all_checks,
 )
+from pbk import barrier as bar
+from pbk import harmonic as har
 from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
 from pbk.systems import barrier_system, harmonic_system
@@ -54,10 +57,6 @@ class TestEigenSequence:
     def test_monotonicity_enforced_when_flagged(self):
         with pytest.raises(ValueError, match="increasing"):
             EigenSequence(lambda n: float(n % 3))
-
-    def test_flat_sequence_allowed_when_unflagged(self):
-        seq = EigenSequence(lambda n: 0.0, strictly_increasing=False)
-        assert seq(5) == 0.0
 
     def test_returns_float(self):
         seq = EigenSequence(lambda n: n * (n + 2))
@@ -194,49 +193,180 @@ class TestIndividualChecks:
 
 
 # ---------------------------------------------------------------------------
+# block checks against the per-member loop they replace
+
+
+def build_systems(market, market_beta0):
+    """name -> (system, theta, member): member(family, n) is one family function."""
+    out = {}
+    for label, mkt in (("beta -0.75", market), ("beta 0", market_beta0)):
+        hp = HarmonicParams(mkt)
+        for route in ("exact", "grid"):
+            out[f"harmonic {route} {label}"] = harmonic_system(hp, route=route) + (
+                lambda family, n, _p=hp: (har.varphi_n, har.psi_n)[family](_p, n),)
+        bp = BarrierParams(mkt, 0.0, math.pi)
+        out[f"barrier (0, pi) {label}"] = barrier_system(bp) + (
+            lambda family, n, _p=bp: (bar.varphi_n, bar.psi_n)[family](_p, n),)
+    return out
+
+
+BLOCK_NAMES = [f"{model} {label}" for label in ("beta -0.75", "beta 0")
+               for model in ("harmonic exact", "harmonic grid", "barrier (0, pi)")]
+
+
+def oracle_samples(out, grid):
+    if isinstance(out, GridFunction):
+        return out.x, out.samples, out.dx
+    return grid.points, np.asarray(out(grid.points)), grid.dx
+
+
+def oracle_norm(values, dx):
+    return math.sqrt(dx * np.sum(np.abs(values) ** 2))
+
+
+def oracle_residual(out, coeff, target, grid):
+    """|| out - coeff * target || / || target || for one function, on out's grid."""
+    x, lhs, dx = oracle_samples(out, grid)
+    ref = np.asarray(target(x))
+    return oracle_norm(lhs - coeff * ref, dx) / oracle_norm(ref, dx)
+
+
+def oracle_checks(sys_, theta, member, n_max):
+    """Each block check's worst residual, one family member at a time."""
+    grid = sys_.default_grid
+    phi = lambda n: member(0, n)  # noqa: E731
+    psi = lambda n: member(1, n)  # noqa: E731
+    e = sys_.eigens
+    vacua = max(oracle_residual(sys_.lower_a(phi(0)), 0.0, phi(0), grid),
+                oracle_residual(sys_.lower_b_dag(psi(0)), 0.0, psi(0), grid))
+    ladder = number = conjugacy = 0.0
+    for n in range(n_max + 1):
+        up, down = math.sqrt(e(n + 1)), math.sqrt(e(n))
+        ladder = max(
+            ladder,
+            oracle_residual(sys_.raise_b(phi(n)), up, phi(n + 1), grid),
+            oracle_residual(sys_.raise_a_dag(psi(n)), up, psi(n + 1), grid),
+            oracle_residual(sys_.lower_a(phi(n)), down, phi(max(n - 1, 0)), grid),
+            oracle_residual(sys_.lower_b_dag(psi(n)), down, psi(max(n - 1, 0)), grid),
+        )
+        number = max(
+            number,
+            oracle_residual(sys_.raise_b(sys_.lower_a(phi(n))), e(n), phi(n), grid),
+            oracle_residual(sys_.raise_a_dag(sys_.lower_b_dag(psi(n))), e(n), psi(n), grid),
+        )
+        conjugacy = max(conjugacy, oracle_residual(theta.apply(phi(n)), 1.0, psi(n), grid))
+    families_only = conjugacy
+    intertwining = 0.0
+    for f in sys_.test_functions:
+        roundtrip = theta.apply_inverse(theta.apply(f))
+        conjugacy = max(conjugacy, oracle_residual(roundtrip, 1.0, f, grid))
+        val = sys_.inner(f, theta.apply(f))
+        scale = abs(sys_.inner(f, f))
+        if val.real <= 0.0:
+            conjugacy = max(conjugacy, abs(val.real) / scale + ALGEBRAIC_TOL)
+        conjugacy = max(conjugacy, abs(val.imag) / scale)
+        x, left, dx = oracle_samples(theta.apply(sys_.raise_b(sys_.lower_a(f))), grid)
+        _, right, _ = oracle_samples(sys_.raise_a_dag(sys_.lower_b_dag(theta.apply(f))), grid)
+        intertwining = max(intertwining, oracle_norm(left - right, dx) / oracle_norm(f(x), dx))
+    norms = np.array([[math.sqrt(abs(sys_.inner(member(k, n), member(k, n))))
+                       for n in range(n_max + 1)] for k in (0, 1)])
+    return {"vacua": vacua, "ladder": ladder, "number_operator": number,
+            "families_conjugacy": families_only, "conjugacy": conjugacy,
+            "intertwining": intertwining, "norm_products": norms[0] * norms[1]}
+
+
+class TestBlocksMatchPerMember:
+    N_MAX = 12
+
+    @pytest.fixture(scope="class")
+    def cases(self, market, market_beta0):
+        systems = build_systems(market, market_beta0)
+        return {name: systems[name] + (oracle_checks(*systems[name], self.N_MAX),)
+                for name in BLOCK_NAMES}
+
+    @staticmethod
+    def close(name, block, oracle):
+        # finite-difference figures agree relatively, algebraic ones absolutely
+        bound = 1e-8 * abs(oracle) if "grid" in name else 1e-13
+        return abs(block - oracle) <= bound
+
+    @pytest.mark.parametrize("name", BLOCK_NAMES)
+    def test_operator_checks(self, cases, name):
+        sys_, theta, _, oracle = cases[name]
+        n = self.N_MAX
+        assert self.close(name, check_vacua(sys_).max_residual, oracle["vacua"])
+        assert self.close(name, check_ladder(sys_, n).max_residual, oracle["ladder"])
+        number = check_number_operator(sys_, n).max_residual
+        if name.startswith("barrier"):
+            # B_hat A_hat scales the analysis rounding of mode k by rho_k ~ k^2, so
+            # this residual (about 5e-10) is a rounding floor: the block's matrix
+            # products sum in another order and move it by a few parts in 1e4
+            assert abs(number - oracle["number_operator"]) <= 1e-3 * oracle["number_operator"]
+        else:
+            assert self.close(name, number, oracle["number_operator"])
+        # the family part alone, then with the test functions as one block
+        families_only = dataclasses.replace(sys_, test_functions=())
+        conjugacy = check_theta_conjugacy(families_only, theta, n)[0].max_residual
+        assert abs(conjugacy - oracle["families_conjugacy"]) <= 1e-13
+        conjugacy, intertwining = (c.max_residual for c in check_theta_conjugacy(sys_, theta, n))
+        assert abs(conjugacy - oracle["conjugacy"]) <= 1e-13
+        if name.startswith("barrier"):
+            # a difference of two analysis chains, about 5e-12: a rounding floor too
+            assert abs(intertwining - oracle["intertwining"]) <= 1e-12
+        else:
+            assert self.close(name, intertwining, oracle["intertwining"])
+
+    @pytest.mark.parametrize("name", BLOCK_NAMES)
+    def test_norms_from_gram_diagonals(self, cases, name):
+        sys_, _, _, oracle = cases[name]
+        n = self.N_MAX
+        products = oracle["norm_products"]
+        for family in (sys_.family_phi(n), sys_.family_psi(n)):
+            products = products / np.sqrt(np.abs(np.diagonal(sys_.gram([family], [family]))))
+        assert np.max(np.abs(products - 1.0)) <= 1e-13
+        if sys_.norm_product_law is not None:
+            law = np.array([sys_.norm_product_law(k) for k in range(n + 1)])
+            worst = np.max(np.abs(oracle["norm_products"] - law) / law)
+            assert abs(check_norm_growth(sys_, n).max_residual - worst) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
 # the Gram-matrix checks against pairwise adaptive quadrature
 
 
-def gram_systems(market, market_beta0):
-    return {
-        "harmonic beta -0.75": harmonic_system(HarmonicParams(market))[0],
-        "harmonic beta 0": harmonic_system(HarmonicParams(market_beta0))[0],
-        "barrier (0, pi)": barrier_system(BarrierParams(market, 0.0, math.pi))[0],
-    }
-
-
-SYSTEM_NAMES = ["harmonic beta -0.75", "harmonic beta 0", "barrier (0, pi)"]
+GRAM_SYSTEMS = {"harmonic beta -0.75": "harmonic exact beta -0.75",
+                "harmonic beta 0": "harmonic exact beta 0",
+                "barrier (0, pi)": "barrier (0, pi) beta -0.75"}
 
 
 class TestGramChecks:
     """One Gram matrix per block against one adaptive quadrature per pair."""
 
-    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    @pytest.mark.parametrize("name", GRAM_SYSTEMS)
     def test_biorthogonality_matches_pairwise(self, market, market_beta0, name):
-        sys_ = gram_systems(market, market_beta0)[name]
+        sys_, _, member = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
         n_max = LADDER_N_MAX_CAP
-        phis = [sys_.family_phi(n) for n in range(n_max + 1)]
-        psis = [sys_.family_psi(n) for n in range(n_max + 1)]
+        phis = [member(0, n) for n in range(n_max + 1)]
+        psis = [member(1, n) for n in range(n_max + 1)]
         gram = sys_.gram(phis, psis)
         pairwise = np.array([[sys_.inner(phi, psi) for psi in psis] for phi in phis])
         assert gram.shape == (n_max + 1, n_max + 1)
         assert np.max(np.abs(gram - pairwise)) <= 1e-13
         result = check_biorthogonality(sys_, n_max)
         assert result.passed
-        assert result.max_residual == float(np.max(np.abs(gram - np.eye(n_max + 1))))
         assert abs(result.max_residual
                    - np.max(np.abs(pairwise - np.eye(n_max + 1)))) <= 1e-13
 
-    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    @pytest.mark.parametrize("name", GRAM_SYSTEMS)
     def test_quasi_basis_sums_match_pairwise(self, market, market_beta0, name):
-        sys_ = gram_systems(market, market_beta0)[name]
+        sys_, _, member = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
         n_max = NORM_N_MAX_CAP
         worst = 0.0
         for f, g in sys_.quasi_pairs:
             direct = sys_.inner(f, g)
             total = mirrored = 0.0
             for n in range(n_max + 1):
-                phi, psi = sys_.family_phi(n), sys_.family_psi(n)
+                phi, psi = member(0, n), member(1, n)
                 total += sys_.inner(f, phi) * sys_.inner(psi, g)
                 mirrored += sys_.inner(f, psi) * sys_.inner(phi, g)
             worst = max(worst, abs(total - direct), abs(mirrored - direct))
@@ -295,6 +425,24 @@ class TestRunAllChecks:
         sys_h, theta = harmonic
         report = run_all_checks(sys_h, theta, 2, params_echo={"sigma": 0.2})
         assert report.params_echo == {"sigma": 0.2}
+
+    @pytest.mark.parametrize("model, tols", [
+        ("harmonic/exact", {}),
+        ("harmonic/grid", {"ladder_tol": 2e-5, "grid_tol": 1e-4, "number_tol": 1e-3}),
+        ("barrier", {}),
+    ])
+    def test_report_repeats_exactly(self, market, model, tols):
+        def report():
+            if model == "barrier":
+                system, theta = barrier_system(BarrierParams(market, 0.0, 2.74))
+            else:
+                route = model.split("/")[1]
+                system, theta = harmonic_system(HarmonicParams(market, 0.36), route=route)
+            return run_all_checks(system, theta, 6, **tols).to_json()
+
+        first = report()
+        assert '"all_pass": true' in first
+        assert report() == first
 
     def test_beta_zero_regime(self, market_beta0):
         sys_h, theta = harmonic_system(HarmonicParams(market_beta0))
