@@ -4,154 +4,9 @@ Two concrete models (a shifted-harmonic whole-line model and a double
 knock-out barrier model), a generic verification harness for their ladder
 algebra, closed-form and spectral pricing kernels, and option pricing with
 independent Monte Carlo and Black-Scholes oracles.
+
+Names are imported from their modules (pbk.kernels, pbk.pricing, ...); the
+package root re-exports nothing.
 """
 
-from .barrier import (
-    BarrierParams,
-    SpectralVector,
-    apply_A_hat,
-    apply_B_hat,
-    apply_S_phi,
-    apply_S_psi,
-    eigenvalue,
-    failed_factorization_residual,
-    rho_coefficient,
-)
-from .grids import GridFunction, GridSpec, derivative, grid_norm, second_derivative
-from .harmonic import (
-    HarmonicParams,
-    HermiteExpansion,
-    apply_A,
-    apply_A_dag,
-    apply_B,
-    apply_B_dag,
-    apply_H_BS,
-    apply_H_eff,
-    apply_H_eff_dag,
-    apply_Theta,
-    apply_Theta_inv,
-    apply_c,
-    apply_c_dag,
-    apply_h_BS,
-    apply_h_eff,
-    apply_rho,
-    apply_rho_inv,
-    norm_squared_law,
-)
-from .kernels import (
-    KernelRequest,
-    KernelValue,
-    kernel_oracle_image_series,
-    kernel_value,
-)
-from .market import MarketParams
-from .pb_core import (
-    CheckResult,
-    DiagnosticReport,
-    EigenSequence,
-    LadderSystem,
-    MetricOperator,
-    TestFunction,
-    check_biorthogonality,
-    check_ladder,
-    check_norm_growth,
-    check_number_operator,
-    check_quasi_basis,
-    check_theta_conjugacy,
-    check_vacua,
-    run_all_checks,
-)
-from .pricing import (
-    MCConfig,
-    Payoff,
-    PricingResult,
-    bs_closed_form,
-    price_mc_barrier,
-    price_spectral,
-)
-from .quadrature import (
-    QuadratureConvergenceError,
-    QuadratureEvaluationError,
-    QuadratureRule,
-    adaptive_inner_product,
-    hermite_rule,
-    inner_product,
-    legendre_rule,
-)
-from .specialfn import hermite, hermite_function, laguerre, theta3
-from .systems import barrier_system, harmonic_system
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BarrierParams",
-    "CheckResult",
-    "DiagnosticReport",
-    "EigenSequence",
-    "GridFunction",
-    "GridSpec",
-    "HarmonicParams",
-    "HermiteExpansion",
-    "KernelRequest",
-    "KernelValue",
-    "LadderSystem",
-    "MCConfig",
-    "MarketParams",
-    "MetricOperator",
-    "Payoff",
-    "PricingResult",
-    "QuadratureConvergenceError",
-    "QuadratureEvaluationError",
-    "QuadratureRule",
-    "SpectralVector",
-    "TestFunction",
-    "adaptive_inner_product",
-    "apply_A",
-    "apply_A_dag",
-    "apply_A_hat",
-    "apply_B",
-    "apply_B_dag",
-    "apply_B_hat",
-    "apply_H_BS",
-    "apply_H_eff",
-    "apply_H_eff_dag",
-    "apply_S_phi",
-    "apply_S_psi",
-    "apply_Theta",
-    "apply_Theta_inv",
-    "apply_c",
-    "apply_c_dag",
-    "apply_h_BS",
-    "apply_h_eff",
-    "apply_rho",
-    "apply_rho_inv",
-    "barrier_system",
-    "bs_closed_form",
-    "check_biorthogonality",
-    "check_ladder",
-    "check_norm_growth",
-    "check_number_operator",
-    "check_quasi_basis",
-    "check_theta_conjugacy",
-    "check_vacua",
-    "derivative",
-    "eigenvalue",
-    "failed_factorization_residual",
-    "grid_norm",
-    "harmonic_system",
-    "hermite",
-    "hermite_function",
-    "hermite_rule",
-    "inner_product",
-    "kernel_oracle_image_series",
-    "kernel_value",
-    "laguerre",
-    "legendre_rule",
-    "norm_squared_law",
-    "price_mc_barrier",
-    "price_spectral",
-    "rho_coefficient",
-    "run_all_checks",
-    "second_derivative",
-    "theta3",
-]

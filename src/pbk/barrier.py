@@ -46,8 +46,8 @@ class BarrierParams(MarketView):
     b: float
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError(f"barriers must satisfy a < b, got ({self.a}, {self.b})")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"barriers must be finite with a < b, got ({self.a}, {self.b})")
 
     @property
     def width(self) -> float:

@@ -47,10 +47,6 @@ class GridSpec:
     def sample(self, fn) -> "GridFunction":
         return GridFunction(self.x0, self.dx, np.asarray(fn(self.points)))
 
-    def interior(self, k: int) -> "GridSpec":
-        """The grid with k points trimmed from each end."""
-        return GridSpec(self.x0 + k * self.dx, self.dx, self.n - 2 * k)
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -78,10 +74,6 @@ class GridFunction:
     @property
     def x(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
-
-    @property
-    def spec(self) -> GridSpec:
-        return GridSpec(self.x0, self.dx, self.n)
 
     def interior(self, k: int) -> "GridFunction":
         if k <= 0:

@@ -53,6 +53,10 @@ class HarmonicParams(MarketView):
     market: MarketParams
     w: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.w):
+            raise ValueError(f"w must be finite, got {self.w}")
+
     @property
     def delta(self) -> float:
         """Ground-state energy sigma^2 beta^2 / 2 + r; equals gamma identically."""

@@ -5,8 +5,10 @@ prefactor e^{s beta (x - x')}: s = +1 gives p1, s = -1 gives p2, so the
 "replace beta by -beta" duality holds bit-for-bit by construction.
 
 Both models share one spectral sum over x and x' broadcast against each
-other; each supplies only its mode table, decay and prefactor. kernel_value
-and kernel_rows pick the model's functions by the type of the params.
+other; each supplies only its mode table, decay and prefactor. kernel_values
+is the one array-in, array-out entry point: it validates the request, picks
+the model's functions by the type of the params and maps which kernel to its
+sign. kernel_value, kernel_rows and the spectral price all go through it.
 
 The closed forms are a Mehler-type Gaussian for the whole-line model and a
 Jacobi theta-3 combination for the interval model. An independent
@@ -35,7 +37,6 @@ IMAGE_MAX_WRAPS = 64
 
 ModelParams = Union[HarmonicParams, BarrierParams]
 
-_MODELS = ("harmonic", "barrier")
 _SIGNS = {"p1": 1.0, "p2": -1.0}
 _METHODS = ("spectral", "closed")
 
@@ -45,17 +46,17 @@ def _check_request(which: str, method: str, tau: float, n_trunc: int) -> None:
         raise ValueError(f"which must be one of {tuple(_SIGNS)}, got {which!r}")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if not 0 <= n_trunc <= N_TRUNC_CAP:
         raise ValueError(f"n_trunc must be in 0..{N_TRUNC_CAP}, got {n_trunc}")
 
 
 @dataclass(frozen=True)
 class KernelRequest:
-    """One kernel evaluation: which kernel, where, how."""
+    """One kernel evaluation: which kernel, where, how. The params it is
+    evaluated with pick the model."""
 
-    model: str
     which: str
     x: float
     x_prime: float
@@ -64,13 +65,7 @@ class KernelRequest:
     n_trunc: int = DEFAULT_N_TRUNC
 
     def __post_init__(self) -> None:
-        if self.model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
         _check_request(self.which, self.method, self.tau, self.n_trunc)
-
-    @property
-    def beta_sign(self) -> float:
-        return _SIGNS[self.which]
 
 
 @dataclass(frozen=True)
@@ -186,47 +181,53 @@ def barrier_closed_value(params: BarrierParams, x, x_prime, tau: float,
 # the one entry point, by the type of the params
 
 
-def _model_functions(params: ModelParams) -> Tuple[str, Callable, Callable]:
-    """(model, spectral values, closed value) of the params' model.
+def _model_functions(params: ModelParams) -> Tuple[Callable, Callable]:
+    """(spectral values, closed value) of the params' model.
 
     The functions are read from this module's globals on every call, so a
     wrapper installed over one of them sees every evaluation.
     """
     if isinstance(params, HarmonicParams):
-        return "harmonic", harmonic_spectral_values, harmonic_closed_value
+        return harmonic_spectral_values, harmonic_closed_value
     if isinstance(params, BarrierParams):
-        return "barrier", barrier_spectral_values, barrier_closed_value
+        return barrier_spectral_values, barrier_closed_value
     raise TypeError(f"params must be HarmonicParams or BarrierParams, "
                     f"got {type(params).__name__}")
 
 
-def _evaluate(params: ModelParams, method: str, x, x_prime, tau: float, s: float,
-              beta: float, n_trunc: int):
-    """(value, tail) by one method; closed forms carry a zero tail. Barrier
-    points outside (a, b) raise ValueError."""
-    _, spectral, closed = _model_functions(params)
-    if isinstance(params, BarrierParams):
-        for name, points in (("x", x), ("x_prime", x_prime)):
-            for point in np.ravel(points).tolist():
-                if not params.a < point < params.b:
-                    raise ValueError(f"{name} = {point} lies outside the open "
-                                     f"barrier interval ({params.a}, {params.b})")
+def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
+                  tau: float, n_trunc: int = DEFAULT_N_TRUNC,
+                  beta: Optional[float] = None):
+    """(value, tail) of kernel `which` by `method`, with x and x' broadcast
+    against each other; closed forms carry a zero tail.
+
+    beta, when given, replaces the params' beta. Points must be finite, and
+    barrier points must lie inside (a, b); a ValueError names the first point
+    that does not.
+    """
+    _check_request(which, method, tau, n_trunc)
+    spectral, closed = _model_functions(params)
+    barrier = isinstance(params, BarrierParams)
+    lo, hi = (params.a, params.b) if barrier else (-math.inf, math.inf)
+    for name, points in (("x", x), ("x_prime", x_prime)):
+        points = np.asarray(points, dtype=float)
+        inside = (lo < points) & (points < hi)
+        if not inside.all():
+            raise ValueError(f"{name} = {points[~inside].flat[0]} lies outside the "
+                             f"open {'barrier ' if barrier else ''}interval ({lo}, {hi})")
+    s = _SIGNS[which]
+    b = params.beta if beta is None else float(beta)
     if method == "spectral":
-        return spectral(params, x, x_prime, tau, s, beta, n_trunc)
-    value = closed(params, x, x_prime, tau, s, beta)
+        return spectral(params, x, x_prime, tau, s, b, n_trunc)
+    value = closed(params, x, x_prime, tau, s, b)
     return value, np.zeros(np.shape(value))
 
 
 def kernel_value(req: KernelRequest, params: ModelParams,
                  beta: Optional[float] = None) -> KernelValue:
-    """The requested kernel at one point; rejects params of the other model
-    with TypeError and barrier points outside (a, b) with ValueError."""
-    if req.model != _model_functions(params)[0]:
-        raise TypeError(f"{req.model} kernel requires {req.model.capitalize()}Params, "
-                        f"got {type(params).__name__}")
-    b = params.beta if beta is None else float(beta)
-    value, tail = _evaluate(params, req.method, req.x, req.x_prime, req.tau,
-                            req.beta_sign, b, req.n_trunc)
+    """The requested kernel at one point, in the model of the params."""
+    value, tail = kernel_values(params, req.which, req.method, req.x, req.x_prime,
+                                req.tau, req.n_trunc, beta)
     return KernelValue(float(value), float(tail))
 
 
@@ -243,8 +244,8 @@ def kernel_oracle_image_series(params: BarrierParams, x: float, x_prime: float,
     mu = r - sigma^2/2. Wraps are added until a full image pair falls below
     1e-14. No eigenfunctions involved.
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     sigma, r = params.sigma, params.r
     mu = r - 0.5 * sigma * sigma
     width = params.width
@@ -291,17 +292,15 @@ def kernel_rows(params: ModelParams, xs, x_primes, taus,
     """
     xs = np.asarray(xs, dtype=float)
     x_primes = np.asarray(x_primes, dtype=float)
-    b = params.beta if beta is None else float(beta)
     both = "spectral" in methods and "closed" in methods
     rows = []
     for tau in map(float, taus):
         tables = {}
         for which in whichs:
             for method in methods:
-                _check_request(which, method, tau, n_trunc)
-                tables[which, method] = _evaluate(params, method, xs[:, None],
-                                                  x_primes[None, :], tau,
-                                                  _SIGNS[which], b, n_trunc)
+                tables[which, method] = kernel_values(params, which, method,
+                                                      xs[:, None], x_primes[None, :],
+                                                      tau, n_trunc, beta)
         for i, x in enumerate(xs.tolist()):
             for j, xp in enumerate(x_primes.tolist()):
                 for which in whichs:

@@ -10,6 +10,7 @@ orthonormal one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # sigma**2 = 2r computed in floats leaves beta at rounding-error size, not 0
@@ -23,16 +24,24 @@ def beta_is_degenerate(beta: float) -> bool:
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Volatility (per sqrt-year) and risk-free rate (per year)."""
+    """Volatility (per sqrt-year) and risk-free rate (per year); both, and
+    the beta and gamma they give, are finite."""
 
     sigma: float
     r: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.r < 0.0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"r must be nonnegative and finite, got {self.r}")
+        try:
+            finite = math.isfinite(self.beta) and math.isfinite(self.gamma)
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError(f"sigma = {self.sigma} and r = {self.r} give a "
+                             f"non-finite beta or gamma")
 
     @property
     def beta(self) -> float:

@@ -20,13 +20,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .barrier import BarrierParams
-from .kernels import (
-    DEFAULT_N_TRUNC,
-    ModelParams,
-    _check_request,
-    barrier_spectral_values,
-    harmonic_spectral_values,
-)
+from .kernels import DEFAULT_N_TRUNC, ModelParams, kernel_values
+# not called here: perfbench/tracing.py patches these two names in this module
+from .kernels import barrier_spectral_values, harmonic_spectral_values  # noqa: F401
 from .quadrature import legendre_rule
 
 PAYOFF_KINDS = ("call", "put", "digital_call")
@@ -48,8 +44,8 @@ class Payoff:
     def __post_init__(self) -> None:
         if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"kind must be one of {PAYOFF_KINDS}, got {self.kind!r}")
-        if not self.strike > 0.0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
+        if not 0.0 < self.strike < math.inf:
+            raise ValueError(f"strike must be positive and finite, got {self.strike}")
 
     @classmethod
     def call(cls, strike: float) -> "Payoff":
@@ -132,30 +128,18 @@ def price_spectral(params: ModelParams, which: str, payoff: Payoff, x: float,
     10-standard-deviation window for the whole-line model, with a panel
     break at the strike kink either way.
     """
-    _check_request(which, "spectral", tau, n_trunc)
-    s = 1.0 if which == "p1" else -1.0
-    b = params.beta if beta is None else float(beta)
     if isinstance(params, BarrierParams):
-        if not params.a < x < params.b:
-            raise ValueError(f"spot log-price {x} outside barriers "
-                             f"({params.a}, {params.b})")
         lo, hi = params.a, params.b
-
-        def kernel_at(xp):
-            return barrier_spectral_values(params, x, xp, tau, s, b, n_trunc)
-
     else:
-        half = PRICE_WINDOW_SIGMAS * params.sigma * max(1.0, math.sqrt(tau))
+        # sqrt(max(1, tau)) leaves an invalid tau to kernel_values to report
+        half = PRICE_WINDOW_SIGMAS * params.sigma * math.sqrt(max(1.0, tau))
         lo = min(x, params.center) - half
         hi = max(x, params.center) + half
-
-        def kernel_at(xp):
-            return harmonic_spectral_values(params, x, xp, tau, s, b, n_trunc)
-
     total = 0.0
     for panel_lo, panel_hi in _panels(lo, hi, math.log(payoff.strike)):
         rule = legendre_rule(nodes, panel_lo, panel_hi)
-        values, _ = kernel_at(rule.nodes)
+        values, _ = kernel_values(params, which, "spectral", x, rule.nodes, tau,
+                                  n_trunc, beta)
         total += float(np.dot(rule.weights, values * payoff.as_log(rule.nodes)))
     echo = {"model": "barrier" if isinstance(params, BarrierParams) else "harmonic",
             "which": which, "payoff": payoff.kind, "strike": payoff.strike,

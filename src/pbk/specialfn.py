@@ -1,12 +1,13 @@
 """Special functions evaluated by stable recurrences.
 
 Everything downstream (eigenfunctions, closed-form kernels, norm laws) is
-built from three families: physicists' Hermite polynomials, generalized
+built from three families: normalized Hermite functions, generalized
 Laguerre polynomials, and the Jacobi theta function theta3. All of them are
 computed by three-term recurrences rather than explicit coefficient sums,
 which is what keeps them usable up to degree 200 without catastrophic
-cancellation. Normalized Hermite functions are provided separately because
-raw H_n overflows around n ~ 170 for the argument ranges we need.
+cancellation. The Hermite functions are never formed from the raw
+polynomials H_n, which overflow around n ~ 170 for the argument ranges we
+need.
 """
 
 from __future__ import annotations
@@ -29,23 +30,6 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the supported cap {MAX_DEGREE}")
-
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x).
-
-    Uses the upward recurrence H_{k+1} = 2x H_k - 2k H_{k-1}. Accepts scalar
-    or ndarray arguments; degrees above 200 are rejected.
-    """
-    _check_degree(n)
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
 
 
 def laguerre(n: int, k: int, x):
@@ -96,10 +80,11 @@ def hermite_function(n: int, u):
     psi_{k+1} = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_{k-1},
     which keeps every intermediate at unit L2 scale, so n = 200 is fine where
     the raw polynomial route would overflow. For |u| large enough that
-    e^{-u^2/2} underflows, the result is 0.
+    e^{-u^2/2} underflows, the result is 0. Scalar u gives a float.
     """
     _check_degree(n)
-    return hermite_function_sequence(n, u)[n]
+    values = hermite_function_sequence(n, u)[n]
+    return values if np.ndim(u) else float(values[0])
 
 
 def hermite_function_sequence(n_max: int, u) -> np.ndarray:

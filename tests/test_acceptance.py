@@ -51,8 +51,8 @@ def gl2048():
     return leggauss(2048)
 
 
-def closed_kernel(params, model, which, x, xp, tau):
-    req = KernelRequest(model, which, float(x), float(xp), tau, "closed")
+def closed_kernel(params, which, x, xp, tau):
+    req = KernelRequest(which, float(x), float(xp), tau, "closed")
     return kernel_value(req, params).value
 
 
@@ -184,8 +184,8 @@ def test_criterion_05_closed_kernel_matches_spectral(hp):
         for which in ("p1", "p2"):
             for x in pts:
                 for xp in pts:
-                    closed = closed_kernel(hp, "harmonic", which, x, xp, tau)
-                    req = KernelRequest("harmonic", which, float(x), float(xp),
+                    closed = closed_kernel(hp, which, x, xp, tau)
+                    req = KernelRequest(which, float(x), float(xp),
                                         tau, "spectral", n_trunc=80)
                     spectral = kernel_value(req, hp).value
                     worst = max(worst, abs(closed - spectral) / abs(closed))
@@ -211,8 +211,8 @@ def test_criterion_06_interval_kernel_closed_vs_series(bp):
         for which in ("p1", "p2"):
             for x in pts:
                 for xp in pts:
-                    closed = closed_kernel(bp, "barrier", which, x, xp, tau)
-                    req = KernelRequest("barrier", which, float(x), float(xp),
+                    closed = closed_kernel(bp, which, x, xp, tau)
+                    req = KernelRequest(which, float(x), float(xp),
                                         tau, "spectral", n_trunc=n_trunc)
                     series = kernel_value(req, bp).value
                     worst = max(worst, abs(closed - series))
@@ -227,8 +227,8 @@ def test_criterion_07_image_series_oracle(bp):
         for x in pts:
             for xp in pts:
                 oracle = kernel_oracle_image_series(bp, float(x), float(xp), tau)
-                closed = closed_kernel(bp, "barrier", "p1", x, xp, tau)
-                req = KernelRequest("barrier", "p1", float(x), float(xp), tau,
+                closed = closed_kernel(bp, "p1", x, xp, tau)
+                req = KernelRequest("p1", float(x), float(xp), tau,
                                     "spectral", n_trunc=n_trunc)
                 series = kernel_value(req, bp).value
                 worst = max(worst,
@@ -305,13 +305,12 @@ def test_criterion_11_failed_factorization_residual(market_beta0):
 
 def test_criterion_12_beta_flip_duality(hp, bp):
     worst = 0.0
-    cases = (("harmonic", hp, 0.1, -0.05), ("barrier", bp, 1.2, 1.9))
-    for model, params, x, xp in cases:
+    for params, x, xp in ((hp, 0.1, -0.05), (bp, 1.2, 1.9)):
         for method in ("closed", "spectral"):
             p2 = kernel_value(
-                KernelRequest(model, "p2", x, xp, 0.5, method), params).value
+                KernelRequest("p2", x, xp, 0.5, method), params).value
             flipped = kernel_value(
-                KernelRequest(model, "p1", x, xp, 0.5, method), params,
+                KernelRequest("p1", x, xp, 0.5, method), params,
                 beta=-params.beta).value
             worst = max(worst, abs(p2 - flipped))
 
@@ -346,7 +345,7 @@ def test_criterion_13_short_time_concentration(hp, bp, gl2048):
     f_at_x = float(bar.varphi_n(bp, 0)(x_eval) + 0.15 * bar.varphi_n(bp, 3)(x_eval))
     errs = []
     for tau in taus:
-        kernel = np.array([closed_kernel(bp, "barrier", "p1", x_eval, xp, tau)
+        kernel = np.array([closed_kernel(bp, "p1", x_eval, xp, tau)
                            for xp in x_nodes])
         errs.append(abs(float(np.sum(w_nodes * kernel * f_vals)) - f_at_x))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(taus) - 1)]
@@ -362,7 +361,7 @@ def test_criterion_13_short_time_concentration(hp, bp, gl2048):
         half = 25.0 * hp.sigma * math.sqrt(tau)
         xs = x_eval + half * nodes
         ws = half * weights
-        kernel = np.array([closed_kernel(hp, "harmonic", "p1", x_eval, xp, tau)
+        kernel = np.array([closed_kernel(hp, "p1", x_eval, xp, tau)
                            for xp in xs])
         f_vals = har.varphi_n(hp, 0)(xs) + 0.02 * har.varphi_n(hp, 3)(xs)
         errs.append(abs(float(np.sum(ws * kernel * f_vals)) - f_at_x))

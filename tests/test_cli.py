@@ -289,6 +289,29 @@ class TestPrice:
 
 
 # ---------------------------------------------------------------------------
+# numbers that are not finite, or whose derived constants are not
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--model", "harmonic", "--r", "nan"],
+    ["price", "--model", "harmonic", "--w", "nan"],
+    ["price", "--model", "harmonic", "--x", "inf"],
+    ["price", "--model", "barrier", "--lower", "80", "--upper", "inf"],
+    ["price", "--model", "barrier", "--lower", "80", "--upper", "120",
+     "--payoff", "put", "--strike", "inf"],
+    ["kernel", "--model", "harmonic", "--tau", "inf"],
+    ["price", "--model", "harmonic", "--sigma", "1e300"],
+    ["price", "--model", "harmonic", "--sigma", "1e-200"],
+], ids=["r-nan", "w-nan", "x-inf", "upper-inf", "strike-inf", "tau-inf",
+        "sigma-overflow", "sigma-underflow"])
+def test_non_finite_numbers_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
 # module entry point
 
 

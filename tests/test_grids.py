@@ -47,11 +47,6 @@ def test_sample_and_interior():
     assert f.interior(0) is f
 
 
-def test_spec_interior_matches_function_interior():
-    g = GridSpec.over(-2.0, 2.0, 41)
-    assert g.interior(3).points == pytest.approx(g.points[3:-3])
-
-
 def test_block_rows_match_single_functions():
     g = GridSpec.over(-2.0, 2.0, 401)
     fns = (np.sin, np.cos, np.exp, lambda x: x**3 - x)

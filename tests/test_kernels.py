@@ -19,6 +19,7 @@ from pbk.kernels import (
     kernel_oracle_image_series,
     kernel_rows,
     kernel_value,
+    kernel_values,
 )
 from pbk.market import MarketParams
 
@@ -34,14 +35,14 @@ def bp(market):
 
 
 def h_req(**kw):
-    base = dict(model="harmonic", which="p1", x=0.1, x_prime=-0.05, tau=0.5,
+    base = dict(which="p1", x=0.1, x_prime=-0.05, tau=0.5,
                 method="spectral", n_trunc=80)
     base.update(kw)
     return KernelRequest(**base)
 
 
 def b_req(**kw):
-    base = dict(model="barrier", which="p1", x=1.2, x_prime=1.9, tau=0.5,
+    base = dict(which="p1", x=1.2, x_prime=1.9, tau=0.5,
                 method="spectral", n_trunc=DEFAULT_N_TRUNC)
     base.update(kw)
     return KernelRequest(**base)
@@ -53,22 +54,17 @@ def b_req(**kw):
 
 class TestKernelRequest:
     def test_field_validation(self):
-        with pytest.raises(ValueError, match="model"):
-            h_req(model="heat")
         with pytest.raises(ValueError, match="which"):
             h_req(which="p3")
         with pytest.raises(ValueError, match="method"):
             h_req(method="exact")
-        with pytest.raises(ValueError, match="tau"):
-            h_req(tau=0.0)
+        for tau in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                h_req(tau=tau)
         with pytest.raises(ValueError, match="n_trunc"):
             h_req(n_trunc=N_TRUNC_CAP + 1)
         with pytest.raises(ValueError, match="n_trunc"):
             h_req(n_trunc=-1)
-
-    def test_beta_sign(self):
-        assert h_req(which="p1").beta_sign == 1.0
-        assert h_req(which="p2").beta_sign == -1.0
 
     def test_kernel_value_tail(self):
         assert not KernelValue(1.0, 1e-11).tail_warning
@@ -76,12 +72,13 @@ class TestKernelRequest:
         with pytest.raises(ValueError):
             KernelValue(1.0, -1e-12)
 
-    def test_model_params_mismatch(self, hp, bp):
+    def test_params_of_neither_model_rejected(self, hp):
+        # the params type picks the model; anything else is a TypeError
         for method in ("spectral", "closed"):
-            with pytest.raises(TypeError, match="HarmonicParams"):
-                kernel_value(h_req(method=method), bp)
-            with pytest.raises(TypeError, match="BarrierParams"):
-                kernel_value(b_req(method=method), hp)
+            with pytest.raises(TypeError, match="HarmonicParams or BarrierParams"):
+                kernel_value(h_req(method=method), hp.market)
+            with pytest.raises(TypeError, match="HarmonicParams or BarrierParams"):
+                kernel_values(hp.market, "p1", method, 0.0, 0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +235,37 @@ class TestVectorization:
             assert tail == vec_tails[i]
 
 
+class TestKernelValues:
+    def test_scalars_match_kernel_value(self, hp, bp):
+        for params, req in ((hp, h_req()), (bp, b_req())):
+            for which in ("p1", "p2"):
+                for method in ("spectral", "closed"):
+                    r = replace(req, which=which, method=method)
+                    value, tail = kernel_values(params, which, method, r.x,
+                                                r.x_prime, r.tau, r.n_trunc)
+                    expected = kernel_value(r, params)
+                    assert (value, tail) == (expected.value, expected.tail_estimate)
+
+    def test_array_point_outside_is_named(self, bp):
+        xs = np.array([1.0, 2.0, 3.5, 0.5])
+        for method in ("spectral", "closed"):
+            with pytest.raises(ValueError, match=r"x = 3.5 lies outside the open "
+                                                 r"barrier interval \(0.0, 3.14"):
+                kernel_values(bp, "p1", method, xs, 1.5, 0.5)
+            with pytest.raises(ValueError, match="x_prime = -0.25 lies outside"):
+                kernel_values(bp, "p2", method, 1.5, np.array([[0.5], [-0.25]]), 0.5)
+            with pytest.raises(ValueError, match="x = nan lies outside"):
+                kernel_values(bp, "p1", method, np.array([1.0, np.nan]), 1.5, 0.5)
+
+    def test_non_finite_points_rejected(self, hp):
+        for method in ("spectral", "closed"):
+            with pytest.raises(ValueError, match=r"x = inf lies outside the open "
+                                                 r"interval \(-inf, inf\)"):
+                kernel_values(hp, "p1", method, np.array([0.0, np.inf]), 0.1, 0.5)
+            with pytest.raises(ValueError, match="x_prime = nan lies outside the open interval"):
+                kernel_values(hp, "p1", method, 0.0, np.array([0.1, np.nan]), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # batch rows
 
@@ -279,8 +307,7 @@ class TestKernelRows:
                               "tail_estimate", "rel_disagreement"} for r in rows)
         peak = max(abs(r["value"]) for r in rows)
         for r in rows:
-            req = KernelRequest(model, r["which"], r["x"], r["x_prime"], r["tau"],
-                                r["method"])
+            req = KernelRequest(r["which"], r["x"], r["x_prime"], r["tau"], r["method"])
             expected = kernel_value(req, params)
             assert abs(r["value"] - expected.value) <= 1e-13 * peak
             assert r["tail_estimate"] == pytest.approx(expected.tail_estimate,

@@ -48,8 +48,9 @@ class TestPayoff:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             Payoff("straddle", 100.0)
-        with pytest.raises(ValueError, match="strike"):
-            Payoff("call", 0.0)
+        for strike in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="strike must be positive and finite"):
+                Payoff("call", strike)
 
     def test_constructors(self):
         assert Payoff.call(90.0).kind == "call"
@@ -189,6 +190,27 @@ class TestPriceSpectral:
             price_spectral(box, "p1", Payoff.call(100.0), X0, 0.0)
         with pytest.raises(ValueError, match="outside"):
             price_spectral(box, "p1", Payoff.call(100.0), math.log(125.0), 0.5)
+
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    def test_one_kernel_call_per_panel(self, monkeypatch, box, model):
+        # the benchmark's kernels.spectral_values span wraps this lookup site
+        import pbk.kernels
+
+        params = HarmonicParams(box.market) if model == "harmonic" else box
+        x = 0.05 if model == "harmonic" else X0
+        name = f"{model}_spectral_values"
+        original = getattr(pbk.kernels, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].shape)
+            return original(*args)
+
+        monkeypatch.setattr(pbk.kernels, name, counted)
+        for strike, panels in ((math.exp(x), 2), (1e6, 1)):
+            calls.clear()
+            price_spectral(params, "p1", Payoff.call(strike), x, 0.5, nodes=64)
+            assert calls == [(64,)] * panels
 
     def test_panel_split_only_inside(self):
         assert _panels(0.0, 2.0, 1.0) == ((0.0, 1.0), (1.0, 2.0))

@@ -11,7 +11,6 @@ from scipy.special import eval_genlaguerre, eval_hermite
 
 from pbk.specialfn import (
     MAX_DEGREE,
-    hermite,
     hermite_function,
     hermite_function_sequence,
     laguerre,
@@ -19,42 +18,55 @@ from pbk.specialfn import (
 )
 
 
+def hermite_oracle(n, x):
+    """psi_n from scipy's physicists' H_n: H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi))."""
+    scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    return eval_hermite(n, x) * np.exp(-0.5 * np.square(x)) / scale
+
+
 class TestHermite:
+    """The normalized Hermite functions against scipy's Hermite polynomials."""
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 15, 30])
     def test_matches_scipy(self, n):
         x = np.linspace(-4.0, 4.0, 17)
-        expected = eval_hermite(n, x)
-        np.testing.assert_allclose(hermite(n, x), expected, rtol=1e-12)
+        np.testing.assert_allclose(hermite_function(n, x), hermite_oracle(n, x),
+                                   rtol=1e-12, atol=1e-15)
 
     def test_low_orders_explicit(self):
-        assert hermite(0, 1.7) == 1.0
-        assert hermite(1, 1.7) == pytest.approx(3.4)
-        assert hermite(2, 1.7) == pytest.approx(4 * 1.7**2 - 2)
-        assert hermite(3, 0.5) == pytest.approx(8 * 0.125 - 12 * 0.5)
+        u = 1.7
+        ground = math.pi**-0.25 * math.exp(-0.5 * u * u)
+        assert hermite_function(0, u) == pytest.approx(ground, rel=1e-14)
+        assert hermite_function(1, u) == pytest.approx(math.sqrt(2) * u * ground)
+        assert hermite_function(2, u) == pytest.approx((2 * u**2 - 1) / math.sqrt(2) * ground)
+        assert hermite_function(3, u) == pytest.approx((2 * u**3 - 3 * u) / math.sqrt(3) * ground)
 
     @given(n=st.integers(0, 40), x=st.floats(-5, 5))
     def test_parity(self, n, x):
-        assert hermite(n, -x) == pytest.approx(
-            (-1) ** n * hermite(n, x), rel=1e-9, abs=1e-9
+        assert hermite_function(n, -x) == pytest.approx(
+            (-1) ** n * hermite_function(n, x), rel=1e-9, abs=1e-12
         )
 
     @given(n=st.integers(1, 40), x=st.floats(-5, 5))
     def test_three_term_recurrence(self, n, x):
-        lhs = hermite(n + 1, x)
-        rhs = 2 * x * hermite(n, x) - 2 * n * hermite(n - 1, x)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-6)
+        # x psi_n = sqrt((n+1)/2) psi_{n+1} + sqrt(n/2) psi_{n-1}
+        lhs = x * hermite_function(n, x)
+        rhs = (math.sqrt((n + 1) / 2) * hermite_function(n + 1, x)
+               + math.sqrt(n / 2) * hermite_function(n - 1, x))
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
     def test_scalar_in_scalar_out(self):
-        assert isinstance(hermite(4, 0.3), float)
-        assert isinstance(hermite(4, np.array([0.3, 0.4])), np.ndarray)
+        assert isinstance(hermite_function(4, 0.3), float)
+        assert isinstance(hermite_function(4, np.array([0.3, 0.4])), np.ndarray)
+        assert hermite_function(4, np.array(0.3)) == hermite_function(4, 0.3)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
-            hermite(-1, 0.0)
+            hermite_function(-1, 0.0)
         with pytest.raises(ValueError):
-            hermite(MAX_DEGREE + 1, 0.0)
+            hermite_function(MAX_DEGREE + 1, 0.0)
         with pytest.raises(TypeError):
-            hermite(2.5, 0.0)
+            hermite_function(2.5, 0.0)
 
 
 class TestLaguerre:
