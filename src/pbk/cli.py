@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (all checks pass / table written / price within
 oracle bounds), 1 when a diagnostic check or oracle comparison fails, 2 for
-invalid parameters.
+invalid parameters or a kernel value, tail or price that is not finite.
 
 Every JSON report embeds the full parameter echo, so a `--params file.json`
 holding the same keys reproduces the run; explicit flags win over file
@@ -12,16 +12,16 @@ values. CSV output is RFC-4180 with floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from .barrier import BarrierParams, DEFAULT_TRUNCATION
 from .harmonic import HarmonicParams
-from .kernels import DEFAULT_N_TRUNC, kernel_rows
+from .kernels import DEFAULT_N_TRUNC, KernelTable, kernel_rows
 from .market import MarketParams, beta_is_degenerate
 from .pb_core import run_all_checks
 from .pricing import (
@@ -38,12 +38,20 @@ KERNEL_COLUMNS = ("x", "x_prime", "tau", "which", "method", "value",
 Z_SCORE_LIMIT = 3.0
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _csv_column(values: Optional[np.ndarray], rows: int) -> List[str]:
+    """One CSV column as text: floats at 17 significant digits, None as empty."""
+    if values is None:
+        return [""] * rows
+    if values.dtype.kind == "f":
+        return list(map("%.17g".__mod__, values.tolist()))
+    return values.tolist()
+
+
+def _kernel_csv(table: KernelTable) -> str:
+    """The table as RFC-4180 CSV with a header row; no field needs quoting."""
+    columns = [_csv_column(getattr(table, name), len(table)) for name in KERNEL_COLUMNS]
+    lines = [",".join(KERNEL_COLUMNS), *map(",".join, zip(*columns))]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _parse_point_list(spec: str) -> List[float]:
@@ -246,13 +254,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     else:
         params = _log_barrier_params(args, file_cfg, market)
     beta = -params.beta if args.flip_beta else None
-    rows = kernel_rows(params, xs, x_primes, taus, whichs, methods, n_trunc, beta)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(KERNEL_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[col]) for col in KERNEL_COLUMNS])
-    _emit(buffer.getvalue(), args.out)
+    table = kernel_rows(params, xs, x_primes, taus, whichs, methods, n_trunc, beta)
+    finite = np.isfinite(table.value) & np.isfinite(table.tail_estimate)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        raise ValueError(
+            f"the {table.which[i]} {table.method[i]} kernel at x = {table.x[i]}, "
+            f"x_prime = {table.x_prime[i]}, tau = {table.tau[i]} is not finite: "
+            f"value {table.value[i]}, tail {table.tail_estimate[i]}")
+    _emit(_kernel_csv(table), args.out)
     return 0
 
 
@@ -288,6 +298,8 @@ def cmd_price(args: argparse.Namespace) -> int:
         x = float(_pick(args, file_cfg, "x", 0.0))
     beta = -params.beta if args.flip_beta else None
     result = price_spectral(params, which, payoff, x, tau, n_trunc, nodes, beta)
+    if not math.isfinite(result.value):
+        raise ValueError(f"the spectral price is not finite: {result.value}")
     output = {"result": result.to_dict()}
     exit_code = 0
     if oracle == "mc":
@@ -314,9 +326,13 @@ def cmd_price(args: argparse.Namespace) -> int:
     return exit_code
 
 
+# Built once per process: parsing reads the parser and changes nothing in it,
+# so every main() call in one process shares it.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {"diagnose": cmd_diagnose, "kernel": cmd_kernel,
                 "price": cmd_price}
     try:

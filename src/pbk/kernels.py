@@ -96,12 +96,18 @@ def _spectral_sum(modes: Callable, decay: np.ndarray, scale: float, shift: float
                   x, x_prime, tau: float, s: float, beta: float):
     """scale e^{-tau shift + s beta (x - x')} sum_n decay_n modes(x)_n modes(x')_n
     with x and x' broadcast against each other, returned together with the
-    magnitude of the last included term; floats when both points are scalars."""
+    magnitude of the last included term; floats when both points are scalars.
+
+    modes is called once, on the points of x and x' together; it acts point
+    by point, so each half of its table is the table of x or x' alone."""
     x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
     scalar = x.ndim == xp.ndim == 0
     nd = max(x.ndim, xp.ndim, 1)
     x, xp = (y.reshape((1,) * (nd - y.ndim) + y.shape) for y in (x, xp))
-    terms = (decay.reshape((-1,) + (1,) * nd) * modes(x)) * modes(xp)
+    table_x, table_xp = np.split(modes(np.concatenate((x.ravel(), xp.ravel()))),
+                                 [x.size], axis=1)
+    terms = ((decay.reshape((-1,) + (1,) * nd) * table_x.reshape((-1,) + x.shape))
+             * table_xp.reshape((-1,) + xp.shape))
     prefactor = scale * np.exp(-tau * shift + s * beta * (x - xp))
     value = prefactor * np.sum(terms, axis=0)
     tail = np.abs(prefactor * terms[-1])
@@ -195,6 +201,19 @@ def _model_functions(params: ModelParams) -> Tuple[Callable, Callable]:
                     f"got {type(params).__name__}")
 
 
+def _check_points(params: ModelParams, **points) -> None:
+    """Points must be finite, and barrier points must lie inside (a, b); a
+    ValueError names the first point that does not."""
+    barrier = isinstance(params, BarrierParams)
+    lo, hi = (params.a, params.b) if barrier else (-math.inf, math.inf)
+    for name, values in points.items():
+        values = np.asarray(values, dtype=float)
+        inside = (lo < values) & (values < hi)
+        if not inside.all():
+            raise ValueError(f"{name} = {values[~inside].flat[0]} lies outside the "
+                             f"open {'barrier ' if barrier else ''}interval ({lo}, {hi})")
+
+
 def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
                   tau: float, n_trunc: int = DEFAULT_N_TRUNC,
                   beta: Optional[float] = None):
@@ -207,14 +226,7 @@ def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
     """
     _check_request(which, method, tau, n_trunc)
     spectral, closed = _model_functions(params)
-    barrier = isinstance(params, BarrierParams)
-    lo, hi = (params.a, params.b) if barrier else (-math.inf, math.inf)
-    for name, points in (("x", x), ("x_prime", x_prime)):
-        points = np.asarray(points, dtype=float)
-        inside = (lo < points) & (points < hi)
-        if not inside.all():
-            raise ValueError(f"{name} = {points[~inside].flat[0]} lies outside the "
-                             f"open {'barrier ' if barrier else ''}interval ({lo}, {hi})")
+    _check_points(params, x=x, x_prime=x_prime)
     s = _SIGNS[which]
     b = params.beta if beta is None else float(beta)
     if method == "spectral":
@@ -277,48 +289,54 @@ def kernel_oracle_image_series(params: BarrierParams, x: float, x_prime: float,
 # batch evaluation for the CLI kernel table
 
 
+@dataclass(frozen=True)
+class KernelTable:
+    """A kernel table as columns in row order (by tau, x, x', which, method);
+    len() is the number of rows. rel_disagreement, |spectral - closed| /
+    max(|closed|, tiny) on both rows of the pair, is None unless both methods
+    were tabulated."""
+
+    x: np.ndarray
+    x_prime: np.ndarray
+    tau: np.ndarray
+    which: np.ndarray
+    method: np.ndarray
+    value: np.ndarray
+    tail_estimate: np.ndarray
+    rel_disagreement: Optional[np.ndarray]
+
+    def __len__(self) -> int:
+        return self.value.size
+
+
 def kernel_rows(params: ModelParams, xs, x_primes, taus,
                 whichs=("p1", "p2"), methods=("spectral", "closed"),
                 n_trunc: int = DEFAULT_N_TRUNC,
-                beta: Optional[float] = None) -> list:
-    """Row dicts (x, x_prime, tau, which, method, value, tail_estimate,
-    rel_disagreement) for every grid combination, ordered by tau, x, x',
-    which and method.
+                beta: Optional[float] = None) -> KernelTable:
+    """The table of every (tau, x, x', which, method) combination.
 
     Each (tau, which, method) is one call of the model's function over the
-    whole x by x' grid. rel_disagreement is |spectral - closed| /
-    max(|closed|, tiny) when both methods are requested, repeated on each row
-    of the pair; empty otherwise.
+    whole x by x' grid.
     """
     xs = np.asarray(xs, dtype=float)
     x_primes = np.asarray(x_primes, dtype=float)
-    both = "spectral" in methods and "closed" in methods
-    rows = []
-    for tau in map(float, taus):
-        tables = {}
-        for which in whichs:
-            for method in methods:
-                tables[which, method] = kernel_values(params, which, method,
-                                                      xs[:, None], x_primes[None, :],
-                                                      tau, n_trunc, beta)
-        for i, x in enumerate(xs.tolist()):
-            for j, xp in enumerate(x_primes.tolist()):
-                for which in whichs:
-                    disagreement = None
-                    if both:
-                        spectral = float(tables[which, "spectral"][0][i, j])
-                        closed = float(tables[which, "closed"][0][i, j])
-                        disagreement = abs(spectral - closed) / max(abs(closed), 1e-300)
-                    for method in methods:
-                        value, tail = tables[which, method]
-                        rows.append({
-                            "x": x,
-                            "x_prime": xp,
-                            "tau": tau,
-                            "which": which,
-                            "method": method,
-                            "value": float(value[i, j]),
-                            "tail_estimate": float(tail[i, j]),
-                            "rel_disagreement": disagreement,
-                        })
-    return rows
+    taus = np.asarray(taus, dtype=float)
+    whichs, methods = tuple(whichs), tuple(methods)
+    value = np.empty((taus.size, xs.size, x_primes.size, len(whichs), len(methods)))
+    tail = np.empty_like(value)
+    for t, tau in enumerate(taus.tolist()):
+        for w, which in enumerate(whichs):
+            for m, method in enumerate(methods):
+                value[t, :, :, w, m], tail[t, :, :, w, m] = kernel_values(
+                    params, which, method, xs[:, None], x_primes[None, :], tau,
+                    n_trunc, beta)
+    disagreement = None
+    if "spectral" in methods and "closed" in methods:
+        spectral = value[..., methods.index("spectral")]
+        closed = value[..., methods.index("closed")]
+        gap = np.abs(spectral - closed) / np.maximum(np.abs(closed), 1e-300)
+        disagreement = np.repeat(gap[..., None], len(methods), axis=-1).ravel()
+    grid = np.meshgrid(taus, xs, x_primes, whichs, methods, indexing="ij")
+    tau_col, x_col, xp_col, which_col, method_col = (c.ravel() for c in grid)
+    return KernelTable(x_col, xp_col, tau_col, which_col, method_col, value.ravel(),
+                       tail.ravel(), disagreement)

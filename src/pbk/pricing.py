@@ -20,7 +20,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .barrier import BarrierParams
-from .kernels import DEFAULT_N_TRUNC, ModelParams, kernel_values
+from .kernels import (DEFAULT_N_TRUNC, ModelParams, _check_points, _check_request,
+                      kernel_values)
 # not called here: perfbench/tracing.py patches these two names in this module
 from .kernels import barrier_spectral_values, harmonic_spectral_values  # noqa: F401
 from .quadrature import legendre_rule
@@ -126,21 +127,25 @@ def price_spectral(params: ModelParams, which: str, payoff: Payoff, x: float,
 
     Integration runs over (a, b) for the barrier model and over a
     10-standard-deviation window for the whole-line model, with a panel
-    break at the strike kink either way.
+    break at the strike kink either way. The kernel is evaluated once, on the
+    nodes of every panel together.
     """
+    _check_request(which, "spectral", tau, n_trunc)
+    _check_points(params, x=x)
     if isinstance(params, BarrierParams):
         lo, hi = params.a, params.b
     else:
-        # sqrt(max(1, tau)) leaves an invalid tau to kernel_values to report
         half = PRICE_WINDOW_SIGMAS * params.sigma * math.sqrt(max(1.0, tau))
         lo = min(x, params.center) - half
         hi = max(x, params.center) + half
+    rules = [legendre_rule(nodes, panel_lo, panel_hi)
+             for panel_lo, panel_hi in _panels(lo, hi, math.log(payoff.strike))]
+    values, _ = kernel_values(params, which, "spectral", x,
+                              np.concatenate([rule.nodes for rule in rules]), tau,
+                              n_trunc, beta)
     total = 0.0
-    for panel_lo, panel_hi in _panels(lo, hi, math.log(payoff.strike)):
-        rule = legendre_rule(nodes, panel_lo, panel_hi)
-        values, _ = kernel_values(params, which, "spectral", x, rule.nodes, tau,
-                                  n_trunc, beta)
-        total += float(np.dot(rule.weights, values * payoff.as_log(rule.nodes)))
+    for rule, panel in zip(rules, np.split(values, len(rules))):
+        total += float(np.dot(rule.weights, panel * payoff.as_log(rule.nodes)))
     echo = {"model": "barrier" if isinstance(params, BarrierParams) else "harmonic",
             "which": which, "payoff": payoff.kind, "strike": payoff.strike,
             "x": x, "tau": tau, "n_trunc": n_trunc, "nodes": nodes}

@@ -10,11 +10,16 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import jsonschema
+import numpy as np
 import pytest
 
-from pbk.cli import _parse_point_list, main
+from pbk.cli import KERNEL_COLUMNS, _kernel_csv, _parse_point_list, main
+from pbk.harmonic import HarmonicParams
+from pbk.kernels import DEFAULT_N_TRUNC, KernelTable, kernel_rows
 
 DIAG_FAST = ["--nmax", "4"]
 
@@ -180,6 +185,41 @@ class TestKernel:
         assert content.startswith("x,x_prime,tau")
         assert "\r\n" in content
 
+    @staticmethod
+    def csv_writer_text(table):
+        """The table written row by row through csv.writer, each float
+        formatted on its own, as the rows were written before."""
+        def fmt(value):
+            if value is None:
+                return ""
+            if isinstance(value, float):
+                return format(value, ".17g")
+            return str(value)
+
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\r\n")
+        writer.writerow(KERNEL_COLUMNS)
+        for i in range(len(table)):
+            columns = (getattr(table, name) for name in KERNEL_COLUMNS)
+            writer.writerow([fmt(None if c is None else c[i].item()) for c in columns])
+        return buffer.getvalue()
+
+    def test_columns_format_as_csv_writer_rows(self, market):
+        edge = np.array([-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1, -1 / 3])
+        n = edge.size
+        synthetic = KernelTable(
+            x=edge, x_prime=edge[::-1].copy(), tau=np.full(n, 0.25),
+            which=np.array(["p1", "p2"] * (n // 2)),
+            method=np.array(["spectral", "closed"] * (n // 2)),
+            value=edge * 3.0, tail_estimate=np.abs(edge),
+            rel_disagreement=None)
+        hp = HarmonicParams(market)
+        tables = [synthetic, replace(synthetic, rel_disagreement=edge[::-1].copy()),
+                  kernel_rows(hp, [-0.1, 0.0, 0.2], [0.05, 0.1], [0.3, 1.0]),
+                  kernel_rows(hp, [0.0], [0.1], [0.5], methods=("spectral",))]
+        for table in tables:
+            assert _kernel_csv(table).encode() == self.csv_writer_text(table).encode()
+
     @pytest.mark.parametrize("extra,message", [
         (["--tau", "0"], "tau"),
         (["--tau", "0.5", "--n-trunc", "201"], "n_trunc"),
@@ -309,6 +349,61 @@ def test_non_finite_numbers_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["price", "--model", "harmonic", "--x", "nan"],
+     "error: x = nan lies outside the open interval"),
+    (["price", "--model", "harmonic", "--tau", "inf"],
+     "error: tau must be positive and finite"),
+], ids=["x-nan", "tau-inf"])
+def test_price_checks_spot_and_tau_before_its_window(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--model", "harmonic", "--tau", "1e300"],
+    ["price", "--model", "barrier", "--lower", "1e-300", "--upper", "1e300"],
+    ["kernel", "--model", "harmonic", "--x", "1e300"],
+], ids=["harmonic-tau", "barrier-width", "kernel-x"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_results_exit_2(capsys, tmp_path, argv):
+    # every input is finite; the result is not, and none is written
+    target = tmp_path / "result"
+    code, out, err = run_cli(capsys, argv + ["--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "is not finite" in err
+    assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    base = ["price", "--model", "barrier", "--lower", "80", "--upper", "120"]
+    flagged = base + ["--flip-beta", "--n-trunc", "64"]
+    first = run_cli(capsys, flagged)
+    plain = run_cli(capsys, base)
+    assert run_cli(capsys, flagged) == first
+    echo = json.loads(plain[1])["result"]["config_echo"]
+    assert echo["n_trunc"] == DEFAULT_N_TRUNC
+    assert "beta_override" not in echo
+    assert json.loads(first[1])["result"]["config_echo"]["n_trunc"] == 64
+    # an argv refused by the parser, and one refused by the handler
+    with pytest.raises(SystemExit) as refused:
+        main(flagged + ["--n-trunc", "many"])
+    assert refused.value.code == 2
+    assert run_cli(capsys, base + ["--flip-beta", "--tau", "0"])[0] == 2
+    capsys.readouterr()
+    assert run_cli(capsys, base) == plain
 
 
 # ---------------------------------------------------------------------------

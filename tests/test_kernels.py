@@ -2,11 +2,12 @@
 oracle, and the beta-flip duality between the two kernels."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import pbk.kernels
 from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import (
@@ -235,6 +236,57 @@ class TestVectorization:
             assert tail == vec_tails[i]
 
 
+def separate_tables_spectral_sum(modes, decay, scale, shift, x, x_prime, tau, s, beta):
+    """The spectral sum as it was when modes took x and x' in separate calls."""
+    x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
+    scalar = x.ndim == xp.ndim == 0
+    nd = max(x.ndim, xp.ndim, 1)
+    x, xp = (y.reshape((1,) * (nd - y.ndim) + y.shape) for y in (x, xp))
+    terms = (decay.reshape((-1,) + (1,) * nd) * modes(x)) * modes(xp)
+    prefactor = scale * np.exp(-tau * shift + s * beta * (x - xp))
+    value = prefactor * np.sum(terms, axis=0)
+    tail = np.abs(prefactor * terms[-1])
+    if scalar:
+        return float(value[0]), float(tail[0])
+    return value, tail
+
+
+def same_bits(a, b) -> bool:
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+class TestOneModeTable:
+    # x and x' share one call of the mode table; the values must not move
+    SHAPES = {
+        "scalar-scalar": ((), ()),
+        "scalar-1d": ((), (7,)),
+        "1d-scalar": ((5,), ()),
+        "1d-1d": ((6,), (6,)),
+        "column-row": ((4, 1), (1, 3)),
+        "2d-scalar": ((2, 3), ()),
+        "2d-2d": ((2, 3), (2, 3)),
+    }
+
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES))
+    def test_bitwise_equal_to_separate_tables(self, monkeypatch, hp, bp, model, shape):
+        params, spectral = ((hp, harmonic_spectral_values) if model == "harmonic"
+                            else (bp, barrier_spectral_values))
+        lo, hi = (-0.4, 0.4) if model == "harmonic" else (0.2, 2.9)
+        rng = np.random.default_rng(7)
+        x_shape, xp_shape = self.SHAPES[shape]
+        x = rng.uniform(lo, hi, x_shape)
+        xp = rng.uniform(lo, hi, xp_shape)
+        x, xp = (float(y) if y.ndim == 0 else y for y in (x, xp))
+        for s in (1.0, -1.0):
+            got = spectral(params, x, xp, 0.3, s, params.beta, 90)
+            with monkeypatch.context() as m:
+                m.setattr(pbk.kernels, "_spectral_sum", separate_tables_spectral_sum)
+                expected = spectral(params, x, xp, 0.3, s, params.beta, 90)
+            assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+
+
 class TestKernelValues:
     def test_scalars_match_kernel_value(self, hp, bp):
         for params, req in ((hp, h_req()), (bp, b_req())):
@@ -274,47 +326,49 @@ class TestKernelRows:
     GRIDS = {"harmonic": ([-0.15, 0.0, 0.1], [-0.1, 0.05, 0.2, 0.3]),
              "barrier": ([0.7, 1.5, 2.8], [0.4, 1.9, 2.5])}
     TAUS = (0.3, 1.0)
+    COLUMNS = ("x", "x_prime", "tau", "which", "method", "value", "tail_estimate",
+               "rel_disagreement")
 
     def test_row_count_and_disagreement(self, bp):
-        rows = kernel_rows(bp, [1.0, 2.0], [1.5], [0.5],
-                           whichs=("p1",), methods=("spectral", "closed"))
-        assert len(rows) == 4
-        assert all(r["rel_disagreement"] is not None for r in rows)
-        assert all(r["rel_disagreement"] <= 1e-10 for r in rows)
+        table = kernel_rows(bp, [1.0, 2.0], [1.5], [0.5],
+                            whichs=("p1",), methods=("spectral", "closed"))
+        assert len(table) == 4
+        assert all(getattr(table, c).shape == (4,) for c in self.COLUMNS)
+        assert np.all(table.rel_disagreement <= 1e-10)
 
     def test_single_method_leaves_disagreement_unset(self, hp):
-        rows = kernel_rows(hp, [0.0], [0.1], [0.3],
-                           whichs=("p1", "p2"), methods=("spectral",))
-        assert len(rows) == 2
-        assert all(r["rel_disagreement"] is None for r in rows)
+        table = kernel_rows(hp, [0.0], [0.1], [0.3],
+                            whichs=("p1", "p2"), methods=("spectral",))
+        assert len(table) == 2
+        assert table.rel_disagreement is None
 
     def test_closed_rows_have_zero_tail(self, hp):
-        rows = kernel_rows(hp, [0.0], [0.1], [0.4], methods=("closed",))
-        assert all(r["tail_estimate"] == 0.0 for r in rows)
+        table = kernel_rows(hp, [0.0], [0.1], [0.4], methods=("closed",))
+        assert np.all(table.tail_estimate == 0.0)
 
     @pytest.mark.parametrize("model", ["harmonic", "barrier"])
     def test_grid_matches_pointwise(self, hp, bp, model):
         # one broadcast per (tau, which, method) against one kernel_value per row
         params = hp if model == "harmonic" else bp
         xs, xps = self.GRIDS[model]
-        rows = kernel_rows(params, xs, xps, self.TAUS)
+        table = kernel_rows(params, xs, xps, self.TAUS)
         keys = [(tau, x, xp, which, method) for tau in self.TAUS for x in xs
                 for xp in xps for which in ("p1", "p2")
                 for method in ("spectral", "closed")]
-        assert [(r["tau"], r["x"], r["x_prime"], r["which"], r["method"])
-                for r in rows] == keys
-        assert all(set(r) == {"x", "x_prime", "tau", "which", "method", "value",
-                              "tail_estimate", "rel_disagreement"} for r in rows)
-        peak = max(abs(r["value"]) for r in rows)
-        for r in rows:
-            req = KernelRequest(r["which"], r["x"], r["x_prime"], r["tau"], r["method"])
-            expected = kernel_value(req, params)
-            assert abs(r["value"] - expected.value) <= 1e-13 * peak
-            assert r["tail_estimate"] == pytest.approx(expected.tail_estimate,
-                                                       rel=1e-12, abs=1e-300)
-        for spectral, closed in zip(rows[::2], rows[1::2]):
-            gap = abs(spectral["value"] - closed["value"]) / abs(closed["value"])
-            assert spectral["rel_disagreement"] == closed["rel_disagreement"] == gap
+        assert list(zip(table.tau.tolist(), table.x.tolist(), table.x_prime.tolist(),
+                        table.which.tolist(), table.method.tolist())) == keys
+        assert [f.name for f in fields(table)] == list(self.COLUMNS)
+        assert len(table) == len(keys)
+        peak = np.max(np.abs(table.value))
+        for x, xp, tau, which, method, value, tail in zip(
+                *(getattr(table, c).tolist() for c in self.COLUMNS[:7])):
+            expected = kernel_value(KernelRequest(which, x, xp, tau, method), params)
+            assert abs(value - expected.value) <= 1e-13 * peak
+            assert tail == pytest.approx(expected.tail_estimate, rel=1e-12, abs=1e-300)
+        spectral, closed = table.value[::2], table.value[1::2]
+        gap = np.abs(spectral - closed) / np.abs(closed)
+        assert np.array_equal(table.rel_disagreement[::2], gap)
+        assert np.array_equal(table.rel_disagreement[1::2], gap)
 
     @pytest.mark.parametrize("model", ["harmonic", "barrier"])
     def test_p2_rows_are_p1_rows_at_minus_beta(self, hp, bp, model):
@@ -323,8 +377,9 @@ class TestKernelRows:
         p2 = kernel_rows(params, xs, xps, self.TAUS, whichs=("p2",))
         flipped = kernel_rows(params, xs, xps, self.TAUS, whichs=("p1",),
                               beta=-params.beta)
-        for a, b in zip(p2, flipped, strict=True):
-            assert (a["value"], a["tail_estimate"]) == (b["value"], b["tail_estimate"])
+        assert len(p2) == len(flipped)
+        assert np.array_equal(p2.value, flipped.value)
+        assert np.array_equal(p2.tail_estimate, flipped.tail_estimate)
 
     def test_invalid_tables_rejected(self, hp, bp):
         with pytest.raises(ValueError, match="tau"):

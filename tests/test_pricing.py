@@ -192,7 +192,7 @@ class TestPriceSpectral:
             price_spectral(box, "p1", Payoff.call(100.0), math.log(125.0), 0.5)
 
     @pytest.mark.parametrize("model", ["harmonic", "barrier"])
-    def test_one_kernel_call_per_panel(self, monkeypatch, box, model):
+    def test_one_kernel_call_per_price(self, monkeypatch, box, model):
         # the benchmark's kernels.spectral_values span wraps this lookup site
         import pbk.kernels
 
@@ -210,7 +210,33 @@ class TestPriceSpectral:
         for strike, panels in ((math.exp(x), 2), (1e6, 1)):
             calls.clear()
             price_spectral(params, "p1", Payoff.call(strike), x, 0.5, nodes=64)
-            assert calls == [(64,)] * panels
+            assert calls == [(64 * panels,)]
+
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    @pytest.mark.parametrize("panels", [1, 2])
+    @pytest.mark.parametrize("nodes", [2, 64, 240])
+    def test_bitwise_equal_to_one_call_per_panel(self, box, model, panels, nodes):
+        # the total as it was when each panel had its own kernel evaluation
+        params = HarmonicParams(box.market) if model == "harmonic" else box
+        x = 0.05 if model == "harmonic" else X0
+        if model == "harmonic":
+            half = pricing.PRICE_WINDOW_SIGMAS * params.sigma
+            lo, hi = min(x, params.center) - half, max(x, params.center) + half
+        else:
+            lo, hi = params.a, params.b
+        strike = math.exp(x) if panels == 2 else 1e6
+        for which, beta in (("p1", None), ("p2", None), ("p1", -params.beta)):
+            for payoff in (Payoff.call(strike), Payoff.put(strike),
+                           Payoff.digital_call(strike)):
+                expected = 0.0
+                for panel_lo, panel_hi in _panels(lo, hi, math.log(strike)):
+                    rule = pricing.legendre_rule(nodes, panel_lo, panel_hi)
+                    values, _ = pricing.kernel_values(params, which, "spectral", x,
+                                                      rule.nodes, 0.5, 128, beta)
+                    expected += float(np.dot(rule.weights,
+                                             values * payoff.as_log(rule.nodes)))
+                got = price_spectral(params, which, payoff, x, 0.5, 128, nodes, beta)
+                assert got.value.hex() == expected.hex()
 
     def test_panel_split_only_inside(self):
         assert _panels(0.0, 2.0, 1.0) == ((0.0, 1.0), (1.0, 2.0))
