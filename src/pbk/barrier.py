@@ -63,14 +63,14 @@ class BarrierParams(MarketView):
         """Constant gamma + sigma^2 lambda_1^2 / 2 completing the factorized Hamiltonian."""
         return self.gamma + self.sigma**2 * self.wavenumber(1) ** 2 / 2.0
 
-    def wavenumber(self, n: int) -> float:
-        """lambda_n = n pi / L; mode n of the family carries lambda_{n+1}."""
+    def wavenumber(self, n):
+        """lambda_n = n pi / L (n an int or array); mode n carries lambda_{n+1}."""
         return n * math.pi / self.width
 
 
-def eigenvalue(params: BarrierParams, n: int) -> float:
-    """Energy of mode n: sigma^2 lambda_{n+1}^2 / 2 + gamma."""
-    if n < 0:
+def eigenvalue(params: BarrierParams, n):
+    """Energy sigma^2 lambda_{n+1}^2 / 2 + gamma of mode n (an int or array)."""
+    if np.any(np.asarray(n) < 0):
         raise ValueError(f"mode index must be nonnegative, got {n}")
     return params.sigma**2 * params.wavenumber(n + 1) ** 2 / 2.0 + params.gamma
 
@@ -85,25 +85,28 @@ def rho_coefficient(params: BarrierParams, n: int) -> float:
     return math.pi**2 * n * (n + 2.0) / params.width**2
 
 
-def _check_mode(n: int) -> None:
-    if not 0 <= n <= FAMILY_MAX:
-        raise ValueError(f"mode index must be in 0..{FAMILY_MAX}, got {n}")
-
-
 def Phi_n(params: BarrierParams, n: int) -> Callable:
     """Orthonormal sine mode sqrt(2/L) sin(lambda_{n+1}(x-a)), zero outside (a, b)."""
-    _check_mode(n)
+    if not 0 <= n <= FAMILY_MAX:
+        raise ValueError(f"mode index must be in 0..{FAMILY_MAX}, got {n}")
     lam = params.wavenumber(n + 1)
     amp = math.sqrt(2.0 / params.width)
     a, b = params.a, params.b
 
     def mode(x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= a) & (x <= b)
-        vals = np.where(inside, amp * np.sin(lam * (x - a)), 0.0)
+        vals = np.where((x >= a) & (x <= b), amp * np.sin(lam * (x - a)), 0.0)
         return vals if vals.ndim else float(vals)
 
     return mode
+
+
+def mode_table(params: BarrierParams, n_max: int, x) -> np.ndarray:
+    """Rows Phi_0..Phi_{n_max} at the flattened x in one array, not zeroed outside (a, b)."""
+    table = np.outer(np.arange(1, n_max + 2), params.wavenumber(1) * (x - params.a))
+    np.sin(table, out=table)
+    table *= math.sqrt(2.0 / params.width)
+    return table
 
 
 def _tilted_mode(params: BarrierParams, n: int, rate: float) -> Callable:
@@ -214,19 +217,11 @@ class SpectralVector:
             )
 
 
-def _mode_matrix(params: BarrierParams, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Rows Phi_0(x)..Phi_{n_max}(x), built in one array."""
-    table = np.outer(np.arange(1, n_max + 2), params.wavenumber(1) * (x - params.a))
-    np.sin(table, out=table)
-    table *= math.sqrt(2.0 / params.width)
-    return table
-
-
 def _analyze(params: BarrierParams, f: Callable, n_max: int, nodes: int,
              rate: float) -> SpectralVector:
     """Coefficients <e^{rate x} Phi_n, f> on one Gauss-Legendre rule."""
     rule = legendre_rule(nodes, params.a, params.b)
-    modes = _mode_matrix(params, n_max, rule.nodes)
+    modes = mode_table(params, n_max, rule.nodes)
     weighted = rule.weights * np.exp(rate * rule.nodes) * np.asarray(f(rule.nodes))
     return SpectralVector((modes @ weighted.T).T, n_max)
 
@@ -248,9 +243,8 @@ def _synthesize(params: BarrierParams, v: SpectralVector, rate: float) -> Callab
 
     def combination(x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = (x_arr >= params.a) & (x_arr <= params.b)
-        vals = np.exp(rate * x_arr) * (v.coeffs @ _mode_matrix(params, v.n_max, x_arr))
-        vals = np.where(inside, vals, 0.0)
+        vals = np.exp(rate * x_arr) * (v.coeffs @ mode_table(params, v.n_max, x_arr))
+        vals = np.where((x_arr >= params.a) & (x_arr <= params.b), vals, 0.0)
         if np.ndim(x):
             return vals
         vals = vals[..., 0]

@@ -237,6 +237,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
+@np.errstate(all="ignore")  # a non-finite result is refused below
 def cmd_kernel(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.params)
     market = _build_market(args, file_cfg)
@@ -266,6 +267,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
+@np.errstate(all="ignore")  # a non-finite result is refused below
 def cmd_price(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.params)
     market = _build_market(args, file_cfg)

@@ -72,6 +72,20 @@ class HarmonicParams(MarketView):
         return np.asarray(x, dtype=float) / self.sigma + self.sigma * self.w
 
 
+def eigenvalue(params: HarmonicParams, n):
+    """Energy n + delta of mode n; n is an int or an integer array."""
+    if np.any(np.asarray(n) < 0):
+        raise ValueError(f"mode index must be nonnegative, got {n}")
+    return n + params.delta
+
+
+def mode_table(params: HarmonicParams, n_max: int, x) -> np.ndarray:
+    """Rows Phi_0..Phi_{n_max} at x in one array of shape (n_max + 1,) + x.shape."""
+    table = hermite_function_sequence(n_max, params.scaled_argument(x))
+    table /= math.sqrt(params.sigma)  # in place: operator-grid tables are megabytes
+    return table
+
+
 def superpotential(params: HarmonicParams, x):
     """The linear factor W(x) = x/sigma^2 + w shared by all factorized operators."""
     return np.asarray(x, dtype=float) / params.sigma**2 + params.w
@@ -156,13 +170,10 @@ class HermiteExpansion:
 
     def __call__(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        p = self.params
-        table = hermite_function_sequence(self.coeffs.shape[-1] - 1,
-                                          p.scaled_argument(x_arr))
+        table = mode_table(self.params, self.coeffs.shape[-1] - 1, x_arr)
         vals = self.coeffs @ table.reshape(len(table), -1)
         del table  # freed at once: on the operator grid a block's table is megabytes
         vals = vals.reshape(self.coeffs.shape[:-1] + x_arr.shape)
-        vals /= math.sqrt(p.sigma)
         vals *= np.exp(self.tilt * x_arr)
         if np.ndim(x):
             return vals

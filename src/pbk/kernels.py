@@ -5,7 +5,8 @@ prefactor e^{s beta (x - x')}: s = +1 gives p1, s = -1 gives p2, so the
 "replace beta by -beta" duality holds bit-for-bit by construction.
 
 Both models share one spectral sum over x and x' broadcast against each
-other; each supplies only its mode table, decay and prefactor. kernel_values
+other, e^{s beta (x - x')} sum_n e^{-tau E_n} Phi_n(x) Phi_n(x'); each model
+module supplies its mode table Phi_n and its energies E_n. kernel_values
 is the one array-in, array-out entry point: it validates the request, picks
 the model's functions by the type of the params and maps which kernel to its
 sign. kernel_value, kernel_rows and the spectral price all go through it.
@@ -21,13 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from . import barrier as bar, harmonic as har
 from .barrier import BarrierParams
 from .harmonic import HarmonicParams
-from .specialfn import hermite_function_sequence, theta3
+# not called here: perfbench/tracing.py patches this name in this module
+from .specialfn import hermite_function_sequence  # noqa: F401
+from .specialfn import theta3
 
 TAIL_WARN_THRESHOLD = 1e-10
 N_TRUNC_CAP = 200
@@ -92,23 +97,24 @@ class KernelValue:
 # spectral sums
 
 
-def _spectral_sum(modes: Callable, decay: np.ndarray, scale: float, shift: float,
-                  x, x_prime, tau: float, s: float, beta: float):
-    """scale e^{-tau shift + s beta (x - x')} sum_n decay_n modes(x)_n modes(x')_n
-    with x and x' broadcast against each other, returned together with the
-    magnitude of the last included term; floats when both points are scalars.
+def _spectral_sum(table: Callable, energies: np.ndarray, x, x_prime, tau: float,
+                  s: float, beta: float):
+    """e^{s beta (x - x')} sum_n e^{-tau E_n} Phi_n(x) Phi_n(x') with x and x'
+    broadcast against each other, returned together with the magnitude of the
+    last included term; floats when both points are scalars.
 
-    modes is called once, on the points of x and x' together; it acts point
-    by point, so each half of its table is the table of x or x' alone."""
+    table(y) gives the rows Phi_n(y), one per energy E_n. It is called once,
+    on the points of x and x' together; it acts point by point, so each half
+    of its table is the table of x or x' alone."""
     x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
     scalar = x.ndim == xp.ndim == 0
     nd = max(x.ndim, xp.ndim, 1)
     x, xp = (y.reshape((1,) * (nd - y.ndim) + y.shape) for y in (x, xp))
-    table_x, table_xp = np.split(modes(np.concatenate((x.ravel(), xp.ravel()))),
+    table_x, table_xp = np.split(table(np.concatenate((x.ravel(), xp.ravel()))),
                                  [x.size], axis=1)
-    terms = ((decay.reshape((-1,) + (1,) * nd) * table_x.reshape((-1,) + x.shape))
-             * table_xp.reshape((-1,) + xp.shape))
-    prefactor = scale * np.exp(-tau * shift + s * beta * (x - xp))
+    terms = ((np.exp(-tau * energies).reshape((-1,) + (1,) * nd)
+              * table_x.reshape((-1,) + x.shape)) * table_xp.reshape((-1,) + xp.shape))
+    prefactor = np.exp(s * beta * (x - xp))
     value = prefactor * np.sum(terms, axis=0)
     tail = np.abs(prefactor * terms[-1])
     if scalar:
@@ -118,28 +124,17 @@ def _spectral_sum(modes: Callable, decay: np.ndarray, scale: float, shift: float
 
 def harmonic_spectral_values(params: HarmonicParams, x, x_prime, tau: float,
                              s: float, beta: float, n_trunc: int):
-    """e^{-tau delta + s beta (x - x')} sum_n e^{-tau n} Phi_n(x) Phi_n(x'),
-    returned together with the magnitude of the last included term."""
-
-    def modes(y):
-        u = params.scaled_argument(y)
-        return hermite_function_sequence(n_trunc, u) / math.sqrt(params.sigma)
-
-    decay = np.exp(-tau * np.arange(n_trunc + 1))
-    return _spectral_sum(modes, decay, 1.0, params.delta, x, x_prime, tau, s, beta)
+    """The spectral sum over the oscillator modes 0..n_trunc, E_n = n + delta."""
+    return _spectral_sum(partial(har.mode_table, params, n_trunc),
+                         har.eigenvalue(params, np.arange(n_trunc + 1)),
+                         x, x_prime, tau, s, beta)
 
 
 def barrier_spectral_values(params: BarrierParams, x, x_prime, tau: float,
                             s: float, beta: float, n_trunc: int):
-    """(2/(b-a)) e^{-tau gamma + s beta (x - x')} sum of damped sine products."""
-    lam1 = params.wavenumber(1)
-    orders = np.arange(1, n_trunc + 2)
-
-    def modes(y):
-        return np.sin(np.multiply.outer(orders, lam1 * (y - params.a)))
-
-    decay = np.exp(-tau * params.k_squared * orders**2)
-    return _spectral_sum(modes, decay, 2.0 / params.width, params.gamma,
+    """The spectral sum over the sine modes 0..n_trunc, E_n = barrier.eigenvalue."""
+    return _spectral_sum(partial(bar.mode_table, params, n_trunc),
+                         bar.eigenvalue(params, np.arange(n_trunc + 1)),
                          x, x_prime, tau, s, beta)
 
 

@@ -354,22 +354,18 @@ def check_norm_growth(sys: LadderSystem, n_max: int,
 
 
 def run_all_checks(sys: LadderSystem, theta: MetricOperator, n_max: int,
-                   quasi_pairs: Optional[Sequence[Tuple[Callable, Callable]]] = None,
                    params_echo: Optional[dict] = None,
                    ladder_tol: float = LADDER_TOL,
                    grid_tol: float = GRID_TOL,
-                   number_tol: Optional[float] = None,
-                   quasi_n_max: int = NORM_N_MAX_CAP) -> DiagnosticReport:
+                   number_tol: Optional[float] = None) -> DiagnosticReport:
     """The full battery with one entry per check, ready for serialization."""
-    if quasi_pairs is None:
-        quasi_pairs = list(sys.quasi_pairs)
     checks: List[CheckResult] = [
         check_vacua(sys, tol=grid_tol),
         check_ladder(sys, min(n_max, LADDER_N_MAX_CAP), tol=ladder_tol),
         check_number_operator(sys, min(n_max, 20),
                               tol=number_tol if number_tol is not None else grid_tol),
         check_biorthogonality(sys, min(n_max, LADDER_N_MAX_CAP)),
-        check_quasi_basis(sys, quasi_pairs, quasi_n_max),
+        check_quasi_basis(sys, sys.quasi_pairs, NORM_N_MAX_CAP),
     ]
     checks.extend(check_theta_conjugacy(sys, theta, min(n_max, 20),
                                         intertwining_tol=grid_tol))

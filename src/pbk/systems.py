@@ -210,9 +210,10 @@ def barrier_system(params: bar.BarrierParams,
 
     A family block is the synthesis of the identity coefficient matrix.
     """
-    if n_trunc < BARRIER_TEST_MODES:
+    if not BARRIER_TEST_MODES <= n_trunc <= bar.FAMILY_MAX:
         raise ValueError(f"n_trunc must be at least {BARRIER_TEST_MODES}, the highest "
-                         f"mode of the test functions, got {n_trunc}")
+                         f"mode of the test functions, and at most {bar.FAMILY_MAX}, "
+                         f"got {n_trunc}")
 
     def family(synthesize):
         return lambda n_max: synthesize(params, bar.SpectralVector(np.eye(n_max + 1), n_max))
@@ -228,7 +229,6 @@ def barrier_system(params: bar.BarrierParams,
         apply_inverse=lambda f: bar.apply_S_phi(params, f),
         label="S_psi = exp(-2 beta x)",
     )
-    width = params.b - params.a
     inner, gram = _inner_and_gram("gauss_legendre",
                                   lambda fs, gs: {"interval": (params.a, params.b)})
     system = LadderSystem(
@@ -247,6 +247,6 @@ def barrier_system(params: bar.BarrierParams,
         test_functions=barrier_test_functions(params),
         quasi_pairs=barrier_quasi_pairs(params),
         norm_behavior="bounded",
-        norm_bounds=(1.0 - 1e-12, math.exp(abs(params.beta) * width)),
+        norm_bounds=(1.0 - 1e-12, math.exp(abs(params.beta) * params.width)),
     )
     return system, theta

@@ -130,6 +130,13 @@ class TestDiagnose:
         assert out == ""
         assert err.startswith("error: n_trunc must be at least 4")
 
+    def test_barrier_truncation_above_family_cap_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["diagnose", "--model", "barrier", "--a", "0",
+                                          "--b", "3", "--n-trunc", "201"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_trunc must be at least 4") and "at most 200" in err
+
 
 # ---------------------------------------------------------------------------
 # kernel tables
@@ -371,15 +378,16 @@ def test_price_checks_spot_and_tau_before_its_window(capsys, argv, message):
     ["price", "--model", "barrier", "--lower", "1e-300", "--upper", "1e300"],
     ["kernel", "--model", "harmonic", "--x", "1e300"],
 ], ids=["harmonic-tau", "barrier-width", "kernel-x"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_non_finite_results_exit_2(capsys, tmp_path, argv):
     # every input is finite; the result is not, and none is written
     target = tmp_path / "result"
-    code, out, err = run_cli(capsys, argv + ["--out", str(target)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        code, out, err = run_cli(capsys, argv + ["--out", str(target)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "is not finite" in err
+    assert err.count("\n") == 1 and err.endswith("\n")  # the one error line
     assert not target.exists()
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import pbk.kernels
-from pbk.barrier import BarrierParams
+from pbk.barrier import BarrierParams, Phi_n
+from pbk.barrier import eigenvalue as barrier_eigenvalue
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import (
     DEFAULT_N_TRUNC,
@@ -23,6 +24,7 @@ from pbk.kernels import (
     kernel_values,
 )
 from pbk.market import MarketParams
+from pbk.specialfn import hermite_function
 
 
 @pytest.fixture(scope="module")
@@ -236,14 +238,16 @@ class TestVectorization:
             assert tail == vec_tails[i]
 
 
-def separate_tables_spectral_sum(modes, decay, scale, shift, x, x_prime, tau, s, beta):
-    """The spectral sum as it was when modes took x and x' in separate calls."""
+def separate_tables_spectral_sum(table, energies, x, x_prime, tau, s, beta):
+    """The spectral sum with x and x' tabulated in separate calls of table."""
     x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
     scalar = x.ndim == xp.ndim == 0
     nd = max(x.ndim, xp.ndim, 1)
     x, xp = (y.reshape((1,) * (nd - y.ndim) + y.shape) for y in (x, xp))
-    terms = (decay.reshape((-1,) + (1,) * nd) * modes(x)) * modes(xp)
-    prefactor = scale * np.exp(-tau * shift + s * beta * (x - xp))
+    decay = np.exp(-tau * energies).reshape((-1,) + (1,) * nd)
+    terms = ((decay * table(x.ravel()).reshape((-1,) + x.shape))
+             * table(xp.ravel()).reshape((-1,) + xp.shape))
+    prefactor = np.exp(s * beta * (x - xp))
     value = prefactor * np.sum(terms, axis=0)
     tail = np.abs(prefactor * terms[-1])
     if scalar:
@@ -285,6 +289,38 @@ class TestOneModeTable:
                 m.setattr(pbk.kernels, "_spectral_sum", separate_tables_spectral_sum)
                 expected = spectral(params, x, xp, 0.3, s, params.beta, 90)
             assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+
+
+class TestPerModeOracle:
+    # each term e^{s beta (x - x')} e^{-tau E_n} Phi_n(x) Phi_n(x') from the
+    # scalar per-member functions, summed one mode at a time
+    N_TRUNC = 64
+    TAUS = (0.05, 0.3, 1.0, 2.0)
+
+    def check(self, params, modes, energy, points):
+        x, xp = np.meshgrid(points, points, indexing="ij")
+        for tau in self.TAUS:
+            for which, s in (("p1", 1.0), ("p2", -1.0)):
+                value, tail = kernel_values(params, which, "spectral", x, xp, tau,
+                                            self.N_TRUNC)
+                prefactor = np.exp(s * params.beta * (x - xp))
+                expected = np.zeros_like(x)
+                for n in range(self.N_TRUNC + 1):
+                    term = prefactor * math.exp(-tau * energy(n)) * modes(n, x) * modes(n, xp)
+                    expected += term
+                peak = np.max(np.abs(expected))
+                assert np.max(np.abs(value - expected)) <= 1e-13 * peak
+                assert np.max(np.abs(tail - np.abs(term))) <= 1e-13 * peak
+
+    def test_harmonic(self, hp):
+        def modes(n, y):
+            return hermite_function(n, hp.scaled_argument(y)) / math.sqrt(hp.sigma)
+
+        self.check(hp, modes, lambda n: n + hp.delta, np.linspace(-0.5, 0.5, 9))
+
+    def test_barrier(self, bp):
+        self.check(bp, lambda n, y: Phi_n(bp, n)(y), lambda n: barrier_eigenvalue(bp, n),
+                   np.linspace(0.1, math.pi - 0.1, 9))
 
 
 class TestKernelValues:

@@ -5,8 +5,8 @@ look them up through. A refactor that renames or drops one of those
 attributes would silently remove a span from the traced benchmark, so the
 site tables are read here (the file is executed from its source, nothing is
 written) and each (module, attribute) pair is resolved. The counts two of
-its hooks take are guarded too: the kernel table's length and the Hermite
-recurrences per spectral evaluation.
+its hooks take are guarded too: the kernel table's length and the mode
+tables per spectral evaluation.
 """
 
 import importlib
@@ -17,8 +17,9 @@ import runpy
 import numpy as np
 import pytest
 
+import pbk.barrier
 import pbk.harmonic
-import pbk.kernels
+from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import kernel_rows, kernel_values
 from pbk.market import MarketParams
@@ -27,6 +28,7 @@ from pbk.pricing import Payoff, price_spectral
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 SITES = runpy.run_path(str(TRACING))
 HP = HarmonicParams(MarketParams(0.2, 0.05))
+BP = BarrierParams(MarketParams(0.2, 0.05), math.log(80.0), math.log(120.0))
 
 
 @pytest.mark.parametrize(
@@ -47,22 +49,39 @@ def test_kernel_table_length_is_the_row_count():
     assert len(table) == 3 * 2 * 2 * 2 * 2 == table.value.size
 
 
-def test_one_hermite_recurrence_per_spectral_evaluation(monkeypatch):
+def count_tables(monkeypatch, module, attr):
+    """The shapes of the point arrays module.attr is called on, in call order."""
     calls = []
-    original = pbk.kernels.hermite_function_sequence
+    original = getattr(module, attr)
 
     def counted(*args):
-        calls.append(np.shape(args[1]))
+        calls.append(np.shape(args[-1]))
         return original(*args)
 
-    monkeypatch.setattr(pbk.kernels, "hermite_function_sequence", counted)
-    xs, xps = np.array([-0.1, 0.0, 0.1]), np.array([0.05, 0.2])
-    kernel_values(HP, "p1", "spectral", xs[:, None], xps[None, :], 0.5)
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def check_one_table_per_evaluation(params, xs, xps, calls):
+    kernel_values(params, "p1", "spectral", xs[:, None], xps[None, :], 0.5)
     assert calls == [(5,)]
     calls.clear()
-    kernel_rows(HP, xs, xps, [0.3, 1.0])
+    kernel_rows(params, xs, xps, [0.3, 1.0])
     assert calls == [(5,)] * 4  # one per (tau, which) of the spectral method
-    for strike, panels in ((math.exp(0.05), 2), (1e6, 1)):
+    spot = float(np.mean(xs))
+    for strike, panels in ((math.exp(spot + 0.05), 2), (1e6, 1)):
         calls.clear()
-        price_spectral(HP, "p1", Payoff.call(strike), 0.05, 0.5, nodes=64)
+        price_spectral(params, "p1", Payoff.call(strike), spot, 0.5, nodes=64)
         assert calls == [(1 + 64 * panels,)]
+
+
+def test_one_hermite_recurrence_per_spectral_evaluation(monkeypatch):
+    calls = count_tables(monkeypatch, pbk.harmonic, "hermite_function_sequence")
+    check_one_table_per_evaluation(HP, np.array([-0.1, 0.0, 0.1]),
+                                   np.array([0.05, 0.2]), calls)
+
+
+def test_one_sine_table_per_spectral_evaluation(monkeypatch):
+    calls = count_tables(monkeypatch, pbk.barrier, "mode_table")
+    check_one_table_per_evaluation(BP, np.array([4.45, 4.6, 4.7]),
+                                   np.array([4.5, 4.75]), calls)
