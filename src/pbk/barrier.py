@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -102,11 +103,37 @@ def Phi_n(params: BarrierParams, n: int) -> Callable:
 
 
 def mode_table(params: BarrierParams, n_max: int, x) -> np.ndarray:
-    """Rows Phi_0..Phi_{n_max} at the flattened x in one array, not zeroed outside (a, b)."""
-    table = np.outer(np.arange(1, n_max + 2), params.wavenumber(1) * (x - params.a))
+    """Rows Phi_0..Phi_{n_max} at x in one array of shape (n_max + 1,) + x.shape,
+    not zeroed outside (a, b)."""
+    x = np.asarray(x, dtype=float)
+    table = np.multiply.outer(np.arange(1, n_max + 2), params.wavenumber(1) * (x - params.a))
     np.sin(table, out=table)
     table *= math.sqrt(2.0 / params.width)
     return table
+
+
+def shared_tables(params: BarrierParams, n_max: int) -> Callable:
+    """tables(n, x): the rows Phi_0..Phi_n at x, with one table per node set.
+
+    A node set, keyed by its contents, gets one read-only table of rows
+    0..max(n_max, n) the first time it is asked for, rebuilt only when more
+    rows are asked for; fewer rows are a row slice. Rows act point by point,
+    so a slice equals the smaller table bit for bit. The tables live as long
+    as the returned callable.
+    """
+    held = {}
+
+    def tables(n: int, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        table = held.get(key)
+        if table is None or len(table) <= n:
+            table = mode_table(params, max(n, n_max), x)
+            table.flags.writeable = False
+            held[key] = table
+        return table[: n + 1]
+
+    return tables
 
 
 def _tilted_mode(params: BarrierParams, n: int, rate: float) -> Callable:
@@ -218,32 +245,39 @@ class SpectralVector:
 
 
 def _analyze(params: BarrierParams, f: Callable, n_max: int, nodes: int,
-             rate: float) -> SpectralVector:
+             rate: float, tables) -> SpectralVector:
     """Coefficients <e^{rate x} Phi_n, f> on one Gauss-Legendre rule."""
     rule = legendre_rule(nodes, params.a, params.b)
-    modes = mode_table(params, n_max, rule.nodes)
+    modes = (tables or partial(mode_table, params))(n_max, rule.nodes)
     weighted = rule.weights * np.exp(rate * rule.nodes) * np.asarray(f(rule.nodes))
     return SpectralVector((modes @ weighted.T).T, n_max)
 
 
 def analyze_phi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCATION,
-                nodes: int = ANALYSIS_NODES) -> SpectralVector:
-    """Coefficients c_n = <psi_n, f> of the varphi-expansion of f."""
-    return _analyze(params, f, n_max, nodes, -params.beta)
+                nodes: int = ANALYSIS_NODES, tables=None) -> SpectralVector:
+    """Coefficients c_n = <psi_n, f> of the varphi-expansion of f.
+
+    tables, if given, is a shared_tables callable for params.
+    """
+    return _analyze(params, f, n_max, nodes, -params.beta, tables)
 
 
 def analyze_psi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCATION,
-                nodes: int = ANALYSIS_NODES) -> SpectralVector:
+                nodes: int = ANALYSIS_NODES, tables=None) -> SpectralVector:
     """Coefficients d_n = <varphi_n, f> of the psi-expansion of f."""
-    return _analyze(params, f, n_max, nodes, params.beta)
+    return _analyze(params, f, n_max, nodes, params.beta, tables)
 
 
-def _synthesize(params: BarrierParams, v: SpectralVector, rate: float) -> Callable:
+def _synthesize(params: BarrierParams, v: SpectralVector, rate: float, tables) -> Callable:
     """The function e^{rate x} sum_n v_n Phi_n, zero outside (a, b)."""
+    tables = tables or partial(mode_table, params)
 
     def combination(x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.exp(rate * x_arr) * (v.coeffs @ mode_table(params, v.n_max, x_arr))
+        table = tables(v.n_max, x_arr)
+        vals = v.coeffs @ table.reshape(len(table), -1)
+        vals = vals.reshape(v.coeffs.shape[:-1] + x_arr.shape)
+        vals = np.exp(rate * x_arr) * vals
         vals = np.where((x_arr >= params.a) & (x_arr <= params.b), vals, 0.0)
         if np.ndim(x):
             return vals
@@ -253,14 +287,17 @@ def _synthesize(params: BarrierParams, v: SpectralVector, rate: float) -> Callab
     return combination
 
 
-def synthesize_phi(params: BarrierParams, v: SpectralVector) -> Callable:
-    """The function sum_n c_n varphi_n, zero outside (a, b)."""
-    return _synthesize(params, v, params.beta)
+def synthesize_phi(params: BarrierParams, v: SpectralVector, tables=None) -> Callable:
+    """The function sum_n c_n varphi_n, zero outside (a, b).
+
+    tables, if given, is a shared_tables callable for params.
+    """
+    return _synthesize(params, v, params.beta, tables)
 
 
-def synthesize_psi(params: BarrierParams, v: SpectralVector) -> Callable:
+def synthesize_psi(params: BarrierParams, v: SpectralVector, tables=None) -> Callable:
     """The function sum_n d_n psi_n, zero outside (a, b)."""
-    return _synthesize(params, v, -params.beta)
+    return _synthesize(params, v, -params.beta, tables)
 
 
 def _sqrt_rho(params: BarrierParams, n: np.ndarray) -> np.ndarray:

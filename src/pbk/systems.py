@@ -174,8 +174,9 @@ def harmonic_system(params: har.HarmonicParams,
 # barrier model
 
 
-def barrier_test_functions(params: bar.BarrierParams):
-    """Small finite combinations of varphi-modes (exactly analyzable)."""
+def barrier_test_functions(params: bar.BarrierParams, tables: Callable):
+    """Small finite combinations of varphi-modes (exactly analyzable),
+    evaluated through the system's bar.shared_tables."""
     combos = {
         "varphi[0]+0.5*varphi[2]": {0: 1.0, 2: 0.5},
         "varphi[1]-0.3*varphi[3]": {1: 1.0, 3: -0.3},
@@ -187,7 +188,7 @@ def barrier_test_functions(params: bar.BarrierParams):
         for k, v in weights.items():
             coeffs[k] = v
         vec = bar.SpectralVector(coeffs, BARRIER_TEST_MODES)
-        fns.append(TestFunction(bar.synthesize_phi(params, vec), label))
+        fns.append(TestFunction(bar.synthesize_phi(params, vec, tables), label))
     return fns
 
 
@@ -208,19 +209,25 @@ def barrier_system(params: bar.BarrierParams,
                    ) -> Tuple[LadderSystem, MetricOperator]:
     """The double-barrier model bound to the harness, in coefficient space.
 
-    A family block is the synthesis of the identity coefficient matrix.
+    A family block is the synthesis of the identity coefficient matrix. The
+    system owns one bar.shared_tables: every analysis and synthesis it makes
+    reads one sine table per node set, built once for the system's lifetime.
     """
     if not BARRIER_TEST_MODES <= n_trunc <= bar.FAMILY_MAX:
         raise ValueError(f"n_trunc must be at least {BARRIER_TEST_MODES}, the highest "
                          f"mode of the test functions, and at most {bar.FAMILY_MAX}, "
                          f"got {n_trunc}")
 
+    tables = bar.shared_tables(params, n_trunc)
+
     def family(synthesize):
-        return lambda n_max: synthesize(params, bar.SpectralVector(np.eye(n_max + 1), n_max))
+        return lambda n_max: synthesize(
+            params, bar.SpectralVector(np.eye(n_max + 1), n_max), tables)
 
     def spectral(shift, analyze, synthesize):
         def apply(f):
-            return synthesize(params, shift(params, analyze(params, f, n_trunc)))
+            coeffs = analyze(params, f, n_trunc, tables=tables)
+            return synthesize(params, shift(params, coeffs), tables)
 
         return apply
 
@@ -244,7 +251,7 @@ def barrier_system(params: bar.BarrierParams,
         inner=inner,
         gram=gram,
         default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),
-        test_functions=barrier_test_functions(params),
+        test_functions=barrier_test_functions(params, tables),
         quasi_pairs=barrier_quasi_pairs(params),
         norm_behavior="bounded",
         norm_bounds=(1.0 - 1e-12, math.exp(abs(params.beta) * params.width)),

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbk.barrier
 from pbk.barrier import (
+    ANALYSIS_NODES,
     BarrierParams,
     DEFAULT_TRUNCATION,
     FAMILY_MAX,
@@ -24,15 +26,19 @@ from pbk.barrier import (
     apply_S_psi,
     eigenvalue,
     failed_factorization_residual,
+    mode_table,
     psi_n,
     rho_coefficient,
+    shared_tables,
     synthesize_phi,
     synthesize_psi,
     varphi_n,
 )
 from pbk.grids import GridSpec, grid_norm
 from pbk.market import MarketParams
+from pbk.pb_core import run_all_checks
 from pbk.quadrature import legendre_rule
+from pbk.systems import BARRIER_GRID_POINTS, barrier_system
 
 
 @pytest.fixture(scope="module")
@@ -461,3 +467,85 @@ class TestBlocks:
     def test_block_size_must_match(self):
         with pytest.raises(ValueError, match="coefficients"):
             SpectralVector(np.zeros((3, 4)), n_max=4)
+
+    def test_points_of_any_shape(self, box):
+        x = np.linspace(box.a - 0.5, box.b + 0.5, 6).reshape(2, 3)
+        assert mode_table(box, 4, x).shape == (5, 2, 3)
+        np.testing.assert_array_equal(mode_table(box, 4, x),
+                                      mode_table(box, 4, x.ravel()).reshape(5, 2, 3))
+        for synthesize in (synthesize_phi, synthesize_psi):
+            f = synthesize(box, SpectralVector(np.eye(5), 4))
+            assert f(np.ones((2, 3))).shape == (5, 2, 3)
+            np.testing.assert_array_equal(f(x), f(x.ravel()).reshape(5, 2, 3))
+            g = synthesize(box, SpectralVector(np.arange(5.0), 4))
+            np.testing.assert_array_equal(g(x), g(x.ravel()).reshape(2, 3))
+
+
+def count_mode_tables(monkeypatch):
+    """The (n_max, point bytes) of every mode_table call, in call order."""
+    calls = []
+    original = pbk.barrier.mode_table
+
+    def counted(params, n_max, x):
+        calls.append((n_max, np.asarray(x).tobytes()))
+        return original(params, n_max, x)
+
+    monkeypatch.setattr(pbk.barrier, "mode_table", counted)
+    return calls
+
+
+class TestSharedTables:
+    """One sine table per node set per barrier system, read as row slices."""
+
+    @staticmethod
+    def node_sets(params):
+        """The analysis rule and the system's default grid."""
+        return (legendre_rule(ANALYSIS_NODES, params.a, params.b).nodes,
+                GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS).points)
+
+    def test_one_table_per_node_set_per_system(self, monkeypatch, market):
+        calls = count_mode_tables(monkeypatch)
+        bp = BarrierParams(market, 0.0, 3.14159)
+        run_all_checks(*barrier_system(bp), 20)
+        # analysis rule, default grid and the 64-, 128- and 256-node Gram rules
+        assert len(calls) == len({x for _, x in calls}) == 5
+        assert {n for n, _ in calls} == {DEFAULT_TRUNCATION}
+        first = list(calls)
+        run_all_checks(*barrier_system(bp), 20)  # a new system builds its own tables
+        assert calls[5:] == first
+
+    def test_more_rows_rebuild_the_table(self, monkeypatch, box):
+        calls = count_mode_tables(monkeypatch)
+        tables = shared_tables(box, 4)
+        x = np.linspace(box.a, box.b, 17)
+        assert tables(2, x).shape == (3, 17) and len(calls) == 1
+        assert tables(4, x).shape == (5, 17) and len(calls) == 1
+        assert tables(9, x).shape == (10, 17) and len(calls) == 2
+        assert tables(6, x).shape == (7, 17) and len(calls) == 2
+        assert tables(6, x[1:]).shape == (7, 16) and len(calls) == 3
+        assert [n for n, _ in calls] == [4, 9, 6]
+
+    def test_tables_are_read_only(self, box):
+        table = shared_tables(box, 4)(4, np.linspace(box.a, box.b, 5))
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    def test_row_slices_equal_smaller_tables(self, box):
+        tables = shared_tables(box, FAMILY_MAX)
+        for x in self.node_sets(box):
+            for n in (0, 4, 20, 21, 60, DEFAULT_TRUNCATION, FAMILY_MAX):
+                assert np.array_equal(tables(n, x), mode_table(box, n, x))
+
+    def test_analysis_and_synthesis_bits_with_and_without_tables(self, box):
+        tables = shared_tables(box, DEFAULT_TRUNCATION)
+        coeffs = np.random.default_rng(4).standard_normal((3, 21))
+        for synthesize, analyze in ((synthesize_phi, analyze_phi),
+                                    (synthesize_psi, analyze_psi)):
+            for v in (SpectralVector(coeffs, 20), SpectralVector(np.eye(61), 60)):
+                for x in self.node_sets(box):
+                    assert np.array_equal(synthesize(box, v, tables)(x),
+                                          synthesize(box, v)(x))
+            f = synthesize(box, SpectralVector(coeffs, 20))
+            for n_max in (4, 20, DEFAULT_TRUNCATION):
+                assert np.array_equal(analyze(box, f, n_max, tables=tables).coeffs,
+                                      analyze(box, f, n_max).coeffs)

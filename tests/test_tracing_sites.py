@@ -6,13 +6,15 @@ attributes would silently remove a span from the traced benchmark, so the
 site tables are read here (the file is executed from its source, nothing is
 written) and each (module, attribute) pair is resolved. The counts two of
 its hooks take are guarded too: the kernel table's length and the mode
-tables per spectral evaluation.
+tables per spectral evaluation. So are the barrier system's calls through
+the traced analysis and synthesis attributes.
 """
 
 import importlib
 import math
 import pathlib
 import runpy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import kernel_rows, kernel_values
 from pbk.market import MarketParams
+from pbk.pb_core import check_ladder
 from pbk.pricing import Payoff, price_spectral
+from pbk.systems import barrier_system
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 SITES = runpy.run_path(str(TRACING))
@@ -85,3 +89,32 @@ def test_one_sine_table_per_spectral_evaluation(monkeypatch):
     calls = count_tables(monkeypatch, pbk.barrier, "mode_table")
     check_one_table_per_evaluation(BP, np.array([4.45, 4.6, 4.7]),
                                    np.array([4.5, 4.75]), calls)
+
+
+def test_barrier_system_calls_the_traced_attributes(monkeypatch):
+    """The system looks each analysis and synthesis up through pbk.barrier, so
+    barrier.analyze_calls and barrier.synthesized_evals keep counting."""
+    calls = Counter()
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            out = fn(*args, **kwargs)
+            if not callable(out):  # an analysis: its SpectralVector
+                return out
+
+            def evaluate(x):
+                calls[attr + "(x)"] += 1
+                return out(x)
+
+            return evaluate
+
+        return wrapper
+
+    for attr in ("analyze_phi", "analyze_psi", "synthesize_phi", "synthesize_psi"):
+        monkeypatch.setattr(pbk.barrier, attr, counted(attr, getattr(pbk.barrier, attr)))
+    system, _ = barrier_system(BP)
+    check_ladder(system, 4)
+    for attr in ("analyze_phi", "analyze_psi", "synthesize_phi", "synthesize_psi",
+                 "synthesize_phi(x)", "synthesize_psi(x)"):
+        assert calls[attr] > 0, attr
