@@ -32,8 +32,8 @@ import numpy as np
 from .grids import GridFunction, multiply_exponential
 from .market import MarketParams, MarketView
 from .quadrature import legendre_rule
+from .specialfn import MAX_DEGREE
 
-FAMILY_MAX = 200
 DEFAULT_TRUNCATION = 128
 ANALYSIS_NODES = 1024
 
@@ -88,8 +88,8 @@ def rho_coefficient(params: BarrierParams, n: int) -> float:
 
 def Phi_n(params: BarrierParams, n: int) -> Callable:
     """Orthonormal sine mode sqrt(2/L) sin(lambda_{n+1}(x-a)), zero outside (a, b)."""
-    if not 0 <= n <= FAMILY_MAX:
-        raise ValueError(f"mode index must be in 0..{FAMILY_MAX}, got {n}")
+    if not 0 <= n <= MAX_DEGREE:
+        raise ValueError(f"mode index must be in 0..{MAX_DEGREE}, got {n}")
     lam = params.wavenumber(n + 1)
     amp = math.sqrt(2.0 / params.width)
     a, b = params.a, params.b
@@ -232,40 +232,38 @@ class SpectralVector:
     """
 
     coeffs: np.ndarray = field(repr=False)
-    n_max: int = DEFAULT_TRUNCATION
     discarded_tail: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs)))
-        if self.coeffs.shape[-1] != self.n_max + 1:
-            raise ValueError(
-                f"need n_max + 1 = {self.n_max + 1} coefficients, "
-                f"got {self.coeffs.shape[-1]}"
-            )
+
+    @property
+    def n_max(self) -> int:
+        return self.coeffs.shape[-1] - 1
 
 
-def _analyze(params: BarrierParams, f: Callable, n_max: int, nodes: int,
-             rate: float, tables) -> SpectralVector:
+def _analyze(params: BarrierParams, f: Callable, n_max: int, rate: float,
+             tables) -> SpectralVector:
     """Coefficients <e^{rate x} Phi_n, f> on one Gauss-Legendre rule."""
-    rule = legendre_rule(nodes, params.a, params.b)
+    rule = legendre_rule(ANALYSIS_NODES, params.a, params.b)
     modes = (tables or partial(mode_table, params))(n_max, rule.nodes)
     weighted = rule.weights * np.exp(rate * rule.nodes) * np.asarray(f(rule.nodes))
-    return SpectralVector((modes @ weighted.T).T, n_max)
+    return SpectralVector((modes @ weighted.T).T)
 
 
 def analyze_phi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCATION,
-                nodes: int = ANALYSIS_NODES, tables=None) -> SpectralVector:
+                tables=None) -> SpectralVector:
     """Coefficients c_n = <psi_n, f> of the varphi-expansion of f.
 
     tables, if given, is a shared_tables callable for params.
     """
-    return _analyze(params, f, n_max, nodes, -params.beta, tables)
+    return _analyze(params, f, n_max, -params.beta, tables)
 
 
 def analyze_psi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCATION,
-                nodes: int = ANALYSIS_NODES, tables=None) -> SpectralVector:
+                tables=None) -> SpectralVector:
     """Coefficients d_n = <varphi_n, f> of the psi-expansion of f."""
-    return _analyze(params, f, n_max, nodes, params.beta, tables)
+    return _analyze(params, f, n_max, params.beta, tables)
 
 
 def _synthesize(params: BarrierParams, v: SpectralVector, rate: float, tables) -> Callable:
@@ -309,7 +307,7 @@ def apply_A_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
     out = np.zeros_like(v.coeffs)
     n = np.arange(1, v.n_max + 1)
     out[..., :-1] = _sqrt_rho(params, n) * v.coeffs[..., 1:]
-    return SpectralVector(out, v.n_max)
+    return SpectralVector(out)
 
 
 def apply_B_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
@@ -322,7 +320,7 @@ def apply_B_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
     n = np.arange(1, v.n_max + 1)
     out[..., 1:] = _sqrt_rho(params, n) * v.coeffs[..., :-1]
     tail = np.abs(_sqrt_rho(params, np.array(v.n_max + 1)) * v.coeffs[..., -1])
-    return SpectralVector(out, v.n_max, discarded_tail=tail if tail.ndim else float(tail))
+    return SpectralVector(out, discarded_tail=tail if tail.ndim else float(tail))
 
 
 def apply_S_phi(params: BarrierParams, f):

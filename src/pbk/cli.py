@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (all checks pass / table written / price within
 oracle bounds), 1 when a diagnostic check or oracle comparison fails, 2 for
-invalid parameters or a kernel value, tail or price that is not finite.
+invalid parameters, a kernel value, tail or price that is not finite, or an
+adaptive quadrature that does not settle.
 
 Every JSON report embeds the full parameter echo, so a `--params file.json`
 holding the same keys reproduces the run; explicit flags win over file
@@ -21,7 +22,7 @@ import numpy as np
 
 from .barrier import BarrierParams, DEFAULT_TRUNCATION
 from .harmonic import HarmonicParams
-from .kernels import DEFAULT_N_TRUNC, KernelTable, kernel_rows
+from .kernels import KernelTable, kernel_rows
 from .market import MarketParams, beta_is_degenerate
 from .pb_core import run_all_checks
 from .pricing import (
@@ -31,6 +32,7 @@ from .pricing import (
     price_mc_barrier,
     price_spectral,
 )
+from .quadrature import QuadratureConvergenceError
 from .systems import barrier_system, harmonic_system
 
 KERNEL_COLUMNS = ("x", "x_prime", "tau", "which", "method", "value",
@@ -247,7 +249,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     taus = _parse_point_list(str(_pick(args, file_cfg, "tau", "0.5")))
     which = _pick(args, file_cfg, "which", "both")
     method = _pick(args, file_cfg, "method", "both")
-    n_trunc = int(_pick(args, file_cfg, "n_trunc", DEFAULT_N_TRUNC))
+    n_trunc = int(_pick(args, file_cfg, "n_trunc", DEFAULT_TRUNCATION))
     whichs = ("p1", "p2") if which == "both" else (which,)
     methods = ("spectral", "closed") if method == "both" else (method,)
     if model == "harmonic":
@@ -276,7 +278,7 @@ def cmd_price(args: argparse.Namespace) -> int:
     strike = float(_pick(args, file_cfg, "strike", 100.0))
     tau = float(_pick(args, file_cfg, "tau", 0.5))
     which = _pick(args, file_cfg, "which", "p1")
-    n_trunc = int(_pick(args, file_cfg, "n_trunc", DEFAULT_N_TRUNC))
+    n_trunc = int(_pick(args, file_cfg, "n_trunc", DEFAULT_TRUNCATION))
     nodes = int(_pick(args, file_cfg, "nodes", DEFAULT_NODES))
     oracle = _pick(args, file_cfg, "oracle", "none")
     payoff = Payoff(kind, strike)
@@ -306,10 +308,11 @@ def cmd_price(args: argparse.Namespace) -> int:
     exit_code = 0
     if oracle == "mc":
         cfg = MCConfig(
-            paths=int(_pick(args, file_cfg, "paths", 200_000)),
-            steps=int(_pick(args, file_cfg, "steps", 512)),
-            seed=int(_pick(args, file_cfg, "seed", 20240901)),
-            bridge_correction=bool(_pick(args, file_cfg, "bridge", True)),
+            paths=int(_pick(args, file_cfg, "paths", MCConfig.paths)),
+            steps=int(_pick(args, file_cfg, "steps", MCConfig.steps)),
+            seed=int(_pick(args, file_cfg, "seed", MCConfig.seed)),
+            bridge_correction=bool(_pick(args, file_cfg, "bridge",
+                                         MCConfig.bridge_correction)),
         )
         mc = price_mc_barrier(payoff, s0, (lower, upper), market.sigma,
                               market.r, tau, cfg)
@@ -339,7 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "price": cmd_price}
     try:
         return handlers[args.command](args)
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

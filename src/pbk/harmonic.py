@@ -97,14 +97,10 @@ def quadratic_potential(params: HarmonicParams, x):
     return params.sigma**2 / 2.0 * w_val**2 - 0.5
 
 
-def default_grid(
-    params: HarmonicParams,
-    n: int = DEFAULT_GRID_POINTS,
-    half_width: float = DEFAULT_GRID_HALF_WIDTH,
-) -> GridSpec:
-    """Grid covering the eigenfunction envelope: center +- half_width * sigma."""
-    c = params.center
-    return GridSpec.over(c - half_width * params.sigma, c + half_width * params.sigma, n)
+def default_grid(params: HarmonicParams) -> GridSpec:
+    """Grid covering the eigenfunction envelope, center +- 8 sigma."""
+    half = DEFAULT_GRID_HALF_WIDTH * params.sigma
+    return GridSpec.over(params.center - half, params.center + half, DEFAULT_GRID_POINTS)
 
 
 def operator_grid(params: HarmonicParams) -> GridSpec:
@@ -193,17 +189,6 @@ class HermiteExpansion:
     def tilted(self, extra_tilt: float) -> "HermiteExpansion":
         """Multiply by e^{extra_tilt * x}."""
         return HermiteExpansion(self.params, self.tilt + extra_tilt, self.coeffs)
-
-    def scaled(self, factor: complex) -> "HermiteExpansion":
-        return HermiteExpansion(self.params, self.tilt, factor * self.coeffs)
-
-    def plus(self, other: "HermiteExpansion") -> "HermiteExpansion":
-        if other.params != self.params or other.tilt != self.tilt:
-            raise ValueError("can only add expansions with identical params and tilt")
-        n = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
-        return HermiteExpansion(
-            self.params, self.tilt, _pad(self.coeffs, n) + _pad(other.coeffs, n)
-        )
 
 
 def _unit_expansion(params: HarmonicParams, n: int, tilt: float) -> HermiteExpansion:

@@ -28,15 +28,13 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from . import barrier as bar, harmonic as har
-from .barrier import BarrierParams
+from .barrier import DEFAULT_TRUNCATION, BarrierParams
 from .harmonic import HarmonicParams
 # not called here: perfbench/tracing.py patches this name in this module
 from .specialfn import hermite_function_sequence  # noqa: F401
-from .specialfn import theta3
+from .specialfn import MAX_DEGREE, theta3
 
 TAIL_WARN_THRESHOLD = 1e-10
-N_TRUNC_CAP = 200
-DEFAULT_N_TRUNC = 128
 IMAGE_TERM_CUTOFF = 1e-14
 IMAGE_MAX_WRAPS = 64
 
@@ -53,8 +51,8 @@ def _check_request(which: str, method: str, tau: float, n_trunc: int) -> None:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    if not 0 <= n_trunc <= N_TRUNC_CAP:
-        raise ValueError(f"n_trunc must be in 0..{N_TRUNC_CAP}, got {n_trunc}")
+    if not 0 <= n_trunc <= MAX_DEGREE:
+        raise ValueError(f"n_trunc must be in 0..{MAX_DEGREE}, got {n_trunc}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class KernelRequest:
     x_prime: float
     tau: float
     method: str
-    n_trunc: int = DEFAULT_N_TRUNC
+    n_trunc: int = DEFAULT_TRUNCATION
 
     def __post_init__(self) -> None:
         _check_request(self.which, self.method, self.tau, self.n_trunc)
@@ -210,7 +208,7 @@ def _check_points(params: ModelParams, **points) -> None:
 
 
 def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
-                  tau: float, n_trunc: int = DEFAULT_N_TRUNC,
+                  tau: float, n_trunc: int = DEFAULT_TRUNCATION,
                   beta: Optional[float] = None):
     """(value, tail) of kernel `which` by `method`, with x and x' broadcast
     against each other; closed forms carry a zero tail.
@@ -306,7 +304,7 @@ class KernelTable:
 
 def kernel_rows(params: ModelParams, xs, x_primes, taus,
                 whichs=("p1", "p2"), methods=("spectral", "closed"),
-                n_trunc: int = DEFAULT_N_TRUNC,
+                n_trunc: int = DEFAULT_TRUNCATION,
                 beta: Optional[float] = None) -> KernelTable:
     """The table of every (tau, x, x', which, method) combination.
 

@@ -90,10 +90,11 @@ class LadderSystem:
     len(x)), one row per member. A single function (1-D values) is a block
     of one. The four operator fields take a block (or a single function)
     and return a callable or a GridFunction with the same rows. ``inner``
-    is a callable (f, g) -> complex realizing the model's inner product,
-    conjugate-linear in the first slot. ``gram`` is the same inner product
-    on sequences of functions and blocks, (fs, gs) -> the array of
-    <f_i, g_j> over all their rows, each evaluated once per rule.
+    is a callable (f, g) realizing the model's inner product, conjugate-linear
+    in the first slot: a complex for two single functions, and for a block
+    the products of its rows paired with the other slot's rows. ``gram`` is
+    the same inner product on sequences of functions and blocks, (fs, gs) ->
+    the array of <f_i, g_j> over all their rows, each evaluated once per rule.
     """
 
     label: str
@@ -149,8 +150,8 @@ class DiagnosticReport:
             "all_pass": self.all_pass,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +200,9 @@ def _residual(out, coeff, reference: Callable, grid: GridSpec,
 # checks
 
 
-def check_vacua(sys: LadderSystem, grid: Optional[GridSpec] = None,
-                tol: float = GRID_TOL) -> CheckResult:
+def check_vacua(sys: LadderSystem, tol: float = GRID_TOL) -> CheckResult:
     """a phi_0 = 0 and b^dag psi_0 = 0, relative to the vacua's own norms."""
-    grid = grid or sys.default_grid
+    grid = sys.default_grid
     phi0 = sys.family_phi(0)
     psi0 = sys.family_psi(0)
     for name, f in (("phi_0", phi0), ("psi_0", psi0)):
@@ -213,8 +213,7 @@ def check_vacua(sys: LadderSystem, grid: Optional[GridSpec] = None,
     return CheckResult("vacua", max(r_phi, r_psi), tol)
 
 
-def check_ladder(sys: LadderSystem, n_max: int, grid: Optional[GridSpec] = None,
-                 tol: float = LADDER_TOL) -> CheckResult:
+def check_ladder(sys: LadderSystem, n_max: int, tol: float = LADDER_TOL) -> CheckResult:
     """b phi_n = sqrt(e_{n+1}) phi_{n+1} and the three companion relations.
 
     Lowering sends row n to sqrt(e_n) times row max(n - 1, 0), which is zero
@@ -222,7 +221,7 @@ def check_ladder(sys: LadderSystem, n_max: int, grid: Optional[GridSpec] = None,
     """
     if n_max > LADDER_N_MAX_CAP:
         raise ValueError(f"ladder check capped at n_max={LADDER_N_MAX_CAP}, got {n_max}")
-    grid = grid or sys.default_grid
+    grid = sys.default_grid
     phi, psi = sys.family_phi(n_max), sys.family_psi(n_max)
     root = np.sqrt(_sequence(sys.eigens, n_max + 1))
     above = slice(1, None)
@@ -238,10 +237,10 @@ def check_ladder(sys: LadderSystem, n_max: int, grid: Optional[GridSpec] = None,
     return CheckResult("ladder", worst, tol)
 
 
-def check_number_operator(sys: LadderSystem, n_max: int, grid: Optional[GridSpec] = None,
+def check_number_operator(sys: LadderSystem, n_max: int,
                           tol: float = GRID_TOL) -> CheckResult:
     """(b a) phi_n = e_n phi_n and (a^dag b^dag) psi_n = e_n psi_n."""
-    grid = grid or sys.default_grid
+    grid = sys.default_grid
     phi, psi = sys.family_phi(n_max), sys.family_psi(n_max)
     e = _sequence(sys.eigens, n_max)
     worst = max(_residual(sys.raise_b(sys.lower_a(phi)), e, phi, grid),
@@ -282,7 +281,6 @@ def check_quasi_basis(sys: LadderSystem, test_pairs: Sequence[Tuple[Callable, Ca
 
 
 def check_theta_conjugacy(sys: LadderSystem, theta: MetricOperator, n_max: int,
-                          grid: Optional[GridSpec] = None,
                           tol: float = ALGEBRAIC_TOL,
                           intertwining_tol: float = GRID_TOL) -> List[CheckResult]:
     """psi_n = Theta phi_n, positivity of <f, Theta f>, and Theta (ba) = (ba)^dag Theta.
@@ -293,7 +291,7 @@ def check_theta_conjugacy(sys: LadderSystem, theta: MetricOperator, n_max: int,
     functions form one block for the maps, but their inner products go one
     at a time: their Gaussian decay rates differ, and a Gram block needs one.
     """
-    grid = grid or sys.default_grid
+    grid = sys.default_grid
     algebraic = _residual(theta.apply(sys.family_phi(n_max)), 1.0,
                           sys.family_psi(n_max), grid)
     for f in sys.test_functions:
@@ -323,12 +321,12 @@ def check_norm_growth(sys: LadderSystem, n_max: int,
                       tol: float = NORM_LAW_TOL) -> CheckResult:
     """Norm products ||phi_n|| ||psi_n||: closed-form match plus trend.
 
-    The norms are the square roots of the Gram diagonals <phi_n, phi_n> and
-    <psi_n, psi_n>.
+    The norms are the square roots of the paired inner products
+    <phi_n, phi_n> and <psi_n, psi_n>, one per row of each family block.
     """
     if n_max > NORM_N_MAX_CAP:
         raise ValueError(f"norm check capped at n_max={NORM_N_MAX_CAP}, got {n_max}")
-    n_phi, n_psi = (np.sqrt(np.abs(np.diagonal(sys.gram([f], [f]))))
+    n_phi, n_psi = (np.sqrt(np.abs(sys.inner(f, f)))
                     for f in (sys.family_phi(n_max), sys.family_psi(n_max)))
     products = n_phi * n_psi
     worst = 0.0

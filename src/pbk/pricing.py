@@ -19,9 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .barrier import BarrierParams
-from .kernels import (DEFAULT_N_TRUNC, ModelParams, _check_points, _check_request,
-                      kernel_values)
+from .barrier import DEFAULT_TRUNCATION, BarrierParams
+from .kernels import ModelParams, _check_points, _check_request, kernel_values
 # not called here: perfbench/tracing.py patches these two names in this module
 from .kernels import barrier_spectral_values, harmonic_spectral_values  # noqa: F401
 from .quadrature import legendre_rule
@@ -105,8 +104,8 @@ class PricingResult:
             out["stderr"] = self.stderr
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,7 @@ def _panels(lo: float, hi: float, kink: float) -> Tuple[Tuple[float, float], ...
 
 
 def price_spectral(params: ModelParams, which: str, payoff: Payoff, x: float,
-                   tau: float, n_trunc: int = DEFAULT_N_TRUNC,
+                   tau: float, n_trunc: int = DEFAULT_TRUNCATION,
                    nodes: int = DEFAULT_NODES,
                    beta: Optional[float] = None) -> PricingResult:
     """C(x; tau) = integral of the spectral kernel times payoff(e^{x'}).

@@ -26,7 +26,7 @@ from scipy.special import roots_hermite
 
 ADAPTIVE_START = 64
 ADAPTIVE_CAP = 4096
-MIN_REL_TOL = 1e-13
+ADAPTIVE_REL_TOL = 1e-12
 
 
 class QuadratureEvaluationError(ValueError):
@@ -40,13 +40,12 @@ class QuadratureConvergenceError(RuntimeError):
     disagreement is.
     """
 
-    def __init__(self, last: complex, previous: complex, rel_tol: float):
+    def __init__(self, last: complex, previous: complex):
         self.last = last
         self.previous = previous
-        self.rel_tol = rel_tol
         super().__init__(
             f"no convergence at {ADAPTIVE_CAP} nodes: "
-            f"last={last!r}, previous={previous!r}, rel_tol={rel_tol}"
+            f"last={last!r}, previous={previous!r}, rel_tol={ADAPTIVE_REL_TOL}"
         )
 
 
@@ -54,14 +53,10 @@ class QuadratureConvergenceError(RuntimeError):
 class QuadratureRule:
     """Nodes and strictly positive weights for a weighted dot-product integral."""
 
-    kind: str
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    interval: Optional[Tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gauss_hermite", "gauss_legendre"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
@@ -70,12 +65,6 @@ class QuadratureRule:
             raise ValueError("nodes must be strictly increasing")
         if np.any(self.weights <= 0.0):
             raise ValueError("weights must be positive")
-        if self.kind == "gauss_legendre":
-            if self.interval is None:
-                raise ValueError("gauss_legendre rule requires an interval")
-            a, b = self.interval
-            if not a < b:
-                raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
 
 
 @lru_cache(maxsize=32)
@@ -112,7 +101,7 @@ def hermite_rule(n: int, center: float = 0.0, scale: float = 1.0) -> QuadratureR
     keep = w > 0.0
     u, w = u[keep], w[keep]
     compensated = np.exp(np.log(w) + u * u)
-    return QuadratureRule("gauss_hermite", scale * u + center, scale * compensated)
+    return QuadratureRule(scale * u + center, scale * compensated)
 
 
 def legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
@@ -121,7 +110,7 @@ def legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
     u, w = _legendre_nodes(n)
     half = 0.5 * (b - a)
-    return QuadratureRule("gauss_legendre", a + half * (u + 1.0), half * w, interval=(a, b))
+    return QuadratureRule(a + half * (u + 1.0), half * w)
 
 
 def _samples(fn: Callable, name: str, nodes: np.ndarray) -> np.ndarray:
@@ -135,7 +124,7 @@ def _samples(fn: Callable, name: str, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def inner_product(f: Callable, g: Callable, rule: QuadratureRule) -> complex:
+def inner_product(f: Callable, g: Callable, rule: QuadratureRule):
     """<f, g> = int conj(f(x)) g(x) dx approximated by the rule.
 
     Parameters
@@ -143,7 +132,10 @@ def inner_product(f: Callable, g: Callable, rule: QuadratureRule) -> complex:
     f, g : callables
         Vectorized functions of a real array. The product conj(f) * g must
         decay within the rule's effective support (Hermite) or be bounded on
-        the rule's interval (Legendre).
+        the rule's interval (Legendre). Rows are paired: row i of a block
+        (values of shape (k, nodes)) goes with row i of the other slot, and a
+        single function with every row. Two single functions give a complex,
+        anything else the array of the k paired products.
 
     Raises
     ------
@@ -153,8 +145,8 @@ def inner_product(f: Callable, g: Callable, rule: QuadratureRule) -> complex:
     """
     fv = _samples(f, "f", rule.nodes)
     gv = _samples(g, "g", rule.nodes)
-    total = np.sum(rule.weights * np.conj(fv) * gv)
-    return complex(total)
+    total = np.sum(rule.weights * np.conj(fv) * gv, axis=-1)
+    return total if total.ndim else complex(total)
 
 
 def gram_matrix(fs: Sequence[Callable], gs: Sequence[Callable],
@@ -193,12 +185,10 @@ def _make_rule(kind: str, n: int, center: float, scale: float,
     return rule
 
 
-def _adaptive(estimate: Callable, kind: str, rel_tol: float, center: float,
-              scale: float, interval: Optional[Tuple[float, float]]):
+def _adaptive(estimate: Callable, kind: str, center: float, scale: float,
+              interval: Optional[Tuple[float, float]]):
     """The node doubling of both adaptive entry points; estimate(rule) may
     return a scalar or an array, and every entry must pass the test."""
-    if rel_tol < MIN_REL_TOL:
-        raise ValueError(f"rel_tol must be >= {MIN_REL_TOL}, got {rel_tol}")
     previous = None
     current = None
     n = ADAPTIVE_START
@@ -208,45 +198,44 @@ def _adaptive(estimate: Callable, kind: str, rel_tol: float, center: float,
         if previous is not None:
             change = np.abs(current - previous)
             denom = np.maximum(1.0, np.maximum(np.abs(current), np.abs(previous)))
-            if np.all(change <= rel_tol * denom):
+            if np.all(change <= ADAPTIVE_REL_TOL * denom):
                 return current
         n *= 2
     worst = np.argmax(change / denom)
     raise QuadratureConvergenceError(complex(np.ravel(current)[worst]),
-                                     complex(np.ravel(previous)[worst]), rel_tol)
+                                     complex(np.ravel(previous)[worst]))
 
 
 def adaptive_inner_product(
     f: Callable,
     g: Callable,
     kind: str,
-    rel_tol: float,
     *,
     center: float = 0.0,
     scale: float = 1.0,
     interval: Optional[Tuple[float, float]] = None,
-) -> complex:
-    """Inner product with node doubling from 64 up to 4096 nodes.
+):
+    """`inner_product` with node doubling from 64 up to 4096 nodes.
 
-    Successive estimates must differ by less than rel_tol relative to
-    max(1, |estimate|, |previous|); the unit floor makes the criterion
-    meaningful for integrals that vanish (orthogonality checks). Returns the
-    last estimate.
+    Successive estimates of every paired row must differ by less than
+    ADAPTIVE_REL_TOL relative to max(1, |estimate|, |previous|); the unit
+    floor makes the criterion meaningful for integrals that vanish
+    (orthogonality checks). Returns the last estimate.
 
     Raises
     ------
     QuadratureConvergenceError
-        If the cap is reached while the last two estimates still disagree.
+        If the cap is reached while the last two estimates still disagree;
+        it carries the worst row's last two estimates.
     """
-    return _adaptive(lambda rule: inner_product(f, g, rule), kind, rel_tol,
-                     center, scale, interval)
+    return _adaptive(lambda rule: inner_product(f, g, rule), kind, center, scale,
+                     interval)
 
 
 def adaptive_gram(
     fs: Sequence[Callable],
     gs: Sequence[Callable],
     kind: str,
-    rel_tol: float,
     *,
     center: float = 0.0,
     scale: float = 1.0,
@@ -263,5 +252,5 @@ def adaptive_gram(
         If the cap is reached while some entry still disagrees; it carries
         that entry's last two estimates.
     """
-    return _adaptive(lambda rule: gram_matrix(fs, gs, rule), kind, rel_tol,
-                     center, scale, interval)
+    return _adaptive(lambda rule: gram_matrix(fs, gs, rule), kind, center, scale,
+                     interval)

@@ -23,18 +23,18 @@ from .grids import GridFunction, GridSpec
 from .market import beta_is_degenerate
 from .pb_core import EigenSequence, LadderSystem, MetricOperator, TestFunction
 from .quadrature import adaptive_gram, adaptive_inner_product
+from .specialfn import MAX_DEGREE
 
 BARRIER_GRID_POINTS = 4001
-INNER_REL_TOL = 1e-12
 
 TEST_WIDTHS = (0.5, 1.0, 2.0)
 BARRIER_TEST_MODES = 4  # the barrier test functions combine varphi_0..varphi_4
 
 
-def harmonic_test_functions(widths: Tuple[float, ...] = TEST_WIDTHS):
+def harmonic_test_functions():
     """Polynomials times Gaussians e^{-x^2/s^2}: the whole-line dense test set."""
     fns = []
-    for s in widths:
+    for s in TEST_WIDTHS:
         rate = 1.0 / s**2
 
         def gauss(x, _r=rate):
@@ -61,11 +61,11 @@ def _inner_and_gram(kind: str, rule: Callable) -> Tuple[Callable, Callable]:
     in each slot; an inner product is the block of one and one.
     """
 
-    def inner(f, g) -> complex:
-        return adaptive_inner_product(f, g, kind, INNER_REL_TOL, **rule([f], [g]))
+    def inner(f, g):
+        return adaptive_inner_product(f, g, kind, **rule([f], [g]))
 
     def gram(fs, gs) -> np.ndarray:
-        return adaptive_gram(fs, gs, kind, INNER_REL_TOL, **rule(fs, gs))
+        return adaptive_gram(fs, gs, kind, **rule(fs, gs))
 
     return inner, gram
 
@@ -187,7 +187,7 @@ def barrier_test_functions(params: bar.BarrierParams, tables: Callable):
         coeffs = np.zeros(BARRIER_TEST_MODES + 1)
         for k, v in weights.items():
             coeffs[k] = v
-        vec = bar.SpectralVector(coeffs, BARRIER_TEST_MODES)
+        vec = bar.SpectralVector(coeffs)
         fns.append(TestFunction(bar.synthesize_phi(params, vec, tables), label))
     return fns
 
@@ -213,16 +213,16 @@ def barrier_system(params: bar.BarrierParams,
     system owns one bar.shared_tables: every analysis and synthesis it makes
     reads one sine table per node set, built once for the system's lifetime.
     """
-    if not BARRIER_TEST_MODES <= n_trunc <= bar.FAMILY_MAX:
+    if not BARRIER_TEST_MODES <= n_trunc <= MAX_DEGREE:
         raise ValueError(f"n_trunc must be at least {BARRIER_TEST_MODES}, the highest "
-                         f"mode of the test functions, and at most {bar.FAMILY_MAX}, "
+                         f"mode of the test functions, and at most {MAX_DEGREE}, "
                          f"got {n_trunc}")
 
     tables = bar.shared_tables(params, n_trunc)
 
     def family(synthesize):
         return lambda n_max: synthesize(
-            params, bar.SpectralVector(np.eye(n_max + 1), n_max), tables)
+            params, bar.SpectralVector(np.eye(n_max + 1)), tables)
 
     def spectral(shift, analyze, synthesize):
         def apply(f):

@@ -13,7 +13,6 @@ from pbk.barrier import (
     ANALYSIS_NODES,
     BarrierParams,
     DEFAULT_TRUNCATION,
-    FAMILY_MAX,
     Phi_n,
     SpectralVector,
     analyze_phi,
@@ -38,6 +37,7 @@ from pbk.grids import GridSpec, grid_norm
 from pbk.market import MarketParams
 from pbk.pb_core import run_all_checks
 from pbk.quadrature import legendre_rule
+from pbk.specialfn import MAX_DEGREE
 from pbk.systems import BARRIER_GRID_POINTS, barrier_system
 
 
@@ -137,7 +137,7 @@ class TestModes:
 
     def test_mode_cap(self, box):
         with pytest.raises(ValueError):
-            Phi_n(box, FAMILY_MAX + 1)
+            Phi_n(box, MAX_DEGREE + 1)
         with pytest.raises(ValueError):
             varphi_n(box, -1)
 
@@ -257,14 +257,10 @@ class TestFailedLadderResidual:
 def basis_vector(n, n_max=DEFAULT_TRUNCATION):
     c = np.zeros(n_max + 1)
     c[n] = 1.0
-    return SpectralVector(c, n_max)
+    return SpectralVector(c)
 
 
 class TestSpectralVector:
-    def test_size_must_match(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            SpectralVector(np.zeros(4), n_max=4)
-
     def test_roundtrip_through_synthesis(self, box):
         rng = np.random.default_rng(42)
         coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
@@ -425,14 +421,15 @@ class TestBlocks:
     def block(n_max=16):
         coeffs = np.random.default_rng(9).standard_normal((3, n_max + 1))
         coeffs[:, -1] = (0.0, 0.5, -2.0)
-        return SpectralVector(coeffs, n_max)
+        return SpectralVector(coeffs)
 
     def test_ladder_maps_act_row_by_row(self, box):
         block = self.block()
         for op in (apply_A_hat, apply_B_hat):
             out = op(box, block)
+            assert out.n_max == block.n_max == 16
             for i, row in enumerate(block.coeffs):
-                alone = op(box, SpectralVector(row, block.n_max))
+                alone = op(box, SpectralVector(row))
                 np.testing.assert_array_equal(out.coeffs[i], alone.coeffs)
                 tail = out.discarded_tail
                 assert (tail if np.ndim(tail) == 0 else tail[i]) == alone.discarded_tail
@@ -448,7 +445,7 @@ class TestBlocks:
             coeffs = analyze(box, f, n_max=24).coeffs
             assert values.shape == (3, x.size) and coeffs.shape == (3, 25)
             for i, row in enumerate(block.coeffs):
-                g = synthesize(box, SpectralVector(row, block.n_max))
+                g = synthesize(box, SpectralVector(row))
                 # one matrix product against three: equal to the last few ulps
                 np.testing.assert_allclose(values[i], g(x), rtol=0.0,
                                            atol=1e-15 * np.max(np.abs(values[i])))
@@ -459,14 +456,10 @@ class TestBlocks:
     def test_identity_block_is_the_family(self, box):
         x = np.linspace(box.a, box.b, 301)
         for synthesize, member in ((synthesize_phi, varphi_n), (synthesize_psi, psi_n)):
-            values = synthesize(box, SpectralVector(np.eye(9), 8))(x)
+            values = synthesize(box, SpectralVector(np.eye(9)))(x)
             for n in range(9):
                 np.testing.assert_allclose(values[n], member(box, n)(x), rtol=0.0,
                                            atol=1e-14)
-
-    def test_block_size_must_match(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            SpectralVector(np.zeros((3, 4)), n_max=4)
 
     def test_points_of_any_shape(self, box):
         x = np.linspace(box.a - 0.5, box.b + 0.5, 6).reshape(2, 3)
@@ -474,10 +467,10 @@ class TestBlocks:
         np.testing.assert_array_equal(mode_table(box, 4, x),
                                       mode_table(box, 4, x.ravel()).reshape(5, 2, 3))
         for synthesize in (synthesize_phi, synthesize_psi):
-            f = synthesize(box, SpectralVector(np.eye(5), 4))
+            f = synthesize(box, SpectralVector(np.eye(5)))
             assert f(np.ones((2, 3))).shape == (5, 2, 3)
             np.testing.assert_array_equal(f(x), f(x.ravel()).reshape(5, 2, 3))
-            g = synthesize(box, SpectralVector(np.arange(5.0), 4))
+            g = synthesize(box, SpectralVector(np.arange(5.0)))
             np.testing.assert_array_equal(g(x), g(x.ravel()).reshape(2, 3))
 
 
@@ -531,9 +524,9 @@ class TestSharedTables:
             table[0, 0] = 1.0
 
     def test_row_slices_equal_smaller_tables(self, box):
-        tables = shared_tables(box, FAMILY_MAX)
+        tables = shared_tables(box, MAX_DEGREE)
         for x in self.node_sets(box):
-            for n in (0, 4, 20, 21, 60, DEFAULT_TRUNCATION, FAMILY_MAX):
+            for n in (0, 4, 20, 21, 60, DEFAULT_TRUNCATION, MAX_DEGREE):
                 assert np.array_equal(tables(n, x), mode_table(box, n, x))
 
     def test_analysis_and_synthesis_bits_with_and_without_tables(self, box):
@@ -541,11 +534,11 @@ class TestSharedTables:
         coeffs = np.random.default_rng(4).standard_normal((3, 21))
         for synthesize, analyze in ((synthesize_phi, analyze_phi),
                                     (synthesize_psi, analyze_psi)):
-            for v in (SpectralVector(coeffs, 20), SpectralVector(np.eye(61), 60)):
+            for v in (SpectralVector(coeffs), SpectralVector(np.eye(61))):
                 for x in self.node_sets(box):
                     assert np.array_equal(synthesize(box, v, tables)(x),
                                           synthesize(box, v)(x))
-            f = synthesize(box, SpectralVector(coeffs, 20))
+            f = synthesize(box, SpectralVector(coeffs))
             for n_max in (4, 20, DEFAULT_TRUNCATION):
                 assert np.array_equal(analyze(box, f, n_max, tables=tables).coeffs,
                                       analyze(box, f, n_max).coeffs)

@@ -17,9 +17,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+import pbk.quadrature
 from pbk.cli import KERNEL_COLUMNS, _kernel_csv, _parse_point_list, main
+from pbk.barrier import DEFAULT_TRUNCATION
 from pbk.harmonic import HarmonicParams
-from pbk.kernels import DEFAULT_N_TRUNC, KernelTable, kernel_rows
+from pbk.kernels import KernelTable, kernel_rows
 
 DIAG_FAST = ["--nmax", "4"]
 
@@ -136,6 +138,25 @@ class TestDiagnose:
         assert code == 2
         assert out == ""
         assert err.startswith("error: n_trunc must be at least 4") and "at most 200" in err
+
+    def test_narrow_barrier_report(self, capsys):
+        """Barriers 80/120: the off-diagonal psi Gram entries never settle, but
+        the norm check reads only paired inner products."""
+        code, out, _ = run_cli(capsys, ["diagnose", "--model", "barrier",
+                                        "--a", "4.382026634673881",
+                                        "--b", "4.787491742782046"])
+        assert code == 0
+        assert json.loads(out)["all_pass"] is True
+
+    def test_unsettled_quadrature_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(pbk.quadrature, "ADAPTIVE_CAP", 128)
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, ["diagnose", "--model", "barrier", "--a", "0",
+                                          "--b", "3", "--out", str(path)] + DIAG_FAST)
+        assert code == 2
+        assert out == "" and not path.exists()
+        assert err.startswith("error: no convergence at 128 nodes: last=")
+        assert "previous=" in err and len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +423,7 @@ def test_shared_parser_keeps_no_state(capsys):
     plain = run_cli(capsys, base)
     assert run_cli(capsys, flagged) == first
     echo = json.loads(plain[1])["result"]["config_echo"]
-    assert echo["n_trunc"] == DEFAULT_N_TRUNC
+    assert echo["n_trunc"] == DEFAULT_TRUNCATION
     assert "beta_override" not in echo
     assert json.loads(first[1])["result"]["config_echo"]["n_trunc"] == 64
     # an argv refused by the parser, and one refused by the handler

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 import pbk.kernels
-from pbk.barrier import BarrierParams, Phi_n
+from pbk.barrier import DEFAULT_TRUNCATION, BarrierParams, Phi_n
 from pbk.barrier import eigenvalue as barrier_eigenvalue
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import (
-    DEFAULT_N_TRUNC,
     KernelRequest,
     KernelValue,
-    N_TRUNC_CAP,
     barrier_spectral_values,
     harmonic_spectral_values,
     kernel_oracle_image_series,
@@ -24,7 +22,7 @@ from pbk.kernels import (
     kernel_values,
 )
 from pbk.market import MarketParams
-from pbk.specialfn import hermite_function
+from pbk.specialfn import MAX_DEGREE, hermite_function
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +44,7 @@ def h_req(**kw):
 
 def b_req(**kw):
     base = dict(which="p1", x=1.2, x_prime=1.9, tau=0.5,
-                method="spectral", n_trunc=DEFAULT_N_TRUNC)
+                method="spectral", n_trunc=DEFAULT_TRUNCATION)
     base.update(kw)
     return KernelRequest(**base)
 
@@ -65,7 +63,7 @@ class TestKernelRequest:
             with pytest.raises(ValueError, match="tau must be positive and finite"):
                 h_req(tau=tau)
         with pytest.raises(ValueError, match="n_trunc"):
-            h_req(n_trunc=N_TRUNC_CAP + 1)
+            h_req(n_trunc=MAX_DEGREE + 1)
         with pytest.raises(ValueError, match="n_trunc"):
             h_req(n_trunc=-1)
 
@@ -421,7 +419,7 @@ class TestKernelRows:
         with pytest.raises(ValueError, match="tau"):
             kernel_rows(hp, [0.0], [0.1], [0.5, 0.0])
         with pytest.raises(ValueError, match="n_trunc"):
-            kernel_rows(hp, [0.0], [0.1], [0.5], n_trunc=N_TRUNC_CAP + 1)
+            kernel_rows(hp, [0.0], [0.1], [0.5], n_trunc=MAX_DEGREE + 1)
         with pytest.raises(ValueError, match="x_prime = 3.5 lies outside"):
             kernel_rows(bp, [1.0], [1.5, 3.5], [0.5])
         with pytest.raises(TypeError):

@@ -148,9 +148,12 @@ class TestIndividualChecks:
 
     def test_broken_ladder_fails(self, harmonic):
         sys_h, _ = harmonic
-        broken = dataclasses.replace(
-            sys_h, raise_b=lambda f: sys_h.raise_b(f).scaled(1.001)
-        )
+
+        def raise_b_off(f):
+            out = sys_h.raise_b(f)
+            return dataclasses.replace(out, coeffs=1.001 * out.coeffs)
+
+        broken = dataclasses.replace(sys_h, raise_b=raise_b_off)
         result = check_ladder(broken, 4)
         assert not result.passed
         assert result.max_residual > 1e-4

@@ -55,7 +55,6 @@ class TestLegendreRule:
 
     def test_interval_recorded(self):
         rule = legendre_rule(8, -2.0, 5.0)
-        assert rule.interval == (-2.0, 5.0)
         assert rule.nodes[0] > -2.0 and rule.nodes[-1] < 5.0
 
     def test_sine_integral(self):
@@ -69,27 +68,13 @@ class TestLegendreRule:
 
 
 class TestRuleValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            QuadratureRule("simpson", np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-
     def test_nodes_must_increase(self):
         with pytest.raises(ValueError):
-            QuadratureRule(
-                "gauss_hermite", np.array([1.0, 0.0]), np.array([1.0, 1.0])
-            )
+            QuadratureRule(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
-            QuadratureRule(
-                "gauss_hermite", np.array([0.0, 1.0]), np.array([1.0, -1.0])
-            )
-
-    def test_legendre_needs_interval(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(
-                "gauss_legendre", np.array([0.0, 1.0]), np.array([1.0, 1.0])
-            )
+            QuadratureRule(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
 
 class TestInnerProduct:
@@ -120,28 +105,76 @@ class TestInnerProduct:
                 inner_product(lambda x: 1.0 / (x - x), lambda x: x, rule)
 
 
+class TestPairedRows:
+    """inner_product pairs row i of one slot with row i of the other."""
+
+    @staticmethod
+    def block(x):
+        return np.array([np.sin(x), np.cos(x), x * (math.pi - x)])
+
+    def test_block_against_block(self):
+        rule = legendre_rule(32, 0.0, math.pi)
+        paired = inner_product(self.block, lambda x: 2.0 * self.block(x), rule)
+        assert paired.shape == (3,)
+        for i in range(3):
+            row = inner_product(lambda x: self.block(x)[i],
+                                lambda x: 2.0 * self.block(x)[i], rule)
+            assert paired[i] == pytest.approx(row, rel=1e-15, abs=1e-15)
+
+    def test_single_function_against_block(self):
+        rule = legendre_rule(32, 0.0, math.pi)
+        right = inner_product(np.exp, self.block, rule)
+        left = inner_product(self.block, np.exp, rule)
+        assert right.shape == left.shape == (3,)
+        for i in range(3):
+            def row(x, i=i):
+                return self.block(x)[i]
+
+            assert right[i] == pytest.approx(inner_product(np.exp, row, rule), rel=1e-15)
+            assert left[i] == pytest.approx(inner_product(row, np.exp, rule), rel=1e-15)
+
+    def test_two_single_functions_give_a_complex(self):
+        rule = legendre_rule(16, 0.0, 1.0)
+        assert isinstance(inner_product(np.sin, np.cos, rule), complex)
+        val = adaptive_inner_product(np.sin, np.cos, "gauss_legendre", interval=(0.0, 1.0))
+        assert isinstance(val, complex)
+
+    def test_paired_values_are_the_gram_diagonal(self):
+        rule = legendre_rule(32, 0.0, math.pi)
+        paired = inner_product(self.block, self.block, rule)
+        gram = gram_matrix([self.block], [self.block], rule)
+        np.testing.assert_allclose(paired, np.diagonal(gram), rtol=0.0, atol=1e-13)
+        paired = adaptive_inner_product(self.block, self.block, "gauss_legendre",
+                                        interval=(0.0, math.pi))
+        gram = adaptive_gram([self.block], [self.block], "gauss_legendre",
+                             interval=(0.0, math.pi))
+        np.testing.assert_allclose(paired, np.diagonal(gram), rtol=0.0, atol=1e-13)
+
+    def test_non_finite_row_names_the_function(self):
+        rule = legendre_rule(16, 0.0, 1.0)
+
+        def bad_row(x):
+            return np.array([np.sin(x), 1.0 / (x - x)])
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureEvaluationError, match=r"integrand g "):
+                inner_product(np.sin, bad_row, rule)
+
+
 class TestAdaptive:
     def test_gaussian_pair(self):
         val = adaptive_inner_product(
             lambda x: np.exp(-(x**2)),
             lambda x: np.exp(-(x**2)),
             "gauss_hermite",
-            1e-12,
             scale=1.0,
         )
         assert val.real == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)
 
     def test_legendre_route(self):
-        val = adaptive_inner_product(
-            np.sin, np.sin, "gauss_legendre", 1e-12, interval=(0.0, math.pi)
-        )
+        val = adaptive_inner_product(np.sin, np.sin, "gauss_legendre",
+                                     interval=(0.0, math.pi))
         assert val.real == pytest.approx(math.pi / 2, rel=1e-12)
-
-    def test_rel_tol_floor(self):
-        with pytest.raises(ValueError):
-            adaptive_inner_product(
-                np.sin, np.sin, "gauss_legendre", 1e-15, interval=(0.0, 1.0)
-            )
 
     def test_slow_decay_never_settles(self):
         # 1/(1+x^2) decays far too slowly for a Hermite rule: the compensated
@@ -151,14 +184,13 @@ class TestAdaptive:
                 lambda x: 1.0 / (1.0 + x**2),
                 lambda x: np.ones_like(x),
                 "gauss_hermite",
-                1e-12,
             )
         assert str(ADAPTIVE_CAP) in str(info.value)
         assert info.value.last != info.value.previous
 
     def test_missing_interval(self):
         with pytest.raises(ValueError):
-            adaptive_inner_product(np.sin, np.sin, "gauss_legendre", 1e-10)
+            adaptive_inner_product(np.sin, np.sin, "gauss_legendre")
 
     @pytest.mark.parametrize("kind, interval", [("gauss_hermite", None),
                                                 ("gauss_legendre", (0.0, 2.0))])
@@ -190,11 +222,10 @@ class TestGram:
         assert gram[0, 0] == pytest.approx(-1j, abs=1e-14)
 
     def test_adaptive_matches_pairwise(self):
-        gram = adaptive_gram(self.FS, self.GS, "gauss_legendre", 1e-12,
-                             interval=(0.0, math.pi))
+        gram = adaptive_gram(self.FS, self.GS, "gauss_legendre", interval=(0.0, math.pi))
         for i, f in enumerate(self.FS):
             for j, g in enumerate(self.GS):
-                pair = adaptive_inner_product(f, g, "gauss_legendre", 1e-12,
+                pair = adaptive_inner_product(f, g, "gauss_legendre",
                                               interval=(0.0, math.pi))
                 assert abs(gram[i, j] - pair) <= 1e-13 * max(1.0, abs(pair))
 
@@ -205,7 +236,7 @@ class TestGram:
             sizes.append(x.size)
             return np.exp(-(x**2))
 
-        adaptive_gram([counted], [counted, counted], "gauss_hermite", 1e-12)
+        adaptive_gram([counted], [counted, counted], "gauss_hermite")
         # one call per slot and rule, and the rules double from 64 nodes
         rules = sizes[::3]
         assert sizes == [n for n in rules for _ in range(3)]
@@ -223,12 +254,6 @@ class TestGram:
                 [lambda x: np.exp(-(x**2)), lambda x: 1.0 / (1.0 + x**2)],
                 [np.ones_like],
                 "gauss_hermite",
-                1e-12,
             )
         assert info.value.last != info.value.previous
         assert isinstance(info.value.last, complex)
-
-    def test_rel_tol_floor(self):
-        with pytest.raises(ValueError):
-            adaptive_gram([np.sin], [np.sin], "gauss_legendre", 1e-15,
-                          interval=(0.0, 1.0))
