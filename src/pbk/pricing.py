@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -268,6 +267,8 @@ def price_mc_barrier(payoff: Payoff, s0: float, barriers: Tuple[float, float],
     if workers == 1:
         partials = [run(i) for i in range(len(sizes))]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs import it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run, range(len(sizes))))
     total = 0.0

@@ -83,8 +83,23 @@ def hermite_function(n: int, u):
     e^{-u^2/2} underflows, the result is 0. Scalar u gives a float.
     """
     _check_degree(n)
-    values = hermite_function_sequence(n, u)[n]
+    values = _hermite_pair(n, np.atleast_1d(np.asarray(u, dtype=float)))[1]
     return values if np.ndim(u) else float(values[0])
+
+
+def _hermite_pair(n: int, u: np.ndarray):
+    """psi_{n-1}(u) and psi_n(u), with psi_{-1} = 0, for any degree n >= 0.
+
+    The recurrence of `hermite_function_sequence` in its operation order, so
+    psi_n is bit-identical to row n of the table, but only two rows are kept.
+    """
+    prev = np.zeros_like(u)
+    cur = math.pi ** -0.25 * np.exp(-0.5 * u * u)
+    if n >= 1:
+        prev, cur = cur, math.sqrt(2.0) * u * cur
+    for k in range(1, n):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * u * cur - math.sqrt(k / (k + 1.0)) * prev
+    return prev, cur
 
 
 def hermite_function_sequence(n_max: int, u) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from pbk.quadrature import (
     ADAPTIVE_CAP,
+    _hermite_nodes,
     _make_rule,
     QuadratureConvergenceError,
     QuadratureEvaluationError,
@@ -45,6 +48,66 @@ class TestHermiteRule:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             hermite_rule(32, scale=0.0)
+
+
+# both parities, from one node to the adaptive cap; 1024 and 4096 drop nodes
+HERMITE_SIZES = [1, 2, 3, 64, 65, 150, 151, 256, 1024, 4096]
+
+
+def mp_compensated_weight(n, x):
+    """w e^{r^2} = 2^{n-1} n! sqrt(pi) e^{r^2} / (n^2 H_{n-1}(r)^2) at 50 digits,
+    at the zero r of H_n refined from x by Newton on mpmath's H_n."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(x)
+        for _ in range(2):
+            r -= mpmath.hermite(n, r) / (2 * n * mpmath.hermite(n - 1, r))
+        return (mpmath.mpf(2) ** (n - 1) * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi)
+                * mpmath.exp(r * r) / (n * n * mpmath.hermite(n - 1, r) ** 2))
+
+
+class TestHermiteNodes:
+    """The in-repo Gauss-Hermite rule against scipy's nodes and mpmath's weights."""
+
+    @pytest.mark.parametrize("n", HERMITE_SIZES)
+    def test_nodes_match_scipy(self, n):
+        x, w = _hermite_nodes(n)
+        u, raw = roots_hermite(n)
+        drop = (n - x.size) // 2
+        np.testing.assert_allclose(x, u[drop:n - drop], rtol=0, atol=1e-13)
+        # only nodes whose raw weight is not a normal double are dropped
+        assert np.all(raw[:drop] < np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("n", [64, 65, 1024, 4096])
+    def test_compensated_weights_match_mpmath(self, n):
+        x, w = _hermite_nodes(n)
+        np.testing.assert_array_equal(x, -x[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        for i in (x.size // 2, x.size - 2, x.size - 1):
+            expected = float(mp_compensated_weight(n, x[i]))
+            assert w[i] == pytest.approx(expected, rel=1e-13, abs=0.0), (i, x[i])
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_even_moments(self, k):
+        rule = hermite_rule(64)
+        total = np.dot(rule.weights, rule.nodes ** (2 * k) * np.exp(-rule.nodes**2))
+        assert total == pytest.approx(math.gamma(k + 0.5), rel=1e-13)
+
+    @pytest.mark.parametrize("n", HERMITE_SIZES)
+    def test_kept_raw_weights_are_normal(self, n):
+        x, w = _hermite_nodes(n)
+        raw = w * np.exp(-x * x)
+        assert np.all(np.isfinite(raw))
+        assert np.all(raw >= np.finfo(float).tiny)
+
+    def test_needs_a_node(self):
+        with pytest.raises(ValueError):
+            _hermite_nodes(0)
+
+    def test_unsettled_newton_raises(self, monkeypatch):
+        # one Newton step cannot bring Tricomi's guesses to rounding level at n = 63
+        monkeypatch.setattr("pbk.quadrature._HERMITE_NEWTON_CAP", 1)
+        with pytest.raises(ArithmeticError, match="did not settle"):
+            _hermite_nodes(63)
 
 
 class TestLegendreRule:

@@ -155,11 +155,13 @@ class TestHermiteFunction:
         assert hermite_function(0, 60.0) == 0.0
 
     def test_sequence_agrees_with_single(self):
-        u = np.linspace(-4, 4, 9)
-        table = hermite_function_sequence(12, u)
-        assert table.shape == (13, 9)
-        for n in (0, 3, 12):
+        # bit for bit: both run the same recurrence in the same order
+        u = np.linspace(-30.0, 30.0, 241)
+        table = hermite_function_sequence(MAX_DEGREE, u)
+        assert table.shape == (MAX_DEGREE + 1, 241)
+        for n in range(MAX_DEGREE + 1):
             np.testing.assert_array_equal(table[n], hermite_function(n, u))
+        assert hermite_function(MAX_DEGREE, 1.3) == hermite_function_sequence(MAX_DEGREE, 1.3)[-1, 0]
 
     def test_orthogonality_spot_check(self):
         u = np.linspace(-15, 15, 60001)
