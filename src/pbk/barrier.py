@@ -36,6 +36,7 @@ from .specialfn import MAX_DEGREE
 
 DEFAULT_TRUNCATION = 128
 ANALYSIS_NODES = 1024
+MAX_SINE_MODES = 4096  # caps a kernel's sine table: 16 MB at a price's 481 nodes
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .barrier import BarrierParams, DEFAULT_TRUNCATION
+from .barrier import BarrierParams
 from .harmonic import HarmonicParams
 from .kernels import KernelTable, kernel_rows
 from .market import MarketParams, beta_is_degenerate
 from .pb_core import run_all_checks
-from .pricing import (
-    DEFAULT_NODES,
-    MCConfig,
-    Payoff,
-    price_mc_barrier,
-    price_spectral,
-)
+from .pricing import MCConfig, Payoff, price_mc_barrier, price_spectral
 from .quadrature import QuadratureConvergenceError
 from .systems import barrier_system, harmonic_system
 
@@ -108,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="highest family index exercised, default 20")
     p_diag.add_argument("--route", choices=("exact", "grid"), default=None,
                         help="harmonic operator realization, default exact")
-    p_diag.add_argument("--n-trunc", type=int, default=None,
-                        help="barrier coefficient truncation, default "
-                             f"{DEFAULT_TRUNCATION}")
 
     p_kern = sub.add_parser("kernel", help="tabulate kernel values as CSV")
     add_common(p_kern)
@@ -124,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("--which", choices=("p1", "p2", "both"), default=None)
     p_kern.add_argument("--method", choices=("spectral", "closed", "both"),
                         default=None)
-    p_kern.add_argument("--n-trunc", type=int, default=None)
     p_kern.add_argument("--flip-beta", action="store_true")
 
     p_price = sub.add_parser("price", help="price an option off the kernel")
@@ -142,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="upper barrier in price units")
     p_price.add_argument("--tau", type=float, default=None)
     p_price.add_argument("--which", choices=("p1", "p2"), default=None)
-    p_price.add_argument("--n-trunc", type=int, default=None)
-    p_price.add_argument("--nodes", type=int, default=None)
     p_price.add_argument("--flip-beta", action="store_true")
     p_price.add_argument("--oracle", choices=("none", "mc"), default=None)
     p_price.add_argument("--paths", type=int, default=None)
@@ -228,9 +216,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             tols = {"ladder_tol": 2e-5, "grid_tol": 1e-4, "number_tol": 1e-3}
     else:
         params = _log_barrier_params(args, file_cfg, market)
-        n_trunc = int(_pick(args, file_cfg, "n_trunc", DEFAULT_TRUNCATION))
-        system, theta = barrier_system(params, n_trunc)
-        echo.update({"a": params.a, "b": params.b, "n_trunc": n_trunc})
+        system, theta = barrier_system(params)
+        echo.update({"a": params.a, "b": params.b})
     note = _degenerate_note(market.beta)
     if note:
         echo["notes"] = [note]
@@ -249,7 +236,6 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     taus = _parse_point_list(str(_pick(args, file_cfg, "tau", "0.5")))
     which = _pick(args, file_cfg, "which", "both")
     method = _pick(args, file_cfg, "method", "both")
-    n_trunc = int(_pick(args, file_cfg, "n_trunc", DEFAULT_TRUNCATION))
     whichs = ("p1", "p2") if which == "both" else (which,)
     methods = ("spectral", "closed") if method == "both" else (method,)
     if model == "harmonic":
@@ -257,7 +243,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     else:
         params = _log_barrier_params(args, file_cfg, market)
     beta = -params.beta if args.flip_beta else None
-    table = kernel_rows(params, xs, x_primes, taus, whichs, methods, n_trunc, beta)
+    table = kernel_rows(params, xs, x_primes, taus, whichs, methods, beta)
     finite = np.isfinite(table.value) & np.isfinite(table.tail_estimate)
     if not finite.all():
         i = np.flatnonzero(~finite)[0]
@@ -278,8 +264,6 @@ def cmd_price(args: argparse.Namespace) -> int:
     strike = float(_pick(args, file_cfg, "strike", 100.0))
     tau = float(_pick(args, file_cfg, "tau", 0.5))
     which = _pick(args, file_cfg, "which", "p1")
-    n_trunc = int(_pick(args, file_cfg, "n_trunc", DEFAULT_TRUNCATION))
-    nodes = int(_pick(args, file_cfg, "nodes", DEFAULT_NODES))
     oracle = _pick(args, file_cfg, "oracle", "none")
     payoff = Payoff(kind, strike)
     if model == "barrier":
@@ -301,7 +285,7 @@ def cmd_price(args: argparse.Namespace) -> int:
         params = HarmonicParams(market, float(_pick(args, file_cfg, "w", 0.0)))
         x = float(_pick(args, file_cfg, "x", 0.0))
     beta = -params.beta if args.flip_beta else None
-    result = price_spectral(params, which, payoff, x, tau, n_trunc, nodes, beta)
+    result = price_spectral(params, which, payoff, x, tau, beta)
     if not math.isfinite(result.value):
         raise ValueError(f"the spectral price is not finite: {result.value}")
     output = {"result": result.to_dict()}

@@ -11,6 +11,12 @@ is the one array-in, array-out entry point: it validates the request, picks
 the model's functions by the type of the params and maps which kernel to its
 sign. kernel_value, kernel_rows and the spectral price all go through it.
 
+The spectral sum stops where its decay bound says: one rule keeps mode n
+while e^{-tau (E_n - E_0)} >= 1e-16, the theta3 cutoff, reading the model's
+eigenvalue before any table is built. That is N = floor(36.84 / tau) for the
+oscillator and N = floor(sqrt(1 + 36.84 / (tau k^2)) - 1) between the
+barriers. A tau whose N is above the model's mode cap is refused.
+
 The closed forms are a Mehler-type Gaussian for the whole-line model and a
 Jacobi theta-3 combination for the interval model. An independent
 method-of-images oracle for the barrier kernel (killed drifted Brownian
@@ -28,13 +34,14 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from . import barrier as bar, harmonic as har
-from .barrier import DEFAULT_TRUNCATION, BarrierParams
+from .barrier import MAX_SINE_MODES, BarrierParams
 from .harmonic import HarmonicParams
 # not called here: perfbench/tracing.py patches this name in this module
 from .specialfn import hermite_function_sequence  # noqa: F401
-from .specialfn import MAX_DEGREE, theta3
+from .specialfn import MAX_DEGREE, THETA_TERM_CUTOFF, theta3
 
-TAIL_WARN_THRESHOLD = 1e-10
+# mode n is kept while tau (E_n - E_0) <= this: e^{-tau (E_n - E_0)} >= 1e-16
+KEPT_DECAY = -math.log(THETA_TERM_CUTOFF)
 IMAGE_TERM_CUTOFF = 1e-14
 IMAGE_MAX_WRAPS = 64
 
@@ -44,15 +51,13 @@ _SIGNS = {"p1": 1.0, "p2": -1.0}
 _METHODS = ("spectral", "closed")
 
 
-def _check_request(which: str, method: str, tau: float, n_trunc: int) -> None:
+def _check_request(which: str, method: str, tau: float) -> None:
     if which not in _SIGNS:
         raise ValueError(f"which must be one of {tuple(_SIGNS)}, got {which!r}")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    if not 0 <= n_trunc <= MAX_DEGREE:
-        raise ValueError(f"n_trunc must be in 0..{MAX_DEGREE}, got {n_trunc}")
 
 
 @dataclass(frozen=True)
@@ -65,19 +70,15 @@ class KernelRequest:
     x_prime: float
     tau: float
     method: str
-    n_trunc: int = DEFAULT_TRUNCATION
 
     def __post_init__(self) -> None:
-        _check_request(self.which, self.method, self.tau, self.n_trunc)
+        _check_request(self.which, self.method, self.tau)
 
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Kernel value with the magnitude of the last spectral term kept.
-
-    tail_warning flags a truncation tail above 1e-10; closed forms carry a
-    zero tail.
-    """
+    """Kernel value with the magnitude of the last spectral term kept;
+    closed forms carry a zero tail."""
 
     value: float
     tail_estimate: float = 0.0
@@ -85,10 +86,6 @@ class KernelValue:
     def __post_init__(self) -> None:
         if self.tail_estimate < 0.0:
             raise ValueError("tail_estimate must be non-negative")
-
-    @property
-    def tail_warning(self) -> bool:
-        return self.tail_estimate > TAIL_WARN_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +117,42 @@ def _spectral_sum(table: Callable, energies: np.ndarray, x, x_prime, tau: float,
     return value, tail
 
 
+def _kept_energies(params: ModelParams, tau: float) -> np.ndarray:
+    """E_0..E_N, the modes with tau (E_n - E_0) <= KEPT_DECAY; a ValueError
+    refuses a tau that needs more than the model's cap. Only energies are
+    compared, so no tau and no k^2 can overflow or divide by zero here."""
+    if isinstance(params, BarrierParams):
+        eigenvalue, cap, modes = bar.eigenvalue, MAX_SINE_MODES, "sine"
+    else:
+        eigenvalue, cap, modes = har.eigenvalue, MAX_DEGREE, "oscillator"
+    energies = eigenvalue(params, np.arange(cap + 2))
+    with np.errstate(over="ignore"):  # an overflowing decay is a dropped mode
+        top = int(np.count_nonzero(tau * (energies[1:] - energies[0]) <= KEPT_DECAY))
+    if top > cap:
+        raise ValueError(f"the spectral sum at tau = {tau} needs more than the "
+                         f"{cap + 1} {modes} modes 0..{cap} before e^(-tau (E_n - E_0)) "
+                         f"falls below {THETA_TERM_CUTOFF:g}")
+    return energies[:top + 1]
+
+
+def top_mode(params: ModelParams, tau: float) -> int:
+    """The top mode N the spectral sum of the params' model keeps at tau."""
+    return _kept_energies(params, tau).size - 1
+
+
 def harmonic_spectral_values(params: HarmonicParams, x, x_prime, tau: float,
-                             s: float, beta: float, n_trunc: int):
-    """The spectral sum over the oscillator modes 0..n_trunc, E_n = n + delta."""
-    return _spectral_sum(partial(har.mode_table, params, n_trunc),
-                         har.eigenvalue(params, np.arange(n_trunc + 1)),
+                             s: float, beta: float):
+    """The spectral sum over the oscillator modes 0..top_mode, E_n = n + delta."""
+    energies = _kept_energies(params, tau)
+    return _spectral_sum(partial(har.mode_table, params, energies.size - 1), energies,
                          x, x_prime, tau, s, beta)
 
 
 def barrier_spectral_values(params: BarrierParams, x, x_prime, tau: float,
-                            s: float, beta: float, n_trunc: int):
-    """The spectral sum over the sine modes 0..n_trunc, E_n = barrier.eigenvalue."""
-    return _spectral_sum(partial(bar.mode_table, params, n_trunc),
-                         bar.eigenvalue(params, np.arange(n_trunc + 1)),
+                            s: float, beta: float):
+    """The spectral sum over the sine modes 0..top_mode, E_n = barrier.eigenvalue."""
+    energies = _kept_energies(params, tau)
+    return _spectral_sum(partial(bar.mode_table, params, energies.size - 1), energies,
                          x, x_prime, tau, s, beta)
 
 
@@ -208,8 +228,7 @@ def _check_points(params: ModelParams, **points) -> None:
 
 
 def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
-                  tau: float, n_trunc: int = DEFAULT_TRUNCATION,
-                  beta: Optional[float] = None):
+                  tau: float, beta: Optional[float] = None):
     """(value, tail) of kernel `which` by `method`, with x and x' broadcast
     against each other; closed forms carry a zero tail.
 
@@ -217,13 +236,13 @@ def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
     barrier points must lie inside (a, b); a ValueError names the first point
     that does not.
     """
-    _check_request(which, method, tau, n_trunc)
+    _check_request(which, method, tau)
     spectral, closed = _model_functions(params)
     _check_points(params, x=x, x_prime=x_prime)
     s = _SIGNS[which]
     b = params.beta if beta is None else float(beta)
     if method == "spectral":
-        return spectral(params, x, x_prime, tau, s, b, n_trunc)
+        return spectral(params, x, x_prime, tau, s, b)
     value = closed(params, x, x_prime, tau, s, b)
     return value, np.zeros(np.shape(value))
 
@@ -232,7 +251,7 @@ def kernel_value(req: KernelRequest, params: ModelParams,
                  beta: Optional[float] = None) -> KernelValue:
     """The requested kernel at one point, in the model of the params."""
     value, tail = kernel_values(params, req.which, req.method, req.x, req.x_prime,
-                                req.tau, req.n_trunc, beta)
+                                req.tau, beta)
     return KernelValue(float(value), float(tail))
 
 
@@ -304,7 +323,6 @@ class KernelTable:
 
 def kernel_rows(params: ModelParams, xs, x_primes, taus,
                 whichs=("p1", "p2"), methods=("spectral", "closed"),
-                n_trunc: int = DEFAULT_TRUNCATION,
                 beta: Optional[float] = None) -> KernelTable:
     """The table of every (tau, x, x', which, method) combination.
 
@@ -321,8 +339,7 @@ def kernel_rows(params: ModelParams, xs, x_primes, taus,
         for w, which in enumerate(whichs):
             for m, method in enumerate(methods):
                 value[t, :, :, w, m], tail[t, :, :, w, m] = kernel_values(
-                    params, which, method, xs[:, None], x_primes[None, :], tau,
-                    n_trunc, beta)
+                    params, which, method, xs[:, None], x_primes[None, :], tau, beta)
     disagreement = None
     if "spectral" in methods and "closed" in methods:
         spectral = value[..., methods.index("spectral")]

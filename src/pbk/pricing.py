@@ -18,8 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .barrier import DEFAULT_TRUNCATION, BarrierParams
-from .kernels import ModelParams, _check_points, _check_request, kernel_values
+from .barrier import BarrierParams
+from .kernels import ModelParams, _check_points, _check_request, kernel_values, top_mode
 # not called here: perfbench/tracing.py patches these two names in this module
 from .kernels import barrier_spectral_values, harmonic_spectral_values  # noqa: F401
 from .quadrature import legendre_rule
@@ -118,35 +118,35 @@ def _panels(lo: float, hi: float, kink: float) -> Tuple[Tuple[float, float], ...
 
 
 def price_spectral(params: ModelParams, which: str, payoff: Payoff, x: float,
-                   tau: float, n_trunc: int = DEFAULT_TRUNCATION,
-                   nodes: int = DEFAULT_NODES,
-                   beta: Optional[float] = None) -> PricingResult:
+                   tau: float, beta: Optional[float] = None) -> PricingResult:
     """C(x; tau) = integral of the spectral kernel times payoff(e^{x'}).
 
     Integration runs over (a, b) for the barrier model and over a
     10-standard-deviation window for the whole-line model, with a panel
-    break at the strike kink either way. The kernel is evaluated once, on the
-    nodes of every panel together.
+    break at the strike kink either way, DEFAULT_NODES nodes per panel. The
+    kernel is evaluated once, on the nodes of every panel together; a tau
+    beyond the model's mode cap is refused before any node is placed.
     """
-    _check_request(which, "spectral", tau, n_trunc)
+    _check_request(which, "spectral", tau)
     _check_points(params, x=x)
+    n_top = top_mode(params, tau)
     if isinstance(params, BarrierParams):
         lo, hi = params.a, params.b
     else:
         half = PRICE_WINDOW_SIGMAS * params.sigma * math.sqrt(max(1.0, tau))
         lo = min(x, params.center) - half
         hi = max(x, params.center) + half
-    rules = [legendre_rule(nodes, panel_lo, panel_hi)
+    rules = [legendre_rule(DEFAULT_NODES, panel_lo, panel_hi)
              for panel_lo, panel_hi in _panels(lo, hi, math.log(payoff.strike))]
     values, _ = kernel_values(params, which, "spectral", x,
                               np.concatenate([rule.nodes for rule in rules]), tau,
-                              n_trunc, beta)
+                              beta)
     total = 0.0
     for rule, panel in zip(rules, np.split(values, len(rules))):
         total += float(np.dot(rule.weights, panel * payoff.as_log(rule.nodes)))
     echo = {"model": "barrier" if isinstance(params, BarrierParams) else "harmonic",
             "which": which, "payoff": payoff.kind, "strike": payoff.strike,
-            "x": x, "tau": tau, "n_trunc": n_trunc, "nodes": nodes}
+            "x": x, "tau": tau, "n_trunc": n_top, "nodes": DEFAULT_NODES}
     if beta is not None:
         echo["beta_override"] = float(beta)
     return PricingResult(total, f"spectral-{which}", config_echo=echo)

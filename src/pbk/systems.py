@@ -23,7 +23,6 @@ from .grids import GridFunction, GridSpec
 from .market import beta_is_degenerate
 from .pb_core import EigenSequence, LadderSystem, MetricOperator, TestFunction
 from .quadrature import adaptive_gram, adaptive_inner_product
-from .specialfn import MAX_DEGREE
 
 BARRIER_GRID_POINTS = 4001
 
@@ -204,21 +203,15 @@ def barrier_quasi_pairs(params: bar.BarrierParams):
     return [(f, g), (g, f)]
 
 
-def barrier_system(params: bar.BarrierParams,
-                   n_trunc: int = bar.DEFAULT_TRUNCATION
-                   ) -> Tuple[LadderSystem, MetricOperator]:
+def barrier_system(params: bar.BarrierParams) -> Tuple[LadderSystem, MetricOperator]:
     """The double-barrier model bound to the harness, in coefficient space.
 
     A family block is the synthesis of the identity coefficient matrix. The
     system owns one bar.shared_tables: every analysis and synthesis it makes
     reads one sine table per node set, built once for the system's lifetime.
+    The ladder maps act on bar.DEFAULT_TRUNCATION + 1 coefficients.
     """
-    if not BARRIER_TEST_MODES <= n_trunc <= MAX_DEGREE:
-        raise ValueError(f"n_trunc must be at least {BARRIER_TEST_MODES}, the highest "
-                         f"mode of the test functions, and at most {MAX_DEGREE}, "
-                         f"got {n_trunc}")
-
-    tables = bar.shared_tables(params, n_trunc)
+    tables = bar.shared_tables(params, bar.DEFAULT_TRUNCATION)
 
     def family(synthesize):
         return lambda n_max: synthesize(
@@ -226,7 +219,7 @@ def barrier_system(params: bar.BarrierParams,
 
     def spectral(shift, analyze, synthesize):
         def apply(f):
-            coeffs = analyze(params, f, n_trunc, tables=tables)
+            coeffs = analyze(params, f, tables=tables)
             return synthesize(params, shift(params, coeffs), tables)
 
         return apply

@@ -185,13 +185,12 @@ def test_criterion_05_closed_kernel_matches_spectral(hp):
             for x in pts:
                 for xp in pts:
                     closed = closed_kernel(hp, which, x, xp, tau)
-                    req = KernelRequest(which, float(x), float(xp),
-                                        tau, "spectral", n_trunc=80)
+                    req = KernelRequest(which, float(x), float(xp), tau, "spectral")
                     spectral = kernel_value(req, hp).value
                     worst = max(worst, abs(closed - spectral) / abs(closed))
     report(5, "closed_kernel_matches_spectral", worst <= 1e-8,
            f"worst rel {worst:.2e} on 5x5 grid, tau in {{0.3, 0.5, 1}}, "
-           f"N = 80, tol 1e-8")
+           f"N = floor(36.84 / tau), tol 1e-8")
 
 
 def _barrier_kernel_grid(bp, tau):
@@ -201,19 +200,18 @@ def _barrier_kernel_grid(bp, tau):
     return np.linspace(1.5 - half, 1.5 + half, 5)
 
 
-BARRIER_KERNEL_CASES = ((0.05, 200), (0.5, 128), (2.0, 128))
+BARRIER_KERNEL_TAUS = (0.05, 0.5, 2.0)
 
 
 def test_criterion_06_interval_kernel_closed_vs_series(bp):
     worst = 0.0
-    for tau, n_trunc in BARRIER_KERNEL_CASES:
+    for tau in BARRIER_KERNEL_TAUS:
         pts = _barrier_kernel_grid(bp, tau)
         for which in ("p1", "p2"):
             for x in pts:
                 for xp in pts:
                     closed = closed_kernel(bp, which, x, xp, tau)
-                    req = KernelRequest(which, float(x), float(xp),
-                                        tau, "spectral", n_trunc=n_trunc)
+                    req = KernelRequest(which, float(x), float(xp), tau, "spectral")
                     series = kernel_value(req, bp).value
                     worst = max(worst, abs(closed - series))
     report(6, "interval_kernel_closed_vs_series", worst <= 1e-10,
@@ -222,14 +220,13 @@ def test_criterion_06_interval_kernel_closed_vs_series(bp):
 
 def test_criterion_07_image_series_oracle(bp):
     worst = 0.0
-    for tau, n_trunc in BARRIER_KERNEL_CASES:
+    for tau in BARRIER_KERNEL_TAUS:
         pts = _barrier_kernel_grid(bp, tau)
         for x in pts:
             for xp in pts:
                 oracle = kernel_oracle_image_series(bp, float(x), float(xp), tau)
                 closed = closed_kernel(bp, "p1", x, xp, tau)
-                req = KernelRequest("p1", float(x), float(xp), tau,
-                                    "spectral", n_trunc=n_trunc)
+                req = KernelRequest("p1", float(x), float(xp), tau, "spectral")
                 series = kernel_value(req, bp).value
                 worst = max(worst,
                             abs(closed - oracle) / abs(oracle),
@@ -263,8 +260,7 @@ def test_criterion_08_pricing_triangle(market):
 def test_criterion_09_wide_barrier_limit(market):
     wide = bar.BarrierParams(market, math.log(20.0), math.log(500.0))
     payoff = Payoff("call", 100.0)
-    spectral = price_spectral(wide, "p1", payoff, math.log(100.0), 0.5,
-                              n_trunc=160)
+    spectral = price_spectral(wide, "p1", payoff, math.log(100.0), 0.5)
     vanilla = bs_closed_form("call", 100.0, 100.0, market.sigma, market.r, 0.5)
     diff = abs(spectral.value - vanilla)
     report(9, "wide_barrier_limit", diff <= 0.01,

@@ -19,9 +19,10 @@ import pytest
 
 import pbk.quadrature
 from pbk.cli import KERNEL_COLUMNS, _kernel_csv, _parse_point_list, main
-from pbk.barrier import DEFAULT_TRUNCATION
+from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
-from pbk.kernels import KernelTable, kernel_rows
+from pbk.kernels import KernelTable, kernel_rows, top_mode
+from pbk.market import MarketParams
 
 DIAG_FAST = ["--nmax", "4"]
 
@@ -123,21 +124,6 @@ class TestDiagnose:
         assert code == 2
         assert out == ""
         assert "--nmax" in err
-
-    @pytest.mark.parametrize("n_trunc", ["2", "-1"])
-    def test_barrier_truncation_below_test_modes_exits_2(self, capsys, n_trunc):
-        code, out, err = run_cli(capsys, ["diagnose", "--model", "barrier", "--a", "0",
-                                          "--b", "3", f"--n-trunc={n_trunc}"])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: n_trunc must be at least 4")
-
-    def test_barrier_truncation_above_family_cap_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, ["diagnose", "--model", "barrier", "--a", "0",
-                                          "--b", "3", "--n-trunc", "201"])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: n_trunc must be at least 4") and "at most 200" in err
 
     def test_narrow_barrier_report(self, capsys):
         """Barriers 80/120: the off-diagonal psi Gram entries never settle, but
@@ -250,7 +236,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("extra,message", [
         (["--tau", "0"], "tau"),
-        (["--tau", "0.5", "--n-trunc", "201"], "n_trunc"),
+        (["--tau", "1e-6"], "modes"),
         (["--tau", "0.5", "--x", "3.5"], "outside"),
     ])
     def test_invalid_table_exits_2(self, capsys, extra, message):
@@ -342,10 +328,14 @@ class TestPrice:
                                         "--upper", "120"], ["--model", "harmonic"]])
     @pytest.mark.parametrize("n_trunc", ["-1", "201"])
     def test_truncation_outside_cap_exits_2(self, capsys, model, n_trunc):
-        code, out, err = run_cli(capsys, ["price", *model, f"--n-trunc={n_trunc}"])
-        assert code == 2
+        # no truncation is taken from the command line any more: the parser
+        # refuses the flag itself
+        with pytest.raises(SystemExit) as refused:
+            main(["price", *model, f"--n-trunc={n_trunc}"])
+        out, err = capsys.readouterr()
+        assert refused.value.code == 2
         assert out == ""
-        assert err.startswith("error: n_trunc must be in 0..200")
+        assert "unrecognized arguments: --n-trunc" in err
 
     def test_beta_zero_note_on_price(self, capsys):
         code, out, _ = run_cli(capsys, [
@@ -396,9 +386,8 @@ def test_price_checks_spot_and_tau_before_its_window(capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["price", "--model", "harmonic", "--tau", "1e300"],
-    ["price", "--model", "barrier", "--lower", "1e-300", "--upper", "1e300"],
     ["kernel", "--model", "harmonic", "--x", "1e300"],
-], ids=["harmonic-tau", "barrier-width", "kernel-x"])
+], ids=["harmonic-tau", "kernel-x"])
 def test_non_finite_results_exit_2(capsys, tmp_path, argv):
     # every input is finite; the result is not, and none is written
     target = tmp_path / "result"
@@ -412,23 +401,69 @@ def test_non_finite_results_exit_2(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv, modes", [
+    (["price", "--model", "harmonic", "--tau", "0.01"], "201 oscillator modes"),
+    (["kernel", "--model", "harmonic", "--tau", "0.1", "--method", "spectral"],
+     "201 oscillator modes"),
+    (["price", "--model", "barrier", "--lower", "20", "--upper", "500", "--tau", "1e-5"],
+     "4097 sine modes"),
+    (["price", "--model", "barrier", "--lower", "1e-300", "--upper", "1e300"],
+     "4097 sine modes"),
+    (["price", "--model", "harmonic", "--tau", "5e-324"], "201 oscillator modes"),
+    (["kernel", "--model", "barrier", "--a", "0", "--b", "3", "--x", "1",
+      "--tau", "5e-324"], "4097 sine modes"),
+    (["kernel", "--model", "barrier", "--sigma", "1e-10", "--a=-1e153", "--b", "1e153",
+      "--tau", "0.5"], "4097 sine modes"),
+], ids=["harmonic-price", "harmonic-kernel", "barrier-price", "barrier-width",
+        "tau-overflow", "kernel-tau-overflow", "k-squared-underflow"])
+def test_spectral_sum_beyond_the_mode_cap_exits_2(capsys, tmp_path, argv, modes):
+    # 36.84 / 5e-324 overflows and sigma 1e-10 on a width of 2e153 makes
+    # k^2 underflow to 0; every case is the same one-line refusal
+    target = tmp_path / "result"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        code, out, err = run_cli(capsys, argv + ["--out", str(target)])
+    tau = argv[argv.index("--tau") + 1] if "--tau" in argv else "0.5"
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: the spectral sum at tau = {float(tau)} needs more "
+                          f"than the {modes}")
+    assert err.count("\n") == 1 and err.endswith("\n")  # the one error line
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--model", "barrier", "--a", "0", "--b", "3", "--n-trunc", "64"],
+    ["kernel", "--model", "harmonic", "--n-trunc", "64"],
+    ["price", "--model", "harmonic", "--nodes", "64"],
+], ids=["diagnose-n-trunc", "kernel-n-trunc", "price-nodes"])
+def test_truncation_and_node_flags_are_unknown(capsys, argv):
+    # the sum stops by its decay rule, and the analysis truncation and the
+    # payoff rule are constants (price --n-trunc: test_truncation_outside_cap)
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 
 
 def test_shared_parser_keeps_no_state(capsys):
     base = ["price", "--model", "barrier", "--lower", "80", "--upper", "120"]
-    flagged = base + ["--flip-beta", "--n-trunc", "64"]
+    flagged = base + ["--flip-beta", "--tau", "0.05"]
     first = run_cli(capsys, flagged)
     plain = run_cli(capsys, base)
     assert run_cli(capsys, flagged) == first
     echo = json.loads(plain[1])["result"]["config_echo"]
-    assert echo["n_trunc"] == DEFAULT_TRUNCATION
+    box = BarrierParams(MarketParams(0.2, 0.05), math.log(80.0), math.log(120.0))
+    assert echo["n_trunc"] == top_mode(box, 0.5)
     assert "beta_override" not in echo
-    assert json.loads(first[1])["result"]["config_echo"]["n_trunc"] == 64
+    assert json.loads(first[1])["result"]["config_echo"]["n_trunc"] == top_mode(box, 0.05)
     # an argv refused by the parser, and one refused by the handler
     with pytest.raises(SystemExit) as refused:
-        main(flagged + ["--n-trunc", "many"])
+        main(flagged + ["--tau", "many"])
     assert refused.value.code == 2
     assert run_cli(capsys, base + ["--flip-beta", "--tau", "0"])[0] == 2
     capsys.readouterr()

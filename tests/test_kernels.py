@@ -7,8 +7,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import pbk.barrier
+import pbk.harmonic
 import pbk.kernels
-from pbk.barrier import DEFAULT_TRUNCATION, BarrierParams, Phi_n
+from pbk.barrier import MAX_SINE_MODES, BarrierParams, Phi_n
 from pbk.barrier import eigenvalue as barrier_eigenvalue
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import (
@@ -20,6 +22,7 @@ from pbk.kernels import (
     kernel_rows,
     kernel_value,
     kernel_values,
+    top_mode,
 )
 from pbk.market import MarketParams
 from pbk.specialfn import MAX_DEGREE, hermite_function
@@ -36,15 +39,13 @@ def bp(market):
 
 
 def h_req(**kw):
-    base = dict(which="p1", x=0.1, x_prime=-0.05, tau=0.5,
-                method="spectral", n_trunc=80)
+    base = dict(which="p1", x=0.1, x_prime=-0.05, tau=0.5, method="spectral")
     base.update(kw)
     return KernelRequest(**base)
 
 
 def b_req(**kw):
-    base = dict(which="p1", x=1.2, x_prime=1.9, tau=0.5,
-                method="spectral", n_trunc=DEFAULT_TRUNCATION)
+    base = dict(which="p1", x=1.2, x_prime=1.9, tau=0.5, method="spectral")
     base.update(kw)
     return KernelRequest(**base)
 
@@ -62,14 +63,9 @@ class TestKernelRequest:
         for tau in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tau must be positive and finite"):
                 h_req(tau=tau)
-        with pytest.raises(ValueError, match="n_trunc"):
-            h_req(n_trunc=MAX_DEGREE + 1)
-        with pytest.raises(ValueError, match="n_trunc"):
-            h_req(n_trunc=-1)
 
     def test_kernel_value_tail(self):
-        assert not KernelValue(1.0, 1e-11).tail_warning
-        assert KernelValue(1.0, 1e-9).tail_warning
+        assert KernelValue(1.0, 1e-9).tail_estimate == 1e-9
         with pytest.raises(ValueError):
             KernelValue(1.0, -1e-12)
 
@@ -111,12 +107,15 @@ class TestHarmonicAgreement:
 
 
 class TestBarrierAgreement:
-    @pytest.mark.parametrize("tau,n_trunc", [(0.05, 200), (0.5, 128), (2.0, 64)])
-    def test_theta_closed_form_matches_sum(self, bp, tau, n_trunc):
+    # max_modes: the fixed truncation each case once passed with; the decay
+    # rule keeps fewer modes and still meets the same tolerance
+    @pytest.mark.parametrize("tau,max_modes", [(0.05, 200), (0.5, 128), (2.0, 64)])
+    def test_theta_closed_form_matches_sum(self, bp, tau, max_modes):
+        assert top_mode(bp, tau) <= max_modes
         worst = 0.0
         for x in (0.7, 1.5, 2.8):
             for xp in (0.4, 1.9):
-                req = b_req(x=x, x_prime=xp, tau=tau, n_trunc=n_trunc)
+                req = b_req(x=x, x_prime=xp, tau=tau)
                 spectral = kernel_value(req, bp).value
                 closed = kernel_value(replace(req, method="closed"), bp).value
                 worst = max(worst, abs(spectral - closed))
@@ -140,12 +139,6 @@ class TestBarrierAgreement:
         near = abs(kernel_value(b_req(method="closed", x_prime=1e-7), bp).value)
         assert near < 1e-5 * far
 
-    def test_tail_warning_when_truncated_early(self, bp):
-        generous = kernel_value(b_req(tau=0.05, n_trunc=200), bp)
-        starved = kernel_value(b_req(tau=0.05, n_trunc=6), bp)
-        assert not generous.tail_warning
-        assert starved.tail_warning
-
 
 # ---------------------------------------------------------------------------
 # the image-series oracle
@@ -162,7 +155,7 @@ class TestImageOracle:
             for x in pts:
                 for xp in pts:
                     oracle = kernel_oracle_image_series(bp, float(x), float(xp), tau)
-                    req = b_req(x=float(x), x_prime=float(xp), tau=tau, n_trunc=200)
+                    req = b_req(x=float(x), x_prime=float(xp), tau=tau)
                     spectral = kernel_value(req, bp).value
                     worst = max(worst, abs(spectral - oracle) / abs(oracle))
         assert worst <= 1e-8
@@ -221,17 +214,17 @@ class TestVectorization:
 
     def test_harmonic_array_matches_scalars(self, hp):
         xps = np.array([-0.2, 0.0, 0.15])
-        vec_vals, vec_tails = harmonic_spectral_values(hp, 0.1, xps, 0.5, 1.0, hp.beta, 60)
+        vec_vals, vec_tails = harmonic_spectral_values(hp, 0.1, xps, 0.5, 1.0, hp.beta)
         for i, xp in enumerate(xps):
-            val, tail = harmonic_spectral_values(hp, 0.1, float(xp), 0.5, 1.0, hp.beta, 60)
+            val, tail = harmonic_spectral_values(hp, 0.1, float(xp), 0.5, 1.0, hp.beta)
             assert np.isclose(val, vec_vals[i], rtol=1e-13, atol=1e-16)
             assert tail == vec_tails[i]
 
     def test_barrier_array_matches_scalars(self, bp):
         xps = np.array([0.5, 1.5, 2.5])
-        vec_vals, vec_tails = barrier_spectral_values(bp, 1.2, xps, 0.3, 1.0, bp.beta, 100)
+        vec_vals, vec_tails = barrier_spectral_values(bp, 1.2, xps, 0.3, 1.0, bp.beta)
         for i, xp in enumerate(xps):
-            val, tail = barrier_spectral_values(bp, 1.2, float(xp), 0.3, 1.0, bp.beta, 100)
+            val, tail = barrier_spectral_values(bp, 1.2, float(xp), 0.3, 1.0, bp.beta)
             assert np.isclose(val, vec_vals[i], rtol=1e-12, atol=1e-15)
             assert tail == vec_tails[i]
 
@@ -282,28 +275,26 @@ class TestOneModeTable:
         xp = rng.uniform(lo, hi, xp_shape)
         x, xp = (float(y) if y.ndim == 0 else y for y in (x, xp))
         for s in (1.0, -1.0):
-            got = spectral(params, x, xp, 0.3, s, params.beta, 90)
+            got = spectral(params, x, xp, 0.3, s, params.beta)
             with monkeypatch.context() as m:
                 m.setattr(pbk.kernels, "_spectral_sum", separate_tables_spectral_sum)
-                expected = spectral(params, x, xp, 0.3, s, params.beta, 90)
+                expected = spectral(params, x, xp, 0.3, s, params.beta)
             assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
 
 
 class TestPerModeOracle:
     # each term e^{s beta (x - x')} e^{-tau E_n} Phi_n(x) Phi_n(x') from the
-    # scalar per-member functions, summed one mode at a time
-    N_TRUNC = 64
-    TAUS = (0.05, 0.3, 1.0, 2.0)
-
-    def check(self, params, modes, energy, points):
+    # scalar per-member functions, summed one mode at a time over exactly the
+    # modes 0..N the decay rule keeps; harmonic maturities start at 0.2, where
+    # N = floor(36.84 / tau) is within the Hermite cap
+    def check(self, params, modes, energy, points, taus):
         x, xp = np.meshgrid(points, points, indexing="ij")
-        for tau in self.TAUS:
+        for tau in taus:
             for which, s in (("p1", 1.0), ("p2", -1.0)):
-                value, tail = kernel_values(params, which, "spectral", x, xp, tau,
-                                            self.N_TRUNC)
+                value, tail = kernel_values(params, which, "spectral", x, xp, tau)
                 prefactor = np.exp(s * params.beta * (x - xp))
                 expected = np.zeros_like(x)
-                for n in range(self.N_TRUNC + 1):
+                for n in range(top_mode(params, tau) + 1):
                     term = prefactor * math.exp(-tau * energy(n)) * modes(n, x) * modes(n, xp)
                     expected += term
                 peak = np.max(np.abs(expected))
@@ -314,11 +305,12 @@ class TestPerModeOracle:
         def modes(n, y):
             return hermite_function(n, hp.scaled_argument(y)) / math.sqrt(hp.sigma)
 
-        self.check(hp, modes, lambda n: n + hp.delta, np.linspace(-0.5, 0.5, 9))
+        self.check(hp, modes, lambda n: n + hp.delta, np.linspace(-0.5, 0.5, 9),
+                   (0.2, 0.3, 1.0, 2.0))
 
     def test_barrier(self, bp):
         self.check(bp, lambda n, y: Phi_n(bp, n)(y), lambda n: barrier_eigenvalue(bp, n),
-                   np.linspace(0.1, math.pi - 0.1, 9))
+                   np.linspace(0.1, math.pi - 0.1, 9), (0.05, 0.3, 1.0, 2.0))
 
 
 class TestKernelValues:
@@ -328,7 +320,7 @@ class TestKernelValues:
                 for method in ("spectral", "closed"):
                     r = replace(req, which=which, method=method)
                     value, tail = kernel_values(params, which, method, r.x,
-                                                r.x_prime, r.tau, r.n_trunc)
+                                                r.x_prime, r.tau)
                     expected = kernel_value(r, params)
                     assert (value, tail) == (expected.value, expected.tail_estimate)
 
@@ -350,6 +342,67 @@ class TestKernelValues:
                 kernel_values(hp, "p1", method, np.array([0.0, np.inf]), 0.1, 0.5)
             with pytest.raises(ValueError, match="x_prime = nan lies outside the open interval"):
                 kernel_values(hp, "p1", method, 0.0, np.array([0.1, np.nan]), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# where the spectral sum stops
+
+
+class TestTopMode:
+    # maturities whose tau (E_n - E_0) stays clear of 36.84 at every n
+    HARMONIC_TAUS = (0.19, 0.2, 0.3, 0.5, 1.0, 2.0, 40.0)
+    BARRIER_TAUS = (0.001, 0.01, 0.05, 0.3, 2.0, 1e4)
+
+    def test_harmonic_keeps_floor_of_decay_over_tau(self, hp):
+        for tau in self.HARMONIC_TAUS:
+            assert top_mode(hp, tau) == math.floor(pbk.kernels.KEPT_DECAY / tau)
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, math.pi),
+                                              (math.log(20.0), math.log(500.0))])
+    def test_barrier_keeps_the_root_of_its_quadratic_energies(self, market, lower,
+                                                             upper):
+        params = BarrierParams(market, lower, upper)
+        for tau in self.BARRIER_TAUS:
+            expected = math.floor(math.sqrt(
+                1.0 + pbk.kernels.KEPT_DECAY / (tau * params.k_squared)) - 1.0)
+            assert top_mode(params, tau) == expected
+
+    def test_kept_and_dropped_decay_straddle_the_cutoff(self, hp, bp):
+        for params, eigenvalue, tau in ((hp, lambda n: n + hp.delta, 0.3),
+                                        (bp, lambda n: barrier_eigenvalue(bp, n), 0.05)):
+            n = top_mode(params, tau)
+            decay = [math.exp(-tau * (eigenvalue(m) - eigenvalue(0))) for m in (n, n + 1)]
+            assert decay[0] >= 1e-16 > decay[1]
+
+    def test_harmonic_cap_is_the_hermite_degree_cap(self, hp):
+        assert top_mode(hp, 0.19) <= MAX_DEGREE
+        with pytest.raises(ValueError, match=r"tau = 0.18 needs more than the 201 "
+                                             r"oscillator modes 0..200"):
+            top_mode(hp, 0.18)
+
+    def test_refused_before_any_table(self, monkeypatch, hp, market):
+        def no_table(*args):
+            raise AssertionError("a mode table was built")
+
+        monkeypatch.setattr(pbk.barrier, "mode_table", no_table)
+        monkeypatch.setattr(pbk.harmonic, "mode_table", no_table)
+        wide = BarrierParams(market, math.log(20.0), math.log(500.0))
+        assert top_mode(wide, 1e-3) > MAX_DEGREE  # the sine cap is higher
+        with pytest.raises(ValueError, match=f"needs more than the {MAX_SINE_MODES + 1} "
+                                             f"sine modes"):
+            kernel_values(wide, "p1", "spectral", 4.6, 4.7, 1e-7)
+        with pytest.raises(ValueError, match="oscillator modes"):
+            kernel_values(hp, "p2", "spectral", 0.0, 0.1, 0.1)
+
+    def test_extreme_inputs_are_refused_not_raised(self, hp, bp):
+        # 36.84 / tau overflows at tau = 5e-324, and k^2 underflows to 0 at
+        # sigma 1e-10 on a width of 2e153; the rule reads the energies only, so
+        # neither raises anything but the refusal
+        flat = BarrierParams(MarketParams(1e-10, 0.05), -1e153, 1e153)
+        assert flat.k_squared == 0.0
+        for params, x, tau in ((hp, 0.0, 5e-324), (bp, 1.0, 5e-324), (flat, 0.0, 0.5)):
+            with pytest.raises(ValueError, match=f"tau = {tau} needs more than"):
+                kernel_values(params, "p1", "spectral", x, x, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +471,8 @@ class TestKernelRows:
     def test_invalid_tables_rejected(self, hp, bp):
         with pytest.raises(ValueError, match="tau"):
             kernel_rows(hp, [0.0], [0.1], [0.5, 0.0])
-        with pytest.raises(ValueError, match="n_trunc"):
-            kernel_rows(hp, [0.0], [0.1], [0.5], n_trunc=MAX_DEGREE + 1)
+        with pytest.raises(ValueError, match="tau = 0.1 needs more than the 201"):
+            kernel_rows(hp, [0.0], [0.1], [0.5, 0.1])
         with pytest.raises(ValueError, match="x_prime = 3.5 lies outside"):
             kernel_rows(bp, [1.0], [1.5, 3.5], [0.5])
         with pytest.raises(TypeError):

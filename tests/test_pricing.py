@@ -13,6 +13,7 @@ from scipy.stats import norm
 from pbk import pricing
 from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
+from pbk.kernels import kernel_oracle_image_series, top_mode
 from pbk.pricing import (
     BRIDGE_NEAR,
     MC_BLOCK_PATHS,
@@ -160,8 +161,26 @@ class TestPriceSpectral:
 
     def test_wide_barriers_recover_black_scholes(self, market):
         huge = BarrierParams(market, math.log(20.0), math.log(500.0))
-        got = price_spectral(huge, "p1", Payoff.call(100.0), X0, 0.5, n_trunc=160).value
+        got = price_spectral(huge, "p1", Payoff.call(100.0), X0, 0.5).value
         assert abs(got - bs_closed_form("call", 100, 100, 0.2, 0.05, 0.5)) < 0.01
+
+    @pytest.mark.parametrize("tau", [0.01, 0.001])
+    def test_wide_barriers_at_short_tau_match_the_image_series(self, market, tau):
+        # 438 and 1390 sine modes: the kernel's own decay rule, no cap of 128
+        wide = BarrierParams(market, math.log(20.0), math.log(500.0))
+        result = price_spectral(wide, "p1", Payoff.call(100.0), X0, tau)
+        assert result.config_echo["n_trunc"] == top_mode(wide, tau) > 128
+        # the image-series kernel on 40 panels of 32 nodes over the 12
+        # standard deviations above the strike, where the payoff lives
+        edges = np.linspace(X0, X0 + 12.0 * market.sigma * math.sqrt(tau), 41)
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        oracle = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for node, weight in zip(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo),
+                                    0.5 * (hi - lo) * weights):
+                density = kernel_oracle_image_series(wide, X0, float(node), tau)
+                oracle += weight * density * (math.exp(node) - 100.0)
+        assert result.value == pytest.approx(oracle, rel=1e-10)
 
     def test_strike_beyond_upper_barrier_prices_zero(self, box):
         result = price_spectral(box, "p1", Payoff.call(130.0), X0, 0.5)
@@ -179,7 +198,7 @@ class TestPriceSpectral:
 
     def test_harmonic_window_follows_spot(self, market):
         hp = HarmonicParams(market)
-        result = price_spectral(hp, "p1", Payoff.call(1.0), 0.05, 0.4, n_trunc=100)
+        result = price_spectral(hp, "p1", Payoff.call(1.0), 0.05, 0.4)
         assert result.value > 0.0
         assert result.config_echo["model"] == "harmonic"
 
@@ -207,16 +226,19 @@ class TestPriceSpectral:
             return original(*args)
 
         monkeypatch.setattr(pbk.kernels, name, counted)
+        monkeypatch.setattr(pricing, "DEFAULT_NODES", 64)
         for strike, panels in ((math.exp(x), 2), (1e6, 1)):
             calls.clear()
-            price_spectral(params, "p1", Payoff.call(strike), x, 0.5, nodes=64)
+            price_spectral(params, "p1", Payoff.call(strike), x, 0.5)
             assert calls == [(64 * panels,)]
 
     @pytest.mark.parametrize("model", ["harmonic", "barrier"])
     @pytest.mark.parametrize("panels", [1, 2])
     @pytest.mark.parametrize("nodes", [2, 64, 240])
-    def test_bitwise_equal_to_one_call_per_panel(self, box, model, panels, nodes):
+    def test_bitwise_equal_to_one_call_per_panel(self, monkeypatch, box, model, panels,
+                                                 nodes):
         # the total as it was when each panel had its own kernel evaluation
+        monkeypatch.setattr(pricing, "DEFAULT_NODES", nodes)
         params = HarmonicParams(box.market) if model == "harmonic" else box
         x = 0.05 if model == "harmonic" else X0
         if model == "harmonic":
@@ -232,10 +254,10 @@ class TestPriceSpectral:
                 for panel_lo, panel_hi in _panels(lo, hi, math.log(strike)):
                     rule = pricing.legendre_rule(nodes, panel_lo, panel_hi)
                     values, _ = pricing.kernel_values(params, which, "spectral", x,
-                                                      rule.nodes, 0.5, 128, beta)
+                                                      rule.nodes, 0.5, beta)
                     expected += float(np.dot(rule.weights,
                                              values * payoff.as_log(rule.nodes)))
-                got = price_spectral(params, which, payoff, x, 0.5, 128, nodes, beta)
+                got = price_spectral(params, which, payoff, x, 0.5, beta)
                 assert got.value.hex() == expected.hex()
 
     def test_panel_split_only_inside(self):

@@ -21,6 +21,7 @@ import pytest
 
 import pbk.barrier
 import pbk.harmonic
+import pbk.pricing
 from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import kernel_rows, kernel_values
@@ -66,28 +67,29 @@ def count_tables(monkeypatch, module, attr):
     return calls
 
 
-def check_one_table_per_evaluation(params, xs, xps, calls):
+def check_one_table_per_evaluation(monkeypatch, params, xs, xps, calls):
     kernel_values(params, "p1", "spectral", xs[:, None], xps[None, :], 0.5)
     assert calls == [(5,)]
     calls.clear()
     kernel_rows(params, xs, xps, [0.3, 1.0])
     assert calls == [(5,)] * 4  # one per (tau, which) of the spectral method
     spot = float(np.mean(xs))
+    monkeypatch.setattr(pbk.pricing, "DEFAULT_NODES", 64)
     for strike, panels in ((math.exp(spot + 0.05), 2), (1e6, 1)):
         calls.clear()
-        price_spectral(params, "p1", Payoff.call(strike), spot, 0.5, nodes=64)
+        price_spectral(params, "p1", Payoff.call(strike), spot, 0.5)
         assert calls == [(1 + 64 * panels,)]
 
 
 def test_one_hermite_recurrence_per_spectral_evaluation(monkeypatch):
     calls = count_tables(monkeypatch, pbk.harmonic, "hermite_function_sequence")
-    check_one_table_per_evaluation(HP, np.array([-0.1, 0.0, 0.1]),
+    check_one_table_per_evaluation(monkeypatch, HP, np.array([-0.1, 0.0, 0.1]),
                                    np.array([0.05, 0.2]), calls)
 
 
 def test_one_sine_table_per_spectral_evaluation(monkeypatch):
     calls = count_tables(monkeypatch, pbk.barrier, "mode_table")
-    check_one_table_per_evaluation(BP, np.array([4.45, 4.6, 4.7]),
+    check_one_table_per_evaluation(monkeypatch, BP, np.array([4.45, 4.6, 4.7]),
                                    np.array([4.5, 4.75]), calls)
 
 
