@@ -50,6 +50,9 @@ class BarrierParams(MarketView):
     def __post_init__(self) -> None:
         if not -math.inf < self.a < self.b < math.inf:
             raise ValueError(f"barriers must be finite with a < b, got ({self.a}, {self.b})")
+        if not 0.0 < self.width * self.width < math.inf:  # k_squared divides by it
+            raise ValueError(f"barrier width b - a = {self.width} is out of range: "
+                             f"its square must be a positive finite float")
 
     @property
     def width(self) -> float:

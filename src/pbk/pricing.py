@@ -2,10 +2,11 @@
 
 The kernel price is a Gauss-Legendre integral of kernel times payoff over the
 model domain, split at the strike kink. The Monte Carlo oracle simulates GBM
-log-paths with exact Gaussian increments, knocks out on the barriers (with a
-Brownian-bridge crossing correction for what happens between monitoring
-dates), and reduces path blocks in a fixed order so a given seed produces
-bit-identical results no matter how many worker threads run.
+log-paths with exact Gaussian increments, each draw giving an antithetic pair
+of paths (z and -z), knocks out on the barriers (with a Brownian-bridge
+crossing correction for what happens between monitoring dates), and reduces
+path blocks in a fixed order so a given seed produces bit-identical results
+no matter how many worker threads run.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ class Payoff:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Monte Carlo knobs. Standard errors are only meaningful for paths
-    of 1e4 and up; this is documented, not enforced."""
+    """Monte Carlo knobs. Paths come in antithetic pairs, so their count is
+    even. Standard errors are only meaningful for paths of 1e4 and up; this
+    is documented, not enforced."""
 
     paths: int = 200_000
     steps: int = 512
@@ -79,8 +81,8 @@ class MCConfig:
     bridge_correction: bool = True
 
     def __post_init__(self) -> None:
-        if self.paths < 1:
-            raise ValueError(f"paths must be >= 1, got {self.paths}")
+        if self.paths < 2 or self.paths % 2:
+            raise ValueError(f"paths must be even and >= 2, got {self.paths}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
@@ -188,15 +190,27 @@ def _bridge_log_survival(x: np.ndarray, x0: float, log_lo: float,
     return log_survival
 
 
+def _antithetic_normals(rng: np.random.Generator, x: np.ndarray) -> None:
+    """Fill the h = m/2 top rows of x (m rows, m even) with standard normals
+    from rng and the h bottom rows with their negation: row i + h is the
+    antithetic partner of row i."""
+    half = x.shape[0] // 2
+    rng.standard_normal(out=x[:half])
+    np.negative(x[:half], out=x[half:])
+
+
 def _simulate_block(block_index: int, size: int, x0: float, log_lo: float,
                     log_hi: float, sigma: float, r: float, tau: float,
                     cfg: MCConfig, payoff: Payoff) -> Tuple[float, float]:
-    """Sum and sum-of-squares of surviving weighted payoffs for one block.
+    """Sum and sum-of-squares of the antithetic pair means for one block.
 
-    The per-block generator is keyed by (seed, block_index), so the stream
-    is independent of how blocks are scheduled across workers. Paths are
-    drawn and built in chunks of MC_CHUNK_PATHS rows from that one stream,
-    which bounds memory without changing a single normal.
+    The per-block generator is SFC64 seeded by SeedSequence((seed,
+    block_index)), so the stream is independent of how blocks are scheduled
+    across workers. Paths are built in chunks of MC_CHUNK_PATHS rows (an even
+    m) in one reused buffer: the first m/2 rows of normals are drawn from the
+    block's stream and the last m/2 are their negation, so each normal serves
+    two paths. Path i and path i + m/2 of a chunk form a pair, and
+    the block's samples are the size/2 pair means of the weighted payoffs.
 
     A path is knocked out when its minimum over the monitoring dates is at
     or below the lower barrier or its maximum is at or above the upper one.
@@ -213,33 +227,37 @@ def _simulate_block(block_index: int, size: int, x0: float, log_lo: float,
     comparison carries a relative margin of 1e-12 so that no row with a step
     the product test would count as near is skipped.
     """
-    key = np.array([cfg.seed % 2**64, block_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence((cfg.seed % 2**64, block_index))))
     dt = tau / cfg.steps
     var_dt = sigma * sigma * dt
     scale = sigma * math.sqrt(dt)
     drift = (r - 0.5 * sigma * sigma) * dt
-    values = np.zeros(size)
+    pair_means = np.empty(size // 2)
+    chunk = np.empty((min(MC_CHUNK_PATHS, size), cfg.steps))
     for start in range(0, size, MC_CHUNK_PATHS):
-        x = rng.standard_normal((min(MC_CHUNK_PATHS, size - start), cfg.steps))
+        x = chunk[:min(MC_CHUNK_PATHS, size - start)]
+        _antithetic_normals(rng, x)
         x *= scale
         x += drift
         np.cumsum(x, axis=1, out=x)
         x += x0
         lows, highs = x.min(axis=1), x.max(axis=1)
-        alive = (lows > log_lo) & (highs < log_hi)
-        x = x[alive]
+        alive = np.flatnonzero((lows > log_lo) & (highs < log_hi))
         weights = 1.0
         if cfg.bridge_correction:
             gap = np.minimum(np.minimum(lows[alive] - log_lo, log_hi - highs[alive]),
                              min(x0 - log_lo, log_hi - x0))
             near = gap * gap < BRIDGE_NEAR * var_dt * (1.0 + 1e-12)
-            weights = np.ones(x.shape[0])
+            weights = np.ones(alive.size)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                weights[near] = np.exp(_bridge_log_survival(x[near], x0, log_lo,
-                                                            log_hi, var_dt))
-        values[start:start + alive.size][alive] = weights * payoff.as_log(x[:, -1])
-    return float(np.sum(values)), float(np.sum(values * values))
+                weights[near] = np.exp(_bridge_log_survival(x[alive[near]], x0,
+                                                            log_lo, log_hi, var_dt))
+        values = np.zeros(x.shape[0])
+        values[alive] = weights * payoff.as_log(x[alive, -1])
+        half = x.shape[0] // 2
+        pair_means[start // 2:start // 2 + half] = 0.5 * (values[:half] + values[half:])
+    return float(np.sum(pair_means)), float(np.sum(pair_means * pair_means))
 
 
 def price_mc_barrier(payoff: Payoff, s0: float, barriers: Tuple[float, float],
@@ -248,6 +266,8 @@ def price_mc_barrier(payoff: Payoff, s0: float, barriers: Tuple[float, float],
     """Double-knock-out Monte Carlo price with standard error.
 
     Barriers are quoted in price units; the spot must start strictly inside.
+    The samples are the paths / 2 antithetic pair means, so the mean and the
+    standard error are taken over pairs.
     """
     lo, hi = barriers
     if not lo < hi:
@@ -276,7 +296,7 @@ def price_mc_barrier(payoff: Payoff, s0: float, barriers: Tuple[float, float],
     for s1, s2 in partials:  # ascending block order: deterministic reduction
         total += s1
         total_sq += s2
-    n = cfg.paths
+    n = cfg.paths // 2
     discount = math.exp(-r * tau)
     mean = total / n
     variance = max(total_sq / n - mean * mean, 0.0)
@@ -286,8 +306,8 @@ def price_mc_barrier(payoff: Payoff, s0: float, barriers: Tuple[float, float],
     echo = {"s0": s0, "barriers": list(barriers), "sigma": sigma, "r": r,
             "tau": tau, "payoff": payoff.kind, "strike": payoff.strike,
             "paths": cfg.paths, "steps": cfg.steps, "seed": cfg.seed,
-            "bridge_correction": cfg.bridge_correction, "rng": "philox4x64",
-            "block_paths": MC_BLOCK_PATHS}
+            "bridge_correction": cfg.bridge_correction, "rng": "sfc64",
+            "pairs": n, "block_paths": MC_BLOCK_PATHS}
     return PricingResult(discount * mean, "mc-brownian-bridge",
                          stderr=stderr if stderr > 0.0 else None,
                          config_echo=echo)

@@ -73,20 +73,6 @@ def theta3(u, q: float):
     return total if total.ndim else float(total)
 
 
-def hermite_function(n: int, u):
-    """Normalized Hermite function psi_n(u) = H_n(u) e^{-u^2/2} / sqrt(2^n n! sqrt(pi)).
-
-    Computed by the normalized recurrence
-    psi_{k+1} = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_{k-1},
-    which keeps every intermediate at unit L2 scale, so n = 200 is fine where
-    the raw polynomial route would overflow. For |u| large enough that
-    e^{-u^2/2} underflows, the result is 0. Scalar u gives a float.
-    """
-    _check_degree(n)
-    values = _hermite_pair(n, np.atleast_1d(np.asarray(u, dtype=float)))[1]
-    return values if np.ndim(u) else float(values[0])
-
-
 def _hermite_pair(n: int, u: np.ndarray):
     """psi_{n-1}(u) and psi_n(u), with psi_{-1} = 0, for any degree n >= 0.
 
@@ -105,8 +91,13 @@ def _hermite_pair(n: int, u: np.ndarray):
 def hermite_function_sequence(n_max: int, u) -> np.ndarray:
     """All normalized Hermite functions psi_0..psi_{n_max} at u, stacked on axis 0.
 
-    Returns an array of shape (n_max + 1,) + u.shape. This is the workhorse
-    for spectral sums: one recurrence pass serves every degree at once.
+    Returns an array of shape (n_max + 1,) + u.shape, a scalar u counting as
+    one point; row n is psi_n(u). This is the workhorse for spectral sums:
+    one recurrence pass serves every degree at once. The normalized
+    recurrence psi_{k+1} = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_{k-1}
+    keeps every row at unit L2 scale, so n_max = 200 is fine where the raw
+    polynomials H_n would overflow; where e^{-u^2/2} underflows, the rows
+    are 0.
     """
     _check_degree(n_max)
     u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -2,6 +2,8 @@
 spectral ladder that replaces it."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +75,15 @@ class TestParams:
             BarrierParams(market, 1.0, 1.0)
         with pytest.raises(ValueError):
             BarrierParams(market, 2.0, -2.0)
+
+    def test_width_with_a_finite_nonzero_square_required(self, market):
+        # the largest width whose square is finite (its k^2 underflows to 0,
+        # which the spectral decay rule refuses), and the first beyond it
+        edge = math.sqrt(sys.float_info.max)
+        assert BarrierParams(market, 0.0, edge).k_squared == 0.0
+        for a, b in ((0.0, math.nextafter(edge, math.inf)), (-1e200, 1e200), (0.0, 1e-200)):
+            with pytest.raises(ValueError, match=re.escape(f"width b - a = {b - a} is out")):
+                BarrierParams(market, a, b)
 
     def test_eigenvalues_increase(self, box):
         vals = [eigenvalue(box, n) for n in range(12)]

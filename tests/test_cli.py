@@ -279,6 +279,18 @@ class TestPrice:
         assert code == (0 if abs(payload["z_score"]) <= 3.0 else 1)
         assert abs(payload["z_score"]) <= 3.0
 
+    def test_odd_path_count_exits_2(self, capsys, tmp_path):
+        # paths come in antithetic pairs
+        target = tmp_path / "result"
+        code, out, err = run_cli(capsys, [
+            "price", "--model", "barrier", "--lower", "80", "--upper", "120",
+            "--oracle", "mc", "--paths", "20001", "--out", str(target),
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == "error: paths must be even and >= 2, got 20001\n"
+        assert not target.exists()
+
     def test_harmonic_rejects_mc_oracle(self, capsys):
         code, _, err = run_cli(capsys, [
             "price", "--model", "harmonic", "--strike", "1", "--oracle", "mc",
@@ -428,6 +440,20 @@ def test_spectral_sum_beyond_the_mode_cap_exits_2(capsys, tmp_path, argv, modes)
     assert out == ""
     assert err.startswith(f"error: the spectral sum at tau = {float(tau)} needs more "
                           f"than the {modes}")
+    assert err.count("\n") == 1 and err.endswith("\n")  # the one error line
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--model", "barrier", "--a=-1e200", "--b", "1e200", "--method", "closed"],
+    ["diagnose", "--model", "barrier", "--a=-1e200", "--b", "1e200"],
+], ids=["kernel-closed", "diagnose"])
+def test_barrier_width_whose_square_overflows_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "result"
+    code, out, err = run_cli(capsys, argv + ["--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: barrier width b - a = 2e+200 is out of range")
     assert err.count("\n") == 1 and err.endswith("\n")  # the one error line
     assert not target.exists()
 

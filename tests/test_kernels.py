@@ -25,7 +25,7 @@ from pbk.kernels import (
     top_mode,
 )
 from pbk.market import MarketParams
-from pbk.specialfn import MAX_DEGREE, hermite_function
+from pbk.specialfn import MAX_DEGREE, hermite_function_sequence
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +303,7 @@ class TestPerModeOracle:
 
     def test_harmonic(self, hp):
         def modes(n, y):
-            return hermite_function(n, hp.scaled_argument(y)) / math.sqrt(hp.sigma)
+            return hermite_function_sequence(n, hp.scaled_argument(y))[n] / math.sqrt(hp.sigma)
 
         self.check(hp, modes, lambda n: n + hp.delta, np.linspace(-0.5, 0.5, 9),
                    (0.2, 0.3, 1.0, 2.0))

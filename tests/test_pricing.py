@@ -21,6 +21,7 @@ from pbk.pricing import (
     MCConfig,
     Payoff,
     PricingResult,
+    _antithetic_normals,
     _block_sizes,
     _bridge_log_survival,
     _panels,
@@ -294,10 +295,10 @@ class TestMonteCarlo:
 
     def test_worker_count_does_not_change_the_sum(self, monkeypatch):
         base = price_mc_barrier(Payoff.call(100.0), 100.0, BARRIERS, 0.2, 0.05, 0.5,
-                                small_cfg(paths=3 * MC_BLOCK_PATHS + 11))
+                                small_cfg(paths=3 * MC_BLOCK_PATHS + 12))
         monkeypatch.setenv("PBK_THREADS", "4")
         threaded = price_mc_barrier(Payoff.call(100.0), 100.0, BARRIERS, 0.2, 0.05,
-                                    0.5, small_cfg(paths=3 * MC_BLOCK_PATHS + 11))
+                                    0.5, small_cfg(paths=3 * MC_BLOCK_PATHS + 12))
         assert base.value == threaded.value
         assert base.stderr == threaded.stderr
 
@@ -350,22 +351,98 @@ class TestMonteCarlo:
         got = price_mc_barrier(Payoff.call(100.0), 100.0, BARRIERS, 0.2, 0.05, 0.5,
                                small_cfg(paths=512))
         echo = got.config_echo
-        assert echo["rng"] == "philox4x64"
+        assert echo["rng"] == "sfc64"
         assert echo["paths"] == 512
+        assert echo["pairs"] == 256
         assert echo["bridge_correction"] is True
         assert got.method == "mc-brownian-bridge"
+
+    def test_each_chunk_draws_half_its_normals(self, monkeypatch):
+        # rows h..m-1 of every chunk, the partial one too, are rows 0..h-1 negated
+        chunks = []
+
+        def recording(rng, x):
+            _antithetic_normals(rng, x)
+            chunks.append(x.copy())
+
+        monkeypatch.setattr(pricing, "_antithetic_normals", recording)
+        cfg = small_cfg(paths=2500, steps=16)
+        _simulate_block(3, 2500, X0, LOG_A, LOG_B, 0.2, 0.05, 0.5, cfg,
+                        Payoff.call(100.0))
+        assert [c.shape for c in chunks] == [(1024, 16), (1024, 16), (452, 16)]
+        for chunk in chunks:
+            half = chunk.shape[0] // 2
+            np.testing.assert_array_equal(chunk[half:], -chunk[:half])
+        np.testing.assert_array_equal(np.concatenate(chunks), pair_normals(3, 2500, cfg))
+
+    def test_value_and_stderr_are_taken_over_pairs(self):
+        cfg = small_cfg(paths=2 * MC_BLOCK_PATHS + 2500, steps=16)
+        got = price_mc_barrier(Payoff.call(100.0), 100.0, BARRIERS, 0.2, 0.05, 0.5,
+                               cfg)
+        total = total_sq = 0.0
+        for block, size in enumerate((MC_BLOCK_PATHS, MC_BLOCK_PATHS, 2500)):
+            s1, s2 = unskipped_block(block, size, X0, LOG_A, LOG_B, 0.2, 0.05, 0.5,
+                                     cfg, Payoff.call(100.0))
+            total += s1
+            total_sq += s2
+        pairs = cfg.paths // 2
+        mean = total / pairs
+        variance = (total_sq / pairs - mean * mean) * pairs / (pairs - 1)
+        discount = math.exp(-0.05 * 0.5)
+        assert got.value == discount * mean
+        assert got.stderr == discount * math.sqrt(variance / pairs)
+        assert got.config_echo["pairs"] == pairs
+
+    @pytest.mark.parametrize("lower, upper", [(80.0, 120.0), (50.0, 200.0)])
+    def test_price_matches_the_image_series(self, market, lower, upper):
+        params = BarrierParams(market, math.log(lower), math.log(upper))
+        got = price_mc_barrier(Payoff.call(100.0), 100.0, (lower, upper), 0.2,
+                               0.05, 0.5, MCConfig(paths=2 * MC_BLOCK_PATHS, seed=5))
+        # the image-series kernel on 40 panels of 32 nodes from the strike to
+        # the upper barrier
+        edges = np.linspace(X0, math.log(upper), 41)
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        oracle = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for node, weight in zip(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo),
+                                    0.5 * (hi - lo) * weights):
+                density = kernel_oracle_image_series(params, X0, float(node), 0.5)
+                oracle += weight * density * (math.exp(node) - 100.0)
+        assert abs(got.value - oracle) < 4.0 * got.stderr
+
+
+def pair_normals(block_index, size, cfg):
+    """The block's standard normals, one row per path: each chunk of up to
+    MC_CHUNK_PATHS rows is h rows drawn from SFC64 keyed by
+    SeedSequence((seed, block)), then the same h rows negated."""
+    rng = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence((cfg.seed % 2**64, block_index))))
+    chunks = []
+    for start in range(0, size, MC_CHUNK_PATHS):
+        draws = rng.standard_normal((min(MC_CHUNK_PATHS, size - start) // 2, cfg.steps))
+        chunks.append(np.concatenate([draws, -draws]))
+    return np.concatenate(chunks)
+
+
+def pair_sums(values):
+    """Sum and sum of squares of the antithetic pair means of per-path
+    values: path i with path i + h inside each chunk of 2h paths."""
+    means = []
+    for chunk in np.split(values, range(MC_CHUNK_PATHS, values.size, MC_CHUNK_PATHS)):
+        half = chunk.size // 2
+        means.append(0.5 * (chunk[:half] + chunk[half:]))
+    means = np.concatenate(means)
+    return float(np.sum(means)), float(np.sum(means * means))
 
 
 def full_matrix_block(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg,
                       payoff):
     """The bridge-weighted block sums with every step of every path in one
     matrix: log1p(-min(exp(-2 d0 d1 / sigma^2 dt), 1)) over all steps."""
-    key = np.array([cfg.seed % 2**64, block_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
     dt = tau / cfg.steps
     increments = (r - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(
         dt
-    ) * rng.standard_normal((size, cfg.steps))
+    ) * pair_normals(block_index, size, cfg)
     x = np.empty((size, cfg.steps + 1))
     x[:, 0] = x0
     x[:, 1:] = x0 + np.cumsum(increments, axis=1)
@@ -384,25 +461,18 @@ def full_matrix_block(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg,
         weights = np.where(dead, 0.0, np.exp(log_survival))
     else:
         weights = np.where(dead, 0.0, 1.0)
-    values = weights * payoff.as_log(x[:, -1])
-    return float(np.sum(values)), float(np.sum(values * values))
+    return pair_sums(weights * payoff.as_log(x[:, -1]))
 
 
 def _survivor_paths(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg):
-    """The block's paths built as `_simulate_block` builds them, and the
-    survivor mask."""
-    key = np.array([cfg.seed % 2**64, block_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    """The block's paths built in `_simulate_block`'s operation order, and
+    the survivor mask."""
     dt = tau / cfg.steps
-    chunks = []
-    for start in range(0, size, MC_CHUNK_PATHS):
-        x = rng.standard_normal((min(MC_CHUNK_PATHS, size - start), cfg.steps))
-        x *= sigma * math.sqrt(dt)
-        x += (r - 0.5 * sigma * sigma) * dt
-        np.cumsum(x, axis=1, out=x)
-        x += x0
-        chunks.append(x)
-    x = np.concatenate(chunks)
+    x = pair_normals(block_index, size, cfg)
+    x *= sigma * math.sqrt(dt)
+    x += (r - 0.5 * sigma * sigma) * dt
+    np.cumsum(x, axis=1, out=x)
+    x += x0
     return x, (x.min(axis=1) > log_lo) & (x.max(axis=1) < log_hi)
 
 
@@ -412,14 +482,11 @@ def unskipped_block(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg,
     x, alive = _survivor_paths(block_index, size, x0, log_lo, log_hi, sigma, r,
                                tau, cfg)
     values = np.zeros(size)
-    for start in range(0, size, MC_CHUNK_PATHS):
-        stop = min(start + MC_CHUNK_PATHS, size)
-        chunk = x[start:stop][alive[start:stop]]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            weights = np.exp(_bridge_log_survival(chunk, x0, log_lo, log_hi,
-                                                  sigma * sigma * tau / cfg.steps))
-        values[start:stop][alive[start:stop]] = weights * payoff.as_log(chunk[:, -1])
-    return float(np.sum(values)), float(np.sum(values * values))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weights = np.exp(_bridge_log_survival(x[alive], x0, log_lo, log_hi,
+                                              sigma * sigma * tau / cfg.steps))
+    values[alive] = weights * payoff.as_log(x[alive, -1])
+    return pair_sums(values)
 
 
 def near_rows(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg, payoff):
@@ -507,6 +574,10 @@ class TestHelpers:
     def test_mc_config_validation(self):
         with pytest.raises(ValueError):
             MCConfig(paths=0)
+        for odd in (1, 3, 20_001):
+            with pytest.raises(ValueError, match="paths must be even and >= 2"):
+                MCConfig(paths=odd)
+        assert MCConfig(paths=2).paths == 2
         with pytest.raises(ValueError):
             MCConfig(steps=0)
 

@@ -142,14 +142,16 @@ class TestRuleValidation:
 
 class TestInnerProduct:
     def test_hermite_functions_orthonormal(self):
-        from pbk.specialfn import hermite_function
+        from pbk.specialfn import hermite_function_sequence
 
         rule = hermite_rule(128)
         same = inner_product(
-            lambda u: hermite_function(3, u), lambda u: hermite_function(3, u), rule
+            lambda u: hermite_function_sequence(3, u)[3],
+            lambda u: hermite_function_sequence(3, u)[3], rule
         )
         cross = inner_product(
-            lambda u: hermite_function(3, u), lambda u: hermite_function(5, u), rule
+            lambda u: hermite_function_sequence(3, u)[3],
+            lambda u: hermite_function_sequence(5, u)[5], rule
         )
         assert same.real == pytest.approx(1.0, abs=1e-14)
         assert abs(cross) < 1e-14

@@ -11,7 +11,7 @@ from scipy.special import eval_genlaguerre, eval_hermite
 
 from pbk.specialfn import (
     MAX_DEGREE,
-    hermite_function,
+    _hermite_pair,
     hermite_function_sequence,
     laguerre,
     theta3,
@@ -30,43 +30,46 @@ class TestHermite:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 15, 30])
     def test_matches_scipy(self, n):
         x = np.linspace(-4.0, 4.0, 17)
-        np.testing.assert_allclose(hermite_function(n, x), hermite_oracle(n, x),
-                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(hermite_function_sequence(n, x)[n],
+                                   hermite_oracle(n, x), rtol=1e-12, atol=1e-15)
 
     def test_low_orders_explicit(self):
         u = 1.7
         ground = math.pi**-0.25 * math.exp(-0.5 * u * u)
-        assert hermite_function(0, u) == pytest.approx(ground, rel=1e-14)
-        assert hermite_function(1, u) == pytest.approx(math.sqrt(2) * u * ground)
-        assert hermite_function(2, u) == pytest.approx((2 * u**2 - 1) / math.sqrt(2) * ground)
-        assert hermite_function(3, u) == pytest.approx((2 * u**3 - 3 * u) / math.sqrt(3) * ground)
+        assert hermite_function_sequence(0, u)[0] == pytest.approx(ground, rel=1e-14)
+        assert hermite_function_sequence(1, u)[1] == pytest.approx(math.sqrt(2) * u * ground)
+        assert hermite_function_sequence(2, u)[2] == pytest.approx(
+            (2 * u**2 - 1) / math.sqrt(2) * ground)
+        assert hermite_function_sequence(3, u)[3] == pytest.approx(
+            (2 * u**3 - 3 * u) / math.sqrt(3) * ground)
 
     @given(n=st.integers(0, 40), x=st.floats(-5, 5))
     def test_parity(self, n, x):
-        assert hermite_function(n, -x) == pytest.approx(
-            (-1) ** n * hermite_function(n, x), rel=1e-9, abs=1e-12
+        assert hermite_function_sequence(n, -x)[n] == pytest.approx(
+            (-1) ** n * hermite_function_sequence(n, x)[n], rel=1e-9, abs=1e-12
         )
 
     @given(n=st.integers(1, 40), x=st.floats(-5, 5))
     def test_three_term_recurrence(self, n, x):
         # x psi_n = sqrt((n+1)/2) psi_{n+1} + sqrt(n/2) psi_{n-1}
-        lhs = x * hermite_function(n, x)
-        rhs = (math.sqrt((n + 1) / 2) * hermite_function(n + 1, x)
-               + math.sqrt(n / 2) * hermite_function(n - 1, x))
+        lhs = x * hermite_function_sequence(n, x)[n]
+        rhs = (math.sqrt((n + 1) / 2) * hermite_function_sequence(n + 1, x)[n + 1]
+               + math.sqrt(n / 2) * hermite_function_sequence(n - 1, x)[n - 1])
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
-    def test_scalar_in_scalar_out(self):
-        assert isinstance(hermite_function(4, 0.3), float)
-        assert isinstance(hermite_function(4, np.array([0.3, 0.4])), np.ndarray)
-        assert hermite_function(4, np.array(0.3)) == hermite_function(4, 0.3)
+    def test_scalar_is_one_point(self):
+        assert hermite_function_sequence(4, 0.3).shape == (5, 1)
+        assert hermite_function_sequence(4, np.array([0.3, 0.4])).shape == (5, 2)
+        assert (hermite_function_sequence(4, np.array(0.3))[4]
+                == hermite_function_sequence(4, 0.3)[4])
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
-            hermite_function(-1, 0.0)
+            hermite_function_sequence(-1, 0.0)
         with pytest.raises(ValueError):
-            hermite_function(MAX_DEGREE + 1, 0.0)
+            hermite_function_sequence(MAX_DEGREE + 1, 0.0)
         with pytest.raises(TypeError):
-            hermite_function(2.5, 0.0)
+            hermite_function_sequence(2.5, 0.0)
 
 
 class TestLaguerre:
@@ -130,38 +133,39 @@ class TestHermiteFunction:
     def test_ground_state(self):
         u = np.linspace(-3, 3, 11)
         expected = math.pi**-0.25 * np.exp(-0.5 * u**2)
-        np.testing.assert_allclose(hermite_function(0, u), expected, rtol=1e-14)
+        np.testing.assert_allclose(hermite_function_sequence(0, u)[0], expected, rtol=1e-14)
 
     def test_first_excited(self):
         u = 0.8
         expected = math.sqrt(2) * u * math.pi**-0.25 * math.exp(-0.5 * u * u)
-        assert hermite_function(1, u) == pytest.approx(expected, rel=1e-14)
+        assert hermite_function_sequence(1, u)[1] == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 40, 120, 200])
     def test_unit_norm(self, n):
         # the mass of psi_n lives inside |u| < sqrt(2n+1) + a few
         half = math.sqrt(2 * n + 1) + 8.0
         u = np.linspace(-half, half, 40001)
-        vals = hermite_function(n, u)
+        vals = hermite_function_sequence(n, u)[n]
         norm_sq = np.trapezoid(vals**2, u)
         assert norm_sq == pytest.approx(1.0, abs=1e-10)
 
     def test_no_overflow_at_cap(self):
-        vals = hermite_function(200, np.linspace(-25, 25, 101))
+        vals = hermite_function_sequence(200, np.linspace(-25, 25, 101))[200]
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) < 1.0
 
     def test_far_tail_underflows_to_zero(self):
-        assert hermite_function(0, 60.0) == 0.0
+        assert hermite_function_sequence(0, 60.0)[0] == 0.0
 
     def test_sequence_agrees_with_single(self):
-        # bit for bit: both run the same recurrence in the same order
+        # bit for bit with the single row of a shorter table and of the pair:
+        # all run the same recurrence in the same order
         u = np.linspace(-30.0, 30.0, 241)
         table = hermite_function_sequence(MAX_DEGREE, u)
         assert table.shape == (MAX_DEGREE + 1, 241)
         for n in range(MAX_DEGREE + 1):
-            np.testing.assert_array_equal(table[n], hermite_function(n, u))
-        assert hermite_function(MAX_DEGREE, 1.3) == hermite_function_sequence(MAX_DEGREE, 1.3)[-1, 0]
+            np.testing.assert_array_equal(table[n], hermite_function_sequence(n, u)[n])
+            np.testing.assert_array_equal(table[n], _hermite_pair(n, u)[1])
 
     def test_orthogonality_spot_check(self):
         u = np.linspace(-15, 15, 60001)

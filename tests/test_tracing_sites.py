@@ -7,10 +7,13 @@ site tables are read here (the file is executed from its source, nothing is
 written) and each (module, attribute) pair is resolved. The counts two of
 its hooks take are guarded too: the kernel table's length and the mode
 tables per spectral evaluation. So are the barrier system's calls through
-the traced analysis and synthesis attributes.
+the traced analysis and synthesis attributes, and the Monte Carlo calls
+perfbench/workload.py makes directly: a signature or path-count rule that
+changed under them would fail here, not inside a benchmark run.
 """
 
 import importlib
+import inspect
 import math
 import pathlib
 import runpy
@@ -27,11 +30,12 @@ from pbk.harmonic import HarmonicParams
 from pbk.kernels import kernel_rows, kernel_values
 from pbk.market import MarketParams
 from pbk.pb_core import check_ladder
-from pbk.pricing import Payoff, price_spectral
+from pbk.pricing import MCConfig, Payoff, price_spectral
 from pbk.systems import barrier_system
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-SITES = runpy.run_path(str(TRACING))
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SITES = runpy.run_path(str(PERFBENCH / "tracing.py"))
+WORKLOAD = runpy.run_path(str(PERFBENCH / "workload.py"))
 HP = HarmonicParams(MarketParams(0.2, 0.05))
 BP = BarrierParams(MarketParams(0.2, 0.05), math.log(80.0), math.log(120.0))
 
@@ -120,3 +124,18 @@ def test_barrier_system_calls_the_traced_attributes(monkeypatch):
     for attr in ("analyze_phi", "analyze_psi", "synthesize_phi", "synthesize_psi",
                  "synthesize_phi(x)", "synthesize_psi(x)"):
         assert calls[attr] > 0, attr
+
+
+def test_benchmark_monte_carlo_calls_are_accepted():
+    # bridge_block_times calls the block with ten positional arguments, and
+    # the tracer counts path steps as args[1] * args[8].steps
+    names = list(inspect.signature(pbk.pricing._simulate_block).parameters)
+    assert len(names) == 10 and (names[1], names[8]) == ("size", "cfg")
+    cfg = MCConfig(paths=WORKLOAD["MC_PATHS"], steps=8, seed=1)
+    sums = pbk.pricing._simulate_block(0, 64, math.log(100.0), math.log(80.0),
+                                       math.log(120.0), 0.2, 0.05, 0.25, cfg,
+                                       Payoff("call", 100.0))
+    assert len(sums) == 2 and sums[0] > 0.0
+    # one block per timed call, and three for the PBK_THREADS check
+    for paths in (WORKLOAD["MC_PATHS"], 2 * WORKLOAD["MC_PATHS"] + 1000):
+        assert MCConfig(paths=paths).paths == paths
