@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success (all checks pass / table written / price within
 oracle bounds), 1 when a diagnostic check or oracle comparison fails, 2 for
-invalid parameters, a kernel value, tail or price that is not finite, or an
-adaptive quadrature that does not settle.
+invalid parameters, a kernel value, tail, price or check residual that is not
+finite, a Monte Carlo value with no spread that differs from the spectral
+price, or an adaptive quadrature that does not settle.
 
 Every JSON report embeds the full parameter echo, so a `--params file.json`
 holding the same keys reproduces the run; explicit flags win over file
@@ -193,6 +194,7 @@ def _degenerate_note(beta: float) -> Optional[str]:
     return None
 
 
+@np.errstate(all="ignore")  # a non-finite residual is refused by its CheckResult
 def cmd_diagnose(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.params)
     market = _build_market(args, file_cfg)
@@ -301,17 +303,17 @@ def cmd_price(args: argparse.Namespace) -> int:
         mc = price_mc_barrier(payoff, s0, (lower, upper), market.sigma,
                               market.r, tau, cfg)
         output["oracle"] = mc.to_dict()
-        if mc.stderr is None:
-            z = 0.0 if result.value == mc.value else math.inf
-        else:
-            z = (result.value - mc.value) / mc.stderr
+        if mc.stderr is None and result.value != mc.value:
+            raise ValueError(f"the Monte Carlo value {mc.value} has no spread, so it gives "
+                             f"no z-score against the spectral price {result.value}")
+        z = 0.0 if mc.stderr is None else (result.value - mc.value) / mc.stderr
         output["z_score"] = z
         if abs(z) > Z_SCORE_LIMIT:
             exit_code = 1
     note = _degenerate_note(market.beta)
     if note:
         output["notes"] = [note]
-    _emit(json.dumps(output, indent=2) + "\n", args.out)
+    _emit(json.dumps(output, indent=2, allow_nan=False) + "\n", args.out)
     return exit_code
 
 

@@ -9,7 +9,7 @@ other, e^{s beta (x - x')} sum_n e^{-tau E_n} Phi_n(x) Phi_n(x'); each model
 module supplies its mode table Phi_n and its energies E_n. kernel_values
 is the one array-in, array-out entry point: it validates the request, picks
 the model's functions by the type of the params and maps which kernel to its
-sign. kernel_value, kernel_rows and the spectral price all go through it.
+sign. kernel_rows and the spectral price both go through it.
 
 The spectral sum stops where its decay bound says: one rule keeps mode n
 while e^{-tau (E_n - E_0)} >= 1e-16, the theta3 cutoff, reading the model's
@@ -58,34 +58,6 @@ def _check_request(which: str, method: str, tau: float) -> None:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-
-
-@dataclass(frozen=True)
-class KernelRequest:
-    """One kernel evaluation: which kernel, where, how. The params it is
-    evaluated with pick the model."""
-
-    which: str
-    x: float
-    x_prime: float
-    tau: float
-    method: str
-
-    def __post_init__(self) -> None:
-        _check_request(self.which, self.method, self.tau)
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Kernel value with the magnitude of the last spectral term kept;
-    closed forms carry a zero tail."""
-
-    value: float
-    tail_estimate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.tail_estimate < 0.0:
-            raise ValueError("tail_estimate must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +217,6 @@ def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
         return spectral(params, x, x_prime, tau, s, b)
     value = closed(params, x, x_prime, tau, s, b)
     return value, np.zeros(np.shape(value))
-
-
-def kernel_value(req: KernelRequest, params: ModelParams,
-                 beta: Optional[float] = None) -> KernelValue:
-    """The requested kernel at one point, in the model of the params."""
-    value, tail = kernel_values(params, req.which, req.method, req.x, req.x_prime,
-                                req.tau, beta)
-    return KernelValue(float(value), float(tail))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,10 @@ class CheckResult:
     max_residual: float
     tolerance: float
 
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.max_residual):
+            raise ValueError(f"the {self.name} check's residual is not finite: {self.max_residual}")
+
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
@@ -151,7 +155,7 @@ class DiagnosticReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ class PricingResult:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +61,10 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        for name in ("nodes", "weights"):  # read-only copies: a cached rule is shared
+            values = np.array(getattr(self, name), dtype=float)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if np.any(np.diff(self.nodes) <= 0.0):
@@ -135,8 +137,9 @@ def _legendre_nodes(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+@lru_cache(maxsize=128)
 def hermite_rule(n: int, center: float = 0.0, scale: float = 1.0) -> QuadratureRule:
-    """Gauss-Hermite rule with the e^{-x^2} weight compensated away.
+    """Gauss-Hermite rule with the e^{-x^2} weight compensated away (cached).
 
     Parameters
     ----------
@@ -160,8 +163,9 @@ def hermite_rule(n: int, center: float = 0.0, scale: float = 1.0) -> QuadratureR
     return QuadratureRule(scale * u + center, scale * w)
 
 
+@lru_cache(maxsize=128)
 def legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule mapped to the interval (a, b)."""
+    """Gauss-Legendre rule mapped to the interval (a, b) (cached)."""
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
     u, w = _legendre_nodes(n)
@@ -224,33 +228,14 @@ def _rows(fns: Sequence[Callable], name: str, nodes: np.ndarray) -> np.ndarray:
                            for i, fn in enumerate(fns)])
 
 
-@lru_cache(maxsize=128)
-def _make_rule(kind: str, n: int, center: float, scale: float,
-               interval: Optional[Tuple[float, float]]) -> QuadratureRule:
-    """One rule per adaptive step, shared between calls with read-only arrays."""
-    if kind == "gauss_hermite":
-        rule = hermite_rule(n, center=center, scale=scale)
-    elif kind == "gauss_legendre":
-        if interval is None:
-            raise ValueError("gauss_legendre needs an interval")
-        rule = legendre_rule(n, *interval)
-    else:
-        raise ValueError(f"unknown rule kind {kind!r}")
-    rule.nodes.setflags(write=False)
-    rule.weights.setflags(write=False)
-    return rule
-
-
-def _adaptive(estimate: Callable, kind: str, center: float, scale: float,
-              interval: Optional[Tuple[float, float]]):
-    """The node doubling of both adaptive entry points; estimate(rule) may
+def _adaptive(estimate: Callable, rules: Callable):
+    """The node doubling of both adaptive entry points; estimate(rules(n)) may
     return a scalar or an array, and every entry must pass the test."""
     previous = None
     current = None
     n = ADAPTIVE_START
     while n <= ADAPTIVE_CAP:
-        rule = _make_rule(kind, n, center, scale, interval)
-        previous, current = current, estimate(rule)
+        previous, current = current, estimate(rules(n))
         if previous is not None:
             change = np.abs(current - previous)
             denom = np.maximum(1.0, np.maximum(np.abs(current), np.abs(previous)))
@@ -262,16 +247,10 @@ def _adaptive(estimate: Callable, kind: str, center: float, scale: float,
                                      complex(np.ravel(previous)[worst]))
 
 
-def adaptive_inner_product(
-    f: Callable,
-    g: Callable,
-    kind: str,
-    *,
-    center: float = 0.0,
-    scale: float = 1.0,
-    interval: Optional[Tuple[float, float]] = None,
-):
-    """`inner_product` with node doubling from 64 up to 4096 nodes.
+def adaptive_inner_product(f: Callable, g: Callable, rules: Callable):
+    """`inner_product` with node doubling from 64 up to 4096 nodes, on the
+    rules of one family: rules(n) gives the n-node QuadratureRule, for example
+    `hermite_rule` or `partial(legendre_rule, a=0.0, b=1.0)`.
 
     Successive estimates of every paired row must differ by less than
     ADAPTIVE_REL_TOL relative to max(1, |estimate|, |previous|); the unit
@@ -284,19 +263,11 @@ def adaptive_inner_product(
         If the cap is reached while the last two estimates still disagree;
         it carries the worst row's last two estimates.
     """
-    return _adaptive(lambda rule: inner_product(f, g, rule), kind, center, scale,
-                     interval)
+    return _adaptive(lambda rule: inner_product(f, g, rule), rules)
 
 
-def adaptive_gram(
-    fs: Sequence[Callable],
-    gs: Sequence[Callable],
-    kind: str,
-    *,
-    center: float = 0.0,
-    scale: float = 1.0,
-    interval: Optional[Tuple[float, float]] = None,
-) -> np.ndarray:
+def adaptive_gram(fs: Sequence[Callable], gs: Sequence[Callable],
+                  rules: Callable) -> np.ndarray:
     """The matrix of <f_i, g_j> by the node doubling of `adaptive_inner_product`.
 
     Every entry must settle by the same test; the rule of the last doubling
@@ -308,5 +279,4 @@ def adaptive_gram(
         If the cap is reached while some entry still disagrees; it carries
         that entry's last two estimates.
     """
-    return _adaptive(lambda rule: gram_matrix(fs, gs, rule), kind, center, scale,
-                     interval)
+    return _adaptive(lambda rule: gram_matrix(fs, gs, rule), rules)

@@ -13,6 +13,7 @@ algebra only applies to functions given as expansions.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Tuple
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import harmonic as har
 from .grids import GridFunction, GridSpec
 from .market import beta_is_degenerate
 from .pb_core import EigenSequence, LadderSystem, MetricOperator, TestFunction
-from .quadrature import adaptive_gram, adaptive_inner_product
+from .quadrature import adaptive_gram, adaptive_inner_product, hermite_rule, legendre_rule
 
 BARRIER_GRID_POINTS = 4001
 
@@ -53,18 +54,18 @@ def _decay_rate(f, default: float) -> float:
     return default if rate is None else float(rate)
 
 
-def _inner_and_gram(kind: str, rule: Callable) -> Tuple[Callable, Callable]:
-    """The model's inner product and Gram matrix on one rule choice.
+def _inner_and_gram(rules: Callable) -> Tuple[Callable, Callable]:
+    """The model's inner product and Gram matrix.
 
-    rule(fs, gs) gives the rule's keyword arguments for a block of functions
-    in each slot; an inner product is the block of one and one.
+    rules(fs, gs) gives the rule family for a block of functions in each
+    slot; an inner product is the block of one and one.
     """
 
     def inner(f, g):
-        return adaptive_inner_product(f, g, kind, **rule([f], [g]))
+        return adaptive_inner_product(f, g, rules([f], [g]))
 
     def gram(fs, gs) -> np.ndarray:
-        return adaptive_gram(fs, gs, kind, **rule(fs, gs))
+        return adaptive_gram(fs, gs, rules(fs, gs))
 
     return inner, gram
 
@@ -79,11 +80,11 @@ def _harmonic_quadrature(params: har.HarmonicParams) -> Tuple[Callable, Callable
             raise ValueError(f"a Gram block needs one Gaussian decay rate, got {rates}")
         return rates.pop()
 
-    def rule(fs, gs) -> dict:
+    def rules(fs, gs) -> Callable:
         rate = block_rate(fs) + block_rate(gs)
-        return {"center": params.center, "scale": math.sqrt(2.0 / rate)}
+        return partial(hermite_rule, center=params.center, scale=math.sqrt(2.0 / rate))
 
-    return _inner_and_gram("gauss_hermite", rule)
+    return _inner_and_gram(rules)
 
 
 def _harmonic_op(params: har.HarmonicParams, op: Callable, grid: GridSpec,
@@ -229,8 +230,9 @@ def barrier_system(params: bar.BarrierParams) -> Tuple[LadderSystem, MetricOpera
         apply_inverse=lambda f: bar.apply_S_phi(params, f),
         label="S_psi = exp(-2 beta x)",
     )
-    inner, gram = _inner_and_gram("gauss_legendre",
-                                  lambda fs, gs: {"interval": (params.a, params.b)})
+    rules = partial(legendre_rule, a=params.a, b=params.b)
+    growth = abs(params.beta) * params.width  # e^growth is not a float above 709.78
+    inner, gram = _inner_and_gram(lambda fs, gs: rules)
     system = LadderSystem(
         label="barrier/spectral",
         family_phi=family(bar.synthesize_phi),
@@ -247,6 +249,6 @@ def barrier_system(params: bar.BarrierParams) -> Tuple[LadderSystem, MetricOpera
         test_functions=barrier_test_functions(params, tables),
         quasi_pairs=barrier_quasi_pairs(params),
         norm_behavior="bounded",
-        norm_bounds=(1.0 - 1e-12, math.exp(abs(params.beta) * params.width)),
+        norm_bounds=(1.0 - 1e-12, math.exp(growth) if growth < 709.78 else math.inf),
     )
     return system, theta

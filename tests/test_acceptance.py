@@ -17,7 +17,7 @@ import pytest
 from pbk import barrier as bar
 from pbk import harmonic as har
 from pbk.grids import GridSpec, grid_norm
-from pbk.kernels import KernelRequest, kernel_oracle_image_series, kernel_value
+from pbk.kernels import kernel_oracle_image_series, kernel_values
 from pbk.market import MarketParams
 from pbk.pb_core import check_biorthogonality, check_ladder, check_quasi_basis
 from pbk.pricing import (
@@ -52,8 +52,7 @@ def gl2048():
 
 
 def closed_kernel(params, which, x, xp, tau):
-    req = KernelRequest(which, float(x), float(xp), tau, "closed")
-    return kernel_value(req, params).value
+    return kernel_values(params, which, "closed", float(x), float(xp), tau)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +184,8 @@ def test_criterion_05_closed_kernel_matches_spectral(hp):
             for x in pts:
                 for xp in pts:
                     closed = closed_kernel(hp, which, x, xp, tau)
-                    req = KernelRequest(which, float(x), float(xp), tau, "spectral")
-                    spectral = kernel_value(req, hp).value
+                    spectral = kernel_values(hp, which, "spectral", float(x), float(xp),
+                                             tau)[0]
                     worst = max(worst, abs(closed - spectral) / abs(closed))
     report(5, "closed_kernel_matches_spectral", worst <= 1e-8,
            f"worst rel {worst:.2e} on 5x5 grid, tau in {{0.3, 0.5, 1}}, "
@@ -211,8 +210,8 @@ def test_criterion_06_interval_kernel_closed_vs_series(bp):
             for x in pts:
                 for xp in pts:
                     closed = closed_kernel(bp, which, x, xp, tau)
-                    req = KernelRequest(which, float(x), float(xp), tau, "spectral")
-                    series = kernel_value(req, bp).value
+                    series = kernel_values(bp, which, "spectral", float(x), float(xp),
+                                           tau)[0]
                     worst = max(worst, abs(closed - series))
     report(6, "interval_kernel_closed_vs_series", worst <= 1e-10,
            f"worst abs {worst:.2e}, tau in {{0.05, 0.5, 2}}, tol 1e-10")
@@ -226,8 +225,7 @@ def test_criterion_07_image_series_oracle(bp):
             for xp in pts:
                 oracle = kernel_oracle_image_series(bp, float(x), float(xp), tau)
                 closed = closed_kernel(bp, "p1", x, xp, tau)
-                req = KernelRequest("p1", float(x), float(xp), tau, "spectral")
-                series = kernel_value(req, bp).value
+                series = kernel_values(bp, "p1", "spectral", float(x), float(xp), tau)[0]
                 worst = max(worst,
                             abs(closed - oracle) / abs(oracle),
                             abs(series - oracle) / abs(oracle))
@@ -303,11 +301,9 @@ def test_criterion_12_beta_flip_duality(hp, bp):
     worst = 0.0
     for params, x, xp in ((hp, 0.1, -0.05), (bp, 1.2, 1.9)):
         for method in ("closed", "spectral"):
-            p2 = kernel_value(
-                KernelRequest("p2", x, xp, 0.5, method), params).value
-            flipped = kernel_value(
-                KernelRequest("p1", x, xp, 0.5, method), params,
-                beta=-params.beta).value
+            p2 = kernel_values(params, "p2", method, x, xp, 0.5)[0]
+            flipped = kernel_values(params, "p1", method, x, xp, 0.5,
+                                    beta=-params.beta)[0]
             worst = max(worst, abs(p2 - flipped))
 
     payoff = Payoff("call", 100.0)

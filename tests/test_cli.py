@@ -458,6 +458,32 @@ def test_barrier_width_whose_square_overflows_exits_2(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["diagnose", "--model", "barrier", "--a", "0", "--b", "1e-160"],
+     "the vacua check's residual is not finite: inf"),
+    (["diagnose", "--model", "barrier", "--a", "0", "--b", "1000"],
+     "the vacua check's residual is not finite: nan"),
+    (["diagnose", "--model", "barrier", "--a", "0", "--b", "900"],
+     "integrand g returned a non-finite sample"),
+    (["diagnose", "--model", "harmonic", "--sigma", "50"],
+     "integrand f[0] returned a non-finite sample"),
+    (["price", "--model", "barrier", "--lower", "80", "--upper", "120", "--oracle", "mc",
+      "--paths", "2", "--steps", "1"], "the Monte Carlo value 0.0 has no spread"),
+], ids=["diagnose-narrow", "diagnose-norm-bound-overflow", "diagnose-wide",
+        "diagnose-large-sigma", "price-mc-no-spread"])
+def test_unusable_numbers_exit_2(capsys, tmp_path, argv, message):
+    # no NaN or Infinity in the output, no numpy warning and no traceback
+    target = tmp_path / "result"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv + ["--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")  # the one error line
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["diagnose", "--model", "barrier", "--a", "0", "--b", "3", "--n-trunc", "64"],
     ["kernel", "--model", "harmonic", "--n-trunc", "64"],

@@ -2,7 +2,7 @@
 oracle, and the beta-flip duality between the two kernels."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,13 +14,10 @@ from pbk.barrier import MAX_SINE_MODES, BarrierParams, Phi_n
 from pbk.barrier import eigenvalue as barrier_eigenvalue
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import (
-    KernelRequest,
-    KernelValue,
     barrier_spectral_values,
     harmonic_spectral_values,
     kernel_oracle_image_series,
     kernel_rows,
-    kernel_value,
     kernel_values,
     top_mode,
 )
@@ -39,15 +36,20 @@ def bp(market):
 
 
 def h_req(**kw):
-    base = dict(which="p1", x=0.1, x_prime=-0.05, tau=0.5, method="spectral")
-    base.update(kw)
-    return KernelRequest(**base)
+    """kernel_values keywords for one whole-line point, kw replacing some."""
+    return {"which": "p1", "x": 0.1, "x_prime": -0.05, "tau": 0.5, "method": "spectral",
+            **kw}
 
 
 def b_req(**kw):
-    base = dict(which="p1", x=1.2, x_prime=1.9, tau=0.5, method="spectral")
-    base.update(kw)
-    return KernelRequest(**base)
+    """kernel_values keywords for one point between the barriers, kw replacing some."""
+    return {"which": "p1", "x": 1.2, "x_prime": 1.9, "tau": 0.5, "method": "spectral",
+            **kw}
+
+
+def value(params, req, beta=None):
+    """The kernel value kernel_values gives at one scalar point."""
+    return kernel_values(params, **req, beta=beta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -55,25 +57,26 @@ def b_req(**kw):
 
 
 class TestKernelRequest:
-    def test_field_validation(self):
+    def test_field_validation(self, hp):
         with pytest.raises(ValueError, match="which"):
-            h_req(which="p3")
+            kernel_values(hp, **h_req(which="p3"))
         with pytest.raises(ValueError, match="method"):
-            h_req(method="exact")
+            kernel_values(hp, **h_req(method="exact"))
         for tau in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tau must be positive and finite"):
-                h_req(tau=tau)
+                kernel_values(hp, **h_req(tau=tau))
 
-    def test_kernel_value_tail(self):
-        assert KernelValue(1.0, 1e-9).tail_estimate == 1e-9
-        with pytest.raises(ValueError):
-            KernelValue(1.0, -1e-12)
+    def test_kernel_value_tail(self, hp):
+        # a scalar spectral point gives its last term as a float tail; closed, zero
+        tail = kernel_values(hp, **h_req())[1]
+        assert isinstance(tail, float) and tail > 0.0
+        assert kernel_values(hp, **h_req(method="closed"))[1] == 0.0
 
     def test_params_of_neither_model_rejected(self, hp):
         # the params type picks the model; anything else is a TypeError
         for method in ("spectral", "closed"):
             with pytest.raises(TypeError, match="HarmonicParams or BarrierParams"):
-                kernel_value(h_req(method=method), hp.market)
+                kernel_values(hp.market, **h_req(method=method))
             with pytest.raises(TypeError, match="HarmonicParams or BarrierParams"):
                 kernel_values(hp.market, "p1", method, 0.0, 0.1, 0.5)
 
@@ -90,20 +93,20 @@ class TestHarmonicAgreement:
         for x in pts:
             for xp in pts:
                 req = h_req(which=which, x=float(x), x_prime=float(xp), tau=0.3)
-                spectral = kernel_value(req, hp).value
-                closed = kernel_value(replace(req, method="closed"), hp).value
+                spectral = value(hp, req)
+                closed = value(hp, {**req, "method": "closed"})
                 worst = max(worst, abs(spectral - closed) / abs(closed))
         assert worst <= 1e-8
 
     def test_long_time_ground_state_rate(self, hp):
         # for large tau the kernel decays at the bottom eigenvalue delta
-        v1 = kernel_value(h_req(method="closed", tau=30.0), hp).value
-        v2 = kernel_value(h_req(method="closed", tau=31.0), hp).value
+        v1 = value(hp, h_req(method="closed", tau=30.0))
+        v2 = value(hp, h_req(method="closed", tau=31.0))
         assert v2 / v1 == pytest.approx(math.exp(-hp.delta), rel=1e-12)
 
     def test_positive_inside(self, hp):
         for xp in (-0.4, 0.0, 0.3):
-            assert kernel_value(h_req(x_prime=xp), hp).value > 0.0
+            assert value(hp, h_req(x_prime=xp)) > 0.0
 
 
 class TestBarrierAgreement:
@@ -116,27 +119,27 @@ class TestBarrierAgreement:
         for x in (0.7, 1.5, 2.8):
             for xp in (0.4, 1.9):
                 req = b_req(x=x, x_prime=xp, tau=tau)
-                spectral = kernel_value(req, bp).value
-                closed = kernel_value(replace(req, method="closed"), bp).value
+                spectral = value(bp, req)
+                closed = value(bp, {**req, "method": "closed"})
                 worst = max(worst, abs(spectral - closed))
         assert worst <= 1e-10
 
     def test_long_time_ground_state_rate(self, bp):
         from pbk.barrier import eigenvalue
 
-        v1 = kernel_value(b_req(method="closed", tau=400.0), bp).value
-        v2 = kernel_value(b_req(method="closed", tau=401.0), bp).value
+        v1 = value(bp, b_req(method="closed", tau=400.0))
+        v2 = value(bp, b_req(method="closed", tau=401.0))
         assert v2 / v1 == pytest.approx(math.exp(-eigenvalue(bp, 0)), rel=1e-9)
 
     def test_outside_interval_rejected(self, bp):
         with pytest.raises(ValueError, match="outside"):
-            kernel_value(b_req(x=-0.1), bp)
+            value(bp, b_req(x=-0.1))
         with pytest.raises(ValueError, match="outside"):
-            kernel_value(b_req(x_prime=3.5, method="closed"), bp)
+            value(bp, b_req(x_prime=3.5, method="closed"))
 
     def test_vanishes_toward_the_barrier(self, bp):
-        far = abs(kernel_value(b_req(method="closed"), bp).value)
-        near = abs(kernel_value(b_req(method="closed", x_prime=1e-7), bp).value)
+        far = abs(value(bp, b_req(method="closed")))
+        near = abs(value(bp, b_req(method="closed", x_prime=1e-7)))
         assert near < 1e-5 * far
 
 
@@ -156,15 +159,15 @@ class TestImageOracle:
                 for xp in pts:
                     oracle = kernel_oracle_image_series(bp, float(x), float(xp), tau)
                     req = b_req(x=float(x), x_prime=float(xp), tau=tau)
-                    spectral = kernel_value(req, bp).value
+                    spectral = value(bp, req)
                     worst = max(worst, abs(spectral - oracle) / abs(oracle))
         assert worst <= 1e-8
 
     def test_swapped_arguments_give_p2(self, bp):
         req = b_req(which="p2", x=1.2, x_prime=2.0, tau=0.4, method="closed")
-        value = kernel_value(req, bp).value
+        p2 = value(bp, req)
         oracle = kernel_oracle_image_series(bp, 2.0, 1.2, 0.4)
-        assert value == pytest.approx(oracle, rel=1e-8)
+        assert p2 == pytest.approx(oracle, rel=1e-8)
 
     def test_rejects_nonpositive_tau(self, bp):
         with pytest.raises(ValueError, match="tau"):
@@ -191,20 +194,20 @@ class TestImageOracle:
 class TestBetaFlip:
     @pytest.mark.parametrize("method", ["spectral", "closed"])
     def test_harmonic_bitwise(self, hp, method):
-        p2 = kernel_value(h_req(which="p2", method=method), hp).value
-        flipped = kernel_value(h_req(which="p1", method=method), hp, beta=-hp.beta).value
+        p2 = value(hp, h_req(which="p2", method=method))
+        flipped = value(hp, h_req(which="p1", method=method), beta=-hp.beta)
         assert p2 == flipped
 
     @pytest.mark.parametrize("method", ["spectral", "closed"])
     def test_barrier_bitwise(self, bp, method):
-        p2 = kernel_value(b_req(which="p2", method=method), bp).value
-        flipped = kernel_value(b_req(which="p1", method=method), bp, beta=-bp.beta).value
+        p2 = value(bp, b_req(which="p2", method=method))
+        flipped = value(bp, b_req(which="p1", method=method), beta=-bp.beta)
         assert p2 == flipped
 
     def test_ratio_of_the_two_kernels(self, hp):
         # p1 / p2 = e^{2 beta (x - x')}
         req1, req2 = h_req(), h_req(which="p2")
-        ratio = kernel_value(req1, hp).value / kernel_value(req2, hp).value
+        ratio = value(hp, req1) / value(hp, req2)
         assert ratio == pytest.approx(math.exp(2 * hp.beta * (0.1 + 0.05)), rel=1e-12)
 
 
@@ -315,14 +318,14 @@ class TestPerModeOracle:
 
 class TestKernelValues:
     def test_scalars_match_kernel_value(self, hp, bp):
+        # a scalar point gives the numbers of the one-point array, bit for bit
         for params, req in ((hp, h_req()), (bp, b_req())):
             for which in ("p1", "p2"):
                 for method in ("spectral", "closed"):
-                    r = replace(req, which=which, method=method)
-                    value, tail = kernel_values(params, which, method, r.x,
-                                                r.x_prime, r.tau)
-                    expected = kernel_value(r, params)
-                    assert (value, tail) == (expected.value, expected.tail_estimate)
+                    r = {**req, "which": which, "method": method}
+                    got = kernel_values(params, **r)
+                    expected = kernel_values(params, **{**r, "x": np.array([r["x"]])})
+                    assert got == (expected[0][0], expected[1][0])
 
     def test_array_point_outside_is_named(self, bp):
         xs = np.array([1.0, 2.0, 3.5, 0.5])
@@ -435,7 +438,7 @@ class TestKernelRows:
 
     @pytest.mark.parametrize("model", ["harmonic", "barrier"])
     def test_grid_matches_pointwise(self, hp, bp, model):
-        # one broadcast per (tau, which, method) against one kernel_value per row
+        # one broadcast per (tau, which, method) against one scalar call per row
         params = hp if model == "harmonic" else bp
         xs, xps = self.GRIDS[model]
         table = kernel_rows(params, xs, xps, self.TAUS)
@@ -447,11 +450,11 @@ class TestKernelRows:
         assert [f.name for f in fields(table)] == list(self.COLUMNS)
         assert len(table) == len(keys)
         peak = np.max(np.abs(table.value))
-        for x, xp, tau, which, method, value, tail in zip(
+        for x, xp, tau, which, method, got, tail in zip(
                 *(getattr(table, c).tolist() for c in self.COLUMNS[:7])):
-            expected = kernel_value(KernelRequest(which, x, xp, tau, method), params)
-            assert abs(value - expected.value) <= 1e-13 * peak
-            assert tail == pytest.approx(expected.tail_estimate, rel=1e-12, abs=1e-300)
+            expected, expected_tail = kernel_values(params, which, method, x, xp, tau)
+            assert abs(got - expected) <= 1e-13 * peak
+            assert tail == pytest.approx(expected_tail, rel=1e-12, abs=1e-300)
         spectral, closed = table.value[::2], table.value[1::2]
         gap = np.abs(spectral - closed) / np.abs(closed)
         assert np.array_equal(table.rel_disagreement[::2], gap)

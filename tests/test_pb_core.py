@@ -79,6 +79,11 @@ class TestCheckResult:
             "pass": True,
         }
 
+    @pytest.mark.parametrize("residual", [math.nan, math.inf])
+    def test_non_finite_residual_names_the_check(self, residual):
+        with pytest.raises(ValueError, match="the ladder check's residual is not finite"):
+            CheckResult("ladder", residual, 1e-8)
+
 
 class TestDiagnosticReport:
     def test_all_pass_and_serialization(self):
@@ -91,6 +96,8 @@ class TestDiagnosticReport:
         assert parsed["params_echo"] == {"model": "toy"}
         assert parsed["all_pass"] is False
         assert [c["check"] for c in parsed["checks"]] == ["a", "b"]
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            DiagnosticReport(report.checks, {"beta": math.nan}).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -588,3 +588,5 @@ class TestHelpers:
         assert parsed["stderr"] == 0.1
         with pytest.raises(ValueError, match="stderr"):
             PricingResult(1.0, "mc", stderr=0.0)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            PricingResult(math.inf, "spectral-p1").to_json()

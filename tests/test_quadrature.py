@@ -1,6 +1,7 @@
 """Gauss-Hermite and Gauss-Legendre rules, plain and adaptive."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -10,7 +11,6 @@ from scipy.special import roots_hermite
 from pbk.quadrature import (
     ADAPTIVE_CAP,
     _hermite_nodes,
-    _make_rule,
     QuadratureConvergenceError,
     QuadratureEvaluationError,
     QuadratureRule,
@@ -201,7 +201,7 @@ class TestPairedRows:
     def test_two_single_functions_give_a_complex(self):
         rule = legendre_rule(16, 0.0, 1.0)
         assert isinstance(inner_product(np.sin, np.cos, rule), complex)
-        val = adaptive_inner_product(np.sin, np.cos, "gauss_legendre", interval=(0.0, 1.0))
+        val = adaptive_inner_product(np.sin, np.cos, partial(legendre_rule, a=0.0, b=1.0))
         assert isinstance(val, complex)
 
     def test_paired_values_are_the_gram_diagonal(self):
@@ -209,10 +209,9 @@ class TestPairedRows:
         paired = inner_product(self.block, self.block, rule)
         gram = gram_matrix([self.block], [self.block], rule)
         np.testing.assert_allclose(paired, np.diagonal(gram), rtol=0.0, atol=1e-13)
-        paired = adaptive_inner_product(self.block, self.block, "gauss_legendre",
-                                        interval=(0.0, math.pi))
-        gram = adaptive_gram([self.block], [self.block], "gauss_legendre",
-                             interval=(0.0, math.pi))
+        rules = partial(legendre_rule, a=0.0, b=math.pi)
+        paired = adaptive_inner_product(self.block, self.block, rules)
+        gram = adaptive_gram([self.block], [self.block], rules)
         np.testing.assert_allclose(paired, np.diagonal(gram), rtol=0.0, atol=1e-13)
 
     def test_non_finite_row_names_the_function(self):
@@ -231,14 +230,13 @@ class TestAdaptive:
         val = adaptive_inner_product(
             lambda x: np.exp(-(x**2)),
             lambda x: np.exp(-(x**2)),
-            "gauss_hermite",
-            scale=1.0,
+            partial(hermite_rule, scale=1.0),
         )
         assert val.real == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)
 
     def test_legendre_route(self):
-        val = adaptive_inner_product(np.sin, np.sin, "gauss_legendre",
-                                     interval=(0.0, math.pi))
+        val = adaptive_inner_product(np.sin, np.sin,
+                                     partial(legendre_rule, a=0.0, b=math.pi))
         assert val.real == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_slow_decay_never_settles(self):
@@ -248,20 +246,17 @@ class TestAdaptive:
             adaptive_inner_product(
                 lambda x: 1.0 / (1.0 + x**2),
                 lambda x: np.ones_like(x),
-                "gauss_hermite",
+                hermite_rule,
             )
         assert str(ADAPTIVE_CAP) in str(info.value)
         assert info.value.last != info.value.previous
 
-    def test_missing_interval(self):
-        with pytest.raises(ValueError):
-            adaptive_inner_product(np.sin, np.sin, "gauss_legendre")
-
-    @pytest.mark.parametrize("kind, interval", [("gauss_hermite", None),
-                                                ("gauss_legendre", (0.0, 2.0))])
-    def test_step_rules_are_shared_and_read_only(self, kind, interval):
-        rule = _make_rule(kind, 64, 0.5, 1.5, interval)
-        assert _make_rule(kind, 64, 0.5, 1.5, interval) is rule
+    @pytest.mark.parametrize("rules", [partial(hermite_rule, center=0.5, scale=1.5),
+                                       partial(legendre_rule, a=0.0, b=2.0)],
+                             ids=["hermite", "legendre"])
+    def test_step_rules_are_shared_and_read_only(self, rules):
+        rule = rules(64)
+        assert rules(64) is rule
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
         with pytest.raises(ValueError):
@@ -287,11 +282,11 @@ class TestGram:
         assert gram[0, 0] == pytest.approx(-1j, abs=1e-14)
 
     def test_adaptive_matches_pairwise(self):
-        gram = adaptive_gram(self.FS, self.GS, "gauss_legendre", interval=(0.0, math.pi))
+        rules = partial(legendre_rule, a=0.0, b=math.pi)
+        gram = adaptive_gram(self.FS, self.GS, rules)
         for i, f in enumerate(self.FS):
             for j, g in enumerate(self.GS):
-                pair = adaptive_inner_product(f, g, "gauss_legendre",
-                                              interval=(0.0, math.pi))
+                pair = adaptive_inner_product(f, g, rules)
                 assert abs(gram[i, j] - pair) <= 1e-13 * max(1.0, abs(pair))
 
     def test_each_function_sampled_once_per_rule(self):
@@ -301,7 +296,7 @@ class TestGram:
             sizes.append(x.size)
             return np.exp(-(x**2))
 
-        adaptive_gram([counted], [counted, counted], "gauss_hermite")
+        adaptive_gram([counted], [counted, counted], hermite_rule)
         # one call per slot and rule, and the rules double from 64 nodes
         rules = sizes[::3]
         assert sizes == [n for n in rules for _ in range(3)]
@@ -318,7 +313,7 @@ class TestGram:
             adaptive_gram(
                 [lambda x: np.exp(-(x**2)), lambda x: 1.0 / (1.0 + x**2)],
                 [np.ones_like],
-                "gauss_hermite",
+                hermite_rule,
             )
         assert info.value.last != info.value.previous
         assert isinstance(info.value.last, complex)

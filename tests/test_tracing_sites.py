@@ -7,7 +7,8 @@ site tables are read here (the file is executed from its source, nothing is
 written) and each (module, attribute) pair is resolved. The counts two of
 its hooks take are guarded too: the kernel table's length and the mode
 tables per spectral evaluation. So are the barrier system's calls through
-the traced analysis and synthesis attributes, and the Monte Carlo calls
+the traced analysis and synthesis attributes, both systems' inner products
+through the traced adaptive and inner-product attributes, and the Monte Carlo calls
 perfbench/workload.py makes directly: a signature or path-count rule that
 changed under them would fail here, not inside a benchmark run.
 """
@@ -25,13 +26,16 @@ import pytest
 import pbk.barrier
 import pbk.harmonic
 import pbk.pricing
+import pbk.quadrature
+import pbk.systems
 from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import kernel_rows, kernel_values
 from pbk.market import MarketParams
 from pbk.pb_core import check_ladder
 from pbk.pricing import MCConfig, Payoff, price_spectral
-from pbk.systems import barrier_system
+from pbk.quadrature import QuadratureRule
+from pbk.systems import barrier_system, harmonic_system
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 SITES = runpy.run_path(str(PERFBENCH / "tracing.py"))
@@ -124,6 +128,35 @@ def test_barrier_system_calls_the_traced_attributes(monkeypatch):
     for attr in ("analyze_phi", "analyze_psi", "synthesize_phi", "synthesize_psi",
                  "synthesize_phi(x)", "synthesize_psi(x)"):
         assert calls[attr] > 0, attr
+
+
+@pytest.mark.parametrize("build, params", [(harmonic_system, HP), (barrier_system, BP)],
+                         ids=["harmonic", "barrier"])
+def test_system_inner_products_call_the_traced_attributes(monkeypatch, build, params):
+    """LadderSystem.inner looks adaptive_inner_product up through pbk.systems,
+    and the node doubling looks inner_product up through pbk.quadrature with
+    the rule third, so quadrature.adaptive and nodes_evaluated keep counting."""
+    assert list(inspect.signature(pbk.quadrature.inner_product).parameters)[2] == "rule"
+    adaptive, inner_product = (pbk.systems.adaptive_inner_product,
+                               pbk.quadrature.inner_product)
+    calls, rules = [], []
+
+    def counted_adaptive(*args, **kwargs):
+        calls.append(args)
+        return adaptive(*args, **kwargs)
+
+    def counted_inner_product(*args, **kwargs):
+        rules.append(args[2])  # the tracer's nodes hook reads args[2].nodes
+        return inner_product(*args, **kwargs)
+
+    monkeypatch.setattr(pbk.systems, "adaptive_inner_product", counted_adaptive)
+    monkeypatch.setattr(pbk.quadrature, "inner_product", counted_inner_product)
+    system, _ = build(params)
+    f = system.test_functions[0]
+    system.inner(f, f)
+    assert len(calls) == 1
+    assert len(rules) >= 2 and all(isinstance(r, QuadratureRule) for r in rules)
+    assert rules[0].nodes.size == 64
 
 
 def test_benchmark_monte_carlo_calls_are_accepted():
