@@ -53,6 +53,9 @@ class BarrierParams(MarketView):
         if not 0.0 < self.width * self.width < math.inf:  # k_squared divides by it
             raise ValueError(f"barrier width b - a = {self.width} is out of range: "
                              f"its square must be a positive finite float")
+        if self.k_squared == math.inf:  # every sqrt(rho_n) and energy would be inf
+            raise ValueError(f"barrier width b - a = {self.width} is out of range: "
+                             f"k^2 = sigma^2 pi^2 / (2 L^2) overflows at sigma = {self.sigma}")
 
     @property
     def width(self) -> float:

@@ -78,19 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, model_required: bool = True) -> None:
-        p.add_argument("--model", choices=("harmonic", "barrier"),
-                       required=model_required)
+    def add_common(p: argparse.ArgumentParser, barriers: bool = True) -> None:
+        p.add_argument("--model", choices=("harmonic", "barrier"), required=True)
         p.add_argument("--sigma", type=float, default=None,
                        help="volatility per sqrt(year), default 0.2")
         p.add_argument("--r", type=float, default=None,
                        help="risk-free rate per year, default 0.05")
         p.add_argument("--w", type=float, default=None,
                        help="harmonic shift constant, default 0")
-        p.add_argument("--a", type=float, default=None,
-                       help="lower log-barrier (barrier model)")
-        p.add_argument("--b", type=float, default=None,
-                       help="upper log-barrier (barrier model)")
+        if barriers:  # price takes its barriers in price units
+            p.add_argument("--a", type=float, default=None,
+                           help="lower log-barrier (barrier model)")
+            p.add_argument("--b", type=float, default=None,
+                           help="upper log-barrier (barrier model)")
         p.add_argument("--params", default=None, metavar="FILE",
                        help="JSON file with the same keys as the report echo; "
                             "explicit flags override it")
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("--flip-beta", action="store_true")
 
     p_price = sub.add_parser("price", help="price an option off the kernel")
-    add_common(p_price)
+    add_common(p_price, barriers=False)
     p_price.add_argument("--payoff", choices=("call", "put", "digital_call"),
                          default=None)
     p_price.add_argument("--strike", type=float, default=None)
@@ -161,6 +161,15 @@ def _pick(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
     if key in file_cfg:
         return file_cfg[key]
     return default
+
+
+def _refuse_unread(args: argparse.Namespace, dests, unless: str = "") -> None:
+    """Refuse an explicit flag among dests, which this command and model never read."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None:
+            flag = "--no-bridge" if value is False else "--" + dest.replace("_", "-")
+            raise ValueError(f"{args.command} --model {args.model} does not read {flag}{unless}")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -205,25 +214,21 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     echo = {"command": "diagnose", "model": model, "sigma": market.sigma,
             "r": market.r, "beta": market.beta, "gamma": market.gamma,
             "nmax": nmax}
-    tols = {}
+    _refuse_unread(args, ("a", "b") if model == "harmonic" else ("w", "route"))
     if model == "harmonic":
         w = float(_pick(args, file_cfg, "w", 0.0))
         route = _pick(args, file_cfg, "route", "exact")
         params = HarmonicParams(market, w)
-        system, theta = harmonic_system(params, route=route)
+        system = harmonic_system(params, route=route)
         echo.update({"w": w, "route": route, "delta": params.delta})
-        if route == "grid":
-            # everything funnels through second-order central differences;
-            # achievable residuals scale with h^2 times derivative magnitudes
-            tols = {"ladder_tol": 2e-5, "grid_tol": 1e-4, "number_tol": 1e-3}
     else:
         params = _log_barrier_params(args, file_cfg, market)
-        system, theta = barrier_system(params)
+        system = barrier_system(params)
         echo.update({"a": params.a, "b": params.b})
     note = _degenerate_note(market.beta)
     if note:
         echo["notes"] = [note]
-    report = run_all_checks(system, theta, nmax, params_echo=echo, **tols)
+    report = run_all_checks(system, nmax, params_echo=echo)
     _emit(report.to_json() + "\n", args.out)
     return 0 if report.all_pass else 1
 
@@ -240,6 +245,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     method = _pick(args, file_cfg, "method", "both")
     whichs = ("p1", "p2") if which == "both" else (which,)
     methods = ("spectral", "closed") if method == "both" else (method,)
+    _refuse_unread(args, ("a", "b") if model == "harmonic" else ("w",))
     if model == "harmonic":
         params = HarmonicParams(market, float(_pick(args, file_cfg, "w", 0.0)))
     else:
@@ -268,6 +274,9 @@ def cmd_price(args: argparse.Namespace) -> int:
     which = _pick(args, file_cfg, "which", "p1")
     oracle = _pick(args, file_cfg, "oracle", "none")
     payoff = Payoff(kind, strike)
+    _refuse_unread(args, ("s0", "lower", "upper") if model == "harmonic" else ("w", "x"))
+    if oracle != "mc":
+        _refuse_unread(args, ("paths", "steps", "seed", "bridge"), " without --oracle mc")
     if model == "barrier":
         s0 = float(_pick(args, file_cfg, "s0", 100.0))
         lower = _pick(args, file_cfg, "lower")

@@ -68,13 +68,13 @@ def _spectral_sum(table: Callable, energies: np.ndarray, x, x_prime, tau: float,
                   s: float, beta: float):
     """e^{s beta (x - x')} sum_n e^{-tau E_n} Phi_n(x) Phi_n(x') with x and x'
     broadcast against each other, returned together with the magnitude of the
-    last included term; floats when both points are scalars.
+    last included term, both of the points' broadcast shape.
 
     table(y) gives the rows Phi_n(y), one per energy E_n. It is called once,
     on the points of x and x' together; it acts point by point, so each half
     of its table is the table of x or x' alone."""
     x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
-    scalar = x.ndim == xp.ndim == 0
+    shape = np.broadcast_shapes(x.shape, xp.shape)
     nd = max(x.ndim, xp.ndim, 1)
     x, xp = (y.reshape((1,) * (nd - y.ndim) + y.shape) for y in (x, xp))
     table_x, table_xp = np.split(table(np.concatenate((x.ravel(), xp.ravel()))),
@@ -84,9 +84,7 @@ def _spectral_sum(table: Callable, energies: np.ndarray, x, x_prime, tau: float,
     prefactor = np.exp(s * beta * (x - xp))
     value = prefactor * np.sum(terms, axis=0)
     tail = np.abs(prefactor * terms[-1])
-    if scalar:
-        return float(value[0]), float(tail[0])
-    return value, tail
+    return value.reshape(shape), tail.reshape(shape)
 
 
 def _kept_energies(params: ModelParams, tau: float) -> np.ndarray:
@@ -214,9 +212,12 @@ def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
     s = _SIGNS[which]
     b = params.beta if beta is None else float(beta)
     if method == "spectral":
-        return spectral(params, x, x_prime, tau, s, b)
-    value = closed(params, x, x_prime, tau, s, b)
-    return value, np.zeros(np.shape(value))
+        value, tail = spectral(params, x, x_prime, tau, s, b)
+    else:
+        value = closed(params, x, x_prime, tau, s, b)
+        tail = np.zeros(np.shape(value))
+    # a scalar point gives Python floats
+    return (float(value), float(tail)) if np.ndim(value) == 0 else (value, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ row, and each check is one operator application to a block plus one
 residual per row, reduced with max.
 
 Each check returns one or more report entries (name, max residual, tolerance,
-pass flag); a DiagnosticReport collects them and serializes to JSON.
+pass flag); a DiagnosticReport collects them and serializes to JSON. The
+system carries its metric, its tolerances and its norm rule too.
 
 Residual conventions: ladder and eigen-equation residuals are relative to the
 norm of the target family member (for a zero target, to the input's norm);
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +32,12 @@ from .grids import GridFunction, GridSpec, grid_norm
 
 ALGEBRAIC_TOL = 1e-10
 GRID_TOL = 1e-6
-LADDER_TOL = 1e-8
-QUASI_BASIS_TOL = 1e-6
-NORM_LAW_TOL = 1e-8
-NORM_CONSTANT_TOL = 1e-10
+# each check's pass bound by the name the report prints; a system's own
+# tolerances override entries
+TOLERANCES = {"vacua": GRID_TOL, "ladder": 1e-8, "number_operator": GRID_TOL,
+              "biorthogonality": ALGEBRAIC_TOL, "quasi_basis": 1e-6,
+              "theta_conjugacy": ALGEBRAIC_TOL, "theta_intertwining": GRID_TOL,
+              "norm_growth": 1e-8}
 
 LADDER_N_MAX_CAP = 40
 NORM_N_MAX_CAP = 60
@@ -62,7 +65,6 @@ class MetricOperator:
 
     apply: Callable
     apply_inverse: Callable
-    label: str
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,10 @@ class LadderSystem:
     the products of its rows paired with the other slot's rows. ``gram`` is
     the same inner product on sequences of functions and blocks, (fs, gs) ->
     the array of <f_i, g_j> over all their rows, each evaluated once per rule.
+
+    ``metric`` maps phi_n to psi_n; ``norm_residual`` turns the norm products
+    ||phi_n|| ||psi_n||, n = 0..n_max, into the norm check's residual; and
+    ``tolerances`` overrides entries of TOLERANCES for this system.
     """
 
     label: str
@@ -107,12 +113,16 @@ class LadderSystem:
     eigens: EigenSequence
     inner: Callable
     gram: Callable
+    metric: MetricOperator
+    norm_residual: Callable[[np.ndarray], float]
     default_grid: GridSpec
     test_functions: Sequence[TestFunction] = field(default_factory=tuple)
     quasi_pairs: Sequence[Tuple[Callable, Callable]] = field(default_factory=tuple)
-    norm_behavior: str = "increasing"  # or "constant" or "bounded"
-    norm_product_law: Optional[Callable[[int], float]] = None
-    norm_bounds: Optional[Tuple[float, float]] = None
+    tolerances: Mapping[str, float] = field(default_factory=dict)
+
+    def tolerance(self, check: str) -> float:
+        """The pass bound of one check: the system's own entry, else the default."""
+        return self.tolerances.get(check, TOLERANCES[check])
 
 
 @dataclass(frozen=True)
@@ -163,7 +173,7 @@ class DiagnosticReport:
 
 
 def _sequence(fn: Callable[[int], float], n_max: int) -> np.ndarray:
-    """fn(0)..fn(n_max): the scalar sequences (eigenvalues, norm laws) of a block."""
+    """fn(0)..fn(n_max): the eigenvalues of a block."""
     return np.array([float(fn(n)) for n in range(n_max + 1)])
 
 
@@ -204,7 +214,7 @@ def _residual(out, coeff, reference: Callable, grid: GridSpec,
 # checks
 
 
-def check_vacua(sys: LadderSystem, tol: float = GRID_TOL) -> CheckResult:
+def check_vacua(sys: LadderSystem) -> CheckResult:
     """a phi_0 = 0 and b^dag psi_0 = 0, relative to the vacua's own norms."""
     grid = sys.default_grid
     phi0 = sys.family_phi(0)
@@ -214,10 +224,10 @@ def check_vacua(sys: LadderSystem, tol: float = GRID_TOL) -> CheckResult:
             raise ValueError(f"degenerate vacuum: {name} has zero norm on the grid")
     r_phi = _residual(sys.lower_a(phi0), 0.0, phi0, grid)
     r_psi = _residual(sys.lower_b_dag(psi0), 0.0, psi0, grid)
-    return CheckResult("vacua", max(r_phi, r_psi), tol)
+    return CheckResult("vacua", max(r_phi, r_psi), sys.tolerance("vacua"))
 
 
-def check_ladder(sys: LadderSystem, n_max: int, tol: float = LADDER_TOL) -> CheckResult:
+def check_ladder(sys: LadderSystem, n_max: int) -> CheckResult:
     """b phi_n = sqrt(e_{n+1}) phi_{n+1} and the three companion relations.
 
     Lowering sends row n to sqrt(e_n) times row max(n - 1, 0), which is zero
@@ -238,22 +248,20 @@ def check_ladder(sys: LadderSystem, n_max: int, tol: float = LADDER_TOL) -> Chec
     )
     worst = max(_residual(op(block), coeff, target, grid, rows)
                 for op, block, coeff, target, rows in relations)
-    return CheckResult("ladder", worst, tol)
+    return CheckResult("ladder", worst, sys.tolerance("ladder"))
 
 
-def check_number_operator(sys: LadderSystem, n_max: int,
-                          tol: float = GRID_TOL) -> CheckResult:
+def check_number_operator(sys: LadderSystem, n_max: int) -> CheckResult:
     """(b a) phi_n = e_n phi_n and (a^dag b^dag) psi_n = e_n psi_n."""
     grid = sys.default_grid
     phi, psi = sys.family_phi(n_max), sys.family_psi(n_max)
     e = _sequence(sys.eigens, n_max)
     worst = max(_residual(sys.raise_b(sys.lower_a(phi)), e, phi, grid),
                 _residual(sys.raise_a_dag(sys.lower_b_dag(psi)), e, psi, grid))
-    return CheckResult("number_operator", worst, tol)
+    return CheckResult("number_operator", worst, sys.tolerance("number_operator"))
 
 
-def check_biorthogonality(sys: LadderSystem, n_max: int,
-                          tol: float = ALGEBRAIC_TOL) -> CheckResult:
+def check_biorthogonality(sys: LadderSystem, n_max: int) -> CheckResult:
     """<phi_n, psi_m> = delta_nm for all pairs up to n_max."""
     if n_max > LADDER_N_MAX_CAP:
         raise ValueError(
@@ -261,18 +269,18 @@ def check_biorthogonality(sys: LadderSystem, n_max: int,
         )
     gram = sys.gram([sys.family_phi(n_max)], [sys.family_psi(n_max)])
     worst = float(np.max(np.abs(gram - np.eye(n_max + 1))))
-    return CheckResult("biorthogonality", worst, tol)
+    return CheckResult("biorthogonality", worst, sys.tolerance("biorthogonality"))
 
 
 def check_quasi_basis(sys: LadderSystem, test_pairs: Sequence[Tuple[Callable, Callable]],
-                      n_max: int, tol: float = QUASI_BASIS_TOL) -> CheckResult:
+                      n_max: int) -> CheckResult:
     """Partial sums of both resolutions of <f, g> converge to the direct value.
 
     One Gram matrix per side covers every pair: <f, phi_n> and <f, psi_n>
     for all f, <phi_n, g> and <psi_n, g> for all g.
     """
     if not test_pairs:
-        return CheckResult("quasi_basis", 0.0, tol)
+        return CheckResult("quasi_basis", 0.0, sys.tolerance("quasi_basis"))
     families = [sys.family_phi(n_max), sys.family_psi(n_max)]
     fs, gs = zip(*test_pairs)
     direct = np.array([sys.inner(f, g) for f, g in test_pairs])
@@ -281,21 +289,19 @@ def check_quasi_basis(sys: LadderSystem, test_pairs: Sequence[Tuple[Callable, Ca
     total = np.sum(f_phi * psi_g, axis=1)
     mirrored = np.sum(f_psi * phi_g, axis=1)
     worst = float(np.max(np.abs(np.concatenate([total - direct, mirrored - direct]))))
-    return CheckResult("quasi_basis", worst, tol)
+    return CheckResult("quasi_basis", worst, sys.tolerance("quasi_basis"))
 
 
-def check_theta_conjugacy(sys: LadderSystem, theta: MetricOperator, n_max: int,
-                          tol: float = ALGEBRAIC_TOL,
-                          intertwining_tol: float = GRID_TOL) -> List[CheckResult]:
+def check_theta_conjugacy(sys: LadderSystem, n_max: int) -> List[CheckResult]:
     """psi_n = Theta phi_n, positivity of <f, Theta f>, and Theta (ba) = (ba)^dag Theta.
 
     Returns two entries: the algebraic facts (pointwise conjugation, inverse
-    roundtrip, positivity) at ``tol``, and the intertwining residual at
-    ``intertwining_tol`` since it involves operator applications. The test
+    roundtrip, positivity), and the intertwining residual, which has its own
+    tolerance since it involves operator applications. The test
     functions form one block for the maps, but their inner products go one
     at a time: their Gaussian decay rates differ, and a Gram block needs one.
     """
-    grid = sys.default_grid
+    grid, theta, tol = sys.default_grid, sys.metric, sys.tolerance("theta_conjugacy")
     algebraic = _residual(theta.apply(sys.family_phi(n_max)), 1.0,
                           sys.family_psi(n_max), grid)
     for f in sys.test_functions:
@@ -317,13 +323,12 @@ def check_theta_conjugacy(sys: LadderSystem, theta: MetricOperator, n_max: int,
         intertwining = float(np.max(gap / grid_norm(left.with_samples(tests(left.x)))))
     return [
         CheckResult("theta_conjugacy", algebraic, tol),
-        CheckResult("theta_intertwining", intertwining, intertwining_tol),
+        CheckResult("theta_intertwining", intertwining, sys.tolerance("theta_intertwining")),
     ]
 
 
-def check_norm_growth(sys: LadderSystem, n_max: int,
-                      tol: float = NORM_LAW_TOL) -> CheckResult:
-    """Norm products ||phi_n|| ||psi_n||: closed-form match plus trend.
+def check_norm_growth(sys: LadderSystem, n_max: int) -> CheckResult:
+    """Norm products ||phi_n|| ||psi_n|| against the system's norm rule.
 
     The norms are the square roots of the paired inner products
     <phi_n, phi_n> and <psi_n, psi_n>, one per row of each family block.
@@ -332,44 +337,20 @@ def check_norm_growth(sys: LadderSystem, n_max: int,
         raise ValueError(f"norm check capped at n_max={NORM_N_MAX_CAP}, got {n_max}")
     n_phi, n_psi = (np.sqrt(np.abs(sys.inner(f, f)))
                     for f in (sys.family_phi(n_max), sys.family_psi(n_max)))
-    products = n_phi * n_psi
-    worst = 0.0
-    tolerance = tol
-    if sys.norm_product_law is not None:
-        law = _sequence(sys.norm_product_law, n_max)
-        worst = max(worst, float(np.max(np.abs(products - law) / law)))
-    if sys.norm_behavior == "constant":
-        tolerance = min(tol, NORM_CONSTANT_TOL)
-        worst = max(worst, float(np.max(np.abs(products - 1.0))))
-    elif sys.norm_behavior == "increasing":
-        backsliding = np.max(products[:-1] - products[1:]) if n_max >= 1 else -1.0
-        worst = max(worst, float(max(0.0, backsliding)))
-    elif sys.norm_behavior == "bounded":
-        if sys.norm_bounds is None:
-            raise ValueError("bounded norm behavior requires norm_bounds")
-        lo, hi = sys.norm_bounds
-        overshoot = max(float(np.max(products - hi)), float(np.max(lo - products)))
-        worst = max(worst, max(0.0, overshoot) / hi)
-    else:
-        raise ValueError(f"unknown norm behavior {sys.norm_behavior!r}")
-    return CheckResult("norm_growth", worst, tolerance)
+    return CheckResult("norm_growth", sys.norm_residual(n_phi * n_psi),
+                       sys.tolerance("norm_growth"))
 
 
-def run_all_checks(sys: LadderSystem, theta: MetricOperator, n_max: int,
-                   params_echo: Optional[dict] = None,
-                   ladder_tol: float = LADDER_TOL,
-                   grid_tol: float = GRID_TOL,
-                   number_tol: Optional[float] = None) -> DiagnosticReport:
+def run_all_checks(sys: LadderSystem, n_max: int,
+                   params_echo: Optional[dict] = None) -> DiagnosticReport:
     """The full battery with one entry per check, ready for serialization."""
     checks: List[CheckResult] = [
-        check_vacua(sys, tol=grid_tol),
-        check_ladder(sys, min(n_max, LADDER_N_MAX_CAP), tol=ladder_tol),
-        check_number_operator(sys, min(n_max, 20),
-                              tol=number_tol if number_tol is not None else grid_tol),
+        check_vacua(sys),
+        check_ladder(sys, min(n_max, LADDER_N_MAX_CAP)),
+        check_number_operator(sys, min(n_max, 20)),
         check_biorthogonality(sys, min(n_max, LADDER_N_MAX_CAP)),
         check_quasi_basis(sys, sys.quasi_pairs, NORM_N_MAX_CAP),
     ]
-    checks.extend(check_theta_conjugacy(sys, theta, min(n_max, 20),
-                                        intertwining_tol=grid_tol))
+    checks.extend(check_theta_conjugacy(sys, min(n_max, 20)))
     checks.append(check_norm_growth(sys, min(n_max, NORM_N_MAX_CAP)))
     return DiagnosticReport(checks, params_echo or {"system": sys.label})

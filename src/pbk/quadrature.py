@@ -179,7 +179,7 @@ def _samples(fn: Callable, name: str, nodes: np.ndarray) -> np.ndarray:
     if np.any(bad):
         where = nodes[np.nonzero(bad)[-1][0]]
         raise QuadratureEvaluationError(
-            f"integrand {name} returned a non-finite sample at x={where!r}"
+            f"integrand {name} returned a non-finite sample at x={float(where)}"
         )
     return vals
 

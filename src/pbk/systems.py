@@ -3,7 +3,9 @@
 The harmonic model plugs in either through exact Hermite-coefficient algebra
 (route "exact") or through finite-difference operator application on a dense
 grid (route "grid"). The barrier model always works in sine-coefficient
-space, where its ladder maps are defined.
+space, where its ladder maps are defined. Each system owns its metric
+Theta = e^{-2 beta x}, its tolerances and its norm rule, so the check
+battery needs nothing else.
 
 Generic test functions (plain callables) are sampled onto the operator grid
 and differentiated numerically even under the exact route, since coefficient
@@ -28,7 +30,6 @@ from .quadrature import adaptive_gram, adaptive_inner_product, hermite_rule, leg
 BARRIER_GRID_POINTS = 4001
 
 TEST_WIDTHS = (0.5, 1.0, 2.0)
-BARRIER_TEST_MODES = 4  # the barrier test functions combine varphi_0..varphi_4
 
 
 def harmonic_test_functions():
@@ -109,14 +110,29 @@ def _keep_rate(f, out):
     return out
 
 
-def harmonic_system(params: har.HarmonicParams,
-                    route: str = "exact") -> Tuple[LadderSystem, MetricOperator]:
+def _harmonic_norm_residual(params: har.HarmonicParams) -> Callable[[np.ndarray], float]:
+    """|p - 1| at beta = 0, where the families coincide; else the gap to the
+    norm law plus any backsliding of the products, which grow with n."""
+    if beta_is_degenerate(params.beta):
+        return lambda products: max(0.0, float(np.max(np.abs(products - 1.0))))
+
+    def residual(products: np.ndarray) -> float:
+        law = np.array([math.sqrt(har.norm_squared_law(params, n, "varphi")
+                                  * har.norm_squared_law(params, n, "psi"))
+                        for n in range(products.size)])
+        gap = max(0.0, float(np.max(np.abs(products - law) / law)))
+        return max(gap, float(np.max(products[:-1] - products[1:], initial=0.0)))
+
+    return residual
+
+
+def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderSystem:
     """The whole-line model bound to the harness.
 
     route "exact" applies ladder maps to eigenfamily members through their
     Hermite coefficients; route "grid" forces every application through
     second-order central differences (a cross-validation mode with
-    correspondingly looser achievable residuals).
+    correspondingly looser achievable residuals, set in its tolerances).
     """
     if route not in ("exact", "grid"):
         raise ValueError(f"route must be 'exact' or 'grid', got {route!r}")
@@ -127,30 +143,20 @@ def harmonic_system(params: har.HarmonicParams,
     def bind(op):
         return _harmonic_op(params, op, op_grid, exact)
 
-    theta = MetricOperator(
-        apply=lambda f: _keep_rate(f, har.apply_Theta(params, f)),
-        apply_inverse=lambda f: _keep_rate(f, har.apply_Theta_inv(params, f)),
-        label="Theta = exp(-2 beta x)",
-    )
+    # the grid route funnels everything through second-order central differences;
+    # achievable residuals scale with h^2 times derivative magnitudes
+    tolerances = {} if exact else {"ladder": 2e-5, "vacua": 1e-4, "number_operator": 1e-3,
+                                   "theta_intertwining": 1e-4}
+    if beta_is_degenerate(params.beta):
+        tolerances["norm_growth"] = 1e-10  # products of 1, up to quadrature rounding
     tests = harmonic_test_functions()
     narrow = [f for f in tests if f.gaussian_decay_rate == 4.0]
-    law = None
-    if beta_is_degenerate(params.beta):
-        behavior = "constant"
-    else:
-        behavior = "increasing"
-
-        def law(n: int) -> float:
-            return math.sqrt(
-                har.norm_squared_law(params, n, "varphi")
-                * har.norm_squared_law(params, n, "psi")
-            )
 
     def family(tilt):
         return lambda n_max: har.HermiteExpansion(params, tilt, np.eye(n_max + 1))
 
     inner, gram = _harmonic_quadrature(params)
-    system = LadderSystem(
+    return LadderSystem(
         label=f"harmonic/{route}",
         family_phi=family(params.beta),
         family_psi=family(-params.beta),
@@ -161,13 +167,14 @@ def harmonic_system(params: har.HarmonicParams,
         eigens=EigenSequence(lambda n: float(n)),
         inner=inner,
         gram=gram,
+        metric=MetricOperator(lambda f: _keep_rate(f, har.apply_Theta(params, f)),
+                              lambda f: _keep_rate(f, har.apply_Theta_inv(params, f))),
+        norm_residual=_harmonic_norm_residual(params),
         default_grid=eval_grid,
         test_functions=tests,
         quasi_pairs=[(narrow[0], narrow[1]), (narrow[0], narrow[0])],
-        norm_behavior=behavior,
-        norm_product_law=law,
+        tolerances=tolerances,
     )
-    return system, theta
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +184,11 @@ def harmonic_system(params: har.HarmonicParams,
 def barrier_test_functions(params: bar.BarrierParams, tables: Callable):
     """Small finite combinations of varphi-modes (exactly analyzable),
     evaluated through the system's bar.shared_tables."""
-    combos = {
-        "varphi[0]+0.5*varphi[2]": {0: 1.0, 2: 0.5},
-        "varphi[1]-0.3*varphi[3]": {1: 1.0, 3: -0.3},
-        "0.7*varphi[0]+varphi[4]": {0: 0.7, 4: 1.0},
-    }
-    fns = []
-    for label, weights in combos.items():
-        coeffs = np.zeros(BARRIER_TEST_MODES + 1)
-        for k, v in weights.items():
-            coeffs[k] = v
-        vec = bar.SpectralVector(coeffs)
-        fns.append(TestFunction(bar.synthesize_phi(params, vec, tables), label))
-    return fns
+    combos = {"varphi[0]+0.5*varphi[2]": [1.0, 0.0, 0.5, 0.0, 0.0],
+              "varphi[1]-0.3*varphi[3]": [0.0, 1.0, 0.0, -0.3, 0.0],
+              "0.7*varphi[0]+varphi[4]": [0.7, 0.0, 0.0, 0.0, 1.0]}
+    return [TestFunction(bar.synthesize_phi(params, bar.SpectralVector(np.array(c)), tables),
+                         label) for label, c in combos.items()]
 
 
 def barrier_quasi_pairs(params: bar.BarrierParams):
@@ -204,13 +203,15 @@ def barrier_quasi_pairs(params: bar.BarrierParams):
     return [(f, g), (g, f)]
 
 
-def barrier_system(params: bar.BarrierParams) -> Tuple[LadderSystem, MetricOperator]:
+def barrier_system(params: bar.BarrierParams) -> LadderSystem:
     """The double-barrier model bound to the harness, in coefficient space.
 
     A family block is the synthesis of the identity coefficient matrix. The
     system owns one bar.shared_tables: every analysis and synthesis it makes
     reads one sine table per node set, built once for the system's lifetime.
-    The ladder maps act on bar.DEFAULT_TRUNCATION + 1 coefficients.
+    The ladder maps act on bar.DEFAULT_TRUNCATION + 1 coefficients. The norm
+    products lie between 1 and e^{|beta| L}; the residual is their overshoot
+    of those bounds, relative to the upper one.
     """
     tables = bar.shared_tables(params, bar.DEFAULT_TRUNCATION)
 
@@ -225,15 +226,16 @@ def barrier_system(params: bar.BarrierParams) -> Tuple[LadderSystem, MetricOpera
 
         return apply
 
-    theta = MetricOperator(
-        apply=lambda f: bar.apply_S_psi(params, f),
-        apply_inverse=lambda f: bar.apply_S_phi(params, f),
-        label="S_psi = exp(-2 beta x)",
-    )
     rules = partial(legendre_rule, a=params.a, b=params.b)
     growth = abs(params.beta) * params.width  # e^growth is not a float above 709.78
+    lo, hi = 1.0 - 1e-12, math.exp(growth) if growth < 709.78 else math.inf
+
+    def norm_residual(products: np.ndarray) -> float:
+        overshoot = max(float(np.max(products - hi)), float(np.max(lo - products)))
+        return max(0.0, overshoot) / hi
+
     inner, gram = _inner_and_gram(lambda fs, gs: rules)
-    system = LadderSystem(
+    return LadderSystem(
         label="barrier/spectral",
         family_phi=family(bar.synthesize_phi),
         family_psi=family(bar.synthesize_psi),
@@ -245,10 +247,9 @@ def barrier_system(params: bar.BarrierParams) -> Tuple[LadderSystem, MetricOpera
         eigens=EigenSequence(lambda n: bar.rho_coefficient(params, n)),
         inner=inner,
         gram=gram,
+        metric=MetricOperator(partial(bar.apply_S_psi, params), partial(bar.apply_S_phi, params)),
+        norm_residual=norm_residual,
         default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),
         test_functions=barrier_test_functions(params, tables),
         quasi_pairs=barrier_quasi_pairs(params),
-        norm_behavior="bounded",
-        norm_bounds=(1.0 - 1e-12, math.exp(growth) if growth < 709.78 else math.inf),
     )
-    return system, theta

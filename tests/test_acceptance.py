@@ -61,8 +61,8 @@ def closed_kernel(params, which, x, xp, tau):
 def test_criterion_01_biorthogonality(market, market_beta0):
     worst = 0.0
     for mk in (market, market_beta0):
-        sys_h, _ = harmonic_system(har.HarmonicParams(mk))
-        sys_b, _ = barrier_system(bar.BarrierParams(mk, 0.0, math.pi))
+        sys_h = harmonic_system(har.HarmonicParams(mk))
+        sys_b = barrier_system(bar.BarrierParams(mk, 0.0, math.pi))
         for system in (sys_h, sys_b):
             worst = max(worst, check_biorthogonality(system, 40).max_residual)
     report(1, "biorthogonality", worst <= 1e-10,
@@ -73,12 +73,12 @@ def test_criterion_01_biorthogonality(market, market_beta0):
 def test_criterion_02_ladder_relations(hp, bp):
     # the interval family's ladder is a coefficient-space recurrence; the
     # finite-difference route exists only for the oscillator model
-    sys_exact, _ = harmonic_system(hp, route="exact")
-    sys_grid, _ = harmonic_system(hp, route="grid")
-    sys_bar, _ = barrier_system(bp)
+    sys_exact = harmonic_system(hp, route="exact")
+    sys_grid = harmonic_system(hp, route="grid")
+    sys_bar = barrier_system(bp)
     exact = max(check_ladder(sys_exact, 20).max_residual,
                 check_ladder(sys_bar, 20).max_residual)
-    fd = check_ladder(sys_grid, 20, tol=1e-5).max_residual
+    fd = check_ladder(sys_grid, 20).max_residual
     ok = exact <= 1e-8 and fd <= 1e-5
     report(2, "ladder_relations", ok,
            f"n <= 20: exact-recurrence residual {exact:.2e} (tol 1e-8), "
@@ -149,7 +149,7 @@ def test_criterion_04_norm_law(market, market_beta0):
     worst_rel = 0.0
     for w in (0.0, 0.5):
         p = har.HarmonicParams(market, w)
-        sys_h, _ = harmonic_system(p)
+        sys_h = harmonic_system(p)
         for fam, name in ((har.varphi_n, "varphi"), (har.psi_n, "psi")):
             for n in range(31):
                 law = har.norm_squared_law(p, n, name)
@@ -157,14 +157,14 @@ def test_criterion_04_norm_law(market, market_beta0):
                 worst_rel = max(worst_rel, abs(quad - law) / law)
 
     p = har.HarmonicParams(market)
-    sys_h, _ = harmonic_system(p)
+    sys_h = harmonic_system(p)
     products = [math.sqrt(quad_norm_sq(sys_h, har.varphi_n(p, n))
                           * quad_norm_sq(sys_h, har.psi_n(p, n)))
                 for n in range(31)]
     increasing = all(b > a for a, b in zip(products, products[1:]))
 
     p0 = har.HarmonicParams(market_beta0)
-    sys0, _ = harmonic_system(p0)
+    sys0 = harmonic_system(p0)
     dev0 = max(abs(math.sqrt(quad_norm_sq(sys0, har.varphi_n(p0, n))
                              * quad_norm_sq(sys0, har.psi_n(p0, n))) - 1.0)
                for n in range(31))
@@ -267,7 +267,7 @@ def test_criterion_09_wide_barrier_limit(market):
 
 
 def test_criterion_10_quasi_basis_convergence(hp):
-    sys_h, _ = harmonic_system(hp)
+    sys_h = harmonic_system(hp)
     result = check_quasi_basis(sys_h, sys_h.quasi_pairs, 60)
     report(10, "quasi_basis_convergence", result.max_residual <= 1e-6,
            f"worst |S_N - <f, g>| = {result.max_residual:.2e} at N = 60, "

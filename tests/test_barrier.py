@@ -78,12 +78,16 @@ class TestParams:
 
     def test_width_with_a_finite_nonzero_square_required(self, market):
         # the largest width whose square is finite (its k^2 underflows to 0,
-        # which the spectral decay rule refuses), and the first beyond it
+        # which the spectral decay rule refuses), and the first beyond it; at
+        # 1e-160 the square is a subnormal float but k^2 overflows
         edge = math.sqrt(sys.float_info.max)
         assert BarrierParams(market, 0.0, edge).k_squared == 0.0
-        for a, b in ((0.0, math.nextafter(edge, math.inf)), (-1e200, 1e200), (0.0, 1e-200)):
+        for a, b in ((0.0, math.nextafter(edge, math.inf)), (-1e200, 1e200), (0.0, 1e-200),
+                     (0.0, 1e-160)):
             with pytest.raises(ValueError, match=re.escape(f"width b - a = {b - a} is out")):
                 BarrierParams(market, a, b)
+        with pytest.raises(ValueError, match=re.escape("k^2 = sigma^2 pi^2 / (2 L^2) overflows")):
+            BarrierParams(market, 0.0, 1e-160)
 
     def test_eigenvalues_increase(self, box):
         vals = [eigenvalue(box, n) for n in range(12)]
@@ -510,12 +514,12 @@ class TestSharedTables:
     def test_one_table_per_node_set_per_system(self, monkeypatch, market):
         calls = count_mode_tables(monkeypatch)
         bp = BarrierParams(market, 0.0, 3.14159)
-        run_all_checks(*barrier_system(bp), 20)
+        run_all_checks(barrier_system(bp), 20)
         # analysis rule, default grid and the 64-, 128- and 256-node Gram rules
         assert len(calls) == len({x for _, x in calls}) == 5
         assert {n for n, _ in calls} == {DEFAULT_TRUNCATION}
         first = list(calls)
-        run_all_checks(*barrier_system(bp), 20)  # a new system builds its own tables
+        run_all_checks(barrier_system(bp), 20)  # a new system builds its own tables
         assert calls[5:] == first
 
     def test_more_rows_rebuild_the_table(self, monkeypatch, box):

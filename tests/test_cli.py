@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -460,17 +461,20 @@ def test_barrier_width_whose_square_overflows_exits_2(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["diagnose", "--model", "barrier", "--a", "0", "--b", "1e-160"],
-     "the vacua check's residual is not finite: inf"),
+     "barrier width b - a = 1e-160 is out of range: k^2 = sigma^2 pi^2 / (2 L^2) "
+     "overflows at sigma = 0.2\n"),
+    (["kernel", "--model", "barrier", "--a", "0", "--b", "1e-160"],
+     "barrier width b - a = 1e-160 is out of range: k^2"),
     (["diagnose", "--model", "barrier", "--a", "0", "--b", "1000"],
      "the vacua check's residual is not finite: nan"),
     (["diagnose", "--model", "barrier", "--a", "0", "--b", "900"],
-     "integrand g returned a non-finite sample"),
+     "integrand g returned a non-finite sample at x=482.84690480450956\n"),
     (["diagnose", "--model", "harmonic", "--sigma", "50"],
-     "integrand f[0] returned a non-finite sample"),
+     "integrand f[0] returned a non-finite sample at x=1420.5143782608013\n"),
     (["price", "--model", "barrier", "--lower", "80", "--upper", "120", "--oracle", "mc",
       "--paths", "2", "--steps", "1"], "the Monte Carlo value 0.0 has no spread"),
-], ids=["diagnose-narrow", "diagnose-norm-bound-overflow", "diagnose-wide",
-        "diagnose-large-sigma", "price-mc-no-spread"])
+], ids=["diagnose-narrow", "kernel-narrow", "diagnose-norm-bound-overflow",
+        "diagnose-wide", "diagnose-large-sigma", "price-mc-no-spread"])
 def test_unusable_numbers_exit_2(capsys, tmp_path, argv, message):
     # no NaN or Infinity in the output, no numpy warning and no traceback
     target = tmp_path / "result"
@@ -488,14 +492,55 @@ def test_unusable_numbers_exit_2(capsys, tmp_path, argv, message):
     ["diagnose", "--model", "barrier", "--a", "0", "--b", "3", "--n-trunc", "64"],
     ["kernel", "--model", "harmonic", "--n-trunc", "64"],
     ["price", "--model", "harmonic", "--nodes", "64"],
-], ids=["diagnose-n-trunc", "kernel-n-trunc", "price-nodes"])
+    ["price", "--model", "barrier", "--lower", "80", "--upper", "120", "--a", "4"],
+], ids=["diagnose-n-trunc", "kernel-n-trunc", "price-nodes", "price-log-barrier"])
 def test_truncation_and_node_flags_are_unknown(capsys, argv):
     # the sum stops by its decay rule, and the analysis truncation and the
-    # payoff rule are constants (price --n-trunc: test_truncation_outside_cap)
+    # payoff rule are constants (price --n-trunc: test_truncation_outside_cap);
+    # price takes its barriers as --lower and --upper
     with pytest.raises(SystemExit) as refused:
         main(argv)
     assert refused.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+PRICE_BARRIER = ["price", "--model", "barrier", "--lower", "80", "--upper", "120"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["price", "--model", "harmonic", "--s0", "120"], "price --model harmonic does not read --s0"),
+    (PRICE_BARRIER + ["--x", "1.0"], "price --model barrier does not read --x"),
+    (PRICE_BARRIER + ["--w", "0.5"], "price --model barrier does not read --w"),
+    (["kernel", "--model", "harmonic", "--a", "1", "--b", "2"],
+     "kernel --model harmonic does not read --a"),
+    (["kernel", "--model", "barrier", "--a", "0", "--b", "3", "--w", "0.5"],
+     "kernel --model barrier does not read --w"),
+    (["diagnose", "--model", "barrier", "--a", "0", "--b", "3", "--route", "grid"],
+     "diagnose --model barrier does not read --route"),
+    (["diagnose", "--model", "harmonic", "--b", "3"], "diagnose --model harmonic does not read --b"),
+    (PRICE_BARRIER + ["--paths", "7", "--seed", "3", "--no-bridge"],
+     "price --model barrier does not read --paths without --oracle mc"),
+    (PRICE_BARRIER + ["--no-bridge"], "price --model barrier does not read --no-bridge "
+                                      "without --oracle mc"),
+    (["price", "--model", "harmonic", "--steps", "4"],
+     "price --model harmonic does not read --steps without --oracle mc"),
+], ids=["price-harmonic-s0", "price-barrier-x", "price-barrier-w", "kernel-harmonic-a",
+        "kernel-barrier-w", "diagnose-barrier-route", "diagnose-harmonic-b",
+        "price-mc-flags", "price-no-bridge", "price-harmonic-steps"])
+def test_flags_the_command_never_reads_exit_2(capsys, tmp_path, argv, message):
+    target = tmp_path / "result"
+    code, out, err = run_cli(capsys, argv + ["--out", str(target)])
+    assert code == 2
+    assert out == "" and not target.exists()
+    assert err == f"error: {message}\n"
+
+
+def test_params_file_keys_are_not_refused(capsys, tmp_path):
+    # a file written for one model may hold the other model's keys
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"w": 0.5, "x": 1.0, "paths": 7, "route": "grid"}))
+    code, _, _ = run_cli(capsys, PRICE_BARRIER + ["--params", str(path)])
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +572,12 @@ def test_shared_parser_keeps_no_state(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports pbk from wherever this process does (a checkout's src/)
     proc = subprocess.run(
         [sys.executable, "-m", "pbk.cli", "kernel", "--model", "harmonic",
          "--x", "0.0", "--x-prime", "0.1", "--tau", "0.5", "--method", "closed"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,x_prime,tau")

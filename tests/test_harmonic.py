@@ -147,7 +147,7 @@ class TestFamilies:
     def test_biorthonormality_spot_check(self, market):
         from pbk.systems import harmonic_system
 
-        sys_h, _ = harmonic_system(params_for(market))
+        sys_h = harmonic_system(params_for(market))
         inner = sys_h.inner
         p = params_for(market)
         assert inner(varphi_n(p, 3), psi_n(p, 3)).real == pytest.approx(1.0, abs=1e-12)
@@ -357,7 +357,7 @@ class TestNormLaw:
     def quadrature_norm_sq(p, family, n):
         from pbk.systems import harmonic_system
 
-        sys_h, _ = harmonic_system(p)
+        sys_h = harmonic_system(p)
         f = family(p, n)
         return sys_h.inner(f, f).real
 

@@ -235,7 +235,7 @@ class TestVectorization:
 def separate_tables_spectral_sum(table, energies, x, x_prime, tau, s, beta):
     """The spectral sum with x and x' tabulated in separate calls of table."""
     x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
-    scalar = x.ndim == xp.ndim == 0
+    shape = np.broadcast_shapes(x.shape, xp.shape)
     nd = max(x.ndim, xp.ndim, 1)
     x, xp = (y.reshape((1,) * (nd - y.ndim) + y.shape) for y in (x, xp))
     decay = np.exp(-tau * energies).reshape((-1,) + (1,) * nd)
@@ -244,9 +244,7 @@ def separate_tables_spectral_sum(table, energies, x, x_prime, tau, s, beta):
     prefactor = np.exp(s * beta * (x - xp))
     value = prefactor * np.sum(terms, axis=0)
     tail = np.abs(prefactor * terms[-1])
-    if scalar:
-        return float(value[0]), float(tail[0])
-    return value, tail
+    return value.reshape(shape), tail.reshape(shape)
 
 
 def same_bits(a, b) -> bool:
@@ -326,6 +324,7 @@ class TestKernelValues:
                     got = kernel_values(params, **r)
                     expected = kernel_values(params, **{**r, "x": np.array([r["x"]])})
                     assert got == (expected[0][0], expected[1][0])
+                    assert [type(v) for v in got] == [float, float]
 
     def test_array_point_outside_is_named(self, bp):
         xs = np.array([1.0, 2.0, 3.5, 0.5])

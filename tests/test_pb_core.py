@@ -123,6 +123,8 @@ def degenerate_system():
         eigens=EigenSequence(lambda n: float(n)),
         inner=lambda f, g: 0.0 + 0.0j,
         gram=lambda fs, gs: np.zeros((len(fs), len(gs)), dtype=complex),
+        metric=MetricOperator(lambda f: f, lambda f: f),
+        norm_residual=lambda products: 0.0,
         default_grid=GridSpec.over(-1.0, 1.0, 101),
     )
 
@@ -133,28 +135,28 @@ class TestIndividualChecks:
             check_vacua(degenerate_system())
 
     def test_ladder_cap(self, harmonic):
-        sys_h, _ = harmonic
+        sys_h = harmonic
         with pytest.raises(ValueError, match="capped"):
             check_ladder(sys_h, LADDER_N_MAX_CAP + 1)
 
     def test_biorthogonality_cap(self, harmonic):
-        sys_h, _ = harmonic
+        sys_h = harmonic
         with pytest.raises(ValueError, match="capped"):
             check_biorthogonality(sys_h, LADDER_N_MAX_CAP + 1)
 
     def test_norm_cap(self, harmonic):
-        sys_h, _ = harmonic
+        sys_h = harmonic
         with pytest.raises(ValueError, match="capped"):
             check_norm_growth(sys_h, NORM_N_MAX_CAP + 1)
 
     def test_ladder_passes_on_harmonic(self, harmonic):
-        sys_h, _ = harmonic
+        sys_h = harmonic
         result = check_ladder(sys_h, 6)
         assert result.passed
         assert result.name == "ladder"
 
     def test_broken_ladder_fails(self, harmonic):
-        sys_h, _ = harmonic
+        sys_h = harmonic
 
         def raise_b_off(f):
             out = sys_h.raise_b(f)
@@ -166,37 +168,24 @@ class TestIndividualChecks:
         assert result.max_residual > 1e-4
 
     def test_biorthogonality_small_block(self, barrier):
-        sys_b, _ = barrier
+        sys_b = barrier
         result = check_biorthogonality(sys_b, 6)
         assert result.passed
         assert result.tolerance == ALGEBRAIC_TOL
 
     def test_quasi_basis_uses_both_resolutions(self, barrier):
-        sys_b, _ = barrier
+        sys_b = barrier
         result = check_quasi_basis(sys_b, sys_b.quasi_pairs, 40)
         assert result.passed
 
     def test_theta_returns_two_results(self, harmonic):
-        sys_h, theta = harmonic
-        results = check_theta_conjugacy(sys_h, theta, 4)
+        results = check_theta_conjugacy(harmonic, 4)
         assert [r.name for r in results] == ["theta_conjugacy", "theta_intertwining"]
         assert all(r.passed for r in results)
 
-    def test_norm_growth_bounded_needs_bounds(self, barrier):
-        sys_b, _ = barrier
-        crippled = dataclasses.replace(sys_b, norm_bounds=None)
-        with pytest.raises(ValueError, match="norm_bounds"):
-            check_norm_growth(crippled, 0)
-
-    def test_unknown_norm_behavior_rejected(self, barrier):
-        sys_b, _ = barrier
-        odd = dataclasses.replace(sys_b, norm_behavior="sideways")
-        with pytest.raises(ValueError, match="sideways"):
-            check_norm_growth(odd, 0)
-
     def test_constant_behavior_tightens_tolerance(self, market_beta0):
-        sys_h, _ = harmonic_system(HarmonicParams(market_beta0))
-        assert sys_h.norm_behavior == "constant"
+        sys_h = harmonic_system(HarmonicParams(market_beta0))
+        assert sys_h.norm_residual(np.array([1.0, 1.5])) == 0.5  # |p - 1|
         result = check_norm_growth(sys_h, 5)
         assert result.tolerance == 1e-10
         assert result.passed
@@ -207,16 +196,18 @@ class TestIndividualChecks:
 
 
 def build_systems(market, market_beta0):
-    """name -> (system, theta, member): member(family, n) is one family function."""
+    """name -> (system, member): member(family, n) is one family function."""
     out = {}
     for label, mkt in (("beta -0.75", market), ("beta 0", market_beta0)):
         hp = HarmonicParams(mkt)
         for route in ("exact", "grid"):
-            out[f"harmonic {route} {label}"] = harmonic_system(hp, route=route) + (
-                lambda family, n, _p=hp: (har.varphi_n, har.psi_n)[family](_p, n),)
+            out[f"harmonic {route} {label}"] = (
+                harmonic_system(hp, route=route),
+                lambda family, n, _p=hp: (har.varphi_n, har.psi_n)[family](_p, n))
         bp = BarrierParams(mkt, 0.0, math.pi)
-        out[f"barrier (0, pi) {label}"] = barrier_system(bp) + (
-            lambda family, n, _p=bp: (bar.varphi_n, bar.psi_n)[family](_p, n),)
+        out[f"barrier (0, pi) {label}"] = (
+            barrier_system(bp),
+            lambda family, n, _p=bp: (bar.varphi_n, bar.psi_n)[family](_p, n))
     return out
 
 
@@ -241,9 +232,9 @@ def oracle_residual(out, coeff, target, grid):
     return oracle_norm(lhs - coeff * ref, dx) / oracle_norm(ref, dx)
 
 
-def oracle_checks(sys_, theta, member, n_max):
+def oracle_checks(sys_, member, n_max):
     """Each block check's worst residual, one family member at a time."""
-    grid = sys_.default_grid
+    grid, theta = sys_.default_grid, sys_.metric
     phi = lambda n: member(0, n)  # noqa: E731
     psi = lambda n: member(1, n)  # noqa: E731
     e = sys_.eigens
@@ -302,7 +293,7 @@ class TestBlocksMatchPerMember:
 
     @pytest.mark.parametrize("name", BLOCK_NAMES)
     def test_operator_checks(self, cases, name):
-        sys_, theta, _, oracle = cases[name]
+        sys_, _, oracle = cases[name]
         n = self.N_MAX
         assert self.close(name, check_vacua(sys_).max_residual, oracle["vacua"])
         assert self.close(name, check_ladder(sys_, n).max_residual, oracle["ladder"])
@@ -316,9 +307,9 @@ class TestBlocksMatchPerMember:
             assert self.close(name, number, oracle["number_operator"])
         # the family part alone, then with the test functions as one block
         families_only = dataclasses.replace(sys_, test_functions=())
-        conjugacy = check_theta_conjugacy(families_only, theta, n)[0].max_residual
+        conjugacy = check_theta_conjugacy(families_only, n)[0].max_residual
         assert abs(conjugacy - oracle["families_conjugacy"]) <= 1e-13
-        conjugacy, intertwining = (c.max_residual for c in check_theta_conjugacy(sys_, theta, n))
+        conjugacy, intertwining = (c.max_residual for c in check_theta_conjugacy(sys_, n))
         assert abs(conjugacy - oracle["conjugacy"]) <= 1e-13
         if name.startswith("barrier"):
             # a difference of two analysis chains, about 5e-12: a rounding floor too
@@ -327,15 +318,18 @@ class TestBlocksMatchPerMember:
             assert self.close(name, intertwining, oracle["intertwining"])
 
     @pytest.mark.parametrize("name", BLOCK_NAMES)
-    def test_norms_from_gram_diagonals(self, cases, name):
-        sys_, _, _, oracle = cases[name]
+    def test_norms_from_gram_diagonals(self, market, cases, name):
+        sys_, _, oracle = cases[name]
         n = self.N_MAX
         products = oracle["norm_products"]
         for family in (sys_.family_phi(n), sys_.family_psi(n)):
             products = products / np.sqrt(np.abs(np.diagonal(sys_.gram([family], [family]))))
         assert np.max(np.abs(products - 1.0)) <= 1e-13
-        if sys_.norm_product_law is not None:
-            law = np.array([sys_.norm_product_law(k) for k in range(n + 1)])
+        if name.startswith("harmonic") and "beta -0.75" in name:
+            hp = HarmonicParams(market)
+            law = np.array([math.sqrt(har.norm_squared_law(hp, k, "varphi")
+                                      * har.norm_squared_law(hp, k, "psi"))
+                            for k in range(n + 1)])
             worst = np.max(np.abs(oracle["norm_products"] - law) / law)
             assert abs(check_norm_growth(sys_, n).max_residual - worst) <= 1e-13
 
@@ -354,7 +348,7 @@ class TestGramChecks:
 
     @pytest.mark.parametrize("name", GRAM_SYSTEMS)
     def test_biorthogonality_matches_pairwise(self, market, market_beta0, name):
-        sys_, _, member = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
+        sys_, member = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
         n_max = LADDER_N_MAX_CAP
         phis = [member(0, n) for n in range(n_max + 1)]
         psis = [member(1, n) for n in range(n_max + 1)]
@@ -369,7 +363,7 @@ class TestGramChecks:
 
     @pytest.mark.parametrize("name", GRAM_SYSTEMS)
     def test_quasi_basis_sums_match_pairwise(self, market, market_beta0, name):
-        sys_, _, member = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
+        sys_, member = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
         n_max = NORM_N_MAX_CAP
         worst = 0.0
         for f, g in sys_.quasi_pairs:
@@ -385,7 +379,7 @@ class TestGramChecks:
         assert abs(result.max_residual - worst) <= 1e-13
 
     def test_harmonic_block_needs_one_decay_rate(self, harmonic):
-        sys_h, _ = harmonic
+        sys_h = harmonic
         narrow, wide = sys_h.test_functions[0], sys_h.test_functions[2]
         with pytest.raises(ValueError, match="decay rate"):
             sys_h.gram([narrow, wide], [sys_h.family_phi(0)])
@@ -409,22 +403,18 @@ EXPECTED_CHECKS = [
 
 class TestRunAllChecks:
     def test_harmonic_exact_route(self, harmonic):
-        sys_h, theta = harmonic
-        report = run_all_checks(sys_h, theta, 8)
+        sys_h = harmonic
+        report = run_all_checks(sys_h, 8)
         assert [c.name for c in report.checks] == EXPECTED_CHECKS
         assert report.all_pass, report.to_json()
         assert report.params_echo == {"system": "harmonic/exact"}
 
     def test_barrier_battery(self, barrier):
-        sys_b, theta = barrier
-        report = run_all_checks(sys_b, theta, 8)
+        report = run_all_checks(barrier, 8)
         assert report.all_pass, report.to_json()
 
     def test_grid_route_with_loosened_tolerances(self, market):
-        sys_h, theta = harmonic_system(HarmonicParams(market), route="grid")
-        report = run_all_checks(
-            sys_h, theta, 6, ladder_tol=2e-5, grid_tol=1e-4, number_tol=1e-3
-        )
+        report = run_all_checks(harmonic_system(HarmonicParams(market), route="grid"), 6)
         assert report.all_pass, report.to_json()
 
     def test_unknown_route_rejected(self, market):
@@ -432,29 +422,30 @@ class TestRunAllChecks:
             harmonic_system(HarmonicParams(market), route="fd")
 
     def test_params_echo_passthrough(self, harmonic):
-        sys_h, theta = harmonic
-        report = run_all_checks(sys_h, theta, 2, params_echo={"sigma": 0.2})
+        report = run_all_checks(harmonic, 2, params_echo={"sigma": 0.2})
         assert report.params_echo == {"sigma": 0.2}
 
     @pytest.mark.parametrize("model, tols", [
         ("harmonic/exact", {}),
-        ("harmonic/grid", {"ladder_tol": 2e-5, "grid_tol": 1e-4, "number_tol": 1e-3}),
+        ("harmonic/grid", {"ladder": 2e-5, "vacua": 1e-4, "theta_intertwining": 1e-4,
+                           "number_operator": 1e-3}),
         ("barrier", {}),
     ])
     def test_report_repeats_exactly(self, market, model, tols):
+        # tols: the entries the system's own tolerances override
         def report():
             if model == "barrier":
-                system, theta = barrier_system(BarrierParams(market, 0.0, 2.74))
+                system = barrier_system(BarrierParams(market, 0.0, 2.74))
             else:
                 route = model.split("/")[1]
-                system, theta = harmonic_system(HarmonicParams(market, 0.36), route=route)
-            return run_all_checks(system, theta, 6, **tols).to_json()
+                system = harmonic_system(HarmonicParams(market, 0.36), route=route)
+            assert system.tolerances == tols
+            return run_all_checks(system, 6).to_json()
 
         first = report()
         assert '"all_pass": true' in first
         assert report() == first
 
     def test_beta_zero_regime(self, market_beta0):
-        sys_h, theta = harmonic_system(HarmonicParams(market_beta0))
-        report = run_all_checks(sys_h, theta, 6)
+        report = run_all_checks(harmonic_system(HarmonicParams(market_beta0)), 6)
         assert report.all_pass, report.to_json()

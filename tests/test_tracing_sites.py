@@ -123,7 +123,7 @@ def test_barrier_system_calls_the_traced_attributes(monkeypatch):
 
     for attr in ("analyze_phi", "analyze_psi", "synthesize_phi", "synthesize_psi"):
         monkeypatch.setattr(pbk.barrier, attr, counted(attr, getattr(pbk.barrier, attr)))
-    system, _ = barrier_system(BP)
+    system = barrier_system(BP)
     check_ladder(system, 4)
     for attr in ("analyze_phi", "analyze_psi", "synthesize_phi", "synthesize_psi",
                  "synthesize_phi(x)", "synthesize_psi(x)"):
@@ -151,7 +151,7 @@ def test_system_inner_products_call_the_traced_attributes(monkeypatch, build, pa
 
     monkeypatch.setattr(pbk.systems, "adaptive_inner_product", counted_adaptive)
     monkeypatch.setattr(pbk.quadrature, "inner_product", counted_inner_product)
-    system, _ = build(params)
+    system = build(params)
     f = system.test_functions[0]
     system.inner(f, f)
     assert len(calls) == 1
