@@ -119,30 +119,6 @@ def mode_table(params: BarrierParams, n_max: int, x) -> np.ndarray:
     return table
 
 
-def shared_tables(params: BarrierParams, n_max: int) -> Callable:
-    """tables(n, x): the rows Phi_0..Phi_n at x, with one table per node set.
-
-    A node set, keyed by its contents, gets one read-only table of rows
-    0..max(n_max, n) the first time it is asked for, rebuilt only when more
-    rows are asked for; fewer rows are a row slice. Rows act point by point,
-    so a slice equals the smaller table bit for bit. The tables live as long
-    as the returned callable.
-    """
-    held = {}
-
-    def tables(n: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        table = held.get(key)
-        if table is None or len(table) <= n:
-            table = mode_table(params, max(n, n_max), x)
-            table.flags.writeable = False
-            held[key] = table
-        return table[: n + 1]
-
-    return tables
-
-
 def _tilted_mode(params: BarrierParams, n: int, rate: float) -> Callable:
     base = Phi_n(params, n)
 
@@ -262,7 +238,8 @@ def analyze_phi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCAT
                 tables=None) -> SpectralVector:
     """Coefficients c_n = <psi_n, f> of the varphi-expansion of f.
 
-    tables, if given, is a shared_tables callable for params.
+    tables, if given, is a grids.shared_mode_tables callable over mode_table
+    for params.
     """
     return _analyze(params, f, n_max, -params.beta, tables)
 
@@ -295,7 +272,8 @@ def _synthesize(params: BarrierParams, v: SpectralVector, rate: float, tables) -
 def synthesize_phi(params: BarrierParams, v: SpectralVector, tables=None) -> Callable:
     """The function sum_n c_n varphi_n, zero outside (a, b).
 
-    tables, if given, is a shared_tables callable for params.
+    tables, if given, is a grids.shared_mode_tables callable over mode_table
+    for params.
     """
     return _synthesize(params, v, params.beta, tables)
 

@@ -8,15 +8,20 @@ of an operator is simply a shorter GridFunction starting one step in.
 A GridFunction holds one function (1-D samples) or a block of functions on
 the same grid (2-D samples, one function per row). Operators and norms act
 along the last axis, so each row of a block comes out as it would alone.
+Those that would copy a whole block into a temporary work through it one
+row at a time.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 MIN_SAMPLES = 9
+ON_GRID = 1e-9  # a point this many steps from a grid point is on it, up to rounding
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,10 @@ class GridFunction:
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
         return GridFunction(self.x0, self.dx, samples)
 
+    def rows(self) -> np.ndarray:
+        """The samples as a 2-D view, one row per function."""
+        return self.samples.reshape(-1, self.n)
+
 
 def derivative(f: GridFunction) -> GridFunction:
     """Second-order central first derivative; output is 2 samples shorter."""
@@ -101,9 +110,13 @@ def second_derivative(f: GridFunction) -> GridFunction:
 
 def grid_norm(f: GridFunction):
     """Discrete L2 norm sqrt(dx * sum |f_i|^2); one per row for a block."""
-    squares = np.abs(f.samples)
-    np.square(squares, out=squares)  # in place: a block can be megabytes
-    norms = np.sqrt(f.dx * np.sum(squares, axis=-1))
+    rows = f.rows()
+    sums = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        squares = np.abs(row)
+        np.square(squares, out=squares)
+        sums[i] = np.sum(squares)
+    norms = np.sqrt(f.dx * sums).reshape(f.samples.shape[:-1])
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -114,3 +127,52 @@ def multiply_exponential(f, rate: float):
     if callable(f):
         return lambda x: np.exp(rate * np.asarray(x, dtype=float)) * f(x)
     raise TypeError(f"cannot multiply object of type {type(f).__name__}")
+
+
+def _mapped(table: np.ndarray) -> np.ndarray:
+    """A read-only copy of table in a memory mapping of its own.
+
+    A shared table outlives the blocks computed from it. On the heap it would
+    sit among them and keep their freed space from being reused or returned
+    to the system; its own mapping is returned whole when it is dropped.
+    """
+    copy = np.frombuffer(mmap.mmap(-1, max(table.nbytes, 1)), dtype=table.dtype,
+                         count=table.size).reshape(table.shape)
+    copy[...] = table
+    copy.flags.writeable = False
+    return copy
+
+
+def shared_mode_tables(mode_table: Callable, params, n_max: int,
+                       grid: Optional[GridSpec] = None) -> Callable:
+    """tables(n, x): the rows 0..n of mode_table(params, ., x), one table per node set.
+
+    A node set, keyed by its contents, gets one read-only table of rows
+    0..max(n_max, n) the first time it is asked for. A request for more rows
+    replaces it, dropping the smaller table first; fewer rows are a row
+    slice. Rows act point by point, so a slice equals the smaller table bit
+    for bit. The tables live as long as the returned callable.
+
+    Points that lie on a run of grid's points to within rounding, as an
+    operator output's do, read a column slice of grid's table: they are
+    served at grid's own points.
+    """
+    held = {}
+    points = None if grid is None else grid.points
+
+    def tables(n: int, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        run = None
+        if points is not None and x.ndim == 1 and 0 < x.size < points.size:
+            k = round((x[0] - grid.x0) / grid.dx)
+            if 0 <= k <= points.size - x.size and np.allclose(
+                    x, points[k : k + x.size], rtol=0.0, atol=ON_GRID * grid.dx):
+                x, run = points, slice(k, k + x.size)
+        key = (x.shape, x.tobytes())
+        if key not in held or len(held[key]) <= n:
+            held.pop(key, None)
+            held[key] = _mapped(mode_table(params, max(n, n_max), x))
+        table = held[key][: n + 1]
+        return table if run is None else table[:, run]
+
+    return tables

@@ -27,7 +27,8 @@ a map applies to a whole eigenfamily at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 import math
 
@@ -149,12 +150,18 @@ class HermiteExpansion:
     error rather than finite-difference error.
 
     A coefficient matrix is a block of functions with one tilt, one per row;
-    every map acts on the last axis, and evaluation gives one row each.
+    every map acts on the last axis, and evaluation gives one row each. The
+    identity matrix is a family block: its rows are the mode table's, times
+    e^{tilt * x}, with no matrix product.
+
+    tables, if given, is a grids.shared_mode_tables callable over mode_table
+    for params; every map passes it on to the expansion it returns.
     """
 
     params: HarmonicParams
     tilt: float
     coeffs: np.ndarray = field(repr=False)
+    tables: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs)))
@@ -166,11 +173,15 @@ class HermiteExpansion:
 
     def __call__(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        table = mode_table(self.params, self.coeffs.shape[-1] - 1, x_arr)
-        vals = self.coeffs @ table.reshape(len(table), -1)
-        del table  # freed at once: on the operator grid a block's table is megabytes
-        vals = vals.reshape(self.coeffs.shape[:-1] + x_arr.shape)
-        vals *= np.exp(self.tilt * x_arr)
+        rows = self.coeffs.shape[-1]
+        table = (self.tables or partial(mode_table, self.params))(rows - 1, x_arr)
+        if self.coeffs.shape == (rows, rows) and np.array_equal(self.coeffs, np.eye(rows)):
+            vals = table * np.exp(self.tilt * x_arr)
+        else:
+            vals = self.coeffs @ table.reshape(rows, -1)
+            vals = vals.reshape(self.coeffs.shape[:-1] + x_arr.shape)
+            vals *= np.exp(self.tilt * x_arr)
+        del table  # an unshared table is freed at once: on the operator grid it is megabytes
         if np.ndim(x):
             return vals
         vals = vals[..., 0]
@@ -183,12 +194,16 @@ class HermiteExpansion:
         base = _pad(self.coeffs, self.coeffs.shape[-1] + 1)
         return self.tilt * base + _times_u(self.coeffs, -1.0) / self.params.sigma
 
+    def with_coeffs(self, coeffs: np.ndarray) -> "HermiteExpansion":
+        """Same params, tilt and tables, new coefficients."""
+        return HermiteExpansion(self.params, self.tilt, coeffs, self.tables)
+
     def deriv(self) -> "HermiteExpansion":
-        return HermiteExpansion(self.params, self.tilt, self.deriv_coeffs())
+        return self.with_coeffs(self.deriv_coeffs())
 
     def tilted(self, extra_tilt: float) -> "HermiteExpansion":
         """Multiply by e^{extra_tilt * x}."""
-        return HermiteExpansion(self.params, self.tilt + extra_tilt, self.coeffs)
+        return HermiteExpansion(self.params, self.tilt + extra_tilt, self.coeffs, self.tables)
 
 
 def _unit_expansion(params: HarmonicParams, n: int, tilt: float) -> HermiteExpansion:
@@ -241,18 +256,19 @@ def _first_order(params: HarmonicParams, f: Applicable, d_sign: float, beta_step
             + _times_u(f.coeffs) / s
             + shift * _pad(f.coeffs, n)
         )
-        return HermiteExpansion(params, f.tilt, coeffs)
+        return f.with_coeffs(coeffs)
     _require_operator_grid(f)
     d = derivative(f)
-    mid = f.interior(1)
-    # built in place: a block on the operator grid holds megabytes per copy
-    vals = (superpotential(params, d.x) + shift) * mid.samples
-    if d_sign > 0:
-        vals += d.samples
-    else:
-        vals -= d.samples
-    vals *= s / math.sqrt(2.0)
-    return d.with_samples(vals)
+    factor = superpotential(params, d.x) + shift
+    # written into d's own array, one row at a time: a block on the operator
+    # grid holds megabytes per copy
+    for row, mid in zip(d.rows(), f.interior(1).rows()):
+        if d_sign > 0:
+            row += factor * mid
+        else:
+            np.subtract(factor * mid, row, out=row)
+        row *= s / math.sqrt(2.0)
+    return d
 
 
 def apply_A(params: HarmonicParams, f: Applicable):
@@ -304,7 +320,7 @@ def _second_order(
             uuf = _times_u(_times_u(f.coeffs))
             coeffs = coeffs + 0.5 * _pad(uuf, n) - 0.5 * _pad(f.coeffs, n)
         coeffs = coeffs + constant * _pad(f.coeffs, n)
-        return HermiteExpansion(params, f.tilt, coeffs)
+        return f.with_coeffs(coeffs)
     _require_operator_grid(f)
     d1 = derivative(f)
     d2 = second_derivative(f)

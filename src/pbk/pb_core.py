@@ -197,17 +197,24 @@ def _residual(out, coeff, reference: Callable, grid: GridSpec,
 
     ref is reference evaluated on the output's grid, its rows picked by
     rows; coeff holds one number per output row, or one for all of them.
+    The picked rows are copied one at a time: a block on the operator grid is
+    megabytes a copy.
     """
     lhs = _on_grid(out, grid)
-    ref = np.atleast_2d(reference(lhs.x))[rows]
-    ref_norm = grid_norm(lhs.with_samples(ref))
-    if np.any(ref_norm == 0.0):
-        raise ValueError("degenerate reference function with zero norm")
-    # formed in ref's own array: a block on the operator grid is megabytes a copy
-    diff = ref.astype(np.result_type(ref, lhs.samples), copy=False)
-    diff *= -np.asarray(coeff)[..., None]
-    diff += lhs.samples
-    return float(np.max(grid_norm(lhs.with_samples(diff)) / ref_norm))
+    ref = np.atleast_2d(reference(lhs.x))
+    picked = np.arange(len(ref))[rows]
+    coeff = np.broadcast_to(-np.asarray(coeff), picked.shape)
+    samples = np.broadcast_to(lhs.rows(), (len(picked), lhs.n))
+    ratios = np.empty(len(picked))
+    for i, k in enumerate(picked):
+        diff = ref[k].astype(np.result_type(ref, samples))
+        ref_norm = grid_norm(lhs.with_samples(diff))
+        if ref_norm == 0.0:
+            raise ValueError("degenerate reference function with zero norm")
+        diff *= coeff[i]
+        diff += samples[i]
+        ratios[i] = grid_norm(lhs.with_samples(diff)) / ref_norm
+    return float(np.max(ratios))
 
 
 # ---------------------------------------------------------------------------

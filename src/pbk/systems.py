@@ -22,10 +22,11 @@ import numpy as np
 
 from . import barrier as bar
 from . import harmonic as har
-from .grids import GridFunction, GridSpec
+from .grids import GridFunction, GridSpec, shared_mode_tables
 from .market import beta_is_degenerate
 from .pb_core import EigenSequence, LadderSystem, MetricOperator, TestFunction
 from .quadrature import adaptive_gram, adaptive_inner_product, hermite_rule, legendre_rule
+from .specialfn import MAX_DEGREE
 
 BARRIER_GRID_POINTS = 4001
 
@@ -112,16 +113,17 @@ def _keep_rate(f, out):
 
 def _harmonic_norm_residual(params: har.HarmonicParams) -> Callable[[np.ndarray], float]:
     """|p - 1| at beta = 0, where the families coincide; else the gap to the
-    norm law plus any backsliding of the products, which grow with n."""
+    norm law plus any backsliding of the products, which grow with n. A NaN
+    product gives a NaN residual, which CheckResult refuses."""
     if beta_is_degenerate(params.beta):
-        return lambda products: max(0.0, float(np.max(np.abs(products - 1.0))))
+        return lambda products: float(np.max(np.abs(products - 1.0)))
 
     def residual(products: np.ndarray) -> float:
         law = np.array([math.sqrt(har.norm_squared_law(params, n, "varphi")
                                   * har.norm_squared_law(params, n, "psi"))
                         for n in range(products.size)])
-        gap = max(0.0, float(np.max(np.abs(products - law) / law)))
-        return max(gap, float(np.max(products[:-1] - products[1:], initial=0.0)))
+        gap = np.max(np.abs(products - law) / law)
+        return float(np.maximum(gap, np.max(products[:-1] - products[1:], initial=0.0)))
 
     return residual
 
@@ -133,6 +135,13 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     Hermite coefficients; route "grid" forces every application through
     second-order central differences (a cross-validation mode with
     correspondingly looser achievable residuals, set in its tolerances).
+
+    A family block is the identity coefficient matrix. The system owns one
+    grids.shared_mode_tables over har.mode_table, one row ahead: every family
+    block and every expansion a map makes of one reads one Hermite table per
+    node set, built once for the system's lifetime and grown only when more
+    rows are asked for. Operator outputs sit on interiors of the operator
+    grid and read column slices of its table.
     """
     if route not in ("exact", "grid"):
         raise ValueError(f"route must be 'exact' or 'grid', got {route!r}")
@@ -152,8 +161,14 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     tests = harmonic_test_functions()
     narrow = [f for f in tests if f.gaussian_decay_rate == 4.0]
 
+    def one_row_ahead(p, n, x):
+        """Rows 0..n + 1: a raised block asks for the next row on the same points."""
+        return har.mode_table(p, min(n + 1, MAX_DEGREE), x)
+
+    tables = shared_mode_tables(one_row_ahead, params, 0, op_grid)
+
     def family(tilt):
-        return lambda n_max: har.HermiteExpansion(params, tilt, np.eye(n_max + 1))
+        return lambda n_max: har.HermiteExpansion(params, tilt, np.eye(n_max + 1), tables)
 
     inner, gram = _harmonic_quadrature(params)
     return LadderSystem(
@@ -183,7 +198,7 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 
 def barrier_test_functions(params: bar.BarrierParams, tables: Callable):
     """Small finite combinations of varphi-modes (exactly analyzable),
-    evaluated through the system's bar.shared_tables."""
+    evaluated through the system's shared tables."""
     combos = {"varphi[0]+0.5*varphi[2]": [1.0, 0.0, 0.5, 0.0, 0.0],
               "varphi[1]-0.3*varphi[3]": [0.0, 1.0, 0.0, -0.3, 0.0],
               "0.7*varphi[0]+varphi[4]": [0.7, 0.0, 0.0, 0.0, 1.0]}
@@ -207,13 +222,13 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
     """The double-barrier model bound to the harness, in coefficient space.
 
     A family block is the synthesis of the identity coefficient matrix. The
-    system owns one bar.shared_tables: every analysis and synthesis it makes
-    reads one sine table per node set, built once for the system's lifetime.
-    The ladder maps act on bar.DEFAULT_TRUNCATION + 1 coefficients. The norm
+    system owns one grids.shared_mode_tables over bar.mode_table: every
+    analysis and synthesis it makes reads one sine table per node set, built
+    once for the system's lifetime. The ladder maps act on bar.DEFAULT_TRUNCATION + 1 coefficients. The norm
     products lie between 1 and e^{|beta| L}; the residual is their overshoot
     of those bounds, relative to the upper one.
     """
-    tables = bar.shared_tables(params, bar.DEFAULT_TRUNCATION)
+    tables = shared_mode_tables(bar.mode_table, params, bar.DEFAULT_TRUNCATION)
 
     def family(synthesize):
         return lambda n_max: synthesize(
@@ -231,8 +246,8 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
     lo, hi = 1.0 - 1e-12, math.exp(growth) if growth < 709.78 else math.inf
 
     def norm_residual(products: np.ndarray) -> float:
-        overshoot = max(float(np.max(products - hi)), float(np.max(lo - products)))
-        return max(0.0, overshoot) / hi
+        """The overshoot of the bounds; NaN for a NaN product, as CheckResult refuses."""
+        return float(np.max(np.maximum(products - hi, lo - products), initial=0.0)) / hi
 
     inner, gram = _inner_and_gram(lambda fs, gs: rules)
     return LadderSystem(

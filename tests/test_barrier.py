@@ -30,12 +30,11 @@ from pbk.barrier import (
     mode_table,
     psi_n,
     rho_coefficient,
-    shared_tables,
     synthesize_phi,
     synthesize_psi,
     varphi_n,
 )
-from pbk.grids import GridSpec, grid_norm
+from pbk.grids import GridSpec, grid_norm, shared_mode_tables
 from pbk.market import MarketParams
 from pbk.pb_core import run_all_checks
 from pbk.quadrature import legendre_rule
@@ -524,7 +523,7 @@ class TestSharedTables:
 
     def test_more_rows_rebuild_the_table(self, monkeypatch, box):
         calls = count_mode_tables(monkeypatch)
-        tables = shared_tables(box, 4)
+        tables = shared_mode_tables(pbk.barrier.mode_table, box, 4)
         x = np.linspace(box.a, box.b, 17)
         assert tables(2, x).shape == (3, 17) and len(calls) == 1
         assert tables(4, x).shape == (5, 17) and len(calls) == 1
@@ -534,18 +533,18 @@ class TestSharedTables:
         assert [n for n, _ in calls] == [4, 9, 6]
 
     def test_tables_are_read_only(self, box):
-        table = shared_tables(box, 4)(4, np.linspace(box.a, box.b, 5))
+        table = shared_mode_tables(mode_table, box, 4)(4, np.linspace(box.a, box.b, 5))
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
     def test_row_slices_equal_smaller_tables(self, box):
-        tables = shared_tables(box, MAX_DEGREE)
+        tables = shared_mode_tables(mode_table, box, MAX_DEGREE)
         for x in self.node_sets(box):
             for n in (0, 4, 20, 21, 60, DEFAULT_TRUNCATION, MAX_DEGREE):
                 assert np.array_equal(tables(n, x), mode_table(box, n, x))
 
     def test_analysis_and_synthesis_bits_with_and_without_tables(self, box):
-        tables = shared_tables(box, DEFAULT_TRUNCATION)
+        tables = shared_mode_tables(mode_table, box, DEFAULT_TRUNCATION)
         coeffs = np.random.default_rng(4).standard_normal((3, 21))
         for synthesize, analyze in ((synthesize_phi, analyze_phi),
                                     (synthesize_psi, analyze_psi)):

@@ -18,6 +18,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import pbk.cli
 import pbk.quadrature
 from pbk.cli import KERNEL_COLUMNS, _kernel_csv, _parse_point_list, main
 from pbk.barrier import BarrierParams
@@ -485,6 +486,35 @@ def test_unusable_numbers_exit_2(capsys, tmp_path, argv, message):
     assert out == ""
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1 and err.endswith("\n")  # the one error line
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("builder, argv", [
+    ("harmonic_system", ["--model", "harmonic"]),
+    ("harmonic_system", ["--model", "harmonic", "--r", "0.02"]),
+    ("barrier_system", ["--model", "barrier", "--a", "0", "--b", "3"]),
+], ids=["harmonic", "harmonic-beta0", "barrier"])
+def test_nan_norm_product_exits_2(capsys, monkeypatch, tmp_path, builder, argv):
+    # the last norm of each family block is NaN; every other inner product is kept
+    build = getattr(pbk.cli, builder)
+
+    def with_nan_norm(*args, **kwargs):
+        system = build(*args, **kwargs)
+
+        def inner(f, g):
+            out = system.inner(f, g)
+            if np.ndim(out):
+                out = out.copy()
+                out[-1] = math.nan
+            return out
+
+        return replace(system, inner=inner)
+
+    monkeypatch.setattr(pbk.cli, builder, with_nan_norm)
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, ["diagnose", *argv, *DIAG_FAST, "--out", str(target)])
+    assert code == 2
+    assert err == "error: the norm_growth check's residual is not finite: nan\n"
     assert not target.exists()
 
 

@@ -14,6 +14,7 @@ from pbk.grids import (
     grid_norm,
     multiply_exponential,
     second_derivative,
+    shared_mode_tables,
 )
 
 
@@ -125,3 +126,59 @@ def test_with_samples_keeps_coordinates():
     g2 = f.with_samples(2.0 * f.samples)
     assert g2.x0 == f.x0 and g2.dx == f.dx
     np.testing.assert_array_equal(g2.samples, 2.0 * f.samples)
+
+
+@pytest.mark.parametrize("rows", [1, 11])
+def test_row_by_row_norm_equals_whole_block_formula(rows):
+    rng = np.random.default_rng(rows)
+    g = GridSpec.over(-1.0, 1.0, 1001)
+    for samples in (rng.standard_normal((rows, g.n)),
+                    rng.standard_normal((rows, g.n)) + 1j * rng.standard_normal((rows, g.n))):
+        f = GridFunction(g.x0, g.dx, samples).interior(2)  # a strided view, as an output's
+        whole = np.sqrt(f.dx * np.sum(np.square(np.abs(f.samples)), axis=-1))
+        np.testing.assert_array_equal(grid_norm(f), whole)
+
+
+def counted_table(calls):
+    """A mode_table stand-in, x times the row index, that records (n_max, size)."""
+
+    def mode_table(params, n_max, x):
+        calls.append((n_max, np.size(x)))
+        return np.multiply.outer(np.arange(n_max + 1.0), np.asarray(x, dtype=float))
+
+    return mode_table
+
+
+class TestSharedModeTables:
+    GRID = GridSpec.over(-2.0, 2.0, 401)
+
+    def test_interior_points_read_the_grid_table(self):
+        calls = []
+        tables = shared_mode_tables(counted_table(calls), None, 0, self.GRID)
+        f = self.GRID.sample(np.sin)
+        full = tables(5, f.x)
+        for inner in (derivative(f), derivative(derivative(f)), f.interior(7)):
+            k = (self.GRID.n - inner.n) // 2
+            part = tables(5, inner.x)
+            np.testing.assert_array_equal(part, full[:, k:-k])  # the grid's own points
+            np.testing.assert_allclose(part, np.arange(6.0)[:, None] * inner.x,
+                                       rtol=0.0, atol=1e-13)
+        assert calls == [(5, self.GRID.n)]
+
+    def test_points_off_the_grid_get_their_own_table(self):
+        calls = []
+        tables = shared_mode_tables(counted_table(calls), None, 0, self.GRID)
+        x = self.GRID.points
+        for other in (x[1:-1] + 0.5 * self.GRID.dx, x[2:-2:2], x[1:-1] * (1.0 + 1e-9)):
+            tables(3, other)
+        assert [n for n, _ in calls] == [3, 3, 3]
+
+    def test_more_rows_replace_the_table(self):
+        calls = []
+        tables = shared_mode_tables(counted_table(calls), None, 0, self.GRID)
+        x = self.GRID.points
+        first = tables(2, x)
+        assert tables(4, x[3:-3]).shape == (5, self.GRID.n - 6)
+        assert tables(1, x).shape == (2, self.GRID.n)
+        assert calls == [(2, self.GRID.n), (4, self.GRID.n)]
+        assert not first.flags.writeable

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbk import harmonic
-from pbk.grids import GridSpec, grid_norm
+from pbk.grids import GridSpec, derivative, grid_norm
 from pbk.harmonic import (
     HarmonicParams,
     HermiteExpansion,
@@ -466,3 +466,66 @@ class TestBlocks:
                 alone = op(p, sampled.with_samples(sampled.samples[i]))
                 assert (out.x0, out.n) == (alone.x0, alone.n)
                 np.testing.assert_array_equal(out.samples[i], alone.samples)
+
+
+# ---------------------------------------------------------------------------
+# a harmonic system's shared Hermite tables
+
+
+class TestSharedTables:
+    @staticmethod
+    def system_tables(market, route="exact"):
+        """The system's family block maker and its shared tables."""
+        from pbk.systems import harmonic_system
+
+        p = params_for(market)
+        family = harmonic_system(p, route).family_phi
+        return p, family, family(0).tables
+
+    def test_family_block_equals_untabled_expansion(self, market):
+        p, family, _ = self.system_tables(market)
+        grid_points = default_grid(p).points
+        rule_nodes = hermite_rule(128, center=p.center, scale=p.sigma).nodes
+        for n in (0, 20, 41):
+            block = family(n)
+            untabled = HermiteExpansion(p, p.beta, np.eye(n + 1))
+            for x in (grid_points, rule_nodes):
+                values = block(x)
+                np.testing.assert_array_equal(values, untabled(x))
+                # and equal to the matrix product the identity path skips
+                product = (np.eye(n + 1) @ harmonic.mode_table(p, n, x)) * np.exp(p.beta * x)
+                np.testing.assert_array_equal(values, product)
+
+    def test_maps_pass_the_tables_on(self, market):
+        p, family, tables = self.system_tables(market)
+        block = family(4)
+        for op in (apply_A, apply_B_dag, apply_H_eff, apply_Theta, lambda p, f: f.deriv()):
+            out = op(p, block)
+            assert out.tables is tables
+            x = default_grid(p).points
+            np.testing.assert_array_equal(out(x), HermiteExpansion(p, out.tilt, out.coeffs)(x))
+
+    def test_interior_slices_match_fresh_tables(self, market):
+        p, family, tables = self.system_tables(market, "grid")
+        sampled = harmonic.operator_grid(p).sample(family(21))
+        once = derivative(sampled)
+        for inner in (once, derivative(once)):
+            table = tables(21, inner.x)
+            fresh = harmonic.mode_table(p, 21, inner.x)
+            assert table.shape == fresh.shape
+            np.testing.assert_allclose(table, fresh, rtol=0.0,
+                                       atol=1e-13 * np.max(np.abs(fresh)))
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_row_by_row_first_order_equals_whole_block_formula(self, market, rows):
+        p = params_for(market, w=0.3)
+        coeffs = np.random.default_rng(rows).standard_normal((rows, 9))
+        f = GridSpec.over(-1.5, 1.5, 601).sample(HermiteExpansion(p, p.beta, coeffs))
+        f = f.with_samples(f.samples[0] if rows == 1 else f.samples)
+        d = derivative(f)
+        mid = f.interior(1).samples
+        for op, d_sign, shift in ((apply_A, 1.0, -p.beta), (apply_B, -1.0, p.beta),
+                                  (apply_c, 1.0, 0.0), (apply_A_dag, -1.0, -p.beta)):
+            whole = (superpotential(p, d.x) + shift) * mid + d_sign * d.samples
+            whole *= p.sigma / math.sqrt(2.0)
+            np.testing.assert_array_equal(op(p, f).samples, whole)

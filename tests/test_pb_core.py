@@ -4,6 +4,7 @@ full battery on both concrete models."""
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,19 @@ class TestIndividualChecks:
         results = check_theta_conjugacy(harmonic, 4)
         assert [r.name for r in results] == ["theta_conjugacy", "theta_intertwining"]
         assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("case", ["harmonic", "harmonic-beta0", "barrier"])
+    def test_nan_norm_product_is_refused(self, market, market_beta0, case):
+        # max(0.0, nan) is 0.0 in Python: the rules used to pass a NaN product as 0
+        system = {"harmonic": lambda: harmonic_system(HarmonicParams(market)),
+                  "harmonic-beta0": lambda: harmonic_system(HarmonicParams(market_beta0)),
+                  "barrier": lambda: barrier_system(BarrierParams(market, 0.0, math.pi)),
+                  }[case]()
+        for products in ([1.0, math.nan], [math.nan, 1.0], [math.nan, math.nan]):
+            assert math.isnan(system.norm_residual(np.array(products)))
+        nan_norms = dataclasses.replace(system, inner=lambda f, g: np.array([1.0, math.nan]))
+        with pytest.raises(ValueError, match="the norm_growth check's residual is not finite"):
+            check_norm_growth(nan_norms, 1)
 
     def test_constant_behavior_tightens_tolerance(self, market_beta0):
         sys_h = harmonic_system(HarmonicParams(market_beta0))
@@ -445,6 +459,21 @@ class TestRunAllChecks:
         first = report()
         assert '"all_pass": true' in first
         assert report() == first
+
+    def test_grid_route_holds_at_most_four_operator_grid_blocks(self, market):
+        # a block is 22 rows x 32001 points; the system's table on the operator
+        # grid is one, held in a mapping of its own that tracemalloc does not see
+        block = 22 * har.OPERATOR_GRID_POINTS * 8
+        system = harmonic_system(HarmonicParams(market), route="grid")
+        run_all_checks(system, 20)  # rules and lazily imported modules are not counted
+        system = harmonic_system(HarmonicParams(market), route="grid")
+        tracemalloc.start()
+        try:
+            run_all_checks(system, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + block <= 4 * block
 
     def test_beta_zero_regime(self, market_beta0):
         report = run_all_checks(harmonic_system(HarmonicParams(market_beta0)), 6)

@@ -32,7 +32,7 @@ from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import kernel_rows, kernel_values
 from pbk.market import MarketParams
-from pbk.pb_core import check_ladder
+from pbk.pb_core import check_ladder, run_all_checks
 from pbk.pricing import MCConfig, Payoff, price_spectral
 from pbk.quadrature import QuadratureRule
 from pbk.systems import barrier_system, harmonic_system
@@ -93,6 +93,43 @@ def test_one_hermite_recurrence_per_spectral_evaluation(monkeypatch):
     calls = count_tables(monkeypatch, pbk.harmonic, "hermite_function_sequence")
     check_one_table_per_evaluation(monkeypatch, HP, np.array([-0.1, 0.0, 0.1]),
                                    np.array([0.05, 0.2]), calls)
+
+
+@pytest.mark.parametrize("route, n_max, builds", [
+    ("exact", 40, {(8001,): 2, (64,): 2, (128,): 2, (256,): 2, (470,): 1}),
+    ("grid", 20, {(32001,): 2, (64,): 2, (128,): 2, (256,): 2}),
+])
+def test_one_hermite_table_per_node_set_per_harmonic_system(monkeypatch, route, n_max,
+                                                            builds):
+    """Each node set's table is built once for each row count it grows to
+    (the vacua need rows 0..1, the blocks more), and never again: operator
+    outputs on the operator grid's interior read its table, and a second
+    battery on the same system builds nothing."""
+    calls = count_tables(monkeypatch, pbk.harmonic, "hermite_function_sequence")
+    system = harmonic_system(HP, route)
+    run_all_checks(system, n_max)
+    assert Counter(calls) == builds
+    calls.clear()
+    run_all_checks(system, n_max)
+    assert calls == []
+
+
+@pytest.mark.parametrize("route", ["exact", "grid"])
+def test_harmonic_system_tables_go_through_the_traced_attributes(monkeypatch, route):
+    """Tables are built through pbk.harmonic.hermite_function_sequence and read
+    through HermiteExpansion.__call__, so specialfn.hermite_sequence_calls and
+    harmonic.expansion_evals keep counting."""
+    evals = []
+    call = pbk.harmonic.HermiteExpansion.__call__
+
+    def counted(self, x):
+        evals.append(np.shape(x))
+        return call(self, x)
+
+    monkeypatch.setattr(pbk.harmonic.HermiteExpansion, "__call__", counted)
+    tables = count_tables(monkeypatch, pbk.harmonic, "hermite_function_sequence")
+    check_ladder(harmonic_system(HP, route), 4)
+    assert tables and len(evals) > len(tables)
 
 
 def test_one_sine_table_per_spectral_evaluation(monkeypatch):
