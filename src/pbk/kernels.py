@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -87,6 +87,14 @@ def _spectral_sum(table: Callable, energies: np.ndarray, x, x_prime, tau: float,
     return value.reshape(shape), tail.reshape(shape)
 
 
+@lru_cache(maxsize=16)
+def _energies(eigenvalue: Callable, params: ModelParams, cap: int) -> np.ndarray:
+    """eigenvalue(params, 0..cap + 1), computed once per params; read-only."""
+    energies = eigenvalue(params, np.arange(cap + 2))
+    energies.flags.writeable = False
+    return energies
+
+
 def _kept_energies(params: ModelParams, tau: float) -> np.ndarray:
     """E_0..E_N, the modes with tau (E_n - E_0) <= KEPT_DECAY; a ValueError
     refuses a tau that needs more than the model's cap. Only energies are
@@ -95,7 +103,7 @@ def _kept_energies(params: ModelParams, tau: float) -> np.ndarray:
         eigenvalue, cap, modes = bar.eigenvalue, MAX_SINE_MODES, "sine"
     else:
         eigenvalue, cap, modes = har.eigenvalue, MAX_DEGREE, "oscillator"
-    energies = eigenvalue(params, np.arange(cap + 2))
+    energies = _energies(eigenvalue, params, cap)
     with np.errstate(over="ignore"):  # an overflowing decay is a dropped mode
         top = int(np.count_nonzero(tau * (energies[1:] - energies[0]) <= KEPT_DECAY))
     if top > cap:

@@ -3,10 +3,10 @@
 The kernel price is a Gauss-Legendre integral of kernel times payoff over the
 model domain, split at the strike kink. The Monte Carlo oracle simulates GBM
 log-paths with exact Gaussian increments, each draw giving an antithetic pair
-of paths (z and -z), knocks out on the barriers (with a Brownian-bridge
-crossing correction for what happens between monitoring dates), and reduces
-path blocks in a fixed order so a given seed produces bit-identical results
-no matter how many worker threads run.
+of paths (z and -z) mirrored about their drift line, knocks out on the
+barriers (with a Brownian-bridge crossing correction for what happens between
+monitoring dates), and reduces path blocks in a fixed order so a given seed
+produces bit-identical results no matter how many worker threads run.
 """
 
 from __future__ import annotations
@@ -173,30 +173,24 @@ def _block_sizes(paths: int) -> list:
     return [MC_BLOCK_PATHS] * full + ([rem] if rem else [])
 
 
-def _bridge_log_survival(x: np.ndarray, x0: float, log_lo: float,
-                         log_hi: float, var_dt: float) -> np.ndarray:
-    """Per-path sum of log(1 - crossing probability) over the steps where a
-    barrier is near; x holds surviving paths after x0, one row each."""
+def _bridge_log_survival(x: np.ndarray, near_lo: np.ndarray, near_hi: np.ndarray,
+                         x0: float, log_lo: float, log_hi: float,
+                         var_dt: float) -> np.ndarray:
+    """Per-row sum of log(1 - crossing probability) over the steps where a
+    barrier is near; x holds paths after x0, one row each, and each barrier's
+    terms run only on the surviving rows it lists (near_lo, near_hi)."""
     paths, steps = x.shape
     log_survival = np.zeros(paths)
-    for d_start, d in ((x0 - log_lo, x - log_lo), (log_hi - x0, log_hi - x)):
+    for rows, d_start, d in ((near_lo, x0 - log_lo, x[near_lo] - log_lo),
+                             (near_hi, log_hi - x0, log_hi - x[near_hi])):
         d0_d1 = np.empty_like(d)
         np.multiply(d_start, d[:, 0], out=d0_d1[:, 0])
         np.multiply(d[:, :-1], d[:, 1:], out=d0_d1[:, 1:])
         near = np.flatnonzero(d0_d1 < BRIDGE_NEAR * var_dt)
         crossing = np.exp(-2.0 * d0_d1.ravel()[near] / var_dt)
-        log_survival += np.bincount(near // steps, minlength=paths,
+        log_survival += np.bincount(rows[near // steps], minlength=paths,
                                     weights=np.log1p(-np.minimum(crossing, 1.0)))
     return log_survival
-
-
-def _antithetic_normals(rng: np.random.Generator, x: np.ndarray) -> None:
-    """Fill the h = m/2 top rows of x (m rows, m even) with standard normals
-    from rng and the h bottom rows with their negation: row i + h is the
-    antithetic partner of row i."""
-    half = x.shape[0] // 2
-    rng.standard_normal(out=x[:half])
-    np.negative(x[:half], out=x[half:])
 
 
 def _simulate_block(block_index: int, size: int, x0: float, log_lo: float,
@@ -207,10 +201,12 @@ def _simulate_block(block_index: int, size: int, x0: float, log_lo: float,
     The per-block generator is SFC64 seeded by SeedSequence((seed,
     block_index)), so the stream is independent of how blocks are scheduled
     across workers. Paths are built in chunks of MC_CHUNK_PATHS rows (an even
-    m) in one reused buffer: the first m/2 rows of normals are drawn from the
-    block's stream and the last m/2 are their negation, so each normal serves
-    two paths. Path i and path i + m/2 of a chunk form a pair, and
-    the block's samples are the size/2 pair means of the weighted payoffs.
+    m) in one reused buffer. The first m/2 rows draw normals z from the
+    block's stream; W = sigma sqrt(dt) cumsum(z) and the drift line
+    mean_path = x0 + mu (1..steps) dt give path i = mean_path + W_i and its
+    pair, path i + m/2 = mean_path - W_i, so each normal and each cumulative
+    sum serves two paths. The block's samples are the size/2 pair means of
+    the weighted payoffs.
 
     A path is knocked out when its minimum over the monitoring dates is at
     or below the lower barrier or its maximum is at or above the upper one.
@@ -222,40 +218,40 @@ def _simulate_block(block_index: int, size: int, x0: float, log_lo: float,
     omitted term log(1 - p) = -p moves the weight by less than one rounding,
     and all 2 * steps of them together by less than 2 * 512 * 8.5e-17 < 1e-13
     relative at 512 steps. Since d0 d1 >= min(d0, d1)^2, a survivor whose
-    smallest gap to either barrier, over its path and the start x0, has
-    gap^2 >= BRIDGE_NEAR sigma^2 dt has no such step and keeps weight 1; the
-    comparison carries a relative margin of 1e-12 so that no row with a step
-    the product test would count as near is skipped.
+    smallest gap to a barrier, over its path and the start x0, has
+    gap^2 >= BRIDGE_NEAR sigma^2 dt has no such step, and that barrier skips
+    it; the comparison carries a relative margin of 1e-12 so that no row
+    with a step the product test would count as near is skipped.
     """
     rng = np.random.Generator(np.random.SFC64(
         np.random.SeedSequence((cfg.seed % 2**64, block_index))))
     dt = tau / cfg.steps
     var_dt = sigma * sigma * dt
     scale = sigma * math.sqrt(dt)
-    drift = (r - 0.5 * sigma * sigma) * dt
+    mean_path = x0 + (r - 0.5 * sigma * sigma) * dt * np.arange(1, cfg.steps + 1)
+    limit = BRIDGE_NEAR * var_dt * (1.0 + 1e-12)
     pair_means = np.empty(size // 2)
     chunk = np.empty((min(MC_CHUNK_PATHS, size), cfg.steps))
     for start in range(0, size, MC_CHUNK_PATHS):
         x = chunk[:min(MC_CHUNK_PATHS, size - start)]
-        _antithetic_normals(rng, x)
-        x *= scale
-        x += drift
-        np.cumsum(x, axis=1, out=x)
-        x += x0
+        half = x.shape[0] // 2
+        w = x[:half]
+        rng.standard_normal(out=w)
+        np.cumsum(w, axis=1, out=w)
+        w *= scale
+        np.subtract(mean_path, w, out=x[half:])
+        w += mean_path
         lows, highs = x.min(axis=1), x.max(axis=1)
         alive = np.flatnonzero((lows > log_lo) & (highs < log_hi))
-        weights = 1.0
-        if cfg.bridge_correction:
-            gap = np.minimum(np.minimum(lows[alive] - log_lo, log_hi - highs[alive]),
-                             min(x0 - log_lo, log_hi - x0))
-            near = gap * gap < BRIDGE_NEAR * var_dt * (1.0 + 1e-12)
-            weights = np.ones(alive.size)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                weights[near] = np.exp(_bridge_log_survival(x[alive[near]], x0,
-                                                            log_lo, log_hi, var_dt))
         values = np.zeros(x.shape[0])
-        values[alive] = weights * payoff.as_log(x[alive, -1])
-        half = x.shape[0] // 2
+        values[alive] = payoff.as_log(x[alive, -1])
+        if cfg.bridge_correction:
+            gap_lo = np.minimum(lows[alive] - log_lo, x0 - log_lo)
+            gap_hi = np.minimum(log_hi - highs[alive], log_hi - x0)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                values *= np.exp(_bridge_log_survival(
+                    x, alive[gap_lo * gap_lo < limit], alive[gap_hi * gap_hi < limit],
+                    x0, log_lo, log_hi, var_dt))
         pair_means[start // 2:start // 2 + half] = 0.5 * (values[:half] + values[half:])
     return float(np.sum(pair_means)), float(np.sum(pair_means * pair_means))
 

@@ -382,6 +382,25 @@ class TestTopMode:
                                              r"oscillator modes 0..200"):
             top_mode(hp, 0.18)
 
+    def test_energies_are_computed_once_per_params(self, monkeypatch, market):
+        # a price reads the decay rule for its echo and again for its sum
+        calls = []
+
+        def counting(params, n):
+            calls.append(params)
+            return barrier_eigenvalue(params, n)
+
+        monkeypatch.setattr(pbk.barrier, "eigenvalue", counting)
+        params = BarrierParams(market, math.log(81.0), math.log(119.0))
+        for tau in (0.5, 0.5, 0.05):
+            kernel_values(params, "p1", "spectral", 4.6, 4.7, tau)
+            top_mode(params, tau)
+        assert calls == [params]
+        energies = pbk.kernels._kept_energies(params, 0.05)
+        assert not energies.flags.writeable
+        np.testing.assert_array_equal(
+            energies, barrier_eigenvalue(params, np.arange(energies.size)))
+
     def test_refused_before_any_table(self, monkeypatch, hp, market):
         def no_table(*args):
             raise AssertionError("a mode table was built")

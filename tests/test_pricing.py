@@ -21,7 +21,6 @@ from pbk.pricing import (
     MCConfig,
     Payoff,
     PricingResult,
-    _antithetic_normals,
     _block_sizes,
     _bridge_log_survival,
     _panels,
@@ -357,23 +356,33 @@ class TestMonteCarlo:
         assert echo["bridge_correction"] is True
         assert got.method == "mc-brownian-bridge"
 
-    def test_each_chunk_draws_half_its_normals(self, monkeypatch):
-        # rows h..m-1 of every chunk, the partial one too, are rows 0..h-1 negated
+    def test_each_chunk_mirrors_its_paths_about_the_drift_line(self, monkeypatch):
+        # the bridge sees each chunk's paths, the partial chunk's too: row i + h
+        # is row i mirrored about x0 + mu t, and the increments of every row
+        # give back its normal, so the top h rows carry all the draws
         chunks = []
 
-        def recording(rng, x):
-            _antithetic_normals(rng, x)
+        def recording(x, *rest):
             chunks.append(x.copy())
+            return _bridge_log_survival(x, *rest)
 
-        monkeypatch.setattr(pricing, "_antithetic_normals", recording)
+        monkeypatch.setattr(pricing, "_bridge_log_survival", recording)
         cfg = small_cfg(paths=2500, steps=16)
         _simulate_block(3, 2500, X0, LOG_A, LOG_B, 0.2, 0.05, 0.5, cfg,
                         Payoff.call(100.0))
         assert [c.shape for c in chunks] == [(1024, 16), (1024, 16), (452, 16)]
+        dt = 0.5 / 16
+        drift_line = X0 + (0.05 - 0.02) * dt * np.arange(1, 17)
         for chunk in chunks:
             half = chunk.shape[0] // 2
-            np.testing.assert_array_equal(chunk[half:], -chunk[:half])
-        np.testing.assert_array_equal(np.concatenate(chunks), pair_normals(3, 2500, cfg))
+            np.testing.assert_allclose(chunk[half:] + chunk[:half],
+                                       np.broadcast_to(2.0 * drift_line, (half, 16)),
+                                       rtol=0.0, atol=1e-14)
+        paths = np.concatenate(chunks)
+        steps = np.diff(paths, axis=1, prepend=X0)
+        normals = (steps - (0.05 - 0.02) * dt) / (0.2 * math.sqrt(dt))
+        np.testing.assert_allclose(normals, pair_normals(3, 2500, cfg), rtol=0.0,
+                                   atol=1e-12)
 
     def test_value_and_stderr_are_taken_over_pairs(self):
         cfg = small_cfg(paths=2 * MC_BLOCK_PATHS + 2500, steps=16)
@@ -466,25 +475,28 @@ def full_matrix_block(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg,
 
 def _survivor_paths(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg):
     """The block's paths built in `_simulate_block`'s operation order, and
-    the survivor mask."""
+    the survivor mask: the Brownian part sigma sqrt(dt) cumsum(z) on the
+    drift line x0 + mu (1..steps) dt. Negation is exact in every step, so the
+    rows from -z equal the block's mean_path - W bit for bit."""
     dt = tau / cfg.steps
     x = pair_normals(block_index, size, cfg)
-    x *= sigma * math.sqrt(dt)
-    x += (r - 0.5 * sigma * sigma) * dt
     np.cumsum(x, axis=1, out=x)
-    x += x0
+    x *= sigma * math.sqrt(dt)
+    x += x0 + (r - 0.5 * sigma * sigma) * dt * np.arange(1, cfg.steps + 1)
     return x, (x.min(axis=1) > log_lo) & (x.max(axis=1) < log_hi)
 
 
 def unskipped_block(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg,
                     payoff):
-    """The block sums with `_bridge_log_survival` run on every survivor."""
+    """The block sums with `_bridge_log_survival` run on every survivor, for
+    both barriers."""
     x, alive = _survivor_paths(block_index, size, x0, log_lo, log_hi, sigma, r,
                                tau, cfg)
+    rows = np.flatnonzero(alive)
     values = np.zeros(size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        weights = np.exp(_bridge_log_survival(x[alive], x0, log_lo, log_hi,
-                                              sigma * sigma * tau / cfg.steps))
+        weights = np.exp(_bridge_log_survival(x, rows, rows, x0, log_lo, log_hi,
+                                              sigma * sigma * tau / cfg.steps)[rows])
     values[alive] = weights * payoff.as_log(x[alive, -1])
     return pair_sums(values)
 
@@ -505,8 +517,8 @@ def near_rows(block_index, size, x0, log_lo, log_hi, sigma, r, tau, cfg, payoff)
 class TestBlockAgainstFullMatrix:
     """The near-barrier bridge weight against the all-steps formula, on
     barriers narrow enough that 32% to 100% of the survivors' steps are near
-    a barrier (0.5% to 1.6% at 80/120 with 512 steps). A 2500-path block
-    is two full path chunks and a partial one."""
+    a barrier, and at the benchmark's 80/120 with 512 steps, where 0.5% to
+    1.6% are. A 2500-path block is two full path chunks and a partial one."""
 
     CASES = [  # (barriers, tau, steps, strike)
         ((95.0, 105.0), 0.1, 64, 100.0),
@@ -520,6 +532,17 @@ class TestBlockAgainstFullMatrix:
         cfg = MCConfig(paths=2500, steps=steps, seed=11, bridge_correction=bridge)
         args = (2, 2500, X0, math.log(barriers[0]), math.log(barriers[1]), 0.2,
                 0.05, tau, cfg, Payoff.call(strike))
+        got = _simulate_block(*args)
+        want = full_matrix_block(*args)
+        assert want[0] > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("payoff", [Payoff.put(100.0), Payoff.digital_call(100.0)],
+                             ids=lambda payoff: payoff.kind)
+    def test_block_sums_match_at_the_benchmark_shape(self, payoff):
+        # price-mc's 80/120, 512 steps, tau 0.5, bridge on
+        cfg = MCConfig(paths=2500, steps=512, seed=11)
+        args = (2, 2500, X0, LOG_A, LOG_B, 0.2, 0.05, 0.5, cfg, payoff)
         got = _simulate_block(*args)
         want = full_matrix_block(*args)
         assert want[0] > 0.0
@@ -544,9 +567,9 @@ class TestBlockAgainstFullMatrix:
                 "all": near == survivors > 0}[rows]
         bridged = []
 
-        def counting(x, *rest):
-            bridged.append(x.shape[0])
-            return _bridge_log_survival(x, *rest)
+        def counting(x, near_lo, near_hi, *rest):
+            bridged.append(np.union1d(near_lo, near_hi).size)
+            return _bridge_log_survival(x, near_lo, near_hi, *rest)
 
         monkeypatch.setattr(pricing, "_bridge_log_survival", counting)
         got = _simulate_block(*args)
@@ -555,6 +578,37 @@ class TestBlockAgainstFullMatrix:
                 "all": sum(bridged) == survivors}[rows]
         np.testing.assert_allclose(got, full_matrix_block(*args), rtol=1e-12, atol=0.0)
         assert got == unskipped_block(*args)
+
+    def test_each_barrier_runs_only_on_its_near_rows(self, monkeypatch):
+        # at the benchmark's shape some survivors come near one barrier only;
+        # they are listed for that barrier alone, and every row's log survival
+        # and the block sums equal those with both barriers run on every survivor
+        cfg = MCConfig(paths=2500, steps=512, seed=17, bridge_correction=True)
+        args = (0, 2500, X0, LOG_A, LOG_B, 0.2, 0.05, 0.5, cfg, Payoff.call(100.0))
+        var_dt = 0.2 * 0.2 * (0.5 / 512)
+        calls = []
+
+        def recording(x, near_lo, near_hi, *rest):
+            out = _bridge_log_survival(x, near_lo, near_hi, *rest)
+            calls.append((x.copy(), near_lo, near_hi, out))
+            return out
+
+        monkeypatch.setattr(pricing, "_bridge_log_survival", recording)
+        got = _simulate_block(*args)
+        assert got == unskipped_block(*args)
+        lo_only = hi_only = 0
+        for x, near_lo, near_hi, out in calls:
+            alive = np.flatnonzero((x.min(axis=1) > LOG_A) & (x.max(axis=1) < LOG_B))
+            both = _bridge_log_survival(x, alive, alive, X0, LOG_A, LOG_B, var_dt)
+            np.testing.assert_array_equal(out, both)
+            lo_only += np.setdiff1d(near_lo, near_hi).size
+            hi_rows = np.setdiff1d(near_hi, near_lo)
+            hi_only += hi_rows.size
+            # a row not listed for a barrier runs none of its terms
+            lower_terms = _bridge_log_survival(x, near_lo, near_lo[:0], X0, LOG_A,
+                                               LOG_B, var_dt)
+            assert not lower_terms[hi_rows].any() and out[hi_rows].any()
+        assert lo_only > 0 and hi_only > 0
 
     def test_block_with_no_survivors(self):
         cfg = MCConfig(paths=300, steps=64, seed=5)
