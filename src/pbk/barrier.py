@@ -32,7 +32,6 @@ import numpy as np
 from .grids import GridFunction, multiply_exponential
 from .market import MarketParams, MarketView
 from .quadrature import legendre_rule
-from .specialfn import MAX_DEGREE
 
 DEFAULT_TRUNCATION = 128
 ANALYSIS_NODES = 1024
@@ -95,8 +94,8 @@ def rho_coefficient(params: BarrierParams, n: int) -> float:
 
 def Phi_n(params: BarrierParams, n: int) -> Callable:
     """Orthonormal sine mode sqrt(2/L) sin(lambda_{n+1}(x-a)), zero outside (a, b)."""
-    if not 0 <= n <= MAX_DEGREE:
-        raise ValueError(f"mode index must be in 0..{MAX_DEGREE}, got {n}")
+    if not 0 <= n <= MAX_SINE_MODES:
+        raise ValueError(f"mode index must be in 0..{MAX_SINE_MODES}, got {n}")
     lam = params.wavenumber(n + 1)
     amp = math.sqrt(2.0 / params.width)
     a, b = params.a, params.b

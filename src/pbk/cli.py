@@ -188,9 +188,14 @@ def _build_market(args, file_cfg) -> MarketParams:
     return MarketParams(sigma, r)
 
 
-def _log_barrier_params(args, file_cfg, market: MarketParams) -> BarrierParams:
-    a = _pick(args, file_cfg, "a")
-    b = _pick(args, file_cfg, "b")
+def _model_params(args, file_cfg, market: MarketParams, model: str, *harmonic_only):
+    """HarmonicParams from --w, or BarrierParams from the log-barriers --a and
+    --b; an explicit flag of the other model, or one of harmonic_only for the
+    barrier model, is refused first."""
+    _refuse_unread(args, ("a", "b") if model == "harmonic" else ("w", *harmonic_only))
+    if model == "harmonic":
+        return HarmonicParams(market, float(_pick(args, file_cfg, "w", 0.0)))
+    a, b = _pick(args, file_cfg, "a"), _pick(args, file_cfg, "b")
     if a is None or b is None:
         raise ValueError("barrier model needs --a and --b (log-barriers)")
     return BarrierParams(market, float(a), float(b))
@@ -214,15 +219,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     echo = {"command": "diagnose", "model": model, "sigma": market.sigma,
             "r": market.r, "beta": market.beta, "gamma": market.gamma,
             "nmax": nmax}
-    _refuse_unread(args, ("a", "b") if model == "harmonic" else ("w", "route"))
+    params = _model_params(args, file_cfg, market, model, "route")
     if model == "harmonic":
-        w = float(_pick(args, file_cfg, "w", 0.0))
         route = _pick(args, file_cfg, "route", "exact")
-        params = HarmonicParams(market, w)
         system = harmonic_system(params, route=route)
-        echo.update({"w": w, "route": route, "delta": params.delta})
+        echo.update({"w": params.w, "route": route, "delta": params.delta})
     else:
-        params = _log_barrier_params(args, file_cfg, market)
         system = barrier_system(params)
         echo.update({"a": params.a, "b": params.b})
     note = _degenerate_note(market.beta)
@@ -245,11 +247,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     method = _pick(args, file_cfg, "method", "both")
     whichs = ("p1", "p2") if which == "both" else (which,)
     methods = ("spectral", "closed") if method == "both" else (method,)
-    _refuse_unread(args, ("a", "b") if model == "harmonic" else ("w",))
-    if model == "harmonic":
-        params = HarmonicParams(market, float(_pick(args, file_cfg, "w", 0.0)))
-    else:
-        params = _log_barrier_params(args, file_cfg, market)
+    params = _model_params(args, file_cfg, market, model)
     beta = -params.beta if args.flip_beta else None
     table = kernel_rows(params, xs, x_primes, taus, whichs, methods, beta)
     finite = np.isfinite(table.value) & np.isfinite(table.tail_estimate)

@@ -1,15 +1,16 @@
 """Pricing kernels p1 and p2 for both models, by spectral sum and closed form.
 
-Both kernels share one implementation with a sign s on the exponential
-prefactor e^{s beta (x - x')}: s = +1 gives p1, s = -1 gives p2, so the
-"replace beta by -beta" duality holds bit-for-bit by construction.
+Both kernels share one implementation with a tilt t = s beta on the
+prefactor e^{t (x - x')}: s = +1 gives p1, s = -1 gives p2, so the "replace
+beta by -beta" duality holds bit-for-bit by construction.
 
-Both models share one spectral sum over x and x' broadcast against each
-other, e^{s beta (x - x')} sum_n e^{-tau E_n} Phi_n(x) Phi_n(x'); each model
-module supplies its mode table Phi_n and its energies E_n. kernel_values
-is the one array-in, array-out entry point: it validates the request, picks
-the model's functions by the type of the params and maps which kernel to its
-sign. kernel_rows and the spectral price both go through it.
+_model(params) is the one place that reads the type of the params: it gives
+the model's record (its name, modes, cap, energies, mode table, spectral and
+closed functions and open interval) or refuses other params with a TypeError.
+Both models share one spectral sum, e^{t (x - x')} sum_n e^{-tau E_n} Phi_n(x)
+Phi_n(x') over x and x' broadcast against each other. kernel_values is the
+one array-in, array-out entry point: it validates the request, reads the
+record and forms the tilt. kernel_rows and the spectral price call it.
 
 The spectral sum stops where its decay bound says: one rule keeps mode n
 while e^{-tau (E_n - E_0)} >= 1e-16, the theta3 cutoff, reading the model's
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,13 +61,40 @@ def _check_request(which: str, method: str, tau: float) -> None:
         raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
+class _Model(NamedTuple):
+    """What the kernels and prices read of one model."""
+
+    name: str
+    modes: str  # the word for its modes in a refusal
+    mode_cap: int  # the highest mode a spectral sum may keep
+    eigenvalue: Callable  # (params, n) -> E_n
+    mode_table: Callable  # (params, n_max, y) -> rows Phi_0..Phi_{n_max} at y
+    spectral_values: Callable  # (params, x, x', tau, tilt) -> (value, tail)
+    closed_value: Callable  # (params, x, x', tau, tilt) -> value
+    interval: Tuple[float, float]  # the open interval points must lie in
+
+
+def _model(params: ModelParams) -> _Model:
+    """The record of the params' model, built from module attributes on every
+    call so that a wrapper installed over one of them sees every evaluation; a
+    TypeError refuses params of neither model."""
+    if isinstance(params, HarmonicParams):
+        return _Model("harmonic", "oscillator", MAX_DEGREE, har.eigenvalue, har.mode_table,
+                      harmonic_spectral_values, harmonic_closed_value, (-math.inf, math.inf))
+    if isinstance(params, BarrierParams):
+        return _Model("barrier", "sine", MAX_SINE_MODES, bar.eigenvalue, bar.mode_table,
+                      barrier_spectral_values, barrier_closed_value, (params.a, params.b))
+    raise TypeError(f"params must be HarmonicParams or BarrierParams, "
+                    f"got {type(params).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # spectral sums
 
 
 def _spectral_sum(table: Callable, energies: np.ndarray, x, x_prime, tau: float,
-                  s: float, beta: float):
-    """e^{s beta (x - x')} sum_n e^{-tau E_n} Phi_n(x) Phi_n(x') with x and x'
+                  tilt: float):
+    """e^{tilt (x - x')} sum_n e^{-tau E_n} Phi_n(x) Phi_n(x') with x and x'
     broadcast against each other, returned together with the magnitude of the
     last included term, both of the points' broadcast shape.
 
@@ -81,7 +109,7 @@ def _spectral_sum(table: Callable, energies: np.ndarray, x, x_prime, tau: float,
                                  [x.size], axis=1)
     terms = ((np.exp(-tau * energies).reshape((-1,) + (1,) * nd)
               * table_x.reshape((-1,) + x.shape)) * table_xp.reshape((-1,) + xp.shape))
-    prefactor = np.exp(s * beta * (x - xp))
+    prefactor = np.exp(tilt * (x - xp))
     value = prefactor * np.sum(terms, axis=0)
     tail = np.abs(prefactor * terms[-1])
     return value.reshape(shape), tail.reshape(shape)
@@ -99,17 +127,15 @@ def _kept_energies(params: ModelParams, tau: float) -> np.ndarray:
     """E_0..E_N, the modes with tau (E_n - E_0) <= KEPT_DECAY; a ValueError
     refuses a tau that needs more than the model's cap. Only energies are
     compared, so no tau and no k^2 can overflow or divide by zero here."""
-    if isinstance(params, BarrierParams):
-        eigenvalue, cap, modes = bar.eigenvalue, MAX_SINE_MODES, "sine"
-    else:
-        eigenvalue, cap, modes = har.eigenvalue, MAX_DEGREE, "oscillator"
-    energies = _energies(eigenvalue, params, cap)
+    model = _model(params)
+    cap = model.mode_cap
+    energies = _energies(model.eigenvalue, params, cap)
     with np.errstate(over="ignore"):  # an overflowing decay is a dropped mode
         top = int(np.count_nonzero(tau * (energies[1:] - energies[0]) <= KEPT_DECAY))
     if top > cap:
-        raise ValueError(f"the spectral sum at tau = {tau} needs more than the "
-                         f"{cap + 1} {modes} modes 0..{cap} before e^(-tau (E_n - E_0)) "
-                         f"falls below {THETA_TERM_CUTOFF:g}")
+        raise ValueError(f"the spectral sum at tau = {tau} needs more than the {cap + 1} "
+                         f"{model.modes} modes 0..{cap} before e^(-tau (E_n - E_0)) falls "
+                         f"below {THETA_TERM_CUTOFF:g}")
     return energies[:top + 1]
 
 
@@ -118,28 +144,22 @@ def top_mode(params: ModelParams, tau: float) -> int:
     return _kept_energies(params, tau).size - 1
 
 
-def harmonic_spectral_values(params: HarmonicParams, x, x_prime, tau: float,
-                             s: float, beta: float):
-    """The spectral sum over the oscillator modes 0..top_mode, E_n = n + delta."""
+def _spectral_values(params: ModelParams, x, x_prime, tau: float, tilt: float):
+    """(value, tail) of the params' model's spectral sum over modes 0..top_mode."""
     energies = _kept_energies(params, tau)
-    return _spectral_sum(partial(har.mode_table, params, energies.size - 1), energies,
-                         x, x_prime, tau, s, beta)
+    table = partial(_model(params).mode_table, params, energies.size - 1)
+    return _spectral_sum(table, energies, x, x_prime, tau, tilt)
 
 
-def barrier_spectral_values(params: BarrierParams, x, x_prime, tau: float,
-                            s: float, beta: float):
-    """The spectral sum over the sine modes 0..top_mode, E_n = barrier.eigenvalue."""
-    energies = _kept_energies(params, tau)
-    return _spectral_sum(partial(bar.mode_table, params, energies.size - 1), energies,
-                         x, x_prime, tau, s, beta)
+# each model's name for the one sum: perfbench/tracing.py wraps it at these names
+harmonic_spectral_values = barrier_spectral_values = _spectral_values
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-def harmonic_closed_value(params: HarmonicParams, x, x_prime, tau: float,
-                          s: float, beta: float):
+def harmonic_closed_value(params: HarmonicParams, x, x_prime, tau: float, tilt: float):
     """Gaussian closed form of the damped-oscillator propagator.
 
     The bilinear Hermite sum with weight z^n collapses to
@@ -153,7 +173,7 @@ def harmonic_closed_value(params: HarmonicParams, x, x_prime, tau: float,
     v = params.scaled_argument(xp)
     exponent = (
         -tau * params.delta
-        + s * beta * (x - xp)
+        + tilt * (x - xp)
         - 0.5 * (u * u + v * v)
         + (2.0 * u * v * z - z * z * (u * u + v * v)) / one_minus
     )
@@ -161,8 +181,7 @@ def harmonic_closed_value(params: HarmonicParams, x, x_prime, tau: float,
     return norm * np.exp(exponent)
 
 
-def barrier_closed_value(params: BarrierParams, x, x_prime, tau: float,
-                         s: float, beta: float):
+def barrier_closed_value(params: BarrierParams, x, x_prime, tau: float, tilt: float):
     """Theta-3 closed form: the damped sine sum via
     sin(mA)sin(mB) = [cos(m(A-B)) - cos(m(A+B))]/2."""
     xp = np.asarray(x_prime, dtype=float)
@@ -170,39 +189,25 @@ def barrier_closed_value(params: BarrierParams, x, x_prime, tau: float,
     q = math.exp(-tau * params.k_squared)
     k1 = 0.5 * (theta3(0.5 * lam1 * (x - xp), q) - 1.0)
     k2 = 0.5 * (theta3(0.5 * lam1 * (x + xp - 2.0 * params.a), q) - 1.0)
-    prefactor = (2.0 / params.width) * np.exp(-tau * params.gamma + s * beta * (x - xp))
+    prefactor = (2.0 / params.width) * np.exp(-tau * params.gamma + tilt * (x - xp))
     return prefactor * 0.5 * (k1 - k2)
 
 
 # ---------------------------------------------------------------------------
-# the one entry point, by the type of the params
+# the one entry point
 
 
-def _model_functions(params: ModelParams) -> Tuple[Callable, Callable]:
-    """(spectral values, closed value) of the params' model.
-
-    The functions are read from this module's globals on every call, so a
-    wrapper installed over one of them sees every evaluation.
-    """
-    if isinstance(params, HarmonicParams):
-        return harmonic_spectral_values, harmonic_closed_value
-    if isinstance(params, BarrierParams):
-        return barrier_spectral_values, barrier_closed_value
-    raise TypeError(f"params must be HarmonicParams or BarrierParams, "
-                    f"got {type(params).__name__}")
-
-
-def _check_points(params: ModelParams, **points) -> None:
-    """Points must be finite, and barrier points must lie inside (a, b); a
+def _check_points(model: _Model, **points) -> None:
+    """Points must lie inside the model's open interval, so they are finite; a
     ValueError names the first point that does not."""
-    barrier = isinstance(params, BarrierParams)
-    lo, hi = (params.a, params.b) if barrier else (-math.inf, math.inf)
+    lo, hi = model.interval
     for name, values in points.items():
         values = np.asarray(values, dtype=float)
         inside = (lo < values) & (values < hi)
         if not inside.all():
+            where = "barrier " if model.name == "barrier" else ""
             raise ValueError(f"{name} = {values[~inside].flat[0]} lies outside the "
-                             f"open {'barrier ' if barrier else ''}interval ({lo}, {hi})")
+                             f"open {where}interval ({lo}, {hi})")
 
 
 def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
@@ -215,14 +220,13 @@ def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
     that does not.
     """
     _check_request(which, method, tau)
-    spectral, closed = _model_functions(params)
-    _check_points(params, x=x, x_prime=x_prime)
-    s = _SIGNS[which]
-    b = params.beta if beta is None else float(beta)
+    model = _model(params)
+    _check_points(model, x=x, x_prime=x_prime)
+    tilt = _SIGNS[which] * (params.beta if beta is None else float(beta))
     if method == "spectral":
-        value, tail = spectral(params, x, x_prime, tau, s, b)
+        value, tail = model.spectral_values(params, x, x_prime, tau, tilt)
     else:
-        value = closed(params, x, x_prime, tau, s, b)
+        value = model.closed_value(params, x, x_prime, tau, tilt)
         tail = np.zeros(np.shape(value))
     # a scalar point gives Python floats
     return (float(value), float(tail)) if np.ndim(value) == 0 else (value, tail)

@@ -19,8 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .barrier import BarrierParams
-from .kernels import ModelParams, _check_points, _check_request, kernel_values, top_mode
+from .kernels import ModelParams, _check_points, _check_request, _model, kernel_values, top_mode
 # not called here: perfbench/tracing.py patches these two names in this module
 from .kernels import barrier_spectral_values, harmonic_spectral_values  # noqa: F401
 from .quadrature import legendre_rule
@@ -130,11 +129,11 @@ def price_spectral(params: ModelParams, which: str, payoff: Payoff, x: float,
     beyond the model's mode cap is refused before any node is placed.
     """
     _check_request(which, "spectral", tau)
-    _check_points(params, x=x)
+    model = _model(params)
+    _check_points(model, x=x)
     n_top = top_mode(params, tau)
-    if isinstance(params, BarrierParams):
-        lo, hi = params.a, params.b
-    else:
+    lo, hi = model.interval
+    if model.name == "harmonic":
         half = PRICE_WINDOW_SIGMAS * params.sigma * math.sqrt(max(1.0, tau))
         lo = min(x, params.center) - half
         hi = max(x, params.center) + half
@@ -146,9 +145,9 @@ def price_spectral(params: ModelParams, which: str, payoff: Payoff, x: float,
     total = 0.0
     for rule, panel in zip(rules, np.split(values, len(rules))):
         total += float(np.dot(rule.weights, panel * payoff.as_log(rule.nodes)))
-    echo = {"model": "barrier" if isinstance(params, BarrierParams) else "harmonic",
-            "which": which, "payoff": payoff.kind, "strike": payoff.strike,
-            "x": x, "tau": tau, "n_trunc": n_top, "nodes": DEFAULT_NODES}
+    echo = {"model": model.name, "which": which, "payoff": payoff.kind,
+            "strike": payoff.strike, "x": x, "tau": tau, "n_trunc": n_top,
+            "nodes": DEFAULT_NODES}
     if beta is not None:
         echo["beta_override"] = float(beta)
     return PricingResult(total, f"spectral-{which}", config_echo=echo)

@@ -15,6 +15,7 @@ from pbk.barrier import (
     ANALYSIS_NODES,
     BarrierParams,
     DEFAULT_TRUNCATION,
+    MAX_SINE_MODES,
     Phi_n,
     SpectralVector,
     analyze_phi,
@@ -150,10 +151,20 @@ class TestModes:
         np.testing.assert_allclose(psi_n(box, 5)(x), np.exp(-box.beta * x) * base, rtol=1e-14)
 
     def test_mode_cap(self, box):
-        with pytest.raises(ValueError):
-            Phi_n(box, MAX_DEGREE + 1)
+        with pytest.raises(ValueError, match=f"0..{MAX_SINE_MODES}, got {MAX_SINE_MODES + 1}"):
+            Phi_n(box, MAX_SINE_MODES + 1)
         with pytest.raises(ValueError):
             varphi_n(box, -1)
+
+    def test_top_mode_matches_the_table(self, market):
+        # single modes reach the kernels' sine cap; at n = 4096 the sine's
+        # argument is up to 4097 pi, so the two evaluations differ by rounding
+        wide = BarrierParams(market, math.log(20.0), math.log(500.0))
+        x = np.linspace(wide.a, wide.b, 41)[1:-1]
+        top = Phi_n(wide, MAX_SINE_MODES)(x)
+        assert np.max(np.abs(top)) == pytest.approx(math.sqrt(2.0 / wide.width), rel=1e-5)
+        np.testing.assert_allclose(top, mode_table(wide, MAX_SINE_MODES, x)[-1], rtol=0,
+                                   atol=1e-11)
 
 
 # ---------------------------------------------------------------------------

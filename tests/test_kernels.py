@@ -22,6 +22,7 @@ from pbk.kernels import (
     top_mode,
 )
 from pbk.market import MarketParams
+from pbk.pricing import Payoff, price_spectral
 from pbk.specialfn import MAX_DEGREE, hermite_function_sequence
 
 
@@ -73,12 +74,18 @@ class TestKernelRequest:
         assert kernel_values(hp, **h_req(method="closed"))[1] == 0.0
 
     def test_params_of_neither_model_rejected(self, hp):
-        # the params type picks the model; anything else is a TypeError
+        # the params type picks the model; anything else is a TypeError, the
+        # same one from every entry point
         for method in ("spectral", "closed"):
             with pytest.raises(TypeError, match="HarmonicParams or BarrierParams"):
                 kernel_values(hp.market, **h_req(method=method))
             with pytest.raises(TypeError, match="HarmonicParams or BarrierParams"):
                 kernel_values(hp.market, "p1", method, 0.0, 0.1, 0.5)
+        for call in (lambda: kernel_rows(hp.market, [0.0], [0.1], [0.5]),
+                     lambda: top_mode(hp.market, 0.5),
+                     lambda: price_spectral(hp.market, "p1", Payoff.call(1.0), 0.0, 0.5)):
+            with pytest.raises(TypeError, match="HarmonicParams or BarrierParams"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +224,22 @@ class TestVectorization:
 
     def test_harmonic_array_matches_scalars(self, hp):
         xps = np.array([-0.2, 0.0, 0.15])
-        vec_vals, vec_tails = harmonic_spectral_values(hp, 0.1, xps, 0.5, 1.0, hp.beta)
+        vec_vals, vec_tails = harmonic_spectral_values(hp, 0.1, xps, 0.5, hp.beta)
         for i, xp in enumerate(xps):
-            val, tail = harmonic_spectral_values(hp, 0.1, float(xp), 0.5, 1.0, hp.beta)
+            val, tail = harmonic_spectral_values(hp, 0.1, float(xp), 0.5, hp.beta)
             assert np.isclose(val, vec_vals[i], rtol=1e-13, atol=1e-16)
             assert tail == vec_tails[i]
 
     def test_barrier_array_matches_scalars(self, bp):
         xps = np.array([0.5, 1.5, 2.5])
-        vec_vals, vec_tails = barrier_spectral_values(bp, 1.2, xps, 0.3, 1.0, bp.beta)
+        vec_vals, vec_tails = barrier_spectral_values(bp, 1.2, xps, 0.3, bp.beta)
         for i, xp in enumerate(xps):
-            val, tail = barrier_spectral_values(bp, 1.2, float(xp), 0.3, 1.0, bp.beta)
+            val, tail = barrier_spectral_values(bp, 1.2, float(xp), 0.3, bp.beta)
             assert np.isclose(val, vec_vals[i], rtol=1e-12, atol=1e-15)
             assert tail == vec_tails[i]
 
 
-def separate_tables_spectral_sum(table, energies, x, x_prime, tau, s, beta):
+def separate_tables_spectral_sum(table, energies, x, x_prime, tau, tilt):
     """The spectral sum with x and x' tabulated in separate calls of table."""
     x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
     shape = np.broadcast_shapes(x.shape, xp.shape)
@@ -241,7 +248,7 @@ def separate_tables_spectral_sum(table, energies, x, x_prime, tau, s, beta):
     decay = np.exp(-tau * energies).reshape((-1,) + (1,) * nd)
     terms = ((decay * table(x.ravel()).reshape((-1,) + x.shape))
              * table(xp.ravel()).reshape((-1,) + xp.shape))
-    prefactor = np.exp(s * beta * (x - xp))
+    prefactor = np.exp(tilt * (x - xp))
     value = prefactor * np.sum(terms, axis=0)
     tail = np.abs(prefactor * terms[-1])
     return value.reshape(shape), tail.reshape(shape)
@@ -276,10 +283,10 @@ class TestOneModeTable:
         xp = rng.uniform(lo, hi, xp_shape)
         x, xp = (float(y) if y.ndim == 0 else y for y in (x, xp))
         for s in (1.0, -1.0):
-            got = spectral(params, x, xp, 0.3, s, params.beta)
+            got = spectral(params, x, xp, 0.3, s * params.beta)
             with monkeypatch.context() as m:
                 m.setattr(pbk.kernels, "_spectral_sum", separate_tables_spectral_sum)
-                expected = spectral(params, x, xp, 0.3, s, params.beta)
+                expected = spectral(params, x, xp, 0.3, s * params.beta)
             assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
 
 
@@ -312,6 +319,15 @@ class TestPerModeOracle:
     def test_barrier(self, bp):
         self.check(bp, lambda n, y: Phi_n(bp, n)(y), lambda n: barrier_eigenvalue(bp, n),
                    np.linspace(0.1, math.pi - 0.1, 9), (0.05, 0.3, 1.0, 2.0))
+
+    def test_wide_barrier_at_short_tau(self, market):
+        # the short-maturity, wide-barrier regime, where N runs past 200 modes
+        wide = BarrierParams(market, math.log(20.0), math.log(500.0))
+        taus = (0.001, 0.01, 0.05)
+        assert [top_mode(wide, tau) for tau in taus] == [1389, 438, 195]
+        self.check(wide, lambda n, y: Phi_n(wide, n)(y),
+                   lambda n: barrier_eigenvalue(wide, n),
+                   np.linspace(wide.a + 0.1, wide.b - 0.1, 9), taus)
 
 
 class TestKernelValues:

@@ -4,13 +4,14 @@ perfbench/tracing.py replaces pbk functions at the attributes their callers
 look them up through. A refactor that renames or drops one of those
 attributes would silently remove a span from the traced benchmark, so the
 site tables are read here (the file is executed from its source, nothing is
-written) and each (module, attribute) pair is resolved. The counts two of
-its hooks take are guarded too: the kernel table's length and the mode
-tables per spectral evaluation. So are the barrier system's calls through
-the traced analysis and synthesis attributes, both systems' inner products
-through the traced adaptive and inner-product attributes, and the Monte Carlo calls
-perfbench/workload.py makes directly: a signature or path-count rule that
-changed under them would fail here, not inside a benchmark run.
+written) and each (module, attribute) pair is resolved. The counts its
+hooks take are guarded too: the kernel table's length, the mode tables per
+spectral evaluation, and the spectral or closed calls per kernel value. So
+are the barrier system's calls through the traced analysis and synthesis
+attributes, both systems' inner products through the traced adaptive and
+inner-product attributes, and the Monte Carlo calls perfbench/workload.py
+makes directly: a signature or path-count rule that changed under them would
+fail here, not inside a benchmark run.
 """
 
 import importlib
@@ -25,6 +26,7 @@ import pytest
 
 import pbk.barrier
 import pbk.harmonic
+import pbk.kernels
 import pbk.pricing
 import pbk.quadrature
 import pbk.systems
@@ -60,6 +62,37 @@ def test_expansion_call_site_resolves():
 def test_kernel_table_length_is_the_row_count():
     table = kernel_rows(HP, [-0.1, 0.0, 0.1], [0.05, 0.2], [0.3, 1.0])
     assert len(table) == 3 * 2 * 2 * 2 * 2 == table.value.size
+
+
+KERNEL_SITES = ("harmonic_spectral_values", "barrier_spectral_values",
+                "harmonic_closed_value", "barrier_closed_value")
+
+
+@pytest.mark.parametrize("model, params, x", [("harmonic", HP, 0.0), ("barrier", BP, 4.6)],
+                         ids=["harmonic", "barrier"])
+@pytest.mark.parametrize("method, site", [("spectral", "spectral_values"),
+                                          ("closed", "closed_value")])
+def test_one_traced_kernel_call_per_kernel_value(monkeypatch, model, params, x, method,
+                                                 site):
+    """kernel_values looks the model's spectral and closed functions up
+    through pbk.kernels on every call, so kernels.spectral_values_calls and
+    kernels.closed_value_calls keep counting: a model record that captured
+    the functions once would leave those spans empty."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in KERNEL_SITES:
+        monkeypatch.setattr(pbk.kernels, name, counted(name, getattr(pbk.kernels, name)))
+    kernel_values(params, "p1", method, x, x + 0.05, 0.5)
+    assert calls == {f"{model}_{site}": 1}
+    kernel_values(params, "p2", method, x, np.array([x - 0.05, x + 0.05]), 0.5)
+    assert calls == {f"{model}_{site}": 2}
 
 
 def count_tables(monkeypatch, module, attr):
