@@ -35,7 +35,7 @@ from .quadrature import legendre_rule
 
 DEFAULT_TRUNCATION = 128
 ANALYSIS_NODES = 1024
-MAX_SINE_MODES = 4096  # caps a kernel's sine table: 16 MB at a price's 481 nodes
+MAX_SINE_MODES = 4096  # caps a spectral sum's sine table
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,39 @@ def mode_table(params: BarrierParams, n_max: int, x) -> np.ndarray:
     np.sin(table, out=table)
     table *= math.sqrt(2.0 / params.width)
     return table
+
+
+def payoff_coefficients(params: BarrierParams, payoff, tilt: float, x: float,
+                        strike_rows: np.ndarray) -> np.ndarray:
+    """c_n = integral over (a, b) of e^{tilt (x - x')} Phi_n(x') payoff(e^{x'}) dx',
+    n = 0..N, given strike_rows = Phi_0..Phi_N at the log-strike k.
+
+    Each term sign e^{log_weight + c (x' - x)} of payoff.exponential_terms is
+    integrated over the part of (a, b) on its side of k with
+    e^{c y} (c sin(lambda (y - a)) - lambda cos(lambda (y - a))) / (c^2 + lambda^2).
+    The sine is 0 at a and b, where the cosine is 1 and (-1)^{n+1}.
+    """
+    above, terms = payoff.exponential_terms(tilt, x)
+    k = math.log(payoff.strike)
+    a, b = params.a, params.b  # an empty side integrates from b to b or a to a: 0
+    lo, hi = (min(max(k, a), b), b) if above else (a, max(min(k, b), a))
+    n = np.arange(1, strike_rows.shape[0] + 1)  # mode n - 1 carries lambda_n
+    coefficients = np.zeros(n.size)
+    lam, amp = params.wavenumber(n), math.sqrt(2.0 / params.width)
+
+    def end(y):  # y, amp sin(lambda (y - a)) and amp cos(lambda (y - a))
+        if y == a:
+            return y, 0.0, amp
+        if y == b:
+            return y, 0.0, amp * (1.0 - 2.0 * (n % 2))
+        return y, strike_rows, amp * np.cos(n * (params.wavenumber(1) * (k - a)))
+
+    ends = [end(hi), end(lo)]
+    for sign, log_weight, rate in terms:
+        top, bottom = (np.exp(log_weight + rate * (y - x)) * (rate * sin - lam * cos)
+                       for y, sin, cos in ends)
+        coefficients += sign * (top - bottom) / (rate * rate + lam * lam)
+    return coefficients
 
 
 def _tilted_mode(params: BarrierParams, n: int, rate: float) -> Callable:

@@ -87,6 +87,45 @@ def mode_table(params: HarmonicParams, n_max: int, x) -> np.ndarray:
     return table
 
 
+def payoff_coefficients(params: HarmonicParams, payoff, tilt: float, x: float,
+                        strike_rows: np.ndarray) -> np.ndarray:
+    """c_n = integral of e^{tilt (x - x')} Phi_n(x') payoff(e^{x'}) dx',
+    n = 0..N, given strike_rows = Phi_0..Phi_N at the log-strike k.
+
+    In u = x'/sigma + sigma w, a term sign e^{log_weight + c (x' - x)} of
+    payoff.exponential_terms adds sign sqrt(sigma) e^{log_weight - gamma u_x} I_n,
+    gamma = c sigma, I_n = integral of e^{gamma u} h_n(u) over u > u_k (s = 1)
+    or u < u_k (s = -1). Parts and h_n' = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1}
+    give sqrt((n+1)/2) I_{n+1} = sqrt(n/2) I_{n-1} + gamma I_n + s e^{gamma u_k} h_n(u_k)
+    from I_0 = pi^{-1/4} e^{gamma^2/2} sqrt(pi/2) erfc(s (u_k - gamma) / sqrt 2).
+    The start and each boundary term, with their e^{log_weight - gamma u_x}, are
+    formed in one exponent, so a far strike or spot gives 0, not inf * 0.
+    """
+    above, terms = payoff.exponential_terms(tilt, x)
+    side = 1.0 if above else -1.0
+    sigma = params.sigma
+    u_x = float(params.scaled_argument(x))
+    u_k = float(params.scaled_argument(math.log(payoff.strike)))
+    roots = np.sqrt(np.arange(strike_rows.shape[0]) / 2.0).tolist()  # sqrt(n/2)
+    with np.errstate(divide="ignore"):  # a value that underflowed to 0 gives e^-inf = 0
+        log_h = np.log(np.abs(strike_rows)) + 0.5 * math.log(sigma)  # log |h_n(u_k)|
+        coefficients = np.zeros(strike_rows.shape[0])
+        for sign, log_weight, rate in terms:
+            gamma = rate * sigma
+            shift = log_weight - gamma * u_x
+            tail = np.log(math.erfc(side * (u_k - gamma) / math.sqrt(2.0)))
+            integral = math.pi**-0.25 * math.sqrt(0.5 * math.pi) * float(
+                np.exp(shift + 0.5 * gamma * gamma + tail))
+            edges = (side * np.sign(strike_rows) * np.exp(shift + gamma * u_k + log_h)).tolist()
+            integrals, previous = [integral], 0.0
+            for n in range(len(roots) - 1):
+                previous, integral = integral, (roots[n] * previous + gamma * integral
+                                                + edges[n]) / roots[n + 1]
+                integrals.append(integral)
+            coefficients += sign * math.sqrt(sigma) * np.array(integrals)
+    return coefficients
+
+
 def superpotential(params: HarmonicParams, x):
     """The linear factor W(x) = x/sigma^2 + w shared by all factorized operators."""
     return np.asarray(x, dtype=float) / params.sigma**2 + params.w

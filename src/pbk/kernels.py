@@ -5,12 +5,12 @@ prefactor e^{t (x - x')}: s = +1 gives p1, s = -1 gives p2, so the "replace
 beta by -beta" duality holds bit-for-bit by construction.
 
 _model(params) is the one place that reads the type of the params: it gives
-the model's record (its name, modes, cap, energies, mode table, spectral and
-closed functions and open interval) or refuses other params with a TypeError.
-Both models share one spectral sum, e^{t (x - x')} sum_n e^{-tau E_n} Phi_n(x)
-Phi_n(x') over x and x' broadcast against each other. kernel_values is the
-one array-in, array-out entry point: it validates the request, reads the
-record and forms the tilt. kernel_rows and the spectral price call it.
+the model's record (name, modes, cap, energies, mode table, spectral, closed
+and payoff-coefficient functions, open interval) or refuses other params with
+a TypeError. Both models share one spectral sum, e^{t (x - x')} sum_n
+e^{-tau E_n} Phi_n(x) Phi_n(x') over x and x' broadcast against each other.
+kernel_values is the one array-in, array-out entry point; kernel_rows checks
+the same requests and reads one mode table per call through the same sum.
 
 The spectral sum stops where its decay bound says: one rule keeps mode n
 while e^{-tau (E_n - E_0)} >= 1e-16, the theta3 cutoff, reading the model's
@@ -19,17 +19,15 @@ oscillator and N = floor(sqrt(1 + 36.84 / (tau k^2)) - 1) between the
 barriers. A tau whose N is above the model's mode cap is refused.
 
 The closed forms are a Mehler-type Gaussian for the whole-line model and a
-Jacobi theta-3 combination for the interval model. An independent
-method-of-images oracle for the barrier kernel (killed drifted Brownian
-motion, discounted) is included for cross-validation; it never touches the
-eigenfunction machinery.
+Jacobi theta-3 combination for the interval model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import product
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -39,12 +37,7 @@ from .barrier import MAX_SINE_MODES, BarrierParams
 from .harmonic import HarmonicParams
 # not called here: perfbench/tracing.py patches this name in this module
 from .specialfn import hermite_function_sequence  # noqa: F401
-from .specialfn import MAX_DEGREE, THETA_TERM_CUTOFF, theta3
-
-# mode n is kept while tau (E_n - E_0) <= this: e^{-tau (E_n - E_0)} >= 1e-16
-KEPT_DECAY = -math.log(THETA_TERM_CUTOFF)
-IMAGE_TERM_CUTOFF = 1e-14
-IMAGE_MAX_WRAPS = 64
+from .specialfn import KEPT_DECAY, MAX_DEGREE, THETA_TERM_CUTOFF, theta3
 
 ModelParams = Union[HarmonicParams, BarrierParams]
 
@@ -69,8 +62,10 @@ class _Model(NamedTuple):
     mode_cap: int  # the highest mode a spectral sum may keep
     eigenvalue: Callable  # (params, n) -> E_n
     mode_table: Callable  # (params, n_max, y) -> rows Phi_0..Phi_{n_max} at y
-    spectral_values: Callable  # (params, x, x', tau, tilt) -> (value, tail)
-    closed_value: Callable  # (params, x, x', tau, tilt) -> value
+    spectral_values: Callable  # (params, x, x', tau, tilts[, table]) -> [(value, tail)]
+    closed_value: Callable  # (params, x, x', tau, tilts) -> [value], one per tilt
+    # (params, payoff, tilt, x, rows Phi_0..Phi_N at the log-strike) -> c_0..c_N
+    payoff_coefficients: Callable
     interval: Tuple[float, float]  # the open interval points must lie in
 
 
@@ -80,10 +75,12 @@ def _model(params: ModelParams) -> _Model:
     TypeError refuses params of neither model."""
     if isinstance(params, HarmonicParams):
         return _Model("harmonic", "oscillator", MAX_DEGREE, har.eigenvalue, har.mode_table,
-                      harmonic_spectral_values, harmonic_closed_value, (-math.inf, math.inf))
+                      harmonic_spectral_values, harmonic_closed_value,
+                      har.payoff_coefficients, (-math.inf, math.inf))
     if isinstance(params, BarrierParams):
         return _Model("barrier", "sine", MAX_SINE_MODES, bar.eigenvalue, bar.mode_table,
-                      barrier_spectral_values, barrier_closed_value, (params.a, params.b))
+                      barrier_spectral_values, barrier_closed_value,
+                      bar.payoff_coefficients, (params.a, params.b))
     raise TypeError(f"params must be HarmonicParams or BarrierParams, "
                     f"got {type(params).__name__}")
 
@@ -92,27 +89,28 @@ def _model(params: ModelParams) -> _Model:
 # spectral sums
 
 
-def _spectral_sum(table: Callable, energies: np.ndarray, x, x_prime, tau: float,
-                  tilt: float):
-    """e^{tilt (x - x')} sum_n e^{-tau E_n} Phi_n(x) Phi_n(x') with x and x'
-    broadcast against each other, returned together with the magnitude of the
-    last included term, both of the points' broadcast shape.
+def _spectral_sum(table: np.ndarray, energies: np.ndarray, x, x_prime, tau: float,
+                  tilts):
+    """One (value, tail) pair per tilt: e^{tilt (x - x')} sum_n e^{-tau E_n}
+    Phi_n(x) Phi_n(x') with x and x' broadcast against each other, and the
+    magnitude of the last included term, both of the points' broadcast shape.
 
-    table(y) gives the rows Phi_n(y), one per energy E_n. It is called once,
-    on the points of x and x' together; it acts point by point, so each half
-    of its table is the table of x or x' alone."""
+    table holds the rows Phi_n, one per energy E_n, at the points of x and
+    then of x', raveled; the tilt-free sum is formed once for every tilt."""
     x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
     shape = np.broadcast_shapes(x.shape, xp.shape)
     nd = max(x.ndim, xp.ndim, 1)
     x, xp = (y.reshape((1,) * (nd - y.ndim) + y.shape) for y in (x, xp))
-    table_x, table_xp = np.split(table(np.concatenate((x.ravel(), xp.ravel()))),
-                                 [x.size], axis=1)
+    table_x, table_xp = np.split(table, [x.size], axis=1)
     terms = ((np.exp(-tau * energies).reshape((-1,) + (1,) * nd)
               * table_x.reshape((-1,) + x.shape)) * table_xp.reshape((-1,) + xp.shape))
-    prefactor = np.exp(tilt * (x - xp))
-    value = prefactor * np.sum(terms, axis=0)
-    tail = np.abs(prefactor * terms[-1])
-    return value.reshape(shape), tail.reshape(shape)
+    total, last = np.sum(terms, axis=0), terms[-1]
+    pairs = []
+    for tilt in tilts:
+        prefactor = np.exp(tilt * (x - xp))
+        pairs.append(((prefactor * total).reshape(shape),
+                      np.abs(prefactor * last).reshape(shape)))
+    return pairs
 
 
 @lru_cache(maxsize=16)
@@ -144,11 +142,17 @@ def top_mode(params: ModelParams, tau: float) -> int:
     return _kept_energies(params, tau).size - 1
 
 
-def _spectral_values(params: ModelParams, x, x_prime, tau: float, tilt: float):
-    """(value, tail) of the params' model's spectral sum over modes 0..top_mode."""
+def _spectral_values(params: ModelParams, x, x_prime, tau: float, tilts,
+                     table: Optional[np.ndarray] = None):
+    """(value, tail) per tilt of the params' model's spectral sum over modes
+    0..top_mode, from one mode table on the points of x and x' together. A
+    given table may have more rows: tables act point by point and build row
+    n from the rows below it, so its first top_mode + 1 rows are that table."""
     energies = _kept_energies(params, tau)
-    table = partial(_model(params).mode_table, params, energies.size - 1)
-    return _spectral_sum(table, energies, x, x_prime, tau, tilt)
+    if table is None:
+        points = np.concatenate((np.ravel(x), np.ravel(x_prime))).astype(float)
+        table = _model(params).mode_table(params, energies.size - 1, points)
+    return _spectral_sum(table[:energies.size], energies, x, x_prime, tau, tilts)
 
 
 # each model's name for the one sum: perfbench/tracing.py wraps it at these names
@@ -159,8 +163,9 @@ harmonic_spectral_values = barrier_spectral_values = _spectral_values
 # closed forms
 
 
-def harmonic_closed_value(params: HarmonicParams, x, x_prime, tau: float, tilt: float):
-    """Gaussian closed form of the damped-oscillator propagator.
+def harmonic_closed_value(params: HarmonicParams, x, x_prime, tau: float, tilts):
+    """Gaussian closed form of the damped-oscillator propagator, one value
+    per tilt.
 
     The bilinear Hermite sum with weight z^n collapses to
     (1-z^2)^{-1/2} exp[(2uvz - z^2(u^2+v^2))/(1-z^2)] times the ground
@@ -171,26 +176,28 @@ def harmonic_closed_value(params: HarmonicParams, x, x_prime, tau: float, tilt: 
     one_minus = -math.expm1(-2.0 * tau)  # 1 - z^2, accurate for small tau
     u = params.scaled_argument(x)
     v = params.scaled_argument(xp)
-    exponent = (
-        -tau * params.delta
-        + tilt * (x - xp)
-        - 0.5 * (u * u + v * v)
-        + (2.0 * u * v * z - z * z * (u * u + v * v)) / one_minus
-    )
     norm = 1.0 / (params.sigma * math.sqrt(math.pi * one_minus))
-    return norm * np.exp(exponent)
+    return [norm * np.exp(-tau * params.delta
+                          + tilt * (x - xp)
+                          - 0.5 * (u * u + v * v)
+                          + (2.0 * u * v * z - z * z * (u * u + v * v)) / one_minus)
+            for tilt in tilts]
 
 
-def barrier_closed_value(params: BarrierParams, x, x_prime, tau: float, tilt: float):
-    """Theta-3 closed form: the damped sine sum via
-    sin(mA)sin(mB) = [cos(m(A-B)) - cos(m(A+B))]/2."""
+def barrier_closed_value(params: BarrierParams, x, x_prime, tau: float, tilts):
+    """Theta-3 closed form, one value per tilt: the damped sine sum via
+    sin(mA)sin(mB) = [cos(m(A-B)) - cos(m(A+B))]/2. The theta-3 pair does
+    not depend on the tilt, so it is formed once."""
     xp = np.asarray(x_prime, dtype=float)
     lam1 = params.wavenumber(1)
-    q = math.exp(-tau * params.k_squared)
-    k1 = 0.5 * (theta3(0.5 * lam1 * (x - xp), q) - 1.0)
-    k2 = 0.5 * (theta3(0.5 * lam1 * (x + xp - 2.0 * params.a), q) - 1.0)
-    prefactor = (2.0 / params.width) * np.exp(-tau * params.gamma + tilt * (x - xp))
-    return prefactor * 0.5 * (k1 - k2)
+    rate = tau * params.k_squared
+    q = math.exp(-rate)
+    # k1 - k2 for k_i = (theta3(u_i) - 1) / 2, without the 1 that swamps a
+    # small theta3 on the transformed side
+    gap = 0.5 * (theta3(0.5 * lam1 * (x - xp), q, rate)
+                 - theta3(0.5 * lam1 * (x + xp - 2.0 * params.a), q, rate))
+    return [(2.0 / params.width) * np.exp(-tau * params.gamma + tilt * (x - xp)) * 0.5 * gap
+            for tilt in tilts]
 
 
 # ---------------------------------------------------------------------------
@@ -224,54 +231,12 @@ def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
     _check_points(model, x=x, x_prime=x_prime)
     tilt = _SIGNS[which] * (params.beta if beta is None else float(beta))
     if method == "spectral":
-        value, tail = model.spectral_values(params, x, x_prime, tau, tilt)
+        [(value, tail)] = model.spectral_values(params, x, x_prime, tau, (tilt,))
     else:
-        value = model.closed_value(params, x, x_prime, tau, tilt)
+        [value] = model.closed_value(params, x, x_prime, tau, (tilt,))
         tail = np.zeros(np.shape(value))
     # a scalar point gives Python floats
     return (float(value), float(tail)) if np.ndim(value) == 0 else (value, tail)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: killed drifted Brownian motion by the method of images
-
-
-def kernel_oracle_image_series(params: BarrierParams, x: float, x_prime: float,
-                               tau: float) -> float:
-    """Discounted transition density of GBM log-price killed at the barriers.
-
-    e^{-r tau} e^{mu (x'-x)/sigma^2 - mu^2 tau/(2 sigma^2)} times the
-    image-series density of Brownian motion absorbed at both ends, with
-    mu = r - sigma^2/2. Wraps are added until a full image pair falls below
-    1e-14. No eigenfunctions involved.
-    """
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    sigma, r = params.sigma, params.r
-    mu = r - 0.5 * sigma * sigma
-    width = params.width
-    var = sigma * sigma * tau
-
-    def gauss(d: float) -> float:
-        return math.exp(-d * d / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-    direct = x_prime - x
-    reflected = x_prime + x - 2.0 * params.a
-    total = 0.0
-    for n in range(IMAGE_MAX_WRAPS + 1):
-        wraps = [n] if n == 0 else [n, -n]
-        largest = 0.0
-        for m in wraps:
-            shift = 2.0 * m * width
-            plus = gauss(direct + shift)
-            minus = gauss(reflected + shift)
-            total += plus - minus
-            largest = max(largest, plus, minus)
-        if n > 0 and largest < IMAGE_TERM_CUTOFF:
-            break
-    weight = math.exp(-r * tau + mu * (x_prime - x) / sigma**2
-                      - mu * mu * tau / (2.0 * sigma**2))
-    return weight * total
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +266,35 @@ class KernelTable:
 def kernel_rows(params: ModelParams, xs, x_primes, taus,
                 whichs=("p1", "p2"), methods=("spectral", "closed"),
                 beta: Optional[float] = None) -> KernelTable:
-    """The table of every (tau, x, x', which, method) combination.
-
-    Each (tau, which, method) is one call of the model's function over the
-    whole x by x' grid.
+    """The table of every (tau, x, x', which, method) combination, each value
+    bit for bit kernel_values' over the whole x by x' grid. Every tau reads
+    row slices of one mode table on xs and x_primes, and forms its spectral
+    sum and its closed form's tilt-free part once for all whichs.
     """
     xs = np.asarray(xs, dtype=float)
     x_primes = np.asarray(x_primes, dtype=float)
     taus = np.asarray(taus, dtype=float)
     whichs, methods = tuple(whichs), tuple(methods)
+    for tau, which, method in product(taus.tolist(), whichs, methods):
+        _check_request(which, method, tau)
+    model = _model(params)
+    _check_points(model, x=xs, x_prime=x_primes)
+    tilts = [_SIGNS[which] * (params.beta if beta is None else float(beta))
+             for which in whichs]
+    table = None
+    if "spectral" in methods and taus.size:
+        n_top = max(top_mode(params, tau) for tau in taus.tolist())
+        table = model.mode_table(params, n_top, np.concatenate((xs, x_primes)))
     value = np.empty((taus.size, xs.size, x_primes.size, len(whichs), len(methods)))
     tail = np.empty_like(value)
+    x, xp = xs[:, None], x_primes[None, :]
     for t, tau in enumerate(taus.tolist()):
-        for w, which in enumerate(whichs):
-            for m, method in enumerate(methods):
-                value[t, :, :, w, m], tail[t, :, :, w, m] = kernel_values(
-                    params, which, method, xs[:, None], x_primes[None, :], tau, beta)
+        for m, method in enumerate(methods):
+            pairs = (model.spectral_values(params, x, xp, tau, tilts, table)
+                     if method == "spectral" else
+                     [(v, 0.0) for v in model.closed_value(params, x, xp, tau, tilts)])
+            for w, (v, tl) in enumerate(pairs):
+                value[t, :, :, w, m], tail[t, :, :, w, m] = v, tl
     disagreement = None
     if "spectral" in methods and "closed" in methods:
         spectral = value[..., methods.index("spectral")]

@@ -1,7 +1,10 @@
-"""Option prices from the kernels, plus Monte Carlo and Black-Scholes oracles.
+"""Option prices from the kernels, plus the Monte Carlo oracle.
 
-The kernel price is a Gauss-Legendre integral of kernel times payoff over the
-model domain, split at the strike kink. The Monte Carlo oracle simulates GBM
+The kernel price is taken in coefficient space, with no quadrature: the
+spectral kernel e^{t (x - x')} sum_n e^{-tau E_n} Phi_n(x) Phi_n(x')
+integrated against the payoff is sum_n e^{-tau E_n} Phi_n(x) c_n, and the
+payoff's coefficients c_n, tilt included, have closed forms (the model
+record's payoff_coefficients). The Monte Carlo oracle simulates GBM
 log-paths with exact Gaussian increments, each draw giving an antithetic pair
 of paths (z and -z) mirrored about their drift line, knocks out on the
 barriers (with a Brownian-bridge crossing correction for what happens between
@@ -19,18 +22,17 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .kernels import ModelParams, _check_points, _check_request, _model, kernel_values, top_mode
-# not called here: perfbench/tracing.py patches these two names in this module
+from .kernels import (_SIGNS, ModelParams, _check_points, _check_request, _kept_energies,
+                      _model)
+# not called here: perfbench/tracing.py patches these three names in this module
 from .kernels import barrier_spectral_values, harmonic_spectral_values  # noqa: F401
-from .quadrature import legendre_rule
+from .quadrature import legendre_rule  # noqa: F401
 
 PAYOFF_KINDS = ("call", "put", "digital_call")
-DEFAULT_NODES = 240
 MC_BLOCK_PATHS = 8192
 MC_CHUNK_PATHS = 1024
 # bridge steps with d0 d1 >= 18.5 sigma^2 dt cross with p < e^-37 and are dropped
 BRIDGE_NEAR = 18.5
-PRICE_WINDOW_SIGMAS = 10.0
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,17 @@ class Payoff:
         if self.kind == "put":
             return np.maximum(self.strike - s, 0.0)
         return np.where(s > self.strike, 1.0, 0.0)
+
+    def exponential_terms(self, tilt: float, x: float):
+        """payoff(e^{x'}) e^{tilt (x - x')} as (above, terms): the sum over
+        terms (sign, log_weight, rate) of sign e^{log_weight + rate (x' - x)},
+        on x' above the log-strike when above is true and below it otherwise."""
+        k = math.log(self.strike)
+        if self.kind == "call":
+            return True, ((1.0, x, 1.0 - tilt), (-1.0, k, -tilt))
+        if self.kind == "put":
+            return False, ((1.0, k, -tilt), (-1.0, x, 1.0 - tilt))
+        return True, ((1.0, 0.0, -tilt),)
 
 
 @dataclass(frozen=True)
@@ -112,45 +125,27 @@ class PricingResult:
 # kernel-integral price
 
 
-def _panels(lo: float, hi: float, kink: float) -> Tuple[Tuple[float, float], ...]:
-    if lo < kink < hi:
-        return ((lo, kink), (kink, hi))
-    return ((lo, hi),)
-
-
 def price_spectral(params: ModelParams, which: str, payoff: Payoff, x: float,
                    tau: float, beta: Optional[float] = None) -> PricingResult:
-    """C(x; tau) = integral of the spectral kernel times payoff(e^{x'}).
-
-    Integration runs over (a, b) for the barrier model and over a
-    10-standard-deviation window for the whole-line model, with a panel
-    break at the strike kink either way, DEFAULT_NODES nodes per panel. The
-    kernel is evaluated once, on the nodes of every panel together; a tau
-    beyond the model's mode cap is refused before any node is placed.
+    """C(x; tau) = sum_n e^{-tau E_n} Phi_n(x) c_n over modes 0..top_mode, the
+    spectral kernel integrated against payoff(e^{x'}), with the closed-form
+    c_n = integral of e^{t (x - x')} Phi_n(x') payoff(e^{x'}) dx'. One mode
+    table on the spot and the log-strike serves both; a tau beyond the
+    model's mode cap is refused before it is built.
     """
     _check_request(which, "spectral", tau)
     model = _model(params)
     _check_points(model, x=x)
-    n_top = top_mode(params, tau)
-    lo, hi = model.interval
-    if model.name == "harmonic":
-        half = PRICE_WINDOW_SIGMAS * params.sigma * math.sqrt(max(1.0, tau))
-        lo = min(x, params.center) - half
-        hi = max(x, params.center) + half
-    rules = [legendre_rule(DEFAULT_NODES, panel_lo, panel_hi)
-             for panel_lo, panel_hi in _panels(lo, hi, math.log(payoff.strike))]
-    values, _ = kernel_values(params, which, "spectral", x,
-                              np.concatenate([rule.nodes for rule in rules]), tau,
-                              beta)
-    total = 0.0
-    for rule, panel in zip(rules, np.split(values, len(rules))):
-        total += float(np.dot(rule.weights, panel * payoff.as_log(rule.nodes)))
+    energies = _kept_energies(params, tau)
+    tilt = _SIGNS[which] * (params.beta if beta is None else float(beta))
+    rows = model.mode_table(params, energies.size - 1, np.array([x, math.log(payoff.strike)]))
+    coefficients = model.payoff_coefficients(params, payoff, tilt, x, rows[:, 1])
+    value = float(np.dot(np.exp(-tau * energies) * rows[:, 0], coefficients))
     echo = {"model": model.name, "which": which, "payoff": payoff.kind,
-            "strike": payoff.strike, "x": x, "tau": tau, "n_trunc": n_top,
-            "nodes": DEFAULT_NODES}
+            "strike": payoff.strike, "x": x, "tau": tau, "n_trunc": energies.size - 1}
     if beta is not None:
         echo["beta_override"] = float(beta)
-    return PricingResult(total, f"spectral-{which}", config_echo=echo)
+    return PricingResult(value, f"spectral-{which}", config_echo=echo)
 
 
 # ---------------------------------------------------------------------------
@@ -306,30 +301,3 @@ def price_mc_barrier(payoff: Payoff, s0: float, barriers: Tuple[float, float],
     return PricingResult(discount * mean, "mc-brownian-bridge",
                          stderr=stderr if stderr > 0.0 else None,
                          config_echo=echo)
-
-
-# ---------------------------------------------------------------------------
-# Black-Scholes reference
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def bs_closed_form(kind: str, s0: float, strike: float, sigma: float, r: float,
-                   tau: float) -> float:
-    """Vanilla Black-Scholes price via the erf-based normal CDF."""
-    if kind not in PAYOFF_KINDS:
-        raise ValueError(f"kind must be one of {PAYOFF_KINDS}, got {kind!r}")
-    if not (sigma > 0.0 and tau > 0.0):
-        raise ValueError("sigma and tau must be positive")
-    if not (s0 > 0.0 and strike > 0.0):
-        raise ValueError("spot and strike must be positive")
-    sqrt_tau = math.sqrt(tau)
-    d1 = (math.log(s0 / strike) + (r + 0.5 * sigma * sigma) * tau) / (sigma * sqrt_tau)
-    d2 = d1 - sigma * sqrt_tau
-    if kind == "call":
-        return s0 * _norm_cdf(d1) - strike * math.exp(-r * tau) * _norm_cdf(d2)
-    if kind == "put":
-        return strike * math.exp(-r * tau) * _norm_cdf(-d2) - s0 * _norm_cdf(-d1)
-    return math.exp(-r * tau) * _norm_cdf(d2)

@@ -13,6 +13,7 @@ need.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +22,8 @@ MAX_DEGREE = 200
 # theta3 terms are added while q**(m*m) >= this; below it they cannot move
 # a double-precision partial sum of order 1.
 THETA_TERM_CUTOFF = 1e-16
+KEPT_DECAY = -math.log(THETA_TERM_CUTOFF)  # a term is kept while its decay rate is below
+THETA_TRANSFORM_RATE = math.pi / 2.0  # theta3 is transformed for -ln q below this
 
 
 def _check_degree(n: int) -> None:
@@ -52,24 +55,34 @@ def laguerre(n: int, k: int, x):
     return l if l.ndim else float(l)
 
 
-def theta3(u, q: float):
+def theta3(u, q: float, rate: Optional[float] = None):
     """Jacobi theta function theta3(u, q) = 1 + 2 sum_m q^(m^2) cos(2 m u).
 
-    The nome must satisfy 0 <= q < 1. Terms are added until q^(m^2) drops
-    below 1e-16; for q <= 0.9 that is at most a handful of terms. The
-    argument u may be a scalar or an ndarray (radians).
+    The nome must satisfy 0 <= q < 1. rate, when given, is l = -ln q as the
+    caller knows it (a q near 1 keeps few of its digits), and a positive one
+    admits a q that rounded to 1. The argument u may be a scalar or an
+    ndarray (radians). For l >= pi/2 the series is summed while q^(m^2) >=
+    1e-16, at most four terms; its rounding, about e^{pi^2 / (4 l)} / 2 ulps
+    of the value, grows without bound as q -> 1. Below, the Jacobi imaginary
+    transformation (Whittaker & Watson ch. 21) gives a sum of positive
+    Gaussians, sqrt(pi / l) sum_m e^{-(u - m pi)^2 / l}, good to a few ulps.
     """
-    if not 0.0 <= q < 1.0:
+    if not (0.0 <= q < 1.0 or q == 1.0 and rate):
         raise ValueError(f"nome q must satisfy 0 <= q < 1, got {q}")
     u = np.asarray(u, dtype=float)
-    total = np.ones_like(u)
-    m = 1
-    while True:
-        term = q ** (m * m)
-        if term < THETA_TERM_CUTOFF:
-            break
-        total = total + 2.0 * term * np.cos(2.0 * m * u)
-        m += 1
+    ell = rate if rate is not None else -math.log(q) if q > 0.0 else math.inf
+    if ell < THETA_TRANSFORM_RATE:
+        reduced = u - math.pi * np.round(u / math.pi)  # theta3 has period pi in u
+        m = 1  # images -m..m; the next one is below 1e-16 of the nearest
+        while (m + 1) * m * math.pi**2 / ell <= KEPT_DECAY:
+            m += 1
+        total = math.sqrt(math.pi / ell) * sum(
+            np.exp(-(reduced - j * math.pi) ** 2 / ell) for j in range(-m, m + 1))
+    else:
+        total, m = np.ones_like(u), 1
+        while q ** (m * m) >= THETA_TERM_CUTOFF:
+            total = total + 2.0 * q ** (m * m) * np.cos(2.0 * m * u)
+            m += 1
     return total if total.ndim else float(total)
 
 

@@ -17,17 +17,18 @@ import pytest
 from pbk import barrier as bar
 from pbk import harmonic as har
 from pbk.grids import GridSpec, grid_norm
-from pbk.kernels import kernel_oracle_image_series, kernel_values
+from pbk.kernels import kernel_values
 from pbk.market import MarketParams
 from pbk.pb_core import check_biorthogonality, check_ladder, check_quasi_basis
 from pbk.pricing import (
     MCConfig,
     Payoff,
-    bs_closed_form,
     price_mc_barrier,
     price_spectral,
 )
 from pbk.systems import barrier_system, harmonic_system
+
+from oracles import bs_closed_form, kernel_oracle_image_series
 
 
 def report(num, name, ok, detail):

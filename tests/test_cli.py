@@ -399,9 +399,10 @@ def test_price_checks_spot_and_tau_before_its_window(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["price", "--model", "harmonic", "--tau", "1e300"],
+    # a tilt of -9999.5 makes e^{gamma^2 / 2} in the payoff coefficients overflow
+    ["price", "--model", "harmonic", "--sigma", "0.01", "--r", "1", "--strike", "1"],
     ["kernel", "--model", "harmonic", "--x", "1e300"],
-], ids=["harmonic-tau", "kernel-x"])
+], ids=["harmonic-overflow", "kernel-x"])
 def test_non_finite_results_exit_2(capsys, tmp_path, argv):
     # every input is finite; the result is not, and none is written
     target = tmp_path / "result"
@@ -413,6 +414,38 @@ def test_non_finite_results_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error: ") and "is not finite" in err
     assert err.count("\n") == 1 and err.endswith("\n")  # the one error line
     assert not target.exists()
+
+
+def test_harmonic_price_at_huge_tau_is_zero(capsys):
+    # e^{-tau E_0} underflows, the true limit; no window of nan nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["price", "--model", "harmonic", "--tau", "1e300"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["value"] == 0.0
+
+
+@pytest.mark.parametrize("model", ["harmonic", "barrier"])
+def test_far_strikes_and_spots_price_or_refuse(capsys, model):
+    # a finite price >= 0, or one error line and exit 2; never a traceback
+    for x in (-50.0, 0.0, 50.0):
+        if model == "harmonic":
+            where = [f"--x={x!r}"]
+        else:  # barriers 5 either side of the spot, in log-price
+            where = ["--s0", repr(math.exp(x)), "--lower", repr(math.exp(x - 5.0)),
+                     "--upper", repr(math.exp(x + 5.0))]
+        for kind in ("call", "put", "digital_call"):
+            for strike in ("1e-300", "1", "1e300"):
+                for which in ("p1", "p2"):
+                    argv = ["price", "--model", model, *where, "--payoff", kind,
+                            "--strike", strike, "--which", which]
+                    code, out, err = run_cli(capsys, argv)
+                    if code == 0:
+                        value = json.loads(out)["result"]["value"]
+                        assert math.isfinite(value) and value >= 0.0, argv
+                    else:
+                        assert code == 2 and out == "", argv
+                        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("argv, modes", [

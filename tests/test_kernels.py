@@ -16,7 +16,6 @@ from pbk.harmonic import HarmonicParams
 from pbk.kernels import (
     barrier_spectral_values,
     harmonic_spectral_values,
-    kernel_oracle_image_series,
     kernel_rows,
     kernel_values,
     top_mode,
@@ -24,6 +23,8 @@ from pbk.kernels import (
 from pbk.market import MarketParams
 from pbk.pricing import Payoff, price_spectral
 from pbk.specialfn import MAX_DEGREE, hermite_function_sequence
+
+from oracles import kernel_oracle_image_series
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +181,26 @@ class TestImageOracle:
         with pytest.raises(ValueError, match="tau"):
             kernel_oracle_image_series(bp, 1.0, 2.0, 0.0)
 
+    @pytest.mark.parametrize("tau", [1e-5, 1e-3, 0.1, 1.0, 10.0])
+    def test_closed_form_matches_at_any_tau(self, bp, tau):
+        # relative to each value, down to densities of 1e-52 at tau 1e-5 and
+        # near the barriers; the closed form is transformed for all these tau
+        for x, xp in ((1.2, 1.21), (1.2, 1.5), (0.01, 0.02), (0.1, 0.15), (2.9, 2.5)):
+            for which, (start, end) in (("p1", (x, xp)), ("p2", (xp, x))):
+                closed = value(bp, b_req(which=which, x=x, x_prime=xp, tau=tau,
+                                         method="closed"))
+                oracle = kernel_oracle_image_series(bp, start, end, tau)
+                assert closed >= 0.0
+                assert closed == pytest.approx(oracle, rel=1e-12, abs=1e-300)
+
+    def test_short_tau_density_is_not_negative(self):
+        # the theta3 difference used to cancel to -2.5e-13; the true density
+        # is about e^-112500
+        box = BarrierParams(MarketParams(0.2, 0.05), 0.0, 3.0)
+        for tau in (1e-5, 1e-15):
+            table = kernel_rows(box, [1.2], [1.5], [tau], methods=("closed",))
+            assert table.value.tolist() == [0.0, 0.0]
+
     def test_wide_barriers_recover_free_lognormal_kernel(self, market):
         wide = BarrierParams(market, -20.0, 20.0)
         x, xp, tau = 0.0, 0.12, 0.5
@@ -224,34 +245,19 @@ class TestVectorization:
 
     def test_harmonic_array_matches_scalars(self, hp):
         xps = np.array([-0.2, 0.0, 0.15])
-        vec_vals, vec_tails = harmonic_spectral_values(hp, 0.1, xps, 0.5, hp.beta)
+        [(vec_vals, vec_tails)] = harmonic_spectral_values(hp, 0.1, xps, 0.5, (hp.beta,))
         for i, xp in enumerate(xps):
-            val, tail = harmonic_spectral_values(hp, 0.1, float(xp), 0.5, hp.beta)
+            [(val, tail)] = harmonic_spectral_values(hp, 0.1, float(xp), 0.5, (hp.beta,))
             assert np.isclose(val, vec_vals[i], rtol=1e-13, atol=1e-16)
             assert tail == vec_tails[i]
 
     def test_barrier_array_matches_scalars(self, bp):
         xps = np.array([0.5, 1.5, 2.5])
-        vec_vals, vec_tails = barrier_spectral_values(bp, 1.2, xps, 0.3, bp.beta)
+        [(vec_vals, vec_tails)] = barrier_spectral_values(bp, 1.2, xps, 0.3, (bp.beta,))
         for i, xp in enumerate(xps):
-            val, tail = barrier_spectral_values(bp, 1.2, float(xp), 0.3, bp.beta)
+            [(val, tail)] = barrier_spectral_values(bp, 1.2, float(xp), 0.3, (bp.beta,))
             assert np.isclose(val, vec_vals[i], rtol=1e-12, atol=1e-15)
             assert tail == vec_tails[i]
-
-
-def separate_tables_spectral_sum(table, energies, x, x_prime, tau, tilt):
-    """The spectral sum with x and x' tabulated in separate calls of table."""
-    x, xp = np.asarray(x, dtype=float), np.asarray(x_prime, dtype=float)
-    shape = np.broadcast_shapes(x.shape, xp.shape)
-    nd = max(x.ndim, xp.ndim, 1)
-    x, xp = (y.reshape((1,) * (nd - y.ndim) + y.shape) for y in (x, xp))
-    decay = np.exp(-tau * energies).reshape((-1,) + (1,) * nd)
-    terms = ((decay * table(x.ravel()).reshape((-1,) + x.shape))
-             * table(xp.ravel()).reshape((-1,) + xp.shape))
-    prefactor = np.exp(tilt * (x - xp))
-    value = prefactor * np.sum(terms, axis=0)
-    tail = np.abs(prefactor * terms[-1])
-    return value.reshape(shape), tail.reshape(shape)
 
 
 def same_bits(a, b) -> bool:
@@ -273,21 +279,25 @@ class TestOneModeTable:
 
     @pytest.mark.parametrize("model", ["harmonic", "barrier"])
     @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES))
-    def test_bitwise_equal_to_separate_tables(self, monkeypatch, hp, bp, model, shape):
-        params, spectral = ((hp, harmonic_spectral_values) if model == "harmonic"
-                            else (bp, barrier_spectral_values))
+    def test_bitwise_equal_to_separate_tables(self, hp, bp, model, shape):
+        params, spectral, mode_table = (
+            (hp, harmonic_spectral_values, pbk.harmonic.mode_table) if model == "harmonic"
+            else (bp, barrier_spectral_values, pbk.barrier.mode_table))
         lo, hi = (-0.4, 0.4) if model == "harmonic" else (0.2, 2.9)
         rng = np.random.default_rng(7)
         x_shape, xp_shape = self.SHAPES[shape]
         x = rng.uniform(lo, hi, x_shape)
         xp = rng.uniform(lo, hi, xp_shape)
         x, xp = (float(y) if y.ndim == 0 else y for y in (x, xp))
-        for s in (1.0, -1.0):
-            got = spectral(params, x, xp, 0.3, s * params.beta)
-            with monkeypatch.context() as m:
-                m.setattr(pbk.kernels, "_spectral_sum", separate_tables_spectral_sum)
-                expected = spectral(params, x, xp, 0.3, s * params.beta)
-            assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1])
+        # the table of x and that of x', built in separate calls, side by side
+        n_top = top_mode(params, 0.3)
+        separate = np.concatenate([mode_table(params, n_top, np.ravel(y))
+                                   for y in (x, xp)], axis=1)
+        tilts = (params.beta, -params.beta)
+        got = spectral(params, x, xp, 0.3, tilts)
+        expected = spectral(params, x, xp, 0.3, tilts, separate)
+        for (value, tail), (expected_value, expected_tail) in zip(got, expected):
+            assert same_bits(value, expected_value) and same_bits(tail, expected_tail)
 
 
 class TestPerModeOracle:
@@ -504,6 +514,49 @@ class TestKernelRows:
         assert len(p2) == len(flipped)
         assert np.array_equal(p2.value, flipped.value)
         assert np.array_equal(p2.tail_estimate, flipped.tail_estimate)
+
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    @pytest.mark.parametrize("beta", [None, 0.4])
+    def test_one_table_per_call_and_the_values_of_kernel_values(self, monkeypatch, hp, bp,
+                                                                 model, beta):
+        # one mode table, with the rows of the largest top_mode; each
+        # (tau, which, method) block equals its own kernel_values call, which
+        # builds its own table, bit for bit
+        params = hp if model == "harmonic" else bp
+        module = pbk.harmonic if model == "harmonic" else pbk.barrier
+        xs, xps = (np.array(points) for points in self.GRIDS[model])
+        taus = (0.3, 1.0, 0.5)
+        built = []
+        mode_table = module.mode_table
+
+        def counted(params, n_max, points):
+            built.append((n_max, np.shape(points)))
+            return mode_table(params, n_max, points)
+
+        monkeypatch.setattr(module, "mode_table", counted)
+        table = kernel_rows(params, xs, xps, taus, beta=beta)
+        assert built == [(top_mode(params, 0.3), (xs.size + xps.size,))]
+        shape = (len(taus), xs.size, xps.size, 2, 2)
+        value, tail = table.value.reshape(shape), table.tail_estimate.reshape(shape)
+        for t, tau in enumerate(taus):
+            for w, which in enumerate(("p1", "p2")):
+                for m, method in enumerate(("spectral", "closed")):
+                    expected, expected_tail = kernel_values(
+                        params, which, method, xs[:, None], xps[None, :], tau, beta)
+                    assert value[t, :, :, w, m].tobytes() == expected.tobytes()
+                    assert tail[t, :, :, w, m].tobytes() == expected_tail.tobytes()
+
+    def test_one_theta_pair_per_tau(self, monkeypatch, bp):
+        calls = []
+        theta3 = pbk.kernels.theta3
+
+        def counted(*args):
+            calls.append(args[1])
+            return theta3(*args)
+
+        monkeypatch.setattr(pbk.kernels, "theta3", counted)
+        kernel_rows(bp, [1.0, 2.0], [1.5], [0.3, 1.0], methods=("closed",))
+        assert calls == [math.exp(-0.3 * bp.k_squared)] * 2 + [math.exp(-bp.k_squared)] * 2
 
     def test_invalid_tables_rejected(self, hp, bp):
         with pytest.raises(ValueError, match="tau"):

@@ -1,8 +1,10 @@
-"""Pricing layer: payoffs, the spectral integral, the Monte Carlo oracle
-with Brownian-bridge correction, and the Black-Scholes reference."""
+"""Pricing layer: payoffs, the coefficient-space spectral price against the
+quadrature oracle, the Monte Carlo oracle with Brownian-bridge correction,
+and the Black-Scholes reference."""
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,25 +12,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import mpmath
+
+import pbk.barrier
+import pbk.harmonic
+import pbk.kernels
+import pbk.quadrature
 from pbk import pricing
 from pbk.barrier import BarrierParams
 from pbk.harmonic import HarmonicParams
-from pbk.kernels import kernel_oracle_image_series, top_mode
+from pbk.kernels import kernel_values, top_mode
 from pbk.pricing import (
     BRIDGE_NEAR,
     MC_BLOCK_PATHS,
     MC_CHUNK_PATHS,
+    PAYOFF_KINDS,
     MCConfig,
     Payoff,
     PricingResult,
     _block_sizes,
     _bridge_log_survival,
-    _panels,
     _simulate_block,
-    bs_closed_form,
     price_mc_barrier,
     price_spectral,
 )
+
+from oracles import (_panels, bs_closed_form, kernel_oracle_image_series, oracle_rules,
+                     quadrature_price)
 
 
 BARRIERS = (80.0, 120.0)
@@ -39,6 +49,11 @@ X0 = math.log(100.0)
 @pytest.fixture(scope="module")
 def box(market):
     return BarrierParams(market, LOG_A, LOG_B)
+
+
+def payoff_scale(payoff):
+    """The size of the payoff: its strike, or 1 for a digital."""
+    return 1.0 if payoff.kind == "digital_call" else payoff.strike
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +227,7 @@ class TestPriceSpectral:
 
     @pytest.mark.parametrize("model", ["harmonic", "barrier"])
     def test_one_kernel_call_per_price(self, monkeypatch, box, model):
-        # the benchmark's kernels.spectral_values span wraps this lookup site
-        import pbk.kernels
-
+        # the quadrature oracle evaluates the kernel once per price
         params = HarmonicParams(box.market) if model == "harmonic" else box
         x = 0.05 if model == "harmonic" else X0
         name = f"{model}_spectral_values"
@@ -226,44 +239,148 @@ class TestPriceSpectral:
             return original(*args)
 
         monkeypatch.setattr(pbk.kernels, name, counted)
-        monkeypatch.setattr(pricing, "DEFAULT_NODES", 64)
         for strike, panels in ((math.exp(x), 2), (1e6, 1)):
             calls.clear()
-            price_spectral(params, "p1", Payoff.call(strike), x, 0.5)
+            quadrature_price(params, "p1", Payoff.call(strike), x, 0.5, nodes=64, pieces=1)
             assert calls == [(64 * panels,)]
 
     @pytest.mark.parametrize("model", ["harmonic", "barrier"])
     @pytest.mark.parametrize("panels", [1, 2])
     @pytest.mark.parametrize("nodes", [2, 64, 240])
-    def test_bitwise_equal_to_one_call_per_panel(self, monkeypatch, box, model, panels,
-                                                 nodes):
-        # the total as it was when each panel had its own kernel evaluation
-        monkeypatch.setattr(pricing, "DEFAULT_NODES", nodes)
+    def test_bitwise_equal_to_one_call_per_panel(self, box, model, panels, nodes):
+        # the oracle's total as it would be with one kernel evaluation per panel
         params = HarmonicParams(box.market) if model == "harmonic" else box
         x = 0.05 if model == "harmonic" else X0
-        if model == "harmonic":
-            half = pricing.PRICE_WINDOW_SIGMAS * params.sigma
-            lo, hi = min(x, params.center) - half, max(x, params.center) + half
-        else:
-            lo, hi = params.a, params.b
         strike = math.exp(x) if panels == 2 else 1e6
         for which, beta in (("p1", None), ("p2", None), ("p1", -params.beta)):
             for payoff in (Payoff.call(strike), Payoff.put(strike),
                            Payoff.digital_call(strike)):
+                rules = oracle_rules(params, payoff, x, 0.5, nodes, 1)
+                assert len(rules) == panels
                 expected = 0.0
-                for panel_lo, panel_hi in _panels(lo, hi, math.log(strike)):
-                    rule = pricing.legendre_rule(nodes, panel_lo, panel_hi)
-                    values, _ = pricing.kernel_values(params, which, "spectral", x,
-                                                      rule.nodes, 0.5, beta)
+                for rule in rules:
+                    values, _ = kernel_values(params, which, "spectral", x, rule.nodes,
+                                              0.5, beta)
                     expected += float(np.dot(rule.weights,
                                              values * payoff.as_log(rule.nodes)))
-                got = price_spectral(params, which, payoff, x, 0.5, beta)
-                assert got.value.hex() == expected.hex()
+                got = quadrature_price(params, which, payoff, x, 0.5, beta, nodes, 1)
+                assert got.hex() == expected.hex()
 
     def test_panel_split_only_inside(self):
         assert _panels(0.0, 2.0, 1.0) == ((0.0, 1.0), (1.0, 2.0))
         assert _panels(0.0, 2.0, 3.0) == ((0.0, 2.0),)
         assert _panels(0.0, 2.0, 0.0) == ((0.0, 2.0),)
+
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    def test_one_mode_table_and_no_rule_per_price(self, monkeypatch, box, model):
+        # one table, on the spot and the log-strike; no kernel call, no rule
+        params = HarmonicParams(box.market) if model == "harmonic" else box
+        x = 0.05 if model == "harmonic" else X0
+        module = pbk.harmonic if model == "harmonic" else pbk.barrier
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if name == "mode_table":
+                    calls[("points",) + tuple(np.asarray(args[2]).tolist())] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(module, "mode_table", counted("mode_table", module.mode_table))
+        for site in ("harmonic_spectral_values", "barrier_spectral_values"):
+            monkeypatch.setattr(pbk.kernels, site, counted(site, getattr(pbk.kernels, site)))
+        for owner in (pbk.quadrature, pbk.pricing):
+            monkeypatch.setattr(owner, "legendre_rule",
+                                counted("legendre_rule", owner.legendre_rule))
+        for payoff in (Payoff.call(math.exp(x)), Payoff.put(1e6),
+                       Payoff.digital_call(90.0)):
+            calls.clear()
+            price_spectral(params, "p1", payoff, x, 0.5)
+            assert calls == {"mode_table": 1, ("points", x, math.log(payoff.strike)): 1}
+
+
+class TestCoefficientPrices:
+    """The coefficient-space price against the quadrature oracle, to 1e-12
+    of the larger of the price and the payoff's scale (its strike, or 1 for
+    a digital): deep out of the money both are rounding noise on that
+    scale."""
+
+    @staticmethod
+    def check(params, x, tau, strikes):
+        for kind in PAYOFF_KINDS:
+            for strike in strikes:
+                payoff = Payoff(kind, strike)
+                for which, beta in (("p1", None), ("p2", None), ("p1", -params.beta)):
+                    got = price_spectral(params, which, payoff, x, tau, beta).value
+                    expected = quadrature_price(params, which, payoff, x, tau, beta)
+                    assert got == pytest.approx(expected, rel=1e-12,
+                                                abs=1e-12 * payoff_scale(payoff)), (
+                        kind, strike, which, beta)
+
+    @pytest.mark.parametrize("lower, upper, tau", [
+        (80.0, 120.0, 0.01), (80.0, 120.0, 0.5), (80.0, 120.0, 2.0),
+        (50.0, 200.0, 0.05), (50.0, 200.0, 0.5),
+        (20.0, 500.0, 0.001), (20.0, 500.0, 0.01), (20.0, 500.0, 0.5),
+    ])
+    def test_barrier(self, market, lower, upper, tau):
+        # strikes outside the barriers, on them and inside them
+        params = BarrierParams(market, math.log(lower), math.log(upper))
+        self.check(params, X0, tau,
+                   (0.9 * lower, lower, 95.0, 100.0, 105.0, upper, 1.1 * upper))
+
+    def test_wide_barrier_modes(self, market):
+        wide = BarrierParams(market, math.log(20.0), math.log(500.0))
+        assert (top_mode(wide, 0.001), top_mode(wide, 0.01)) == (1389, 438)
+
+    @pytest.mark.parametrize("tau", [0.2, 0.5, 2.0])
+    @pytest.mark.parametrize("w", [0.0, 0.3])
+    def test_harmonic(self, market, w, tau):
+        # strikes within 6 standard deviations sigma sqrt(tau) of the spot
+        params = HarmonicParams(market, w)
+        x = 0.05
+        spread = market.sigma * math.sqrt(tau)
+        self.check(params, x, tau, [math.exp(x + j * spread) for j in (-6, -3, -1, 0, 1, 3, 6)])
+
+    def test_harmonic_recurrence_matches_mpmath_at_n_200(self, market):
+        # c_n = integral of e^{t (x - x')} Phi_n(x') payoff(e^{x'}) dx' by
+        # mpmath quadrature of the normalized Hermite function at 20 digits;
+        # the put's top coefficient is 4e-3 of a payoff of scale 0.9
+        params = HarmonicParams(market, 0.3)
+        x, tilt, n_top = 0.05, params.beta, 200
+        sigma = params.sigma
+        mpmath.mp.dps = 20
+        try:
+            for payoff in (Payoff.call(1.1), Payoff.put(0.9)):
+                k = math.log(payoff.strike)
+                rows = pbk.harmonic.mode_table(params, n_top, np.array([k]))[:, 0]
+                got = pbk.harmonic.payoff_coefficients(params, payoff, tilt, x, rows)
+                u_k = float(params.scaled_argument(k))
+                for n in (0, 57, 200):
+                    norm = 1 / mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+
+                    def integrand(u, n=n, norm=norm, payoff=payoff):
+                        xp = sigma * (u - sigma * params.w)
+                        h = norm * mpmath.hermite(n, u) * mpmath.exp(-u * u / 2)
+                        pay = mpmath.exp(xp) - payoff.strike
+                        if payoff.kind == "put":
+                            pay = -pay
+                        return mpmath.exp(tilt * (x - xp)) * h * pay * mpmath.sqrt(sigma)
+
+                    ends = (mpmath.linspace(u_k, 40, 25) if payoff.kind == "call"
+                            else mpmath.linspace(-40, u_k, 25))
+                    expected = float(mpmath.quad(integrand, ends))
+                    assert got[n] == pytest.approx(expected, rel=1e-11,
+                                                   abs=1e-14 * payoff.strike), (payoff, n)
+        finally:
+            mpmath.mp.dps = 15
+
+    def test_harmonic_price_vanishes_at_huge_tau(self, market):
+        # e^{-tau E_0} underflows: the true limit, not a window of nan nodes
+        result = price_spectral(HarmonicParams(market), "p1", Payoff.call(1.0), 0.0, 1e300)
+        assert result.value == 0.0
+        assert result.config_echo["n_trunc"] == 0
 
 
 # ---------------------------------------------------------------------------

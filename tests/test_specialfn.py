@@ -11,6 +11,7 @@ from scipy.special import eval_genlaguerre, eval_hermite
 
 from pbk.specialfn import (
     MAX_DEGREE,
+    THETA_TRANSFORM_RATE,
     _hermite_pair,
     hermite_function_sequence,
     laguerre,
@@ -127,6 +128,36 @@ class TestTheta3:
         u = np.linspace(0, 1, 5)
         out = theta3(u, 0.4)
         assert out.shape == u.shape
+
+    @pytest.mark.parametrize("rate", [THETA_TRANSFORM_RATE * 1.001, THETA_TRANSFORM_RATE,
+                                      THETA_TRANSFORM_RATE * 0.999, 0.3, 0.01, 1e-5])
+    def test_both_sides_of_the_switch_match_mpmath(self, rate):
+        # relative to the value: the transformed side keeps its digits where
+        # the cosine series would leave rounding noise of theta3(0, q)
+        q = math.exp(-rate)
+        mpmath.mp.dps = 40
+        try:
+            for u in np.linspace(-1.0, 4.0, 11):
+                expected = mpmath.jtheta(3, float(u), mpmath.exp(-mpmath.mpf(rate)))
+                if expected < 1e-300:
+                    continue
+                for got in (theta3(u, q, rate), theta3(np.array([u]), q, rate)[0]):
+                    assert got == pytest.approx(float(expected), rel=2e-15), (u, got)
+        finally:
+            mpmath.mp.dps = 15
+
+    def test_transformed_side_is_a_sum_of_positive_terms(self):
+        # far from every image of u the value underflows to 0, never below it
+        u = np.linspace(0.2, 1.4, 7)
+        for rate in (1e-3, 1e-7, 1e-15):
+            out = theta3(u, math.exp(-rate), rate)
+            assert np.all(out >= 0.0)
+        assert theta3(0.8, math.exp(-1e-7), 1e-7) == 0.0
+
+    def test_a_positive_rate_admits_a_nome_rounded_to_one(self):
+        assert theta3(0.0, 1.0, 1e-20) == pytest.approx(math.sqrt(math.pi / 1e-20))
+        with pytest.raises(ValueError, match="nome q"):
+            theta3(0.0, 1.0, 0.0)
 
 
 class TestHermiteFunction:

@@ -113,13 +113,12 @@ def check_one_table_per_evaluation(monkeypatch, params, xs, xps, calls):
     assert calls == [(5,)]
     calls.clear()
     kernel_rows(params, xs, xps, [0.3, 1.0])
-    assert calls == [(5,)] * 4  # one per (tau, which) of the spectral method
+    assert calls == [(5,)]  # one for every (tau, which) of the spectral method
     spot = float(np.mean(xs))
-    monkeypatch.setattr(pbk.pricing, "DEFAULT_NODES", 64)
-    for strike, panels in ((math.exp(spot + 0.05), 2), (1e6, 1)):
+    for strike in (math.exp(spot + 0.05), 1e6):
         calls.clear()
         price_spectral(params, "p1", Payoff.call(strike), spot, 0.5)
-        assert calls == [(1 + 64 * panels,)]
+        assert calls == [(2,)]  # the spot and the log-strike
 
 
 def test_one_hermite_recurrence_per_spectral_evaluation(monkeypatch):
