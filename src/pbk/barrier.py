@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import GridFunction, multiply_exponential
+from .grids import GridFunction, mode_sum, unit_coefficients
 from .market import MarketParams, MarketView
 from .quadrature import legendre_rule
 
@@ -92,22 +92,6 @@ def rho_coefficient(params: BarrierParams, n: int) -> float:
     return math.pi**2 * n * (n + 2.0) / params.width**2
 
 
-def Phi_n(params: BarrierParams, n: int) -> Callable:
-    """Orthonormal sine mode sqrt(2/L) sin(lambda_{n+1}(x-a)), zero outside (a, b)."""
-    if not 0 <= n <= MAX_SINE_MODES:
-        raise ValueError(f"mode index must be in 0..{MAX_SINE_MODES}, got {n}")
-    lam = params.wavenumber(n + 1)
-    amp = math.sqrt(2.0 / params.width)
-    a, b = params.a, params.b
-
-    def mode(x):
-        x = np.asarray(x, dtype=float)
-        vals = np.where((x >= a) & (x <= b), amp * np.sin(lam * (x - a)), 0.0)
-        return vals if vals.ndim else float(vals)
-
-    return mode
-
-
 def mode_table(params: BarrierParams, n_max: int, x) -> np.ndarray:
     """Rows Phi_0..Phi_{n_max} at x in one array of shape (n_max + 1,) + x.shape,
     not zeroed outside (a, b)."""
@@ -151,24 +135,29 @@ def payoff_coefficients(params: BarrierParams, payoff, tilt: float, x: float,
     return coefficients
 
 
-def _tilted_mode(params: BarrierParams, n: int, rate: float) -> Callable:
-    base = Phi_n(params, n)
+def _unit_mode(params: BarrierParams, n: int, rate: float) -> Callable:
+    return synthesize(params, SpectralVector(unit_coefficients(n, MAX_SINE_MODES)), rate,
+                       None)
 
-    def mode(x):
-        x_arr = np.asarray(x, dtype=float)
-        return np.exp(rate * x_arr) * base(x_arr)
 
-    return mode
+def Phi_n(params: BarrierParams, n: int) -> Callable:
+    """Orthonormal sine mode sqrt(2/L) sin(lambda_{n+1}(x-a)), zero outside [a, b]:
+    row n of mode_table.
+
+    Each call on x builds rows 0..n, so a member costs n + 1 sines per point;
+    a loop over members should read one mode_table or shared_mode_tables.
+    """
+    return _unit_mode(params, n, 0.0)
 
 
 def varphi_n(params: BarrierParams, n: int) -> Callable:
-    """e^{beta x} Phi_n."""
-    return _tilted_mode(params, n, params.beta)
+    """e^{beta x} Phi_n, at the cost of Phi_n."""
+    return _unit_mode(params, n, params.beta)
 
 
 def psi_n(params: BarrierParams, n: int) -> Callable:
-    """e^{-beta x} Phi_n."""
-    return _tilted_mode(params, n, -params.beta)
+    """e^{-beta x} Phi_n, at the cost of Phi_n."""
+    return _unit_mode(params, n, -params.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +271,12 @@ def analyze_psi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCAT
     return _analyze(params, f, n_max, params.beta, tables)
 
 
-def _synthesize(params: BarrierParams, v: SpectralVector, rate: float, tables) -> Callable:
-    """The function e^{rate x} sum_n v_n Phi_n, zero outside (a, b)."""
-    tables = tables or partial(mode_table, params)
+def synthesize(params: BarrierParams, v: SpectralVector, rate: float, tables) -> Callable:
+    """The function e^{rate x} sum_n v_n Phi_n, zero outside [a, b]; tables as
+    in synthesize_phi, or None."""
 
     def combination(x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        table = tables(v.n_max, x_arr)
-        vals = v.coeffs @ table.reshape(len(table), -1)
-        vals = vals.reshape(v.coeffs.shape[:-1] + x_arr.shape)
-        vals = np.exp(rate * x_arr) * vals
-        vals = np.where((x_arr >= params.a) & (x_arr <= params.b), vals, 0.0)
-        if np.ndim(x):
-            return vals
-        vals = vals[..., 0]
-        return vals if vals.ndim else float(vals)
+        return mode_sum(mode_table, params, tables, v.coeffs, rate, x, (params.a, params.b))
 
     return combination
 
@@ -307,12 +287,12 @@ def synthesize_phi(params: BarrierParams, v: SpectralVector, tables=None) -> Cal
     tables, if given, is a grids.shared_mode_tables callable over mode_table
     for params.
     """
-    return _synthesize(params, v, params.beta, tables)
+    return synthesize(params, v, params.beta, tables)
 
 
 def synthesize_psi(params: BarrierParams, v: SpectralVector, tables=None) -> Callable:
     """The function sum_n d_n psi_n, zero outside (a, b)."""
-    return _synthesize(params, v, -params.beta, tables)
+    return synthesize(params, v, -params.beta, tables)
 
 
 def _sqrt_rho(params: BarrierParams, n: np.ndarray) -> np.ndarray:
@@ -338,13 +318,3 @@ def apply_B_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
     out[..., 1:] = _sqrt_rho(params, n) * v.coeffs[..., :-1]
     tail = np.abs(_sqrt_rho(params, np.array(v.n_max + 1)) * v.coeffs[..., -1])
     return SpectralVector(out, discarded_tail=tail if tail.ndim else float(tail))
-
-
-def apply_S_phi(params: BarrierParams, f):
-    """Multiply by S_phi = e^{2 beta x}; bounded on (a, b), maps psi_n to varphi_n."""
-    return multiply_exponential(f, 2.0 * params.beta)
-
-
-def apply_S_psi(params: BarrierParams, f):
-    """Multiply by S_psi = e^{-2 beta x}; inverse of S_phi, maps varphi_n to psi_n."""
-    return multiply_exponential(f, -2.0 * params.beta)

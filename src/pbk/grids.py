@@ -10,13 +10,21 @@ the same grid (2-D samples, one function per row). Operators and norms act
 along the last axis, so each row of a block comes out as it would alone.
 Those that would copy a whole block into a temporary work through it one
 row at a time.
+
+The tilted mode layer both models share lives here too. Each model has an
+orthonormal mode table Phi_0..Phi_n and two biorthogonal families
+varphi_n = e^{beta x} Phi_n and psi_n = e^{-beta x} Phi_n. mode_sum
+evaluates every e^{tilt x} sum_k c_k Phi_k of either model, and the metric
+Theta = e^{-2 beta x} (apply_Theta, apply_Theta_inv) maps varphi_n to psi_n
+in both.
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -121,12 +129,27 @@ def grid_norm(f: GridFunction):
 
 
 def multiply_exponential(f, rate: float):
-    """e^{rate x} f for a GridFunction or a callable."""
+    """e^{rate x} f for a GridFunction, an expansion or a callable. An
+    expansion (an object with a tilted method, such as a
+    harmonic.HermiteExpansion) takes the rate into its own tilt."""
     if isinstance(f, GridFunction):
         return f.with_samples(np.exp(rate * f.x) * f.samples)
+    if hasattr(f, "tilted"):
+        return f.tilted(rate)
     if callable(f):
         return lambda x: np.exp(rate * np.asarray(x, dtype=float)) * f(x)
     raise TypeError(f"cannot multiply object of type {type(f).__name__}")
+
+
+def apply_Theta(params, f):
+    """Multiply by the metric Theta = e^{-2 beta x} of params' beta; maps
+    varphi_n to psi_n in either model."""
+    return multiply_exponential(f, -2.0 * params.beta)
+
+
+def apply_Theta_inv(params, f):
+    """Multiply by Theta^{-1} = e^{2 beta x}; maps psi_n back to varphi_n."""
+    return multiply_exponential(f, 2.0 * params.beta)
 
 
 def _mapped(table: np.ndarray) -> np.ndarray:
@@ -176,3 +199,44 @@ def shared_mode_tables(mode_table: Callable, params, n_max: int,
         return table if run is None else table[:, run]
 
     return tables
+
+
+def unit_coefficients(n: int, cap: int) -> np.ndarray:
+    """The coefficients of mode n alone, n in 0..cap: a 1 after n zeros."""
+    if not 0 <= n <= cap:
+        raise ValueError(f"mode index must be in 0..{cap}, got {n}")
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    return coeffs
+
+
+def mode_sum(mode_table: Callable, params, tables: Optional[Callable], coeffs: np.ndarray,
+             tilt: float, x, support: Optional[Tuple[float, float]] = None):
+    """e^{tilt x} sum_k coeffs[..., k] Phi_k(x), zero outside the closed
+    interval support if one is given.
+
+    Phi_k is row k of tables(n, x), a shared_mode_tables callable for params,
+    or else of a fresh mode_table(params, n, x), which is freed as soon as the
+    sum is formed. A coefficient matrix gives one row per function; the
+    identity matrix is a family block, whose rows are the table's own times
+    e^{tilt x}, with no matrix product. A scalar x gives a float (a complex
+    for complex coefficients), or one value per row of a block.
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    rows = coeffs.shape[-1]
+    table = (tables or partial(mode_table, params))(rows - 1, x_arr)
+    if coeffs.shape == (rows, rows) and np.array_equal(coeffs, np.eye(rows)):
+        vals = table * np.exp(tilt * x_arr)
+    else:
+        vals = coeffs @ table.reshape(rows, -1)
+        vals = vals.reshape(coeffs.shape[:-1] + x_arr.shape)
+        vals *= np.exp(tilt * x_arr)
+    del table  # an unshared table is freed at once: on the operator grid it is megabytes
+    if support is not None:
+        vals = np.where((x_arr >= support[0]) & (x_arr <= support[1]), vals, 0.0)
+    if np.ndim(x):
+        return vals
+    vals = vals[..., 0]
+    if vals.ndim:
+        return vals
+    return complex(vals) if np.iscomplexobj(vals) else float(vals)

@@ -27,15 +27,14 @@ a map applies to a whole eigenfamily at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Union
 
 import math
 
 import numpy as np
 
-from .grids import (GridFunction, GridSpec, derivative, multiply_exponential,
-                    second_derivative)
+from .grids import (GridFunction, GridSpec, derivative, mode_sum, multiply_exponential,
+                    second_derivative, unit_coefficients)
 from .market import MarketParams, MarketView
 from .specialfn import hermite_function_sequence
 
@@ -189,9 +188,8 @@ class HermiteExpansion:
     error rather than finite-difference error.
 
     A coefficient matrix is a block of functions with one tilt, one per row;
-    every map acts on the last axis, and evaluation gives one row each. The
-    identity matrix is a family block: its rows are the mode table's, times
-    e^{tilt * x}, with no matrix product.
+    every map acts on the last axis, and evaluation (grids.mode_sum) gives
+    one row each. The identity matrix is a family block.
 
     tables, if given, is a grids.shared_mode_tables callable over mode_table
     for params; every map passes it on to the expansion it returns.
@@ -205,28 +203,8 @@ class HermiteExpansion:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs)))
 
-    @property
-    def gaussian_decay_rate(self) -> float:
-        """Envelope rate a with |f(x)| ~ e^{-a x^2}; used to pick quadrature scales."""
-        return 1.0 / (2.0 * self.params.sigma**2)
-
     def __call__(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        rows = self.coeffs.shape[-1]
-        table = (self.tables or partial(mode_table, self.params))(rows - 1, x_arr)
-        if self.coeffs.shape == (rows, rows) and np.array_equal(self.coeffs, np.eye(rows)):
-            vals = table * np.exp(self.tilt * x_arr)
-        else:
-            vals = self.coeffs @ table.reshape(rows, -1)
-            vals = vals.reshape(self.coeffs.shape[:-1] + x_arr.shape)
-            vals *= np.exp(self.tilt * x_arr)
-        del table  # an unshared table is freed at once: on the operator grid it is megabytes
-        if np.ndim(x):
-            return vals
-        vals = vals[..., 0]
-        if vals.ndim:
-            return vals
-        return complex(vals) if np.iscomplexobj(vals) else float(vals)
+        return mode_sum(mode_table, self.params, self.tables, self.coeffs, self.tilt, x)
 
     def deriv_coeffs(self) -> np.ndarray:
         """Coefficients of d/dx, same tilt: tilt * c + (1/sigma) * d/du c."""
@@ -246,11 +224,7 @@ class HermiteExpansion:
 
 
 def _unit_expansion(params: HarmonicParams, n: int, tilt: float) -> HermiteExpansion:
-    if not 0 <= n <= FAMILY_MAX:
-        raise ValueError(f"family index must be in 0..{FAMILY_MAX}, got {n}")
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    return HermiteExpansion(params, tilt, coeffs)
+    return HermiteExpansion(params, tilt, unit_coefficients(n, FAMILY_MAX))
 
 
 def phi_n(params: HarmonicParams, n: int) -> HermiteExpansion:
@@ -395,31 +369,14 @@ def apply_h_BS(params: HarmonicParams, f: Applicable):
     return _second_order(params, f, 0.0, False, params.gamma)
 
 
-def _multiply_exponential(f, rate: float):
-    """e^{rate * x} f; a HermiteExpansion only changes its tilt."""
-    if isinstance(f, HermiteExpansion):
-        return f.tilted(rate)
-    return multiply_exponential(f, rate)
-
-
 def apply_rho(params: HarmonicParams, f):
-    """Multiply by rho = e^{-beta x}."""
-    return _multiply_exponential(f, -params.beta)
+    """Multiply by rho = e^{-beta x}; its square is the metric grids.apply_Theta."""
+    return multiply_exponential(f, -params.beta)
 
 
 def apply_rho_inv(params: HarmonicParams, f):
     """Multiply by rho^{-1} = e^{beta x}."""
-    return _multiply_exponential(f, params.beta)
-
-
-def apply_Theta(params: HarmonicParams, f):
-    """Multiply by the metric Theta = rho^2 = e^{-2 beta x}; maps varphi_n to psi_n."""
-    return _multiply_exponential(f, -2.0 * params.beta)
-
-
-def apply_Theta_inv(params: HarmonicParams, f):
-    """Multiply by Theta^{-1} = e^{2 beta x}; maps psi_n back to varphi_n."""
-    return _multiply_exponential(f, 2.0 * params.beta)
+    return multiply_exponential(f, params.beta)
 
 
 def norm_squared_law(params: HarmonicParams, n: int, family: str = "varphi") -> float:

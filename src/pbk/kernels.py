@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -43,15 +42,6 @@ ModelParams = Union[HarmonicParams, BarrierParams]
 
 _SIGNS = {"p1": 1.0, "p2": -1.0}
 _METHODS = ("spectral", "closed")
-
-
-def _check_request(which: str, method: str, tau: float) -> None:
-    if which not in _SIGNS:
-        raise ValueError(f"which must be one of {tuple(_SIGNS)}, got {which!r}")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
 
 
 class _Model(NamedTuple):
@@ -217,19 +207,41 @@ def _check_points(model: _Model, **points) -> None:
                              f"open {where}interval ({lo}, {hi})")
 
 
+def _request(params: ModelParams, whichs, methods, taus, beta: Optional[float],
+             **points) -> Tuple[_Model, list]:
+    """The params' model and the tilt s beta of each which, s = +1 for p1 and
+    -1 for p2, with beta the override when one is given. A ValueError refuses
+    an unknown which or method, a tau that is not positive and finite, a beta
+    override that is not finite, or a point outside the model's open interval;
+    a TypeError refuses params of neither model."""
+    for which in whichs:
+        if which not in _SIGNS:
+            raise ValueError(f"which must be one of {tuple(_SIGNS)}, got {which!r}")
+    for method in methods:
+        if method not in _METHODS:
+            raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    for tau in taus:
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {tau}")
+    if beta is not None and not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    model = _model(params)
+    _check_points(model, **points)
+    beta = params.beta if beta is None else float(beta)
+    return model, [_SIGNS[which] * beta for which in whichs]
+
+
 def kernel_values(params: ModelParams, which: str, method: str, x, x_prime,
                   tau: float, beta: Optional[float] = None):
     """(value, tail) of kernel `which` by `method`, with x and x' broadcast
     against each other; closed forms carry a zero tail.
 
-    beta, when given, replaces the params' beta. Points must be finite, and
-    barrier points must lie inside (a, b); a ValueError names the first point
-    that does not.
+    beta, when given, replaces the params' beta and must be finite. Points
+    must be finite, and barrier points must lie inside (a, b); a ValueError
+    names the first point that does not.
     """
-    _check_request(which, method, tau)
-    model = _model(params)
-    _check_points(model, x=x, x_prime=x_prime)
-    tilt = _SIGNS[which] * (params.beta if beta is None else float(beta))
+    model, [tilt] = _request(params, (which,), (method,), (tau,), beta,
+                             x=x, x_prime=x_prime)
     if method == "spectral":
         [(value, tail)] = model.spectral_values(params, x, x_prime, tau, (tilt,))
     else:
@@ -275,12 +287,8 @@ def kernel_rows(params: ModelParams, xs, x_primes, taus,
     x_primes = np.asarray(x_primes, dtype=float)
     taus = np.asarray(taus, dtype=float)
     whichs, methods = tuple(whichs), tuple(methods)
-    for tau, which, method in product(taus.tolist(), whichs, methods):
-        _check_request(which, method, tau)
-    model = _model(params)
-    _check_points(model, x=xs, x_prime=x_primes)
-    tilts = [_SIGNS[which] * (params.beta if beta is None else float(beta))
-             for which in whichs]
+    model, tilts = _request(params, whichs, methods, taus.tolist(), beta,
+                            x=xs, x_prime=x_primes)
     table = None
     if "spectral" in methods and taus.size:
         n_top = max(top_mode(params, tau) for tau in taus.tolist())

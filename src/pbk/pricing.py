@@ -22,8 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .kernels import (_SIGNS, ModelParams, _check_points, _check_request, _kept_energies,
-                      _model)
+from .kernels import ModelParams, _kept_energies, _request
 # not called here: perfbench/tracing.py patches these three names in this module
 from .kernels import barrier_spectral_values, harmonic_spectral_values  # noqa: F401
 from .quadrature import legendre_rule  # noqa: F401
@@ -133,11 +132,8 @@ def price_spectral(params: ModelParams, which: str, payoff: Payoff, x: float,
     table on the spot and the log-strike serves both; a tau beyond the
     model's mode cap is refused before it is built.
     """
-    _check_request(which, "spectral", tau)
-    model = _model(params)
-    _check_points(model, x=x)
+    model, [tilt] = _request(params, (which,), ("spectral",), (tau,), beta, x=x)
     energies = _kept_energies(params, tau)
-    tilt = _SIGNS[which] * (params.beta if beta is None else float(beta))
     rows = model.mode_table(params, energies.size - 1, np.array([x, math.log(payoff.strike)]))
     coefficients = model.payoff_coefficients(params, payoff, tilt, x, rows[:, 1])
     value = float(np.dot(np.exp(-tau * energies) * rows[:, 0], coefficients))

@@ -3,9 +3,9 @@
 The harmonic model plugs in either through exact Hermite-coefficient algebra
 (route "exact") or through finite-difference operator application on a dense
 grid (route "grid"). The barrier model always works in sine-coefficient
-space, where its ladder maps are defined. Each system owns its metric
-Theta = e^{-2 beta x}, its tolerances and its norm rule, so the check
-battery needs nothing else.
+space, where its ladder maps are defined. Both systems take the one metric
+Theta = e^{-2 beta x} of grids; each owns its tolerances and its norm rule,
+so the check battery needs nothing else.
 
 Generic test functions (plain callables) are sampled onto the operator grid
 and differentiated numerically even under the exact route, since coefficient
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import barrier as bar
 from . import harmonic as har
-from .grids import GridFunction, GridSpec, shared_mode_tables
+from .grids import GridFunction, GridSpec, apply_Theta, apply_Theta_inv, shared_mode_tables
 from .market import beta_is_degenerate
 from .pb_core import EigenSequence, LadderSystem, MetricOperator, TestFunction
 from .quadrature import adaptive_gram, adaptive_inner_product, hermite_rule, legendre_rule
@@ -101,14 +101,16 @@ def _harmonic_op(params: har.HarmonicParams, op: Callable, grid: GridSpec,
     return apply
 
 
-def _keep_rate(f, out):
-    """Multiplication by a fixed exponential keeps the Gaussian envelope rate."""
-    rate = getattr(f, "gaussian_decay_rate", None)
-    if rate is not None and callable(out) and not isinstance(
-        out, (har.HermiteExpansion, GridFunction)
-    ):
-        return TestFunction(out, "metric-image", float(rate))
-    return out
+def _metric(params) -> MetricOperator:
+    """Theta = e^{-2 beta x} and its inverse. The image of a test function
+    keeps its Gaussian envelope rate, which a fixed exponential leaves alone."""
+
+    def keep_rate(f, out):
+        rate = getattr(f, "gaussian_decay_rate", None)
+        return out if rate is None else TestFunction(out, "metric-image", float(rate))
+
+    return MetricOperator(lambda f: keep_rate(f, apply_Theta(params, f)),
+                          lambda f: keep_rate(f, apply_Theta_inv(params, f)))
 
 
 def _harmonic_norm_residual(params: har.HarmonicParams) -> Callable[[np.ndarray], float]:
@@ -182,8 +184,7 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
         eigens=EigenSequence(lambda n: float(n)),
         inner=inner,
         gram=gram,
-        metric=MetricOperator(lambda f: _keep_rate(f, har.apply_Theta(params, f)),
-                              lambda f: _keep_rate(f, har.apply_Theta_inv(params, f))),
+        metric=_metric(params),
         norm_residual=_harmonic_norm_residual(params),
         default_grid=eval_grid,
         test_functions=tests,
@@ -206,29 +207,23 @@ def barrier_test_functions(params: bar.BarrierParams, tables: Callable):
                          label) for label, c in combos.items()]
 
 
-def barrier_quasi_pairs(params: bar.BarrierParams):
-    """Sine-polynomial pairs: the interval model's dense test set."""
-
-    def f(x):
-        return bar.Phi_n(params, 0)(x) + 0.5 * bar.Phi_n(params, 2)(x)
-
-    def g(x):
-        return bar.Phi_n(params, 1)(x) - 0.3 * bar.Phi_n(params, 3)(x)
-
-    return [(f, g), (g, f)]
-
-
 def barrier_system(params: bar.BarrierParams) -> LadderSystem:
     """The double-barrier model bound to the harness, in coefficient space.
 
     A family block is the synthesis of the identity coefficient matrix. The
     system owns one grids.shared_mode_tables over bar.mode_table: every
-    analysis and synthesis it makes reads one sine table per node set, built
-    once for the system's lifetime. The ladder maps act on bar.DEFAULT_TRUNCATION + 1 coefficients. The norm
-    products lie between 1 and e^{|beta| L}; the residual is their overshoot
-    of those bounds, relative to the upper one.
+    analysis and synthesis it makes, and the untilted sine polynomials of its
+    quasi-basis pairs, read one sine table per node set, built once for the
+    system's lifetime. The ladder maps act on bar.DEFAULT_TRUNCATION + 1
+    coefficients. The norm products lie between 1 and e^{|beta| L}; the
+    residual is their overshoot of those bounds, relative to the upper one.
     """
     tables = shared_mode_tables(bar.mode_table, params, bar.DEFAULT_TRUNCATION)
+
+    def sines(coeffs):  # the interval model's dense test set, untilted
+        return bar.synthesize(params, bar.SpectralVector(np.array(coeffs)), 0.0, tables)
+
+    f, g = sines([1.0, 0.0, 0.5]), sines([0.0, 1.0, 0.0, -0.3])
 
     def family(synthesize):
         return lambda n_max: synthesize(
@@ -262,9 +257,9 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
         eigens=EigenSequence(lambda n: bar.rho_coefficient(params, n)),
         inner=inner,
         gram=gram,
-        metric=MetricOperator(partial(bar.apply_S_psi, params), partial(bar.apply_S_phi, params)),
+        metric=_metric(params),
         norm_residual=norm_residual,
         default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),
         test_functions=barrier_test_functions(params, tables),
-        quasi_pairs=barrier_quasi_pairs(params),
+        quasi_pairs=[(f, g), (g, f)],
     )

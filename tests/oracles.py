@@ -1,6 +1,7 @@
 """Independent references the tests check pbk against.
 
-The method-of-images density of the barrier kernel never touches the
+Each barrier sine mode comes from its own wavenumber, not from a table;
+the method-of-images density of the barrier kernel never touches the
 eigenfunctions; the quadrature price integrates the spectral kernel against
 the payoff on Gauss-Legendre panels, where pbk prices in coefficient space;
 the Black-Scholes price is the wide-barrier limit.
@@ -14,6 +15,17 @@ import pbk.quadrature
 from pbk.barrier import BarrierParams
 from pbk.kernels import kernel_values
 from pbk.pricing import PAYOFF_KINDS
+
+
+# ---------------------------------------------------------------------------
+# the barrier's sine modes, one at a time
+
+
+def sine_mode(params: BarrierParams, n: int, x):
+    """Phi_n = sqrt(2/L) sin(lambda_{n+1}(x - a)) on its own, not zeroed
+    outside (a, b); pbk reads it as row n of a table built by a recurrence
+    in n."""
+    return math.sqrt(2.0 / params.width) * np.sin(params.wavenumber(n + 1) * (x - params.a))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from pbk.barrier import (
     apply_A_naive,
     apply_B_hat,
     apply_B_naive,
-    apply_S_phi,
-    apply_S_psi,
     eigenvalue,
     failed_factorization_residual,
     mode_table,
@@ -35,12 +33,14 @@ from pbk.barrier import (
     synthesize_psi,
     varphi_n,
 )
-from pbk.grids import GridSpec, grid_norm, shared_mode_tables
+from pbk.grids import GridSpec, apply_Theta, apply_Theta_inv, grid_norm, shared_mode_tables
 from pbk.market import MarketParams
 from pbk.pb_core import run_all_checks
 from pbk.quadrature import legendre_rule
 from pbk.specialfn import MAX_DEGREE
 from pbk.systems import BARRIER_GRID_POINTS, barrier_system
+
+from oracles import sine_mode
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,18 @@ class TestModes:
         base = Phi_n(box, 5)(x)
         np.testing.assert_allclose(varphi_n(box, 5)(x), np.exp(box.beta * x) * base, rtol=1e-14)
         np.testing.assert_allclose(psi_n(box, 5)(x), np.exp(-box.beta * x) * base, rtol=1e-14)
+        # each member is row n of the table, tilted and zeroed outside [a, b],
+        # bit for bit: inside, on a and b, and outside; on 80/120, unlike on
+        # (0, pi), (n + 1) (lambda_1 (x - a)) and lambda_{n+1} (x - a) differ
+        for p in (box, BarrierParams(box.market, math.log(80.0), math.log(120.0))):
+            y = np.concatenate([p.a + (x - box.a) * p.width / box.width,
+                                [p.a, p.b, p.a - 0.5, p.b + 2.0]])
+            inside = (y >= p.a) & (y <= p.b)
+            for n in (0, 1, 2, 3, 5, 40):
+                row = mode_table(p, n, y)[n]
+                for member, rate in ((Phi_n, 0.0), (varphi_n, p.beta), (psi_n, -p.beta)):
+                    np.testing.assert_array_equal(member(p, n)(y),
+                                                  np.where(inside, row * np.exp(rate * y), 0.0))
 
     def test_mode_cap(self, box):
         with pytest.raises(ValueError, match=f"0..{MAX_SINE_MODES}, got {MAX_SINE_MODES + 1}"):
@@ -158,13 +170,13 @@ class TestModes:
 
     def test_top_mode_matches_the_table(self, market):
         # single modes reach the kernels' sine cap; at n = 4096 the sine's
-        # argument is up to 4097 pi, so the two evaluations differ by rounding
+        # argument is up to 4097 pi, so the table row and the mode's own
+        # wavenumber differ by rounding
         wide = BarrierParams(market, math.log(20.0), math.log(500.0))
         x = np.linspace(wide.a, wide.b, 41)[1:-1]
         top = Phi_n(wide, MAX_SINE_MODES)(x)
         assert np.max(np.abs(top)) == pytest.approx(math.sqrt(2.0 / wide.width), rel=1e-5)
-        np.testing.assert_allclose(top, mode_table(wide, MAX_SINE_MODES, x)[-1], rtol=0,
-                                   atol=1e-11)
+        np.testing.assert_allclose(top, sine_mode(wide, MAX_SINE_MODES, x), rtol=0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -372,34 +384,38 @@ class TestSpectralLadder:
 class TestSimilarityMaps:
     def test_maps_psi_to_varphi(self, box):
         x = np.linspace(0.1, 3.0, 17)
-        mapped = apply_S_phi(box, psi_n(box, 4))
+        mapped = apply_Theta_inv(box, psi_n(box, 4))
         np.testing.assert_allclose(mapped(x), varphi_n(box, 4)(x), rtol=1e-12)
+        # on a callable the metric is e^{2 beta x} f, bit for bit
+        np.testing.assert_array_equal(mapped(x), np.exp(2.0 * box.beta * x) * psi_n(box, 4)(x))
 
     def test_maps_varphi_to_psi(self, box):
         x = np.linspace(0.1, 3.0, 17)
-        mapped = apply_S_psi(box, varphi_n(box, 2))
+        mapped = apply_Theta(box, varphi_n(box, 2))
         np.testing.assert_allclose(mapped(x), psi_n(box, 2)(x), rtol=1e-12)
+        np.testing.assert_array_equal(mapped(x),
+                                      np.exp(-2.0 * box.beta * x) * varphi_n(box, 2)(x))
 
     def test_roundtrip_on_grid_function(self, box):
         grid = GridSpec.over(0.2, 2.9, 101)
         f = grid.sample(varphi_n(box, 1))
-        back = apply_S_phi(box, apply_S_psi(box, f))
+        back = apply_Theta_inv(box, apply_Theta(box, f))
         np.testing.assert_allclose(back.samples, f.samples, rtol=1e-13)
 
     def test_rejects_unknown_type(self, box):
         with pytest.raises(TypeError):
-            apply_S_phi(box, np.zeros(3))
+            apply_Theta_inv(box, np.zeros(3))
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_intertwines_the_number_operators(self, box, n):
-        # S_phi applied after the dual number operator agrees with the
-        # primal number operator applied after S_phi
+        # Theta^-1 applied after the dual number operator agrees with the
+        # primal number operator applied after Theta^-1
         x = np.linspace(box.a + 0.05, box.b - 0.05, 401)
 
         dual = apply_B_hat(box, apply_A_hat(box, basis_vector(n)))
-        left = apply_S_phi(box, synthesize_psi(box, dual))(x)
+        left = apply_Theta_inv(box, synthesize_psi(box, dual))(x)
 
-        mapped = analyze_phi(box, apply_S_phi(box, psi_n(box, n)))
+        mapped = analyze_phi(box, apply_Theta_inv(box, psi_n(box, n)))
         primal = apply_B_hat(box, apply_A_hat(box, mapped))
         right = synthesize_phi(box, primal)(x)
 
@@ -485,6 +501,16 @@ class TestBlocks:
             for n in range(9):
                 np.testing.assert_allclose(values[n], member(box, n)(x), rtol=0.0,
                                            atol=1e-14)
+        # the block is the tilted table zeroed outside [a, b], bit for bit, with
+        # or without the shared tables
+        x = np.concatenate([x, [box.a - 0.5, box.b + 2.0]])
+        inside = (x >= box.a) & (x <= box.b)
+        tables = shared_mode_tables(mode_table, box, 8)
+        for synthesize, rate in ((synthesize_phi, box.beta), (synthesize_psi, -box.beta)):
+            expected = np.where(inside, mode_table(box, 8, x) * np.exp(rate * x), 0.0)
+            for shared in (None, tables):
+                block = synthesize(box, SpectralVector(np.eye(9)), shared)
+                np.testing.assert_array_equal(block(x), expected)
 
     def test_points_of_any_shape(self, box):
         x = np.linspace(box.a - 0.5, box.b + 0.5, 6).reshape(2, 3)

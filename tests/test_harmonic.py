@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbk import harmonic
-from pbk.grids import GridSpec, derivative, grid_norm
+from pbk.grids import GridSpec, apply_Theta, apply_Theta_inv, derivative, grid_norm
 from pbk.harmonic import (
     HarmonicParams,
     HermiteExpansion,
@@ -30,8 +30,6 @@ from pbk.harmonic import (
     apply_h_eff,
     apply_rho,
     apply_rho_inv,
-    apply_Theta,
-    apply_Theta_inv,
     default_grid,
     norm_squared_law,
     phi_n,
@@ -319,6 +317,15 @@ class TestMultiplicationMaps:
         out = apply_Theta(p, varphi_n(p, 7))
         assert out.tilt == psi_n(p, 7).tilt
         assert coeff_distance(out, psi_n(p, 7)) == 0.0
+        # an expansion only takes the rate into its tilt; a callable is
+        # e^{-+2 beta x} f, bit for bit
+        f = HermiteExpansion(p, 0.3, np.arange(1.0, 5.0))
+        for metric, rate in ((apply_Theta, -2.0 * p.beta), (apply_Theta_inv, 2.0 * p.beta)):
+            out = metric(p, f)
+            assert isinstance(out, HermiteExpansion) and out.tilt == 0.3 + rate
+            assert out.coeffs is f.coeffs
+            x = np.linspace(-1.0, 1.0, 11)
+            np.testing.assert_array_equal(metric(p, np.cos)(x), np.exp(rate * x) * np.cos(x))
 
     def test_theta_roundtrip(self, market):
         p = params_for(market)

@@ -3,6 +3,7 @@ oracle, and the beta-flip duality between the two kernels."""
 
 import math
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import pbk.barrier
 import pbk.harmonic
 import pbk.kernels
-from pbk.barrier import MAX_SINE_MODES, BarrierParams, Phi_n
+from pbk.barrier import MAX_SINE_MODES, BarrierParams
 from pbk.barrier import eigenvalue as barrier_eigenvalue
 from pbk.harmonic import HarmonicParams
 from pbk.kernels import (
@@ -24,7 +25,7 @@ from pbk.market import MarketParams
 from pbk.pricing import Payoff, price_spectral
 from pbk.specialfn import MAX_DEGREE, hermite_function_sequence
 
-from oracles import kernel_oracle_image_series
+from oracles import kernel_oracle_image_series, sine_mode
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ def value(params, req, beta=None):
 
 
 class TestKernelRequest:
-    def test_field_validation(self, hp):
+    def test_field_validation(self, hp, bp):
         with pytest.raises(ValueError, match="which"):
             kernel_values(hp, **h_req(which="p3"))
         with pytest.raises(ValueError, match="method"):
@@ -67,6 +68,16 @@ class TestKernelRequest:
         for tau in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="tau must be positive and finite"):
                 kernel_values(hp, **h_req(tau=tau))
+        # a beta override must be finite, at every entry point of both models
+        for params, req in ((hp, h_req()), (bp, b_req())):
+            for beta in (math.inf, -math.inf, math.nan):
+                for call in (lambda: kernel_values(params, **req, beta=beta),
+                             lambda: kernel_rows(params, [req["x"]], [req["x_prime"]],
+                                                 [req["tau"]], beta=beta),
+                             lambda: price_spectral(params, "p1", Payoff.call(1.0), req["x"],
+                                                    req["tau"], beta=beta)):
+                    with pytest.raises(ValueError, match="beta must be finite"):
+                        call()
 
     def test_kernel_value_tail(self, hp):
         # a scalar spectral point gives its last term as a float tail; closed, zero
@@ -301,8 +312,8 @@ class TestOneModeTable:
 
 
 class TestPerModeOracle:
-    # each term e^{s beta (x - x')} e^{-tau E_n} Phi_n(x) Phi_n(x') from the
-    # scalar per-member functions, summed one mode at a time over exactly the
+    # each term e^{s beta (x - x')} e^{-tau E_n} Phi_n(x) Phi_n(x') from a
+    # per-mode formula of its own, not the kernels' mode tables, summed one mode at a time over exactly the
     # modes 0..N the decay rule keeps; harmonic maturities start at 0.2, where
     # N = floor(36.84 / tau) is within the Hermite cap
     def check(self, params, modes, energy, points, taus):
@@ -327,7 +338,7 @@ class TestPerModeOracle:
                    (0.2, 0.3, 1.0, 2.0))
 
     def test_barrier(self, bp):
-        self.check(bp, lambda n, y: Phi_n(bp, n)(y), lambda n: barrier_eigenvalue(bp, n),
+        self.check(bp, partial(sine_mode, bp), lambda n: barrier_eigenvalue(bp, n),
                    np.linspace(0.1, math.pi - 0.1, 9), (0.05, 0.3, 1.0, 2.0))
 
     def test_wide_barrier_at_short_tau(self, market):
@@ -335,7 +346,7 @@ class TestPerModeOracle:
         wide = BarrierParams(market, math.log(20.0), math.log(500.0))
         taus = (0.001, 0.01, 0.05)
         assert [top_mode(wide, tau) for tau in taus] == [1389, 438, 195]
-        self.check(wide, lambda n, y: Phi_n(wide, n)(y),
+        self.check(wide, partial(sine_mode, wide),
                    lambda n: barrier_eigenvalue(wide, n),
                    np.linspace(wide.a + 0.1, wide.b - 0.1, 9), taus)
 

@@ -12,6 +12,12 @@ stderr differs; or the largest relative numeric move, |a - b| / max(|a|, |b|),
 by field. Kernel tables are compared by column and method; a JSON report by
 the path of each number in it. The last lines give each field's largest move
 over all argvs.
+
+The exit status is 1 when any argv's exit code, stderr or set of numeric
+fields differs (a field dropped or added, or a field with a different count
+of numbers), and 0 otherwise: numeric moves are only reported, so the status
+of a run checks a claim that only numbers moved, or with no move lines that
+nothing did.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from collections import defaultdict
 from pathlib import Path
 
 WORKLOADS = ("price-mc", "kernel-price", "diagnose")
+# the kinds of difference that fail the replay
+STRUCTURAL = ("exit code or stderr differs", "numbers differ in count", "fields differ")
 
 
 def collect(tree: Path, seeds, workloads) -> list:
@@ -102,12 +110,13 @@ def compare(parent: dict, change: dict):
         return "numbers differ in count", "; ".join(notes), {}
     moves = {k: max(map(_move, old[k], new[k])) for k in common}
     moves = {k: m for k, m in moves.items() if m > 0.0}
-    if not moves:
-        return "numbers identical", "; ".join(notes), {}
-    worst = max(moves, key=moves.get)
-    notes.insert(0, f"{moves[worst]:.3g} in {worst}; " + ", ".join(
-        f"{k} {m:.3g}" for k, m in sorted(moves.items())))
-    return "largest move", "; ".join(notes), moves
+    if moves:
+        worst = max(moves, key=moves.get)
+        notes.insert(0, f"{moves[worst]:.3g} in {worst}; " + ", ".join(
+            f"{k} {m:.3g}" for k, m in sorted(moves.items())))
+    kind = ("fields differ" if old.keys() != new.keys() else
+            "largest move" if moves else "numbers identical")
+    return kind, "; ".join(notes), moves
 
 
 def main() -> int:
@@ -147,7 +156,10 @@ def main() -> int:
     print(f"# {len(runs[0])} argvs: " + ", ".join(f"{n} {k}" for k, n in sorted(counts.items())))
     for key, move in sorted(worst.items()):
         print(f"# largest move of {key}: {move:.3g}")
-    return 0
+    failed = sum(counts[kind] for kind in STRUCTURAL)
+    if failed:
+        print(f"# {failed} argvs differ in exit code, stderr or numeric fields")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
