@@ -82,12 +82,13 @@ def eigenvalue(params: BarrierParams, n):
     return params.sigma**2 * params.wavenumber(n + 1) ** 2 / 2.0 + params.gamma
 
 
-def rho_coefficient(params: BarrierParams, n: int) -> float:
-    """Ladder eigenvalue rho_n = lambda_{n+1}^2 - lambda_1^2 = pi^2 n (n+2) / L^2.
+def rho_coefficient(params: BarrierParams, n):
+    """Ladder eigenvalue rho_n = lambda_{n+1}^2 - lambda_1^2 = pi^2 n (n+2) / L^2
+    of mode n (an int or array).
 
     Strictly increasing with rho_0 = 0; the product form avoids cancellation.
     """
-    if n < 0:
+    if np.any(np.asarray(n) < 0):
         raise ValueError(f"mode index must be nonnegative, got {n}")
     return math.pi**2 * n * (n + 2.0) / params.width**2
 

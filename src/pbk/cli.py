@@ -212,7 +212,7 @@ def _degenerate_note(beta: float) -> Optional[str]:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.params)
     market = _build_market(args, file_cfg)
-    model = _pick(args, file_cfg, "model")
+    model = args.model
     nmax = int(_pick(args, file_cfg, "nmax", 20))
     if nmax < 0:
         raise ValueError(f"--nmax must be >= 0, got {nmax}")
@@ -239,7 +239,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 def cmd_kernel(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.params)
     market = _build_market(args, file_cfg)
-    model = _pick(args, file_cfg, "model")
+    model = args.model
     xs = _parse_point_list(str(_pick(args, file_cfg, "x", "0.0")))
     x_primes = _parse_point_list(str(_pick(args, file_cfg, "x_prime", "0.1")))
     taus = _parse_point_list(str(_pick(args, file_cfg, "tau", "0.5")))
@@ -265,7 +265,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 def cmd_price(args: argparse.Namespace) -> int:
     file_cfg = _load_file_config(args.params)
     market = _build_market(args, file_cfg)
-    model = _pick(args, file_cfg, "model", "barrier")
+    model = args.model
     kind = _pick(args, file_cfg, "payoff", "call")
     strike = float(_pick(args, file_cfg, "strike", 100.0))
     tau = float(_pick(args, file_cfg, "tau", 0.5))
@@ -286,6 +286,8 @@ def cmd_price(args: argparse.Namespace) -> int:
         if not 0.0 < lower < upper:
             raise ValueError(f"need 0 < lower < upper, got ({lower}, {upper})")
         params = BarrierParams(market, math.log(lower), math.log(upper))
+        if not lower < s0 < upper:  # before its log, which 0 or a negative spot would fail
+            raise ValueError(f"spot {s0} must start strictly inside {(lower, upper)}")
         x = math.log(s0)
     else:
         if oracle == "mc":

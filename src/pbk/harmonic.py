@@ -36,9 +36,7 @@ import numpy as np
 from .grids import (GridFunction, GridSpec, derivative, mode_sum, multiply_exponential,
                     second_derivative, unit_coefficients)
 from .market import MarketParams, MarketView
-from .specialfn import hermite_function_sequence
-
-FAMILY_MAX = 60
+from .specialfn import MAX_DEGREE, hermite_function_sequence
 
 DEFAULT_GRID_POINTS = 8001
 DEFAULT_GRID_HALF_WIDTH = 8.0  # in units of sigma
@@ -224,7 +222,7 @@ class HermiteExpansion:
 
 
 def _unit_expansion(params: HarmonicParams, n: int, tilt: float) -> HermiteExpansion:
-    return HermiteExpansion(params, tilt, unit_coefficients(n, FAMILY_MAX))
+    return HermiteExpansion(params, tilt, unit_coefficients(n, MAX_DEGREE))
 
 
 def phi_n(params: HarmonicParams, n: int) -> HermiteExpansion:

@@ -13,7 +13,8 @@ residual per row, reduced with max.
 
 Each check returns one or more report entries (name, max residual, tolerance,
 pass flag); a DiagnosticReport collects them and serializes to JSON. The
-system carries its metric, its tolerances and its norm rule too.
+system carries the tilt beta of its metric Theta = e^{-2 beta x} (applied by
+grids.apply_Theta), its tolerances and its norm rule too.
 
 Residual conventions: ladder and eigen-equation residuals are relative to the
 norm of the target family member (for a zero target, to the input's norm);
@@ -28,7 +29,7 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec, grid_norm
+from .grids import GridFunction, GridSpec, apply_Theta, apply_Theta_inv, grid_norm
 
 ALGEBRAIC_TOL = 1e-10
 GRID_TOL = 1e-6
@@ -41,46 +42,6 @@ TOLERANCES = {"vacua": GRID_TOL, "ladder": 1e-8, "number_operator": GRID_TOL,
 
 LADDER_N_MAX_CAP = 40
 NORM_N_MAX_CAP = 60
-
-
-@dataclass(frozen=True)
-class EigenSequence:
-    """The eigenvalue sequence of the number-like operator: 0 first, then increasing."""
-
-    fn: Callable[[int], float]
-
-    def __post_init__(self) -> None:
-        if self.fn(0) != 0.0:
-            raise ValueError(f"eigenvalue sequence must start at 0, got {self.fn(0)}")
-        if np.any(np.diff(_sequence(self.fn, 7)) <= 0.0):
-            raise ValueError("eigenvalue sequence must be strictly increasing")
-
-    def __call__(self, n: int) -> float:
-        return float(self.fn(n))
-
-
-@dataclass(frozen=True)
-class MetricOperator:
-    """A positive invertible multiplication-type map with its inverse."""
-
-    apply: Callable
-    apply_inverse: Callable
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A dense-set test function, tagged with its Gaussian envelope rate.
-
-    The rate (|f(x)| ~ e^{-rate x^2}) lets whole-line inner products pick a
-    quadrature scale that keeps the compensated integrand decaying.
-    """
-
-    fn: Callable
-    label: str
-    gaussian_decay_rate: Optional[float] = None
-
-    def __call__(self, x):
-        return self.fn(x)
 
 
 @dataclass(frozen=True)
@@ -98,9 +59,13 @@ class LadderSystem:
     the same inner product on sequences of functions and blocks, (fs, gs) ->
     the array of <f_i, g_j> over all their rows, each evaluated once per rule.
 
-    ``metric`` maps phi_n to psi_n; ``norm_residual`` turns the norm products
-    ||phi_n|| ||psi_n||, n = 0..n_max, into the norm check's residual; and
-    ``tolerances`` overrides entries of TOLERANCES for this system.
+    ``eigens`` gives the eigenvalue e_n of the number-like operator for an
+    int n, or one per entry of an int array: 0 first, then strictly
+    increasing, as construction checks on n = 0..7. ``beta`` is the tilt of
+    the metric Theta = e^{-2 beta x}, which maps phi_n to psi_n;
+    ``norm_residual`` turns the norm products ||phi_n|| ||psi_n||, n = 0..n_max,
+    into the norm check's residual; and ``tolerances`` overrides entries of
+    TOLERANCES for this system.
     """
 
     label: str
@@ -110,15 +75,22 @@ class LadderSystem:
     raise_b: Callable
     lower_b_dag: Callable
     raise_a_dag: Callable
-    eigens: EigenSequence
+    eigens: Callable
     inner: Callable
     gram: Callable
-    metric: MetricOperator
+    beta: float
     norm_residual: Callable[[np.ndarray], float]
     default_grid: GridSpec
-    test_functions: Sequence[TestFunction] = field(default_factory=tuple)
+    test_functions: Sequence[Callable] = field(default_factory=tuple)
     quasi_pairs: Sequence[Tuple[Callable, Callable]] = field(default_factory=tuple)
     tolerances: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        e = self.eigens(np.arange(8))
+        if e[0] != 0.0:
+            raise ValueError(f"eigenvalue sequence must start at 0, got {e[0]}")
+        if np.any(np.diff(e) <= 0.0):
+            raise ValueError("eigenvalue sequence must be strictly increasing")
 
     def tolerance(self, check: str) -> float:
         """The pass bound of one check: the system's own entry, else the default."""
@@ -170,11 +142,6 @@ class DiagnosticReport:
 
 # ---------------------------------------------------------------------------
 # block plumbing
-
-
-def _sequence(fn: Callable[[int], float], n_max: int) -> np.ndarray:
-    """fn(0)..fn(n_max): the eigenvalues of a block."""
-    return np.array([float(fn(n)) for n in range(n_max + 1)])
 
 
 def _stack(fns: Sequence[Callable]) -> Callable:
@@ -244,7 +211,7 @@ def check_ladder(sys: LadderSystem, n_max: int) -> CheckResult:
         raise ValueError(f"ladder check capped at n_max={LADDER_N_MAX_CAP}, got {n_max}")
     grid = sys.default_grid
     phi, psi = sys.family_phi(n_max), sys.family_psi(n_max)
-    root = np.sqrt(_sequence(sys.eigens, n_max + 1))
+    root = np.sqrt(sys.eigens(np.arange(n_max + 2)))
     above = slice(1, None)
     below = np.maximum(np.arange(n_max + 1) - 1, 0)
     relations = (
@@ -262,7 +229,7 @@ def check_number_operator(sys: LadderSystem, n_max: int) -> CheckResult:
     """(b a) phi_n = e_n phi_n and (a^dag b^dag) psi_n = e_n psi_n."""
     grid = sys.default_grid
     phi, psi = sys.family_phi(n_max), sys.family_psi(n_max)
-    e = _sequence(sys.eigens, n_max)
+    e = sys.eigens(np.arange(n_max + 1))
     worst = max(_residual(sys.raise_b(sys.lower_a(phi)), e, phi, grid),
                 _residual(sys.raise_a_dag(sys.lower_b_dag(psi)), e, psi, grid))
     return CheckResult("number_operator", worst, sys.tolerance("number_operator"))
@@ -308,11 +275,11 @@ def check_theta_conjugacy(sys: LadderSystem, n_max: int) -> List[CheckResult]:
     functions form one block for the maps, but their inner products go one
     at a time: their Gaussian decay rates differ, and a Gram block needs one.
     """
-    grid, theta, tol = sys.default_grid, sys.metric, sys.tolerance("theta_conjugacy")
-    algebraic = _residual(theta.apply(sys.family_phi(n_max)), 1.0,
+    grid, tol = sys.default_grid, sys.tolerance("theta_conjugacy")
+    algebraic = _residual(apply_Theta(sys, sys.family_phi(n_max)), 1.0,
                           sys.family_psi(n_max), grid)
     for f in sys.test_functions:
-        val = sys.inner(f, theta.apply(f))
+        val = sys.inner(f, apply_Theta(sys, f))
         scale = abs(sys.inner(f, f))
         if val.real <= 0.0:
             algebraic = max(algebraic, abs(val.real) / scale + tol)
@@ -320,10 +287,10 @@ def check_theta_conjugacy(sys: LadderSystem, n_max: int) -> List[CheckResult]:
     intertwining = 0.0
     if sys.test_functions:
         tests = _stack(sys.test_functions)
-        roundtrip = theta.apply_inverse(theta.apply(tests))
+        roundtrip = apply_Theta_inv(sys, apply_Theta(sys, tests))
         algebraic = max(algebraic, _residual(roundtrip, 1.0, tests, grid))
-        left = _on_grid(theta.apply(sys.raise_b(sys.lower_a(tests))), grid)
-        right = _on_grid(sys.raise_a_dag(sys.lower_b_dag(theta.apply(tests))), grid)
+        left = _on_grid(apply_Theta(sys, sys.raise_b(sys.lower_a(tests))), grid)
+        right = _on_grid(sys.raise_a_dag(sys.lower_b_dag(apply_Theta(sys, tests))), grid)
         if left.n != right.n:
             raise ValueError("intertwining sides landed on different grids")
         gap = grid_norm(left.with_samples(left.samples - right.samples))

@@ -3,18 +3,21 @@
 The harmonic model plugs in either through exact Hermite-coefficient algebra
 (route "exact") or through finite-difference operator application on a dense
 grid (route "grid"). The barrier model always works in sine-coefficient
-space, where its ladder maps are defined. Both systems take the one metric
-Theta = e^{-2 beta x} of grids; each owns its tolerances and its norm rule,
-so the check battery needs nothing else.
+space, where its ladder maps are defined. Each system carries its model's
+beta, the tilt of the metric Theta = e^{-2 beta x} both share, its eigenvalue
+function, its tolerances and its norm rule, so the check battery needs
+nothing else.
 
-Generic test functions (plain callables) are sampled onto the operator grid
-and differentiated numerically even under the exact route, since coefficient
-algebra only applies to functions given as expansions.
+The harmonic test functions are TestFunctions, tagged with the Gaussian
+envelope rate that picks the quadrature scale. They are sampled onto the
+operator grid and differentiated numerically even under the exact route,
+since coefficient algebra only applies to functions given as expansions.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Tuple
 
@@ -22,15 +25,35 @@ import numpy as np
 
 from . import barrier as bar
 from . import harmonic as har
-from .grids import GridFunction, GridSpec, apply_Theta, apply_Theta_inv, shared_mode_tables
+from .grids import GridFunction, GridSpec, multiply_exponential, shared_mode_tables
 from .market import beta_is_degenerate
-from .pb_core import EigenSequence, LadderSystem, MetricOperator, TestFunction
+from .pb_core import LadderSystem
 from .quadrature import adaptive_gram, adaptive_inner_product, hermite_rule, legendre_rule
 from .specialfn import MAX_DEGREE
 
 BARRIER_GRID_POINTS = 4001
 
 TEST_WIDTHS = (0.5, 1.0, 2.0)
+
+
+@dataclass(frozen=True)
+class TestFunction:
+    """A dense-set test function, tagged with its Gaussian envelope rate.
+
+    The rate (|f(x)| ~ e^{-rate x^2}) lets whole-line inner products pick a
+    quadrature scale that keeps the compensated integrand decaying. An
+    exponential tilt leaves the rate alone, so a metric image keeps it.
+    """
+
+    fn: Callable
+    gaussian_decay_rate: float
+
+    def __call__(self, x):
+        return self.fn(x)
+
+    def tilted(self, rate: float) -> "TestFunction":
+        """e^{rate x} times the function, with the same envelope rate."""
+        return TestFunction(multiply_exponential(self.fn, rate), self.gaussian_decay_rate)
 
 
 def harmonic_test_functions():
@@ -46,14 +69,9 @@ def harmonic_test_functions():
             x = np.asarray(x, dtype=float)
             return x * np.exp(-_r * x**2)
 
-        fns.append(TestFunction(gauss, f"exp(-x^2/{s**2:g})", rate))
-        fns.append(TestFunction(x_gauss, f"x*exp(-x^2/{s**2:g})", rate))
+        fns.append(TestFunction(gauss, rate))
+        fns.append(TestFunction(x_gauss, rate))
     return fns
-
-
-def _decay_rate(f, default: float) -> float:
-    rate = getattr(f, "gaussian_decay_rate", None)
-    return default if rate is None else float(rate)
 
 
 def _inner_and_gram(rules: Callable) -> Tuple[Callable, Callable]:
@@ -73,11 +91,12 @@ def _inner_and_gram(rules: Callable) -> Tuple[Callable, Callable]:
 
 
 def _harmonic_quadrature(params: har.HarmonicParams) -> Tuple[Callable, Callable]:
-    """Hermite rules centred on the eigenfunctions, scaled to the decay rates."""
+    """Hermite rules centred on the eigenfunctions, scaled to the decay rates:
+    a TestFunction's own, else the eigenfunctions' 1 / (2 sigma^2)."""
     base = 1.0 / (2.0 * params.sigma**2)
 
     def block_rate(fns) -> float:
-        rates = {_decay_rate(f, base) for f in fns}
+        rates = {getattr(f, "gaussian_decay_rate", base) for f in fns}
         if len(rates) != 1:
             raise ValueError(f"a Gram block needs one Gaussian decay rate, got {rates}")
         return rates.pop()
@@ -87,30 +106,6 @@ def _harmonic_quadrature(params: har.HarmonicParams) -> Tuple[Callable, Callable
         return partial(hermite_rule, center=params.center, scale=math.sqrt(2.0 / rate))
 
     return _inner_and_gram(rules)
-
-
-def _harmonic_op(params: har.HarmonicParams, op: Callable, grid: GridSpec,
-                 exact: bool) -> Callable:
-    def apply(f):
-        if isinstance(f, GridFunction):
-            return op(params, f)
-        if exact and isinstance(f, har.HermiteExpansion):
-            return op(params, f)
-        return op(params, grid.sample(f))
-
-    return apply
-
-
-def _metric(params) -> MetricOperator:
-    """Theta = e^{-2 beta x} and its inverse. The image of a test function
-    keeps its Gaussian envelope rate, which a fixed exponential leaves alone."""
-
-    def keep_rate(f, out):
-        rate = getattr(f, "gaussian_decay_rate", None)
-        return out if rate is None else TestFunction(out, "metric-image", float(rate))
-
-    return MetricOperator(lambda f: keep_rate(f, apply_Theta(params, f)),
-                          lambda f: keep_rate(f, apply_Theta_inv(params, f)))
 
 
 def _harmonic_norm_residual(params: har.HarmonicParams) -> Callable[[np.ndarray], float]:
@@ -152,7 +147,12 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     eval_grid = har.default_grid(params) if exact else op_grid
 
     def bind(op):
-        return _harmonic_op(params, op, op_grid, exact)
+        def apply(f):
+            if isinstance(f, GridFunction) or (exact and isinstance(f, har.HermiteExpansion)):
+                return op(params, f)
+            return op(params, op_grid.sample(f))
+
+        return apply
 
     # the grid route funnels everything through second-order central differences;
     # achievable residuals scale with h^2 times derivative magnitudes
@@ -181,10 +181,10 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
         raise_b=bind(har.apply_B),
         lower_b_dag=bind(har.apply_B_dag),
         raise_a_dag=bind(har.apply_A_dag),
-        eigens=EigenSequence(lambda n: float(n)),
+        eigens=lambda n: n * 1.0,
         inner=inner,
         gram=gram,
-        metric=_metric(params),
+        beta=params.beta,
         norm_residual=_harmonic_norm_residual(params),
         default_grid=eval_grid,
         test_functions=tests,
@@ -200,11 +200,11 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 def barrier_test_functions(params: bar.BarrierParams, tables: Callable):
     """Small finite combinations of varphi-modes (exactly analyzable),
     evaluated through the system's shared tables."""
-    combos = {"varphi[0]+0.5*varphi[2]": [1.0, 0.0, 0.5, 0.0, 0.0],
-              "varphi[1]-0.3*varphi[3]": [0.0, 1.0, 0.0, -0.3, 0.0],
-              "0.7*varphi[0]+varphi[4]": [0.7, 0.0, 0.0, 0.0, 1.0]}
-    return [TestFunction(bar.synthesize_phi(params, bar.SpectralVector(np.array(c)), tables),
-                         label) for label, c in combos.items()]
+    combos = ([1.0, 0.0, 0.5, 0.0, 0.0],   # varphi_0 + 0.5 varphi_2
+              [0.0, 1.0, 0.0, -0.3, 0.0],  # varphi_1 - 0.3 varphi_3
+              [0.7, 0.0, 0.0, 0.0, 1.0])   # 0.7 varphi_0 + varphi_4
+    return [bar.synthesize_phi(params, bar.SpectralVector(np.array(c)), tables)
+            for c in combos]
 
 
 def barrier_system(params: bar.BarrierParams) -> LadderSystem:
@@ -254,10 +254,10 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
         # on psi-coefficients B_hat^dag lowers like A_hat, A_hat^dag raises like B_hat
         lower_b_dag=spectral(bar.apply_A_hat, bar.analyze_psi, bar.synthesize_psi),
         raise_a_dag=spectral(bar.apply_B_hat, bar.analyze_psi, bar.synthesize_psi),
-        eigens=EigenSequence(lambda n: bar.rho_coefficient(params, n)),
+        eigens=partial(bar.rho_coefficient, params),
         inner=inner,
         gram=gram,
-        metric=_metric(params),
+        beta=params.beta,
         norm_residual=norm_residual,
         default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),
         test_functions=barrier_test_functions(params, tables),

@@ -388,7 +388,10 @@ def test_non_finite_numbers_exit_2(capsys, argv):
      "error: x = nan lies outside the open interval"),
     (["price", "--model", "harmonic", "--tau", "inf"],
      "error: tau must be positive and finite"),
-], ids=["x-nan", "tau-inf"])
+    *((["price", "--model", "barrier", "--lower", "80", "--upper", "120", f"--s0={s0}"],
+       f"error: spot {float(s0)} must start strictly inside (80.0, 120.0)")
+      for s0 in ("0", "-3", "150")),
+], ids=["x-nan", "tau-inf", "s0-zero", "s0-negative", "s0-above"])
 def test_price_checks_spot_and_tau_before_its_window(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning on the way to the error

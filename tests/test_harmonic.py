@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pbk import harmonic
 from pbk.grids import GridSpec, apply_Theta, apply_Theta_inv, derivative, grid_norm
+from pbk.specialfn import MAX_DEGREE
 from pbk.harmonic import (
     HarmonicParams,
     HermiteExpansion,
@@ -136,11 +137,15 @@ class TestFamilies:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_family_index_cap(self, market):
+        # a unit member reaches the Hermite recurrence's own cap, row for row
         p = params_for(market)
         with pytest.raises(ValueError):
-            phi_n(p, harmonic.FAMILY_MAX + 1)
+            phi_n(p, MAX_DEGREE + 1)
         with pytest.raises(ValueError):
             varphi_n(p, -1)
+        x = np.linspace(-1.5, 1.5, 31)
+        np.testing.assert_array_equal(phi_n(p, MAX_DEGREE)(x),
+                                      harmonic.mode_table(p, 200, x)[200])
 
     def test_biorthonormality_spot_check(self, market):
         from pbk.systems import harmonic_system

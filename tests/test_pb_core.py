@@ -5,11 +5,13 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from pbk.grids import GridFunction, GridSpec
+from pbk import systems
+from pbk.grids import GridFunction, GridSpec, apply_Theta, apply_Theta_inv
 from pbk.market import MarketParams
 from pbk.pb_core import (
     ALGEBRAIC_TOL,
@@ -17,9 +19,7 @@ from pbk.pb_core import (
     NORM_N_MAX_CAP,
     CheckResult,
     DiagnosticReport,
-    EigenSequence,
     LadderSystem,
-    MetricOperator,
     check_biorthogonality,
     check_ladder,
     check_norm_growth,
@@ -51,19 +51,27 @@ def barrier(market):
 
 
 class TestEigenSequence:
+    """A LadderSystem refuses an eigenvalue function that does not start at 0
+    and increase strictly on n = 0..7."""
+
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError, match="start at 0"):
-            EigenSequence(lambda n: n + 1.0)
+            degenerate_system(eigens=lambda n: n + 1.0)
 
     def test_monotonicity_enforced_when_flagged(self):
         with pytest.raises(ValueError, match="increasing"):
-            EigenSequence(lambda n: float(n % 3))
+            degenerate_system(eigens=lambda n: n % 3 * 1.0)
 
-    def test_returns_float(self):
-        seq = EigenSequence(lambda n: n * (n + 2))
-        out = seq(3)
-        assert isinstance(out, float)
-        assert out == 15.0
+    def test_returns_float(self, market, harmonic, barrier):
+        # one function of an int or an int array, equal entry by entry
+        n = np.arange(6)
+        bp = BarrierParams(market, 0.0, math.pi)
+        for system, scalar in ((harmonic, float), (barrier, partial(bar.rho_coefficient, bp))):
+            block = system.eigens(n)
+            assert block.dtype == float
+            for k in n:
+                assert isinstance(system.eigens(int(k)), float)
+                assert system.eigens(int(k)) == block[k] == scalar(int(k))
 
 
 class TestCheckResult:
@@ -105,7 +113,7 @@ class TestDiagnosticReport:
 # individual checks
 
 
-def degenerate_system():
+def degenerate_system(eigens=lambda n: n * 1.0):
     def zero(x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
@@ -121,10 +129,10 @@ def degenerate_system():
         raise_b=lambda f: f,
         lower_b_dag=lambda f: f,
         raise_a_dag=lambda f: f,
-        eigens=EigenSequence(lambda n: float(n)),
+        eigens=eigens,
         inner=lambda f, g: 0.0 + 0.0j,
         gram=lambda fs, gs: np.zeros((len(fs), len(gs)), dtype=complex),
-        metric=MetricOperator(lambda f: f, lambda f: f),
+        beta=0.0,
         norm_residual=lambda products: 0.0,
         default_grid=GridSpec.over(-1.0, 1.0, 101),
     )
@@ -183,6 +191,14 @@ class TestIndividualChecks:
         results = check_theta_conjugacy(harmonic, 4)
         assert [r.name for r in results] == ["theta_conjugacy", "theta_intertwining"]
         assert all(r.passed for r in results)
+        # the metric image of a test function keeps its Gaussian rate, which
+        # picks the quadrature of <f, Theta f>
+        x = np.linspace(-2.0, 2.0, 41)
+        for f in harmonic.test_functions:
+            image = apply_Theta(harmonic, f)
+            assert isinstance(image, systems.TestFunction)
+            assert image.gaussian_decay_rate == f.gaussian_decay_rate
+            np.testing.assert_array_equal(image(x), np.exp(-2.0 * harmonic.beta * x) * f(x))
 
     @pytest.mark.parametrize("case", ["harmonic", "harmonic-beta0", "barrier"])
     def test_nan_norm_product_is_refused(self, market, market_beta0, case):
@@ -248,7 +264,7 @@ def oracle_residual(out, coeff, target, grid):
 
 def oracle_checks(sys_, member, n_max):
     """Each block check's worst residual, one family member at a time."""
-    grid, theta = sys_.default_grid, sys_.metric
+    grid = sys_.default_grid
     phi = lambda n: member(0, n)  # noqa: E731
     psi = lambda n: member(1, n)  # noqa: E731
     e = sys_.eigens
@@ -269,19 +285,20 @@ def oracle_checks(sys_, member, n_max):
             oracle_residual(sys_.raise_b(sys_.lower_a(phi(n))), e(n), phi(n), grid),
             oracle_residual(sys_.raise_a_dag(sys_.lower_b_dag(psi(n))), e(n), psi(n), grid),
         )
-        conjugacy = max(conjugacy, oracle_residual(theta.apply(phi(n)), 1.0, psi(n), grid))
+        conjugacy = max(conjugacy, oracle_residual(apply_Theta(sys_, phi(n)), 1.0, psi(n), grid))
     families_only = conjugacy
     intertwining = 0.0
     for f in sys_.test_functions:
-        roundtrip = theta.apply_inverse(theta.apply(f))
+        roundtrip = apply_Theta_inv(sys_, apply_Theta(sys_, f))
         conjugacy = max(conjugacy, oracle_residual(roundtrip, 1.0, f, grid))
-        val = sys_.inner(f, theta.apply(f))
+        val = sys_.inner(f, apply_Theta(sys_, f))
         scale = abs(sys_.inner(f, f))
         if val.real <= 0.0:
             conjugacy = max(conjugacy, abs(val.real) / scale + ALGEBRAIC_TOL)
         conjugacy = max(conjugacy, abs(val.imag) / scale)
-        x, left, dx = oracle_samples(theta.apply(sys_.raise_b(sys_.lower_a(f))), grid)
-        _, right, _ = oracle_samples(sys_.raise_a_dag(sys_.lower_b_dag(theta.apply(f))), grid)
+        x, left, dx = oracle_samples(apply_Theta(sys_, sys_.raise_b(sys_.lower_a(f))), grid)
+        _, right, _ = oracle_samples(
+            sys_.raise_a_dag(sys_.lower_b_dag(apply_Theta(sys_, f))), grid)
         intertwining = max(intertwining, oracle_norm(left - right, dx) / oracle_norm(f(x), dx))
     norms = np.array([[math.sqrt(abs(sys_.inner(member(k, n), member(k, n))))
                        for n in range(n_max + 1)] for k in (0, 1)])
