@@ -296,15 +296,10 @@ def synthesize_psi(params: BarrierParams, v: SpectralVector, tables=None) -> Cal
     return synthesize(params, v, -params.beta, tables)
 
 
-def _sqrt_rho(params: BarrierParams, n: np.ndarray) -> np.ndarray:
-    return math.pi / params.width * np.sqrt(n * (n + 2.0))
-
-
 def apply_A_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
     """Lowering: out_n = sqrt(rho_{n+1}) c_{n+1}; B_hat^dag on a psi-expansion."""
     out = np.zeros_like(v.coeffs)
-    n = np.arange(1, v.n_max + 1)
-    out[..., :-1] = _sqrt_rho(params, n) * v.coeffs[..., 1:]
+    out[..., :-1] = np.sqrt(rho_coefficient(params, np.arange(1, v.n_max + 1))) * v.coeffs[..., 1:]
     return SpectralVector(out)
 
 
@@ -315,7 +310,7 @@ def apply_B_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
     discarded_tail.
     """
     out = np.zeros_like(v.coeffs)
-    n = np.arange(1, v.n_max + 1)
-    out[..., 1:] = _sqrt_rho(params, n) * v.coeffs[..., :-1]
-    tail = np.abs(_sqrt_rho(params, np.array(v.n_max + 1)) * v.coeffs[..., -1])
+    roots = np.sqrt(rho_coefficient(params, np.arange(1, v.n_max + 2)))
+    out[..., 1:] = roots[:-1] * v.coeffs[..., :-1]
+    tail = np.abs(roots[-1] * v.coeffs[..., -1])
     return SpectralVector(out, discarded_tail=tail if tail.ndim else float(tail))

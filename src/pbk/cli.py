@@ -6,9 +6,15 @@ invalid parameters, a kernel value, tail, price or check residual that is not
 finite, a Monte Carlo value with no spread that differs from the spectral
 price, or an adaptive quadrature that does not settle.
 
-Every JSON report embeds the full parameter echo, so a `--params file.json`
-holding the same keys reproduces the run; explicit flags win over file
-values. CSV output is RFC-4180 with floats at 17 significant digits.
+Every input goes through one parser. A `--params file.json` is read as
+`--key=value` flags placed before the written ones, so a file value is typed
+and checked as its flag is, a switch (`bridge`, `flip_beta`) takes JSON true
+or false, and a written flag wins. Keys that name no option of the command
+are skipped; `model`, `params` and `out` are never read from a file. Flags
+are not abbreviated. A diagnose report's `params_echo`, given back with the
+same `--model`, reproduces the report; a price's `config_echo` does not, as
+it holds no sigma, r, barriers or spot. CSV output is RFC-4180 with floats
+at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -72,104 +78,118 @@ def _parse_point_list(spec: str) -> List[float]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="pbk",
+        prog="pbk", allow_abbrev=False,
         description="Ladder-structure diagnostics, pricing kernels, and option "
                     "prices for the whole-line and double-barrier models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, barriers: bool = True) -> None:
+    def add_command(name: str, summary: str, barriers: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--model", choices=("harmonic", "barrier"), required=True)
-        p.add_argument("--sigma", type=float, default=None,
-                       help="volatility per sqrt(year), default 0.2")
-        p.add_argument("--r", type=float, default=None,
-                       help="risk-free rate per year, default 0.05")
-        p.add_argument("--w", type=float, default=None,
-                       help="harmonic shift constant, default 0")
+        p.add_argument("--sigma", type=float, default=0.2,
+                       help="volatility per sqrt(year), default %(default)s")
+        p.add_argument("--r", type=float, default=0.05,
+                       help="risk-free rate per year, default %(default)s")
+        p.add_argument("--w", type=float, default=0.0,
+                       help="harmonic shift constant, default %(default)s")
         if barriers:  # price takes its barriers in price units
-            p.add_argument("--a", type=float, default=None,
-                           help="lower log-barrier (barrier model)")
-            p.add_argument("--b", type=float, default=None,
-                           help="upper log-barrier (barrier model)")
-        p.add_argument("--params", default=None, metavar="FILE",
-                       help="JSON file with the same keys as the report echo; "
-                            "explicit flags override it")
-        p.add_argument("--out", default=None, metavar="FILE",
+            p.add_argument("--a", type=float, help="lower log-barrier (barrier model)")
+            p.add_argument("--b", type=float, help="upper log-barrier (barrier model)")
+        p.add_argument("--params", metavar="FILE",
+                       help="JSON file whose keys are read as this command's flags, "
+                            "before the ones written here, which win")
+        p.add_argument("--out", metavar="FILE",
                        help="write output here instead of stdout")
+        return p
 
-    p_diag = sub.add_parser("diagnose", help="run the full verification suite")
-    add_common(p_diag)
-    p_diag.add_argument("--nmax", type=int, default=None,
-                        help="highest family index exercised, default 20")
-    p_diag.add_argument("--route", choices=("exact", "grid"), default=None,
-                        help="harmonic operator realization, default exact")
+    p_diag = add_command("diagnose", "run the full verification suite")
+    p_diag.add_argument("--nmax", type=int, default=20,
+                        help="highest family index exercised, default %(default)s")
+    p_diag.add_argument("--route", choices=("exact", "grid"), default="exact",
+                        help="harmonic operator realization, default %(default)s")
 
-    p_kern = sub.add_parser("kernel", help="tabulate kernel values as CSV")
-    add_common(p_kern)
-    p_kern.add_argument("--x", default=None,
+    p_kern = add_command("kernel", "tabulate kernel values as CSV")
+    p_kern.add_argument("--x", default="0.0",
                         help="comma list or lo:hi:count range of x points; one "
                              "that starts with '-' needs '=': --x=-0.5:0.5:40")
-    p_kern.add_argument("--x-prime", default=None,
+    p_kern.add_argument("--x-prime", default="0.1",
                         help="comma list or lo:hi:count range of x' points; one "
                              "that starts with '-' needs '=': --x-prime=-0.5,0.1")
-    p_kern.add_argument("--tau", default=None, help="comma list of maturities")
-    p_kern.add_argument("--which", choices=("p1", "p2", "both"), default=None)
-    p_kern.add_argument("--method", choices=("spectral", "closed", "both"),
-                        default=None)
+    p_kern.add_argument("--tau", default="0.5", help="comma list of maturities")
+    p_kern.add_argument("--which", choices=("p1", "p2", "both"), default="both")
+    p_kern.add_argument("--method", choices=("spectral", "closed", "both"), default="both")
     p_kern.add_argument("--flip-beta", action="store_true")
 
-    p_price = sub.add_parser("price", help="price an option off the kernel")
-    add_common(p_price, barriers=False)
-    p_price.add_argument("--payoff", choices=("call", "put", "digital_call"),
-                         default=None)
-    p_price.add_argument("--strike", type=float, default=None)
-    p_price.add_argument("--s0", type=float, default=None,
+    p_price = add_command("price", "price an option off the kernel", barriers=False)
+    p_price.add_argument("--payoff", choices=("call", "put", "digital_call"), default="call")
+    p_price.add_argument("--strike", type=float, default=100.0)
+    p_price.add_argument("--s0", type=float, default=100.0,
                          help="spot in price units (log taken internally)")
-    p_price.add_argument("--x", type=float, default=None,
+    p_price.add_argument("--x", type=float, default=0.0,
                          help="spot log-price (harmonic model)")
-    p_price.add_argument("--lower", type=float, default=None,
-                         help="lower barrier in price units")
-    p_price.add_argument("--upper", type=float, default=None,
-                         help="upper barrier in price units")
-    p_price.add_argument("--tau", type=float, default=None)
-    p_price.add_argument("--which", choices=("p1", "p2"), default=None)
+    p_price.add_argument("--lower", type=float, help="lower barrier in price units")
+    p_price.add_argument("--upper", type=float, help="upper barrier in price units")
+    p_price.add_argument("--tau", type=float, default=0.5)
+    p_price.add_argument("--which", choices=("p1", "p2"), default="p1")
     p_price.add_argument("--flip-beta", action="store_true")
-    p_price.add_argument("--oracle", choices=("none", "mc"), default=None)
-    p_price.add_argument("--paths", type=int, default=None)
-    p_price.add_argument("--steps", type=int, default=None)
-    p_price.add_argument("--seed", type=int, default=None)
-    p_price.add_argument("--bridge", dest="bridge", action="store_true",
-                         default=None)
+    p_price.add_argument("--oracle", choices=("none", "mc"), default="none")
+    p_price.add_argument("--paths", type=int, default=MCConfig.paths)
+    p_price.add_argument("--steps", type=int, default=MCConfig.steps)
+    p_price.add_argument("--seed", type=int, default=MCConfig.seed)
+    p_price.add_argument("--bridge", action="store_true", default=MCConfig.bridge_correction)
     p_price.add_argument("--no-bridge", dest="bridge", action="store_false")
     return parser
 
 
-def _load_file_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as handle:
+# The flags that each command and model never read, and those that only the
+# Monte Carlo oracle reads. One of them written on the command line is
+# refused; a --params file key never is, since a file may serve both models.
+_UNREAD = {
+    ("diagnose", "harmonic"): ("--a", "--b"),
+    ("diagnose", "barrier"): ("--w", "--route"),
+    ("kernel", "harmonic"): ("--a", "--b"),
+    ("kernel", "barrier"): ("--w",),
+    ("price", "harmonic"): ("--s0", "--lower", "--upper"),
+    ("price", "barrier"): ("--w", "--x"),
+}
+_MC_ONLY = ("--paths", "--steps", "--seed", "--bridge", "--no-bridge")
+
+
+def _refuse_unread(args: argparse.Namespace, argv: List[str]) -> None:
+    """Refuse a flag written in argv that args' command and model never read;
+    the parsers take no abbreviation, so a written flag is the flag itself."""
+    written = {token.partition("=")[0] for token in argv}
+    rows = [(_UNREAD[args.command, args.model], "")]
+    if args.command == "price" and args.oracle != "mc":
+        rows.append((_MC_ONLY, " without --oracle mc"))
+    for flags, unless in rows:
+        for flag in flags:
+            if flag in written:
+                raise ValueError(f"{args.command} --model {args.model} does not read "
+                                 f"{flag}{unless}")
+
+
+def _file_flags(args: argparse.Namespace) -> List[str]:
+    """The --params file as flags of args' command: --key=value, or a switch's
+    flag for JSON true or false. Keys that name no option are skipped, and so
+    are help, model, params and out."""
+    with open(args.params, encoding="utf-8") as handle:
         cfg = json.load(handle)
     if not isinstance(cfg, dict):
         raise ValueError(f"--params file must hold a JSON object, got {type(cfg).__name__}")
-    return cfg
-
-
-def _pick(args: argparse.Namespace, file_cfg: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
-
-
-def _refuse_unread(args: argparse.Namespace, dests, unless: str = "") -> None:
-    """Refuse an explicit flag among dests, which this command and model never read."""
-    for dest in dests:
-        value = getattr(args, dest)
-        if value is not None:
-            flag = "--no-bridge" if value is False else "--" + dest.replace("_", "-")
-            raise ValueError(f"{args.command} --model {args.model} does not read {flag}{unless}")
+    flags = []
+    for action in _COMMANDS[args.command]._actions:
+        if action.dest not in cfg or action.dest in ("help", "model", "params", "out"):
+            continue
+        value = cfg[action.dest]
+        if action.nargs == 0 and isinstance(value, bool):
+            if value is action.const:  # --bridge or --no-bridge, --flip-beta
+                flags.append(action.option_strings[0])
+        else:  # a switch refuses any value, as it does written
+            text = value if isinstance(value, str) else json.dumps(value)
+            flags.append(f"{action.option_strings[0]}={text}")
+    return flags
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -182,23 +202,21 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _build_market(args, file_cfg) -> MarketParams:
-    sigma = float(_pick(args, file_cfg, "sigma", 0.2))
-    r = float(_pick(args, file_cfg, "r", 0.05))
-    return MarketParams(sigma, r)
-
-
-def _model_params(args, file_cfg, market: MarketParams, model: str, *harmonic_only):
+def _model_params(args: argparse.Namespace):
     """HarmonicParams from --w, or BarrierParams from the log-barriers --a and
-    --b; an explicit flag of the other model, or one of harmonic_only for the
-    barrier model, is refused first."""
-    _refuse_unread(args, ("a", "b") if model == "harmonic" else ("w", *harmonic_only))
-    if model == "harmonic":
-        return HarmonicParams(market, float(_pick(args, file_cfg, "w", 0.0)))
-    a, b = _pick(args, file_cfg, "a"), _pick(args, file_cfg, "b")
-    if a is None or b is None:
-        raise ValueError("barrier model needs --a and --b (log-barriers)")
-    return BarrierParams(market, float(a), float(b))
+    --b, or for price from the barriers --lower and --upper in price units."""
+    market = MarketParams(args.sigma, args.r)
+    if args.model == "harmonic":
+        return HarmonicParams(market, args.w)
+    if args.command != "price":
+        if args.a is None or args.b is None:
+            raise ValueError("barrier model needs --a and --b (log-barriers)")
+        return BarrierParams(market, args.a, args.b)
+    if args.lower is None or args.upper is None:
+        raise ValueError("barrier pricing needs --lower and --upper (price units)")
+    if not 0.0 < args.lower < args.upper:
+        raise ValueError(f"need 0 < lower < upper, got ({args.lower}, {args.upper})")
+    return BarrierParams(market, math.log(args.lower), math.log(args.upper))
 
 
 def _degenerate_note(beta: float) -> Optional[str]:
@@ -210,44 +228,34 @@ def _degenerate_note(beta: float) -> Optional[str]:
 
 @np.errstate(all="ignore")  # a non-finite residual is refused by its CheckResult
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args.params)
-    market = _build_market(args, file_cfg)
-    model = args.model
-    nmax = int(_pick(args, file_cfg, "nmax", 20))
-    if nmax < 0:
-        raise ValueError(f"--nmax must be >= 0, got {nmax}")
-    echo = {"command": "diagnose", "model": model, "sigma": market.sigma,
-            "r": market.r, "beta": market.beta, "gamma": market.gamma,
-            "nmax": nmax}
-    params = _model_params(args, file_cfg, market, model, "route")
-    if model == "harmonic":
-        route = _pick(args, file_cfg, "route", "exact")
-        system = harmonic_system(params, route=route)
-        echo.update({"w": params.w, "route": route, "delta": params.delta})
+    params = _model_params(args)
+    if args.nmax < 0:
+        raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
+    echo = {"command": "diagnose", "model": args.model, "sigma": params.sigma,
+            "r": params.r, "beta": params.beta, "gamma": params.gamma,
+            "nmax": args.nmax}
+    if args.model == "harmonic":
+        system = harmonic_system(params, route=args.route)
+        echo.update({"w": params.w, "route": args.route, "delta": params.delta})
     else:
         system = barrier_system(params)
         echo.update({"a": params.a, "b": params.b})
-    note = _degenerate_note(market.beta)
+    note = _degenerate_note(params.beta)
     if note:
         echo["notes"] = [note]
-    report = run_all_checks(system, nmax, params_echo=echo)
+    report = run_all_checks(system, args.nmax, params_echo=echo)
     _emit(report.to_json() + "\n", args.out)
     return 0 if report.all_pass else 1
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused below
 def cmd_kernel(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args.params)
-    market = _build_market(args, file_cfg)
-    model = args.model
-    xs = _parse_point_list(str(_pick(args, file_cfg, "x", "0.0")))
-    x_primes = _parse_point_list(str(_pick(args, file_cfg, "x_prime", "0.1")))
-    taus = _parse_point_list(str(_pick(args, file_cfg, "tau", "0.5")))
-    which = _pick(args, file_cfg, "which", "both")
-    method = _pick(args, file_cfg, "method", "both")
-    whichs = ("p1", "p2") if which == "both" else (which,)
-    methods = ("spectral", "closed") if method == "both" else (method,)
-    params = _model_params(args, file_cfg, market, model)
+    params = _model_params(args)
+    xs = _parse_point_list(args.x)
+    x_primes = _parse_point_list(args.x_prime)
+    taus = _parse_point_list(args.tau)
+    whichs = ("p1", "p2") if args.which == "both" else (args.which,)
+    methods = ("spectral", "closed") if args.method == "both" else (args.method,)
     beta = -params.beta if args.flip_beta else None
     table = kernel_rows(params, xs, x_primes, taus, whichs, methods, beta)
     finite = np.isfinite(table.value) & np.isfinite(table.tail_estimate)
@@ -263,54 +271,30 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 @np.errstate(all="ignore")  # a non-finite result is refused below
 def cmd_price(args: argparse.Namespace) -> int:
-    file_cfg = _load_file_config(args.params)
-    market = _build_market(args, file_cfg)
-    model = args.model
-    kind = _pick(args, file_cfg, "payoff", "call")
-    strike = float(_pick(args, file_cfg, "strike", 100.0))
-    tau = float(_pick(args, file_cfg, "tau", 0.5))
-    which = _pick(args, file_cfg, "which", "p1")
-    oracle = _pick(args, file_cfg, "oracle", "none")
-    payoff = Payoff(kind, strike)
-    _refuse_unread(args, ("s0", "lower", "upper") if model == "harmonic" else ("w", "x"))
-    if oracle != "mc":
-        _refuse_unread(args, ("paths", "steps", "seed", "bridge"), " without --oracle mc")
-    if model == "barrier":
-        s0 = float(_pick(args, file_cfg, "s0", 100.0))
-        lower = _pick(args, file_cfg, "lower")
-        upper = _pick(args, file_cfg, "upper")
-        if lower is None or upper is None:
-            raise ValueError("barrier pricing needs --lower and --upper "
-                             "(price units)")
-        lower, upper = float(lower), float(upper)
-        if not 0.0 < lower < upper:
-            raise ValueError(f"need 0 < lower < upper, got ({lower}, {upper})")
-        params = BarrierParams(market, math.log(lower), math.log(upper))
-        if not lower < s0 < upper:  # before its log, which 0 or a negative spot would fail
-            raise ValueError(f"spot {s0} must start strictly inside {(lower, upper)}")
-        x = math.log(s0)
+    params = _model_params(args)
+    payoff = Payoff(args.payoff, args.strike)
+    barriers = (args.lower, args.upper)
+    if args.model == "barrier":
+        # before its log, which 0 or a negative spot would fail
+        if not args.lower < args.s0 < args.upper:
+            raise ValueError(f"spot {args.s0} must start strictly inside {barriers}")
+        x = math.log(args.s0)
+    elif args.oracle == "mc":
+        raise ValueError("the Monte Carlo oracle only covers the barrier "
+                         "model; drop --oracle mc for harmonic pricing")
     else:
-        if oracle == "mc":
-            raise ValueError("the Monte Carlo oracle only covers the barrier "
-                             "model; drop --oracle mc for harmonic pricing")
-        params = HarmonicParams(market, float(_pick(args, file_cfg, "w", 0.0)))
-        x = float(_pick(args, file_cfg, "x", 0.0))
+        x = args.x
     beta = -params.beta if args.flip_beta else None
-    result = price_spectral(params, which, payoff, x, tau, beta)
+    result = price_spectral(params, args.which, payoff, x, args.tau, beta)
     if not math.isfinite(result.value):
         raise ValueError(f"the spectral price is not finite: {result.value}")
     output = {"result": result.to_dict()}
     exit_code = 0
-    if oracle == "mc":
-        cfg = MCConfig(
-            paths=int(_pick(args, file_cfg, "paths", MCConfig.paths)),
-            steps=int(_pick(args, file_cfg, "steps", MCConfig.steps)),
-            seed=int(_pick(args, file_cfg, "seed", MCConfig.seed)),
-            bridge_correction=bool(_pick(args, file_cfg, "bridge",
-                                         MCConfig.bridge_correction)),
-        )
-        mc = price_mc_barrier(payoff, s0, (lower, upper), market.sigma,
-                              market.r, tau, cfg)
+    if args.oracle == "mc":
+        cfg = MCConfig(paths=args.paths, steps=args.steps, seed=args.seed,
+                       bridge_correction=args.bridge)
+        mc = price_mc_barrier(payoff, args.s0, barriers, params.sigma, params.r,
+                              args.tau, cfg)
         output["oracle"] = mc.to_dict()
         if mc.stderr is None and result.value != mc.value:
             raise ValueError(f"the Monte Carlo value {mc.value} has no spread, so it gives "
@@ -319,7 +303,7 @@ def cmd_price(args: argparse.Namespace) -> int:
         output["z_score"] = z
         if abs(z) > Z_SCORE_LIMIT:
             exit_code = 1
-    note = _degenerate_note(market.beta)
+    note = _degenerate_note(params.beta)
     if note:
         output["notes"] = [note]
     _emit(json.dumps(output, indent=2, allow_nan=False) + "\n", args.out)
@@ -329,13 +313,21 @@ def cmd_price(args: argparse.Namespace) -> int:
 # Built once per process: parsing reads the parser and changes nothing in it,
 # so every main() call in one process shares it.
 _PARSER = build_parser()
+# each command's parser (the choices of the subparsers action), whose options
+# name the --params keys that the command reads
+_COMMANDS = next(action.choices for action in _PARSER._actions if action.dest == "command")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _PARSER.parse_args(argv)
     handlers = {"diagnose": cmd_diagnose, "kernel": cmd_kernel,
                 "price": cmd_price}
     try:
+        if args.params:  # parse again with the file's flags before the written ones
+            cut = argv.index(args.command) + 1
+            args = _PARSER.parse_args(argv[:cut] + _file_flags(args) + argv[cut:])
+        _refuse_unread(args, argv)
         return handlers[args.command](args)
     except (ValueError, TypeError, OSError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -336,6 +336,18 @@ class TestSpectralLadder:
         out = apply_A_hat(box, basis_vector(4))
         assert out.coeffs[3] == pytest.approx(math.sqrt(rho_coefficient(box, 4)), rel=1e-15)
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.pi), (math.log(80.0), math.log(120.0))],
+                             ids=["0-pi", "80-120"])
+    def test_shifts_are_the_roots_of_rho_to_the_bit(self, market, bounds):
+        # the ladder maps and the battery's sqrt(e_n) read the one rho_n
+        params = BarrierParams(market, *bounds)
+        ones = SpectralVector(np.ones(DEFAULT_TRUNCATION + 1))
+        roots = np.sqrt(rho_coefficient(params, np.arange(DEFAULT_TRUNCATION + 2)))
+        raised = apply_B_hat(params, ones)
+        np.testing.assert_array_equal(raised.coeffs[1:], roots[1:-1])
+        assert raised.discarded_tail == roots[-1]
+        np.testing.assert_array_equal(apply_A_hat(params, ones).coeffs[:-1], roots[1:-1])
+
     def test_number_operator(self, box):
         rng = np.random.default_rng(1)
         coeffs = rng.standard_normal(DEFAULT_TRUNCATION + 1)

@@ -559,11 +559,13 @@ def test_nan_norm_product_exits_2(capsys, monkeypatch, tmp_path, builder, argv):
     ["kernel", "--model", "harmonic", "--n-trunc", "64"],
     ["price", "--model", "harmonic", "--nodes", "64"],
     ["price", "--model", "barrier", "--lower", "80", "--upper", "120", "--a", "4"],
-], ids=["diagnose-n-trunc", "kernel-n-trunc", "price-nodes", "price-log-barrier"])
+    ["price", "--model", "barrier", "--lower", "80", "--upper", "120", "--stri", "100"],
+], ids=["diagnose-n-trunc", "kernel-n-trunc", "price-nodes", "price-log-barrier",
+        "price-abbreviated-strike"])
 def test_truncation_and_node_flags_are_unknown(capsys, argv):
     # the sum stops by its decay rule, and the analysis truncation and the
     # payoff rule are constants (price --n-trunc: test_truncation_outside_cap);
-    # price takes its barriers as --lower and --upper
+    # price takes its barriers as --lower and --upper; no flag is abbreviated
     with pytest.raises(SystemExit) as refused:
         main(argv)
     assert refused.value.code == 2
@@ -590,9 +592,14 @@ PRICE_BARRIER = ["price", "--model", "barrier", "--lower", "80", "--upper", "120
                                       "without --oracle mc"),
     (["price", "--model", "harmonic", "--steps", "4"],
      "price --model harmonic does not read --steps without --oracle mc"),
+    (["price", "--model", "harmonic", "--lower", "80"],
+     "price --model harmonic does not read --lower"),
+    (["diagnose", "--model", "barrier", "--a", "0", "--b", "3", "--w", "0.5"],
+     "diagnose --model barrier does not read --w"),
 ], ids=["price-harmonic-s0", "price-barrier-x", "price-barrier-w", "kernel-harmonic-a",
         "kernel-barrier-w", "diagnose-barrier-route", "diagnose-harmonic-b",
-        "price-mc-flags", "price-no-bridge", "price-harmonic-steps"])
+        "price-mc-flags", "price-no-bridge", "price-harmonic-steps",
+        "price-harmonic-lower", "diagnose-barrier-w"])
 def test_flags_the_command_never_reads_exit_2(capsys, tmp_path, argv, message):
     target = tmp_path / "result"
     code, out, err = run_cli(capsys, argv + ["--out", str(target)])
@@ -607,6 +614,56 @@ def test_params_file_keys_are_not_refused(capsys, tmp_path):
     path.write_text(json.dumps({"w": 0.5, "x": 1.0, "paths": 7, "route": "grid"}))
     code, _, _ = run_cli(capsys, PRICE_BARRIER + ["--params", str(path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (PRICE_BARRIER + ["--oracle", "mc"], {"bridge": "false", "paths": 2048, "steps": 16},
+     "argument --bridge: ignored explicit argument 'false'"),
+    (["diagnose", "--model", "harmonic"], {"nmax": 2.7},
+     "argument --nmax: invalid int value: '2.7'"),
+    (PRICE_BARRIER, {"sigma": True}, "argument --sigma: invalid float value: 'true'"),
+    (PRICE_BARRIER + ["--oracle", "mc"], {"paths": 1.9},
+     "argument --paths: invalid int value: '1.9'"),
+    (PRICE_BARRIER, {"which": "p3"}, "argument --which: invalid choice: 'p3'"),
+], ids=["bridge-string", "nmax-float", "sigma-bool", "paths-float", "which-choice"])
+def test_params_file_values_are_typed_like_flags(capsys, tmp_path, argv, cfg, message):
+    # a file value goes through the parser as --key=value, so it is refused
+    # where the written flag would be, not coerced by bool() or int()
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(cfg))
+    target = tmp_path / "result"
+    with pytest.raises(SystemExit) as refused:
+        main(argv + ["--params", str(path), "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert refused.value.code == 2
+    assert out == "" and not target.exists()
+    assert f"error: {message}" in err
+
+
+def test_params_file_switches_take_json_booleans(capsys, tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"bridge": False, "paths": 2048, "steps": 16}))
+    argv = PRICE_BARRIER + ["--oracle", "mc", "--params", str(path)]
+    for written, bridged in (([], False), (["--bridge"], True)):  # the written flag wins
+        code, out, _ = run_cli(capsys, argv + written)
+        assert code in (0, 1)
+        assert json.loads(out)["oracle"]["config_echo"]["bridge_correction"] is bridged
+    flipped = run_cli(capsys, PRICE_BARRIER + ["--flip-beta"])
+    for value, expected in ((True, flipped), (False, run_cli(capsys, PRICE_BARRIER))):
+        path.write_text(json.dumps({"flip_beta": value}))
+        assert run_cli(capsys, PRICE_BARRIER + ["--params", str(path)]) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "harmonic", "--sigma", "0.3", "--r", "0.07", "--w", "0.5", "--route", "grid"],
+    ["--model", "harmonic", "--r", "0.02"],
+    ["--model", "barrier", "--a=-0.5", "--b", "2.5", "--sigma", "0.25"],
+], ids=["harmonic-grid", "harmonic-beta0", "barrier"])
+def test_diagnose_echo_reproduces_the_report(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, ["diagnose", *argv, *DIAG_FAST])
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(json.loads(out)["params_echo"]))
+    assert run_cli(capsys, ["diagnose", *argv[:2], "--params", str(path)]) == (code, out, err)
 
 
 # ---------------------------------------------------------------------------
