@@ -96,8 +96,14 @@ def rho_coefficient(params: BarrierParams, n):
 def mode_table(params: BarrierParams, n_max: int, x) -> np.ndarray:
     """Rows Phi_0..Phi_{n_max} at x in one array of shape (n_max + 1,) + x.shape,
     not zeroed outside (a, b)."""
+    return _sine_rows(params, np.arange(1, n_max + 2), x)
+
+
+def _sine_rows(params: BarrierParams, k: np.ndarray, x) -> np.ndarray:
+    """sqrt(2/L) sin(k (lambda_1 (x - a))) for each integer in k, one row each:
+    row j is Phi_{k[j] - 1}."""
     x = np.asarray(x, dtype=float)
-    table = np.multiply.outer(np.arange(1, n_max + 2), params.wavenumber(1) * (x - params.a))
+    table = np.multiply.outer(k, params.wavenumber(1) * (x - params.a))
     np.sin(table, out=table)
     table *= math.sqrt(2.0 / params.width)
     return table
@@ -137,16 +143,21 @@ def payoff_coefficients(params: BarrierParams, payoff, tilt: float, x: float,
 
 
 def _unit_mode(params: BarrierParams, n: int, rate: float) -> Callable:
-    return synthesize(params, SpectralVector(unit_coefficients(n, MAX_SINE_MODES)), rate,
-                       None)
+    """e^{rate x} Phi_n, zero outside [a, b]: a sum over a table of row n alone."""
+    one = unit_coefficients(n, MAX_SINE_MODES)[n:]  # [1.0], once n is checked
+
+    def row_n(params, _, x):
+        return _sine_rows(params, np.array([n + 1]), x)
+
+    return partial(mode_sum, row_n, params, None, one, rate, support=(params.a, params.b))
 
 
 def Phi_n(params: BarrierParams, n: int) -> Callable:
     """Orthonormal sine mode sqrt(2/L) sin(lambda_{n+1}(x-a)), zero outside [a, b]:
-    row n of mode_table.
+    row n of mode_table, bit for bit.
 
-    Each call on x builds rows 0..n, so a member costs n + 1 sines per point;
-    a loop over members should read one mode_table or shared_mode_tables.
+    Each call on x forms row n alone, one sine per point; a loop over members
+    still reads one mode_table or shared_mode_tables faster.
     """
     return _unit_mode(params, n, 0.0)
 

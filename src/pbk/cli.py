@@ -42,11 +42,19 @@ Z_SCORE_LIMIT = 3.0
 
 
 def _csv_column(values: Optional[np.ndarray], rows: int) -> List[str]:
-    """One CSV column as text: floats at 17 significant digits, None as empty."""
+    """One CSV column as text: floats at 17 significant digits, None as empty.
+
+    Each distinct float is formatted once, keyed by its bit pattern so that
+    -0.0 and 0.0 stay apart; a dict, not np.unique, whose sort would map
+    half a megabyte of sort code into every process that writes a table.
+    """
     if values is None:
         return [""] * rows
     if values.dtype.kind == "f":
-        return list(map("%.17g".__mod__, values.tolist()))
+        bits = values.view(np.uint64).tolist()
+        first = dict(zip(bits, values.tolist()))
+        texts = dict(zip(first, map("%.17g".__mod__, first.values())))
+        return list(map(texts.__getitem__, bits))
     return values.tolist()
 
 
@@ -318,15 +326,28 @@ _PARSER = build_parser()
 _COMMANDS = next(action.choices for action in _PARSER._actions if action.dest == "command")
 
 
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """argv as _PARSER reads it, with one parse: a command's arguments go to
+    that command's parser, and a leftover token is refused with _PARSER's
+    usage, as _PARSER refuses it. Any other argv, which only asks for help or
+    is refused, goes to _PARSER itself."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _PARSER.parse_args(argv)
+    args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     handlers = {"diagnose": cmd_diagnose, "kernel": cmd_kernel,
                 "price": cmd_price}
     try:
         if args.params:  # parse again with the file's flags before the written ones
-            cut = argv.index(args.command) + 1
-            args = _PARSER.parse_args(argv[:cut] + _file_flags(args) + argv[cut:])
+            args = _parse(argv[:1] + _file_flags(args) + argv[1:])
         _refuse_unread(args, argv)
         return handlers[args.command](args)
     except (ValueError, TypeError, OSError, QuadratureConvergenceError) as exc:

@@ -24,6 +24,12 @@ MAX_DEGREE = 200
 THETA_TERM_CUTOFF = 1e-16
 KEPT_DECAY = -math.log(THETA_TERM_CUTOFF)  # a term is kept while its decay rate is below
 THETA_TRANSFORM_RATE = math.pi / 2.0  # theta3 is transformed for -ln q below this
+# A Hermite table on at most this many points runs its recurrence in Python
+# floats, point by point; numpy's per-row dispatch costs more below it.
+FEW_POINTS = 16
+# the factors sqrt(2/(k+1)) and sqrt(k/(k+1)) of step k = 1..MAX_DEGREE-1
+_HERMITE_STEPS = [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0)))
+                  for k in range(1, MAX_DEGREE)]
 
 
 def _check_degree(n: int) -> None:
@@ -111,13 +117,29 @@ def hermite_function_sequence(n_max: int, u) -> np.ndarray:
     keeps every row at unit L2 scale, so n_max = 200 is fine where the raw
     polynomials H_n would overflow; where e^{-u^2/2} underflows, the rows
     are 0.
+
+    On at most FEW_POINTS points, rows 2..n_max are formed in Python floats,
+    one point at a time: the same IEEE operations in the same order, so the
+    rows are the numpy loop's bit for bit.
     """
     _check_degree(n_max)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.empty((n_max + 1,) + u.shape)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * u * u)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * u * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = math.sqrt(2.0 / (k + 1)) * u * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
+    if n_max == 0:
+        return out
+    out[1] = math.sqrt(2.0) * u * out[0]
+    steps = _HERMITE_STEPS[: n_max - 1]
+    if u.size > FEW_POINTS:
+        for k, (up, down) in enumerate(steps, 1):
+            out[k + 1] = up * u * out[k] - down * out[k - 1]
+        return out
+    columns = out.reshape(n_max + 1, -1)  # a view: out is contiguous
+    for j, (uj, prev, cur) in enumerate(zip(u.ravel().tolist(), columns[0].tolist(),
+                                            columns[1].tolist())):
+        column = []
+        for up, down in steps:
+            prev, cur = cur, up * uj * cur - down * prev
+            column.append(cur)
+        columns[2:, j] = column
     return out

@@ -4,6 +4,7 @@ spectral ladder that replaces it."""
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,11 +157,29 @@ class TestModes:
             y = np.concatenate([p.a + (x - box.a) * p.width / box.width,
                                 [p.a, p.b, p.a - 0.5, p.b + 2.0]])
             inside = (y >= p.a) & (y <= p.b)
-            for n in (0, 1, 2, 3, 5, 40):
+            for n in (0, 1, 2, 3, 5, 40, MAX_SINE_MODES):
                 row = mode_table(p, n, y)[n]
                 for member, rate in ((Phi_n, 0.0), (varphi_n, p.beta), (psi_n, -p.beta)):
                     np.testing.assert_array_equal(member(p, n)(y),
                                                   np.where(inside, row * np.exp(rate * y), 0.0))
+
+    def test_a_member_builds_only_its_row(self, market, monkeypatch):
+        # one member at the cap on 1000 points: no 4097-row mode_table (33 MB),
+        # and no allocation near that size
+        wide = BarrierParams(market, math.log(20.0), math.log(500.0))
+        x = np.linspace(wide.a, wide.b, 1000)
+        built = []
+        monkeypatch.setattr(pbk.barrier, "mode_table",
+                            lambda *args: built.append(args[1]) or mode_table(*args))
+        member = psi_n(wide, MAX_SINE_MODES)
+        tracemalloc.start()
+        try:
+            member(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == []
+        assert peak < 1_000_000
 
     def test_mode_cap(self, box):
         with pytest.raises(ValueError, match=f"0..{MAX_SINE_MODES}, got {MAX_SINE_MODES + 1}"):

@@ -229,8 +229,14 @@ class TestKernel:
             method=np.array(["spectral", "closed"] * (n // 2)),
             value=edge * 3.0, tail_estimate=np.abs(edge),
             rel_disagreement=None)
+        # repeated x and tau, with -0.0 and 0.0 in one column: each distinct
+        # float is formatted once, and each of the two zeros keeps its text
+        x = np.array([0.1, -0.0, 0.0, 0.1, -0.0, 2.5, 0.0, 0.1])
+        repeated = replace(synthetic, x=x, x_prime=np.full(n, 1 / 3),
+                           tau=np.array([0.25, 2.0] * (n // 2)),
+                           value=np.array([1e-300, -0.0, 0.0, 1e-300, 5.0, 5.0, -1.5, 5.0]))
         hp = HarmonicParams(market)
-        tables = [synthetic, replace(synthetic, rel_disagreement=edge[::-1].copy()),
+        tables = [synthetic, replace(synthetic, rel_disagreement=edge[::-1].copy()), repeated,
                   kernel_rows(hp, [-0.1, 0.0, 0.2], [0.05, 0.1], [0.3, 1.0]),
                   kernel_rows(hp, [0.0], [0.1], [0.5], methods=("spectral",))]
         for table in tables:
@@ -668,6 +674,32 @@ def test_diagnose_echo_reproduces_the_report(capsys, tmp_path, argv):
 
 # ---------------------------------------------------------------------------
 # one parser per process
+
+
+def _exit_of(capsys, parse, argv):
+    """Exit code, stdout and stderr of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as stopped:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return stopped.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    PRICE_BARRIER + ["--bogus"],
+    PRICE_BARRIER + ["--stri", "100"],
+    PRICE_BARRIER + ["stray"],
+    ["price", "--strike", "100"],
+    ["kernel", "--model", "harmonic", "--which", "p3"],
+    [],
+    ["quote", "--model", "harmonic"],
+    ["price", "--help"],
+], ids=["unknown-flag", "abbreviated-flag", "stray-positional", "missing-model",
+        "bad-choice", "no-command", "unknown-command", "price-help"])
+def test_main_parses_as_the_shared_parser(capsys, argv):
+    # main parses a command's argv with that command's parser alone; its
+    # refusals and help are the shared parser's, usage lines included
+    assert (_exit_of(capsys, main, argv)
+            == _exit_of(capsys, pbk.cli._PARSER.parse_args, argv))
 
 
 def test_shared_parser_keeps_no_state(capsys):

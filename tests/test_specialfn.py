@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, eval_hermite
 
 from pbk.specialfn import (
+    FEW_POINTS,
     MAX_DEGREE,
     THETA_TRANSFORM_RATE,
     _hermite_pair,
@@ -197,6 +198,22 @@ class TestHermiteFunction:
         for n in range(MAX_DEGREE + 1):
             np.testing.assert_array_equal(table[n], hermite_function_sequence(n, u)[n])
             np.testing.assert_array_equal(table[n], _hermite_pair(n, u)[1])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 147, 200])
+    def test_few_points_match_the_row_loop(self, n):
+        # up to FEW_POINTS points the recurrence runs in Python floats; each
+        # table equals the first columns of one built by the row loop on the
+        # same points plus 40 more, bit for bit: at +-0, where psi_0 underflows
+        # (|u| > 37.6) and far beyond it
+        rng = np.random.default_rng(n)
+        pool = np.concatenate([[0.0, -0.0, 37.7, -38.5, 1e3, -1e3],
+                               rng.normal(0.0, 6.0, FEW_POINTS)])
+        padding = np.linspace(-9.0, 9.0, 40)
+        for count in range(1, FEW_POINTS + 2):
+            u = pool[:count]
+            wide = hermite_function_sequence(n, np.concatenate([u, padding]))
+            np.testing.assert_array_equal(hermite_function_sequence(n, u).view(np.uint64),
+                                          wide[:, :count].view(np.uint64))
 
     def test_orthogonality_spot_check(self):
         u = np.linspace(-15, 15, 60001)

@@ -7,17 +7,20 @@
 For every seed and workload, each argv that the tree's
 ``perfbench/workload.py`` builds with ``build_ops`` is run in process through
 ``pbk.cli.main`` with ``--out``, in a child process per tree that imports pbk
-from ``TREE/src``. For each argv one line says: identical; exit code or
-stderr differs; or the largest relative numeric move, |a - b| / max(|a|, |b|),
-by field. Kernel tables are compared by column and method; a JSON report by
-the path of each number in it. The last lines give each field's largest move
+from ``TREE/src``. So is each argv of REFUSALS, which the parser or a command
+refuses or answers with help: without ``--out``, its standard output is
+captured and a ``SystemExit`` gives its exit code. For each argv one line
+says: identical; exit code or stderr differs; output differs (text that is no
+report); or the largest relative numeric move, |a - b| / max(|a|, |b|), by
+field. Kernel tables are compared by column and method; a JSON report by the
+path of each number in it. The last lines give each field's largest move
 over all argvs.
 
-The exit status is 1 when any argv's exit code, stderr or set of numeric
-fields differs (a field dropped or added, or a field with a different count
-of numbers), and 0 otherwise: numeric moves are only reported, so the status
-of a run checks a claim that only numbers moved, or with no move lines that
-nothing did.
+The exit status is 1 when any argv's exit code, stderr, plain-text output or
+set of numeric fields differs (a field dropped or added, or a field with a
+different count of numbers), and 0 otherwise: numeric moves are only
+reported, so the status of a run checks a claim that only numbers moved, or
+with no move lines that nothing did.
 """
 
 from __future__ import annotations
@@ -33,10 +36,37 @@ import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
+from typing import Optional
 
 WORKLOADS = ("price-mc", "kernel-price", "diagnose")
 # the kinds of difference that fail the replay
-STRUCTURAL = ("exit code or stderr differs", "numbers differ in count", "fields differ")
+STRUCTURAL = ("exit code or stderr differs", "output differs", "numbers differ in count",
+              "fields differ")
+# argvs that a command refuses, then ones that the parser refuses or answers
+# with help
+REFUSALS = (
+    "price --model harmonic --x nan",
+    "price --model harmonic --tau 0.01",
+    "kernel --model barrier --a 0 --b 3 --x 3.5 --x-prime 1 --tau 0.5",
+    "kernel --model harmonic --x inf --tau 0.5",
+    "diagnose --model harmonic --a 1",
+    "kernel --model barrier --a 0 --b 1 --w 1",
+    "diagnose --model barrier --a 0 --b 1 --route grid",
+    "kernel --model barrier --a 0 --b 3 --x 1.2 --x-prime 1.5 --tau 1e-7 --method spectral",
+    "diagnose --model barrier --a 0 --b 12",
+    "diagnose --model barrier --b 3",
+    "kernel --model barrier --a 3 --b 0",
+    "kernel --model harmonic --x 0.1:0.2",
+    "price --model barrier --lower 80 --upper 120 --bogus",
+    "price --model barrier --lower 80 --upper 120 --stri 100",
+    "price --model barrier --lower 80 --upper 120 stray",
+    "price --strike 100",
+    "kernel --model harmonic --which p3",
+    "",
+    "quote --model harmonic",
+    "price --help",
+    "--help",
+)
 
 
 def collect(tree: Path, seeds, workloads) -> list:
@@ -61,12 +91,22 @@ def collect(tree: Path, seeds, workloads) -> list:
                     runs.append({"workload": name, "seed": seed, "label": op.label,
                                  "argv": op.argv, "code": code, "stderr": err.getvalue(),
                                  "output": text})
+    for line in REFUSALS:
+        argv = line.split()
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+        runs.append({"workload": "refusal", "seed": "-", "label": repr(line), "argv": argv,
+                     "code": code, "stderr": err.getvalue(), "output": out.getvalue()})
     return runs
 
 
-def _fields(text: str) -> dict:
+def _fields(text: str) -> Optional[dict]:
     """Numbers of one output by field: (column, method) rows of a kernel CSV,
-    or the path of each number in a JSON report."""
+    or the path of each number in a JSON report; None for other text."""
     if text.startswith("x,x_prime,"):
         fields = defaultdict(list)
         for row in csv.DictReader(io.StringIO(text)):
@@ -86,7 +126,11 @@ def _fields(text: str) -> dict:
         elif isinstance(node, (int, float)) and not isinstance(node, bool):
             fields[path].append(float(node))
 
-    walk(json.loads(text), "")
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return None
+    walk(report, "")
     return fields
 
 
@@ -102,6 +146,8 @@ def compare(parent: dict, change: dict):
     if parent["output"] == change["output"]:
         return "identical", "", {}
     old, new = _fields(parent["output"]), _fields(change["output"])
+    if old is None or new is None:
+        return "output differs", "", {}
     notes = [f"{word} {sorted(keys)}" for word, keys in
              (("dropped", old.keys() - new.keys()), ("added", new.keys() - old.keys()))
              if keys]
