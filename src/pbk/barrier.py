@@ -36,6 +36,7 @@ from .quadrature import legendre_rule
 DEFAULT_TRUNCATION = 128
 ANALYSIS_NODES = 1024
 MAX_SINE_MODES = 4096  # caps a spectral sum's sine table
+FACTORIZATION_POINTS = 16001  # failed_factorization_residual's interior grid
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,6 @@ class BarrierParams(MarketView):
     def k_squared(self) -> float:
         """Decay constant sigma^2 pi^2 / (2 L^2) of the kernel's sine series."""
         return self.sigma**2 * math.pi**2 / (2.0 * self.width**2)
-
-    @property
-    def delta_prime(self) -> float:
-        """Constant gamma + sigma^2 lambda_1^2 / 2 completing the factorized Hamiltonian."""
-        return self.gamma + self.sigma**2 * self.wavenumber(1) ** 2 / 2.0
 
     def wavenumber(self, n):
         """lambda_n = n pi / L (n an int or array); mode n carries lambda_{n+1}."""
@@ -214,15 +210,15 @@ def apply_B_naive(params: BarrierParams, f: GridFunction) -> GridFunction:
     return _naive_first_order(params, f, -1.0, +1.0)
 
 
-def failed_factorization_residual(params: BarrierParams, n_points: int = 16001) -> float:
+def failed_factorization_residual(params: BarrierParams) -> float:
     """min over c of ||B varphi_0 - c varphi_1|| / ||B varphi_0|| on an interior grid.
 
     This is the quantitative form of the no-go observation: were B a genuine
     raising operator the residual would vanish. At beta = 0 it equals
     sqrt(1 - (8/(3 pi))^2) ~ 0.5288, and it stays above 0.1 for every market.
     """
-    h = params.width / (n_points + 3)
-    x = params.a + 2.0 * h + h * np.arange(n_points)
+    h = params.width / (FACTORIZATION_POINTS + 3)
+    x = params.a + 2.0 * h + h * np.arange(FACTORIZATION_POINTS)
     grid = GridFunction(params.a + 2.0 * h, h, varphi_n(params, 0)(x))
     raised = apply_B_naive(params, grid)
     target = varphi_n(params, 1)(raised.x)
@@ -258,29 +254,26 @@ class SpectralVector:
         return self.coeffs.shape[-1] - 1
 
 
-def _analyze(params: BarrierParams, f: Callable, n_max: int, rate: float,
-             tables) -> SpectralVector:
-    """Coefficients <e^{rate x} Phi_n, f> on one Gauss-Legendre rule."""
+def _analyze(params: BarrierParams, f: Callable, rate: float, tables) -> SpectralVector:
+    """Coefficients <e^{rate x} Phi_n, f>, n <= DEFAULT_TRUNCATION, on one Legendre rule."""
     rule = legendre_rule(ANALYSIS_NODES, params.a, params.b)
-    modes = (tables or partial(mode_table, params))(n_max, rule.nodes)
+    modes = (tables or partial(mode_table, params))(DEFAULT_TRUNCATION, rule.nodes)
     weighted = rule.weights * np.exp(rate * rule.nodes) * np.asarray(f(rule.nodes))
     return SpectralVector((modes @ weighted.T).T)
 
 
-def analyze_phi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCATION,
-                tables=None) -> SpectralVector:
+def analyze_phi(params: BarrierParams, f: Callable, tables=None) -> SpectralVector:
     """Coefficients c_n = <psi_n, f> of the varphi-expansion of f.
 
     tables, if given, is a grids.shared_mode_tables callable over mode_table
     for params.
     """
-    return _analyze(params, f, n_max, -params.beta, tables)
+    return _analyze(params, f, -params.beta, tables)
 
 
-def analyze_psi(params: BarrierParams, f: Callable, n_max: int = DEFAULT_TRUNCATION,
-                tables=None) -> SpectralVector:
+def analyze_psi(params: BarrierParams, f: Callable, tables=None) -> SpectralVector:
     """Coefficients d_n = <varphi_n, f> of the psi-expansion of f."""
-    return _analyze(params, f, n_max, params.beta, tables)
+    return _analyze(params, f, params.beta, tables)
 
 
 def synthesize(params: BarrierParams, v: SpectralVector, rate: float, tables) -> Callable:

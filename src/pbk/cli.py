@@ -206,8 +206,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _model_params(args: argparse.Namespace):

@@ -116,15 +116,16 @@ def second_derivative(f: GridFunction) -> GridFunction:
     return GridFunction(f.x0 + f.dx, f.dx, d)
 
 
+def row_norm(row: np.ndarray, dx: float) -> float:
+    """Discrete L2 norm sqrt(dx * sum |row_i|^2) of one row of samples with step dx."""
+    squares = np.abs(row)
+    np.square(squares, out=squares)
+    return np.sqrt(dx * np.sum(squares))
+
+
 def grid_norm(f: GridFunction):
-    """Discrete L2 norm sqrt(dx * sum |f_i|^2); one per row for a block."""
-    rows = f.rows()
-    sums = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        squares = np.abs(row)
-        np.square(squares, out=squares)
-        sums[i] = np.sum(squares)
-    norms = np.sqrt(f.dx * sums).reshape(f.samples.shape[:-1])
+    """row_norm of each row, one at a time; a float for a single function."""
+    norms = np.array([row_norm(row, f.dx) for row in f.rows()]).reshape(f.samples.shape[:-1])
     return float(norms) if norms.ndim == 0 else norms
 
 

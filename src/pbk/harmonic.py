@@ -36,7 +36,7 @@ import numpy as np
 from .grids import (GridFunction, GridSpec, derivative, mode_sum, multiply_exponential,
                     second_derivative, unit_coefficients)
 from .market import MarketParams, MarketView
-from .specialfn import MAX_DEGREE, hermite_function_sequence
+from .specialfn import MAX_DEGREE, hermite_function_sequence, laguerre
 
 DEFAULT_GRID_POINTS = 8001
 DEFAULT_GRID_HALF_WIDTH = 8.0  # in units of sigma
@@ -385,8 +385,6 @@ def norm_squared_law(params: HarmonicParams, n: int, family: str = "varphi") -> 
     ||varphi_n|| ||psi_n|| therefore grows like e^{beta^2 sigma^2} L_n, which
     diverges with n whenever beta != 0.
     """
-    from .specialfn import laguerre
-
     b, s, w = params.beta, params.sigma, params.w
     if family == "varphi":
         sign = -1.0
@@ -394,6 +392,5 @@ def norm_squared_law(params: HarmonicParams, n: int, family: str = "varphi") -> 
         sign = 1.0
     else:
         raise ValueError(f"family must be 'varphi' or 'psi', got {family!r}")
-    return math.exp(b * b * s * s + sign * 2.0 * b * w * s * s) * laguerre(
-        n, 0, -2.0 * b * b * s * s
-    )
+    return (math.exp(b * b * s * s + sign * 2.0 * b * w * s * s)
+            * laguerre(n, -2.0 * b * b * s * s))

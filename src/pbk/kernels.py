@@ -181,11 +181,10 @@ def barrier_closed_value(params: BarrierParams, x, x_prime, tau: float, tilts):
     xp = np.asarray(x_prime, dtype=float)
     lam1 = params.wavenumber(1)
     rate = tau * params.k_squared
-    q = math.exp(-rate)
     # k1 - k2 for k_i = (theta3(u_i) - 1) / 2, without the 1 that swamps a
     # small theta3 on the transformed side
-    gap = 0.5 * (theta3(0.5 * lam1 * (x - xp), q, rate)
-                 - theta3(0.5 * lam1 * (x + xp - 2.0 * params.a), q, rate))
+    gap = 0.5 * (theta3(0.5 * lam1 * (x - xp), rate)
+                 - theta3(0.5 * lam1 * (x + xp - 2.0 * params.a), rate))
     return [(2.0 / params.width) * np.exp(-tau * params.gamma + tilt * (x - xp)) * 0.5 * gap
             for tilt in tilts]
 

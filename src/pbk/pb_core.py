@@ -29,7 +29,7 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec, apply_Theta, apply_Theta_inv, grid_norm
+from .grids import GridFunction, GridSpec, apply_Theta, apply_Theta_inv, grid_norm, row_norm
 
 ALGEBRAIC_TOL = 1e-10
 GRID_TOL = 1e-6
@@ -175,12 +175,12 @@ def _residual(out, coeff, reference: Callable, grid: GridSpec,
     ratios = np.empty(len(picked))
     for i, k in enumerate(picked):
         diff = ref[k].astype(np.result_type(ref, samples))
-        ref_norm = grid_norm(lhs.with_samples(diff))
+        ref_norm = row_norm(diff, lhs.dx)
         if ref_norm == 0.0:
             raise ValueError("degenerate reference function with zero norm")
         diff *= coeff[i]
         diff += samples[i]
-        ratios[i] = grid_norm(lhs.with_samples(diff)) / ref_norm
+        ratios[i] = row_norm(diff, lhs.dx) / ref_norm
     return float(np.max(ratios))
 
 
@@ -293,8 +293,9 @@ def check_theta_conjugacy(sys: LadderSystem, n_max: int) -> List[CheckResult]:
         right = _on_grid(sys.raise_a_dag(sys.lower_b_dag(apply_Theta(sys, tests))), grid)
         if left.n != right.n:
             raise ValueError("intertwining sides landed on different grids")
-        gap = grid_norm(left.with_samples(left.samples - right.samples))
-        intertwining = float(np.max(gap / grid_norm(left.with_samples(tests(left.x)))))
+        intertwining = float(np.max([
+            row_norm(lhs - rhs, left.dx) / row_norm(test, left.dx)
+            for lhs, rhs, test in zip(left.rows(), right.rows(), tests(left.x))]))
     return [
         CheckResult("theta_conjugacy", algebraic, tol),
         CheckResult("theta_intertwining", intertwining, sys.tolerance("theta_intertwining")),

@@ -1,8 +1,8 @@
 """Special functions evaluated by stable recurrences.
 
 Everything downstream (eigenfunctions, closed-form kernels, norm laws) is
-built from three families: normalized Hermite functions, generalized
-Laguerre polynomials, and the Jacobi theta function theta3. All of them are
+built from three families: normalized Hermite functions, Laguerre
+polynomials, and the Jacobi theta function theta3. All of them are
 computed by three-term recurrences rather than explicit coefficient sums,
 which is what keeps them usable up to degree 200 without catastrophic
 cancellation. The Hermite functions are never formed from the raw
@@ -13,7 +13,6 @@ need.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -41,42 +40,37 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds the supported cap {MAX_DEGREE}")
 
 
-def laguerre(n: int, k: int, x):
-    """Generalized Laguerre polynomial L_n^k(x).
+def laguerre(n: int, x):
+    """Laguerre polynomial L_n(x).
 
-    laguerre(n, 0, x) is the ordinary Laguerre polynomial. The recurrence
-    (m+1) L_{m+1}^k = (2m+1+k-x) L_m^k - (m+k) L_{m-1}^k is stable for the
+    The recurrence (m+1) L_{m+1} = (2m+1-x) L_m - m L_{m-1} is stable for the
     nonpositive arguments used by the norm-growth law (all terms positive).
     """
     _check_degree(n)
-    if k < -n:
-        raise ValueError(f"superscript k={k} must be >= -n = {-n}")
     x = np.asarray(x, dtype=float)
     l_prev = np.ones_like(x)
     if n == 0:
         return l_prev if l_prev.ndim else float(l_prev)
-    l = 1.0 + k - x
+    l = 1.0 - x
     for m in range(1, n):
-        l, l_prev = ((2.0 * m + 1.0 + k - x) * l - (m + k) * l_prev) / (m + 1.0), l
+        l, l_prev = ((2.0 * m + 1.0 - x) * l - m * l_prev) / (m + 1.0), l
     return l if l.ndim else float(l)
 
 
-def theta3(u, q: float, rate: Optional[float] = None):
-    """Jacobi theta function theta3(u, q) = 1 + 2 sum_m q^(m^2) cos(2 m u).
+def theta3(u, ell: float):
+    """Jacobi theta function 1 + 2 sum_m q^(m^2) cos(2 m u) of the nome q = e^{-ell}.
 
-    The nome must satisfy 0 <= q < 1. rate, when given, is l = -ln q as the
-    caller knows it (a q near 1 keeps few of its digits), and a positive one
-    admits a q that rounded to 1. The argument u may be a scalar or an
-    ndarray (radians). For l >= pi/2 the series is summed while q^(m^2) >=
-    1e-16, at most four terms; its rounding, about e^{pi^2 / (4 l)} / 2 ulps
-    of the value, grows without bound as q -> 1. Below, the Jacobi imaginary
+    The rate ell must be positive; ell = inf is q = 0. The rate keeps the
+    digits of a q near 1. The argument u may be a scalar or an ndarray
+    (radians). For ell >= pi/2 the series is summed while q^(m^2) >= 1e-16,
+    at most four terms; its rounding, about e^{pi^2 / (4 ell)} / 2 ulps of
+    the value, grows without bound as q -> 1. Below, the Jacobi imaginary
     transformation (Whittaker & Watson ch. 21) gives a sum of positive
-    Gaussians, sqrt(pi / l) sum_m e^{-(u - m pi)^2 / l}, good to a few ulps.
+    Gaussians, sqrt(pi / ell) sum_m e^{-(u - m pi)^2 / ell}, good to a few ulps.
     """
-    if not (0.0 <= q < 1.0 or q == 1.0 and rate):
-        raise ValueError(f"nome q must satisfy 0 <= q < 1, got {q}")
+    if not ell > 0.0:
+        raise ValueError(f"rate ell = -ln q must be positive, got {ell}")
     u = np.asarray(u, dtype=float)
-    ell = rate if rate is not None else -math.log(q) if q > 0.0 else math.inf
     if ell < THETA_TRANSFORM_RATE:
         reduced = u - math.pi * np.round(u / math.pi)  # theta3 has period pi in u
         m = 1  # images -m..m; the next one is below 1e-16 of the nearest
@@ -85,6 +79,7 @@ def theta3(u, q: float, rate: Optional[float] = None):
         total = math.sqrt(math.pi / ell) * sum(
             np.exp(-(reduced - j * math.pi) ** 2 / ell) for j in range(-m, m + 1))
     else:
+        q = math.exp(-ell)
         total, m = np.ones_like(u), 1
         while q ** (m * m) >= THETA_TERM_CUTOFF:
             total = total + 2.0 * q ** (m * m) * np.cos(2.0 * m * u)

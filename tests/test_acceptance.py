@@ -285,8 +285,7 @@ def test_criterion_11_failed_factorization_residual(market_beta0):
     sweep = {}
     for beta in (-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5):
         mk = MarketParams(0.2, 0.04 * (0.5 - beta))
-        sweep[beta] = bar.failed_factorization_residual(
-            bar.BarrierParams(mk, 0.0, math.pi), n_points=8001)
+        sweep[beta] = bar.failed_factorization_residual(bar.BarrierParams(mk, 0.0, math.pi))
     floor = min(sweep.values())
     evenness = max(abs(sweep[0.25] - sweep[-0.25]),
                    abs(sweep[0.5] - sweep[-0.5]))

@@ -68,7 +68,6 @@ class TestParams:
     def test_reference_constants(self, box):
         assert box.width == pytest.approx(math.pi)
         assert box.k_squared == pytest.approx(0.02, rel=1e-14)
-        assert box.delta_prime == pytest.approx(0.08125, abs=1e-15)
         assert eigenvalue(box, 0) == pytest.approx(0.08125, abs=1e-15)
 
     def test_ordering_required(self, market):
@@ -108,8 +107,8 @@ class TestParams:
     @given(n=st.integers(0, 150))
     @settings(max_examples=30)
     def test_factorized_energy_identity(self, box, n):
-        # sigma^2/2 rho_n + delta' reproduces the spectrum exactly
-        lhs = box.sigma**2 / 2.0 * rho_coefficient(box, n) + box.delta_prime
+        # sigma^2/2 rho_n + delta' reproduces the spectrum, delta' = E_0
+        lhs = box.sigma**2 / 2.0 * rho_coefficient(box, n) + eigenvalue(box, 0)
         assert lhs == pytest.approx(eigenvalue(box, n), rel=1e-13)
 
 
@@ -233,7 +232,7 @@ class TestNaiveFactorization:
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5])
     def test_product_still_factorizes_hamiltonian(self, box, n):
-        # sigma^2/2 B(A(varphi_n)) + delta' varphi_n = eigenvalue_n varphi_n,
+        # sigma^2/2 B(A(varphi_n)) + E_0 varphi_n = eigenvalue_n varphi_n,
         # second order in the step; the residual at h = 1e-3 L is already small
         grid = interior_grid(box, 1e-3 * box.width)
         mode = grid.sample(varphi_n(box, n))
@@ -241,7 +240,7 @@ class TestNaiveFactorization:
         target = eigenvalue(box, n) * varphi_n(box, n)(ba.x)
         residual = (
             box.sigma**2 / 2.0 * ba.samples
-            + box.delta_prime * varphi_n(box, n)(ba.x)
+            + eigenvalue(box, 0) * varphi_n(box, n)(ba.x)
             - target
         )
         rel = grid_norm(ba.with_samples(residual)) / grid_norm(ba.with_samples(target))
@@ -288,22 +287,19 @@ class TestFailedLadderResidual:
     @pytest.mark.parametrize("beta", [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5])
     def test_never_small(self, beta):
         params = BarrierParams(market_with_beta(beta), 0.0, math.pi)
-        assert failed_factorization_residual(params, n_points=4001) > 0.1
+        assert failed_factorization_residual(params) > 0.1
 
     @pytest.mark.parametrize("beta", [0.25, 0.5])
     def test_even_in_beta(self, beta):
         # reflecting x -> a + b - x swaps the sign of beta in the residual
-        plus = failed_factorization_residual(
-            BarrierParams(market_with_beta(beta), 0.0, math.pi), n_points=4001
-        )
+        plus = failed_factorization_residual(BarrierParams(market_with_beta(beta), 0.0, math.pi))
         minus = failed_factorization_residual(
-            BarrierParams(market_with_beta(-beta), 0.0, math.pi), n_points=4001
-        )
+            BarrierParams(market_with_beta(-beta), 0.0, math.pi))
         assert plus == pytest.approx(minus, abs=1e-9)
 
     def test_other_interval(self, market):
         params = BarrierParams(market, -0.4, 1.8)
-        assert failed_factorization_residual(params, n_points=4001) > 0.1
+        assert failed_factorization_residual(params) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +400,7 @@ class TestSpectralLadder:
     def test_hamiltonian_from_ladder_is_exact(self, box, n):
         v = basis_vector(n)
         ba = apply_B_hat(box, apply_A_hat(box, v))
-        total = box.sigma**2 / 2.0 * ba.coeffs[n] + box.delta_prime
+        total = box.sigma**2 / 2.0 * ba.coeffs[n] + eigenvalue(box, 0)
         assert total == pytest.approx(eigenvalue(box, n), rel=1e-13)
 
 
@@ -514,14 +510,14 @@ class TestBlocks:
                                     (synthesize_psi, analyze_psi)):
             f = synthesize(box, block)
             values = f(x)
-            coeffs = analyze(box, f, n_max=24).coeffs
-            assert values.shape == (3, x.size) and coeffs.shape == (3, 25)
+            coeffs = analyze(box, f).coeffs
+            assert values.shape == (3, x.size) and coeffs.shape == (3, DEFAULT_TRUNCATION + 1)
             for i, row in enumerate(block.coeffs):
                 g = synthesize(box, SpectralVector(row))
                 # one matrix product against three: equal to the last few ulps
                 np.testing.assert_allclose(values[i], g(x), rtol=0.0,
                                            atol=1e-15 * np.max(np.abs(values[i])))
-                np.testing.assert_allclose(coeffs[i], analyze(box, g, n_max=24).coeffs,
+                np.testing.assert_allclose(coeffs[i], analyze(box, g).coeffs,
                                            rtol=0.0, atol=1e-14)
             np.testing.assert_array_equal(f(1.0), f(np.array([1.0]))[:, 0])
 
@@ -621,6 +617,4 @@ class TestSharedTables:
                     assert np.array_equal(synthesize(box, v, tables)(x),
                                           synthesize(box, v)(x))
             f = synthesize(box, SpectralVector(coeffs))
-            for n_max in (4, 20, DEFAULT_TRUNCATION):
-                assert np.array_equal(analyze(box, f, n_max, tables=tables).coeffs,
-                                      analyze(box, f, n_max).coeffs)
+            assert np.array_equal(analyze(box, f, tables=tables).coeffs, analyze(box, f).coeffs)

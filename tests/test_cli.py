@@ -397,7 +397,12 @@ def test_non_finite_numbers_exit_2(capsys, argv):
     *((["price", "--model", "barrier", "--lower", "80", "--upper", "120", f"--s0={s0}"],
        f"error: spot {float(s0)} must start strictly inside (80.0, 120.0)")
       for s0 in ("0", "-3", "150")),
-], ids=["x-nan", "tau-inf", "s0-zero", "s0-negative", "s0-above"])
+    (["price", "--model", "barrier", "--lower", "0", "--upper", "120"],
+     "error: need 0 < lower < upper, got (0.0, 120.0)"),
+    (["price", "--model", "barrier", "--lower", "120", "--upper", "80"],
+     "error: need 0 < lower < upper, got (120.0, 80.0)"),
+], ids=["x-nan", "tau-inf", "s0-zero", "s0-negative", "s0-above", "lower-zero",
+        "lower-above-upper"])
 def test_price_checks_spot_and_tau_before_its_window(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning on the way to the error
@@ -620,6 +625,14 @@ def test_params_file_keys_are_not_refused(capsys, tmp_path):
     path.write_text(json.dumps({"w": 0.5, "x": 1.0, "paths": 7, "route": "grid"}))
     code, _, _ = run_cli(capsys, PRICE_BARRIER + ["--params", str(path)])
     assert code == 0
+
+
+def test_params_file_must_hold_an_object(capsys, tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps([0.3, 0.05]))
+    code, out, err = run_cli(capsys, PRICE_BARRIER + ["--params", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: --params file must hold a JSON object, got list\n"
 
 
 @pytest.mark.parametrize("argv, cfg, message", [

@@ -13,6 +13,7 @@ from pbk.grids import (
     derivative,
     grid_norm,
     multiply_exponential,
+    row_norm,
     second_derivative,
     shared_mode_tables,
 )
@@ -136,7 +137,8 @@ def test_row_by_row_norm_equals_whole_block_formula(rows):
                     rng.standard_normal((rows, g.n)) + 1j * rng.standard_normal((rows, g.n))):
         f = GridFunction(g.x0, g.dx, samples).interior(2)  # a strided view, as an output's
         whole = np.sqrt(f.dx * np.sum(np.square(np.abs(f.samples)), axis=-1))
-        np.testing.assert_array_equal(grid_norm(f), whole)
+        for norms in (grid_norm(f), [row_norm(row, f.dx) for row in f.samples]):
+            np.testing.assert_array_equal(norms, whole)
 
 
 def counted_table(calls):

@@ -79,6 +79,11 @@ class TestConstants:
         p = params_for(MarketParams(sigma, r))
         assert abs(p.delta - p.gamma) <= 1e-14 * p.gamma
 
+    def test_negative_mode_rejected(self, market):
+        for n in (-1, np.array([0, -1])):
+            with pytest.raises(ValueError, match="mode index must be nonnegative"):
+                harmonic.eigenvalue(params_for(market), n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MarketParams(0.0, 0.05)

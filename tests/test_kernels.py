@@ -567,7 +567,7 @@ class TestKernelRows:
 
         monkeypatch.setattr(pbk.kernels, "theta3", counted)
         kernel_rows(bp, [1.0, 2.0], [1.5], [0.3, 1.0], methods=("closed",))
-        assert calls == [math.exp(-0.3 * bp.k_squared)] * 2 + [math.exp(-bp.k_squared)] * 2
+        assert calls == [0.3 * bp.k_squared] * 2 + [bp.k_squared] * 2
 
     def test_invalid_tables_rejected(self, hp, bp):
         with pytest.raises(ValueError, match="tau"):

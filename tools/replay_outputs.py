@@ -56,6 +56,8 @@ REFUSALS = (
     "diagnose --model barrier --a 0 --b 12",
     "diagnose --model barrier --b 3",
     "kernel --model barrier --a 3 --b 0",
+    "price --model barrier --lower 0 --upper 120",
+    "price --model barrier --lower 120 --upper 80",
     "kernel --model harmonic --x 0.1:0.2",
     "price --model barrier --lower 80 --upper 120 --bogus",
     "price --model barrier --lower 80 --upper 120 --stri 100",
