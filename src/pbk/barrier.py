@@ -190,7 +190,7 @@ def _naive_first_order(params: BarrierParams, f: GridFunction, d_sign: float, be
     _require_interior_grid(params, f)
     lam1 = params.wavenumber(1)
     d = derivative(f)
-    mid = f.interior(1)
+    mid = f.interior(2)
     cot = lam1 / np.tan(lam1 * (d.x - params.a))
     vals = d_sign * d.samples - cot * mid.samples + beta_sign * params.beta * mid.samples
     return d.with_samples(vals)

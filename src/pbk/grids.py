@@ -1,9 +1,10 @@
 """Uniform grids, sampled functions, and central-difference operators.
 
-Differential operators in this package act on sampled functions by
-second-order central differences. Each application drops the two boundary
-samples, so a GridFunction remembers its own origin and step and the output
-of an operator is simply a shorter GridFunction starting one step in.
+Differential operators in this package act on sampled functions by central
+differences: five points and fourth order for the first derivative, three
+points and second order for the second. A GridFunction remembers its own
+origin and step, so the output of an operator is simply a shorter
+GridFunction starting two or one steps in.
 
 A GridFunction holds one function (1-D samples) or a block of functions on
 the same grid (2-D samples, one function per row). Operators and norms act
@@ -102,10 +103,14 @@ class GridFunction:
 
 
 def derivative(f: GridFunction) -> GridFunction:
-    """Second-order central first derivative; output is 2 samples shorter."""
-    d = f.samples[..., 2:] - f.samples[..., :-2]
-    d /= 2.0 * f.dx
-    return GridFunction(f.x0 + f.dx, f.dx, d)
+    """Fourth-order central first derivative (f_{-2} - 8 f_{-1} + 8 f_{+1} - f_{+2}) / (12 h);
+    output is 4 samples shorter."""
+    d = f.samples[..., 3:-1] - f.samples[..., 1:-3]
+    d *= 8.0
+    d += f.samples[..., :-4]
+    d -= f.samples[..., 4:]
+    d /= 12.0 * f.dx
+    return GridFunction(f.x0 + 2.0 * f.dx, f.dx, d)
 
 
 def second_derivative(f: GridFunction) -> GridFunction:

@@ -12,9 +12,11 @@ eigenfunctions of H_eff and of its adjoint with the common spectrum n + delta.
 
 Operators come in two interchangeable realizations:
 
-* on a ``GridFunction``, derivatives are second-order central differences
-  (output two samples shorter); the realization is independent of the
-  eigenbasis, so eigen-equation residuals genuinely measure the operators;
+* on a ``GridFunction``, d/dx is the fourth-order five-point central
+  difference, so the ladder maps are fourth order and the generators, which
+  add a three-point d^2/dx^2, second order (outputs four samples shorter);
+  the realization is independent of the eigenbasis, so eigen-equation
+  residuals genuinely measure the operators;
 * on a ``HermiteExpansion`` (a finite combination e^{t x} sum c_k Phi_k),
   d/dx and multiplication by x are exact coefficient recurrences, so ladder
   and eigen identities can be checked to rounding error.
@@ -40,7 +42,7 @@ from .specialfn import MAX_DEGREE, hermite_function_sequence, laguerre
 
 DEFAULT_GRID_POINTS = 8001
 DEFAULT_GRID_HALF_WIDTH = 8.0  # in units of sigma
-OPERATOR_GRID_POINTS = 32001
+OPERATOR_GRID_POINTS = 8001
 OPERATOR_GRID_HALF_WIDTH = 10.0  # in units of sigma
 
 
@@ -141,7 +143,8 @@ def default_grid(params: HarmonicParams) -> GridSpec:
 
 
 def operator_grid(params: HarmonicParams) -> GridSpec:
-    """Fine grid for finite-difference fallbacks; keeps h^2 error near 1e-8."""
+    """Fine grid for finite-difference fallbacks, center +- 10 sigma; the
+    fourth-order first derivative keeps ladder residuals to mode 20 below 1e-8."""
     half = OPERATOR_GRID_HALF_WIDTH * params.sigma
     return GridSpec.over(params.center - half, params.center + half,
                          OPERATOR_GRID_POINTS)
@@ -245,7 +248,7 @@ def psi_n(params: HarmonicParams, n: int) -> HermiteExpansion:
 
 Applicable = Union[GridFunction, HermiteExpansion]
 
-_MIN_OPERATOR_SAMPLES = 11  # output must itself be a valid GridFunction
+_MIN_OPERATOR_SAMPLES = 13  # the output, 4 samples shorter, must itself be a valid GridFunction
 
 
 def _require_operator_grid(f: GridFunction) -> None:
@@ -273,7 +276,7 @@ def _first_order(params: HarmonicParams, f: Applicable, d_sign: float, beta_step
     factor = superpotential(params, d.x) + shift
     # written into d's own array, one row at a time: a block on the operator
     # grid holds megabytes per copy
-    for row, mid in zip(d.rows(), f.interior(1).rows()):
+    for row, mid in zip(d.rows(), f.interior(2).rows()):
         if d_sign > 0:
             row += factor * mid
         else:
@@ -334,8 +337,10 @@ def _second_order(
         return f.with_coeffs(coeffs)
     _require_operator_grid(f)
     d1 = derivative(f)
-    d2 = second_derivative(f)
-    mid = f.interior(1)
+    # three-point, trimmed to d1's points: a five-point second derivative is
+    # already at its rounding floor on the step that measures these generators
+    d2 = second_derivative(f).interior(1)
+    mid = f.interior(2)
     vals = -(s**2 / 2.0) * d2.samples + drift * d1.samples + constant * mid.samples
     if with_potential:
         vals = vals + quadratic_potential(params, d1.x) * mid.samples

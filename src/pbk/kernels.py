@@ -181,6 +181,9 @@ def barrier_closed_value(params: BarrierParams, x, x_prime, tau: float, tilts):
     xp = np.asarray(x_prime, dtype=float)
     lam1 = params.wavenumber(1)
     rate = tau * params.k_squared
+    if not rate > 0.0:  # theta3 needs a positive rate
+        raise ValueError(f"tau * k^2 underflows to 0 at tau = {tau} and "
+                         f"k^2 = {params.k_squared}: the closed form needs it positive")
     # k1 - k2 for k_i = (theta3(u_i) - 1) / 2, without the 1 that swamps a
     # small theta3 on the transformed side
     gap = 0.5 * (theta3(0.5 * lam1 * (x - xp), rate)

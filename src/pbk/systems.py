@@ -1,12 +1,12 @@
 """Ready-made LadderSystem bindings for the two concrete models.
 
 The harmonic model plugs in either through exact Hermite-coefficient algebra
-(route "exact") or through finite-difference operator application on a dense
-grid (route "grid"). The barrier model always works in sine-coefficient
-space, where its ladder maps are defined. Each system carries its model's
-beta, the tilt of the metric Theta = e^{-2 beta x} both share, its eigenvalue
-function, its tolerances and its norm rule, so the check battery needs
-nothing else.
+(route "exact") or through finite differences on a dense grid (route "grid"):
+fourth order for the ladder maps, second order for the generators. The
+barrier model always works in sine-coefficient space, where its ladder maps
+are defined. Each system carries its model's beta, the tilt of the metric
+Theta = e^{-2 beta x} both share, its eigenvalue function, its tolerances
+and its norm rule, so the check battery needs nothing else.
 
 The harmonic test functions are TestFunctions, tagged with the Gaussian
 envelope rate that picks the quadrature scale. They are sampled onto the
@@ -129,9 +129,9 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     """The whole-line model bound to the harness.
 
     route "exact" applies ladder maps to eigenfamily members through their
-    Hermite coefficients; route "grid" forces every application through
-    second-order central differences (a cross-validation mode with
-    correspondingly looser achievable residuals, set in its tolerances).
+    Hermite coefficients; route "grid" forces every application through the
+    fourth-order central first derivative on the operator grid (a
+    cross-validation mode whose ladder residuals get a looser tolerance).
 
     A family block is the identity coefficient matrix. The system owns one
     grids.shared_mode_tables over har.mode_table, one row ahead: every family
@@ -154,10 +154,9 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 
         return apply
 
-    # the grid route funnels everything through second-order central differences;
-    # achievable residuals scale with h^2 times derivative magnitudes
-    tolerances = {} if exact else {"ladder": 2e-5, "vacua": 1e-4, "number_operator": 1e-3,
-                                   "theta_intertwining": 1e-4}
+    # the grid route funnels every ladder map through the fourth-order central
+    # first derivative; its residuals scale with h^4 times derivative magnitudes
+    tolerances = {} if exact else {"ladder": 1e-6}
     if beta_is_degenerate(params.beta):
         tolerances["norm_growth"] = 1e-10  # products of 1, up to quadrature rounding
     tests = harmonic_test_functions()

@@ -72,13 +72,17 @@ class TestPointList:
 
 class TestDiagnose:
     def test_harmonic_report_passes_and_validates(self, capsys):
-        code, out, _ = run_cli(capsys, ["diagnose", "--model", "harmonic"] + DIAG_FAST)
-        assert code == 0
-        report = json.loads(out)
-        jsonschema.validate(report, schema("diagnostic_report.schema.json"))
-        assert report["all_pass"] is True
-        assert report["params_echo"]["model"] == "harmonic"
-        assert {c["check"] for c in report["checks"]} >= {"vacua", "ladder", "norm_growth"}
+        # at sigma 0.6 and 1.0 the operator grid is coarser against the fixed-width
+        # test functions, which theta_intertwining differentiates on it
+        for sigma in ([], ["--sigma", "0.6"], ["--sigma", "1.0"]):
+            code, out, _ = run_cli(capsys, ["diagnose", "--model", "harmonic", *sigma]
+                                   + DIAG_FAST)
+            assert code == 0, out
+            report = json.loads(out)
+            jsonschema.validate(report, schema("diagnostic_report.schema.json"))
+            assert report["all_pass"] is True
+            assert report["params_echo"]["model"] == "harmonic"
+            assert {c["check"] for c in report["checks"]} >= {"vacua", "ladder", "norm_growth"}
 
     def test_barrier_report(self, capsys):
         code, out, _ = run_cli(
@@ -105,12 +109,13 @@ class TestDiagnose:
         assert any("beta = 0" in note for note in report["params_echo"]["notes"])
 
     def test_grid_route(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            ["diagnose", "--model", "harmonic", "--route", "grid"] + DIAG_FAST,
-        )
-        assert code == 0
-        assert json.loads(out)["params_echo"]["route"] == "grid"
+        for sigma in ([], ["--sigma", "0.6"], ["--sigma", "1.0"]):
+            code, out, _ = run_cli(
+                capsys,
+                ["diagnose", "--model", "harmonic", "--route", "grid", *sigma] + DIAG_FAST,
+            )
+            assert code == 0, out
+            assert json.loads(out)["params_echo"]["route"] == "grid"
 
     def test_invalid_market_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -521,8 +526,13 @@ def test_barrier_width_whose_square_overflows_exits_2(capsys, tmp_path, argv):
      "integrand f[0] returned a non-finite sample at x=1420.5143782608013\n"),
     (["price", "--model", "barrier", "--lower", "80", "--upper", "120", "--oracle", "mc",
       "--paths", "2", "--steps", "1"], "the Monte Carlo value 0.0 has no spread"),
+    (["kernel", "--model", "barrier", "--a", "0", "--b", "1e20", "--x", "1", "--x-prime", "2",
+      "--tau", "1e-300", "--method", "closed"],
+     "tau * k^2 underflows to 0 at tau = 1e-300 and k^2 = 1.973920880217872e-41: "
+     "the closed form needs it positive\n"),
 ], ids=["diagnose-narrow", "kernel-narrow", "diagnose-norm-bound-overflow",
-        "diagnose-wide", "diagnose-large-sigma", "price-mc-no-spread"])
+        "diagnose-wide", "diagnose-large-sigma", "price-mc-no-spread",
+        "kernel-closed-rate-underflow"])
 def test_unusable_numbers_exit_2(capsys, tmp_path, argv, message):
     # no NaN or Infinity in the output, no numpy warning and no traceback
     target = tmp_path / "result"

@@ -312,9 +312,14 @@ class TestGridRoute:
 
     def test_short_grid_rejected(self, market):
         p = params_for(market)
-        grid = GridSpec.over(-1.0, 1.0, 9)
-        with pytest.raises(ValueError, match="central difference"):
-            apply_A(p, grid.sample(varphi_n(p, 0)))
+        for points in (9, 12):  # the five-point stencil leaves 4 samples fewer
+            grid = GridSpec.over(-1.0, 1.0, points)
+            for op in (apply_A, apply_H_eff):
+                with pytest.raises(ValueError, match="central difference"):
+                    op(p, grid.sample(varphi_n(p, 0)))
+        grid = GridSpec.over(-1.0, 1.0, 13)
+        for op in (apply_A, apply_H_eff):
+            assert op(p, grid.sample(varphi_n(p, 0))).n == 9
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +545,7 @@ class TestSharedTables:
         f = GridSpec.over(-1.5, 1.5, 601).sample(HermiteExpansion(p, p.beta, coeffs))
         f = f.with_samples(f.samples[0] if rows == 1 else f.samples)
         d = derivative(f)
-        mid = f.interior(1).samples
+        mid = f.interior(2).samples
         for op, d_sign, shift in ((apply_A, 1.0, -p.beta), (apply_B, -1.0, p.beta),
                                   (apply_c, 1.0, 0.0), (apply_A_dag, -1.0, -p.beta)):
             whole = (superpotential(p, d.x) + shift) * mid + d_sign * d.samples

@@ -318,8 +318,9 @@ class TestBlocksMatchPerMember:
 
     @staticmethod
     def close(name, block, oracle):
-        # finite-difference figures agree relatively, algebraic ones absolutely
-        bound = 1e-8 * abs(oracle) if "grid" in name else 1e-13
+        # finite-difference figures agree relatively down to a rounding floor (they
+        # are about 1e-9, and the two sums part by under 1e-15), algebraic ones absolutely
+        bound = max(1e-8 * abs(oracle), 1e-14) if "grid" in name else 1e-13
         return abs(block - oracle) <= bound
 
     @pytest.mark.parametrize("name", BLOCK_NAMES)
@@ -458,8 +459,7 @@ class TestRunAllChecks:
 
     @pytest.mark.parametrize("model, tols", [
         ("harmonic/exact", {}),
-        ("harmonic/grid", {"ladder": 2e-5, "vacua": 1e-4, "theta_intertwining": 1e-4,
-                           "number_operator": 1e-3}),
+        ("harmonic/grid", {"ladder": 1e-6}),
         ("barrier", {}),
     ])
     def test_report_repeats_exactly(self, market, model, tols):
@@ -478,7 +478,7 @@ class TestRunAllChecks:
         assert report() == first
 
     def test_grid_route_holds_at_most_four_operator_grid_blocks(self, market):
-        # a block is 22 rows x 32001 points; the system's table on the operator
+        # a block is 22 rows x 8001 points; the system's table on the operator
         # grid is one, held in a mapping of its own that tracemalloc does not see
         block = 22 * har.OPERATOR_GRID_POINTS * 8
         system = harmonic_system(HarmonicParams(market), route="grid")

@@ -129,7 +129,7 @@ def test_one_hermite_recurrence_per_spectral_evaluation(monkeypatch):
 
 @pytest.mark.parametrize("route, n_max, builds", [
     ("exact", 40, {(8001,): 2, (64,): 2, (128,): 2, (256,): 2, (470,): 1}),
-    ("grid", 20, {(32001,): 2, (64,): 2, (128,): 2, (256,): 2}),
+    ("grid", 20, {(8001,): 2, (64,): 2, (128,): 2, (256,): 2}),
 ])
 def test_one_hermite_table_per_node_set_per_harmonic_system(monkeypatch, route, n_max,
                                                             builds):
