@@ -40,8 +40,6 @@ from .grids import (GridFunction, GridSpec, derivative, mode_sum, multiply_expon
 from .market import MarketParams, MarketView
 from .specialfn import MAX_DEGREE, hermite_function_sequence, laguerre
 
-DEFAULT_GRID_POINTS = 8001
-DEFAULT_GRID_HALF_WIDTH = 8.0  # in units of sigma
 OPERATOR_GRID_POINTS = 8001
 OPERATOR_GRID_HALF_WIDTH = 10.0  # in units of sigma
 
@@ -136,15 +134,10 @@ def quadratic_potential(params: HarmonicParams, x):
     return params.sigma**2 / 2.0 * w_val**2 - 0.5
 
 
-def default_grid(params: HarmonicParams) -> GridSpec:
-    """Grid covering the eigenfunction envelope, center +- 8 sigma."""
-    half = DEFAULT_GRID_HALF_WIDTH * params.sigma
-    return GridSpec.over(params.center - half, params.center + half, DEFAULT_GRID_POINTS)
-
-
 def operator_grid(params: HarmonicParams) -> GridSpec:
-    """Fine grid for finite-difference fallbacks, center +- 10 sigma; the
-    fourth-order first derivative keeps ladder residuals to mode 20 below 1e-8."""
+    """The grid both routes' residuals are measured on, center +- 10 sigma,
+    and the grid route's finite differences run on; the fourth-order first
+    derivative keeps ladder residuals to mode 20 below 1e-8."""
     half = OPERATOR_GRID_HALF_WIDTH * params.sigma
     return GridSpec.over(params.center - half, params.center + half,
                          OPERATOR_GRID_POINTS)

@@ -14,7 +14,9 @@ residual per row, reduced with max.
 Each check returns one or more report entries (name, max residual, tolerance,
 pass flag); a DiagnosticReport collects them and serializes to JSON. The
 system carries the tilt beta of its metric Theta = e^{-2 beta x} (applied by
-grids.apply_Theta), its tolerances and its norm rule too.
+grids.apply_Theta), its tolerances and its norm rule too, and its test
+functions as one block, which the metric checks map whole and pair row by
+row in inner products.
 
 Residual conventions: ladder and eigen-equation residuals are relative to the
 norm of the target family member (for a zero target, to the input's norm);
@@ -66,6 +68,10 @@ class LadderSystem:
     ``norm_residual`` turns the norm products ||phi_n|| ||psi_n||, n = 0..n_max,
     into the norm check's residual; and ``tolerances`` overrides entries of
     TOLERANCES for this system.
+
+    ``test_functions`` is one block of dense-set functions that the metric
+    checks map and pair row by row, or None; ``quasi_pairs`` are the (f, g)
+    pairs whose inner product the quasi-basis check resolves.
     """
 
     label: str
@@ -81,7 +87,7 @@ class LadderSystem:
     beta: float
     norm_residual: Callable[[np.ndarray], float]
     default_grid: GridSpec
-    test_functions: Sequence[Callable] = field(default_factory=tuple)
+    test_functions: Optional[Callable] = None
     quasi_pairs: Sequence[Tuple[Callable, Callable]] = field(default_factory=tuple)
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
@@ -142,11 +148,6 @@ class DiagnosticReport:
 
 # ---------------------------------------------------------------------------
 # block plumbing
-
-
-def _stack(fns: Sequence[Callable]) -> Callable:
-    """Single functions as one block, one row each."""
-    return lambda x: np.array([f(x) for f in fns])
 
 
 def _on_grid(obj, grid: GridSpec) -> GridFunction:
@@ -271,22 +272,21 @@ def check_theta_conjugacy(sys: LadderSystem, n_max: int) -> List[CheckResult]:
 
     Returns two entries: the algebraic facts (pointwise conjugation, inverse
     roundtrip, positivity), and the intertwining residual, which has its own
-    tolerance since it involves operator applications. The test
-    functions form one block for the maps, but their inner products go one
-    at a time: their Gaussian decay rates differ, and a Gram block needs one.
+    tolerance since it involves operator applications. The test block goes
+    through the maps whole, and positivity reads the paired inner products
+    <f_i, Theta f_i> and <f_i, f_i> of its rows.
     """
     grid, tol = sys.default_grid, sys.tolerance("theta_conjugacy")
     algebraic = _residual(apply_Theta(sys, sys.family_phi(n_max)), 1.0,
                           sys.family_psi(n_max), grid)
-    for f in sys.test_functions:
-        val = sys.inner(f, apply_Theta(sys, f))
-        scale = abs(sys.inner(f, f))
-        if val.real <= 0.0:
-            algebraic = max(algebraic, abs(val.real) / scale + tol)
-        algebraic = max(algebraic, abs(val.imag) / scale)
     intertwining = 0.0
-    if sys.test_functions:
-        tests = _stack(sys.test_functions)
+    tests = sys.test_functions
+    if tests is not None:
+        val = sys.inner(tests, apply_Theta(sys, tests))
+        scale = np.abs(sys.inner(tests, tests))
+        negative = np.where(val.real <= 0.0, np.abs(val.real) / scale + tol, 0.0)
+        algebraic = max(algebraic, float(np.max(negative)),
+                        float(np.max(np.abs(val.imag) / scale)))
         roundtrip = apply_Theta_inv(sys, apply_Theta(sys, tests))
         algebraic = max(algebraic, _residual(roundtrip, 1.0, tests, grid))
         left = _on_grid(apply_Theta(sys, sys.raise_b(sys.lower_a(tests))), grid)
@@ -295,7 +295,8 @@ def check_theta_conjugacy(sys: LadderSystem, n_max: int) -> List[CheckResult]:
             raise ValueError("intertwining sides landed on different grids")
         intertwining = float(np.max([
             row_norm(lhs - rhs, left.dx) / row_norm(test, left.dx)
-            for lhs, rhs, test in zip(left.rows(), right.rows(), tests(left.x))]))
+            for lhs, rhs, test in zip(left.rows(), right.rows(),
+                                      np.atleast_2d(tests(left.x)))]))
     return [
         CheckResult("theta_conjugacy", algebraic, tol),
         CheckResult("theta_intertwining", intertwining, sys.tolerance("theta_intertwining")),

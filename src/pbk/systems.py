@@ -8,16 +8,17 @@ are defined. Each system carries its model's beta, the tilt of the metric
 Theta = e^{-2 beta x} both share, its eigenvalue function, its tolerances
 and its norm rule, so the check battery needs nothing else.
 
-The harmonic test functions are TestFunctions, tagged with the Gaussian
-envelope rate that picks the quadrature scale. They are sampled onto the
-operator grid and differentiated numerically even under the exact route,
-since coefficient algebra only applies to functions given as expansions.
+Both systems test on the same dense set, finite combinations of their own
+modes (TEST_COMBOS, QUASI_COMBOS): one test block of varphi-combinations,
+a Hermite expansion or a sine synthesis, and two quasi-basis pairs of
+untilted mode polynomials. Each system takes its inner products on one rule
+family, Hermite rules at the scale of its eigenfunctions' products or
+Legendre rules on (a, b).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Tuple
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import barrier as bar
 from . import harmonic as har
-from .grids import GridFunction, GridSpec, multiply_exponential, shared_mode_tables
+from .grids import GridFunction, GridSpec, shared_mode_tables
 from .market import beta_is_degenerate
 from .pb_core import LadderSystem
 from .quadrature import adaptive_gram, adaptive_inner_product, hermite_rule, legendre_rule
@@ -33,79 +34,25 @@ from .specialfn import MAX_DEGREE
 
 BARRIER_GRID_POINTS = 4001
 
-TEST_WIDTHS = (0.5, 1.0, 2.0)
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A dense-set test function, tagged with its Gaussian envelope rate.
-
-    The rate (|f(x)| ~ e^{-rate x^2}) lets whole-line inner products pick a
-    quadrature scale that keeps the compensated integrand decaying. An
-    exponential tilt leaves the rate alone, so a metric image keeps it.
-    """
-
-    fn: Callable
-    gaussian_decay_rate: float
-
-    def __call__(self, x):
-        return self.fn(x)
-
-    def tilted(self, rate: float) -> "TestFunction":
-        """e^{rate x} times the function, with the same envelope rate."""
-        return TestFunction(multiply_exponential(self.fn, rate), self.gaussian_decay_rate)
-
-
-def harmonic_test_functions():
-    """Polynomials times Gaussians e^{-x^2/s^2}: the whole-line dense test set."""
-    fns = []
-    for s in TEST_WIDTHS:
-        rate = 1.0 / s**2
-
-        def gauss(x, _r=rate):
-            return np.exp(-_r * np.asarray(x, dtype=float) ** 2)
-
-        def x_gauss(x, _r=rate):
-            x = np.asarray(x, dtype=float)
-            return x * np.exp(-_r * x**2)
-
-        fns.append(TestFunction(gauss, rate))
-        fns.append(TestFunction(x_gauss, rate))
-    return fns
+# The dense set both batteries test on, read as coefficients of each model's
+# own modes: finite varphi-combinations for the metric checks, and untilted
+# mode polynomials for the quasi-basis pairs.
+TEST_COMBOS = ((1.0, 0.0, 0.5, 0.0, 0.0),   # varphi_0 + 0.5 varphi_2
+               (0.0, 1.0, 0.0, -0.3, 0.0),  # varphi_1 - 0.3 varphi_3
+               (0.7, 0.0, 0.0, 0.0, 1.0))   # 0.7 varphi_0 + varphi_4
+QUASI_COMBOS = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.0, -0.3))
 
 
 def _inner_and_gram(rules: Callable) -> Tuple[Callable, Callable]:
-    """The model's inner product and Gram matrix.
-
-    rules(fs, gs) gives the rule family for a block of functions in each
-    slot; an inner product is the block of one and one.
-    """
+    """The model's inner product and Gram matrix on one rule family rules(n)."""
 
     def inner(f, g):
-        return adaptive_inner_product(f, g, rules([f], [g]))
+        return adaptive_inner_product(f, g, rules)
 
     def gram(fs, gs) -> np.ndarray:
-        return adaptive_gram(fs, gs, rules(fs, gs))
+        return adaptive_gram(fs, gs, rules)
 
     return inner, gram
-
-
-def _harmonic_quadrature(params: har.HarmonicParams) -> Tuple[Callable, Callable]:
-    """Hermite rules centred on the eigenfunctions, scaled to the decay rates:
-    a TestFunction's own, else the eigenfunctions' 1 / (2 sigma^2)."""
-    base = 1.0 / (2.0 * params.sigma**2)
-
-    def block_rate(fns) -> float:
-        rates = {getattr(f, "gaussian_decay_rate", base) for f in fns}
-        if len(rates) != 1:
-            raise ValueError(f"a Gram block needs one Gaussian decay rate, got {rates}")
-        return rates.pop()
-
-    def rules(fs, gs) -> Callable:
-        rate = block_rate(fs) + block_rate(gs)
-        return partial(hermite_rule, center=params.center, scale=math.sqrt(2.0 / rate))
-
-    return _inner_and_gram(rules)
 
 
 def _harmonic_norm_residual(params: har.HarmonicParams) -> Callable[[np.ndarray], float]:
@@ -135,16 +82,16 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 
     A family block is the identity coefficient matrix. The system owns one
     grids.shared_mode_tables over har.mode_table, one row ahead: every family
-    block and every expansion a map makes of one reads one Hermite table per
-    node set, built once for the system's lifetime and grown only when more
-    rows are asked for. Operator outputs sit on interiors of the operator
-    grid and read column slices of its table.
+    block, the test block, the quasi-basis functions and every expansion a
+    map makes of one read one Hermite table per node set, built once for the
+    system's lifetime and grown only when more rows are asked for. Operator
+    outputs sit on interiors of the operator grid and read column slices of
+    its table.
     """
     if route not in ("exact", "grid"):
         raise ValueError(f"route must be 'exact' or 'grid', got {route!r}")
     exact = route == "exact"
     op_grid = har.operator_grid(params)
-    eval_grid = har.default_grid(params) if exact else op_grid
 
     def bind(op):
         def apply(f):
@@ -159,8 +106,6 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     tolerances = {} if exact else {"ladder": 1e-6}
     if beta_is_degenerate(params.beta):
         tolerances["norm_growth"] = 1e-10  # products of 1, up to quadrature rounding
-    tests = harmonic_test_functions()
-    narrow = [f for f in tests if f.gaussian_decay_rate == 4.0]
 
     def one_row_ahead(p, n, x):
         """Rows 0..n + 1: a raised block asks for the next row on the same points."""
@@ -168,10 +113,16 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 
     tables = shared_mode_tables(one_row_ahead, params, 0, op_grid)
 
-    def family(tilt):
-        return lambda n_max: har.HermiteExpansion(params, tilt, np.eye(n_max + 1), tables)
+    def expansion(tilt, coeffs):
+        return har.HermiteExpansion(params, tilt, coeffs, tables)
 
-    inner, gram = _harmonic_quadrature(params)
+    def family(tilt):
+        return lambda n_max: expansion(tilt, np.eye(n_max + 1))
+
+    f, g = (expansion(0.0, c) for c in QUASI_COMBOS)
+    # each rule fits the product of two modes, e^{-(x - center)^2 / sigma^2}
+    inner, gram = _inner_and_gram(partial(hermite_rule, center=params.center,
+                                          scale=math.sqrt(2.0) * params.sigma))
     return LadderSystem(
         label=f"harmonic/{route}",
         family_phi=family(params.beta),
@@ -185,25 +136,15 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
         gram=gram,
         beta=params.beta,
         norm_residual=_harmonic_norm_residual(params),
-        default_grid=eval_grid,
-        test_functions=tests,
-        quasi_pairs=[(narrow[0], narrow[1]), (narrow[0], narrow[0])],
+        default_grid=op_grid,
+        test_functions=expansion(params.beta, TEST_COMBOS),
+        quasi_pairs=[(f, g), (g, f)],
         tolerances=tolerances,
     )
 
 
 # ---------------------------------------------------------------------------
 # barrier model
-
-
-def barrier_test_functions(params: bar.BarrierParams, tables: Callable):
-    """Small finite combinations of varphi-modes (exactly analyzable),
-    evaluated through the system's shared tables."""
-    combos = ([1.0, 0.0, 0.5, 0.0, 0.0],   # varphi_0 + 0.5 varphi_2
-              [0.0, 1.0, 0.0, -0.3, 0.0],  # varphi_1 - 0.3 varphi_3
-              [0.7, 0.0, 0.0, 0.0, 1.0])   # 0.7 varphi_0 + varphi_4
-    return [bar.synthesize_phi(params, bar.SpectralVector(np.array(c)), tables)
-            for c in combos]
 
 
 def barrier_system(params: bar.BarrierParams) -> LadderSystem:
@@ -219,10 +160,10 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
     """
     tables = shared_mode_tables(bar.mode_table, params, bar.DEFAULT_TRUNCATION)
 
-    def sines(coeffs):  # the interval model's dense test set, untilted
+    def sines(coeffs):  # untilted
         return bar.synthesize(params, bar.SpectralVector(np.array(coeffs)), 0.0, tables)
 
-    f, g = sines([1.0, 0.0, 0.5]), sines([0.0, 1.0, 0.0, -0.3])
+    f, g = (sines(c) for c in QUASI_COMBOS)
 
     def family(synthesize):
         return lambda n_max: synthesize(
@@ -243,7 +184,7 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
         """The overshoot of the bounds; NaN for a NaN product, as CheckResult refuses."""
         return float(np.max(np.maximum(products - hi, lo - products), initial=0.0)) / hi
 
-    inner, gram = _inner_and_gram(lambda fs, gs: rules)
+    inner, gram = _inner_and_gram(rules)
     return LadderSystem(
         label="barrier/spectral",
         family_phi=family(bar.synthesize_phi),
@@ -259,6 +200,7 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
         beta=params.beta,
         norm_residual=norm_residual,
         default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),
-        test_functions=barrier_test_functions(params, tables),
+        test_functions=bar.synthesize_phi(params, bar.SpectralVector(np.array(TEST_COMBOS)),
+                                          tables),
         quasi_pairs=[(f, g), (g, f)],
     )

@@ -272,7 +272,7 @@ def test_criterion_10_quasi_basis_convergence(hp):
     result = check_quasi_basis(sys_h, sys_h.quasi_pairs, 60)
     report(10, "quasi_basis_convergence", result.max_residual <= 1e-6,
            f"worst |S_N - <f, g>| = {result.max_residual:.2e} at N = 60, "
-           f"Gaussian pairs, beta = {hp.beta:.4g}, tol 1e-6")
+           f"untilted Hermite-polynomial pairs, beta = {hp.beta:.4g}, tol 1e-6")
 
 
 def test_criterion_11_failed_factorization_residual(market_beta0):

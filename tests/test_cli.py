@@ -27,6 +27,13 @@ from pbk.kernels import KernelTable, kernel_rows, top_mode
 from pbk.market import MarketParams
 
 DIAG_FAST = ["--nmax", "4"]
+# harmonic markets from narrow eigenfunctions (sigma 0.05, beta -39.5) to wide
+# ones (sigma 3); the battery's test set is made of the model's own modes, so
+# it scales with them
+HARMONIC_MARKETS = ([], ["--sigma", "0.6"], ["--sigma", "1.0"],
+                    ["--sigma", "0.1", "--r", "0"], ["--sigma", "0.1"],
+                    ["--sigma", "0.1", "--r", "0.1"], ["--sigma", "0.05", "--r", "0.1"],
+                    ["--sigma", "1.2"], ["--sigma", "1.5"], ["--sigma", "2"], ["--sigma", "3"])
 
 
 def run_cli(capsys, argv):
@@ -72,12 +79,10 @@ class TestPointList:
 
 class TestDiagnose:
     def test_harmonic_report_passes_and_validates(self, capsys):
-        # at sigma 0.6 and 1.0 the operator grid is coarser against the fixed-width
-        # test functions, which theta_intertwining differentiates on it
-        for sigma in ([], ["--sigma", "0.6"], ["--sigma", "1.0"]):
-            code, out, _ = run_cli(capsys, ["diagnose", "--model", "harmonic", *sigma]
-                                   + DIAG_FAST)
-            assert code == 0, out
+        for market in HARMONIC_MARKETS:
+            code, out, err = run_cli(capsys, ["diagnose", "--model", "harmonic", *market]
+                                     + DIAG_FAST)
+            assert code == 0, (market, out, err)
             report = json.loads(out)
             jsonschema.validate(report, schema("diagnostic_report.schema.json"))
             assert report["all_pass"] is True
@@ -109,12 +114,12 @@ class TestDiagnose:
         assert any("beta = 0" in note for note in report["params_echo"]["notes"])
 
     def test_grid_route(self, capsys):
-        for sigma in ([], ["--sigma", "0.6"], ["--sigma", "1.0"]):
-            code, out, _ = run_cli(
+        for market in HARMONIC_MARKETS:
+            code, out, err = run_cli(
                 capsys,
-                ["diagnose", "--model", "harmonic", "--route", "grid", *sigma] + DIAG_FAST,
+                ["diagnose", "--model", "harmonic", "--route", "grid", *market] + DIAG_FAST,
             )
-            assert code == 0, out
+            assert code == 0, (market, out, err)
             assert json.loads(out)["params_echo"]["route"] == "grid"
 
     def test_invalid_market_exits_2(self, capsys):

@@ -31,8 +31,8 @@ from pbk.harmonic import (
     apply_h_eff,
     apply_rho,
     apply_rho_inv,
-    default_grid,
     norm_squared_law,
+    operator_grid,
     phi_n,
     psi_n,
     quadratic_potential,
@@ -429,11 +429,11 @@ class TestNormLaw:
             norm_squared_law(params_for(market), 2, "phi")
 
 
-def test_default_grid_covers_center(market):
+def test_operator_grid_covers_center(market):
     p = params_for(market, w=2.0)
-    g = default_grid(p)
+    g = operator_grid(p)
     assert g.points[0] < p.center < g.points[-1]
-    assert g.n == harmonic.DEFAULT_GRID_POINTS
+    assert g.n == harmonic.OPERATOR_GRID_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +506,7 @@ class TestSharedTables:
 
     def test_family_block_equals_untabled_expansion(self, market):
         p, family, _ = self.system_tables(market)
-        grid_points = default_grid(p).points
+        grid_points = operator_grid(p).points
         rule_nodes = hermite_rule(128, center=p.center, scale=p.sigma).nodes
         for n in (0, 20, 41):
             block = family(n)
@@ -524,12 +524,12 @@ class TestSharedTables:
         for op in (apply_A, apply_B_dag, apply_H_eff, apply_Theta, lambda p, f: f.deriv()):
             out = op(p, block)
             assert out.tables is tables
-            x = default_grid(p).points
+            x = operator_grid(p).points
             np.testing.assert_array_equal(out(x), HermiteExpansion(p, out.tilt, out.coeffs)(x))
 
     def test_interior_slices_match_fresh_tables(self, market):
         p, family, tables = self.system_tables(market, "grid")
-        sampled = harmonic.operator_grid(p).sample(family(21))
+        sampled = operator_grid(p).sample(family(21))
         once = derivative(sampled)
         for inner in (once, derivative(once)):
             table = tables(21, inner.x)

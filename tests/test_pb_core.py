@@ -175,6 +175,12 @@ class TestIndividualChecks:
         result = check_ladder(broken, 4)
         assert not result.passed
         assert result.max_residual > 1e-4
+        # the exact route's intertwining is coefficient algebra, 0.0 when the
+        # maps are right, and it still sees the broken one
+        assert check_theta_conjugacy(sys_h, 4)[1].max_residual == 0.0
+        intertwining = check_theta_conjugacy(broken, 4)[1]
+        assert not intertwining.passed
+        assert intertwining.max_residual > 1e-3
 
     def test_biorthogonality_small_block(self, barrier):
         sys_b = barrier
@@ -191,14 +197,20 @@ class TestIndividualChecks:
         results = check_theta_conjugacy(harmonic, 4)
         assert [r.name for r in results] == ["theta_conjugacy", "theta_intertwining"]
         assert all(r.passed for r in results)
-        # the metric image of a test function keeps its Gaussian rate, which
-        # picks the quadrature of <f, Theta f>
+        # the test block is the varphi-combinations as one expansion, and its
+        # metric image the same coefficients at tilt -beta
+        tests = harmonic.test_functions
+        image = apply_Theta(harmonic, tests)
+        assert isinstance(image, har.HermiteExpansion)
+        assert (tests.tilt, image.tilt) == (harmonic.beta, -harmonic.beta)
+        np.testing.assert_array_equal(tests.coeffs, np.array(systems.TEST_COMBOS))
+        np.testing.assert_array_equal(image.coeffs, tests.coeffs)
         x = np.linspace(-2.0, 2.0, 41)
-        for f in harmonic.test_functions:
-            image = apply_Theta(harmonic, f)
-            assert isinstance(image, systems.TestFunction)
-            assert image.gaussian_decay_rate == f.gaussian_decay_rate
-            np.testing.assert_array_equal(image(x), np.exp(-2.0 * harmonic.beta * x) * f(x))
+        np.testing.assert_allclose(image(x), np.exp(-2.0 * harmonic.beta * x) * tests(x),
+                                   rtol=1e-14, atol=0.0)
+        # positivity pairs the rows: one row with <f, Theta f> <= 0 fails the check
+        one_negative = dataclasses.replace(harmonic, inner=lambda f, g: np.array([2.0, -1.0, 1.0]))
+        assert check_theta_conjugacy(one_negative, 4)[0].max_residual > 1.0
 
     @pytest.mark.parametrize("case", ["harmonic", "harmonic-beta0", "barrier"])
     def test_nan_norm_product_is_refused(self, market, market_beta0, case):
@@ -262,6 +274,14 @@ def oracle_residual(out, coeff, target, grid):
     return oracle_norm(lhs - coeff * ref, dx) / oracle_norm(ref, dx)
 
 
+def block_rows(tests):
+    """The test block's functions one at a time: an expansion's coefficient
+    rows, else one row of the block's values each."""
+    if isinstance(tests, har.HermiteExpansion):
+        return [tests.with_coeffs(row) for row in tests.coeffs]
+    return [lambda x, _i=i: np.asarray(tests(x))[_i] for i in range(len(systems.TEST_COMBOS))]
+
+
 def oracle_checks(sys_, member, n_max):
     """Each block check's worst residual, one family member at a time."""
     grid = sys_.default_grid
@@ -288,7 +308,7 @@ def oracle_checks(sys_, member, n_max):
         conjugacy = max(conjugacy, oracle_residual(apply_Theta(sys_, phi(n)), 1.0, psi(n), grid))
     families_only = conjugacy
     intertwining = 0.0
-    for f in sys_.test_functions:
+    for f in block_rows(sys_.test_functions):
         roundtrip = apply_Theta_inv(sys_, apply_Theta(sys_, f))
         conjugacy = max(conjugacy, oracle_residual(roundtrip, 1.0, f, grid))
         val = sys_.inner(f, apply_Theta(sys_, f))
@@ -337,8 +357,8 @@ class TestBlocksMatchPerMember:
             assert abs(number - oracle["number_operator"]) <= 1e-3 * oracle["number_operator"]
         else:
             assert self.close(name, number, oracle["number_operator"])
-        # the family part alone, then with the test functions as one block
-        families_only = dataclasses.replace(sys_, test_functions=())
+        # the family part alone, then with the test block
+        families_only = dataclasses.replace(sys_, test_functions=None)
         conjugacy = check_theta_conjugacy(families_only, n)[0].max_residual
         assert abs(conjugacy - oracle["families_conjugacy"]) <= 1e-13
         conjugacy, intertwining = (c.max_residual for c in check_theta_conjugacy(sys_, n))
@@ -409,12 +429,6 @@ class TestGramChecks:
         result = check_quasi_basis(sys_, sys_.quasi_pairs, n_max)
         assert result.passed
         assert abs(result.max_residual - worst) <= 1e-13
-
-    def test_harmonic_block_needs_one_decay_rate(self, harmonic):
-        sys_h = harmonic
-        narrow, wide = sys_h.test_functions[0], sys_h.test_functions[2]
-        with pytest.raises(ValueError, match="decay rate"):
-            sys_h.gram([narrow, wide], [sys_h.family_phi(0)])
 
 
 # ---------------------------------------------------------------------------

@@ -221,8 +221,8 @@ def test_system_inner_products_call_the_traced_attributes(monkeypatch, build, pa
     monkeypatch.setattr(pbk.systems, "adaptive_inner_product", counted_adaptive)
     monkeypatch.setattr(pbk.quadrature, "inner_product", counted_inner_product)
     system = build(params)
-    f = system.test_functions[0]
-    system.inner(f, f)
+    tests = system.test_functions  # one block: one adaptive call for all its rows
+    system.inner(tests, tests)
     assert len(calls) == 1
     assert len(rules) >= 2 and all(isinstance(r, QuadratureRule) for r in rules)
     assert rules[0].nodes.size == 64
