@@ -24,6 +24,10 @@ Operators come in two interchangeable realizations:
 Both realizations act on blocks as well: a GridFunction with 2-D samples or
 a HermiteExpansion with a coefficient matrix holds one function per row, so
 a map applies to a whole eigenfamily at once.
+
+Inner products of HermiteExpansions are taken in coefficient space:
+(Phi_m, e^{s x} Phi_j) is a displaced-oscillator moment (``moments``), so
+``inner`` and ``gram`` need no quadrature rule on either route.
 """
 
 from __future__ import annotations
@@ -234,6 +238,60 @@ def varphi_n(params: HarmonicParams, n: int) -> HermiteExpansion:
 def psi_n(params: HarmonicParams, n: int) -> HermiteExpansion:
     """Adjoint-family member e^{-beta x} Phi_n; varphi_n with beta negated."""
     return _unit_expansion(params, n, -params.beta)
+
+
+# ---------------------------------------------------------------------------
+# Inner products in coefficient space
+
+
+def moments(params: HarmonicParams, s: float, n: int) -> np.ndarray:
+    """The n x n matrix of (Phi_m, e^{s x} Phi_j) = e^{-s sigma^2 w} M(s sigma)_mj.
+
+    M(alpha)_mj = (h_m, e^{alpha u} h_j) is a displaced-oscillator moment: its
+    row 0 is e^{alpha^2/4} (alpha/sqrt 2)^j / sqrt(j!), and a e^{alpha u} =
+    e^{alpha u} (a + alpha/sqrt 2) gives sqrt(m+1) M_{m+1,j} = sqrt(j) M_{m,j-1}
+    + (alpha/sqrt 2) M_{m,j}. Both terms carry the sign of alpha^{m+j}, so
+    nothing cancels; M(0) is the identity exactly. Entries overflow to inf
+    once e^{alpha^2/4} does.
+    """
+    alpha = s * params.sigma
+    half = alpha / math.sqrt(2.0)
+    roots = np.sqrt(np.arange(n))
+    out = np.empty((n, n))
+    first = np.empty(n)
+    first[0] = np.exp(alpha * alpha / 4.0 - s * params.sigma**2 * params.w)
+    first[1:] = half / roots[1:]
+    out[0] = np.cumprod(first)
+    for m in range(n - 1):
+        out[m + 1, 0] = half * out[m, 0] / roots[m + 1]
+        out[m + 1, 1:] = (roots[1:] * out[m, :-1] + half * out[m, 1:]) / roots[m + 1]
+    return out
+
+
+def _moment_pair(f: HermiteExpansion, g: HermiteExpansion):
+    """conj(c_f) M(t_f + t_g) and c_g, padded to one length."""
+    n = max(f.coeffs.shape[-1], g.coeffs.shape[-1])
+    return (np.conj(_pad(f.coeffs, n)) @ moments(f.params, f.tilt + g.tilt, n),
+            _pad(g.coeffs, n))
+
+
+def inner(f: HermiteExpansion, g: HermiteExpansion):
+    """<f, g> = integral of conj(f) g over the line, from the coefficients.
+
+    Rows are paired as in quadrature.inner_product: row i of a block goes
+    with row i of the other slot, and a single expansion with every row. Two
+    single expansions give a complex, anything else the array of products.
+    """
+    left, right = _moment_pair(f, g)
+    total = np.sum(left * right, axis=-1)
+    return total if total.ndim else complex(total)
+
+
+def gram(fs, gs) -> np.ndarray:
+    """The matrix of <f_i, g_j> over every row of the expansions fs and gs:
+    conj(C_f) M(t_f + t_g) C_g^T, block by block."""
+    return np.block([[np.atleast_2d(left) @ np.atleast_2d(right).T
+                      for left, right in (_moment_pair(f, g) for g in gs)] for f in fs])
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,9 @@ class LadderSystem:
     in the first slot: a complex for two single functions, and for a block
     the products of its rows paired with the other slot's rows. ``gram`` is
     the same inner product on sequences of functions and blocks, (fs, gs) ->
-    the array of <f_i, g_j> over all their rows, each evaluated once per rule.
+    the array of <f_i, g_j> over all their rows. The harmonic system takes
+    both in Hermite-coefficient space, the barrier system by adaptive Legendre
+    quadrature on (a, b), which samples each function once per rule.
 
     ``eigens`` gives the eigenvalue e_n of the number-like operator for an
     int n, or one per entry of an int array: 0 first, then strictly
@@ -252,13 +254,14 @@ def check_quasi_basis(sys: LadderSystem, test_pairs: Sequence[Tuple[Callable, Ca
     """Partial sums of both resolutions of <f, g> converge to the direct value.
 
     One Gram matrix per side covers every pair: <f, phi_n> and <f, psi_n>
-    for all f, <phi_n, g> and <psi_n, g> for all g.
+    for all f, <phi_n, g> and <psi_n, g> for all g; the direct values are the
+    diagonal of one more, <f_i, g_j>.
     """
     if not test_pairs:
         return CheckResult("quasi_basis", 0.0, sys.tolerance("quasi_basis"))
     families = [sys.family_phi(n_max), sys.family_psi(n_max)]
     fs, gs = zip(*test_pairs)
-    direct = np.array([sys.inner(f, g) for f, g in test_pairs])
+    direct = np.diag(sys.gram(fs, gs))
     f_phi, f_psi = np.split(sys.gram(fs, families), 2, axis=1)
     phi_g, psi_g = np.split(sys.gram(families, gs).T, 2, axis=1)
     total = np.sum(f_phi * psi_g, axis=1)

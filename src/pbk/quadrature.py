@@ -1,32 +1,21 @@
-"""Inner products on the line and on an interval.
+"""Inner products on an interval, by Gauss-Legendre rules.
 
-Two rule families cover every integral in the package: Gauss-Hermite for
-whole-line integrals of rapidly decaying functions, and Gauss-Legendre for
-integrals over a finite interval (a, b).
-
-The Hermite rule is built here, by Newton's method on the normalized
-Hermite recurrence, and stored with its weight function already factored
-out: the stored weights are w_i e^{x_i^2} = 1 / (n psi_{n-1}(x_i)^2), formed
-directly so that large rules do not underflow, optionally pushed through an
-affine map x = scale * u + center. Nodes whose raw weight w_i is not a
-normal double (|x| beyond about 26.5) are dropped. A plain weighted dot
-product of the stored weights against integrand samples then approximates
-the ordinary integral int f(x) dx, provided the integrand decays fast
-enough to be captured by the rule's effective support. Choosing `scale`
-comparable to the integrand's Gaussian width makes the compensated
-integrand polynomial-like and the rule rapidly convergent.
+One rule family covers every quadrature in the package: Gauss-Legendre
+rules mapped to a finite interval (a, b), memoized per node count and
+interval. A plain weighted dot product of a rule's weights against integrand
+samples approximates the ordinary integral of a bounded integrand over
+(a, b); the adaptive entry points double the node count until successive
+estimates settle. Whole-line inner products of Hermite expansions need no
+rule: pbk.harmonic takes them in coefficient space.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-
-from .specialfn import _hermite_pair
 
 ADAPTIVE_START = 64
 ADAPTIVE_CAP = 4096
@@ -73,94 +62,9 @@ class QuadratureRule:
             raise ValueError("weights must be positive")
 
 
-# Raw Gauss-Hermite weights are below sqrt(pi) e^{-x^2}, so no node with
-# x^2 beyond this bound keeps a normal raw weight; its guess is not refined.
-_HERMITE_X2_LIMIT = 720.0
-_HERMITE_NEWTON_CAP = 16
-
-
-def _tricomi_guesses(n: int) -> np.ndarray:
-    """Tricomi's estimates of the positive zeros of H_n, ascending.
-
-    With nu = 2n + 1 and m = n // 2, the k-th zero is close to
-    sqrt(nu t - (5 / (4 (1 - t)^2) - 1 / (1 - t) - 1/4) / (3 nu)), where
-    t = cos(T / 2)^2 and T - sin T = (4m - 4k + 3) pi / nu (Gatteschi 2002,
-    eq. 2.1; Townsend, Trogdon & Olver 2015).
-    """
-    m = n // 2
-    nu = 2.0 * n + 1.0
-    rhs = (4.0 * m - 4.0 * np.arange(1, m + 1) + 3.0) * math.pi / nu
-    theta = np.full(m, 0.5 * math.pi)
-    for _ in range(10):
-        theta = theta - (theta - np.sin(theta) - rhs) / (1.0 - np.cos(theta))
-    t = np.cos(0.5 * theta) ** 2
-    return np.sqrt(nu * t - (1.25 / (1.0 - t) ** 2 - 1.0 / (1.0 - t) - 0.25) / (3.0 * nu))
-
-
-@lru_cache(maxsize=32)
-def _hermite_nodes(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and compensated weights w e^{x^2}, ascending.
-
-    Newton's method on psi_n, with psi_n' = sqrt(2n) psi_{n-1} - x psi_n,
-    runs on the nonnegative nodes at once until no step moves a node by more
-    than a few ulps. The compensated weight 1 / (n psi_{n-1}^2) is taken as
-    2 / psi_n'^2 from the last step's slope: psi_n'' = (x^2 - 2n - 1) psi_n
-    vanishes at a zero, so the weight does not inherit the node's rounding.
-    Nodes whose raw weight w is not a normal double are dropped. O(n) memory.
-    """
-    if n < 1:
-        raise ValueError(f"a Gauss-Hermite rule needs n >= 1 nodes, got {n}")
-    x = _tricomi_guesses(n)
-    if n % 2:
-        x = np.concatenate(([0.0], x))
-    x = x[x * x < _HERMITE_X2_LIMIT]
-    for _ in range(_HERMITE_NEWTON_CAP):
-        prev, cur = _hermite_pair(n, x)
-        slope = math.sqrt(2.0 * n) * prev - x * cur
-        step = cur / slope
-        x = x - step
-        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * np.maximum(x, 1.0)):
-            break
-    else:
-        raise ArithmeticError(f"Gauss-Hermite nodes for n={n} did not settle "
-                              f"in {_HERMITE_NEWTON_CAP} Newton steps")
-    w = 2.0 / (slope * slope)
-    keep = w * np.exp(-x * x) >= np.finfo(float).tiny
-    x, w = x[keep], w[keep]
-    first = n % 2  # the zero node of an odd rule is not mirrored
-    return (np.concatenate((-x[first:][::-1], x)),
-            np.concatenate((w[first:][::-1], w)))
-
-
 @lru_cache(maxsize=32)
 def _legendre_nodes(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
-
-
-@lru_cache(maxsize=128)
-def hermite_rule(n: int, center: float = 0.0, scale: float = 1.0) -> QuadratureRule:
-    """Gauss-Hermite rule with the e^{-x^2} weight compensated away (cached).
-
-    Parameters
-    ----------
-    n : int
-        Number of nodes requested.
-    center, scale : float
-        Affine map x = scale * u + center applied to the raw nodes; the
-        weights pick up a factor `scale`.
-
-    Notes
-    -----
-    The compensated weight w_i e^{u_i^2} is formed directly as
-    1 / (n psi_{n-1}(u_i)^2), never from the raw weight w_i. Nodes whose raw
-    weight is not a normal double (|u| beyond about 26.5, from n = 371 on)
-    are dropped; integrands admissible for this rule are far below double
-    precision there.
-    """
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    u, w = _hermite_nodes(n)
-    return QuadratureRule(scale * u + center, scale * w)
 
 
 @lru_cache(maxsize=128)
@@ -191,8 +95,7 @@ def inner_product(f: Callable, g: Callable, rule: QuadratureRule):
     ----------
     f, g : callables
         Vectorized functions of a real array. The product conj(f) * g must
-        decay within the rule's effective support (Hermite) or be bounded on
-        the rule's interval (Legendre). Rows are paired: row i of a block
+        be bounded on the rule's interval. Rows are paired: row i of a block
         (values of shape (k, nodes)) goes with row i of the other slot, and a
         single function with every row. Two single functions give a complex,
         anything else the array of the k paired products.
@@ -250,7 +153,7 @@ def _adaptive(estimate: Callable, rules: Callable):
 def adaptive_inner_product(f: Callable, g: Callable, rules: Callable):
     """`inner_product` with node doubling from 64 up to 4096 nodes, on the
     rules of one family: rules(n) gives the n-node QuadratureRule, for example
-    `hermite_rule` or `partial(legendre_rule, a=0.0, b=1.0)`.
+    `partial(legendre_rule, a=0.0, b=1.0)`.
 
     Successive estimates of every paired row must differ by less than
     ADAPTIVE_REL_TOL relative to max(1, |estimate|, |previous|); the unit

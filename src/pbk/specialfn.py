@@ -87,21 +87,6 @@ def theta3(u, ell: float):
     return total if total.ndim else float(total)
 
 
-def _hermite_pair(n: int, u: np.ndarray):
-    """psi_{n-1}(u) and psi_n(u), with psi_{-1} = 0, for any degree n >= 0.
-
-    The recurrence of `hermite_function_sequence` in its operation order, so
-    psi_n is bit-identical to row n of the table, but only two rows are kept.
-    """
-    prev = np.zeros_like(u)
-    cur = math.pi ** -0.25 * np.exp(-0.5 * u * u)
-    if n >= 1:
-        prev, cur = cur, math.sqrt(2.0) * u * cur
-    for k in range(1, n):
-        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * u * cur - math.sqrt(k / (k + 1.0)) * prev
-    return prev, cur
-
-
 def hermite_function_sequence(n_max: int, u) -> np.ndarray:
     """All normalized Hermite functions psi_0..psi_{n_max} at u, stacked on axis 0.
 

@@ -11,16 +11,17 @@ and its norm rule, so the check battery needs nothing else.
 Both systems test on the same dense set, finite combinations of their own
 modes (TEST_COMBOS, QUASI_COMBOS): one test block of varphi-combinations,
 a Hermite expansion or a sine synthesis, and two quasi-basis pairs of
-untilted mode polynomials. Each system takes its inner products on one rule
-family, Hermite rules at the scale of its eigenfunctions' products or
-Legendre rules on (a, b).
+untilted mode polynomials. Every function the harmonic battery integrates
+is a Hermite expansion, so its inner products and Gram matrices are taken
+in coefficient space (harmonic.inner, harmonic.gram); the barrier system
+takes its own by adaptive Legendre rules on (a, b).
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from . import harmonic as har
 from .grids import GridFunction, GridSpec, shared_mode_tables
 from .market import beta_is_degenerate
 from .pb_core import LadderSystem
-from .quadrature import adaptive_gram, adaptive_inner_product, hermite_rule, legendre_rule
+from .quadrature import adaptive_gram, adaptive_inner_product, legendre_rule
 from .specialfn import MAX_DEGREE
 
 BARRIER_GRID_POINTS = 4001
@@ -41,18 +42,6 @@ TEST_COMBOS = ((1.0, 0.0, 0.5, 0.0, 0.0),   # varphi_0 + 0.5 varphi_2
                (0.0, 1.0, 0.0, -0.3, 0.0),  # varphi_1 - 0.3 varphi_3
                (0.7, 0.0, 0.0, 0.0, 1.0))   # 0.7 varphi_0 + varphi_4
 QUASI_COMBOS = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.0, -0.3))
-
-
-def _inner_and_gram(rules: Callable) -> Tuple[Callable, Callable]:
-    """The model's inner product and Gram matrix on one rule family rules(n)."""
-
-    def inner(f, g):
-        return adaptive_inner_product(f, g, rules)
-
-    def gram(fs, gs) -> np.ndarray:
-        return adaptive_gram(fs, gs, rules)
-
-    return inner, gram
 
 
 def _harmonic_norm_residual(params: har.HarmonicParams) -> Callable[[np.ndarray], float]:
@@ -86,7 +75,9 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     map makes of one read one Hermite table per node set, built once for the
     system's lifetime and grown only when more rows are asked for. Operator
     outputs sit on interiors of the operator grid and read column slices of
-    its table.
+    its table. On both routes every function the battery integrates is an
+    expansion, so inner products and Gram matrices are har.inner and har.gram,
+    in coefficient space, and read no table.
     """
     if route not in ("exact", "grid"):
         raise ValueError(f"route must be 'exact' or 'grid', got {route!r}")
@@ -105,7 +96,7 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     # first derivative; its residuals scale with h^4 times derivative magnitudes
     tolerances = {} if exact else {"ladder": 1e-6}
     if beta_is_degenerate(params.beta):
-        tolerances["norm_growth"] = 1e-10  # products of 1, up to quadrature rounding
+        tolerances["norm_growth"] = 1e-10  # products of 1, up to rounding
 
     def one_row_ahead(p, n, x):
         """Rows 0..n + 1: a raised block asks for the next row on the same points."""
@@ -120,9 +111,6 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
         return lambda n_max: expansion(tilt, np.eye(n_max + 1))
 
     f, g = (expansion(0.0, c) for c in QUASI_COMBOS)
-    # each rule fits the product of two modes, e^{-(x - center)^2 / sigma^2}
-    inner, gram = _inner_and_gram(partial(hermite_rule, center=params.center,
-                                          scale=math.sqrt(2.0) * params.sigma))
     return LadderSystem(
         label=f"harmonic/{route}",
         family_phi=family(params.beta),
@@ -132,8 +120,8 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
         lower_b_dag=bind(har.apply_B_dag),
         raise_a_dag=bind(har.apply_A_dag),
         eigens=lambda n: n * 1.0,
-        inner=inner,
-        gram=gram,
+        inner=har.inner,
+        gram=har.gram,
         beta=params.beta,
         norm_residual=_harmonic_norm_residual(params),
         default_grid=op_grid,
@@ -184,7 +172,12 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
         """The overshoot of the bounds; NaN for a NaN product, as CheckResult refuses."""
         return float(np.max(np.maximum(products - hi, lo - products), initial=0.0)) / hi
 
-    inner, gram = _inner_and_gram(rules)
+    def inner(f, g):
+        return adaptive_inner_product(f, g, rules)
+
+    def gram(fs, gs) -> np.ndarray:
+        return adaptive_gram(fs, gs, rules)
+
     return LadderSystem(
         label="barrier/spectral",
         family_phi=family(bar.synthesize_phi),

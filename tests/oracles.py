@@ -4,10 +4,14 @@ Each barrier sine mode comes from its own wavenumber, not from a table;
 the method-of-images density of the barrier kernel never touches the
 eigenfunctions; the quadrature price integrates the spectral kernel against
 the payoff on Gauss-Legendre panels, where pbk prices in coefficient space;
-the Black-Scholes price is the wide-barrier limit.
+the Black-Scholes price is the wide-barrier limit; Gauss-Hermite quadrature
+of sampled expansions checks the harmonic Gram matrices, which pbk takes
+from moment recurrences.
 """
 
 import math
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -15,6 +19,7 @@ import pbk.quadrature
 from pbk.barrier import BarrierParams
 from pbk.kernels import kernel_values
 from pbk.pricing import PAYOFF_KINDS
+from pbk.quadrature import QuadratureRule
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +31,113 @@ def sine_mode(params: BarrierParams, n: int, x):
     outside (a, b); pbk reads it as row n of a table built by a recurrence
     in n."""
     return math.sqrt(2.0 / params.width) * np.sin(params.wavenumber(n + 1) * (x - params.a))
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Hermite rules, for whole-line inner products by quadrature
+#
+# Built by Newton's method on the normalized Hermite recurrence and stored with
+# the weight function factored out: the stored weights are w_i e^{x_i^2} =
+# 1 / (n psi_{n-1}(x_i)^2), formed directly so that large rules do not
+# underflow. A weighted dot product against integrand samples then
+# approximates int f(x) dx for an integrand that decays like a Gaussian.
+
+
+def _hermite_pair(n: int, u: np.ndarray):
+    """psi_{n-1}(u) and psi_n(u), with psi_{-1} = 0, for any degree n >= 0: the
+    normalized Hermite recurrence, keeping only two rows."""
+    prev = np.zeros_like(u)
+    cur = math.pi ** -0.25 * np.exp(-0.5 * u * u)
+    if n >= 1:
+        prev, cur = cur, math.sqrt(2.0) * u * cur
+    for k in range(1, n):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * u * cur - math.sqrt(k / (k + 1.0)) * prev
+    return prev, cur
+
+
+# Raw Gauss-Hermite weights are below sqrt(pi) e^{-x^2}, so no node with
+# x^2 beyond this bound keeps a normal raw weight; its guess is not refined.
+_HERMITE_X2_LIMIT = 720.0
+_HERMITE_NEWTON_CAP = 16
+
+
+def _tricomi_guesses(n: int) -> np.ndarray:
+    """Tricomi's estimates of the positive zeros of H_n, ascending.
+
+    With nu = 2n + 1 and m = n // 2, the k-th zero is close to
+    sqrt(nu t - (5 / (4 (1 - t)^2) - 1 / (1 - t) - 1/4) / (3 nu)), where
+    t = cos(T / 2)^2 and T - sin T = (4m - 4k + 3) pi / nu (Gatteschi 2002,
+    eq. 2.1; Townsend, Trogdon & Olver 2015).
+    """
+    m = n // 2
+    nu = 2.0 * n + 1.0
+    rhs = (4.0 * m - 4.0 * np.arange(1, m + 1) + 3.0) * math.pi / nu
+    theta = np.full(m, 0.5 * math.pi)
+    for _ in range(10):
+        theta = theta - (theta - np.sin(theta) - rhs) / (1.0 - np.cos(theta))
+    t = np.cos(0.5 * theta) ** 2
+    return np.sqrt(nu * t - (1.25 / (1.0 - t) ** 2 - 1.0 / (1.0 - t) - 0.25) / (3.0 * nu))
+
+
+@lru_cache(maxsize=32)
+def _hermite_nodes(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and compensated weights w e^{x^2}, ascending.
+
+    Newton's method on psi_n, with psi_n' = sqrt(2n) psi_{n-1} - x psi_n,
+    runs on the nonnegative nodes at once until no step moves a node by more
+    than a few ulps. The compensated weight 1 / (n psi_{n-1}^2) is taken as
+    2 / psi_n'^2 from the last step's slope: psi_n'' = (x^2 - 2n - 1) psi_n
+    vanishes at a zero, so the weight does not inherit the node's rounding.
+    Nodes whose raw weight w is not a normal double are dropped. O(n) memory.
+    """
+    if n < 1:
+        raise ValueError(f"a Gauss-Hermite rule needs n >= 1 nodes, got {n}")
+    x = _tricomi_guesses(n)
+    if n % 2:
+        x = np.concatenate(([0.0], x))
+    x = x[x * x < _HERMITE_X2_LIMIT]
+    for _ in range(_HERMITE_NEWTON_CAP):
+        prev, cur = _hermite_pair(n, x)
+        slope = math.sqrt(2.0 * n) * prev - x * cur
+        step = cur / slope
+        x = x - step
+        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * np.maximum(x, 1.0)):
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Hermite nodes for n={n} did not settle "
+                              f"in {_HERMITE_NEWTON_CAP} Newton steps")
+    w = 2.0 / (slope * slope)
+    keep = w * np.exp(-x * x) >= np.finfo(float).tiny
+    x, w = x[keep], w[keep]
+    first = n % 2  # the zero node of an odd rule is not mirrored
+    return (np.concatenate((-x[first:][::-1], x)),
+            np.concatenate((w[first:][::-1], w)))
+
+
+@lru_cache(maxsize=128)
+def hermite_rule(n: int, center: float = 0.0, scale: float = 1.0) -> QuadratureRule:
+    """Gauss-Hermite rule with the e^{-x^2} weight compensated away (cached).
+
+    Parameters
+    ----------
+    n : int
+        Number of nodes requested.
+    center, scale : float
+        Affine map x = scale * u + center applied to the raw nodes; the
+        weights pick up a factor `scale`.
+
+    Notes
+    -----
+    The compensated weight w_i e^{u_i^2} is formed directly as
+    1 / (n psi_{n-1}(u_i)^2), never from the raw weight w_i. Nodes whose raw
+    weight is not a normal double (|u| beyond about 26.5, from n = 371 on)
+    are dropped; integrands admissible for this rule are far below double
+    precision there.
+    """
+    if scale <= 0.0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    u, w = _hermite_nodes(n)
+    return QuadratureRule(scale * u + center, scale * w)
 
 
 # ---------------------------------------------------------------------------

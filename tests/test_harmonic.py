@@ -6,7 +6,9 @@ toward the same identities.
 """
 
 import math
+from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +42,9 @@ from pbk.harmonic import (
     varphi_n,
 )
 from pbk.market import MarketParams
-from pbk.quadrature import hermite_rule
+from pbk.quadrature import adaptive_gram
+
+from oracles import hermite_rule
 
 
 def params_for(market, w=0.0):
@@ -136,9 +140,10 @@ class TestFamilies:
 
     def test_phi_norm_is_one(self, market):
         p = params_for(market)
-        rule = hermite_rule(256, center=p.center, scale=p.sigma)
+        u, w = np.polynomial.hermite.hermgauss(256)
         f = phi_n(p, 2)
-        total = np.dot(rule.weights, np.abs(f(rule.nodes)) ** 2)
+        # x = center + sigma u, the weight e^{-u^2} compensated away
+        total = np.dot(p.sigma * w * np.exp(u * u), np.abs(f(p.center + p.sigma * u)) ** 2)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_family_index_cap(self, market):
@@ -376,7 +381,7 @@ class TestMultiplicationMaps:
 
 class TestNormLaw:
     @staticmethod
-    def quadrature_norm_sq(p, family, n):
+    def system_norm_sq(p, family, n):
         from pbk.systems import harmonic_system
 
         sys_h = harmonic_system(p)
@@ -389,7 +394,7 @@ class TestNormLaw:
         p = params_for(market, w)
         for family, name in ((varphi_n, "varphi"), (psi_n, "psi")):
             law = norm_squared_law(p, n, name)
-            quad = self.quadrature_norm_sq(p, family, n)
+            quad = self.system_norm_sq(p, family, n)
             assert quad == pytest.approx(law, rel=1e-8)
 
     def test_reference_constant(self, market):
@@ -398,7 +403,7 @@ class TestNormLaw:
         assert norm_squared_law(p, 0, "varphi") == pytest.approx(
             math.exp(0.0225), rel=1e-15
         )
-        assert self.quadrature_norm_sq(p, varphi_n, 0) == pytest.approx(
+        assert self.system_norm_sq(p, varphi_n, 0) == pytest.approx(
             math.exp(0.0225), rel=1e-12
         )
 
@@ -427,6 +432,94 @@ class TestNormLaw:
     def test_unknown_family_rejected(self, market):
         with pytest.raises(ValueError):
             norm_squared_law(params_for(market), 2, "phi")
+
+
+# ---------------------------------------------------------------------------
+# inner products in coefficient space
+
+
+def mp_moment(p, s, m, j):
+    """(Phi_m, e^{s x} Phi_j) at 30 digits from the normal-ordered displacement
+    e^{alpha u} = e^{alpha^2/4} e^{c a^dag} e^{c a}, c = alpha / sqrt 2: the sum
+    e^{alpha^2/4 - s sigma^2 w} sqrt(m! j!) sum_k c^{m+j-2k} / (k! (m-k)! (j-k)!),
+    whose terms share one sign."""
+    with mpmath.workdps(30):
+        sigma, s = mpmath.mpf(p.sigma), mpmath.mpf(s)
+        alpha = s * sigma
+        c = alpha / mpmath.sqrt(2)
+        total = mpmath.fsum(c ** (m + j - 2 * k) / (mpmath.factorial(k) * mpmath.factorial(m - k)
+                                                     * mpmath.factorial(j - k))
+                            for k in range(min(m, j) + 1))
+        return (mpmath.exp(alpha * alpha / 4 - s * sigma**2 * mpmath.mpf(p.w))
+                * mpmath.sqrt(mpmath.factorial(m) * mpmath.factorial(j)) * total)
+
+
+# (sigma, r, w): beta -0.75, -0.456 and -0.494, so s sigma runs from -2.97 to 2.97
+MOMENT_MARKETS = [(0.2, 0.05, 0.0), (1.5, 0.1, 0.4), (3.0, 0.05, -0.3)]
+
+
+class TestMoments:
+    """The moment recurrence against mpmath, the Laguerre norm law, and
+    Gauss-Hermite quadrature of the sampled expansions."""
+
+    @pytest.mark.parametrize("sigma, r, w", MOMENT_MARKETS)
+    @pytest.mark.parametrize("steps", [2.0, 1.0, -1.0, -2.0])  # s = steps * beta
+    def test_entries_match_mpmath(self, sigma, r, w, steps):
+        p = HarmonicParams(MarketParams(sigma, r), w)
+        s = steps * p.beta
+        m = harmonic.moments(p, s, 61)
+        for i in range(0, 61, 6):
+            for j in (*range(0, 61, 6), 60):
+                ref = float(mp_moment(p, s, i, j))
+                assert abs(m[i, j] - ref) <= 1e-13 * math.sqrt(m[i, i] * m[j, j]), (i, j)
+
+    @pytest.mark.parametrize("sigma, r, w", MOMENT_MARKETS + [(0.2, 0.05, 0.5)])
+    def test_diagonal_is_the_norm_law(self, sigma, r, w):
+        p = HarmonicParams(MarketParams(sigma, r), w)
+        for steps, family in ((2.0, "varphi"), (-2.0, "psi")):
+            diag = np.diagonal(harmonic.moments(p, steps * p.beta, 61))
+            law = np.array([norm_squared_law(p, n, family) for n in range(61)])
+            np.testing.assert_allclose(diag, law, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("w", [0.0, 0.7])
+    def test_no_tilt_is_the_identity(self, market, w):
+        p = params_for(market, w)
+        for n in (1, 2, 61, MAX_DEGREE + 1):
+            np.testing.assert_array_equal(harmonic.moments(p, 0.0, n), np.eye(n))
+
+    def test_inner_pairs_rows_as_quadrature_does(self, market):
+        # row i of a block with row i of the other slot, a single expansion
+        # with every row; two single expansions give a complex
+        p = params_for(market)
+        block = HermiteExpansion(p, p.beta, np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]))
+        single = HermiteExpansion(p, -p.beta, np.array([0.3, 0.0, 0.0, 1.0]))
+        rows = [block.with_coeffs(row) for row in block.coeffs]
+        for left, right, pairs in ((block, single, [(r, single) for r in rows]),
+                                   (single, block, [(single, r) for r in rows]),
+                                   (block, block, list(zip(rows, rows)))):
+            one_by_one = [harmonic.inner(f, g) for f, g in pairs]
+            assert all(isinstance(v, complex) for v in one_by_one)
+            np.testing.assert_allclose(harmonic.inner(left, right), one_by_one, rtol=1e-15)
+            gram = harmonic.gram([left], [right])  # 2 x 1, 1 x 2 or 2 x 2
+            paired = np.diagonal(gram) if gram.shape == (2, 2) else np.ravel(gram)
+            np.testing.assert_allclose(paired, one_by_one, rtol=1e-15)
+
+    @pytest.mark.parametrize("sigma, r, w", [(0.2, 0.05, 0.0), (0.2, 0.02, 0.0),
+                                             (0.2, 0.05, 0.36), (0.6, 0.05, 0.0)])
+    def test_gram_matches_gauss_hermite_quadrature(self, sigma, r, w):
+        # every block the battery integrates, each rule fitted to the product of
+        # two modes, e^{-(x - center)^2 / sigma^2}
+        from pbk.systems import harmonic_system
+
+        p = HarmonicParams(MarketParams(sigma, r), w)
+        system = harmonic_system(p)
+        blocks = [system.family_phi(60), system.family_psi(60),
+                  *system.quasi_pairs[0], system.test_functions]
+        exact = harmonic.gram(blocks, blocks)
+        rules = partial(hermite_rule, center=p.center, scale=math.sqrt(2.0) * p.sigma)
+        quadrature = adaptive_gram(blocks, blocks, rules)
+        scale = np.sqrt(np.outer(np.diagonal(exact), np.diagonal(exact)))
+        assert np.max(np.abs(quadrature - exact) / scale) <= 1e-13
 
 
 def test_operator_grid_covers_center(market):
@@ -507,7 +600,7 @@ class TestSharedTables:
     def test_family_block_equals_untabled_expansion(self, market):
         p, family, _ = self.system_tables(market)
         grid_points = operator_grid(p).points
-        rule_nodes = hermite_rule(128, center=p.center, scale=p.sigma).nodes
+        rule_nodes = p.center + p.sigma * np.polynomial.hermite.hermgauss(128)[0]
         for n in (0, 20, 41):
             block = family(n)
             untabled = HermiteExpansion(p, p.beta, np.eye(n + 1))

@@ -182,6 +182,18 @@ class TestIndividualChecks:
         assert not intertwining.passed
         assert intertwining.max_residual > 1e-3
 
+    @pytest.mark.parametrize("route", ["exact", "grid"])
+    def test_broken_family_fails_biorthogonality(self, market, route):
+        # in coefficient space M(0) is the identity, so the figure reads 0.0,
+        # and a psi family tilted by -1.001 beta still fails
+        system = harmonic_system(HarmonicParams(market), route)
+        assert check_biorthogonality(system, LADDER_N_MAX_CAP).max_residual == 0.0
+        off = dataclasses.replace(
+            system, family_psi=lambda n: system.family_psi(n).tilted(-0.001 * system.beta))
+        result = check_biorthogonality(off, LADDER_N_MAX_CAP)
+        assert not result.passed
+        assert result.max_residual > 1e-4
+
     def test_biorthogonality_small_block(self, barrier):
         sys_b = barrier
         result = check_biorthogonality(sys_b, 6)

@@ -1,4 +1,6 @@
-"""Gauss-Hermite and Gauss-Legendre rules, plain and adaptive."""
+"""Gauss-Legendre rules and the plain and adaptive inner products of
+pbk.quadrature, and the Gauss-Hermite rule of tests/oracles.py, which the
+harmonic Gram matrices are checked against."""
 
 import math
 from functools import partial
@@ -8,16 +10,15 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermite
 
+from oracles import _hermite_nodes, hermite_rule
 from pbk.quadrature import (
     ADAPTIVE_CAP,
-    _hermite_nodes,
     QuadratureConvergenceError,
     QuadratureEvaluationError,
     QuadratureRule,
     adaptive_gram,
     adaptive_inner_product,
     gram_matrix,
-    hermite_rule,
     inner_product,
     legendre_rule,
 )
@@ -66,7 +67,7 @@ def mp_compensated_weight(n, x):
 
 
 class TestHermiteNodes:
-    """The in-repo Gauss-Hermite rule against scipy's nodes and mpmath's weights."""
+    """The oracle Gauss-Hermite rule against scipy's nodes and mpmath's weights."""
 
     @pytest.mark.parametrize("n", HERMITE_SIZES)
     def test_nodes_match_scipy(self, n):
@@ -105,7 +106,7 @@ class TestHermiteNodes:
 
     def test_unsettled_newton_raises(self, monkeypatch):
         # one Newton step cannot bring Tricomi's guesses to rounding level at n = 63
-        monkeypatch.setattr("pbk.quadrature._HERMITE_NEWTON_CAP", 1)
+        monkeypatch.setattr("oracles._HERMITE_NEWTON_CAP", 1)
         with pytest.raises(ArithmeticError, match="did not settle"):
             _hermite_nodes(63)
 

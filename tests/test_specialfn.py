@@ -13,7 +13,6 @@ from pbk.specialfn import (
     FEW_POINTS,
     MAX_DEGREE,
     THETA_TRANSFORM_RATE,
-    _hermite_pair,
     hermite_function_sequence,
     laguerre,
     theta3,
@@ -187,14 +186,13 @@ class TestHermiteFunction:
         assert hermite_function_sequence(0, 60.0)[0] == 0.0
 
     def test_sequence_agrees_with_single(self):
-        # bit for bit with the single row of a shorter table and of the pair:
-        # all run the same recurrence in the same order
+        # bit for bit with the single row of a shorter table: both run the
+        # same recurrence in the same order
         u = np.linspace(-30.0, 30.0, 241)
         table = hermite_function_sequence(MAX_DEGREE, u)
         assert table.shape == (MAX_DEGREE + 1, 241)
         for n in range(MAX_DEGREE + 1):
             np.testing.assert_array_equal(table[n], hermite_function_sequence(n, u)[n])
-            np.testing.assert_array_equal(table[n], _hermite_pair(n, u)[1])
 
     @pytest.mark.parametrize("n", [0, 1, 2, 147, 200])
     def test_few_points_match_the_row_loop(self, n):

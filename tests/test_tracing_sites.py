@@ -128,15 +128,15 @@ def test_one_hermite_recurrence_per_spectral_evaluation(monkeypatch):
 
 
 @pytest.mark.parametrize("route, n_max, builds", [
-    ("exact", 40, {(8001,): 2, (64,): 2, (128,): 2, (256,): 2, (470,): 1}),
-    ("grid", 20, {(8001,): 2, (64,): 2, (128,): 2, (256,): 2}),
+    ("exact", 40, {(8001,): 2}),
+    ("grid", 20, {(8001,): 2}),
 ])
 def test_one_hermite_table_per_node_set_per_harmonic_system(monkeypatch, route, n_max,
                                                             builds):
-    """Each node set's table is built once for each row count it grows to
+    """The operator grid's table is built once for each row count it grows to
     (the vacua need rows 0..1, the blocks more), and never again: operator
-    outputs on the operator grid's interior read its table, and a second
-    battery on the same system builds nothing."""
+    outputs on the operator grid's interior read its table, inner products
+    read no table, and a second battery on the same system builds nothing."""
     calls = count_tables(monkeypatch, pbk.harmonic, "hermite_function_sequence")
     system = harmonic_system(HP, route)
     run_all_checks(system, n_max)
@@ -202,9 +202,11 @@ def test_barrier_system_calls_the_traced_attributes(monkeypatch):
 @pytest.mark.parametrize("build, params", [(harmonic_system, HP), (barrier_system, BP)],
                          ids=["harmonic", "barrier"])
 def test_system_inner_products_call_the_traced_attributes(monkeypatch, build, params):
-    """LadderSystem.inner looks adaptive_inner_product up through pbk.systems,
-    and the node doubling looks inner_product up through pbk.quadrature with
-    the rule third, so quadrature.adaptive and nodes_evaluated keep counting."""
+    """The barrier system's inner looks adaptive_inner_product up through
+    pbk.systems, and the node doubling looks inner_product up through
+    pbk.quadrature with the rule third, so quadrature.adaptive and
+    nodes_evaluated keep counting. The harmonic system's inner products are
+    taken in coefficient space, with no quadrature at all."""
     assert list(inspect.signature(pbk.quadrature.inner_product).parameters)[2] == "rule"
     adaptive, inner_product = (pbk.systems.adaptive_inner_product,
                                pbk.quadrature.inner_product)
@@ -223,6 +225,9 @@ def test_system_inner_products_call_the_traced_attributes(monkeypatch, build, pa
     system = build(params)
     tests = system.test_functions  # one block: one adaptive call for all its rows
     system.inner(tests, tests)
+    if build is harmonic_system:
+        assert calls == rules == []
+        return
     assert len(calls) == 1
     assert len(rules) >= 2 and all(isinstance(r, QuadratureRule) for r in rules)
     assert rules[0].nodes.size == 64
