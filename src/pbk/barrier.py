@@ -18,6 +18,10 @@ Two ladder constructions live here side by side:
   rho_n = lambda_{n+1}^2 - lambda_1^2. These are exact coefficient shifts
   and do satisfy every ladder identity; on psi-expansions the same two maps
   serve as B_hat^dag and A_hat^dag.
+
+A SineExpansion e^{t x} sum c_n Phi_n is analyzed, and paired in inner
+products, through the closed-form matrix (Phi_m, e^{s x} Phi_j) (moments),
+with no quadrature rule.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import GridFunction, mode_sum, unit_coefficients
+from .grids import Expansion, GridFunction, mode_sum, pad, unit_coefficients
 from .market import MarketParams, MarketView
-from .quadrature import legendre_rule
+# not called here: perfbench/tracing.py patches this name in this module
+from .quadrature import legendre_rule  # noqa: F401
 
 DEFAULT_TRUNCATION = 128
-ANALYSIS_NODES = 1024
 MAX_SINE_MODES = 4096  # caps a spectral sum's sine table
 FACTORIZATION_POINTS = 16001  # failed_factorization_residual's interior grid
 
@@ -254,50 +258,74 @@ class SpectralVector:
         return self.coeffs.shape[-1] - 1
 
 
-def _analyze(params: BarrierParams, f: Callable, rate: float, tables) -> SpectralVector:
-    """Coefficients <e^{rate x} Phi_n, f>, n <= DEFAULT_TRUNCATION, on one Legendre rule."""
-    rule = legendre_rule(ANALYSIS_NODES, params.a, params.b)
-    modes = (tables or partial(mode_table, params))(DEFAULT_TRUNCATION, rule.nodes)
-    weighted = rule.weights * np.exp(rate * rule.nodes) * np.asarray(f(rule.nodes))
-    return SpectralVector((modes @ weighted.T).T)
+class SineExpansion(Expansion):
+    """Exact representation e^{tilt * x} * sum_k coeffs[..., k] Phi_k(x) on
+    [a, b], zero outside; a coefficient matrix is a block (grids.Expansion)."""
+
+    def __call__(self, x):
+        return mode_sum(mode_table, self.params, self.tables, self.coeffs, self.tilt, x,
+                        (self.params.a, self.params.b))
+
+    def moments(self, s: float, n: int) -> np.ndarray:
+        return moments(self.params, s, n)
 
 
-def analyze_phi(params: BarrierParams, f: Callable, tables=None) -> SpectralVector:
-    """Coefficients c_n = <psi_n, f> of the varphi-expansion of f.
+def moments(params: BarrierParams, s: float, n: int) -> np.ndarray:
+    """The n x n matrix G(s)_mj = (Phi_m, e^{s x} Phi_j) on (a, b), in closed form.
 
-    tables, if given, is a grids.shared_mode_tables callable over mode_table
-    for params.
+    With y = x - a, Phi_m Phi_j = (cos(p omega y) - cos(q omega y)) / L for
+    p = |m - j|, q = m + j + 2 and omega = pi / L, and e^{s y} cos(k omega y)
+    integrates over (0, L) to s ((-1)^k e^{s L} - 1) / (s^2 + (k omega)^2)
+    (Gradshteyn & Ryzhik 2.663). p and q share a parity, so the two integrals
+    are one fraction, (e^{s a} / L) s omega^2 (q - p)(q + p) E /
+    ((s^2 + (p omega)^2)(s^2 + (q omega)^2)), with E = expm1(s L) for even p
+    and -(e^{s L} + 1) for odd p. Nothing cancels, and G(0) is the identity
+    exactly. Entries overflow to inf once e^{s L} does.
     """
-    return _analyze(params, f, -params.beta, tables)
+    if s == 0.0:
+        return np.eye(n)
+    k = np.arange(n)
+    p = np.abs(np.subtract.outer(k, k))
+    q = np.add.outer(k, k) + 2
+    omega = params.wavenumber(1)
+    growth = s * params.width
+    ends = np.where(p % 2 == 0, np.expm1(growth), -(np.exp(growth) + 1.0))
+    # s / (s^2 + (p omega)^2) as 1 / (s + (p omega)^2 / s): 1 / s on the diagonal
+    return (np.exp(s * params.a) / params.width * omega**2 * ((q - p) * (q + p)) * ends
+            / (s + (p * omega) ** 2 / s) / (s * s + (q * omega) ** 2))
 
 
-def analyze_psi(params: BarrierParams, f: Callable, tables=None) -> SpectralVector:
+def _analyze(params: BarrierParams, f: SineExpansion, rate: float) -> SpectralVector:
+    """Coefficients <e^{rate x} Phi_n, f>, n <= DEFAULT_TRUNCATION, of an
+    expansion f: G(t_f + rate) c_f, which is c_f itself when the tilts cancel."""
+    n = max(f.coeffs.shape[-1], DEFAULT_TRUNCATION + 1)
+    return SpectralVector(pad(f.coeffs, n)
+                          @ moments(params, f.tilt + rate, n)[:, : DEFAULT_TRUNCATION + 1])
+
+
+def analyze_phi(params: BarrierParams, f: SineExpansion) -> SpectralVector:
+    """Coefficients c_n = <psi_n, f> of the varphi-expansion of f."""
+    return _analyze(params, f, -params.beta)
+
+
+def analyze_psi(params: BarrierParams, f: SineExpansion) -> SpectralVector:
     """Coefficients d_n = <varphi_n, f> of the psi-expansion of f."""
-    return _analyze(params, f, params.beta, tables)
+    return _analyze(params, f, params.beta)
 
 
-def synthesize(params: BarrierParams, v: SpectralVector, rate: float, tables) -> Callable:
-    """The function e^{rate x} sum_n v_n Phi_n, zero outside [a, b]; tables as
-    in synthesize_phi, or None."""
-
-    def combination(x):
-        return mode_sum(mode_table, params, tables, v.coeffs, rate, x, (params.a, params.b))
-
-    return combination
-
-
-def synthesize_phi(params: BarrierParams, v: SpectralVector, tables=None) -> Callable:
+def synthesize_phi(params: BarrierParams, v: SpectralVector, tables=None) -> SineExpansion:
     """The function sum_n c_n varphi_n, zero outside (a, b).
 
     tables, if given, is a grids.shared_mode_tables callable over mode_table
-    for params.
+    for params. barrier_system builds its expansions itself: perfbench's
+    tracer replaces what this returns with a plain function.
     """
-    return synthesize(params, v, params.beta, tables)
+    return SineExpansion(params, params.beta, v.coeffs, tables)
 
 
-def synthesize_psi(params: BarrierParams, v: SpectralVector, tables=None) -> Callable:
+def synthesize_psi(params: BarrierParams, v: SpectralVector, tables=None) -> SineExpansion:
     """The function sum_n d_n psi_n, zero outside (a, b)."""
-    return synthesize(params, v, -params.beta, tables)
+    return SineExpansion(params, -params.beta, v.coeffs, tables)
 
 
 def apply_A_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:

@@ -3,8 +3,8 @@
 Exit codes: 0 on success (all checks pass / table written / price within
 oracle bounds), 1 when a diagnostic check or oracle comparison fails, 2 for
 invalid parameters, a kernel value, tail, price or check residual that is not
-finite, a Monte Carlo value with no spread that differs from the spectral
-price, or an adaptive quadrature that does not settle.
+finite, or a Monte Carlo value with no spread that differs from the spectral
+price.
 
 Every input goes through one parser. A `--params file.json` is read as
 `--key=value` flags placed before the written ones, so a file value is typed
@@ -33,7 +33,6 @@ from .kernels import KernelTable, kernel_rows
 from .market import MarketParams, beta_is_degenerate
 from .pb_core import run_all_checks
 from .pricing import MCConfig, Payoff, price_mc_barrier, price_spectral
-from .quadrature import QuadratureConvergenceError
 from .systems import barrier_system, harmonic_system
 
 KERNEL_COLUMNS = ("x", "x_prime", "tau", "which", "method", "value",
@@ -348,7 +347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args = _parse(argv[:1] + _file_flags(args) + argv[1:])
         _refuse_unread(args, argv)
         return handlers[args.command](args)
-    except (ValueError, TypeError, OSError, QuadratureConvergenceError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,17 +15,18 @@ row at a time.
 The tilted mode layer both models share lives here too. Each model has an
 orthonormal mode table Phi_0..Phi_n and two biorthogonal families
 varphi_n = e^{beta x} Phi_n and psi_n = e^{-beta x} Phi_n. mode_sum
-evaluates every e^{tilt x} sum_k c_k Phi_k of either model, and the metric
-Theta = e^{-2 beta x} (apply_Theta, apply_Theta_inv) maps varphi_n to psi_n
-in both.
+evaluates every e^{tilt x} sum_k c_k Phi_k of either model, inner and gram
+take inner products of such expansions from their coefficients and the
+model's moment matrix, and the metric Theta = e^{-2 beta x} (apply_Theta,
+apply_Theta_inv) maps varphi_n to psi_n in both.
 """
 
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,12 +136,11 @@ def grid_norm(f: GridFunction):
 
 
 def multiply_exponential(f, rate: float):
-    """e^{rate x} f for a GridFunction, an expansion or a callable. An
-    expansion (an object with a tilted method, such as a
-    harmonic.HermiteExpansion) takes the rate into its own tilt."""
+    """e^{rate x} f for a GridFunction, an Expansion or a callable. An
+    Expansion takes the rate into its own tilt."""
     if isinstance(f, GridFunction):
         return f.with_samples(np.exp(rate * f.x) * f.samples)
-    if hasattr(f, "tilted"):
+    if isinstance(f, Expansion):
         return f.tilted(rate)
     if callable(f):
         return lambda x: np.exp(rate * np.asarray(x, dtype=float)) * f(x)
@@ -214,6 +214,67 @@ def unit_coefficients(n: int, cap: int) -> np.ndarray:
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     return coeffs
+
+
+@dataclass(frozen=True)
+class Expansion:
+    """e^{tilt * x} * sum_k coeffs[..., k] Phi_k(x) over one model's modes.
+
+    A coefficient matrix is a block of functions, one per row; the identity
+    is a family block. A model's subclass evaluates through mode_sum and gives
+    moments(s, n), the n x n matrix (Phi_m, e^{s x} Phi_j) that inner and gram
+    read. tables, a shared_mode_tables callable or None, is passed on.
+    """
+
+    params: Any
+    tilt: float
+    coeffs: np.ndarray = field(repr=False)
+    tables: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs)))
+
+    def with_coeffs(self, coeffs: np.ndarray):
+        """Same params, tilt and tables, new coefficients."""
+        return replace(self, coeffs=coeffs)
+
+    def tilted(self, extra_tilt: float):
+        """Multiply by e^{extra_tilt * x}."""
+        return replace(self, tilt=self.tilt + extra_tilt)
+
+
+def pad(c: np.ndarray, n: int) -> np.ndarray:
+    """c with its last axis zero-padded to length n."""
+    if c.shape[-1] >= n:
+        return c
+    out = np.zeros(c.shape[:-1] + (n,), dtype=c.dtype)
+    out[..., : c.shape[-1]] = c
+    return out
+
+
+def _moment_pair(f: Expansion, g: Expansion):
+    """conj(c_f) G(t_f + t_g) and c_g, padded to one length."""
+    n = max(f.coeffs.shape[-1], g.coeffs.shape[-1])
+    return np.conj(pad(f.coeffs, n)) @ f.moments(f.tilt + g.tilt, n), pad(g.coeffs, n)
+
+
+def inner(f: Expansion, g: Expansion):
+    """<f, g> = integral of conj(f) g over the model's domain, from coefficients.
+
+    Rows are paired as in quadrature.inner_product: row i of a block goes
+    with row i of the other slot, and a single expansion with every row. Two
+    single expansions give a complex, anything else the array of products.
+    """
+    left, right = _moment_pair(f, g)
+    total = np.sum(left * right, axis=-1)
+    return total if total.ndim else complex(total)
+
+
+def gram(fs: Sequence[Expansion], gs: Sequence[Expansion]) -> np.ndarray:
+    """The matrix of <f_i, g_j> over every row of the expansions fs and gs:
+    conj(C_f) G(t_f + t_g) C_g^T, block by block."""
+    return np.block([[np.atleast_2d(left) @ np.atleast_2d(right).T
+                      for left, right in (_moment_pair(f, g) for g in gs)] for f in fs])
 
 
 def mode_sum(mode_table: Callable, params, tables: Optional[Callable], coeffs: np.ndarray,

@@ -27,20 +27,20 @@ a map applies to a whole eigenfamily at once.
 
 Inner products of HermiteExpansions are taken in coefficient space:
 (Phi_m, e^{s x} Phi_j) is a displaced-oscillator moment (``moments``), so
-``inner`` and ``gram`` need no quadrature rule on either route.
+grids.inner and grids.gram need no quadrature rule on either route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import math
 
 import numpy as np
 
-from .grids import (GridFunction, GridSpec, derivative, mode_sum, multiply_exponential,
-                    second_derivative, unit_coefficients)
+from .grids import (Expansion, GridFunction, GridSpec, derivative, mode_sum,
+                    multiply_exponential, pad, second_derivative, unit_coefficients)
 from .market import MarketParams, MarketView
 from .specialfn import MAX_DEGREE, hermite_function_sequence, laguerre
 
@@ -151,15 +151,6 @@ def operator_grid(params: HarmonicParams) -> GridSpec:
 # Exact function representation
 
 
-def _pad(c: np.ndarray, n: int) -> np.ndarray:
-    """c with its last axis zero-padded to length n."""
-    if c.shape[-1] >= n:
-        return c
-    out = np.zeros(c.shape[:-1] + (n,), dtype=c.dtype)
-    out[..., : c.shape[-1]] = c
-    return out
-
-
 def _times_u(c: np.ndarray, sign: float = 1.0) -> np.ndarray:
     """Coefficients of u * sum c_k psi_k (psi normalized Hermite), on the last axis.
 
@@ -175,8 +166,7 @@ def _times_u(c: np.ndarray, sign: float = 1.0) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HermiteExpansion:
+class HermiteExpansion(Expansion):
     """Exact representation e^{tilt * x} * sum_k coeffs[..., k] Phi_k(x).
 
     Phi_k is the orthonormal oscillator eigenfunction for the params' sigma
@@ -185,40 +175,24 @@ class HermiteExpansion:
     recurrence, which is what makes operator identities checkable to rounding
     error rather than finite-difference error.
 
-    A coefficient matrix is a block of functions with one tilt, one per row;
-    every map acts on the last axis, and evaluation (grids.mode_sum) gives
-    one row each. The identity matrix is a family block.
-
-    tables, if given, is a grids.shared_mode_tables callable over mode_table
-    for params; every map passes it on to the expansion it returns.
+    A coefficient matrix is a block of functions (grids.Expansion); every map
+    acts on the last axis and passes the tables on to the expansion it
+    returns.
     """
-
-    params: HarmonicParams
-    tilt: float
-    coeffs: np.ndarray = field(repr=False)
-    tables: Optional[Callable] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs)))
 
     def __call__(self, x):
         return mode_sum(mode_table, self.params, self.tables, self.coeffs, self.tilt, x)
 
     def deriv_coeffs(self) -> np.ndarray:
         """Coefficients of d/dx, same tilt: tilt * c + (1/sigma) * d/du c."""
-        base = _pad(self.coeffs, self.coeffs.shape[-1] + 1)
+        base = pad(self.coeffs, self.coeffs.shape[-1] + 1)
         return self.tilt * base + _times_u(self.coeffs, -1.0) / self.params.sigma
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "HermiteExpansion":
-        """Same params, tilt and tables, new coefficients."""
-        return HermiteExpansion(self.params, self.tilt, coeffs, self.tables)
 
     def deriv(self) -> "HermiteExpansion":
         return self.with_coeffs(self.deriv_coeffs())
 
-    def tilted(self, extra_tilt: float) -> "HermiteExpansion":
-        """Multiply by e^{extra_tilt * x}."""
-        return HermiteExpansion(self.params, self.tilt + extra_tilt, self.coeffs, self.tables)
+    def moments(self, s: float, n: int) -> np.ndarray:
+        return moments(self.params, s, n)
 
 
 def _unit_expansion(params: HarmonicParams, n: int, tilt: float) -> HermiteExpansion:
@@ -241,7 +215,7 @@ def psi_n(params: HarmonicParams, n: int) -> HermiteExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Inner products in coefficient space
+# The moment matrix of inner products in coefficient space
 
 
 def moments(params: HarmonicParams, s: float, n: int) -> np.ndarray:
@@ -266,32 +240,6 @@ def moments(params: HarmonicParams, s: float, n: int) -> np.ndarray:
         out[m + 1, 0] = half * out[m, 0] / roots[m + 1]
         out[m + 1, 1:] = (roots[1:] * out[m, :-1] + half * out[m, 1:]) / roots[m + 1]
     return out
-
-
-def _moment_pair(f: HermiteExpansion, g: HermiteExpansion):
-    """conj(c_f) M(t_f + t_g) and c_g, padded to one length."""
-    n = max(f.coeffs.shape[-1], g.coeffs.shape[-1])
-    return (np.conj(_pad(f.coeffs, n)) @ moments(f.params, f.tilt + g.tilt, n),
-            _pad(g.coeffs, n))
-
-
-def inner(f: HermiteExpansion, g: HermiteExpansion):
-    """<f, g> = integral of conj(f) g over the line, from the coefficients.
-
-    Rows are paired as in quadrature.inner_product: row i of a block goes
-    with row i of the other slot, and a single expansion with every row. Two
-    single expansions give a complex, anything else the array of products.
-    """
-    left, right = _moment_pair(f, g)
-    total = np.sum(left * right, axis=-1)
-    return total if total.ndim else complex(total)
-
-
-def gram(fs, gs) -> np.ndarray:
-    """The matrix of <f_i, g_j> over every row of the expansions fs and gs:
-    conj(C_f) M(t_f + t_g) C_g^T, block by block."""
-    return np.block([[np.atleast_2d(left) @ np.atleast_2d(right).T
-                      for left, right in (_moment_pair(f, g) for g in gs)] for f in fs])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +267,7 @@ def _first_order(params: HarmonicParams, f: Applicable, d_sign: float, beta_step
         coeffs = (s / math.sqrt(2.0)) * (
             d_sign * f.deriv_coeffs()
             + _times_u(f.coeffs) / s
-            + shift * _pad(f.coeffs, n)
+            + shift * pad(f.coeffs, n)
         )
         return f.with_coeffs(coeffs)
     _require_operator_grid(f)
@@ -379,12 +327,12 @@ def _second_order(
         d1 = f.deriv()
         d2 = d1.deriv()
         n = d2.coeffs.shape[-1]
-        coeffs = -(s**2 / 2.0) * d2.coeffs + drift * _pad(d1.coeffs, n)
+        coeffs = -(s**2 / 2.0) * d2.coeffs + drift * pad(d1.coeffs, n)
         if with_potential:
             # V f = (sigma^2/2) W^2 f - f/2 with W f = (1/sigma) u f
             uuf = _times_u(_times_u(f.coeffs))
-            coeffs = coeffs + 0.5 * _pad(uuf, n) - 0.5 * _pad(f.coeffs, n)
-        coeffs = coeffs + constant * _pad(f.coeffs, n)
+            coeffs = coeffs + 0.5 * pad(uuf, n) - 0.5 * pad(f.coeffs, n)
+        coeffs = coeffs + constant * pad(f.coeffs, n)
         return f.with_coeffs(coeffs)
     _require_operator_grid(f)
     d1 = derivative(f)

@@ -59,9 +59,9 @@ class LadderSystem:
     in the first slot: a complex for two single functions, and for a block
     the products of its rows paired with the other slot's rows. ``gram`` is
     the same inner product on sequences of functions and blocks, (fs, gs) ->
-    the array of <f_i, g_j> over all their rows. The harmonic system takes
-    both in Hermite-coefficient space, the barrier system by adaptive Legendre
-    quadrature on (a, b), which samples each function once per rule.
+    the array of <f_i, g_j> over all their rows. Both concrete systems take
+    them from expansion coefficients (grids.inner, grids.gram), with no
+    quadrature rule.
 
     ``eigens`` gives the eigenvalue e_n of the number-like operator for an
     int n, or one per entry of an int array: 0 first, then strictly

@@ -1,19 +1,23 @@
 """Inner products on an interval, by Gauss-Legendre rules.
 
-One rule family covers every quadrature in the package: Gauss-Legendre
-rules mapped to a finite interval (a, b), memoized per node count and
-interval. A plain weighted dot product of a rule's weights against integrand
-samples approximates the ordinary integral of a bounded integrand over
-(a, b); the adaptive entry points double the node count until successive
-estimates settle. Whole-line inner products of Hermite expansions need no
-rule: pbk.harmonic takes them in coefficient space.
+Gauss-Legendre rules mapped to a finite interval (a, b), memoized per node
+count and interval. A plain weighted dot product of a rule's weights against
+integrand samples approximates the ordinary integral of a bounded integrand
+over (a, b); adaptive_inner_product doubles the node count until successive
+estimates settle.
+
+No command evaluates a rule: both models' batteries take their inner
+products from expansion coefficients (grids.inner, grids.gram), and prices
+are sums over closed-form payoff coefficients. The rules serve as an
+independent reference, and perfbench/tracing.py patches legendre_rule,
+inner_product and adaptive_inner_product at their lookup sites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -112,27 +116,8 @@ def inner_product(f: Callable, g: Callable, rule: QuadratureRule):
     return total if total.ndim else complex(total)
 
 
-def gram_matrix(fs: Sequence[Callable], gs: Sequence[Callable],
-                rule: QuadratureRule) -> np.ndarray:
-    """The matrix of <f_i, g_j> on one rule: conj(F) diag(w) G^T.
-
-    Every function is sampled once. A function gives one row of F (or G),
-    a block (values of shape (k, nodes)) its k rows, in order.
-    Raises QuadratureEvaluationError like `inner_product`.
-    """
-    f_rows = _rows(fs, "f", rule.nodes)
-    g_rows = _rows(gs, "g", rule.nodes)
-    return (np.conj(f_rows) * rule.weights) @ g_rows.T
-
-
-def _rows(fns: Sequence[Callable], name: str, nodes: np.ndarray) -> np.ndarray:
-    """Each function's samples as one row, each block's as its rows, stacked."""
-    return np.concatenate([np.atleast_2d(_samples(fn, f"{name}[{i}]", nodes))
-                           for i, fn in enumerate(fns)])
-
-
 def _adaptive(estimate: Callable, rules: Callable):
-    """The node doubling of both adaptive entry points; estimate(rules(n)) may
+    """The node doubling of adaptive_inner_product; estimate(rules(n)) may
     return a scalar or an array, and every entry must pass the test."""
     previous = None
     current = None
@@ -167,19 +152,3 @@ def adaptive_inner_product(f: Callable, g: Callable, rules: Callable):
         it carries the worst row's last two estimates.
     """
     return _adaptive(lambda rule: inner_product(f, g, rule), rules)
-
-
-def adaptive_gram(fs: Sequence[Callable], gs: Sequence[Callable],
-                  rules: Callable) -> np.ndarray:
-    """The matrix of <f_i, g_j> by the node doubling of `adaptive_inner_product`.
-
-    Every entry must settle by the same test; the rule of the last doubling
-    serves the whole block, and each function is sampled once per rule.
-
-    Raises
-    ------
-    QuadratureConvergenceError
-        If the cap is reached while some entry still disagrees; it carries
-        that entry's last two estimates.
-    """
-    return _adaptive(lambda rule: gram_matrix(fs, gs, rule), rules)

@@ -9,12 +9,12 @@ Theta = e^{-2 beta x} both share, its eigenvalue function, its tolerances
 and its norm rule, so the check battery needs nothing else.
 
 Both systems test on the same dense set, finite combinations of their own
-modes (TEST_COMBOS, QUASI_COMBOS): one test block of varphi-combinations,
-a Hermite expansion or a sine synthesis, and two quasi-basis pairs of
-untilted mode polynomials. Every function the harmonic battery integrates
-is a Hermite expansion, so its inner products and Gram matrices are taken
-in coefficient space (harmonic.inner, harmonic.gram); the barrier system
-takes its own by adaptive Legendre rules on (a, b).
+modes (TEST_COMBOS, QUASI_COMBOS): one test block of varphi-combinations
+and two quasi-basis pairs of untilted mode polynomials. Every function
+either battery integrates is an expansion of its model's modes, a
+harmonic.HermiteExpansion or a barrier.SineExpansion, so both take their
+inner products and Gram matrices in coefficient space (grids.inner,
+grids.gram) from the model's moment matrix, with no quadrature rule.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ import numpy as np
 
 from . import barrier as bar
 from . import harmonic as har
-from .grids import GridFunction, GridSpec, shared_mode_tables
+from .grids import GridFunction, GridSpec, gram, inner, shared_mode_tables
 from .market import beta_is_degenerate
 from .pb_core import LadderSystem
-from .quadrature import adaptive_gram, adaptive_inner_product, legendre_rule
+# not called here: perfbench/tracing.py patches this name in this module
+from .quadrature import adaptive_inner_product  # noqa: F401
 from .specialfn import MAX_DEGREE
 
 BARRIER_GRID_POINTS = 4001
@@ -42,6 +43,11 @@ TEST_COMBOS = ((1.0, 0.0, 0.5, 0.0, 0.0),   # varphi_0 + 0.5 varphi_2
                (0.0, 1.0, 0.0, -0.3, 0.0),  # varphi_1 - 0.3 varphi_3
                (0.7, 0.0, 0.0, 0.0, 1.0))   # 0.7 varphi_0 + varphi_4
 QUASI_COMBOS = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.0, -0.3))
+
+
+def _family(expansion: Callable, tilt: float) -> Callable:
+    """family(n_max): members 0..n_max at tilt, as the identity coefficient matrix."""
+    return lambda n_max: expansion(tilt, np.eye(n_max + 1))
 
 
 def _harmonic_norm_residual(params: har.HarmonicParams) -> Callable[[np.ndarray], float]:
@@ -76,8 +82,8 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     system's lifetime and grown only when more rows are asked for. Operator
     outputs sit on interiors of the operator grid and read column slices of
     its table. On both routes every function the battery integrates is an
-    expansion, so inner products and Gram matrices are har.inner and har.gram,
-    in coefficient space, and read no table.
+    expansion, so inner products and Gram matrices are grids.inner and
+    grids.gram, from har.moments, and read no table.
     """
     if route not in ("exact", "grid"):
         raise ValueError(f"route must be 'exact' or 'grid', got {route!r}")
@@ -102,26 +108,20 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
         """Rows 0..n + 1: a raised block asks for the next row on the same points."""
         return har.mode_table(p, min(n + 1, MAX_DEGREE), x)
 
-    tables = shared_mode_tables(one_row_ahead, params, 0, op_grid)
-
-    def expansion(tilt, coeffs):
-        return har.HermiteExpansion(params, tilt, coeffs, tables)
-
-    def family(tilt):
-        return lambda n_max: expansion(tilt, np.eye(n_max + 1))
-
+    expansion = partial(har.HermiteExpansion, params,
+                        tables=shared_mode_tables(one_row_ahead, params, 0, op_grid))
     f, g = (expansion(0.0, c) for c in QUASI_COMBOS)
     return LadderSystem(
         label=f"harmonic/{route}",
-        family_phi=family(params.beta),
-        family_psi=family(-params.beta),
+        family_phi=_family(expansion, params.beta),
+        family_psi=_family(expansion, -params.beta),
         lower_a=bind(har.apply_A),
         raise_b=bind(har.apply_B),
         lower_b_dag=bind(har.apply_B_dag),
         raise_a_dag=bind(har.apply_A_dag),
         eigens=lambda n: n * 1.0,
-        inner=har.inner,
-        gram=har.gram,
+        inner=inner,
+        gram=gram,
         beta=params.beta,
         norm_residual=_harmonic_norm_residual(params),
         default_grid=op_grid,
@@ -138,33 +138,27 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 def barrier_system(params: bar.BarrierParams) -> LadderSystem:
     """The double-barrier model bound to the harness, in coefficient space.
 
-    A family block is the synthesis of the identity coefficient matrix. The
-    system owns one grids.shared_mode_tables over bar.mode_table: every
-    analysis and synthesis it makes, and the untilted sine polynomials of its
-    quasi-basis pairs, read one sine table per node set, built once for the
-    system's lifetime. The ladder maps act on bar.DEFAULT_TRUNCATION + 1
-    coefficients. The norm products lie between 1 and e^{|beta| L}; the
-    residual is their overshoot of those bounds, relative to the upper one.
+    A family block is the identity coefficient matrix. The system owns one
+    grids.shared_mode_tables over bar.mode_table: every family block, the
+    test block, the quasi-basis functions and every expansion a map makes of
+    one read one sine table per node set, built once for the system's
+    lifetime. Each map analyzes its input through bar.analyze_phi or
+    bar.analyze_psi and acts on bar.DEFAULT_TRUNCATION + 1 coefficients.
+    Every function the battery integrates is a bar.SineExpansion, so inner
+    products and Gram matrices are grids.inner and grids.gram, from the
+    closed-form bar.moments, and read no table. The norm products lie between
+    1 and e^{|beta| L}; the residual is their overshoot of those bounds,
+    relative to the upper one.
     """
-    tables = shared_mode_tables(bar.mode_table, params, bar.DEFAULT_TRUNCATION)
+    expansion = partial(bar.SineExpansion, params, tables=shared_mode_tables(
+        bar.mode_table, params, bar.DEFAULT_TRUNCATION))
 
-    def sines(coeffs):  # untilted
-        return bar.synthesize(params, bar.SpectralVector(np.array(coeffs)), 0.0, tables)
-
-    f, g = (sines(c) for c in QUASI_COMBOS)
-
-    def family(synthesize):
-        return lambda n_max: synthesize(
-            params, bar.SpectralVector(np.eye(n_max + 1)), tables)
-
-    def spectral(shift, analyze, synthesize):
+    def spectral(shift, analyze, tilt):
         def apply(f):
-            coeffs = analyze(params, f, tables=tables)
-            return synthesize(params, shift(params, coeffs), tables)
+            return expansion(tilt, shift(params, analyze(params, f)).coeffs)
 
         return apply
 
-    rules = partial(legendre_rule, a=params.a, b=params.b)
     growth = abs(params.beta) * params.width  # e^growth is not a float above 709.78
     lo, hi = 1.0 - 1e-12, math.exp(growth) if growth < 709.78 else math.inf
 
@@ -172,28 +166,22 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
         """The overshoot of the bounds; NaN for a NaN product, as CheckResult refuses."""
         return float(np.max(np.maximum(products - hi, lo - products), initial=0.0)) / hi
 
-    def inner(f, g):
-        return adaptive_inner_product(f, g, rules)
-
-    def gram(fs, gs) -> np.ndarray:
-        return adaptive_gram(fs, gs, rules)
-
+    f, g = (expansion(0.0, c) for c in QUASI_COMBOS)
     return LadderSystem(
         label="barrier/spectral",
-        family_phi=family(bar.synthesize_phi),
-        family_psi=family(bar.synthesize_psi),
-        lower_a=spectral(bar.apply_A_hat, bar.analyze_phi, bar.synthesize_phi),
-        raise_b=spectral(bar.apply_B_hat, bar.analyze_phi, bar.synthesize_phi),
+        family_phi=_family(expansion, params.beta),
+        family_psi=_family(expansion, -params.beta),
+        lower_a=spectral(bar.apply_A_hat, bar.analyze_phi, params.beta),
+        raise_b=spectral(bar.apply_B_hat, bar.analyze_phi, params.beta),
         # on psi-coefficients B_hat^dag lowers like A_hat, A_hat^dag raises like B_hat
-        lower_b_dag=spectral(bar.apply_A_hat, bar.analyze_psi, bar.synthesize_psi),
-        raise_a_dag=spectral(bar.apply_B_hat, bar.analyze_psi, bar.synthesize_psi),
+        lower_b_dag=spectral(bar.apply_A_hat, bar.analyze_psi, -params.beta),
+        raise_a_dag=spectral(bar.apply_B_hat, bar.analyze_psi, -params.beta),
         eigens=partial(bar.rho_coefficient, params),
         inner=inner,
         gram=gram,
         beta=params.beta,
         norm_residual=norm_residual,
         default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),
-        test_functions=bar.synthesize_phi(params, bar.SpectralVector(np.array(TEST_COMBOS)),
-                                          tables),
+        test_functions=expansion(params.beta, TEST_COMBOS),
         quasi_pairs=[(f, g), (g, f)],
     )

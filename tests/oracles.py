@@ -4,14 +4,14 @@ Each barrier sine mode comes from its own wavenumber, not from a table;
 the method-of-images density of the barrier kernel never touches the
 eigenfunctions; the quadrature price integrates the spectral kernel against
 the payoff on Gauss-Legendre panels, where pbk prices in coefficient space;
-the Black-Scholes price is the wide-barrier limit; Gauss-Hermite quadrature
-of sampled expansions checks the harmonic Gram matrices, which pbk takes
-from moment recurrences.
+the Black-Scholes price is the wide-barrier limit; quadrature of sampled
+expansions, Gauss-Hermite on the line and Gauss-Legendre on (a, b), checks
+the Gram matrices that pbk takes from moment matrices in coefficient space.
 """
 
 import math
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ import pbk.quadrature
 from pbk.barrier import BarrierParams
 from pbk.kernels import kernel_values
 from pbk.pricing import PAYOFF_KINDS
-from pbk.quadrature import QuadratureRule
+from pbk.quadrature import QuadratureRule, _adaptive, _samples
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +31,39 @@ def sine_mode(params: BarrierParams, n: int, x):
     outside (a, b); pbk reads it as row n of a table built by a recurrence
     in n."""
     return math.sqrt(2.0 / params.width) * np.sin(params.wavenumber(n + 1) * (x - params.a))
+
+
+# ---------------------------------------------------------------------------
+# Gram matrices of sampled functions, on one rule or by node doubling
+
+
+def gram_matrix(fs: Sequence[Callable], gs: Sequence[Callable],
+                rule: QuadratureRule) -> np.ndarray:
+    """The matrix of <f_i, g_j> on one rule: conj(F) diag(w) G^T.
+
+    Every function is sampled once. A function gives one row of F (or G),
+    a block (values of shape (k, nodes)) its k rows, in order. Raises
+    pbk.quadrature.QuadratureEvaluationError like its inner_product.
+    """
+    f_rows = _rows(fs, "f", rule.nodes)
+    g_rows = _rows(gs, "g", rule.nodes)
+    return (np.conj(f_rows) * rule.weights) @ g_rows.T
+
+
+def _rows(fns: Sequence[Callable], name: str, nodes: np.ndarray) -> np.ndarray:
+    """Each function's samples as one row, each block's as its rows, stacked."""
+    return np.concatenate([np.atleast_2d(_samples(fn, f"{name}[{i}]", nodes))
+                           for i, fn in enumerate(fns)])
+
+
+def adaptive_gram(fs: Sequence[Callable], gs: Sequence[Callable],
+                  rules: Callable) -> np.ndarray:
+    """The matrix of <f_i, g_j> by the node doubling of
+    pbk.quadrature.adaptive_inner_product: every entry must settle by the
+    same test, the rule of the last doubling serves the whole block, and each
+    function is sampled once per rule. Raises QuadratureConvergenceError, with
+    the worst entry's last two estimates, if the cap is reached first."""
+    return _adaptive(lambda rule: gram_matrix(fs, gs, rule), rules)
 
 
 # ---------------------------------------------------------------------------

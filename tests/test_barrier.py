@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 import pbk.barrier
 from pbk.barrier import (
-    ANALYSIS_NODES,
     BarrierParams,
     DEFAULT_TRUNCATION,
     MAX_SINE_MODES,
     Phi_n,
+    SineExpansion,
     SpectralVector,
     analyze_phi,
     analyze_psi,
@@ -28,20 +29,22 @@ from pbk.barrier import (
     eigenvalue,
     failed_factorization_residual,
     mode_table,
+    moments,
     psi_n,
     rho_coefficient,
     synthesize_phi,
     synthesize_psi,
     varphi_n,
 )
-from pbk.grids import GridSpec, apply_Theta, apply_Theta_inv, grid_norm, shared_mode_tables
+from pbk.grids import (GridSpec, apply_Theta, apply_Theta_inv, gram, grid_norm,
+                       shared_mode_tables)
 from pbk.market import MarketParams
 from pbk.pb_core import run_all_checks
 from pbk.quadrature import legendre_rule
 from pbk.specialfn import MAX_DEGREE
 from pbk.systems import BARRIER_GRID_POINTS, barrier_system
 
-from oracles import sine_mode
+from oracles import gram_matrix, sine_mode
 
 
 @pytest.fixture(scope="module")
@@ -313,21 +316,41 @@ def basis_vector(n, n_max=DEFAULT_TRUNCATION):
 
 
 class TestSpectralVector:
+    # at its own tilt an expansion's analysis is its coefficients, bit for bit,
+    # zero-padded to the truncation
     def test_roundtrip_through_synthesis(self, box):
         rng = np.random.default_rng(42)
         coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
         coeffs[:7] = rng.standard_normal(7)
         f = synthesize_phi(box, SpectralVector(coeffs))
-        recovered = analyze_phi(box, f)
-        np.testing.assert_allclose(recovered.coeffs, coeffs, atol=1e-10)
+        assert isinstance(f, SineExpansion) and f.tilt == box.beta
+        np.testing.assert_array_equal(analyze_phi(box, f).coeffs, coeffs)
+        short = synthesize_phi(box, SpectralVector(coeffs[:7]))
+        np.testing.assert_array_equal(analyze_phi(box, short).coeffs, coeffs)
 
     def test_psi_roundtrip(self, box):
         coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
         coeffs[2] = 1.0
         coeffs[5] = -0.7
         f = synthesize_psi(box, SpectralVector(coeffs))
-        recovered = analyze_psi(box, f)
-        np.testing.assert_allclose(recovered.coeffs, coeffs, atol=1e-10)
+        np.testing.assert_array_equal(analyze_psi(box, f).coeffs, coeffs)
+
+    @pytest.mark.parametrize("analyze, rate", [(analyze_phi, -1.0), (analyze_psi, 1.0)],
+                             ids=["phi", "psi"])
+    def test_foreign_tilt_matches_legendre_analysis(self, box, analyze, rate):
+        # <e^{rate beta x} Phi_n, f> of an expansion at tilt 0.3 (and of a
+        # block of two) against a 512-node Gauss-Legendre rule on (a, b)
+        coeffs = np.array([[0.4, -1.0, 0.0, 0.25, 0.0, 0.0, 0.1],
+                           [0.0, 0.0, 1.0, 0.0, 0.0, -0.5, 0.0]])
+        f = SineExpansion(box, 0.3, coeffs)
+        rule = legendre_rule(512, box.a, box.b)
+        modes = mode_table(box, DEFAULT_TRUNCATION, rule.nodes)
+        weighted = rule.weights * np.exp(rate * box.beta * rule.nodes) * f(rule.nodes)
+        quadrature = weighted @ modes.T
+        got = analyze(box, f).coeffs
+        assert got.shape == (2, DEFAULT_TRUNCATION + 1)
+        assert np.max(np.abs(got - quadrature)) <= 1e-14 * np.max(np.abs(got))
+        np.testing.assert_array_equal(analyze(box, f.with_coeffs(coeffs[1])).coeffs, got[1])
 
     def test_synthesis_vanishes_outside(self, box):
         f = synthesize_phi(box, basis_vector(0))
@@ -442,12 +465,14 @@ class TestSimilarityMaps:
         dual = apply_B_hat(box, apply_A_hat(box, basis_vector(n)))
         left = apply_Theta_inv(box, synthesize_psi(box, dual))(x)
 
-        mapped = analyze_phi(box, apply_Theta_inv(box, psi_n(box, n)))
+        member = synthesize_psi(box, basis_vector(n))  # psi_n as an expansion
+        mapped = analyze_phi(box, apply_Theta_inv(box, member))
         primal = apply_B_hat(box, apply_A_hat(box, mapped))
         right = synthesize_phi(box, primal)(x)
 
+        np.testing.assert_allclose(member(x), psi_n(box, n)(x), rtol=1e-14)
         scale = np.max(np.abs(left))
-        assert np.max(np.abs(left - right)) / scale < 1e-9
+        assert np.max(np.abs(left - right)) / scale < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +503,73 @@ class TestNormsAndPartialSums:
         assert np.all(np.diff(partial) >= 0.0)
         assert partial[-1] <= total + 1e-12
         assert partial[-1] == pytest.approx(total, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the moment matrix G(s)_mj = (Phi_m, e^{s x} Phi_j) in closed form
+
+
+MOMENT_BOUNDS = [(0.0, math.pi), (0.0, 10.0), (0.0, 12.0), (0.0, 14.0),
+                 (math.log(80.0), math.log(120.0))]
+MOMENT_IDS = ["0-pi", "0-10", "0-12", "0-14", "80-120"]
+
+
+def mp_moment(params, s, m, j):
+    """G(s)_mj at 40 digits from Phi_m Phi_j = (cos(p omega y) - cos(q omega y)) / L,
+    y = x - a, with each cosine integral over (0, L) taken on its own."""
+    with mpmath.workdps(40):
+        a, width, s = mpmath.mpf(params.a), mpmath.mpf(params.width), mpmath.mpf(s)
+        omega = mpmath.pi / width
+
+        def cosine(k):
+            return s * ((-1) ** k * mpmath.exp(s * width) - 1) / (s * s + (k * omega) ** 2)
+
+        return mpmath.exp(s * a) / width * (cosine(abs(m - j)) - cosine(m + j + 2))
+
+
+class TestMoments:
+    def test_reference_is_the_integral(self, market):
+        p = BarrierParams(market, math.log(80.0), math.log(120.0))
+        with mpmath.workdps(30):
+            a, b = mpmath.mpf(p.a), mpmath.mpf(p.b)
+            omega = mpmath.pi / (b - a)
+            for m, j, s in ((0, 0, 0.75), (1, 4, -1.5), (7, 3, 1.5), (12, 12, -0.75)):
+                integral = mpmath.quad(
+                    lambda x: 2 / (b - a) * mpmath.exp(s * x) * mpmath.sin((m + 1) * omega
+                                                                           * (x - a))
+                    * mpmath.sin((j + 1) * omega * (x - a)), [a, (a + b) / 2, b])
+                assert abs(integral - mp_moment(p, s, m, j)) <= mpmath.mpf(10) ** -25
+
+    @pytest.mark.parametrize("bounds", MOMENT_BOUNDS, ids=MOMENT_IDS)
+    @pytest.mark.parametrize("s", [-1.5, -0.75, 0.75, 1.5])
+    def test_entries_match_mpmath(self, market, bounds, s):
+        p = BarrierParams(market, *bounds)
+        g = moments(p, s, DEFAULT_TRUNCATION + 1)
+        np.testing.assert_array_equal(g, g.T)
+        for m in (0, 1, 2, 17, 64, 127, 128):
+            for j in (0, 1, 5, 64, 128):
+                ref = float(mp_moment(p, s, m, j))
+                assert abs(g[m, j] - ref) <= 1e-15 * math.sqrt(g[m, m] * g[j, j]), (m, j)
+
+    @pytest.mark.parametrize("bounds", MOMENT_BOUNDS, ids=MOMENT_IDS)
+    def test_no_tilt_is_the_identity(self, market, bounds):
+        p = BarrierParams(market, *bounds)
+        for n in (1, 2, DEFAULT_TRUNCATION + 1):
+            np.testing.assert_array_equal(moments(p, 0.0, n), np.eye(n))
+
+    @pytest.mark.parametrize("bounds", MOMENT_BOUNDS, ids=MOMENT_IDS)
+    def test_gram_matches_legendre_quadrature(self, market, bounds):
+        # every block the battery integrates, sampled on one 512-node
+        # Gauss-Legendre rule on (a, b); the rule's own error grows past 1e-13
+        # at 2048 nodes, and adaptive doubling does not settle on 80/120
+        p = BarrierParams(market, *bounds)
+        system = barrier_system(p)
+        blocks = [system.family_phi(60), system.family_psi(60),
+                  *system.quasi_pairs[0], system.test_functions]
+        exact = gram(blocks, blocks)
+        quadrature = gram_matrix(blocks, blocks, legendre_rule(512, p.a, p.b))
+        scale = np.sqrt(np.outer(np.diagonal(exact), np.diagonal(exact)))
+        assert np.max(np.abs(quadrature - exact) / scale) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +662,21 @@ class TestSharedTables:
 
     @staticmethod
     def node_sets(params):
-        """The analysis rule and the system's default grid."""
-        return (legendre_rule(ANALYSIS_NODES, params.a, params.b).nodes,
+        """A 1024-node Gauss-Legendre rule and the system's default grid."""
+        return (legendre_rule(1024, params.a, params.b).nodes,
                 GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS).points)
 
     def test_one_table_per_node_set_per_system(self, monkeypatch, market):
         calls = count_mode_tables(monkeypatch)
         bp = BarrierParams(market, 0.0, 3.14159)
         run_all_checks(barrier_system(bp), 20)
-        # analysis rule, default grid and the 64-, 128- and 256-node Gram rules
-        assert len(calls) == len({x for _, x in calls}) == 5
-        assert {n for n, _ in calls} == {DEFAULT_TRUNCATION}
+        # the default grid alone: analysis, inner products and Gram matrices
+        # are taken from coefficients and read no table
+        assert len(calls) == 1
+        assert calls[0] == (DEFAULT_TRUNCATION, self.node_sets(bp)[1].tobytes())
         first = list(calls)
         run_all_checks(barrier_system(bp), 20)  # a new system builds its own tables
-        assert calls[5:] == first
+        assert calls[1:] == first
 
     def test_more_rows_rebuild_the_table(self, monkeypatch, box):
         calls = count_mode_tables(monkeypatch)
@@ -607,7 +700,7 @@ class TestSharedTables:
             for n in (0, 4, 20, 21, 60, DEFAULT_TRUNCATION, MAX_DEGREE):
                 assert np.array_equal(tables(n, x), mode_table(box, n, x))
 
-    def test_analysis_and_synthesis_bits_with_and_without_tables(self, box):
+    def test_analysis_and_synthesis_bits_with_and_without_tables(self, monkeypatch, box):
         tables = shared_mode_tables(mode_table, box, DEFAULT_TRUNCATION)
         coeffs = np.random.default_rng(4).standard_normal((3, 21))
         for synthesize, analyze in ((synthesize_phi, analyze_phi),
@@ -616,5 +709,7 @@ class TestSharedTables:
                 for x in self.node_sets(box):
                     assert np.array_equal(synthesize(box, v, tables)(x),
                                           synthesize(box, v)(x))
-            f = synthesize(box, SpectralVector(coeffs))
-            assert np.array_equal(analyze(box, f, tables=tables).coeffs, analyze(box, f).coeffs)
+            # analysis reads coefficients, never a table
+            calls = count_mode_tables(monkeypatch)
+            analyze(box, synthesize(box, SpectralVector(coeffs), tables).tilted(0.3))
+            assert calls == []

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbk import harmonic
+from pbk import grids
 from pbk.grids import GridSpec, apply_Theta, apply_Theta_inv, derivative, grid_norm
 from pbk.specialfn import MAX_DEGREE
 from pbk.harmonic import (
@@ -42,9 +43,8 @@ from pbk.harmonic import (
     varphi_n,
 )
 from pbk.market import MarketParams
-from pbk.quadrature import adaptive_gram
 
-from oracles import hermite_rule
+from oracles import adaptive_gram, hermite_rule
 
 
 def params_for(market, w=0.0):
@@ -497,10 +497,10 @@ class TestMoments:
         for left, right, pairs in ((block, single, [(r, single) for r in rows]),
                                    (single, block, [(single, r) for r in rows]),
                                    (block, block, list(zip(rows, rows)))):
-            one_by_one = [harmonic.inner(f, g) for f, g in pairs]
+            one_by_one = [grids.inner(f, g) for f, g in pairs]
             assert all(isinstance(v, complex) for v in one_by_one)
-            np.testing.assert_allclose(harmonic.inner(left, right), one_by_one, rtol=1e-15)
-            gram = harmonic.gram([left], [right])  # 2 x 1, 1 x 2 or 2 x 2
+            np.testing.assert_allclose(grids.inner(left, right), one_by_one, rtol=1e-15)
+            gram = grids.gram([left], [right])  # 2 x 1, 1 x 2 or 2 x 2
             paired = np.diagonal(gram) if gram.shape == (2, 2) else np.ravel(gram)
             np.testing.assert_allclose(paired, one_by_one, rtol=1e-15)
 
@@ -515,7 +515,7 @@ class TestMoments:
         system = harmonic_system(p)
         blocks = [system.family_phi(60), system.family_psi(60),
                   *system.quasi_pairs[0], system.test_functions]
-        exact = harmonic.gram(blocks, blocks)
+        exact = grids.gram(blocks, blocks)
         rules = partial(hermite_rule, center=p.center, scale=math.sqrt(2.0) * p.sigma)
         quadrature = adaptive_gram(blocks, blocks, rules)
         scale = np.sqrt(np.outer(np.diagonal(exact), np.diagonal(exact)))

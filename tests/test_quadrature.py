@@ -1,6 +1,7 @@
 """Gauss-Legendre rules and the plain and adaptive inner products of
-pbk.quadrature, and the Gauss-Hermite rule of tests/oracles.py, which the
-harmonic Gram matrices are checked against."""
+pbk.quadrature, and the Gauss-Hermite rule and the Gram matrices of
+tests/oracles.py, which the coefficient-space Gram matrices of both models
+are checked against."""
 
 import math
 from functools import partial
@@ -10,15 +11,13 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermite
 
-from oracles import _hermite_nodes, hermite_rule
+from oracles import _hermite_nodes, adaptive_gram, gram_matrix, hermite_rule
 from pbk.quadrature import (
     ADAPTIVE_CAP,
     QuadratureConvergenceError,
     QuadratureEvaluationError,
     QuadratureRule,
-    adaptive_gram,
     adaptive_inner_product,
-    gram_matrix,
     inner_product,
     legendre_rule,
 )

@@ -96,9 +96,10 @@ class TestTheta3:
         # ell = -ln 0.1 is the nome 0.10000000000000002; m = 1..4 contribute
         # above the 1e-16 term cutoff. 40-digit mpmath gives 1.20020000200000023901
         # and 0.80019999800000016130: the sum rounds 1.4e-16 and 8.2e-17 below
-        # them, one ulp under their nearest floats.
-        assert theta3(0.0, rate(0.1)) == pytest.approx(1.200200002, abs=1e-16)
-        assert theta3(math.pi / 2, rate(0.1)) == pytest.approx(0.8001999980000001, abs=1e-16)
+        # them, one ulp under their nearest floats. Summing m = 4..1 first would
+        # land on those two floats but one ulp off at u = 0.3 and 2.7 instead.
+        for u, nearest in ((0.0, 1.2002000020000003), (math.pi / 2, 0.8001999980000002)):
+            assert abs(theta3(u, rate(0.1)) - nearest) <= math.ulp(nearest)
 
     @pytest.mark.parametrize("q", [0.0, 0.05, 0.3, 0.7, 0.95])
     def test_matches_mpmath(self, q):

@@ -7,11 +7,11 @@ site tables are read here (the file is executed from its source, nothing is
 written) and each (module, attribute) pair is resolved. The counts its
 hooks take are guarded too: the kernel table's length, the mode tables per
 spectral evaluation, and the spectral or closed calls per kernel value. So
-are the barrier system's calls through the traced analysis and synthesis
-attributes, both systems' inner products through the traced adaptive and
-inner-product attributes, and the Monte Carlo calls perfbench/workload.py
-makes directly: a signature or path-count rule that changed under them would
-fail here, not inside a benchmark run.
+are the barrier system's calls through the traced analysis attributes,
+both systems' inner products, which call no traced quadrature attribute,
+a battery run under the tracer itself, and the Monte Carlo calls
+perfbench/workload.py makes directly: a signature or path-count rule that
+changed under them would fail here, not inside a benchmark run.
 """
 
 import importlib
@@ -36,7 +36,6 @@ from pbk.kernels import kernel_rows, kernel_values
 from pbk.market import MarketParams
 from pbk.pb_core import check_ladder, run_all_checks
 from pbk.pricing import MCConfig, Payoff, price_spectral
-from pbk.quadrature import QuadratureRule
 from pbk.systems import barrier_system, harmonic_system
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -171,22 +170,17 @@ def test_one_sine_table_per_spectral_evaluation(monkeypatch):
 
 
 def test_barrier_system_calls_the_traced_attributes(monkeypatch):
-    """The system looks each analysis and synthesis up through pbk.barrier, so
-    barrier.analyze_calls and barrier.synthesized_evals keep counting."""
+    """The system's maps look each analysis up through pbk.barrier, so
+    barrier.analyze_calls keeps counting. It builds its expansions itself:
+    synthesize_phi and synthesize_psi are not called, so the tracer's plain
+    functions around what they return never reach the battery, and
+    barrier.synthesized_evals reads 0."""
     calls = Counter()
 
     def counted(attr, fn):
         def wrapper(*args, **kwargs):
             calls[attr] += 1
-            out = fn(*args, **kwargs)
-            if not callable(out):  # an analysis: its SpectralVector
-                return out
-
-            def evaluate(x):
-                calls[attr + "(x)"] += 1
-                return out(x)
-
-            return evaluate
+            return fn(*args, **kwargs)
 
         return wrapper
 
@@ -194,43 +188,58 @@ def test_barrier_system_calls_the_traced_attributes(monkeypatch):
         monkeypatch.setattr(pbk.barrier, attr, counted(attr, getattr(pbk.barrier, attr)))
     system = barrier_system(BP)
     check_ladder(system, 4)
-    for attr in ("analyze_phi", "analyze_psi", "synthesize_phi", "synthesize_psi",
-                 "synthesize_phi(x)", "synthesize_psi(x)"):
-        assert calls[attr] > 0, attr
+    assert calls["analyze_phi"] > 0 and calls["analyze_psi"] > 0
+    assert calls["synthesize_phi"] == calls["synthesize_psi"] == 0
 
 
 @pytest.mark.parametrize("build, params", [(harmonic_system, HP), (barrier_system, BP)],
                          ids=["harmonic", "barrier"])
 def test_system_inner_products_call_the_traced_attributes(monkeypatch, build, params):
-    """The barrier system's inner looks adaptive_inner_product up through
-    pbk.systems, and the node doubling looks inner_product up through
-    pbk.quadrature with the rule third, so quadrature.adaptive and
-    nodes_evaluated keep counting. The harmonic system's inner products are
-    taken in coefficient space, with no quadrature at all."""
+    """Both systems take their inner products in coefficient space, with no
+    quadrature at all: neither adaptive_inner_product, looked up through
+    pbk.systems, nor inner_product, looked up through pbk.quadrature, is
+    called, so quadrature.adaptive_calls and nodes_evaluated read 0. The
+    tracer's nodes hook still reads the rule third."""
     assert list(inspect.signature(pbk.quadrature.inner_product).parameters)[2] == "rule"
-    adaptive, inner_product = (pbk.systems.adaptive_inner_product,
-                               pbk.quadrature.inner_product)
-    calls, rules = [], []
+    calls = []
 
-    def counted_adaptive(*args, **kwargs):
-        calls.append(args)
-        return adaptive(*args, **kwargs)
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
 
-    def counted_inner_product(*args, **kwargs):
-        rules.append(args[2])  # the tracer's nodes hook reads args[2].nodes
-        return inner_product(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(pbk.systems, "adaptive_inner_product", counted_adaptive)
-    monkeypatch.setattr(pbk.quadrature, "inner_product", counted_inner_product)
+    monkeypatch.setattr(pbk.systems, "adaptive_inner_product", counted("adaptive"))
+    monkeypatch.setattr(pbk.quadrature, "inner_product", counted("inner_product"))
     system = build(params)
-    tests = system.test_functions  # one block: one adaptive call for all its rows
-    system.inner(tests, tests)
-    if build is harmonic_system:
-        assert calls == rules == []
-        return
-    assert len(calls) == 1
-    assert len(rules) >= 2 and all(isinstance(r, QuadratureRule) for r in rules)
-    assert rules[0].nodes.size == 64
+    tests = system.test_functions
+    assert system.inner(tests, tests).shape == (len(pbk.systems.TEST_COMBOS),)
+    run_all_checks(system, 4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("build, params", [(harmonic_system, HP), (barrier_system, BP)],
+                         ids=["harmonic", "barrier"])
+def test_traced_battery_reports_as_untraced(build, params):
+    """Under perfbench's Tracer every site is wrapped, and synthesize_phi and
+    synthesize_psi return plain functions; the battery's report is the same
+    bit for bit, and the barrier maps still record their analyses."""
+    untraced = run_all_checks(build(params), 20).to_json()
+    tracer = SITES["Tracer"]()
+    tracer.install()
+    tracer.enabled = True
+    try:
+        traced = run_all_checks(build(params), 20).to_json()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    spans = tracer.summary()
+    assert spans["pb_core.check_ladder"]["calls"] == 1
+    assert ("barrier.analyze" in spans) == (build is barrier_system)
+    for name in ("quadrature.adaptive", "quadrature.inner_product",
+                 "quadrature.legendre_rule", "barrier.synthesized_eval"):
+        assert name not in spans, name
 
 
 def test_benchmark_monte_carlo_calls_are_accepted():
