@@ -139,9 +139,9 @@ def quadratic_potential(params: HarmonicParams, x):
 
 
 def operator_grid(params: HarmonicParams) -> GridSpec:
-    """The grid both routes' residuals are measured on, center +- 10 sigma,
-    and the grid route's finite differences run on; the fourth-order first
-    derivative keeps ladder residuals to mode 20 below 1e-8."""
+    """The grid route's grid, center +- 10 sigma: its finite differences run
+    and its residuals are measured on it; the fourth-order first derivative
+    keeps ladder residuals to mode 20 below 1e-8."""
     half = OPERATOR_GRID_HALF_WIDTH * params.sigma
     return GridSpec.over(params.center - half, params.center + half,
                          OPERATOR_GRID_POINTS)

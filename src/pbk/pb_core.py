@@ -18,9 +18,12 @@ grids.apply_Theta), its tolerances and its norm rule too, and its test
 functions as one block, which the metric checks map whole and pair row by
 row in inner products.
 
-Residual conventions: ladder and eigen-equation residuals are relative to the
-norm of the target family member (for a zero target, to the input's norm);
-quadrature identities are absolute against their exact integer values.
+Blocks and operator outputs are grids.Expansions, or GridFunctions on a route
+that samples. Residual conventions: ||out - c ref|| is relative to the norm of
+the target family member (lowering phi_0, whose target is 0, to phi_0
+itself); an Expansion's norm is sqrt(d^T G(2t) d) from the model's moment
+matrix G, a GridFunction's is taken on its own grid. Inner-product identities
+are absolute against their exact values.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grids import GridFunction, GridSpec, apply_Theta, apply_Theta_inv, grid_norm, row_norm
+from .grids import (Expansion, GridFunction, apply_Theta, apply_Theta_inv, inner, pad,
+                    row_norm)
 
 ALGEBRAIC_TOL = 1e-10
 GRID_TOL = 1e-6
@@ -51,10 +55,10 @@ class LadderSystem:
     """Everything the harness needs to know about one concrete model.
 
     family_phi(n_max) and family_psi(n_max) give members 0..n_max as one
-    block: a callable whose values at points x have shape (n_max + 1,
-    len(x)), one row per member. A single function (1-D values) is a block
-    of one. The four operator fields take a block (or a single function)
-    and return a callable or a GridFunction with the same rows. ``inner``
+    block: a grids.Expansion whose coefficient matrix holds one row per
+    member. The four operator fields take a block (or a single function)
+    and return an Expansion or a GridFunction with the same rows, which the
+    residuals measure by the module's conventions. ``inner``
     is a callable (f, g) realizing the model's inner product, conjugate-linear
     in the first slot: a complex for two single functions, and for a block
     the products of its rows paired with the other slot's rows. ``gram`` is
@@ -88,7 +92,6 @@ class LadderSystem:
     gram: Callable
     beta: float
     norm_residual: Callable[[np.ndarray], float]
-    default_grid: GridSpec
     test_functions: Optional[Callable] = None
     quasi_pairs: Sequence[Tuple[Callable, Callable]] = field(default_factory=tuple)
     tolerances: Mapping[str, float] = field(default_factory=dict)
@@ -152,39 +155,50 @@ class DiagnosticReport:
 # block plumbing
 
 
-def _on_grid(obj, grid: GridSpec) -> GridFunction:
-    """An operator output or a block as samples: on its own grid, else on grid."""
-    if isinstance(obj, GridFunction):
-        return obj
-    if callable(obj):
-        return grid.sample(obj)
-    raise TypeError(f"cannot evaluate object of type {type(obj).__name__} on a grid")
+def _grid_rows(f, out: GridFunction) -> np.ndarray:
+    """f's rows at out's points: its own samples if it is a GridFunction on out's grid."""
+    if not isinstance(f, GridFunction):
+        return np.atleast_2d(f(out.x))
+    if (f.x0, f.dx, f.n) != (out.x0, out.dx, out.n):
+        raise ValueError("residual of two grid functions on different grids")
+    return f.rows()
 
 
-def _residual(out, coeff, reference: Callable, grid: GridSpec,
-              rows=slice(None)) -> float:
-    """max over rows i of || out_i - coeff_i * ref_i || / || ref_i ||.
+def _residual(out, coeff, reference, rows=slice(None), scale=None) -> float:
+    """max over rows i of || out_i - coeff_i * ref_i || / || scale_i ||.
 
-    ref is reference evaluated on the output's grid, its rows picked by
-    rows; coeff holds one number per output row, or one for all of them.
-    The picked rows are copied one at a time: a block on the operator grid is
-    megabytes a copy.
+    ref and scale are the rows of reference and of scale (reference unless
+    given) picked by rows; coeff holds one number per output row, or one for
+    all. An Expansion is measured from coefficients against a reference of
+    its own tilt. A GridFunction is measured on its own grid, against rows
+    sampled or given there, one picked row copied at a time: a block on the
+    operator grid is megabytes a copy.
     """
-    lhs = _on_grid(out, grid)
-    ref = np.atleast_2d(reference(lhs.x))
-    picked = np.arange(len(ref))[rows]
-    coeff = np.broadcast_to(-np.asarray(coeff), picked.shape)
-    samples = np.broadcast_to(lhs.rows(), (len(picked), lhs.n))
-    ratios = np.empty(len(picked))
-    for i, k in enumerate(picked):
-        diff = ref[k].astype(np.result_type(ref, samples))
-        ref_norm = row_norm(diff, lhs.dx)
-        if ref_norm == 0.0:
-            raise ValueError("degenerate reference function with zero norm")
-        diff *= coeff[i]
-        diff += samples[i]
-        ratios[i] = row_norm(diff, lhs.dx) / ref_norm
-    return float(np.max(ratios))
+    scale = reference if scale is None else scale
+    if isinstance(out, Expansion):
+        if not (isinstance(reference, Expansion) and reference.tilt == out.tilt):
+            raise ValueError(f"an expansion's residual needs a reference of its tilt {out.tilt}")
+        ref = np.atleast_2d(reference.coeffs)[rows]
+        size = max(out.coeffs.shape[-1], ref.shape[-1])
+        coeff = np.broadcast_to(np.asarray(coeff), ref.shape[:1])[:, None]
+        diff = out.with_coeffs(pad(out.coeffs, size) - coeff * pad(ref, size))
+        num, den = (np.sqrt(np.abs(np.atleast_1d(inner(f, f)))) for f in (
+            diff, scale.with_coeffs(np.atleast_2d(scale.coeffs)[rows])))
+    else:
+        ref = _grid_rows(reference, out)
+        norms = ref if scale is reference else _grid_rows(scale, out)
+        picked = np.arange(len(ref))[rows]
+        coeff = np.broadcast_to(-np.asarray(coeff), picked.shape)
+        samples = np.broadcast_to(out.rows(), (len(picked), out.n))
+        num, den = np.empty((2, len(picked)))
+        for i, k in enumerate(picked):
+            diff = ref[k].astype(np.result_type(ref, samples))
+            diff *= coeff[i]
+            diff += samples[i]
+            num[i], den[i] = row_norm(diff, out.dx), row_norm(norms[k], out.dx)
+    if np.any(den == 0.0):
+        raise ValueError("degenerate reference function with zero norm")
+    return float(np.max(num / den))
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +207,10 @@ def _residual(out, coeff, reference: Callable, grid: GridSpec,
 
 def check_vacua(sys: LadderSystem) -> CheckResult:
     """a phi_0 = 0 and b^dag psi_0 = 0, relative to the vacua's own norms."""
-    grid = sys.default_grid
     phi0 = sys.family_phi(0)
     psi0 = sys.family_psi(0)
-    for name, f in (("phi_0", phi0), ("psi_0", psi0)):
-        if np.any(grid_norm(_on_grid(f, grid)) == 0.0):
-            raise ValueError(f"degenerate vacuum: {name} has zero norm on the grid")
-    r_phi = _residual(sys.lower_a(phi0), 0.0, phi0, grid)
-    r_psi = _residual(sys.lower_b_dag(psi0), 0.0, psi0, grid)
+    r_phi = _residual(sys.lower_a(phi0), 0.0, phi0)
+    r_psi = _residual(sys.lower_b_dag(psi0), 0.0, psi0)
     return CheckResult("vacua", max(r_phi, r_psi), sys.tolerance("vacua"))
 
 
@@ -212,7 +222,6 @@ def check_ladder(sys: LadderSystem, n_max: int) -> CheckResult:
     """
     if n_max > LADDER_N_MAX_CAP:
         raise ValueError(f"ladder check capped at n_max={LADDER_N_MAX_CAP}, got {n_max}")
-    grid = sys.default_grid
     phi, psi = sys.family_phi(n_max), sys.family_psi(n_max)
     root = np.sqrt(sys.eigens(np.arange(n_max + 2)))
     above = slice(1, None)
@@ -223,18 +232,17 @@ def check_ladder(sys: LadderSystem, n_max: int) -> CheckResult:
         (sys.lower_a, phi, root[:-1], phi, below),
         (sys.lower_b_dag, psi, root[:-1], psi, below),
     )
-    worst = max(_residual(op(block), coeff, target, grid, rows)
+    worst = max(_residual(op(block), coeff, target, rows)
                 for op, block, coeff, target, rows in relations)
     return CheckResult("ladder", worst, sys.tolerance("ladder"))
 
 
 def check_number_operator(sys: LadderSystem, n_max: int) -> CheckResult:
     """(b a) phi_n = e_n phi_n and (a^dag b^dag) psi_n = e_n psi_n."""
-    grid = sys.default_grid
     phi, psi = sys.family_phi(n_max), sys.family_psi(n_max)
     e = sys.eigens(np.arange(n_max + 1))
-    worst = max(_residual(sys.raise_b(sys.lower_a(phi)), e, phi, grid),
-                _residual(sys.raise_a_dag(sys.lower_b_dag(psi)), e, psi, grid))
+    worst = max(_residual(sys.raise_b(sys.lower_a(phi)), e, phi),
+                _residual(sys.raise_a_dag(sys.lower_b_dag(psi)), e, psi))
     return CheckResult("number_operator", worst, sys.tolerance("number_operator"))
 
 
@@ -279,9 +287,8 @@ def check_theta_conjugacy(sys: LadderSystem, n_max: int) -> List[CheckResult]:
     through the maps whole, and positivity reads the paired inner products
     <f_i, Theta f_i> and <f_i, f_i> of its rows.
     """
-    grid, tol = sys.default_grid, sys.tolerance("theta_conjugacy")
-    algebraic = _residual(apply_Theta(sys, sys.family_phi(n_max)), 1.0,
-                          sys.family_psi(n_max), grid)
+    tol = sys.tolerance("theta_conjugacy")
+    algebraic = _residual(apply_Theta(sys, sys.family_phi(n_max)), 1.0, sys.family_psi(n_max))
     intertwining = 0.0
     tests = sys.test_functions
     if tests is not None:
@@ -291,15 +298,10 @@ def check_theta_conjugacy(sys: LadderSystem, n_max: int) -> List[CheckResult]:
         algebraic = max(algebraic, float(np.max(negative)),
                         float(np.max(np.abs(val.imag) / scale)))
         roundtrip = apply_Theta_inv(sys, apply_Theta(sys, tests))
-        algebraic = max(algebraic, _residual(roundtrip, 1.0, tests, grid))
-        left = _on_grid(apply_Theta(sys, sys.raise_b(sys.lower_a(tests))), grid)
-        right = _on_grid(sys.raise_a_dag(sys.lower_b_dag(apply_Theta(sys, tests))), grid)
-        if left.n != right.n:
-            raise ValueError("intertwining sides landed on different grids")
-        intertwining = float(np.max([
-            row_norm(lhs - rhs, left.dx) / row_norm(test, left.dx)
-            for lhs, rhs, test in zip(left.rows(), right.rows(),
-                                      np.atleast_2d(tests(left.x)))]))
+        algebraic = max(algebraic, _residual(roundtrip, 1.0, tests))
+        left = apply_Theta(sys, sys.raise_b(sys.lower_a(tests)))
+        right = sys.raise_a_dag(sys.lower_b_dag(apply_Theta(sys, tests)))
+        intertwining = _residual(left, 1.0, right, scale=tests)
     return [
         CheckResult("theta_conjugacy", algebraic, tol),
         CheckResult("theta_intertwining", intertwining, sys.tolerance("theta_intertwining")),

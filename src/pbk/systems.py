@@ -14,7 +14,9 @@ and two quasi-basis pairs of untilted mode polynomials. Every function
 either battery integrates is an expansion of its model's modes, a
 harmonic.HermiteExpansion or a barrier.SineExpansion, so both take their
 inner products and Gram matrices in coefficient space (grids.inner,
-grids.gram) from the model's moment matrix, with no quadrature rule.
+grids.gram) from the model's moment matrix, with no quadrature rule, and
+pb_core takes the residuals of the expansions the maps return from it too.
+Only the harmonic grid route's maps sample, onto its operator grid.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ import numpy as np
 
 from . import barrier as bar
 from . import harmonic as har
-from .grids import GridFunction, GridSpec, gram, inner, shared_mode_tables
+from .grids import GridFunction, gram, inner, shared_mode_tables
 from .market import beta_is_degenerate
 from .pb_core import LadderSystem
 # not called here: perfbench/tracing.py patches this name in this module
 from .quadrature import adaptive_inner_product  # noqa: F401
 from .specialfn import MAX_DEGREE
-
-BARRIER_GRID_POINTS = 4001
 
 # The dense set both batteries test on, read as coefficients of each model's
 # own modes: finite varphi-combinations for the metric checks, and untilted
@@ -75,15 +75,15 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     fourth-order central first derivative on the operator grid (a
     cross-validation mode whose ladder residuals get a looser tolerance).
 
-    A family block is the identity coefficient matrix. The system owns one
-    grids.shared_mode_tables over har.mode_table, one row ahead: every family
-    block, the test block, the quasi-basis functions and every expansion a
-    map makes of one read one Hermite table per node set, built once for the
-    system's lifetime and grown only when more rows are asked for. Operator
-    outputs sit on interiors of the operator grid and read column slices of
-    its table. On both routes every function the battery integrates is an
-    expansion, so inner products and Gram matrices are grids.inner and
-    grids.gram, from har.moments, and read no table.
+    A family block is the identity coefficient matrix. Inner products and
+    Gram matrices are grids.inner and grids.gram, from har.moments, and so
+    are the exact route's residuals: its battery evaluates nothing. The grid
+    route samples each map input onto the operator grid and each reference
+    on an output's grid, through one grids.shared_mode_tables over
+    har.mode_table, one row ahead: one Hermite table per node set, built once
+    for the system's lifetime and grown only when more rows are asked for.
+    Operator outputs sit on interiors of the operator grid and read column
+    slices of its table.
     """
     if route not in ("exact", "grid"):
         raise ValueError(f"route must be 'exact' or 'grid', got {route!r}")
@@ -124,7 +124,6 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
         gram=gram,
         beta=params.beta,
         norm_residual=_harmonic_norm_residual(params),
-        default_grid=op_grid,
         test_functions=expansion(params.beta, TEST_COMBOS),
         quasi_pairs=[(f, g), (g, f)],
         tolerances=tolerances,
@@ -138,20 +137,16 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 def barrier_system(params: bar.BarrierParams) -> LadderSystem:
     """The double-barrier model bound to the harness, in coefficient space.
 
-    A family block is the identity coefficient matrix. The system owns one
-    grids.shared_mode_tables over bar.mode_table: every family block, the
-    test block, the quasi-basis functions and every expansion a map makes of
-    one read one sine table per node set, built once for the system's
-    lifetime. Each map analyzes its input through bar.analyze_phi or
-    bar.analyze_psi and acts on bar.DEFAULT_TRUNCATION + 1 coefficients.
-    Every function the battery integrates is a bar.SineExpansion, so inner
-    products and Gram matrices are grids.inner and grids.gram, from the
-    closed-form bar.moments, and read no table. The norm products lie between
-    1 and e^{|beta| L}; the residual is their overshoot of those bounds,
-    relative to the upper one.
+    A family block is the identity coefficient matrix. Each map analyzes
+    its input through bar.analyze_phi or bar.analyze_psi and acts on
+    bar.DEFAULT_TRUNCATION + 1 coefficients. Every function the battery
+    handles is a bar.SineExpansion, so inner products, Gram matrices and
+    residuals all come from the closed-form bar.moments: the battery
+    evaluates no function and builds no sine table. The norm products lie
+    between 1 and e^{|beta| L}; the residual is their overshoot of those
+    bounds, relative to the upper one.
     """
-    expansion = partial(bar.SineExpansion, params, tables=shared_mode_tables(
-        bar.mode_table, params, bar.DEFAULT_TRUNCATION))
+    expansion = partial(bar.SineExpansion, params)
 
     def spectral(shift, analyze, tilt):
         def apply(f):
@@ -181,7 +176,6 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
         gram=gram,
         beta=params.beta,
         norm_residual=norm_residual,
-        default_grid=GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS),
         test_functions=expansion(params.beta, TEST_COMBOS),
         quasi_pairs=[(f, g), (g, f)],
     )

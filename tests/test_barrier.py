@@ -42,7 +42,7 @@ from pbk.market import MarketParams
 from pbk.pb_core import run_all_checks
 from pbk.quadrature import legendre_rule
 from pbk.specialfn import MAX_DEGREE
-from pbk.systems import BARRIER_GRID_POINTS, barrier_system
+from pbk.systems import barrier_system
 
 from oracles import gram_matrix, sine_mode
 
@@ -658,25 +658,22 @@ def count_mode_tables(monkeypatch):
 
 
 class TestSharedTables:
-    """One sine table per node set per barrier system, read as row slices."""
+    """One shared sine table per node set, read as row slices; a barrier
+    system builds none."""
 
     @staticmethod
     def node_sets(params):
-        """A 1024-node Gauss-Legendre rule and the system's default grid."""
+        """A 1024-node Gauss-Legendre rule and a 4001-point grid on (a, b)."""
         return (legendre_rule(1024, params.a, params.b).nodes,
-                GridSpec.over(params.a, params.b, BARRIER_GRID_POINTS).points)
+                GridSpec.over(params.a, params.b, 4001).points)
 
     def test_one_table_per_node_set_per_system(self, monkeypatch, market):
         calls = count_mode_tables(monkeypatch)
         bp = BarrierParams(market, 0.0, 3.14159)
         run_all_checks(barrier_system(bp), 20)
-        # the default grid alone: analysis, inner products and Gram matrices
-        # are taken from coefficients and read no table
-        assert len(calls) == 1
-        assert calls[0] == (DEFAULT_TRUNCATION, self.node_sets(bp)[1].tobytes())
-        first = list(calls)
-        run_all_checks(barrier_system(bp), 20)  # a new system builds its own tables
-        assert calls[1:] == first
+        # no table at all: analysis, residuals, inner products and Gram
+        # matrices are taken from coefficients
+        assert calls == []
 
     def test_more_rows_rebuild_the_table(self, monkeypatch, box):
         calls = count_mode_tables(monkeypatch)

@@ -20,6 +20,7 @@ import pytest
 
 import pbk.barrier
 import pbk.cli
+import pbk.harmonic
 import pbk.quadrature
 import pbk.systems
 from pbk.cli import KERNEL_COLUMNS, _kernel_csv, _parse_point_list, main
@@ -172,6 +173,21 @@ class TestDiagnose:
         code, out, _ = run_cli(capsys, ["diagnose", "--model", "barrier", "--a", "0",
                                         "--b", "3.14159"])
         assert code == 0
+        assert json.loads(out)["all_pass"] is True
+
+    @pytest.mark.parametrize("module, argv", [
+        (pbk.barrier, ["--model", "barrier", "--a", "0", "--b", "3.14159"]),
+        (pbk.harmonic, ["--model", "harmonic", "--nmax", "40"]),
+    ], ids=["barrier", "harmonic-exact"])
+    def test_coefficient_batteries_build_no_mode_table(self, capsys, monkeypatch, module,
+                                                       argv):
+        # every residual, inner product and Gram matrix is taken from coefficients
+        def refuse(*args):
+            raise AssertionError("a mode table was built")
+
+        monkeypatch.setattr(module, "mode_table", refuse)
+        code, out, err = run_cli(capsys, ["diagnose", *argv])
+        assert code == 0, err
         assert json.loads(out)["all_pass"] is True
 
 
@@ -544,9 +560,9 @@ def test_barrier_width_whose_square_overflows_exits_2(capsys, tmp_path, argv):
     (["diagnose", "--model", "barrier", "--a", "0", "--b", "1000"],
      "the quasi_basis check's residual is not finite: nan\n"),
     (["diagnose", "--model", "barrier", "--a", "0", "--b", "900"],
-     "the norm_growth check's residual is not finite: nan\n"),
+     "the theta_conjugacy check's residual is not finite: nan\n"),
     (["diagnose", "--model", "harmonic", "--sigma", "50"],
-     "the norm_growth check's residual is not finite: nan\n"),
+     "the ladder check's residual is not finite: nan\n"),
     (["price", "--model", "barrier", "--lower", "80", "--upper", "120", "--oracle", "mc",
       "--paths", "2", "--steps", "1"], "the Monte Carlo value 0.0 has no spread"),
     (["kernel", "--model", "barrier", "--a", "0", "--b", "1e20", "--x", "1", "--x-prime", "2",

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from pbk import systems
-from pbk.grids import GridFunction, GridSpec, apply_Theta, apply_Theta_inv, unit_coefficients
+from pbk.grids import (Expansion, GridFunction, GridSpec, apply_Theta, apply_Theta_inv,
+                       unit_coefficients)
 from pbk.market import MarketParams
 from pbk.pb_core import (
     ALGEBRAIC_TOL,
@@ -20,6 +21,7 @@ from pbk.pb_core import (
     CheckResult,
     DiagnosticReport,
     LadderSystem,
+    _residual,
     check_biorthogonality,
     check_ladder,
     check_norm_growth,
@@ -114,18 +116,19 @@ class TestDiagnosticReport:
 # individual checks
 
 
+class FlatExpansion(Expansion):
+    """Untilted coefficients of an orthonormal family: every moment matrix is I."""
+
+    def moments(self, s, n):
+        return np.eye(n)
+
+
 def degenerate_system(eigens=lambda n: n * 1.0):
-    def zero(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def bump(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-(x**2))
-
+    """A system whose phi family is all zero coefficients."""
     return LadderSystem(
         label="degenerate",
-        family_phi=lambda n: zero,
-        family_psi=lambda n: bump,
+        family_phi=lambda n: FlatExpansion(None, 0.0, np.zeros((n + 1, n + 1))),
+        family_psi=lambda n: FlatExpansion(None, 0.0, np.eye(n + 1)),
         lower_a=lambda f: f,
         raise_b=lambda f: f,
         lower_b_dag=lambda f: f,
@@ -135,13 +138,12 @@ def degenerate_system(eigens=lambda n: n * 1.0):
         gram=lambda fs, gs: np.zeros((len(fs), len(gs)), dtype=complex),
         beta=0.0,
         norm_residual=lambda products: 0.0,
-        default_grid=GridSpec.over(-1.0, 1.0, 101),
     )
 
 
 class TestIndividualChecks:
     def test_degenerate_vacuum_rejected(self):
-        with pytest.raises(ValueError, match="degenerate vacuum"):
+        with pytest.raises(ValueError, match="degenerate reference function with zero norm"):
             check_vacua(degenerate_system())
 
     def test_ladder_cap(self, harmonic):
@@ -165,23 +167,43 @@ class TestIndividualChecks:
         assert result.passed
         assert result.name == "ladder"
 
-    def test_broken_ladder_fails(self, harmonic):
-        sys_h = harmonic
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    def test_broken_ladder_fails(self, request, model):
+        system = request.getfixturevalue(model)
 
         def raise_b_off(f):
-            out = sys_h.raise_b(f)
+            out = system.raise_b(f)
             return dataclasses.replace(out, coeffs=1.001 * out.coeffs)
 
-        broken = dataclasses.replace(sys_h, raise_b=raise_b_off)
+        broken = dataclasses.replace(system, raise_b=raise_b_off)
         result = check_ladder(broken, 4)
         assert not result.passed
         assert result.max_residual > 1e-4
-        # the exact route's intertwining is coefficient algebra, 0.0 when the
-        # maps are right, and it still sees the broken one
-        assert check_theta_conjugacy(sys_h, 4)[1].max_residual == 0.0
+        # the intertwining is coefficient algebra, 0.0 when the maps are
+        # right, and it still sees the broken one
+        assert check_theta_conjugacy(system, 4)[1].max_residual == 0.0
         intertwining = check_theta_conjugacy(broken, 4)[1]
         assert not intertwining.passed
         assert intertwining.max_residual > 1e-3
+
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    def test_residual_across_tilts_is_refused(self, request, model):
+        # Theta phi_n has tilt -beta and this psi family -1.001 beta: their
+        # residual would need the norm of a sum of two tilts, and is refused
+        system = request.getfixturevalue(model)
+        off = dataclasses.replace(
+            system, family_psi=lambda n: system.family_psi(n).tilted(-0.001 * system.beta))
+        with pytest.raises(ValueError, match="needs a reference of its tilt"):
+            check_theta_conjugacy(off, 4)
+
+    def test_residual_across_grids_is_refused(self, market):
+        system = harmonic_system(HarmonicParams(market), route="grid")
+        tests = system.test_functions
+        left = apply_Theta(system, system.raise_b(system.lower_a(tests)))
+        right = system.raise_a_dag(system.lower_b_dag(apply_Theta(system, tests)))
+        assert _residual(left, 1.0, right, scale=tests) < 1e-6
+        with pytest.raises(ValueError, match="on different grids"):
+            _residual(left, 1.0, right.interior(1), scale=tests)
 
     @pytest.mark.parametrize("route", ["exact", "grid"])
     def test_broken_family_fails_biorthogonality(self, market, route):
@@ -250,13 +272,18 @@ class TestIndividualChecks:
 # block checks against the per-member loop they replace
 
 
-def build_systems(market, market_beta0):
-    """name -> (system, member, inner): member(family, n) is one family
-    function, and inner(f, g) the inner product the per-member loops take.
+ORACLE_GRID_POINTS = 4001  # the barrier oracle's grid on (a, b)
 
-    The harmonic loops take the system's own; the barrier loops take a
-    512-node Gauss-Legendre rule on (a, b) of the sampled functions, and
-    their members are sine expansions, which the barrier maps analyze."""
+
+def build_systems(market, market_beta0):
+    """name -> (system, member, inner, grid): member(family, n) is one family
+    function, inner(f, g) the inner product the per-member loops take, and
+    grid the one they sample expansions on for their residual norms.
+
+    The harmonic loops take the system's own inner product and the operator
+    grid; the barrier loops take a 512-node Gauss-Legendre rule on (a, b) of
+    the sampled functions and a grid of their own on (a, b), and their
+    members are sine expansions, which the barrier maps analyze."""
     out = {}
     for label, mkt in (("beta -0.75", market), ("beta 0", market_beta0)):
         hp = HarmonicParams(mkt)
@@ -264,13 +291,14 @@ def build_systems(market, market_beta0):
             system = harmonic_system(hp, route=route)
             out[f"harmonic {route} {label}"] = (
                 system, lambda family, n, _p=hp: (har.varphi_n, har.psi_n)[family](_p, n),
-                system.inner)
+                system.inner, har.operator_grid(hp))
         bp = BarrierParams(mkt, 0.0, math.pi)
         out[f"barrier (0, pi) {label}"] = (
             barrier_system(bp),
             lambda family, n, _p=bp: bar.SineExpansion(
                 _p, (1.0, -1.0)[family] * _p.beta, unit_coefficients(n, bar.MAX_SINE_MODES)),
-            partial(inner_product, rule=legendre_rule(512, bp.a, bp.b)))
+            partial(inner_product, rule=legendre_rule(512, bp.a, bp.b)),
+            GridSpec.over(bp.a, bp.b, ORACLE_GRID_POINTS))
     return out
 
 
@@ -300,9 +328,9 @@ def block_rows(tests):
     return [tests.with_coeffs(row) for row in tests.coeffs]
 
 
-def oracle_checks(sys_, member, inner, n_max):
-    """Each block check's worst residual, one family member at a time."""
-    grid = sys_.default_grid
+def oracle_checks(sys_, member, inner, grid, n_max):
+    """Each block check's worst residual, one family member at a time, from
+    samples on grid (an operator output on a grid of its own, on that)."""
     phi = lambda n: member(0, n)  # noqa: E731
     psi = lambda n: member(1, n)  # noqa: E731
     e = sys_.eigens
@@ -363,12 +391,13 @@ class TestBlocksMatchPerMember:
 
     @pytest.mark.parametrize("name", BLOCK_NAMES)
     def test_operator_checks(self, cases, name):
-        sys_, _, _, oracle = cases[name]
+        sys_, _, _, _, oracle = cases[name]
         n = self.N_MAX
         assert self.close(name, check_vacua(sys_).max_residual, oracle["vacua"])
         assert self.close(name, check_ladder(sys_, n).max_residual, oracle["ladder"])
-        # the barrier maps shift coefficients, so its figures are rounding alone
-        # (ladder about 1e-15, number_operator about 2e-14) on both paths
+        # the barrier maps shift coefficients, so its figures are rounding alone:
+        # ladder 0 and number_operator 1.4e-14 in coefficient space, about
+        # 1.3e-15 and 1.7e-14 on the oracle's grid
         assert self.close(name, check_number_operator(sys_, n).max_residual,
                           oracle["number_operator"])
         # the family part alone, then with the test block
@@ -381,7 +410,7 @@ class TestBlocksMatchPerMember:
 
     @pytest.mark.parametrize("name", BLOCK_NAMES)
     def test_norms_from_gram_diagonals(self, market, cases, name):
-        sys_, _, _, oracle = cases[name]
+        sys_, _, _, _, oracle = cases[name]
         n = self.N_MAX
         products = oracle["norm_products"]
         for family in (sys_.family_phi(n), sys_.family_psi(n)):
@@ -412,7 +441,7 @@ class TestGramChecks:
 
     @pytest.mark.parametrize("name", GRAM_SYSTEMS)
     def test_biorthogonality_matches_pairwise(self, market, market_beta0, name):
-        sys_, member, inner = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
+        sys_, member, inner, _ = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
         n_max = LADDER_N_MAX_CAP
         phis = [member(0, n) for n in range(n_max + 1)]
         psis = [member(1, n) for n in range(n_max + 1)]
@@ -427,7 +456,7 @@ class TestGramChecks:
 
     @pytest.mark.parametrize("name", GRAM_SYSTEMS)
     def test_quasi_basis_sums_match_pairwise(self, market, market_beta0, name):
-        sys_, member, inner = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
+        sys_, member, inner, _ = build_systems(market, market_beta0)[GRAM_SYSTEMS[name]]
         n_max = NORM_N_MAX_CAP
         worst = 0.0
         for f, g in sys_.quasi_pairs:

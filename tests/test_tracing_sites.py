@@ -127,15 +127,17 @@ def test_one_hermite_recurrence_per_spectral_evaluation(monkeypatch):
 
 
 @pytest.mark.parametrize("route, n_max, builds", [
-    ("exact", 40, {(8001,): 2}),
+    ("exact", 40, {}),
     ("grid", 20, {(8001,): 2}),
 ])
 def test_one_hermite_table_per_node_set_per_harmonic_system(monkeypatch, route, n_max,
                                                             builds):
-    """The operator grid's table is built once for each row count it grows to
-    (the vacua need rows 0..1, the blocks more), and never again: operator
-    outputs on the operator grid's interior read its table, inner products
-    read no table, and a second battery on the same system builds nothing."""
+    """The exact route builds no table: its residuals, like every inner
+    product, are taken from coefficients. On the grid route the operator
+    grid's table is built once for each row count it grows to (the vacua
+    need rows 0..1, the blocks more), and never again: operator outputs on
+    the operator grid's interior read its table, and a second battery on the
+    same system builds nothing."""
     calls = count_tables(monkeypatch, pbk.harmonic, "hermite_function_sequence")
     system = harmonic_system(HP, route)
     run_all_checks(system, n_max)
@@ -149,7 +151,8 @@ def test_one_hermite_table_per_node_set_per_harmonic_system(monkeypatch, route, 
 def test_harmonic_system_tables_go_through_the_traced_attributes(monkeypatch, route):
     """Tables are built through pbk.harmonic.hermite_function_sequence and read
     through HermiteExpansion.__call__, so specialfn.hermite_sequence_calls and
-    harmonic.expansion_evals keep counting."""
+    harmonic.expansion_evals keep counting on the grid route; the exact route
+    evaluates no expansion, and both read 0."""
     evals = []
     call = pbk.harmonic.HermiteExpansion.__call__
 
@@ -160,7 +163,10 @@ def test_harmonic_system_tables_go_through_the_traced_attributes(monkeypatch, ro
     monkeypatch.setattr(pbk.harmonic.HermiteExpansion, "__call__", counted)
     tables = count_tables(monkeypatch, pbk.harmonic, "hermite_function_sequence")
     check_ladder(harmonic_system(HP, route), 4)
-    assert tables and len(evals) > len(tables)
+    if route == "exact":
+        assert tables == evals == []
+    else:
+        assert tables and len(evals) > len(tables)
 
 
 def test_one_sine_table_per_spectral_evaluation(monkeypatch):

@@ -54,6 +54,8 @@ REFUSALS = (
     "diagnose --model barrier --a 0 --b 1 --route grid",
     "kernel --model barrier --a 0 --b 3 --x 1.2 --x-prime 1.5 --tau 1e-7 --method spectral",
     "diagnose --model barrier --a 0 --b 12",
+    "diagnose --model barrier --a 0 --b 900",
+    "diagnose --model harmonic --sigma 50",
     "diagnose --model barrier --b 3",
     "kernel --model barrier --a 3 --b 0",
     "price --model barrier --lower 0 --upper 120",
