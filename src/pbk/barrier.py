@@ -16,18 +16,20 @@ Two ladder constructions live here side by side:
 * the spectral ladder (apply_A_hat / apply_B_hat), defined directly on
   expansion coefficients with the strictly increasing sequence
   rho_n = lambda_{n+1}^2 - lambda_1^2. These are exact coefficient shifts
-  and do satisfy every ladder identity; on psi-expansions the same two maps
-  serve as B_hat^dag and A_hat^dag.
+  of a SineExpansion, returned at its tilt, and do satisfy every ladder
+  identity; raising adds one coefficient, so nothing is dropped. On
+  psi-expansions the same two maps serve as B_hat^dag and A_hat^dag.
 
-A SineExpansion e^{t x} sum c_n Phi_n is analyzed, and paired in inner
-products, through the closed-form matrix (Phi_m, e^{s x} Phi_j) (moments),
-with no quadrature rule.
+A SineExpansion e^{t x} sum c_n Phi_n is paired in inner products through
+the closed-form matrix (Phi_m, e^{s x} Phi_j) (moments), with no quadrature
+rule. Analysis into a family returns an expansion at the family's tilt as
+it is, and re-expands one at any other tilt through the same matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -237,27 +239,6 @@ def failed_factorization_residual(params: BarrierParams) -> float:
 # The spectral ladder (the one that works)
 
 
-@dataclass(frozen=True)
-class SpectralVector:
-    """Expansion coefficients c_0..c_{n_max} of f = sum c_n varphi_n (or psi_n).
-
-    A coefficient matrix is a block of functions, one per row; the maps act
-    on the last axis. discarded_tail reports the magnitude a raising
-    operator pushed past the truncation cap instead of silently dropping it
-    (one value per row for a block).
-    """
-
-    coeffs: np.ndarray = field(repr=False)
-    discarded_tail: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs)))
-
-    @property
-    def n_max(self) -> int:
-        return self.coeffs.shape[-1] - 1
-
-
 class SineExpansion(Expansion):
     """Exact representation e^{tilt * x} * sum_k coeffs[..., k] Phi_k(x) on
     [a, b], zero outside; a coefficient matrix is a block (grids.Expansion)."""
@@ -295,54 +276,54 @@ def moments(params: BarrierParams, s: float, n: int) -> np.ndarray:
             / (s + (p * omega) ** 2 / s) / (s * s + (q * omega) ** 2))
 
 
-def _analyze(params: BarrierParams, f: SineExpansion, rate: float) -> SpectralVector:
-    """Coefficients <e^{rate x} Phi_n, f>, n <= DEFAULT_TRUNCATION, of an
-    expansion f: G(t_f + rate) c_f, which is c_f itself when the tilts cancel."""
+def _analyze(params: BarrierParams, f: SineExpansion, tilt: float) -> SineExpansion:
+    """f as an expansion at tilt: f itself at its own tilt, else its
+    coefficients <e^{-tilt x} Phi_n, f> = G(t_f - tilt) c_f for
+    n <= DEFAULT_TRUNCATION."""
+    if f.tilt == tilt:
+        return f
     n = max(f.coeffs.shape[-1], DEFAULT_TRUNCATION + 1)
-    return SpectralVector(pad(f.coeffs, n)
-                          @ moments(params, f.tilt + rate, n)[:, : DEFAULT_TRUNCATION + 1])
+    coeffs = pad(f.coeffs, n) @ moments(params, f.tilt - tilt, n)[:, : DEFAULT_TRUNCATION + 1]
+    return SineExpansion(params, tilt, coeffs, f.tables)
 
 
-def analyze_phi(params: BarrierParams, f: SineExpansion) -> SpectralVector:
-    """Coefficients c_n = <psi_n, f> of the varphi-expansion of f."""
-    return _analyze(params, f, -params.beta)
-
-
-def analyze_psi(params: BarrierParams, f: SineExpansion) -> SpectralVector:
-    """Coefficients d_n = <varphi_n, f> of the psi-expansion of f."""
+def analyze_phi(params: BarrierParams, f: SineExpansion) -> SineExpansion:
+    """f as a varphi-expansion, with coefficients c_n = <psi_n, f>."""
     return _analyze(params, f, params.beta)
 
 
-def synthesize_phi(params: BarrierParams, v: SpectralVector, tables=None) -> SineExpansion:
+def analyze_psi(params: BarrierParams, f: SineExpansion) -> SineExpansion:
+    """f as a psi-expansion, with coefficients d_n = <varphi_n, f>."""
+    return _analyze(params, f, -params.beta)
+
+
+def synthesize_phi(params: BarrierParams, coeffs: np.ndarray, tables=None) -> SineExpansion:
     """The function sum_n c_n varphi_n, zero outside (a, b).
 
     tables, if given, is a grids.shared_mode_tables callable over mode_table
     for params. barrier_system builds its expansions itself: perfbench's
     tracer replaces what this returns with a plain function.
     """
-    return SineExpansion(params, params.beta, v.coeffs, tables)
+    return SineExpansion(params, params.beta, coeffs, tables)
 
 
-def synthesize_psi(params: BarrierParams, v: SpectralVector, tables=None) -> SineExpansion:
+def synthesize_psi(params: BarrierParams, coeffs: np.ndarray, tables=None) -> SineExpansion:
     """The function sum_n d_n psi_n, zero outside (a, b)."""
-    return SineExpansion(params, -params.beta, v.coeffs, tables)
+    return SineExpansion(params, -params.beta, coeffs, tables)
 
 
-def apply_A_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
-    """Lowering: out_n = sqrt(rho_{n+1}) c_{n+1}; B_hat^dag on a psi-expansion."""
-    out = np.zeros_like(v.coeffs)
-    out[..., :-1] = np.sqrt(rho_coefficient(params, np.arange(1, v.n_max + 1))) * v.coeffs[..., 1:]
-    return SpectralVector(out)
+def apply_A_hat(params: BarrierParams, f: SineExpansion) -> SineExpansion:
+    """Lowering: out_n = sqrt(rho_{n+1}) c_{n+1}, at f's tilt and length, the
+    top coefficient 0; B_hat^dag on a psi-expansion."""
+    n = f.coeffs.shape[-1]
+    return f.with_coeffs(pad(np.sqrt(rho_coefficient(params, np.arange(1, n)))
+                             * f.coeffs[..., 1:], n))
 
 
-def apply_B_hat(params: BarrierParams, v: SpectralVector) -> SpectralVector:
-    """Raising: out_n = sqrt(rho_n) c_{n-1}; A_hat^dag on a psi-expansion.
-
-    The contribution that would land on mode n_max + 1 is reported in
-    discarded_tail.
-    """
-    out = np.zeros_like(v.coeffs)
-    roots = np.sqrt(rho_coefficient(params, np.arange(1, v.n_max + 2)))
-    out[..., 1:] = roots[:-1] * v.coeffs[..., :-1]
-    tail = np.abs(roots[-1] * v.coeffs[..., -1])
-    return SpectralVector(out, discarded_tail=tail if tail.ndim else float(tail))
+def apply_B_hat(params: BarrierParams, f: SineExpansion) -> SineExpansion:
+    """Raising: out_n = sqrt(rho_n) c_{n-1}, at f's tilt and one coefficient
+    longer, so nothing is dropped; A_hat^dag on a psi-expansion."""
+    n = f.coeffs.shape[-1]
+    out = np.zeros(f.coeffs.shape[:-1] + (n + 1,), dtype=np.result_type(f.coeffs, float))
+    out[..., 1:] = np.sqrt(rho_coefficient(params, np.arange(1, n + 1))) * f.coeffs
+    return f.with_coeffs(out)

@@ -11,10 +11,9 @@ Every input goes through one parser. A `--params file.json` is read as
 and checked as its flag is, a switch (`bridge`, `flip_beta`) takes JSON true
 or false, and a written flag wins. Keys that name no option of the command
 are skipped; `model`, `params` and `out` are never read from a file. Flags
-are not abbreviated. A diagnose report's `params_echo`, given back with the
-same `--model`, reproduces the report; a price's `config_echo` does not, as
-it holds no sigma, r, barriers or spot. CSV output is RFC-4180 with floats
-at 17 significant digits.
+are not abbreviated. A diagnose report's `params_echo`, or a price's
+`config_echo`, given back with the same `--model`, reproduces the report.
+CSV output is RFC-4180 with floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -293,7 +293,13 @@ def cmd_price(args: argparse.Namespace) -> int:
     result = price_spectral(params, args.which, payoff, x, args.tau, beta)
     if not math.isfinite(result.value):
         raise ValueError(f"the spectral price is not finite: {result.value}")
-    output = {"result": result.to_dict()}
+    # the flags that, given back with --params, reproduce this price
+    flags = ({"w": params.w} if args.model == "harmonic"
+             else {"s0": args.s0, "lower": args.lower, "upper": args.upper})
+    if args.flip_beta:
+        flags["flip_beta"] = True
+    echo = {**result.config_echo, "sigma": params.sigma, "r": params.r, **flags}
+    output = {"result": replace(result, config_echo=echo).to_dict()}
     exit_code = 0
     if args.oracle == "mc":
         cfg = MCConfig(paths=args.paths, steps=args.steps, seed=args.seed,

@@ -129,12 +129,6 @@ def row_norm(row: np.ndarray, dx: float) -> float:
     return np.sqrt(dx * np.sum(squares))
 
 
-def grid_norm(f: GridFunction):
-    """row_norm of each row, one at a time; a float for a single function."""
-    norms = np.array([row_norm(row, f.dx) for row in f.rows()]).reshape(f.samples.shape[:-1])
-    return float(norms) if norms.ndim == 0 else norms
-
-
 def multiply_exponential(f, rate: float):
     """e^{rate x} f for a GridFunction, an Expansion or a callable. An
     Expansion takes the rate into its own tilt."""

@@ -16,7 +16,9 @@ harmonic.HermiteExpansion or a barrier.SineExpansion, so both take their
 inner products and Gram matrices in coefficient space (grids.inner,
 grids.gram) from the model's moment matrix, with no quadrature rule, and
 pb_core takes the residuals of the expansions the maps return from it too.
-Only the harmonic grid route's maps sample, onto its operator grid.
+Only the harmonic grid route's maps sample, onto its operator grid. One
+builder supplies what the two systems share: the families as identity
+coefficient blocks, the test block, the quasi pairs, inner, gram and beta.
 """
 
 from __future__ import annotations
@@ -45,9 +47,23 @@ TEST_COMBOS = ((1.0, 0.0, 0.5, 0.0, 0.0),   # varphi_0 + 0.5 varphi_2
 QUASI_COMBOS = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.0, -0.3))
 
 
-def _family(expansion: Callable, tilt: float) -> Callable:
-    """family(n_max): members 0..n_max at tilt, as the identity coefficient matrix."""
-    return lambda n_max: expansion(tilt, np.eye(n_max + 1))
+def _ladder_system(params, expansion: Callable, **fields) -> LadderSystem:
+    """A LadderSystem over expansion(tilt, coeffs), one model's expansion
+    class bound to params, with the fields both models share: the families
+    at tilts +-beta as identity coefficient blocks, the test block, the
+    quasi pairs, inner, gram and beta. fields are the model's own."""
+    beta = params.beta
+    f, g = (expansion(0.0, c) for c in QUASI_COMBOS)
+    return LadderSystem(
+        family_phi=lambda n_max: expansion(beta, np.eye(n_max + 1)),
+        family_psi=lambda n_max: expansion(-beta, np.eye(n_max + 1)),
+        inner=inner,
+        gram=gram,
+        beta=beta,
+        test_functions=expansion(beta, TEST_COMBOS),
+        quasi_pairs=[(f, g), (g, f)],
+        **fields,
+    )
 
 
 def _harmonic_norm_residual(params: har.HarmonicParams) -> Callable[[np.ndarray], float]:
@@ -75,9 +91,8 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     fourth-order central first derivative on the operator grid (a
     cross-validation mode whose ladder residuals get a looser tolerance).
 
-    A family block is the identity coefficient matrix. Inner products and
-    Gram matrices are grids.inner and grids.gram, from har.moments, and so
-    are the exact route's residuals: its battery evaluates nothing. The grid
+    Inner products and Gram matrices come from har.moments, and so do the
+    exact route's residuals: its battery evaluates nothing. The grid
     route samples each map input onto the operator grid and each reference
     on an output's grid, through one grids.shared_mode_tables over
     har.mode_table, one row ahead: one Hermite table per node set, built once
@@ -110,22 +125,15 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 
     expansion = partial(har.HermiteExpansion, params,
                         tables=shared_mode_tables(one_row_ahead, params, 0, op_grid))
-    f, g = (expansion(0.0, c) for c in QUASI_COMBOS)
-    return LadderSystem(
+    return _ladder_system(
+        params, expansion,
         label=f"harmonic/{route}",
-        family_phi=_family(expansion, params.beta),
-        family_psi=_family(expansion, -params.beta),
         lower_a=bind(har.apply_A),
         raise_b=bind(har.apply_B),
         lower_b_dag=bind(har.apply_B_dag),
         raise_a_dag=bind(har.apply_A_dag),
         eigens=lambda n: n * 1.0,
-        inner=inner,
-        gram=gram,
-        beta=params.beta,
         norm_residual=_harmonic_norm_residual(params),
-        test_functions=expansion(params.beta, TEST_COMBOS),
-        quasi_pairs=[(f, g), (g, f)],
         tolerances=tolerances,
     )
 
@@ -137,22 +145,17 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 def barrier_system(params: bar.BarrierParams) -> LadderSystem:
     """The double-barrier model bound to the harness, in coefficient space.
 
-    A family block is the identity coefficient matrix. Each map analyzes
-    its input through bar.analyze_phi or bar.analyze_psi and acts on
-    bar.DEFAULT_TRUNCATION + 1 coefficients. Every function the battery
-    handles is a bar.SineExpansion, so inner products, Gram matrices and
-    residuals all come from the closed-form bar.moments: the battery
-    evaluates no function and builds no sine table. The norm products lie
-    between 1 and e^{|beta| L}; the residual is their overshoot of those
-    bounds, relative to the upper one.
+    Each map analyzes its input through bar.analyze_phi or bar.analyze_psi,
+    which return an expansion at the family's own tilt as it is, and shifts
+    its coefficients: lowering keeps their count, raising adds one. Every
+    function the battery handles is a bar.SineExpansion, so inner products,
+    Gram matrices and residuals all come from the closed-form bar.moments:
+    the battery evaluates no function and builds no sine table. The norm
+    products lie between 1 and e^{|beta| L}; the residual is their overshoot
+    of those bounds, relative to the upper one.
     """
-    expansion = partial(bar.SineExpansion, params)
-
-    def spectral(shift, analyze, tilt):
-        def apply(f):
-            return expansion(tilt, shift(params, analyze(params, f)).coeffs)
-
-        return apply
+    def spectral(shift, analyze):
+        return lambda f: shift(params, analyze(params, f))
 
     growth = abs(params.beta) * params.width  # e^growth is not a float above 709.78
     lo, hi = 1.0 - 1e-12, math.exp(growth) if growth < 709.78 else math.inf
@@ -161,21 +164,14 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
         """The overshoot of the bounds; NaN for a NaN product, as CheckResult refuses."""
         return float(np.max(np.maximum(products - hi, lo - products), initial=0.0)) / hi
 
-    f, g = (expansion(0.0, c) for c in QUASI_COMBOS)
-    return LadderSystem(
+    return _ladder_system(
+        params, partial(bar.SineExpansion, params),
         label="barrier/spectral",
-        family_phi=_family(expansion, params.beta),
-        family_psi=_family(expansion, -params.beta),
-        lower_a=spectral(bar.apply_A_hat, bar.analyze_phi, params.beta),
-        raise_b=spectral(bar.apply_B_hat, bar.analyze_phi, params.beta),
+        lower_a=spectral(bar.apply_A_hat, bar.analyze_phi),
+        raise_b=spectral(bar.apply_B_hat, bar.analyze_phi),
         # on psi-coefficients B_hat^dag lowers like A_hat, A_hat^dag raises like B_hat
-        lower_b_dag=spectral(bar.apply_A_hat, bar.analyze_psi, -params.beta),
-        raise_a_dag=spectral(bar.apply_B_hat, bar.analyze_psi, -params.beta),
+        lower_b_dag=spectral(bar.apply_A_hat, bar.analyze_psi),
+        raise_a_dag=spectral(bar.apply_B_hat, bar.analyze_psi),
         eigens=partial(bar.rho_coefficient, params),
-        inner=inner,
-        gram=gram,
-        beta=params.beta,
         norm_residual=norm_residual,
-        test_functions=expansion(params.beta, TEST_COMBOS),
-        quasi_pairs=[(f, g), (g, f)],
     )

@@ -16,7 +16,7 @@ import pytest
 
 from pbk import barrier as bar
 from pbk import harmonic as har
-from pbk.grids import GridSpec, grid_norm
+from pbk.grids import GridSpec, row_norm
 from pbk.kernels import kernel_values
 from pbk.market import MarketParams
 from pbk.pb_core import check_biorthogonality, check_ladder, check_quasi_basis
@@ -91,8 +91,8 @@ def _halving_residuals(op, fn, eigval, grids):
     for grid in grids:
         out = op(grid.sample(fn))
         target = eigval * fn(out.x)
-        errs.append(grid_norm(out.with_samples(out.samples - target))
-                    / grid_norm(out.with_samples(target)))
+        errs.append(row_norm(out.samples - target, out.dx)
+                    / row_norm(target, out.dx))
     return errs
 
 

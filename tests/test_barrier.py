@@ -19,7 +19,6 @@ from pbk.barrier import (
     MAX_SINE_MODES,
     Phi_n,
     SineExpansion,
-    SpectralVector,
     analyze_phi,
     analyze_psi,
     apply_A_hat,
@@ -36,7 +35,7 @@ from pbk.barrier import (
     synthesize_psi,
     varphi_n,
 )
-from pbk.grids import (GridSpec, apply_Theta, apply_Theta_inv, gram, grid_norm,
+from pbk.grids import (GridSpec, apply_Theta, apply_Theta_inv, gram, row_norm,
                        shared_mode_tables)
 from pbk.market import MarketParams
 from pbk.pb_core import run_all_checks
@@ -208,16 +207,16 @@ class TestNaiveFactorization:
     def test_vacuum_annihilated(self, box):
         grid = interior_grid(box, 1e-3 * box.width)
         out = apply_A_naive(box, grid.sample(varphi_n(box, 0)))
-        scale = grid_norm(out.with_samples(varphi_n(box, 0)(out.x)))
-        assert grid_norm(out) / scale < 1e-5
+        scale = row_norm(varphi_n(box, 0)(out.x), out.dx)
+        assert row_norm(out.samples, out.dx) / scale < 1e-5
 
     def test_vacuum_residual_shrinks_at_second_order(self, box):
         errs = []
         for h in (2e-3 * box.width, 1e-3 * box.width, 5e-4 * box.width):
             grid = interior_grid(box, h)
             out = apply_A_naive(box, grid.sample(varphi_n(box, 0)))
-            scale = grid_norm(out.with_samples(varphi_n(box, 0)(out.x)))
-            errs.append(grid_norm(out) / scale)
+            scale = row_norm(varphi_n(box, 0)(out.x), out.dx)
+            errs.append(row_norm(out.samples, out.dx) / scale)
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.9
 
@@ -228,9 +227,7 @@ class TestNaiveFactorization:
         grid = interior_grid(box, 2.5e-4 * box.width)
         out = apply_B_naive(box, grid.sample(varphi_n(box, 0)))
         expected = -2.0 * lam1 * amp * np.exp(box.beta * out.x) * np.cos(lam1 * (out.x - box.a))
-        rel = grid_norm(out.with_samples(out.samples - expected)) / grid_norm(
-            out.with_samples(expected)
-        )
+        rel = row_norm(out.samples - expected, out.dx) / row_norm(expected, out.dx)
         assert rel < 1e-6
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5])
@@ -246,7 +243,7 @@ class TestNaiveFactorization:
             + eigenvalue(box, 0) * varphi_n(box, n)(ba.x)
             - target
         )
-        rel = grid_norm(ba.with_samples(residual)) / grid_norm(ba.with_samples(target))
+        rel = row_norm(residual, ba.dx) / row_norm(target, ba.dx)
         assert rel < 5e-4
 
     def test_pricing_generator_eigen_equation(self, box, market):
@@ -261,8 +258,8 @@ class TestNaiveFactorization:
             out = apply_H_BS(hp, grid.sample(varphi_n(box, n)))
             target = eigenvalue(box, n) * varphi_n(box, n)(out.x)
             errs.append(
-                grid_norm(out.with_samples(out.samples - target))
-                / grid_norm(out.with_samples(target))
+                row_norm(out.samples - target, out.dx)
+                / row_norm(target, out.dx)
             )
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.9
@@ -309,30 +306,32 @@ class TestFailedLadderResidual:
 # the spectral ladder
 
 
-def basis_vector(n, n_max=DEFAULT_TRUNCATION):
+def basis_vector(params, n, n_max=DEFAULT_TRUNCATION):
+    """varphi_n as an expansion of n_max + 1 coefficients."""
     c = np.zeros(n_max + 1)
     c[n] = 1.0
-    return SpectralVector(c)
+    return synthesize_phi(params, c)
 
 
 class TestSpectralVector:
-    # at its own tilt an expansion's analysis is its coefficients, bit for bit,
-    # zero-padded to the truncation
+    # at its own tilt an expansion's analysis is the expansion itself
     def test_roundtrip_through_synthesis(self, box):
         rng = np.random.default_rng(42)
         coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
         coeffs[:7] = rng.standard_normal(7)
-        f = synthesize_phi(box, SpectralVector(coeffs))
+        f = synthesize_phi(box, coeffs)
         assert isinstance(f, SineExpansion) and f.tilt == box.beta
+        assert analyze_phi(box, f) is f
         np.testing.assert_array_equal(analyze_phi(box, f).coeffs, coeffs)
-        short = synthesize_phi(box, SpectralVector(coeffs[:7]))
-        np.testing.assert_array_equal(analyze_phi(box, short).coeffs, coeffs)
+        short = synthesize_phi(box, coeffs[:7])
+        np.testing.assert_array_equal(analyze_phi(box, short).coeffs, coeffs[:7])
 
     def test_psi_roundtrip(self, box):
         coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
         coeffs[2] = 1.0
         coeffs[5] = -0.7
-        f = synthesize_psi(box, SpectralVector(coeffs))
+        f = synthesize_psi(box, coeffs)
+        assert analyze_psi(box, f) is f
         np.testing.assert_array_equal(analyze_psi(box, f).coeffs, coeffs)
 
     @pytest.mark.parametrize("analyze, rate", [(analyze_phi, -1.0), (analyze_psi, 1.0)],
@@ -347,13 +346,15 @@ class TestSpectralVector:
         modes = mode_table(box, DEFAULT_TRUNCATION, rule.nodes)
         weighted = rule.weights * np.exp(rate * box.beta * rule.nodes) * f(rule.nodes)
         quadrature = weighted @ modes.T
-        got = analyze(box, f).coeffs
+        analyzed = analyze(box, f)
+        got = analyzed.coeffs
+        assert analyzed.tilt == -rate * box.beta
         assert got.shape == (2, DEFAULT_TRUNCATION + 1)
         assert np.max(np.abs(got - quadrature)) <= 1e-14 * np.max(np.abs(got))
         np.testing.assert_array_equal(analyze(box, f.with_coeffs(coeffs[1])).coeffs, got[1])
 
     def test_synthesis_vanishes_outside(self, box):
-        f = synthesize_phi(box, basis_vector(0))
+        f = basis_vector(box, 0)
         assert f(box.a - 1.0) == 0.0
         assert f(box.b + 1.0) == 0.0
         assert isinstance(f(1.0), float)
@@ -361,17 +362,17 @@ class TestSpectralVector:
 
 class TestSpectralLadder:
     def test_vacuum(self, box):
-        out = apply_A_hat(box, basis_vector(0))
+        out = apply_A_hat(box, basis_vector(box, 0))
         assert np.all(out.coeffs == 0.0)
 
     def test_raising_step(self, box):
-        out = apply_B_hat(box, basis_vector(3))
+        out = apply_B_hat(box, basis_vector(box, 3))
         expected = math.sqrt(rho_coefficient(box, 4))
         assert out.coeffs[4] == pytest.approx(expected, rel=1e-15)
         assert np.count_nonzero(out.coeffs) == 1
 
     def test_lowering_step(self, box):
-        out = apply_A_hat(box, basis_vector(4))
+        out = apply_A_hat(box, basis_vector(box, 4))
         assert out.coeffs[3] == pytest.approx(math.sqrt(rho_coefficient(box, 4)), rel=1e-15)
 
     @pytest.mark.parametrize("bounds", [(0.0, math.pi), (math.log(80.0), math.log(120.0))],
@@ -379,49 +380,52 @@ class TestSpectralLadder:
     def test_shifts_are_the_roots_of_rho_to_the_bit(self, market, bounds):
         # the ladder maps and the battery's sqrt(e_n) read the one rho_n
         params = BarrierParams(market, *bounds)
-        ones = SpectralVector(np.ones(DEFAULT_TRUNCATION + 1))
+        ones = synthesize_phi(params, np.ones(DEFAULT_TRUNCATION + 1))
         roots = np.sqrt(rho_coefficient(params, np.arange(DEFAULT_TRUNCATION + 2)))
         raised = apply_B_hat(params, ones)
-        np.testing.assert_array_equal(raised.coeffs[1:], roots[1:-1])
-        assert raised.discarded_tail == roots[-1]
+        np.testing.assert_array_equal(raised.coeffs[1:], roots[1:])
         np.testing.assert_array_equal(apply_A_hat(params, ones).coeffs[:-1], roots[1:-1])
 
     def test_number_operator(self, box):
         rng = np.random.default_rng(1)
         coeffs = rng.standard_normal(DEFAULT_TRUNCATION + 1)
-        v = SpectralVector(coeffs)
-        ba = apply_B_hat(box, apply_A_hat(box, v))
-        n = np.arange(DEFAULT_TRUNCATION + 1)
+        ba = apply_B_hat(box, apply_A_hat(box, synthesize_phi(box, coeffs)))
+        n = np.arange(DEFAULT_TRUNCATION + 2)
         rho = math.pi**2 * n * (n + 2.0) / box.width**2
-        np.testing.assert_allclose(ba.coeffs, rho * coeffs, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(ba.coeffs, rho * np.append(coeffs, 0.0), rtol=1e-13,
+                                   atol=1e-13)
 
     def test_reversed_product_shifts_the_eigenvalue(self, box):
         coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
         coeffs[6] = 2.0
-        ab = apply_A_hat(box, apply_B_hat(box, SpectralVector(coeffs)))
+        ab = apply_A_hat(box, apply_B_hat(box, synthesize_phi(box, coeffs)))
         assert ab.coeffs[6] == pytest.approx(2.0 * rho_coefficient(box, 7), rel=1e-13)
 
     def test_dual_ladder_number_operator(self, box):
         coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
         coeffs[5] = 1.0
         # on psi-coefficients A_hat^dag raises like B_hat, B_hat^dag lowers like A_hat
-        out = apply_B_hat(box, apply_A_hat(box, SpectralVector(coeffs)))
+        out = apply_B_hat(box, apply_A_hat(box, synthesize_psi(box, coeffs)))
+        assert out.tilt == -box.beta
         assert out.coeffs[5] == pytest.approx(rho_coefficient(box, 5), rel=1e-13)
 
-    def test_raising_reports_discarded_tail(self, box):
+    def test_raising_keeps_the_old_tail(self, box):
+        # what a raise past the top coefficient used to drop, sqrt(rho_n) c_{n-1}
+        # at n = DEFAULT_TRUNCATION + 1, is the new last coefficient, bit for bit
         coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
         coeffs[-1] = 1.0
-        out = apply_B_hat(box, SpectralVector(coeffs))
-        assert out.discarded_tail > 0.0
-        assert np.all(out.coeffs[1:] == 0.0) or np.count_nonzero(out.coeffs) == 0
+        out = apply_B_hat(box, synthesize_phi(box, coeffs))
+        assert out.coeffs.shape == (DEFAULT_TRUNCATION + 2,)
+        assert out.coeffs[-1] == np.sqrt(rho_coefficient(box, DEFAULT_TRUNCATION + 1))
+        assert np.count_nonzero(out.coeffs) == 1
 
     def test_tail_zero_when_top_mode_empty(self, box):
-        out = apply_B_hat(box, basis_vector(3))
-        assert out.discarded_tail == 0.0
+        out = apply_B_hat(box, basis_vector(box, 3))
+        assert out.coeffs[-1] == 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 17, 128])
     def test_hamiltonian_from_ladder_is_exact(self, box, n):
-        v = basis_vector(n)
+        v = basis_vector(box, n)
         ba = apply_B_hat(box, apply_A_hat(box, v))
         total = box.sigma**2 / 2.0 * ba.coeffs[n] + eigenvalue(box, 0)
         assert total == pytest.approx(eigenvalue(box, n), rel=1e-13)
@@ -462,13 +466,12 @@ class TestSimilarityMaps:
         # primal number operator applied after Theta^-1
         x = np.linspace(box.a + 0.05, box.b - 0.05, 401)
 
-        dual = apply_B_hat(box, apply_A_hat(box, basis_vector(n)))
-        left = apply_Theta_inv(box, synthesize_psi(box, dual))(x)
+        member = apply_Theta(box, basis_vector(box, n))  # psi_n as an expansion
+        dual = apply_B_hat(box, apply_A_hat(box, member))
+        left = apply_Theta_inv(box, dual)(x)
 
-        member = synthesize_psi(box, basis_vector(n))  # psi_n as an expansion
         mapped = analyze_phi(box, apply_Theta_inv(box, member))
-        primal = apply_B_hat(box, apply_A_hat(box, mapped))
-        right = synthesize_phi(box, primal)(x)
+        right = apply_B_hat(box, apply_A_hat(box, mapped))(x)
 
         np.testing.assert_allclose(member(x), psi_n(box, n)(x), rtol=1e-14)
         scale = np.max(np.abs(left))
@@ -581,19 +584,17 @@ class TestBlocks:
     def block(n_max=16):
         coeffs = np.random.default_rng(9).standard_normal((3, n_max + 1))
         coeffs[:, -1] = (0.0, 0.5, -2.0)
-        return SpectralVector(coeffs)
+        return coeffs
 
     def test_ladder_maps_act_row_by_row(self, box):
-        block = self.block()
-        for op in (apply_A_hat, apply_B_hat):
+        block = synthesize_phi(box, self.block())
+        for op, size in ((apply_A_hat, 17), (apply_B_hat, 18)):
             out = op(box, block)
-            assert out.n_max == block.n_max == 16
+            assert out.coeffs.shape == (3, size)
             for i, row in enumerate(block.coeffs):
-                alone = op(box, SpectralVector(row))
+                alone = op(box, block.with_coeffs(row))
                 np.testing.assert_array_equal(out.coeffs[i], alone.coeffs)
-                tail = out.discarded_tail
-                assert (tail if np.ndim(tail) == 0 else tail[i]) == alone.discarded_tail
-        assert apply_B_hat(box, block).discarded_tail[0] == 0.0
+        assert apply_B_hat(box, block).coeffs[0, -1] == 0.0
 
     def test_synthesis_and_analysis_rows_match_single_rows(self, box):
         block = self.block()
@@ -602,21 +603,22 @@ class TestBlocks:
                                     (synthesize_psi, analyze_psi)):
             f = synthesize(box, block)
             values = f(x)
-            coeffs = analyze(box, f).coeffs
+            # at a foreign tilt, where analysis re-expands through moments
+            coeffs = analyze(box, f.tilted(0.3)).coeffs
             assert values.shape == (3, x.size) and coeffs.shape == (3, DEFAULT_TRUNCATION + 1)
-            for i, row in enumerate(block.coeffs):
-                g = synthesize(box, SpectralVector(row))
+            for i, row in enumerate(block):
+                g = synthesize(box, row)
                 # one matrix product against three: equal to the last few ulps
                 np.testing.assert_allclose(values[i], g(x), rtol=0.0,
                                            atol=1e-15 * np.max(np.abs(values[i])))
-                np.testing.assert_allclose(coeffs[i], analyze(box, g).coeffs,
+                np.testing.assert_allclose(coeffs[i], analyze(box, g.tilted(0.3)).coeffs,
                                            rtol=0.0, atol=1e-14)
             np.testing.assert_array_equal(f(1.0), f(np.array([1.0]))[:, 0])
 
     def test_identity_block_is_the_family(self, box):
         x = np.linspace(box.a, box.b, 301)
         for synthesize, member in ((synthesize_phi, varphi_n), (synthesize_psi, psi_n)):
-            values = synthesize(box, SpectralVector(np.eye(9)))(x)
+            values = synthesize(box, np.eye(9))(x)
             for n in range(9):
                 np.testing.assert_allclose(values[n], member(box, n)(x), rtol=0.0,
                                            atol=1e-14)
@@ -628,7 +630,7 @@ class TestBlocks:
         for synthesize, rate in ((synthesize_phi, box.beta), (synthesize_psi, -box.beta)):
             expected = np.where(inside, mode_table(box, 8, x) * np.exp(rate * x), 0.0)
             for shared in (None, tables):
-                block = synthesize(box, SpectralVector(np.eye(9)), shared)
+                block = synthesize(box, np.eye(9), shared)
                 np.testing.assert_array_equal(block(x), expected)
 
     def test_points_of_any_shape(self, box):
@@ -637,10 +639,10 @@ class TestBlocks:
         np.testing.assert_array_equal(mode_table(box, 4, x),
                                       mode_table(box, 4, x.ravel()).reshape(5, 2, 3))
         for synthesize in (synthesize_phi, synthesize_psi):
-            f = synthesize(box, SpectralVector(np.eye(5)))
+            f = synthesize(box, np.eye(5))
             assert f(np.ones((2, 3))).shape == (5, 2, 3)
             np.testing.assert_array_equal(f(x), f(x.ravel()).reshape(5, 2, 3))
-            g = synthesize(box, SpectralVector(np.arange(5.0)))
+            g = synthesize(box, np.arange(5.0))
             np.testing.assert_array_equal(g(x), g(x.ravel()).reshape(2, 3))
 
 
@@ -702,11 +704,11 @@ class TestSharedTables:
         coeffs = np.random.default_rng(4).standard_normal((3, 21))
         for synthesize, analyze in ((synthesize_phi, analyze_phi),
                                     (synthesize_psi, analyze_psi)):
-            for v in (SpectralVector(coeffs), SpectralVector(np.eye(61))):
+            for v in (coeffs, np.eye(61)):
                 for x in self.node_sets(box):
                     assert np.array_equal(synthesize(box, v, tables)(x),
                                           synthesize(box, v)(x))
             # analysis reads coefficients, never a table
             calls = count_mode_tables(monkeypatch)
-            analyze(box, synthesize(box, SpectralVector(coeffs), tables).tilted(0.3))
+            analyze(box, synthesize(box, coeffs, tables).tilted(0.3))
             assert calls == []

@@ -734,6 +734,21 @@ def test_diagnose_echo_reproduces_the_report(capsys, tmp_path, argv):
     assert run_cli(capsys, ["diagnose", *argv[:2], "--params", str(path)]) == (code, out, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "harmonic", "--sigma", "0.3", "--r", "0.07", "--w", "0.5", "--x", "0.2",
+     "--payoff", "put", "--strike", "1.1", "--tau", "0.7", "--which", "p2"],
+    ["--model", "barrier", "--lower", "70", "--upper", "140", "--s0", "95", "--sigma",
+     "0.25", "--r", "0.03", "--payoff", "digital_call", "--strike", "105", "--tau", "0.3"],
+    ["--model", "barrier", "--lower", "80", "--upper", "120", "--flip-beta"],
+], ids=["harmonic", "barrier", "flipped"])
+def test_price_echo_reproduces_the_report(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, ["price", *argv])
+    assert code == 0
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(json.loads(out)["result"]["config_echo"]))
+    assert run_cli(capsys, ["price", *argv[:2], "--params", str(path)]) == (code, out, err)
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 

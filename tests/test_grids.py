@@ -11,7 +11,6 @@ from pbk.grids import (
     GridFunction,
     GridSpec,
     derivative,
-    grid_norm,
     multiply_exponential,
     row_norm,
     second_derivative,
@@ -62,8 +61,7 @@ def test_block_rows_match_single_functions():
             out, alone = op(block), op(single)
             assert (out.x0, out.dx, out.n) == (alone.x0, alone.dx, alone.n)
             np.testing.assert_array_equal(out.samples[i], alone.samples)
-        assert grid_norm(block)[i] == grid_norm(single)
-    assert isinstance(grid_norm(g.sample(np.sin)), float)
+        assert row_norm(block.samples[i], block.dx) == row_norm(single.samples, single.dx)
     with pytest.raises(ValueError, match="dimensional"):
         GridFunction(0.0, 0.1, np.ones((2, 2, 9)))
 
@@ -119,13 +117,13 @@ def test_grid_norm():
     g = GridSpec.over(0.0, 1.0, 101)
     f = g.sample(lambda x: np.ones_like(x))
     # dx * n slightly exceeds the interval length for an inclusive grid
-    assert grid_norm(f) == pytest.approx(math.sqrt(0.01 * 101))
+    assert row_norm(f.samples, f.dx) == pytest.approx(math.sqrt(0.01 * 101))
 
 
 def test_grid_norm_complex():
     g = GridSpec.over(0.0, 1.0, 101)
     f = g.sample(lambda x: 1j * np.ones_like(x))
-    assert grid_norm(f) == pytest.approx(math.sqrt(0.01 * 101))
+    assert row_norm(f.samples, f.dx) == pytest.approx(math.sqrt(0.01 * 101))
 
 
 def test_with_samples_keeps_coordinates():
@@ -144,8 +142,7 @@ def test_row_by_row_norm_equals_whole_block_formula(rows):
                     rng.standard_normal((rows, g.n)) + 1j * rng.standard_normal((rows, g.n))):
         f = GridFunction(g.x0, g.dx, samples).interior(2)  # a strided view, as an output's
         whole = np.sqrt(f.dx * np.sum(np.square(np.abs(f.samples)), axis=-1))
-        for norms in (grid_norm(f), [row_norm(row, f.dx) for row in f.samples]):
-            np.testing.assert_array_equal(norms, whole)
+        np.testing.assert_array_equal([row_norm(row, f.dx) for row in f.rows()], whole)
 
 
 def counted_table(calls):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pbk import harmonic
 from pbk import grids
-from pbk.grids import GridSpec, apply_Theta, apply_Theta_inv, derivative, grid_norm
+from pbk.grids import GridSpec, apply_Theta, apply_Theta_inv, derivative, row_norm
 from pbk.specialfn import MAX_DEGREE
 from pbk.harmonic import (
     HarmonicParams,
@@ -294,9 +294,7 @@ class TestGridRoute:
         out = apply_B(p, self.grid_mode(p, 3, grid))
         target = varphi_n(p, 4)
         residual = out.samples - 2.0 * target(out.x)
-        rel = grid_norm(out.with_samples(residual)) / grid_norm(
-            out.with_samples(target(out.x))
-        )
+        rel = row_norm(residual, out.dx) / row_norm(target(out.x), out.dx)
         assert rel < 1e-6
 
     def test_eigen_equation_converges_at_second_order(self, market):
@@ -308,8 +306,8 @@ class TestGridRoute:
             out = apply_H_eff(p, grid.sample(varphi_n(p, n)))
             target = (n + p.delta) * varphi_n(p, n)(out.x)
             errs.append(
-                grid_norm(out.with_samples(out.samples - target))
-                / grid_norm(out.with_samples(target))
+                row_norm(out.samples - target, out.dx)
+                / row_norm(target, out.dx)
             )
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 1.9

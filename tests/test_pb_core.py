@@ -187,6 +187,24 @@ class TestIndividualChecks:
         assert intertwining.max_residual > 1e-3
 
     @pytest.mark.parametrize("model", ["harmonic", "barrier"])
+    def test_maps_keep_the_expansion_class_and_tilt(self, request, model):
+        # both models' maps act on an expansion's coefficients at its own tilt;
+        # raising adds exactly one coefficient, so nothing is dropped
+        system = request.getfixturevalue(model)
+        phi_side = (system.family_phi(6), system.test_functions)
+        psi_side = (system.family_psi(6), apply_Theta(system, system.test_functions))
+        for op, inputs, raises in ((system.lower_a, phi_side, False),
+                                   (system.raise_b, phi_side, True),
+                                   (system.lower_b_dag, psi_side, False),
+                                   (system.raise_a_dag, psi_side, True)):
+            for f in inputs:
+                out = op(f)
+                assert type(out) is type(f) and out.tilt == f.tilt
+                assert out.coeffs.shape[:-1] == f.coeffs.shape[:-1]
+                if raises:
+                    assert out.coeffs.shape[-1] == f.coeffs.shape[-1] + 1
+
+    @pytest.mark.parametrize("model", ["harmonic", "barrier"])
     def test_residual_across_tilts_is_refused(self, request, model):
         # Theta phi_n has tilt -beta and this psi family -1.001 beta: their
         # residual would need the norm of a sum of two tilts, and is refused
