@@ -29,7 +29,7 @@ it is, and re-expands one at any other tilt through the same matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -196,7 +196,7 @@ def _naive_first_order(params: BarrierParams, f: GridFunction, d_sign: float, be
     _require_interior_grid(params, f)
     lam1 = params.wavenumber(1)
     d = derivative(f)
-    mid = f.interior(2)
+    mid = f.interior(3)
     cot = lam1 / np.tan(lam1 * (d.x - params.a))
     vals = d_sign * d.samples - cot * mid.samples + beta_sign * params.beta * mid.samples
     return d.with_samples(vals)
@@ -248,7 +248,7 @@ class SineExpansion(Expansion):
                         (self.params.a, self.params.b))
 
     def moments(self, s: float, n: int) -> np.ndarray:
-        return moments(self.params, s, n)
+        return (self.matrices or partial(moments, self.params))(s, n)
 
 
 def moments(params: BarrierParams, s: float, n: int) -> np.ndarray:
@@ -283,8 +283,8 @@ def _analyze(params: BarrierParams, f: SineExpansion, tilt: float) -> SineExpans
     if f.tilt == tilt:
         return f
     n = max(f.coeffs.shape[-1], DEFAULT_TRUNCATION + 1)
-    coeffs = pad(f.coeffs, n) @ moments(params, f.tilt - tilt, n)[:, : DEFAULT_TRUNCATION + 1]
-    return SineExpansion(params, tilt, coeffs, f.tables)
+    coeffs = pad(f.coeffs, n) @ f.moments(f.tilt - tilt, n)[:, : DEFAULT_TRUNCATION + 1]
+    return replace(f, tilt=tilt, coeffs=coeffs)
 
 
 def analyze_phi(params: BarrierParams, f: SineExpansion) -> SineExpansion:

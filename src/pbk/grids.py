@@ -1,10 +1,10 @@
 """Uniform grids, sampled functions, and central-difference operators.
 
 Differential operators in this package act on sampled functions by central
-differences: five points and fourth order for the first derivative, three
+differences: seven points and sixth order for the first derivative, three
 points and second order for the second. A GridFunction remembers its own
 origin and step, so the output of an operator is simply a shorter
-GridFunction starting two or one steps in.
+GridFunction starting three or one steps in.
 
 A GridFunction holds one function (1-D samples) or a block of functions on
 the same grid (2-D samples, one function per row). Operators and norms act
@@ -104,14 +104,20 @@ class GridFunction:
 
 
 def derivative(f: GridFunction) -> GridFunction:
-    """Fourth-order central first derivative (f_{-2} - 8 f_{-1} + 8 f_{+1} - f_{+2}) / (12 h);
-    output is 4 samples shorter."""
-    d = f.samples[..., 3:-1] - f.samples[..., 1:-3]
-    d *= 8.0
-    d += f.samples[..., :-4]
-    d -= f.samples[..., 4:]
-    d /= 12.0 * f.dx
-    return GridFunction(f.x0 + 2.0 * f.dx, f.dx, d)
+    """Sixth-order central first derivative
+    (-f_{-3} + 9 f_{-2} - 45 f_{-1} + 45 f_{+1} - 9 f_{+2} + f_{+3}) / (60 h)
+    (Fornberg 1988); output is 6 samples shorter."""
+    s = f.samples
+    # ((f_1 - f_{-1}) 5 - (f_2 - f_{-2})) 9 + (f_3 - f_{-3}), in place in one array
+    d = s[..., 4:-2] - s[..., 2:-4]
+    d *= 5.0
+    d -= s[..., 5:-1]
+    d += s[..., 1:-5]
+    d *= 9.0
+    d += s[..., 6:]
+    d -= s[..., :-6]
+    d /= 60.0 * f.dx
+    return GridFunction(f.x0 + 3.0 * f.dx, f.dx, d)
 
 
 def second_derivative(f: GridFunction) -> GridFunction:
@@ -201,6 +207,29 @@ def shared_mode_tables(mode_table: Callable, params, n_max: int,
     return tables
 
 
+def shared_moments(moments: Callable, params, n_min: int) -> Callable:
+    """matrices(s, n): the n x n matrix moments(params, s, n), one per tilt s.
+
+    A tilt gets one read-only matrix of size max(n_min, n) the first time it
+    is asked for. A larger n replaces it; a smaller n reads its leading
+    n x n block. Each model builds its matrix entry by entry, or row by row
+    from a first row that is a cumulative product, so the block equals a
+    fresh build bit for bit. The matrices live as long as the returned
+    callable.
+    """
+    held = {}
+
+    def matrices(s: float, n: int) -> np.ndarray:
+        key = float(s).hex()  # -0.0 gets its own matrix: its zeros may carry a sign
+        if key not in held or len(held[key]) < n:
+            matrix = moments(params, s, max(n, n_min))
+            matrix.flags.writeable = False
+            held[key] = matrix
+        return held[key][:n, :n]
+
+    return matrices
+
+
 def unit_coefficients(n: int, cap: int) -> np.ndarray:
     """The coefficients of mode n alone, n in 0..cap: a 1 after n zeros."""
     if not 0 <= n <= cap:
@@ -217,19 +246,21 @@ class Expansion:
     A coefficient matrix is a block of functions, one per row; the identity
     is a family block. A model's subclass evaluates through mode_sum and gives
     moments(s, n), the n x n matrix (Phi_m, e^{s x} Phi_j) that inner and gram
-    read. tables, a shared_mode_tables callable or None, is passed on.
+    read. tables, a shared_mode_tables callable or None, and matrices, a
+    shared_moments callable or None, are passed on.
     """
 
     params: Any
     tilt: float
     coeffs: np.ndarray = field(repr=False)
     tables: Optional[Callable] = field(default=None, repr=False, compare=False)
+    matrices: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs)))
 
     def with_coeffs(self, coeffs: np.ndarray):
-        """Same params, tilt and tables, new coefficients."""
+        """Same params, tilt, tables and matrices, new coefficients."""
         return replace(self, coeffs=coeffs)
 
     def tilted(self, extra_tilt: float):

@@ -12,9 +12,9 @@ eigenfunctions of H_eff and of its adjoint with the common spectrum n + delta.
 
 Operators come in two interchangeable realizations:
 
-* on a ``GridFunction``, d/dx is the fourth-order five-point central
-  difference, so the ladder maps are fourth order and the generators, which
-  add a three-point d^2/dx^2, second order (outputs four samples shorter);
+* on a ``GridFunction``, d/dx is the sixth-order seven-point central
+  difference, so the ladder maps are sixth order and the generators, which
+  add a three-point d^2/dx^2, second order (outputs six samples shorter);
   the realization is independent of the eigenbasis, so eigen-equation
   residuals genuinely measure the operators;
 * on a ``HermiteExpansion`` (a finite combination e^{t x} sum c_k Phi_k),
@@ -33,6 +33,7 @@ grids.inner and grids.gram need no quadrature rule on either route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import math
@@ -42,9 +43,9 @@ import numpy as np
 from .grids import (Expansion, GridFunction, GridSpec, derivative, mode_sum,
                     multiply_exponential, pad, second_derivative, unit_coefficients)
 from .market import MarketParams, MarketView
-from .specialfn import MAX_DEGREE, hermite_function_sequence, laguerre
+from .specialfn import MAX_DEGREE, hermite_function_sequence, laguerre_sequence
 
-OPERATOR_GRID_POINTS = 8001
+OPERATOR_GRID_POINTS = 2001
 OPERATOR_GRID_HALF_WIDTH = 10.0  # in units of sigma
 
 
@@ -140,7 +141,7 @@ def quadratic_potential(params: HarmonicParams, x):
 
 def operator_grid(params: HarmonicParams) -> GridSpec:
     """The grid route's grid, center +- 10 sigma: its finite differences run
-    and its residuals are measured on it; the fourth-order first derivative
+    and its residuals are measured on it; the sixth-order first derivative
     keeps ladder residuals to mode 20 below 1e-8."""
     half = OPERATOR_GRID_HALF_WIDTH * params.sigma
     return GridSpec.over(params.center - half, params.center + half,
@@ -192,7 +193,7 @@ class HermiteExpansion(Expansion):
         return self.with_coeffs(self.deriv_coeffs())
 
     def moments(self, s: float, n: int) -> np.ndarray:
-        return moments(self.params, s, n)
+        return (self.matrices or partial(moments, self.params))(s, n)
 
 
 def _unit_expansion(params: HarmonicParams, n: int, tilt: float) -> HermiteExpansion:
@@ -247,7 +248,7 @@ def moments(params: HarmonicParams, s: float, n: int) -> np.ndarray:
 
 Applicable = Union[GridFunction, HermiteExpansion]
 
-_MIN_OPERATOR_SAMPLES = 13  # the output, 4 samples shorter, must itself be a valid GridFunction
+_MIN_OPERATOR_SAMPLES = 15  # the output, 6 samples shorter, must itself be a valid GridFunction
 
 
 def _require_operator_grid(f: GridFunction) -> None:
@@ -275,7 +276,7 @@ def _first_order(params: HarmonicParams, f: Applicable, d_sign: float, beta_step
     factor = superpotential(params, d.x) + shift
     # written into d's own array, one row at a time: a block on the operator
     # grid holds megabytes per copy
-    for row, mid in zip(d.rows(), f.interior(2).rows()):
+    for row, mid in zip(d.rows(), f.interior(3).rows()):
         if d_sign > 0:
             row += factor * mid
         else:
@@ -338,8 +339,8 @@ def _second_order(
     d1 = derivative(f)
     # three-point, trimmed to d1's points: a five-point second derivative is
     # already at its rounding floor on the step that measures these generators
-    d2 = second_derivative(f).interior(1)
-    mid = f.interior(2)
+    d2 = second_derivative(f).interior(2)
+    mid = f.interior(3)
     vals = -(s**2 / 2.0) * d2.samples + drift * d1.samples + constant * mid.samples
     if with_potential:
         vals = vals + quadratic_potential(params, d1.x) * mid.samples
@@ -381,8 +382,9 @@ def apply_rho_inv(params: HarmonicParams, f):
     return multiply_exponential(f, params.beta)
 
 
-def norm_squared_law(params: HarmonicParams, n: int, family: str = "varphi") -> float:
-    """Closed form for ||varphi_n||^2 or ||psi_n||^2.
+def norm_squared_law(params: HarmonicParams, n, family: str = "varphi"):
+    """Closed form for ||varphi_n||^2 or ||psi_n||^2; n is an int, or an
+    integer array read from one Laguerre recurrence.
 
     ||varphi_n||^2 = e^{beta^2 sigma^2 - 2 beta w sigma^2} L_n(-2 beta^2 sigma^2)
     and psi_n carries the opposite sign of the w term. The product
@@ -396,5 +398,9 @@ def norm_squared_law(params: HarmonicParams, n: int, family: str = "varphi") -> 
         sign = 1.0
     else:
         raise ValueError(f"family must be 'varphi' or 'psi', got {family!r}")
-    return (math.exp(b * b * s * s + sign * 2.0 * b * w * s * s)
-            * laguerre(n, -2.0 * b * b * s * s))
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError(f"mode index must be nonnegative, got {n}")
+    law = (math.exp(b * b * s * s + sign * 2.0 * b * w * s * s)
+           * laguerre_sequence(int(np.max(n)), -2.0 * b * b * s * s)[n])
+    return law if law.ndim else float(law)

@@ -40,21 +40,28 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds the supported cap {MAX_DEGREE}")
 
 
-def laguerre(n: int, x):
-    """Laguerre polynomial L_n(x).
+def laguerre_sequence(n_max: int, x) -> np.ndarray:
+    """Laguerre polynomials L_0(x)..L_{n_max}(x) in one array of shape
+    (n_max + 1,) + x.shape.
 
     The recurrence (m+1) L_{m+1} = (2m+1-x) L_m - m L_{m-1} is stable for the
     nonpositive arguments used by the norm-growth law (all terms positive).
     """
-    _check_degree(n)
-    x = np.asarray(x, dtype=float)
-    l_prev = np.ones_like(x)
-    if n == 0:
-        return l_prev if l_prev.ndim else float(l_prev)
-    l = 1.0 - x
-    for m in range(1, n):
-        l, l_prev = ((2.0 * m + 1.0 - x) * l - m * l_prev) / (m + 1.0), l
-    return l if l.ndim else float(l)
+    _check_degree(n_max)
+    x = np.asarray(x, dtype=float)[()]  # a scalar x steps as a numpy scalar, faster
+    out = np.empty((n_max + 1,) + np.shape(x))
+    out[0] = 1.0
+    if n_max:
+        out[1] = 1.0 - x
+    for m in range(1, n_max):
+        out[m + 1] = ((2.0 * m + 1.0 - x) * out[m] - m * out[m - 1]) / (m + 1.0)
+    return out
+
+
+def laguerre(n: int, x):
+    """Laguerre polynomial L_n(x), the last row of laguerre_sequence."""
+    value = laguerre_sequence(n, x)[n]
+    return value if value.ndim else float(value)
 
 
 def theta3(u, ell: float):

@@ -2,7 +2,7 @@
 
 The harmonic model plugs in either through exact Hermite-coefficient algebra
 (route "exact") or through finite differences on a dense grid (route "grid"):
-fourth order for the ladder maps, second order for the generators. The
+sixth order for the ladder maps, second order for the generators. The
 barrier model always works in sine-coefficient space, where its ladder maps
 are defined. Each system carries its model's beta, the tilt of the metric
 Theta = e^{-2 beta x} both share, its eigenvalue function, its tolerances
@@ -18,7 +18,8 @@ grids.gram) from the model's moment matrix, with no quadrature rule, and
 pb_core takes the residuals of the expansions the maps return from it too.
 Only the harmonic grid route's maps sample, onto its operator grid. One
 builder supplies what the two systems share: the families as identity
-coefficient blocks, the test block, the quasi pairs, inner, gram and beta.
+coefficient blocks, the test block, the quasi pairs, inner, gram, beta and
+one moment matrix per tilt for the system's lifetime.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import numpy as np
 
 from . import barrier as bar
 from . import harmonic as har
-from .grids import GridFunction, gram, inner, shared_mode_tables
+from .grids import GridFunction, gram, inner, shared_mode_tables, shared_moments
 from .market import beta_is_degenerate
-from .pb_core import LadderSystem
+from .pb_core import NORM_N_MAX_CAP, LadderSystem
 # not called here: perfbench/tracing.py patches this name in this module
 from .quadrature import adaptive_inner_product  # noqa: F401
 from .specialfn import MAX_DEGREE
@@ -47,12 +48,19 @@ TEST_COMBOS = ((1.0, 0.0, 0.5, 0.0, 0.0),   # varphi_0 + 0.5 varphi_2
 QUASI_COMBOS = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.0, -0.3))
 
 
-def _ladder_system(params, expansion: Callable, **fields) -> LadderSystem:
+def _ladder_system(params, expansion: Callable, moments: Callable, **fields) -> LadderSystem:
     """A LadderSystem over expansion(tilt, coeffs), one model's expansion
     class bound to params, with the fields both models share: the families
     at tilts +-beta as identity coefficient blocks, the test block, the
-    quasi pairs, inner, gram and beta. fields are the model's own."""
+    quasi pairs, inner, gram and beta. fields are the model's own.
+
+    Every expansion of the system carries one grids.shared_moments over the
+    model's moments, so each tilt's matrix is built once for the system's
+    lifetime, at the NORM_N_MAX_CAP + 1 coefficients of the quasi-basis
+    families, the largest the battery pairs, and read as leading blocks."""
     beta = params.beta
+    expansion = partial(expansion, matrices=shared_moments(moments, params,
+                                                           NORM_N_MAX_CAP + 1))
     f, g = (expansion(0.0, c) for c in QUASI_COMBOS)
     return LadderSystem(
         family_phi=lambda n_max: expansion(beta, np.eye(n_max + 1)),
@@ -74,9 +82,9 @@ def _harmonic_norm_residual(params: har.HarmonicParams) -> Callable[[np.ndarray]
         return lambda products: float(np.max(np.abs(products - 1.0)))
 
     def residual(products: np.ndarray) -> float:
-        law = np.array([math.sqrt(har.norm_squared_law(params, n, "varphi")
-                                  * har.norm_squared_law(params, n, "psi"))
-                        for n in range(products.size)])
+        n = np.arange(products.size)
+        law = np.sqrt(har.norm_squared_law(params, n, "varphi")
+                      * har.norm_squared_law(params, n, "psi"))
         gap = np.max(np.abs(products - law) / law)
         return float(np.maximum(gap, np.max(products[:-1] - products[1:], initial=0.0)))
 
@@ -88,11 +96,12 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 
     route "exact" applies ladder maps to eigenfamily members through their
     Hermite coefficients; route "grid" forces every application through the
-    fourth-order central first derivative on the operator grid (a
+    sixth-order central first derivative on the 2001-point operator grid (a
     cross-validation mode whose ladder residuals get a looser tolerance).
 
-    Inner products and Gram matrices come from har.moments, and so do the
-    exact route's residuals: its battery evaluates nothing. The grid
+    Inner products and Gram matrices come from har.moments, one matrix per
+    tilt for the system's lifetime, and so do the exact route's residuals:
+    its battery evaluates nothing. The grid
     route samples each map input onto the operator grid and each reference
     on an output's grid, through one grids.shared_mode_tables over
     har.mode_table, one row ahead: one Hermite table per node set, built once
@@ -113,8 +122,8 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 
         return apply
 
-    # the grid route funnels every ladder map through the fourth-order central
-    # first derivative; its residuals scale with h^4 times derivative magnitudes
+    # the grid route funnels every ladder map through the sixth-order central
+    # first derivative; its residuals scale with h^6 times derivative magnitudes
     tolerances = {} if exact else {"ladder": 1e-6}
     if beta_is_degenerate(params.beta):
         tolerances["norm_growth"] = 1e-10  # products of 1, up to rounding
@@ -126,7 +135,7 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     expansion = partial(har.HermiteExpansion, params,
                         tables=shared_mode_tables(one_row_ahead, params, 0, op_grid))
     return _ladder_system(
-        params, expansion,
+        params, expansion, har.moments,
         label=f"harmonic/{route}",
         lower_a=bind(har.apply_A),
         raise_b=bind(har.apply_B),
@@ -165,7 +174,7 @@ def barrier_system(params: bar.BarrierParams) -> LadderSystem:
         return float(np.max(np.maximum(products - hi, lo - products), initial=0.0)) / hi
 
     return _ladder_system(
-        params, partial(bar.SineExpansion, params),
+        params, partial(bar.SineExpansion, params), bar.moments,
         label="barrier/spectral",
         lower_a=spectral(bar.apply_A_hat, bar.analyze_phi),
         raise_b=spectral(bar.apply_B_hat, bar.analyze_phi),

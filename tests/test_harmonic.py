@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from pbk import harmonic
 from pbk import grids
 from pbk.grids import GridSpec, apply_Theta, apply_Theta_inv, derivative, row_norm
-from pbk.specialfn import MAX_DEGREE
+from pbk.specialfn import MAX_DEGREE, laguerre
 from pbk.harmonic import (
     HarmonicParams,
     HermiteExpansion,
@@ -315,12 +315,12 @@ class TestGridRoute:
 
     def test_short_grid_rejected(self, market):
         p = params_for(market)
-        for points in (9, 12):  # the five-point stencil leaves 4 samples fewer
+        for points in (9, 14):  # the seven-point stencil leaves 6 samples fewer
             grid = GridSpec.over(-1.0, 1.0, points)
             for op in (apply_A, apply_H_eff):
                 with pytest.raises(ValueError, match="central difference"):
                     op(p, grid.sample(varphi_n(p, 0)))
-        grid = GridSpec.over(-1.0, 1.0, 13)
+        grid = GridSpec.over(-1.0, 1.0, 15)
         for op in (apply_A, apply_H_eff):
             assert op(p, grid.sample(varphi_n(p, 0))).n == 9
 
@@ -430,6 +430,28 @@ class TestNormLaw:
     def test_unknown_family_rejected(self, market):
         with pytest.raises(ValueError):
             norm_squared_law(params_for(market), 2, "phi")
+
+    @pytest.mark.parametrize("w", [0.0, 0.5])
+    def test_an_index_array_reads_one_recurrence(self, monkeypatch, market, w):
+        p = params_for(market, w)
+        calls = []
+        sequence = harmonic.laguerre_sequence
+        monkeypatch.setattr(harmonic, "laguerre_sequence",
+                            lambda n, x: calls.append(n) or sequence(n, x))
+        for family, sign in (("varphi", -1.0), ("psi", 1.0)):
+            laws = norm_squared_law(p, np.arange(61), family)
+            assert calls.pop() == 60 and not calls
+            b, s = p.beta, p.sigma
+            scale = math.exp(b * b * s * s + sign * 2.0 * b * w * s * s)
+            one_by_one = [norm_squared_law(p, n, family) for n in range(61)]
+            assert all(isinstance(law, float) for law in one_by_one)
+            # bit for bit the law of one Laguerre value at a time
+            np.testing.assert_array_equal(laws, one_by_one)
+            np.testing.assert_array_equal(
+                laws, [scale * laguerre(n, -2.0 * b * b * s * s) for n in range(61)])
+            calls.clear()
+        with pytest.raises(ValueError, match="nonnegative"):
+            norm_squared_law(p, np.array([3, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +658,7 @@ class TestSharedTables:
         f = GridSpec.over(-1.5, 1.5, 601).sample(HermiteExpansion(p, p.beta, coeffs))
         f = f.with_samples(f.samples[0] if rows == 1 else f.samples)
         d = derivative(f)
-        mid = f.interior(2).samples
+        mid = f.interior(3).samples
         for op, d_sign, shift in ((apply_A, 1.0, -p.beta), (apply_B, -1.0, p.beta),
                                   (apply_c, 1.0, 0.0), (apply_A_dag, -1.0, -p.beta)):
             whole = (superpotential(p, d.x) + shift) * mid + d_sign * d.samples

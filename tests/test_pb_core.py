@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pbk import systems
+from pbk import grids, systems
 from pbk.grids import (Expansion, GridFunction, GridSpec, apply_Theta, apply_Theta_inv,
                        unit_coefficients)
 from pbk.market import MarketParams
@@ -551,9 +551,12 @@ class TestRunAllChecks:
         assert report() == first
 
     def test_grid_route_holds_at_most_four_operator_grid_blocks(self, market):
-        # a block is 22 rows x 8001 points; the system's table on the operator
-        # grid is one, held in a mapping of its own that tracemalloc does not see
-        block = 22 * har.OPERATOR_GRID_POINTS * 8
+        # the bound is in bytes, not in blocks: three blocks of 22 rows x 8001
+        # points, 4,224,528 B, bounded the traced peak on the 8001-point grid,
+        # and a third of that bounds it on the 2001-point grid, which peaks at
+        # 882,673 B. The system's table on the operator grid is held in a
+        # mapping of its own that tracemalloc does not see
+        bound = 4_224_528 // 3  # 1,408,176 B
         system = harmonic_system(HarmonicParams(market), route="grid")
         run_all_checks(system, 20)  # rules and lazily imported modules are not counted
         system = harmonic_system(HarmonicParams(market), route="grid")
@@ -563,8 +566,69 @@ class TestRunAllChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak + block <= 4 * block
+        assert peak <= bound
 
     def test_beta_zero_regime(self, market_beta0):
         report = run_all_checks(harmonic_system(HarmonicParams(market_beta0)), 6)
         assert report.all_pass, report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# moment matrices shared for a system's lifetime
+
+SYSTEMS = {
+    "harmonic/exact": (har, lambda m: harmonic_system(HarmonicParams(m, 0.36), "exact")),
+    "harmonic/grid": (har, lambda m: harmonic_system(HarmonicParams(m, 0.36), "grid")),
+    "barrier": (bar, lambda m: barrier_system(BarrierParams(m, 0.0, 2.74))),
+}
+
+
+class TestSharedMoments:
+    @staticmethod
+    def count_builds(monkeypatch, module):
+        """Every (s, n) the module's moments is called with, as systems build them."""
+        builds = []
+        original = module.moments
+
+        def counted(params, s, n):
+            builds.append((s, n))
+            return original(params, s, n)
+
+        monkeypatch.setattr(module, "moments", counted)
+        return builds
+
+    @pytest.mark.parametrize("model", list(SYSTEMS))
+    def test_each_tilt_is_built_once_per_system(self, monkeypatch, market, model):
+        module, build = SYSTEMS[model]
+        builds = self.count_builds(monkeypatch, module)
+        system = build(market)
+        first = run_all_checks(system, 20).to_json()
+        beta = system.beta
+        # 0, +-beta and +-2 beta, each at the quasi-basis families' size
+        assert sorted(builds) == sorted((s, NORM_N_MAX_CAP + 1)
+                                        for s in (0.0, beta, -beta, 2 * beta, -2 * beta))
+        builds.clear()
+        assert run_all_checks(system, 20).to_json() == first
+        assert builds == []
+        # a second system builds its own, and reports the same
+        assert run_all_checks(build(market), 20).to_json() == first
+        assert len(builds) == 5
+
+    @pytest.mark.parametrize("module, params", [
+        (har, HarmonicParams(MarketParams(0.2, 0.05), 0.36)),
+        (har, HarmonicParams(MarketParams(1.5, 0.1), -0.4)),
+        (bar, BarrierParams(MarketParams(0.2, 0.05), 0.0, math.pi)),
+        (bar, BarrierParams(MarketParams(0.25, 0.05), -0.5, 2.5)),
+    ])
+    def test_a_leading_block_is_a_fresh_build(self, module, params):
+        matrices = grids.shared_moments(module.moments, params, NORM_N_MAX_CAP + 1)
+        beta = params.beta
+        for s in (0.0, -0.0, beta, -beta, 2 * beta, -2 * beta):
+            for n in (1, 21, 42, 61):
+                block = matrices(s, n)
+                assert not block.flags.writeable
+                np.testing.assert_array_equal(block, module.moments(params, s, n), strict=True)
+                assert np.array_equal(np.signbit(block), np.signbit(module.moments(params, s, n)))
+        # a larger n rebuilds, and smaller ones then read the larger matrix
+        np.testing.assert_array_equal(matrices(beta, 80), module.moments(params, beta, 80))
+        np.testing.assert_array_equal(matrices(beta, 42), module.moments(params, beta, 42))

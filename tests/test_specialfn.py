@@ -15,6 +15,7 @@ from pbk.specialfn import (
     THETA_TRANSFORM_RATE,
     hermite_function_sequence,
     laguerre,
+    laguerre_sequence,
     theta3,
 )
 
@@ -78,6 +79,14 @@ class TestLaguerre:
     def test_matches_scipy(self, n):
         x = np.linspace(-3.0, 3.0, 13)
         np.testing.assert_allclose(laguerre(n, x), eval_laguerre(n, x), rtol=1e-11, atol=1e-11)
+
+    @pytest.mark.parametrize("x", [-0.045, 1.5, np.linspace(-3.0, 3.0, 13)])
+    def test_sequence_rows_are_the_single_values(self, x):
+        rows = laguerre_sequence(30, x)
+        assert rows.shape == (31,) + np.shape(x)
+        for n in range(31):
+            np.testing.assert_array_equal(rows[n], laguerre(n, x), strict=True)
+        assert isinstance(laguerre(5, -0.045), float)
 
     def test_negative_argument_all_terms_positive(self):
         # the norm law feeds in -2 beta^2 sigma^2 < 0, where L_n grows

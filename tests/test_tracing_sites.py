@@ -128,7 +128,7 @@ def test_one_hermite_recurrence_per_spectral_evaluation(monkeypatch):
 
 @pytest.mark.parametrize("route, n_max, builds", [
     ("exact", 40, {}),
-    ("grid", 20, {(8001,): 2}),
+    ("grid", 20, {(pbk.harmonic.OPERATOR_GRID_POINTS,): 2}),
 ])
 def test_one_hermite_table_per_node_set_per_harmonic_system(monkeypatch, route, n_max,
                                                             builds):

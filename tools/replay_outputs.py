@@ -11,16 +11,17 @@ from ``TREE/src``. So is each argv of REFUSALS, which the parser or a command
 refuses or answers with help: without ``--out``, its standard output is
 captured and a ``SystemExit`` gives its exit code. For each argv one line
 says: identical; exit code or stderr differs; output differs (text that is no
-report); or the largest relative numeric move, |a - b| / max(|a|, |b|), by
+report); text differs, with the fields whose strings, booleans or nulls
+changed; or the largest relative numeric move, |a - b| / max(|a|, |b|), by
 field. Kernel tables are compared by column and method; a JSON report by the
-path of each number in it. The last lines give each field's largest move
+path of each leaf in it. The last lines give each field's largest move
 over all argvs.
 
-The exit status is 1 when any argv's exit code, stderr, plain-text output or
-set of numeric fields differs (a field dropped or added, or a field with a
-different count of numbers), and 0 otherwise: numeric moves are only
-reported, so the status of a run checks a claim that only numbers moved, or
-with no move lines that nothing did.
+The exit status is 1 when any argv's exit code, stderr, plain-text output,
+set of fields (a field dropped or added, or a field with a different count
+of leaves) or any leaf that is not a number differs, and 0 otherwise:
+numeric moves are only reported, so the status of a run checks a claim that
+only numbers moved, or with no move lines that nothing did.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from typing import Optional
 
 WORKLOADS = ("price-mc", "kernel-price", "diagnose")
 # the kinds of difference that fail the replay
-STRUCTURAL = ("exit code or stderr differs", "output differs", "numbers differ in count",
-              "fields differ")
+STRUCTURAL = ("exit code or stderr differs", "output differs", "leaves differ in count",
+              "fields differ", "text differs")
+NUMERIC = ("value", "tail_estimate", "rel_disagreement")  # a kernel table's number columns
 # argvs that a command refuses, then ones that the parser refuses or answers
 # with help
 REFUSALS = (
@@ -109,14 +111,16 @@ def collect(tree: Path, seeds, workloads) -> list:
 
 
 def _fields(text: str) -> Optional[dict]:
-    """Numbers of one output by field: (column, method) rows of a kernel CSV,
-    or the path of each number in a JSON report; None for other text."""
+    """Leaves of one output by field, numbers as floats: the cells of each
+    (column, method) of a kernel CSV, the number columns read as floats, or
+    the leaves at each path of a JSON report; None for other text."""
     if text.startswith("x,x_prime,"):
         fields = defaultdict(list)
         for row in csv.DictReader(io.StringIO(text)):
-            for column in ("value", "tail_estimate", "rel_disagreement"):
-                if row[column]:
-                    fields[f"{column}[{row['method']}]"].append(float(row[column]))
+            for column, cell in row.items():
+                if column in NUMERIC and cell:
+                    cell = float(cell)
+                fields[f"{column}[{row['method']}]"].append(cell)
         return fields
     fields = defaultdict(list)
 
@@ -129,6 +133,8 @@ def _fields(text: str) -> Optional[dict]:
                 walk(item, f"{path}[]")
         elif isinstance(node, (int, float)) and not isinstance(node, bool):
             fields[path].append(float(node))
+        else:  # a string, boolean or null
+            fields[path].append(node)
 
     try:
         report = json.loads(text)
@@ -155,16 +161,24 @@ def compare(parent: dict, change: dict):
     notes = [f"{word} {sorted(keys)}" for word, keys in
              (("dropped", old.keys() - new.keys()), ("added", new.keys() - old.keys()))
              if keys]
-    common = old.keys() & new.keys()
+    common = sorted(old.keys() & new.keys())
     if any(len(old[k]) != len(new[k]) for k in common):
-        return "numbers differ in count", "; ".join(notes), {}
-    moves = {k: max(map(_move, old[k], new[k])) for k in common}
+        return "leaves differ in count", "; ".join(notes), {}
+    moves, texts = defaultdict(float), []
+    for k in common:
+        for a, b in zip(old[k], new[k]):
+            if isinstance(a, float) and isinstance(b, float):
+                moves[k] = max(moves[k], _move(a, b))
+            elif (type(a), a) != (type(b), b) and k not in texts:
+                texts.append(k)
+    if texts:
+        notes.append(f"at {texts}")
     moves = {k: m for k, m in moves.items() if m > 0.0}
     if moves:
         worst = max(moves, key=moves.get)
         notes.insert(0, f"{moves[worst]:.3g} in {worst}; " + ", ".join(
             f"{k} {m:.3g}" for k, m in sorted(moves.items())))
-    kind = ("fields differ" if old.keys() != new.keys() else
+    kind = ("fields differ" if old.keys() != new.keys() else "text differs" if texts else
             "largest move" if moves else "numbers identical")
     return kind, "; ".join(notes), moves
 
