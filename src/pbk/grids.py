@@ -286,9 +286,9 @@ def _moment_pair(f: Expansion, g: Expansion):
 def inner(f: Expansion, g: Expansion):
     """<f, g> = integral of conj(f) g over the model's domain, from coefficients.
 
-    Rows are paired as in quadrature.inner_product: row i of a block goes
-    with row i of the other slot, and a single expansion with every row. Two
-    single expansions give a complex, anything else the array of products.
+    Row i of a block pairs with row i of a block in the other slot, and a
+    single expansion pairs with every row of the other. Two single
+    expansions give a complex, anything else the array of products.
     """
     left, right = _moment_pair(f, g)
     total = np.sum(left * right, axis=-1)

@@ -1,11 +1,20 @@
 """Generic numerical harness for biorthogonal ladder structures.
 
-Any concrete model that supplies two eigenfamilies, four ladder maps, an
-eigenvalue sequence, and an inner product can be run through the same battery
+Any concrete model that supplies an expansion over its own modes, four
+ladder maps and an eigenvalue sequence can be run through the same battery
 of checks: vacuum annihilation, ladder relations, biorthogonality,
 quasi-basis partial sums, metric conjugacy, and norm growth. The harness
 never assumes how the maps are realized: finite differences, exact
 coefficient recurrences, and spectral shifts all plug in as plain maps.
+
+Everything the battery integrates is an expansion of the model's modes, a
+grids.Expansion, so every inner product, Gram matrix and expansion residual
+is taken in coefficient space (grids.inner, grids.gram) from the model's
+moment matrix. The families are identity coefficient blocks at tilts
++-beta, and the dense set tested on is the same for every model: the
+varphi-combinations TEST_COMBOS as one test block, which the metric checks
+map whole and pair row by row, and two quasi-basis pairs of untilted mode
+polynomials, QUASI_COMBOS.
 
 The harness works on blocks: a family block holds members 0..n_max, one per
 row, and each check is one operator application to a block plus one
@@ -14,27 +23,25 @@ residual per row, reduced with max.
 Each check returns one or more report entries (name, max residual, tolerance,
 pass flag); a DiagnosticReport collects them and serializes to JSON. The
 system carries the tilt beta of its metric Theta = e^{-2 beta x} (applied by
-grids.apply_Theta), its tolerances and its norm rule too, and its test
-functions as one block, which the metric checks map whole and pair row by
-row in inner products.
+grids.apply_Theta), its tolerances and its norm rule too.
 
-Blocks and operator outputs are grids.Expansions, or GridFunctions on a route
-that samples. Residual conventions: ||out - c ref|| is relative to the norm of
-the target family member (lowering phi_0, whose target is 0, to phi_0
-itself); an Expansion's norm is sqrt(d^T G(2t) d) from the model's moment
-matrix G, a GridFunction's is taken on its own grid. Inner-product identities
-are absolute against their exact values.
+Operator outputs are Expansions, or GridFunctions on a route that samples.
+Residual conventions: ||out - c ref|| is relative to the norm of the target
+family member (lowering phi_0, whose target is 0, to phi_0 itself); an
+Expansion's norm is sqrt(d^T G(2t) d) from the model's moment matrix G, a
+GridFunction's is taken on its own grid. Inner-product identities are
+absolute against their exact values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .grids import (Expansion, GridFunction, apply_Theta, apply_Theta_inv, inner, pad,
+from .grids import (Expansion, GridFunction, apply_Theta, apply_Theta_inv, gram, inner, pad,
                     row_norm)
 
 ALGEBRAIC_TOL = 1e-10
@@ -49,23 +56,26 @@ TOLERANCES = {"vacua": GRID_TOL, "ladder": 1e-8, "number_operator": GRID_TOL,
 LADDER_N_MAX_CAP = 40
 NORM_N_MAX_CAP = 60
 
+# The dense set every battery tests on, read as coefficients of the model's
+# own modes: finite varphi-combinations for the metric checks, and untilted
+# mode polynomials for the quasi-basis pairs.
+TEST_COMBOS = ((1.0, 0.0, 0.5, 0.0, 0.0),   # varphi_0 + 0.5 varphi_2
+               (0.0, 1.0, 0.0, -0.3, 0.0),  # varphi_1 - 0.3 varphi_3
+               (0.7, 0.0, 0.0, 0.0, 1.0))   # 0.7 varphi_0 + varphi_4
+QUASI_COMBOS = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.0, -0.3))
+
 
 @dataclass(frozen=True)
 class LadderSystem:
     """Everything the harness needs to know about one concrete model.
 
-    family_phi(n_max) and family_psi(n_max) give members 0..n_max as one
-    block: a grids.Expansion whose coefficient matrix holds one row per
-    member. The four operator fields take a block (or a single function)
+    ``expansion(tilt, coeffs)`` is e^{tilt x} sum_k coeffs[..., k] Phi_k
+    over the model's modes: a grids.Expansion, one function per coefficient
+    row, bound to whatever the model shares for the system's lifetime. The
+    families, the test block and the quasi pairs are all built from it. The
+    four operator fields take an expansion (a block or a single function)
     and return an Expansion or a GridFunction with the same rows, which the
-    residuals measure by the module's conventions. ``inner``
-    is a callable (f, g) realizing the model's inner product, conjugate-linear
-    in the first slot: a complex for two single functions, and for a block
-    the products of its rows paired with the other slot's rows. ``gram`` is
-    the same inner product on sequences of functions and blocks, (fs, gs) ->
-    the array of <f_i, g_j> over all their rows. Both concrete systems take
-    them from expansion coefficients (grids.inner, grids.gram), with no
-    quadrature rule.
+    residuals measure by the module's conventions.
 
     ``eigens`` gives the eigenvalue e_n of the number-like operator for an
     int n, or one per entry of an int array: 0 first, then strictly
@@ -74,26 +84,17 @@ class LadderSystem:
     ``norm_residual`` turns the norm products ||phi_n|| ||psi_n||, n = 0..n_max,
     into the norm check's residual; and ``tolerances`` overrides entries of
     TOLERANCES for this system.
-
-    ``test_functions`` is one block of dense-set functions that the metric
-    checks map and pair row by row, or None; ``quasi_pairs`` are the (f, g)
-    pairs whose inner product the quasi-basis check resolves.
     """
 
     label: str
-    family_phi: Callable[[int], Callable]
-    family_psi: Callable[[int], Callable]
+    expansion: Callable[[float, np.ndarray], Expansion]
     lower_a: Callable
     raise_b: Callable
     lower_b_dag: Callable
     raise_a_dag: Callable
     eigens: Callable
-    inner: Callable
-    gram: Callable
     beta: float
     norm_residual: Callable[[np.ndarray], float]
-    test_functions: Optional[Callable] = None
-    quasi_pairs: Sequence[Tuple[Callable, Callable]] = field(default_factory=tuple)
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -106,6 +107,26 @@ class LadderSystem:
     def tolerance(self, check: str) -> float:
         """The pass bound of one check: the system's own entry, else the default."""
         return self.tolerances.get(check, TOLERANCES[check])
+
+    def family_phi(self, n_max: int) -> Expansion:
+        """varphi_0..varphi_{n_max} as one block: the identity at tilt beta."""
+        return self.expansion(self.beta, np.eye(n_max + 1))
+
+    def family_psi(self, n_max: int) -> Expansion:
+        """psi_0..psi_{n_max} as one block: the identity at tilt -beta."""
+        return self.expansion(-self.beta, np.eye(n_max + 1))
+
+    @property
+    def test_functions(self) -> Expansion:
+        """The block the metric checks map and pair: TEST_COMBOS at tilt beta."""
+        return self.expansion(self.beta, TEST_COMBOS)
+
+    @property
+    def quasi_pairs(self) -> Tuple[Tuple[Expansion, Expansion], ...]:
+        """The (f, g) pairs the quasi-basis check resolves: the untilted
+        QUASI_COMBOS, in both orders."""
+        f, g = (self.expansion(0.0, c) for c in QUASI_COMBOS)
+        return (f, g), (g, f)
 
 
 @dataclass(frozen=True)
@@ -252,26 +273,24 @@ def check_biorthogonality(sys: LadderSystem, n_max: int) -> CheckResult:
         raise ValueError(
             f"biorthogonality check capped at n_max={LADDER_N_MAX_CAP}, got {n_max}"
         )
-    gram = sys.gram([sys.family_phi(n_max)], [sys.family_psi(n_max)])
-    worst = float(np.max(np.abs(gram - np.eye(n_max + 1))))
+    matrix = gram([sys.family_phi(n_max)], [sys.family_psi(n_max)])
+    worst = float(np.max(np.abs(matrix - np.eye(n_max + 1))))
     return CheckResult("biorthogonality", worst, sys.tolerance("biorthogonality"))
 
 
-def check_quasi_basis(sys: LadderSystem, test_pairs: Sequence[Tuple[Callable, Callable]],
-                      n_max: int) -> CheckResult:
-    """Partial sums of both resolutions of <f, g> converge to the direct value.
+def check_quasi_basis(sys: LadderSystem, n_max: int) -> CheckResult:
+    """Partial sums of both resolutions of <f, g> converge to the direct
+    value, for each of the system's quasi pairs (f, g).
 
     One Gram matrix per side covers every pair: <f, phi_n> and <f, psi_n>
     for all f, <phi_n, g> and <psi_n, g> for all g; the direct values are the
     diagonal of one more, <f_i, g_j>.
     """
-    if not test_pairs:
-        return CheckResult("quasi_basis", 0.0, sys.tolerance("quasi_basis"))
     families = [sys.family_phi(n_max), sys.family_psi(n_max)]
-    fs, gs = zip(*test_pairs)
-    direct = np.diag(sys.gram(fs, gs))
-    f_phi, f_psi = np.split(sys.gram(fs, families), 2, axis=1)
-    phi_g, psi_g = np.split(sys.gram(families, gs).T, 2, axis=1)
+    fs, gs = zip(*sys.quasi_pairs)
+    direct = np.diag(gram(fs, gs))
+    f_phi, f_psi = np.split(gram(fs, families), 2, axis=1)
+    phi_g, psi_g = np.split(gram(families, gs).T, 2, axis=1)
     total = np.sum(f_phi * psi_g, axis=1)
     mirrored = np.sum(f_psi * phi_g, axis=1)
     worst = float(np.max(np.abs(np.concatenate([total - direct, mirrored - direct]))))
@@ -288,20 +307,17 @@ def check_theta_conjugacy(sys: LadderSystem, n_max: int) -> List[CheckResult]:
     <f_i, Theta f_i> and <f_i, f_i> of its rows.
     """
     tol = sys.tolerance("theta_conjugacy")
-    algebraic = _residual(apply_Theta(sys, sys.family_phi(n_max)), 1.0, sys.family_psi(n_max))
-    intertwining = 0.0
+    families = _residual(apply_Theta(sys, sys.family_phi(n_max)), 1.0, sys.family_psi(n_max))
     tests = sys.test_functions
-    if tests is not None:
-        val = sys.inner(tests, apply_Theta(sys, tests))
-        scale = np.abs(sys.inner(tests, tests))
-        negative = np.where(val.real <= 0.0, np.abs(val.real) / scale + tol, 0.0)
-        algebraic = max(algebraic, float(np.max(negative)),
-                        float(np.max(np.abs(val.imag) / scale)))
-        roundtrip = apply_Theta_inv(sys, apply_Theta(sys, tests))
-        algebraic = max(algebraic, _residual(roundtrip, 1.0, tests))
-        left = apply_Theta(sys, sys.raise_b(sys.lower_a(tests)))
-        right = sys.raise_a_dag(sys.lower_b_dag(apply_Theta(sys, tests)))
-        intertwining = _residual(left, 1.0, right, scale=tests)
+    image = apply_Theta(sys, tests)
+    val = inner(tests, image)
+    scale = np.abs(inner(tests, tests))
+    negative = np.where(val.real <= 0.0, np.abs(val.real) / scale + tol, 0.0)
+    algebraic = max(families, float(np.max(negative)), float(np.max(np.abs(val.imag) / scale)),
+                    _residual(apply_Theta_inv(sys, image), 1.0, tests))
+    left = apply_Theta(sys, sys.raise_b(sys.lower_a(tests)))
+    right = sys.raise_a_dag(sys.lower_b_dag(image))
+    intertwining = _residual(left, 1.0, right, scale=tests)
     return [
         CheckResult("theta_conjugacy", algebraic, tol),
         CheckResult("theta_intertwining", intertwining, sys.tolerance("theta_intertwining")),
@@ -316,7 +332,7 @@ def check_norm_growth(sys: LadderSystem, n_max: int) -> CheckResult:
     """
     if n_max > NORM_N_MAX_CAP:
         raise ValueError(f"norm check capped at n_max={NORM_N_MAX_CAP}, got {n_max}")
-    n_phi, n_psi = (np.sqrt(np.abs(sys.inner(f, f)))
+    n_phi, n_psi = (np.sqrt(np.abs(inner(f, f)))
                     for f in (sys.family_phi(n_max), sys.family_psi(n_max)))
     return CheckResult("norm_growth", sys.norm_residual(n_phi * n_psi),
                        sys.tolerance("norm_growth"))
@@ -330,7 +346,7 @@ def run_all_checks(sys: LadderSystem, n_max: int,
         check_ladder(sys, min(n_max, LADDER_N_MAX_CAP)),
         check_number_operator(sys, min(n_max, 20)),
         check_biorthogonality(sys, min(n_max, LADDER_N_MAX_CAP)),
-        check_quasi_basis(sys, sys.quasi_pairs, NORM_N_MAX_CAP),
+        check_quasi_basis(sys, NORM_N_MAX_CAP),
     ]
     checks.extend(check_theta_conjugacy(sys, min(n_max, 20)))
     checks.append(check_norm_growth(sys, min(n_max, NORM_N_MAX_CAP)))

@@ -16,7 +16,7 @@ import pytest
 
 from pbk import barrier as bar
 from pbk import harmonic as har
-from pbk.grids import GridSpec, row_norm
+from pbk.grids import GridSpec, inner, row_norm
 from pbk.kernels import kernel_values
 from pbk.market import MarketParams
 from pbk.pb_core import check_biorthogonality, check_ladder, check_quasi_basis
@@ -144,30 +144,26 @@ def test_criterion_03_eigen_equations(market, hp, bp):
 
 
 def test_criterion_04_norm_law(market, market_beta0):
-    def quad_norm_sq(system, fn):
-        return system.inner(fn, fn).real
+    def quad_norm_sq(fn):
+        return inner(fn, fn).real
 
     worst_rel = 0.0
     for w in (0.0, 0.5):
         p = har.HarmonicParams(market, w)
-        sys_h = harmonic_system(p)
         for fam, name in ((har.varphi_n, "varphi"), (har.psi_n, "psi")):
             for n in range(31):
                 law = har.norm_squared_law(p, n, name)
-                quad = quad_norm_sq(sys_h, fam(p, n))
+                quad = quad_norm_sq(fam(p, n))
                 worst_rel = max(worst_rel, abs(quad - law) / law)
 
     p = har.HarmonicParams(market)
-    sys_h = harmonic_system(p)
-    products = [math.sqrt(quad_norm_sq(sys_h, har.varphi_n(p, n))
-                          * quad_norm_sq(sys_h, har.psi_n(p, n)))
+    products = [math.sqrt(quad_norm_sq(har.varphi_n(p, n)) * quad_norm_sq(har.psi_n(p, n)))
                 for n in range(31)]
     increasing = all(b > a for a, b in zip(products, products[1:]))
 
     p0 = har.HarmonicParams(market_beta0)
-    sys0 = harmonic_system(p0)
-    dev0 = max(abs(math.sqrt(quad_norm_sq(sys0, har.varphi_n(p0, n))
-                             * quad_norm_sq(sys0, har.psi_n(p0, n))) - 1.0)
+    dev0 = max(abs(math.sqrt(quad_norm_sq(har.varphi_n(p0, n))
+                             * quad_norm_sq(har.psi_n(p0, n))) - 1.0)
                for n in range(31))
 
     ok = worst_rel <= 1e-8 and increasing and dev0 <= 1e-10
@@ -269,7 +265,7 @@ def test_criterion_09_wide_barrier_limit(market):
 
 def test_criterion_10_quasi_basis_convergence(hp):
     sys_h = harmonic_system(hp)
-    result = check_quasi_basis(sys_h, sys_h.quasi_pairs, 60)
+    result = check_quasi_basis(sys_h, 60)
     report(10, "quasi_basis_convergence", result.max_residual <= 1e-6,
            f"worst |S_N - <f, g>| = {result.max_residual:.2e} at N = 60, "
            f"untilted Hermite-polynomial pairs, beta = {hp.beta:.4g}, tol 1e-6")

@@ -20,7 +20,9 @@ import pytest
 
 import pbk.barrier
 import pbk.cli
+import pbk.grids
 import pbk.harmonic
+import pbk.pb_core
 import pbk.quadrature
 import pbk.systems
 from pbk.cli import KERNEL_COLUMNS, _kernel_csv, _parse_point_list, main
@@ -585,28 +587,29 @@ def test_unusable_numbers_exit_2(capsys, tmp_path, argv, message):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("builder, argv", [
-    ("harmonic_system", ["--model", "harmonic"]),
-    ("harmonic_system", ["--model", "harmonic", "--r", "0.02"]),
-    ("barrier_system", ["--model", "barrier", "--a", "0", "--b", "3"]),
+@pytest.mark.parametrize("argv", [
+    ["--model", "harmonic"],
+    ["--model", "harmonic", "--r", "0.02"],
+    ["--model", "barrier", "--a", "0", "--b", "3"],
 ], ids=["harmonic", "harmonic-beta0", "barrier"])
-def test_nan_norm_product_exits_2(capsys, monkeypatch, tmp_path, builder, argv):
-    # the last norm of each family block is NaN; every other inner product is kept
-    build = getattr(pbk.cli, builder)
+def test_nan_norm_product_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # the last norm of each family block is NaN inside the norm check alone;
+    # every other inner product of the battery is kept
+    check_norm_growth = pbk.pb_core.check_norm_growth
 
-    def with_nan_norm(*args, **kwargs):
-        system = build(*args, **kwargs)
+    def inner(f, g):
+        out = pbk.grids.inner(f, g)
+        if np.ndim(out):
+            out = out.copy()
+            out[-1] = math.nan
+        return out
 
-        def inner(f, g):
-            out = system.inner(f, g)
-            if np.ndim(out):
-                out = out.copy()
-                out[-1] = math.nan
-            return out
+    def with_nan_norm(system, n_max):
+        with monkeypatch.context() as patch:
+            patch.setattr(pbk.pb_core, "inner", inner)
+            return check_norm_growth(system, n_max)
 
-        return replace(system, inner=inner)
-
-    monkeypatch.setattr(pbk.cli, builder, with_nan_norm)
+    monkeypatch.setattr(pbk.pb_core, "check_norm_growth", with_nan_norm)
     target = tmp_path / "report.json"
     code, out, err = run_cli(capsys, ["diagnose", *argv, *DIAG_FAST, "--out", str(target)])
     assert code == 2

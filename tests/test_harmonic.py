@@ -158,10 +158,7 @@ class TestFamilies:
                                       harmonic.mode_table(p, 200, x)[200])
 
     def test_biorthonormality_spot_check(self, market):
-        from pbk.systems import harmonic_system
-
-        sys_h = harmonic_system(params_for(market))
-        inner = sys_h.inner
+        inner = grids.inner
         p = params_for(market)
         assert inner(varphi_n(p, 3), psi_n(p, 3)).real == pytest.approx(1.0, abs=1e-12)
         assert abs(inner(varphi_n(p, 2), psi_n(p, 5))) < 1e-12
@@ -380,11 +377,8 @@ class TestMultiplicationMaps:
 class TestNormLaw:
     @staticmethod
     def system_norm_sq(p, family, n):
-        from pbk.systems import harmonic_system
-
-        sys_h = harmonic_system(p)
         f = family(p, n)
-        return sys_h.inner(f, f).real
+        return grids.inner(f, f).real
 
     @pytest.mark.parametrize("w", [0.0, 0.5])
     @pytest.mark.parametrize("n", [0, 1, 5, 17, 30])

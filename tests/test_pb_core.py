@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pbk import grids, systems
+from pbk import grids, pb_core
 from pbk.grids import (Expansion, GridFunction, GridSpec, apply_Theta, apply_Theta_inv,
                        unit_coefficients)
 from pbk.market import MarketParams
@@ -18,6 +18,7 @@ from pbk.pb_core import (
     ALGEBRAIC_TOL,
     LADDER_N_MAX_CAP,
     NORM_N_MAX_CAP,
+    TEST_COMBOS,
     CheckResult,
     DiagnosticReport,
     LadderSystem,
@@ -124,21 +125,31 @@ class FlatExpansion(Expansion):
 
 
 def degenerate_system(eigens=lambda n: n * 1.0):
-    """A system whose phi family is all zero coefficients."""
+    """A system whose every expansion, the families included, has all zero
+    coefficients."""
     return LadderSystem(
         label="degenerate",
-        family_phi=lambda n: FlatExpansion(None, 0.0, np.zeros((n + 1, n + 1))),
-        family_psi=lambda n: FlatExpansion(None, 0.0, np.eye(n + 1)),
+        expansion=lambda tilt, coeffs: FlatExpansion(None, tilt, np.zeros(np.shape(coeffs))),
         lower_a=lambda f: f,
         raise_b=lambda f: f,
         lower_b_dag=lambda f: f,
         raise_a_dag=lambda f: f,
         eigens=eigens,
-        inner=lambda f, g: 0.0 + 0.0j,
-        gram=lambda fs, gs: np.zeros((len(fs), len(gs)), dtype=complex),
         beta=0.0,
         norm_residual=lambda products: 0.0,
     )
+
+
+def with_psi_off(system):
+    """system with its psi family at tilt -1.001 beta: every expansion it
+    builds at tilt -beta is tilted by -0.001 beta more."""
+    expansion = system.expansion
+
+    def off(tilt, coeffs):
+        out = expansion(tilt, coeffs)
+        return out.tilted(-0.001 * system.beta) if tilt == -system.beta else out
+
+    return dataclasses.replace(system, expansion=off)
 
 
 class TestIndividualChecks:
@@ -209,8 +220,8 @@ class TestIndividualChecks:
         # Theta phi_n has tilt -beta and this psi family -1.001 beta: their
         # residual would need the norm of a sum of two tilts, and is refused
         system = request.getfixturevalue(model)
-        off = dataclasses.replace(
-            system, family_psi=lambda n: system.family_psi(n).tilted(-0.001 * system.beta))
+        off = with_psi_off(system)
+        assert off.family_psi(4).tilt == pytest.approx(-1.001 * system.beta, rel=1e-15)
         with pytest.raises(ValueError, match="needs a reference of its tilt"):
             check_theta_conjugacy(off, 4)
 
@@ -229,9 +240,7 @@ class TestIndividualChecks:
         # and a psi family tilted by -1.001 beta still fails
         system = harmonic_system(HarmonicParams(market), route)
         assert check_biorthogonality(system, LADDER_N_MAX_CAP).max_residual == 0.0
-        off = dataclasses.replace(
-            system, family_psi=lambda n: system.family_psi(n).tilted(-0.001 * system.beta))
-        result = check_biorthogonality(off, LADDER_N_MAX_CAP)
+        result = check_biorthogonality(with_psi_off(system), LADDER_N_MAX_CAP)
         assert not result.passed
         assert result.max_residual > 1e-4
 
@@ -243,10 +252,10 @@ class TestIndividualChecks:
 
     def test_quasi_basis_uses_both_resolutions(self, barrier):
         sys_b = barrier
-        result = check_quasi_basis(sys_b, sys_b.quasi_pairs, 40)
+        result = check_quasi_basis(sys_b, 40)
         assert result.passed
 
-    def test_theta_returns_two_results(self, harmonic):
+    def test_theta_returns_two_results(self, monkeypatch, harmonic):
         results = check_theta_conjugacy(harmonic, 4)
         assert [r.name for r in results] == ["theta_conjugacy", "theta_intertwining"]
         assert all(r.passed for r in results)
@@ -256,17 +265,28 @@ class TestIndividualChecks:
         image = apply_Theta(harmonic, tests)
         assert isinstance(image, har.HermiteExpansion)
         assert (tests.tilt, image.tilt) == (harmonic.beta, -harmonic.beta)
-        np.testing.assert_array_equal(tests.coeffs, np.array(systems.TEST_COMBOS))
+        np.testing.assert_array_equal(tests.coeffs, np.array(TEST_COMBOS))
         np.testing.assert_array_equal(image.coeffs, tests.coeffs)
         x = np.linspace(-2.0, 2.0, 41)
         np.testing.assert_allclose(image(x), np.exp(-2.0 * harmonic.beta * x) * tests(x),
                                    rtol=1e-14, atol=0.0)
-        # positivity pairs the rows: one row with <f, Theta f> <= 0 fails the check
-        one_negative = dataclasses.replace(harmonic, inner=lambda f, g: np.array([2.0, -1.0, 1.0]))
-        assert check_theta_conjugacy(one_negative, 4)[0].max_residual > 1.0
+        # positivity pairs the rows: one row with <f, Theta f> <= 0 fails the
+        # check, by |<f, Theta f>| / <f, f> + tolerance. <f, Theta f> is the
+        # battery's only product across tilts
+        val, scale = grids.inner(tests, image), grids.inner(tests, tests).real
+
+        def one_negative(f, g):
+            out = grids.inner(f, g)
+            return out * np.array([1.0, -1.0, 1.0]) if f.tilt != g.tilt else out
+
+        monkeypatch.setattr(pb_core, "inner", one_negative)
+        result = check_theta_conjugacy(harmonic, 4)[0]
+        assert not result.passed
+        assert result.max_residual == pytest.approx(val[1].real / scale[1] + ALGEBRAIC_TOL,
+                                                     rel=1e-14)
 
     @pytest.mark.parametrize("case", ["harmonic", "harmonic-beta0", "barrier"])
-    def test_nan_norm_product_is_refused(self, market, market_beta0, case):
+    def test_nan_norm_product_is_refused(self, monkeypatch, market, market_beta0, case):
         # max(0.0, nan) is 0.0 in Python: the rules used to pass a NaN product as 0
         system = {"harmonic": lambda: harmonic_system(HarmonicParams(market)),
                   "harmonic-beta0": lambda: harmonic_system(HarmonicParams(market_beta0)),
@@ -274,9 +294,9 @@ class TestIndividualChecks:
                   }[case]()
         for products in ([1.0, math.nan], [math.nan, 1.0], [math.nan, math.nan]):
             assert math.isnan(system.norm_residual(np.array(products)))
-        nan_norms = dataclasses.replace(system, inner=lambda f, g: np.array([1.0, math.nan]))
+        monkeypatch.setattr(pb_core, "inner", lambda f, g: np.array([1.0, math.nan]))
         with pytest.raises(ValueError, match="the norm_growth check's residual is not finite"):
-            check_norm_growth(nan_norms, 1)
+            check_norm_growth(system, 1)
 
     def test_constant_behavior_tightens_tolerance(self, market_beta0):
         sys_h = harmonic_system(HarmonicParams(market_beta0))
@@ -298,10 +318,11 @@ def build_systems(market, market_beta0):
     function, inner(f, g) the inner product the per-member loops take, and
     grid the one they sample expansions on for their residual norms.
 
-    The harmonic loops take the system's own inner product and the operator
-    grid; the barrier loops take a 512-node Gauss-Legendre rule on (a, b) of
-    the sampled functions and a grid of their own on (a, b), and their
-    members are sine expansions, which the barrier maps analyze."""
+    The harmonic loops take grids.inner, the battery's own inner product,
+    and the operator grid; the barrier loops take a 512-node Gauss-Legendre
+    rule on (a, b) of the sampled functions and a grid of their own on
+    (a, b), and their members are sine expansions, which the barrier maps
+    analyze."""
     out = {}
     for label, mkt in (("beta -0.75", market), ("beta 0", market_beta0)):
         hp = HarmonicParams(mkt)
@@ -309,7 +330,7 @@ def build_systems(market, market_beta0):
             system = harmonic_system(hp, route=route)
             out[f"harmonic {route} {label}"] = (
                 system, lambda family, n, _p=hp: (har.varphi_n, har.psi_n)[family](_p, n),
-                system.inner, har.operator_grid(hp))
+                grids.inner, har.operator_grid(hp))
         bp = BarrierParams(mkt, 0.0, math.pi)
         out[f"barrier (0, pi) {label}"] = (
             barrier_system(bp),
@@ -419,9 +440,8 @@ class TestBlocksMatchPerMember:
         assert self.close(name, check_number_operator(sys_, n).max_residual,
                           oracle["number_operator"])
         # the family part alone, then with the test block
-        families_only = dataclasses.replace(sys_, test_functions=None)
-        conjugacy = check_theta_conjugacy(families_only, n)[0].max_residual
-        assert abs(conjugacy - oracle["families_conjugacy"]) <= 1e-13
+        families_only = _residual(apply_Theta(sys_, sys_.family_phi(n)), 1.0, sys_.family_psi(n))
+        assert abs(families_only - oracle["families_conjugacy"]) <= 1e-13
         conjugacy, intertwining = (c.max_residual for c in check_theta_conjugacy(sys_, n))
         assert abs(conjugacy - oracle["conjugacy"]) <= 1e-13
         assert self.close(name, intertwining, oracle["intertwining"])
@@ -432,7 +452,7 @@ class TestBlocksMatchPerMember:
         n = self.N_MAX
         products = oracle["norm_products"]
         for family in (sys_.family_phi(n), sys_.family_psi(n)):
-            products = products / np.sqrt(np.abs(np.diagonal(sys_.gram([family], [family]))))
+            products = products / np.sqrt(np.abs(np.diagonal(grids.gram([family], [family]))))
         assert np.max(np.abs(products - 1.0)) <= 1e-13
         if name.startswith("harmonic") and "beta -0.75" in name:
             hp = HarmonicParams(market)
@@ -463,7 +483,7 @@ class TestGramChecks:
         n_max = LADDER_N_MAX_CAP
         phis = [member(0, n) for n in range(n_max + 1)]
         psis = [member(1, n) for n in range(n_max + 1)]
-        gram = sys_.gram(phis, psis)
+        gram = grids.gram(phis, psis)
         pairwise = np.array([[inner(phi, psi) for psi in psis] for phi in phis])
         assert gram.shape == (n_max + 1, n_max + 1)
         assert np.max(np.abs(gram - pairwise)) <= 1e-13
@@ -485,7 +505,7 @@ class TestGramChecks:
                 total += inner(f, phi) * inner(psi, g)
                 mirrored += inner(f, psi) * inner(phi, g)
             worst = max(worst, abs(total - direct), abs(mirrored - direct))
-        result = check_quasi_basis(sys_, sys_.quasi_pairs, n_max)
+        result = check_quasi_basis(sys_, n_max)
         assert result.passed
         assert abs(result.max_residual - worst) <= 1e-13
 
@@ -571,6 +591,47 @@ class TestRunAllChecks:
     def test_beta_zero_regime(self, market_beta0):
         report = run_all_checks(harmonic_system(HarmonicParams(market_beta0)), 6)
         assert report.all_pass, report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# a system of no model: the harness needs nothing beyond its contract
+
+
+def lower_by_root(f):
+    """c_k -> sqrt(k + 1) c_{k+1}, at the input's length (top coefficient 0)."""
+    out = np.zeros(f.coeffs.shape)
+    out[..., :-1] = np.sqrt(np.arange(1, f.coeffs.shape[-1])) * f.coeffs[..., 1:]
+    return f.with_coeffs(out)
+
+
+def raise_by_root(f):
+    """c_k -> sqrt(k) c_{k-1}, one coefficient longer."""
+    out = np.zeros(f.coeffs.shape[:-1] + (f.coeffs.shape[-1] + 1,))
+    out[..., 1:] = np.sqrt(np.arange(1, f.coeffs.shape[-1] + 1)) * f.coeffs
+    return f.with_coeffs(out)
+
+
+def test_battery_runs_on_a_system_of_no_model():
+    # an orthonormal family at beta 0 under the boson ladder: FlatExpansion's
+    # identity moments, square-root shifts, e_n = n and the rule |p - 1|.
+    # Every figure is 0.0 but the number operator's, sqrt(n) sqrt(n) - n
+    system = LadderSystem(
+        label="flat",
+        expansion=partial(FlatExpansion, None),
+        lower_a=lower_by_root,
+        raise_b=raise_by_root,
+        lower_b_dag=lower_by_root,
+        raise_a_dag=raise_by_root,
+        eigens=lambda n: n * 1.0,
+        beta=0.0,
+        norm_residual=lambda products: float(np.max(np.abs(products - 1.0))),
+    )
+    report = run_all_checks(system, 20)
+    assert [c.name for c in report.checks] == EXPECTED_CHECKS
+    assert report.all_pass, report.to_json()
+    figures = {c.name: c.max_residual for c in report.checks}
+    assert figures.pop("number_operator") <= 1e-14
+    assert set(figures.values()) == {0.0}
 
 
 # ---------------------------------------------------------------------------

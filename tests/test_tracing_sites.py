@@ -25,8 +25,10 @@ import numpy as np
 import pytest
 
 import pbk.barrier
+import pbk.grids
 import pbk.harmonic
 import pbk.kernels
+import pbk.pb_core
 import pbk.pricing
 import pbk.quadrature
 import pbk.systems
@@ -220,7 +222,7 @@ def test_system_inner_products_call_the_traced_attributes(monkeypatch, build, pa
     monkeypatch.setattr(pbk.quadrature, "inner_product", counted("inner_product"))
     system = build(params)
     tests = system.test_functions
-    assert system.inner(tests, tests).shape == (len(pbk.systems.TEST_COMBOS),)
+    assert pbk.grids.inner(tests, tests).shape == (len(pbk.pb_core.TEST_COMBOS),)
     run_all_checks(system, 4)
     assert calls == []
 

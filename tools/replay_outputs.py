@@ -8,7 +8,7 @@ For every seed and workload, each argv that the tree's
 ``perfbench/workload.py`` builds with ``build_ops`` is run in process through
 ``pbk.cli.main`` with ``--out``, in a child process per tree that imports pbk
 from ``TREE/src``. So is each argv of REFUSALS, which the parser or a command
-refuses or answers with help: without ``--out``, its standard output is
+refuses, fails or answers with help: without ``--out``, its standard output is
 captured and a ``SystemExit`` gives its exit code. For each argv one line
 says: identical; exit code or stderr differs; output differs (text that is no
 report); text differs, with the fields whose strings, booleans or nulls
@@ -44,8 +44,8 @@ WORKLOADS = ("price-mc", "kernel-price", "diagnose")
 STRUCTURAL = ("exit code or stderr differs", "output differs", "leaves differ in count",
               "fields differ", "text differs")
 NUMERIC = ("value", "tail_estimate", "rel_disagreement")  # a kernel table's number columns
-# argvs that a command refuses, then ones that the parser refuses or answers
-# with help
+# argvs that a command refuses or reports as failing a check, then ones that
+# the parser refuses or answers with help
 REFUSALS = (
     "price --model harmonic --x nan",
     "price --model harmonic --tau 0.01",
@@ -56,6 +56,8 @@ REFUSALS = (
     "diagnose --model barrier --a 0 --b 1 --route grid",
     "kernel --model barrier --a 0 --b 3 --x 1.2 --x-prime 1.5 --tau 1e-7 --method spectral",
     "diagnose --model barrier --a 0 --b 12",
+    "diagnose --model barrier --a 0 --b 5e-4",
+    "diagnose --model harmonic --sigma 0.01",
     "diagnose --model barrier --a 0 --b 900",
     "diagnose --model harmonic --sigma 50",
     "diagnose --model barrier --b 3",
