@@ -22,14 +22,14 @@ Two ladder constructions live here side by side:
 
 A SineExpansion e^{t x} sum c_n Phi_n is paired in inner products through
 the closed-form matrix (Phi_m, e^{s x} Phi_j) (moments), with no quadrature
-rule. Analysis into a family returns an expansion at the family's tilt as
-it is, and re-expands one at any other tilt through the same matrix.
+rule. Analysis into a family is a contract check: it returns an expansion
+at the family's tilt as it is and refuses one at any other tilt.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -40,7 +40,6 @@ from .market import MarketParams, MarketView
 # not called here: perfbench/tracing.py patches this name in this module
 from .quadrature import legendre_rule  # noqa: F401
 
-DEFAULT_TRUNCATION = 128
 MAX_SINE_MODES = 4096  # caps a spectral sum's sine table
 FACTORIZATION_POINTS = 16001  # failed_factorization_residual's interior grid
 
@@ -277,39 +276,34 @@ def moments(params: BarrierParams, s: float, n: int) -> np.ndarray:
 
 
 def _analyze(params: BarrierParams, f: SineExpansion, tilt: float) -> SineExpansion:
-    """f as an expansion at tilt: f itself at its own tilt, else its
-    coefficients <e^{-tilt x} Phi_n, f> = G(t_f - tilt) c_f for
-    n <= DEFAULT_TRUNCATION."""
-    if f.tilt == tilt:
-        return f
-    n = max(f.coeffs.shape[-1], DEFAULT_TRUNCATION + 1)
-    coeffs = pad(f.coeffs, n) @ f.moments(f.tilt - tilt, n)[:, : DEFAULT_TRUNCATION + 1]
-    return replace(f, tilt=tilt, coeffs=coeffs)
+    """f itself, which must sit at tilt: any other is refused, not re-expanded."""
+    if f.tilt != tilt:
+        raise ValueError(f"expansion at tilt {f.tilt} given to a family at tilt {tilt}")
+    return f
 
 
 def analyze_phi(params: BarrierParams, f: SineExpansion) -> SineExpansion:
-    """f as a varphi-expansion, with coefficients c_n = <psi_n, f>."""
+    """f as a varphi-expansion: f itself, which must sit at tilt beta."""
     return _analyze(params, f, params.beta)
 
 
 def analyze_psi(params: BarrierParams, f: SineExpansion) -> SineExpansion:
-    """f as a psi-expansion, with coefficients d_n = <varphi_n, f>."""
+    """f as a psi-expansion: f itself, which must sit at tilt -beta."""
     return _analyze(params, f, -params.beta)
 
 
-def synthesize_phi(params: BarrierParams, coeffs: np.ndarray, tables=None) -> SineExpansion:
+def synthesize_phi(params: BarrierParams, coeffs: np.ndarray) -> SineExpansion:
     """The function sum_n c_n varphi_n, zero outside (a, b).
 
-    tables, if given, is a grids.shared_mode_tables callable over mode_table
-    for params. barrier_system builds its expansions itself: perfbench's
-    tracer replaces what this returns with a plain function.
+    barrier_system builds its expansions itself: perfbench's tracer replaces
+    what this returns with a plain function.
     """
-    return SineExpansion(params, params.beta, coeffs, tables)
+    return SineExpansion(params, params.beta, coeffs)
 
 
-def synthesize_psi(params: BarrierParams, coeffs: np.ndarray, tables=None) -> SineExpansion:
+def synthesize_psi(params: BarrierParams, coeffs: np.ndarray) -> SineExpansion:
     """The function sum_n d_n psi_n, zero outside (a, b)."""
-    return SineExpansion(params, -params.beta, coeffs, tables)
+    return SineExpansion(params, -params.beta, coeffs)
 
 
 def apply_A_hat(params: BarrierParams, f: SineExpansion) -> SineExpansion:

@@ -172,15 +172,15 @@ def _mapped(table: np.ndarray) -> np.ndarray:
     return copy
 
 
-def shared_mode_tables(mode_table: Callable, params, n_max: int,
+def shared_mode_tables(mode_table: Callable, params,
                        grid: Optional[GridSpec] = None) -> Callable:
     """tables(n, x): the rows 0..n of mode_table(params, ., x), one table per node set.
 
-    A node set, keyed by its contents, gets one read-only table of rows
-    0..max(n_max, n) the first time it is asked for. A request for more rows
-    replaces it, dropping the smaller table first; fewer rows are a row
-    slice. Rows act point by point, so a slice equals the smaller table bit
-    for bit. The tables live as long as the returned callable.
+    A node set, keyed by its contents, gets one read-only table of rows 0..n
+    the first time it is asked for. A request for more rows replaces it,
+    dropping the smaller table first; fewer rows are a row slice. Rows act
+    point by point, so a slice equals the smaller table bit for bit. The
+    tables live as long as the returned callable.
 
     Points that lie on a run of grid's points to within rounding, as an
     operator output's do, read a column slice of grid's table: they are
@@ -200,7 +200,7 @@ def shared_mode_tables(mode_table: Callable, params, n_max: int,
         key = (x.shape, x.tobytes())
         if key not in held or len(held[key]) <= n:
             held.pop(key, None)
-            held[key] = _mapped(mode_table(params, max(n, n_max), x))
+            held[key] = _mapped(mode_table(params, n, x))
         table = held[key][: n + 1]
         return table if run is None else table[:, run]
 

@@ -58,12 +58,6 @@ def laguerre_sequence(n_max: int, x) -> np.ndarray:
     return out
 
 
-def laguerre(n: int, x):
-    """Laguerre polynomial L_n(x), the last row of laguerre_sequence."""
-    value = laguerre_sequence(n, x)[n]
-    return value if value.ndim else float(value)
-
-
 def theta3(u, ell: float):
     """Jacobi theta function 1 + 2 sum_m q^(m^2) cos(2 m u) of the nome q = e^{-ell}.
 

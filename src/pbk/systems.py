@@ -78,12 +78,9 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     op_grid = har.operator_grid(params)
 
     def bind(op):
-        def apply(f):
-            if isinstance(f, GridFunction) or (exact and isinstance(f, har.HermiteExpansion)):
-                return op(params, f)
-            return op(params, op_grid.sample(f))
-
-        return apply
+        if exact:
+            return partial(op, params)
+        return lambda f: op(params, f if isinstance(f, GridFunction) else op_grid.sample(f))
 
     # the grid route funnels every ladder map through the sixth-order central
     # first derivative; its residuals scale with h^6 times derivative magnitudes
@@ -98,7 +95,7 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
     return LadderSystem(
         label=f"harmonic/{route}",
         expansion=partial(har.HermiteExpansion, params,
-                          tables=shared_mode_tables(one_row_ahead, params, 0, op_grid),
+                          tables=shared_mode_tables(one_row_ahead, params, op_grid),
                           matrices=shared_moments(har.moments, params, NORM_N_MAX_CAP + 1)),
         lower_a=bind(har.apply_A),
         raise_b=bind(har.apply_B),
@@ -118,14 +115,15 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 def barrier_system(params: bar.BarrierParams) -> LadderSystem:
     """The double-barrier model bound to the harness, in coefficient space.
 
-    Each map analyzes its input through bar.analyze_phi or bar.analyze_psi,
-    which return an expansion at the family's own tilt as it is, and shifts
-    its coefficients: lowering keeps their count, raising adds one. The
-    system's expansions are bar.SineExpansions, so inner products,
-    Gram matrices and residuals all come from the closed-form bar.moments:
-    the battery evaluates no function and builds no sine table. The norm
-    products lie between 1 and e^{|beta| L}; the residual is their overshoot
-    of those bounds, relative to the upper one.
+    Each map checks its input's tilt through bar.analyze_phi or
+    bar.analyze_psi, which return an expansion at the family's own tilt as it
+    is and refuse any other with a ValueError, and shifts its coefficients:
+    lowering keeps their count, raising adds one. The system's expansions are
+    bar.SineExpansions, so inner products, Gram matrices and residuals all
+    come from the closed-form bar.moments: the battery evaluates no function
+    and builds no sine table. The norm products lie between 1 and
+    e^{|beta| L}; the residual is their overshoot of those bounds, relative
+    to the upper one.
     """
     def spectral(shift, analyze):
         return lambda f: shift(params, analyze(params, f))

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 import pbk.barrier
 from pbk.barrier import (
     BarrierParams,
-    DEFAULT_TRUNCATION,
     MAX_SINE_MODES,
     Phi_n,
     SineExpansion,
@@ -44,6 +44,8 @@ from pbk.specialfn import MAX_DEGREE
 from pbk.systems import barrier_system
 
 from oracles import gram_matrix, sine_mode
+
+TRUNCATION = 128  # the top index of the long coefficient vectors built here
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +310,7 @@ class TestFailedLadderResidual:
 # the spectral ladder
 
 
-def basis_vector(params, n, n_max=DEFAULT_TRUNCATION):
+def basis_vector(params, n, n_max=TRUNCATION):
     """varphi_n as an expansion of n_max + 1 coefficients."""
     c = np.zeros(n_max + 1)
     c[n] = 1.0
@@ -319,7 +321,7 @@ class TestSpectralVector:
     # at its own tilt an expansion's analysis is the expansion itself
     def test_roundtrip_through_synthesis(self, box):
         rng = np.random.default_rng(42)
-        coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
+        coeffs = np.zeros(TRUNCATION + 1)
         coeffs[:7] = rng.standard_normal(7)
         f = synthesize_phi(box, coeffs)
         assert isinstance(f, SineExpansion) and f.tilt == box.beta
@@ -329,7 +331,7 @@ class TestSpectralVector:
         np.testing.assert_array_equal(analyze_phi(box, short).coeffs, coeffs[:7])
 
     def test_psi_roundtrip(self, box):
-        coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
+        coeffs = np.zeros(TRUNCATION + 1)
         coeffs[2] = 1.0
         coeffs[5] = -0.7
         f = synthesize_psi(box, coeffs)
@@ -338,28 +340,50 @@ class TestSpectralVector:
 
     @pytest.mark.parametrize("analyze, rate", [(analyze_phi, -1.0), (analyze_psi, 1.0)],
                              ids=["phi", "psi"])
-    def test_foreign_tilt_matches_legendre_analysis(self, box, analyze, rate):
-        # <e^{rate beta x} Phi_n, f> of an expansion at tilt 0.3 (and of a
-        # block of two) against a 512-node Gauss-Legendre rule on (a, b)
+    def test_foreign_tilt_is_refused(self, box, analyze, rate):
+        # analysis re-expands nothing: an expansion (or a block of two) at a
+        # tilt other than the family's is refused, and the message names both
         coeffs = np.array([[0.4, -1.0, 0.0, 0.25, 0.0, 0.0, 0.1],
                            [0.0, 0.0, 1.0, 0.0, 0.0, -0.5, 0.0]])
-        f = SineExpansion(box, 0.3, coeffs)
-        rule = legendre_rule(512, box.a, box.b)
-        modes = mode_table(box, DEFAULT_TRUNCATION, rule.nodes)
-        weighted = rule.weights * np.exp(rate * box.beta * rule.nodes) * f(rule.nodes)
-        quadrature = weighted @ modes.T
-        analyzed = analyze(box, f)
-        got = analyzed.coeffs
-        assert analyzed.tilt == -rate * box.beta
-        assert got.shape == (2, DEFAULT_TRUNCATION + 1)
-        assert np.max(np.abs(got - quadrature)) <= 1e-14 * np.max(np.abs(got))
-        np.testing.assert_array_equal(analyze(box, f.with_coeffs(coeffs[1])).coeffs, got[1])
+        for f in (SineExpansion(box, 0.3, coeffs), SineExpansion(box, 0.3, coeffs[1])):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expansion at tilt 0.3 given to a family at tilt {-rate * box.beta}")):
+                analyze(box, f)
 
     def test_synthesis_vanishes_outside(self, box):
         f = basis_vector(box, 0)
         assert f(box.a - 1.0) == 0.0
         assert f(box.b + 1.0) == 0.0
         assert isinstance(f(1.0), float)
+
+
+class TestTiltContract:
+    """barrier_system's maps take coefficients at their family's own tilt and
+    refuse any other: nothing is re-expanded or truncated."""
+
+    def test_each_map_refuses_a_foreign_tilt(self, box):
+        system = barrier_system(box)
+        phi, psi = system.family_phi(3), system.family_psi(3)
+        for name, block, family_tilt in (("lower_a", psi, box.beta), ("raise_b", psi, box.beta),
+                                         ("lower_b_dag", phi, -box.beta),
+                                         ("raise_a_dag", phi, -box.beta)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expansion at tilt {block.tilt} given to a family at tilt {family_tilt}")):
+                getattr(system, name)(block)
+
+    def test_zero_tilt_passes_the_psi_family_at_minus_zero(self):
+        # sigma 0.5, r 0.125 give beta = 0.0 exactly (sigma 0.2, r 0.02 give
+        # 1.1e-16), so the psi family's tilt is -0.0, which equals 0.0
+        params = BarrierParams(MarketParams(0.5, 0.125), 0.0, math.pi)
+        assert params.beta == 0.0 and math.copysign(1.0, -params.beta) == -1.0
+        block = SineExpansion(params, 0.0, np.eye(4))
+        assert analyze_psi(params, block) is block
+        assert analyze_phi(params, block) is block
+        system = barrier_system(params)
+        lowered = system.lower_b_dag(block)
+        assert lowered.tilt == 0.0
+        np.testing.assert_array_equal(lowered.coeffs, apply_A_hat(params, block).coeffs)
+        assert run_all_checks(system, 20).all_pass
 
 
 class TestSpectralLadder:
@@ -382,29 +406,29 @@ class TestSpectralLadder:
     def test_shifts_are_the_roots_of_rho_to_the_bit(self, market, bounds):
         # the ladder maps and the battery's sqrt(e_n) read the one rho_n
         params = BarrierParams(market, *bounds)
-        ones = synthesize_phi(params, np.ones(DEFAULT_TRUNCATION + 1))
-        roots = np.sqrt(rho_coefficient(params, np.arange(DEFAULT_TRUNCATION + 2)))
+        ones = synthesize_phi(params, np.ones(TRUNCATION + 1))
+        roots = np.sqrt(rho_coefficient(params, np.arange(TRUNCATION + 2)))
         raised = apply_B_hat(params, ones)
         np.testing.assert_array_equal(raised.coeffs[1:], roots[1:])
         np.testing.assert_array_equal(apply_A_hat(params, ones).coeffs[:-1], roots[1:-1])
 
     def test_number_operator(self, box):
         rng = np.random.default_rng(1)
-        coeffs = rng.standard_normal(DEFAULT_TRUNCATION + 1)
+        coeffs = rng.standard_normal(TRUNCATION + 1)
         ba = apply_B_hat(box, apply_A_hat(box, synthesize_phi(box, coeffs)))
-        n = np.arange(DEFAULT_TRUNCATION + 2)
+        n = np.arange(TRUNCATION + 2)
         rho = math.pi**2 * n * (n + 2.0) / box.width**2
         np.testing.assert_allclose(ba.coeffs, rho * np.append(coeffs, 0.0), rtol=1e-13,
                                    atol=1e-13)
 
     def test_reversed_product_shifts_the_eigenvalue(self, box):
-        coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
+        coeffs = np.zeros(TRUNCATION + 1)
         coeffs[6] = 2.0
         ab = apply_A_hat(box, apply_B_hat(box, synthesize_phi(box, coeffs)))
         assert ab.coeffs[6] == pytest.approx(2.0 * rho_coefficient(box, 7), rel=1e-13)
 
     def test_dual_ladder_number_operator(self, box):
-        coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
+        coeffs = np.zeros(TRUNCATION + 1)
         coeffs[5] = 1.0
         # on psi-coefficients A_hat^dag raises like B_hat, B_hat^dag lowers like A_hat
         out = apply_B_hat(box, apply_A_hat(box, synthesize_psi(box, coeffs)))
@@ -413,12 +437,12 @@ class TestSpectralLadder:
 
     def test_raising_keeps_the_old_tail(self, box):
         # what a raise past the top coefficient used to drop, sqrt(rho_n) c_{n-1}
-        # at n = DEFAULT_TRUNCATION + 1, is the new last coefficient, bit for bit
-        coeffs = np.zeros(DEFAULT_TRUNCATION + 1)
+        # at n = TRUNCATION + 1, is the new last coefficient, bit for bit
+        coeffs = np.zeros(TRUNCATION + 1)
         coeffs[-1] = 1.0
         out = apply_B_hat(box, synthesize_phi(box, coeffs))
-        assert out.coeffs.shape == (DEFAULT_TRUNCATION + 2,)
-        assert out.coeffs[-1] == np.sqrt(rho_coefficient(box, DEFAULT_TRUNCATION + 1))
+        assert out.coeffs.shape == (TRUNCATION + 2,)
+        assert out.coeffs[-1] == np.sqrt(rho_coefficient(box, TRUNCATION + 1))
         assert np.count_nonzero(out.coeffs) == 1
 
     def test_tail_zero_when_top_mode_empty(self, box):
@@ -549,7 +573,7 @@ class TestMoments:
     @pytest.mark.parametrize("s", [-1.5, -0.75, 0.75, 1.5])
     def test_entries_match_mpmath(self, market, bounds, s):
         p = BarrierParams(market, *bounds)
-        g = moments(p, s, DEFAULT_TRUNCATION + 1)
+        g = moments(p, s, TRUNCATION + 1)
         np.testing.assert_array_equal(g, g.T)
         for m in (0, 1, 2, 17, 64, 127, 128):
             for j in (0, 1, 5, 64, 128):
@@ -559,7 +583,7 @@ class TestMoments:
     @pytest.mark.parametrize("bounds", MOMENT_BOUNDS, ids=MOMENT_IDS)
     def test_no_tilt_is_the_identity(self, market, bounds):
         p = BarrierParams(market, *bounds)
-        for n in (1, 2, DEFAULT_TRUNCATION + 1):
+        for n in (1, 2, TRUNCATION + 1):
             np.testing.assert_array_equal(moments(p, 0.0, n), np.eye(n))
 
     @pytest.mark.parametrize("bounds", MOMENT_BOUNDS, ids=MOMENT_IDS)
@@ -605,16 +629,15 @@ class TestBlocks:
                                     (synthesize_psi, analyze_psi)):
             f = synthesize(box, block)
             values = f(x)
-            # at a foreign tilt, where analysis re-expands through moments
-            coeffs = analyze(box, f.tilted(0.3)).coeffs
-            assert values.shape == (3, x.size) and coeffs.shape == (3, DEFAULT_TRUNCATION + 1)
+            # at the family's own tilt, where analysis returns the block itself
+            coeffs = analyze(box, f).coeffs
+            assert values.shape == (3, x.size) and coeffs.shape == (3, 17)
             for i, row in enumerate(block):
                 g = synthesize(box, row)
                 # one matrix product against three: equal to the last few ulps
                 np.testing.assert_allclose(values[i], g(x), rtol=0.0,
                                            atol=1e-15 * np.max(np.abs(values[i])))
-                np.testing.assert_allclose(coeffs[i], analyze(box, g.tilted(0.3)).coeffs,
-                                           rtol=0.0, atol=1e-14)
+                np.testing.assert_array_equal(coeffs[i], analyze(box, g).coeffs)
             np.testing.assert_array_equal(f(1.0), f(np.array([1.0]))[:, 0])
 
     def test_identity_block_is_the_family(self, box):
@@ -624,16 +647,12 @@ class TestBlocks:
             for n in range(9):
                 np.testing.assert_allclose(values[n], member(box, n)(x), rtol=0.0,
                                            atol=1e-14)
-        # the block is the tilted table zeroed outside [a, b], bit for bit, with
-        # or without the shared tables
+        # the block is the tilted table zeroed outside [a, b], bit for bit
         x = np.concatenate([x, [box.a - 0.5, box.b + 2.0]])
         inside = (x >= box.a) & (x <= box.b)
-        tables = shared_mode_tables(mode_table, box, 8)
         for synthesize, rate in ((synthesize_phi, box.beta), (synthesize_psi, -box.beta)):
             expected = np.where(inside, mode_table(box, 8, x) * np.exp(rate * x), 0.0)
-            for shared in (None, tables):
-                block = synthesize(box, np.eye(9), shared)
-                np.testing.assert_array_equal(block(x), expected)
+            np.testing.assert_array_equal(synthesize(box, np.eye(9))(x), expected)
 
     def test_points_of_any_shape(self, box):
         x = np.linspace(box.a - 0.5, box.b + 0.5, 6).reshape(2, 3)
@@ -681,36 +700,39 @@ class TestSharedTables:
 
     def test_more_rows_rebuild_the_table(self, monkeypatch, box):
         calls = count_mode_tables(monkeypatch)
-        tables = shared_mode_tables(pbk.barrier.mode_table, box, 4)
+        tables = shared_mode_tables(pbk.barrier.mode_table, box)
         x = np.linspace(box.a, box.b, 17)
         assert tables(2, x).shape == (3, 17) and len(calls) == 1
-        assert tables(4, x).shape == (5, 17) and len(calls) == 1
-        assert tables(9, x).shape == (10, 17) and len(calls) == 2
-        assert tables(6, x).shape == (7, 17) and len(calls) == 2
-        assert tables(6, x[1:]).shape == (7, 16) and len(calls) == 3
-        assert [n for n, _ in calls] == [4, 9, 6]
+        assert tables(1, x).shape == (2, 17) and len(calls) == 1
+        assert tables(4, x).shape == (5, 17) and len(calls) == 2
+        assert tables(9, x).shape == (10, 17) and len(calls) == 3
+        assert tables(6, x).shape == (7, 17) and len(calls) == 3
+        assert tables(6, x[1:]).shape == (7, 16) and len(calls) == 4
+        assert [n for n, _ in calls] == [2, 4, 9, 6]
 
     def test_tables_are_read_only(self, box):
-        table = shared_mode_tables(mode_table, box, 4)(4, np.linspace(box.a, box.b, 5))
+        table = shared_mode_tables(mode_table, box)(4, np.linspace(box.a, box.b, 5))
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
     def test_row_slices_equal_smaller_tables(self, box):
-        tables = shared_mode_tables(mode_table, box, MAX_DEGREE)
+        tables = shared_mode_tables(mode_table, box)
         for x in self.node_sets(box):
-            for n in (0, 4, 20, 21, 60, DEFAULT_TRUNCATION, MAX_DEGREE):
+            tables(MAX_DEGREE, x)  # the largest first: every later request is a slice
+            for n in (0, 4, 20, 21, 60, TRUNCATION, MAX_DEGREE):
                 assert np.array_equal(tables(n, x), mode_table(box, n, x))
 
     def test_analysis_and_synthesis_bits_with_and_without_tables(self, monkeypatch, box):
-        tables = shared_mode_tables(mode_table, box, DEFAULT_TRUNCATION)
+        tables = shared_mode_tables(mode_table, box)
         coeffs = np.random.default_rng(4).standard_normal((3, 21))
         for synthesize, analyze in ((synthesize_phi, analyze_phi),
                                     (synthesize_psi, analyze_psi)):
             for v in (coeffs, np.eye(61)):
                 for x in self.node_sets(box):
-                    assert np.array_equal(synthesize(box, v, tables)(x),
-                                          synthesize(box, v)(x))
-            # analysis reads coefficients, never a table
+                    f = synthesize(box, v)
+                    assert np.array_equal(replace(f, tables=tables)(x), f(x))
+            # analysis reads its input's tilt, never a table
             calls = count_mode_tables(monkeypatch)
-            analyze(box, synthesize(box, coeffs, tables).tilted(0.3))
+            f = synthesize(box, coeffs)
+            assert analyze(box, f) is f
             assert calls == []

@@ -166,7 +166,7 @@ class TestSharedModeTables:
 
     def test_interior_points_read_the_grid_table(self):
         calls = []
-        tables = shared_mode_tables(counted_table(calls), None, 0, self.GRID)
+        tables = shared_mode_tables(counted_table(calls), None, self.GRID)
         f = self.GRID.sample(np.sin)
         full = tables(5, f.x)
         for inner in (derivative(f), derivative(derivative(f)), f.interior(7)):
@@ -179,7 +179,7 @@ class TestSharedModeTables:
 
     def test_points_off_the_grid_get_their_own_table(self):
         calls = []
-        tables = shared_mode_tables(counted_table(calls), None, 0, self.GRID)
+        tables = shared_mode_tables(counted_table(calls), None, self.GRID)
         x = self.GRID.points
         for other in (x[1:-1] + 0.5 * self.GRID.dx, x[2:-2:2], x[1:-1] * (1.0 + 1e-9)):
             tables(3, other)
@@ -187,7 +187,7 @@ class TestSharedModeTables:
 
     def test_more_rows_replace_the_table(self):
         calls = []
-        tables = shared_mode_tables(counted_table(calls), None, 0, self.GRID)
+        tables = shared_mode_tables(counted_table(calls), None, self.GRID)
         x = self.GRID.points
         first = tables(2, x)
         assert tables(4, x[3:-3]).shape == (5, self.GRID.n - 6)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from pbk import harmonic
 from pbk import grids
 from pbk.grids import GridSpec, apply_Theta, apply_Theta_inv, derivative, row_norm
-from pbk.specialfn import MAX_DEGREE, laguerre
+from pbk.specialfn import MAX_DEGREE, laguerre_sequence
 from pbk.harmonic import (
     HarmonicParams,
     HermiteExpansion,
@@ -442,7 +442,7 @@ class TestNormLaw:
             # bit for bit the law of one Laguerre value at a time
             np.testing.assert_array_equal(laws, one_by_one)
             np.testing.assert_array_equal(
-                laws, [scale * laguerre(n, -2.0 * b * b * s * s) for n in range(61)])
+                laws, [scale * laguerre_sequence(n, -2.0 * b * b * s * s)[n] for n in range(61)])
             calls.clear()
         with pytest.raises(ValueError, match="nonnegative"):
             norm_squared_law(p, np.array([3, -1]))

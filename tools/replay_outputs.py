@@ -15,7 +15,7 @@ report); text differs, with the fields whose strings, booleans or nulls
 changed; or the largest relative numeric move, |a - b| / max(|a|, |b|), by
 field. Kernel tables are compared by column and method; a JSON report by the
 path of each leaf in it. The last lines give each field's largest move
-over all argvs.
+over all argvs and each tree's total line count of ``src/pbk/*.py``.
 
 The exit status is 1 when any argv's exit code, stderr, plain-text output,
 set of fields (a field dropped or added, or a field with a different count
@@ -146,6 +146,11 @@ def _fields(text: str) -> Optional[dict]:
     return fields
 
 
+def source_lines(tree: Path) -> int:
+    """The newlines in the tree's src/pbk/*.py, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "pbk").glob("*.py"))
+
+
 def _move(a: float, b: float) -> float:
     return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
 
@@ -222,6 +227,8 @@ def main() -> int:
     print(f"# {len(runs[0])} argvs: " + ", ".join(f"{n} {k}" for k, n in sorted(counts.items())))
     for key, move in sorted(worst.items()):
         print(f"# largest move of {key}: {move:.3g}")
+    print("# src/pbk/*.py lines: " + " -> ".join(f"{source_lines(tree)} in {tree}"
+                                                 for tree in args.trees))
     failed = sum(counts[kind] for kind in STRUCTURAL)
     if failed:
         print(f"# {failed} argvs differ in exit code, stderr or numeric fields")
