@@ -195,7 +195,7 @@ def _naive_first_order(params: BarrierParams, f: GridFunction, d_sign: float, be
     _require_interior_grid(params, f)
     lam1 = params.wavenumber(1)
     d = derivative(f)
-    mid = f.interior(3)
+    mid = f.interior(4)
     cot = lam1 / np.tan(lam1 * (d.x - params.a))
     vals = d_sign * d.samples - cot * mid.samples + beta_sign * params.beta * mid.samples
     return d.with_samples(vals)
@@ -250,8 +250,10 @@ class SineExpansion(Expansion):
         return (self.matrices or partial(moments, self.params))(s, n)
 
 
-def moments(params: BarrierParams, s: float, n: int) -> np.ndarray:
-    """The n x n matrix G(s)_mj = (Phi_m, e^{s x} Phi_j) on (a, b), in closed form.
+def moments(params: BarrierParams, s, n: int) -> np.ndarray:
+    """The n x n matrix G(s)_mj = (Phi_m, e^{s x} Phi_j) on (a, b), in closed form;
+    for an array of tilts s, a stack of them, one per tilt, each equal bit for
+    bit to its own build.
 
     With y = x - a, Phi_m Phi_j = (cos(p omega y) - cos(q omega y)) / L for
     p = |m - j|, q = m + j + 2 and omega = pi / L, and e^{s y} cos(k omega y)
@@ -262,17 +264,25 @@ def moments(params: BarrierParams, s: float, n: int) -> np.ndarray:
     and -(e^{s L} + 1) for odd p. Nothing cancels, and G(0) is the identity
     exactly. Entries overflow to inf once e^{s L} does.
     """
-    if s == 0.0:
-        return np.eye(n)
+    s = np.asarray(s, dtype=float)
+    out = np.empty(s.shape + (n, n))
     k = np.arange(n)
     p = np.abs(np.subtract.outer(k, k))
     q = np.add.outer(k, k) + 2
+    even, weights = p % 2 == 0, (q - p) * (q + p)
     omega = params.wavenumber(1)
-    growth = s * params.width
-    ends = np.where(p % 2 == 0, np.expm1(growth), -(np.exp(growth) + 1.0))
-    # s / (s^2 + (p omega)^2) as 1 / (s + (p omega)^2 / s): 1 / s on the diagonal
-    return (np.exp(s * params.a) / params.width * omega**2 * ((q - p) * (q + p)) * ends
-            / (s + (p * omega) ** 2 / s) / (s * s + (q * omega) ** 2))
+    p_omega, q_omega = (p * omega) ** 2, (q * omega) ** 2
+    # one tilt at a time into the stack: whole-stack temporaries ran slower
+    for matrix, t in zip(out.reshape(-1, n, n), s.flat):
+        if t == 0.0:
+            matrix[...] = np.eye(n)
+            continue
+        growth = t * params.width
+        ends = np.where(even, np.expm1(growth), -(np.exp(growth) + 1.0))
+        # s / (s^2 + (p omega)^2) as 1 / (s + (p omega)^2 / s): 1 / s on the diagonal
+        matrix[...] = (np.exp(t * params.a) / params.width * omega**2 * weights * ends
+                       / (t + p_omega / t) / (t * t + q_omega))
+    return out
 
 
 def _analyze(params: BarrierParams, f: SineExpansion, tilt: float) -> SineExpansion:

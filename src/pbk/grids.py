@@ -1,10 +1,10 @@
 """Uniform grids, sampled functions, and central-difference operators.
 
 Differential operators in this package act on sampled functions by central
-differences: seven points and sixth order for the first derivative, three
+differences: nine points and eighth order for the first derivative, three
 points and second order for the second. A GridFunction remembers its own
 origin and step, so the output of an operator is simply a shorter
-GridFunction starting three or one steps in.
+GridFunction starting four or one steps in.
 
 A GridFunction holds one function (1-D samples) or a block of functions on
 the same grid (2-D samples, one function per row). Operators and norms act
@@ -104,20 +104,24 @@ class GridFunction:
 
 
 def derivative(f: GridFunction) -> GridFunction:
-    """Sixth-order central first derivative
-    (-f_{-3} + 9 f_{-2} - 45 f_{-1} + 45 f_{+1} - 9 f_{+2} + f_{+3}) / (60 h)
-    (Fornberg 1988); output is 6 samples shorter."""
+    """Eighth-order central first derivative
+    (672 (f_1 - f_{-1}) - 168 (f_2 - f_{-2}) + 32 (f_3 - f_{-3}) - 3 (f_4 - f_{-4})) / (840 h)
+    (Fornberg 1988); output is 8 samples shorter."""
     s = f.samples
-    # ((f_1 - f_{-1}) 5 - (f_2 - f_{-2})) 9 + (f_3 - f_{-3}), in place in one array
-    d = s[..., 4:-2] - s[..., 2:-4]
-    d *= 5.0
-    d -= s[..., 5:-1]
-    d += s[..., 1:-5]
-    d *= 9.0
-    d += s[..., 6:]
-    d -= s[..., :-6]
-    d /= 60.0 * f.dx
-    return GridFunction(f.x0 + 3.0 * f.dx, f.dx, d)
+    # (((f_1 - f_{-1}) 4 - (f_2 - f_{-2})) 21/4 + (f_3 - f_{-3})) 32/3 - (f_4 - f_{-4}),
+    # over 280 h, in place in one array
+    d = s[..., 5:-3] - s[..., 3:-5]
+    d *= 4.0
+    d -= s[..., 6:-2]
+    d += s[..., 2:-6]
+    d *= 5.25
+    d += s[..., 7:-1]
+    d -= s[..., 1:-7]
+    d *= 32.0 / 3.0
+    d -= s[..., 8:]
+    d += s[..., :-8]
+    d /= 280.0 * f.dx
+    return GridFunction(f.x0 + 4.0 * f.dx, f.dx, d)
 
 
 def second_derivative(f: GridFunction) -> GridFunction:
@@ -210,21 +214,31 @@ def shared_mode_tables(mode_table: Callable, params,
 def shared_moments(moments: Callable, params, n_min: int) -> Callable:
     """matrices(s, n): the n x n matrix moments(params, s, n), one per tilt s.
 
-    A tilt gets one read-only matrix of size max(n_min, n) the first time it
-    is asked for. A larger n replaces it; a smaller n reads its leading
-    n x n block. Each model builds its matrix entry by entry, or row by row
-    from a first row that is a cumulative product, so the block equals a
-    fresh build bit for bit. The matrices live as long as the returned
-    callable.
+    The first request builds the tilts a battery pairs, 0, +-beta and
+    +-2 beta of params' beta, in one stacked call of size max(n_min, n);
+    any other tilt gets one matrix of size max(n_min, n) the first time it is
+    asked for. A larger n replaces a tilt's matrix with a build of its own; a
+    smaller n reads its leading n x n block. Each model builds its stack
+    elementwise, entry by entry or row by row from a first row that is a
+    cumulative product, so a slice and a block equal a fresh single build bit
+    for bit. The read-only matrices live as long as the returned callable.
     """
     held = {}
 
+    def build(tilts, n):
+        stack = moments(params, tilts, max(n, n_min))
+        stack.flags.writeable = False
+        return stack
+
     def matrices(s: float, n: int) -> np.ndarray:
-        key = float(s).hex()  # -0.0 gets its own matrix: its zeros may carry a sign
+        if not held:
+            beta = params.beta
+            # keyed by float.hex: -0.0 gets its own matrix, as its zeros may carry a sign
+            tilts = {t.hex(): t for t in (0.0, beta, -beta, 2.0 * beta, -2.0 * beta)}
+            held.update(zip(tilts, build(np.array(list(tilts.values())), n)))
+        key = float(s).hex()
         if key not in held or len(held[key]) < n:
-            matrix = moments(params, s, max(n, n_min))
-            matrix.flags.writeable = False
-            held[key] = matrix
+            held[key] = build(s, n)
         return held[key][:n, :n]
 
     return matrices
@@ -323,7 +337,7 @@ def mode_sum(mode_table: Callable, params, tables: Optional[Callable], coeffs: n
         vals = coeffs @ table.reshape(rows, -1)
         vals = vals.reshape(coeffs.shape[:-1] + x_arr.shape)
         vals *= np.exp(tilt * x_arr)
-    del table  # an unshared table is freed at once: on the operator grid it is megabytes
+    del table  # an unshared table is freed before the support mask copies vals
     if support is not None:
         vals = np.where((x_arr >= support[0]) & (x_arr <= support[1]), vals, 0.0)
     if np.ndim(x):

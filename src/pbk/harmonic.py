@@ -12,9 +12,9 @@ eigenfunctions of H_eff and of its adjoint with the common spectrum n + delta.
 
 Operators come in two interchangeable realizations:
 
-* on a ``GridFunction``, d/dx is the sixth-order seven-point central
-  difference, so the ladder maps are sixth order and the generators, which
-  add a three-point d^2/dx^2, second order (outputs six samples shorter);
+* on a ``GridFunction``, d/dx is the eighth-order nine-point central
+  difference, so the ladder maps are eighth order and the generators, which
+  add a three-point d^2/dx^2, second order (outputs eight samples shorter);
   the realization is independent of the eigenbasis, so eigen-equation
   residuals genuinely measure the operators;
 * on a ``HermiteExpansion`` (a finite combination e^{t x} sum c_k Phi_k),
@@ -45,7 +45,7 @@ from .grids import (Expansion, GridFunction, GridSpec, derivative, mode_sum,
 from .market import MarketParams, MarketView
 from .specialfn import MAX_DEGREE, hermite_function_sequence, laguerre_sequence
 
-OPERATOR_GRID_POINTS = 2001
+OPERATOR_GRID_POINTS = 1001
 OPERATOR_GRID_HALF_WIDTH = 10.0  # in units of sigma
 
 
@@ -85,7 +85,7 @@ def eigenvalue(params: HarmonicParams, n):
 def mode_table(params: HarmonicParams, n_max: int, x) -> np.ndarray:
     """Rows Phi_0..Phi_{n_max} at x in one array of shape (n_max + 1,) + x.shape."""
     table = hermite_function_sequence(n_max, params.scaled_argument(x))
-    table /= math.sqrt(params.sigma)  # in place: operator-grid tables are megabytes
+    table /= math.sqrt(params.sigma)  # in place, with no second table
     return table
 
 
@@ -141,7 +141,7 @@ def quadratic_potential(params: HarmonicParams, x):
 
 def operator_grid(params: HarmonicParams) -> GridSpec:
     """The grid route's grid, center +- 10 sigma: its finite differences run
-    and its residuals are measured on it; the sixth-order first derivative
+    and its residuals are measured on it; the eighth-order first derivative
     keeps ladder residuals to mode 20 below 1e-8."""
     half = OPERATOR_GRID_HALF_WIDTH * params.sigma
     return GridSpec.over(params.center - half, params.center + half,
@@ -219,8 +219,10 @@ def psi_n(params: HarmonicParams, n: int) -> HermiteExpansion:
 # The moment matrix of inner products in coefficient space
 
 
-def moments(params: HarmonicParams, s: float, n: int) -> np.ndarray:
-    """The n x n matrix of (Phi_m, e^{s x} Phi_j) = e^{-s sigma^2 w} M(s sigma)_mj.
+def moments(params: HarmonicParams, s, n: int) -> np.ndarray:
+    """The n x n matrix of (Phi_m, e^{s x} Phi_j) = e^{-s sigma^2 w} M(s sigma)_mj;
+    for an array of tilts s, a stack of them, one per tilt, each equal bit for
+    bit to its own build.
 
     M(alpha)_mj = (h_m, e^{alpha u} h_j) is a displaced-oscillator moment: its
     row 0 is e^{alpha^2/4} (alpha/sqrt 2)^j / sqrt(j!), and a e^{alpha u} =
@@ -229,18 +231,20 @@ def moments(params: HarmonicParams, s: float, n: int) -> np.ndarray:
     nothing cancels; M(0) is the identity exactly. Entries overflow to inf
     once e^{alpha^2/4} does.
     """
-    alpha = s * params.sigma
+    s = np.asarray(s, dtype=float)
+    tilts = s.reshape(-1, 1)
+    alpha = tilts * params.sigma
     half = alpha / math.sqrt(2.0)
     roots = np.sqrt(np.arange(n))
-    out = np.empty((n, n))
-    first = np.empty(n)
-    first[0] = np.exp(alpha * alpha / 4.0 - s * params.sigma**2 * params.w)
-    first[1:] = half / roots[1:]
-    out[0] = np.cumprod(first)
+    out = np.empty((tilts.shape[0], n, n))
+    first = np.empty((tilts.shape[0], n))
+    first[:, :1] = np.exp(alpha * alpha / 4.0 - tilts * params.sigma**2 * params.w)
+    first[:, 1:] = half / roots[1:]
+    out[:, 0] = np.cumprod(first, axis=-1)
     for m in range(n - 1):
-        out[m + 1, 0] = half * out[m, 0] / roots[m + 1]
-        out[m + 1, 1:] = (roots[1:] * out[m, :-1] + half * out[m, 1:]) / roots[m + 1]
-    return out
+        out[:, m + 1, :1] = half * out[:, m, :1] / roots[m + 1]
+        out[:, m + 1, 1:] = (roots[1:] * out[:, m, :-1] + half * out[:, m, 1:]) / roots[m + 1]
+    return out.reshape(s.shape + (n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,7 @@ def moments(params: HarmonicParams, s: float, n: int) -> np.ndarray:
 
 Applicable = Union[GridFunction, HermiteExpansion]
 
-_MIN_OPERATOR_SAMPLES = 15  # the output, 6 samples shorter, must itself be a valid GridFunction
+_MIN_OPERATOR_SAMPLES = 17  # the output, 8 samples shorter, must itself be a valid GridFunction
 
 
 def _require_operator_grid(f: GridFunction) -> None:
@@ -274,9 +278,9 @@ def _first_order(params: HarmonicParams, f: Applicable, d_sign: float, beta_step
     _require_operator_grid(f)
     d = derivative(f)
     factor = superpotential(params, d.x) + shift
-    # written into d's own array, one row at a time: a block on the operator
-    # grid holds megabytes per copy
-    for row, mid in zip(d.rows(), f.interior(3).rows()):
+    # written into d's own array, one row at a time: whole-block temporaries
+    # of a 176 KB operator-grid block ran no faster
+    for row, mid in zip(d.rows(), f.interior(4).rows()):
         if d_sign > 0:
             row += factor * mid
         else:
@@ -339,8 +343,8 @@ def _second_order(
     d1 = derivative(f)
     # three-point, trimmed to d1's points: a five-point second derivative is
     # already at its rounding floor on the step that measures these generators
-    d2 = second_derivative(f).interior(2)
-    mid = f.interior(3)
+    d2 = second_derivative(f).interior(3)
+    mid = f.interior(4)
     vals = -(s**2 / 2.0) * d2.samples + drift * d1.samples + constant * mid.samples
     if with_potential:
         vals = vals + quadratic_potential(params, d1.x) * mid.samples

@@ -2,7 +2,7 @@
 
 The harmonic model plugs in either through exact Hermite-coefficient algebra
 (route "exact") or through finite differences on a dense grid (route "grid"):
-sixth order for the ladder maps, second order for the generators. The
+eighth order for the ladder maps, second order for the generators. The
 barrier model always works in sine-coefficient space, where its ladder maps
 are defined. Each system carries its model's beta, the tilt of the metric
 Theta = e^{-2 beta x} both share, its eigenvalue function, its tolerances
@@ -10,13 +10,14 @@ and its norm rule, so the check battery needs nothing else.
 
 Each system's expansion is its model's expansion class, a
 harmonic.HermiteExpansion or a barrier.SineExpansion, bound to the model's
-params and to one grids.shared_moments over the model's moments: each
-tilt's matrix is built once for the system's lifetime, at the
-NORM_N_MAX_CAP + 1 coefficients of the quasi-basis families, the largest
-the battery pairs, and read as leading blocks. pb_core builds the families,
-the test block and the quasi pairs from it and takes every inner product,
-Gram matrix and expansion residual in coefficient space. Only the harmonic
-grid route's maps sample, onto its operator grid.
+params and to one grids.shared_moments over the model's moments: the
+battery's tilts 0, +-beta and +-2 beta are built in one stacked call, once
+for the system's lifetime, at the NORM_N_MAX_CAP + 1 coefficients of the
+quasi-basis families, the largest the battery pairs, and read as leading
+blocks. pb_core builds the families, the test block and the quasi pairs
+from it and takes every inner product, Gram matrix and expansion residual
+in coefficient space. Only the harmonic grid route's maps sample, onto its
+operator grid.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
 
     route "exact" applies ladder maps to eigenfamily members through their
     Hermite coefficients; route "grid" forces every application through the
-    sixth-order central first derivative on the 2001-point operator grid (a
+    eighth-order central first derivative on the 1001-point operator grid (a
     cross-validation mode whose ladder residuals get a looser tolerance).
 
     The system's expansions are HermiteExpansions, so inner products, Gram
@@ -82,8 +83,8 @@ def harmonic_system(params: har.HarmonicParams, route: str = "exact") -> LadderS
             return partial(op, params)
         return lambda f: op(params, f if isinstance(f, GridFunction) else op_grid.sample(f))
 
-    # the grid route funnels every ladder map through the sixth-order central
-    # first derivative; its residuals scale with h^6 times derivative magnitudes
+    # the grid route funnels every ladder map through the eighth-order central
+    # first derivative; its residuals scale with h^8 times derivative magnitudes
     tolerances = {} if exact else {"ladder": 1e-6}
     if beta_is_degenerate(params.beta):
         tolerances["norm_growth"] = 1e-10  # products of 1, up to rounding

@@ -214,8 +214,8 @@ class TestNaiveFactorization:
 
     def test_vacuum_residual_shrinks_at_second_order(self, box):
         errs = []
-        # the sixth-order stencil reaches rounding, 2e-14, at 2e-3 * width;
-        # these steps read 2.7e-8, 4.1e-10 and 6.4e-12
+        # the eighth-order stencil reaches rounding, about 1e-14, at 8e-3 * width;
+        # these steps read 1.0e-10, 5.1e-13 and 6.4e-15
         for h in (box.width / 32, box.width / 64, box.width / 128):
             grid = interior_grid(box, h)
             out = apply_A_naive(box, grid.sample(varphi_n(box, 0)))

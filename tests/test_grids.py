@@ -70,8 +70,8 @@ def test_derivative_of_sine():
     g = GridSpec.over(0.0, math.pi, 2001)
     d = derivative(g.sample(np.sin))
     np.testing.assert_allclose(d.samples, np.cos(d.x), atol=1e-12)
-    assert d.n == 1995
-    assert d.x0 == pytest.approx(3.0 * g.dx)
+    assert d.n == 1993
+    assert d.x0 == pytest.approx(4.0 * g.dx)
 
 
 def test_second_derivative_of_sine():
@@ -80,20 +80,20 @@ def test_second_derivative_of_sine():
     np.testing.assert_allclose(d2.samples, -np.sin(d2.x), atol=5e-7)
 
 
-def test_derivative_converges_at_sixth_order():
-    # the error at x = 1, a point of every grid: 7.4e-8, 1.2e-9 and 1.8e-11.
-    # On [0, 1] with 81 points or more it reaches rounding, about 4e-14
+def test_derivative_converges_at_eighth_order():
+    # the error at x = 1, a point of every grid: 6.7e-8, 2.6e-10 and 1.0e-12
+    # at steps 1/4, 1/8 and 1/16. At step 1/32 it reaches rounding, about 3e-15
     errs = []
     for n in (17, 33, 65):
-        g = GridSpec.over(0.0, 2.0, n)
+        g = GridSpec.over(-1.0, 3.0, n)
         d = derivative(g.sample(np.exp))
         k = round((1.0 - d.x0) / d.dx)
         assert d.x[k] == pytest.approx(1.0, abs=1e-12)
         errs.append(abs(d.samples[k] - math.e))
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
-    assert order1 == pytest.approx(6.0, abs=0.05)
-    assert order2 == pytest.approx(6.0, abs=0.05)
+    assert order1 == pytest.approx(8.0, abs=0.05)
+    assert order2 == pytest.approx(8.0, abs=0.05)
 
 
 @given(
@@ -104,19 +104,22 @@ def test_derivative_converges_at_sixth_order():
     q=st.floats(-2, 2),
     v=st.floats(-2, 2),
     z=st.floats(-2, 2),
+    t=st.floats(-2, 2),
+    y=st.floats(-2, 2),
 )
-def test_central_difference_exact_on_quadratics(a, b, c, e, q, v, z):
+def test_central_difference_exact_on_quadratics(a, b, c, e, q, v, z, t, y):
     g = GridSpec.over(-1.0, 1.0, 21)
     f = g.sample(lambda x: a + b * x + c * x * x)
     d = derivative(f)
     np.testing.assert_allclose(d.samples, b + 2 * c * d.x, atol=1e-10)
     d2 = second_derivative(f)
     np.testing.assert_allclose(d2.samples, 2 * c, atol=1e-9)
-    # the seven-point first derivative is exact on every polynomial of degree 6
+    # the nine-point first derivative is exact on every polynomial of degree 8
     d = derivative(f.with_samples(f.samples + e * f.x**3 + q * f.x**4 + v * f.x**5
-                                  + z * f.x**6))
+                                  + z * f.x**6 + t * f.x**7 + y * f.x**8))
     np.testing.assert_allclose(d.samples, b + 2 * c * d.x + 3 * e * d.x**2 + 4 * q * d.x**3
-                               + 5 * v * d.x**4 + 6 * z * d.x**5, atol=1e-10)
+                               + 5 * v * d.x**4 + 6 * z * d.x**5 + 7 * t * d.x**6
+                               + 8 * y * d.x**7, atol=1e-10)
 
 
 def test_grid_norm():

@@ -571,12 +571,11 @@ class TestRunAllChecks:
         assert report() == first
 
     def test_grid_route_holds_at_most_four_operator_grid_blocks(self, market):
-        # the bound is in bytes, not in blocks: three blocks of 22 rows x 8001
-        # points, 4,224,528 B, bounded the traced peak on the 8001-point grid,
-        # and a third of that bounds it on the 2001-point grid, which peaks at
-        # 882,673 B. The system's table on the operator grid is held in a
-        # mapping of its own that tracemalloc does not see
-        bound = 4_224_528 // 3  # 1,408,176 B
+        # the bound is in bytes: four blocks of 22 rows x 1001 points, 8 bytes
+        # a sample, on the 1001-point grid, which peaks at 513,682 B. The
+        # system's table on the operator grid is held in a mapping of its own
+        # that tracemalloc does not see
+        bound = 4 * 22 * 1001 * 8  # 704,704 B
         system = harmonic_system(HarmonicParams(market), route="grid")
         run_all_checks(system, 20)  # rules and lazily imported modules are not counted
         system = harmonic_system(HarmonicParams(market), route="grid")
@@ -647,12 +646,13 @@ SYSTEMS = {
 class TestSharedMoments:
     @staticmethod
     def count_builds(monkeypatch, module):
-        """Every (s, n) the module's moments is called with, as systems build them."""
+        """Every (s, n) the module's moments is called with, as systems build
+        them: a stacked build's s as a tuple of its tilts."""
         builds = []
         original = module.moments
 
         def counted(params, s, n):
-            builds.append((s, n))
+            builds.append((tuple(s.tolist()) if np.ndim(s) else s, n))
             return original(params, s, n)
 
         monkeypatch.setattr(module, "moments", counted)
@@ -665,15 +665,33 @@ class TestSharedMoments:
         system = build(market)
         first = run_all_checks(system, 20).to_json()
         beta = system.beta
-        # 0, +-beta and +-2 beta, each at the quasi-basis families' size
-        assert sorted(builds) == sorted((s, NORM_N_MAX_CAP + 1)
-                                        for s in (0.0, beta, -beta, 2 * beta, -2 * beta))
+        # 0, +-beta and +-2 beta in one stacked build at the quasi-basis
+        # families' size
+        assert builds == [((0.0, beta, -beta, 2 * beta, -2 * beta), NORM_N_MAX_CAP + 1)]
         builds.clear()
         assert run_all_checks(system, 20).to_json() == first
         assert builds == []
         # a second system builds its own, and reports the same
         assert run_all_checks(build(market), 20).to_json() == first
-        assert len(builds) == 5
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("module, params", [
+        (har, HarmonicParams(MarketParams(0.5, 0.125), 0.36)),
+        (bar, BarrierParams(MarketParams(0.5, 0.125), 0.0, math.pi)),
+    ])
+    def test_signed_zeros_stack_apart_and_other_tilts_build_alone(self, monkeypatch, module,
+                                                                  params):
+        # at beta 0 the tilt set is 0.0 and -0.0, and each keeps its own matrix
+        assert params.beta == 0.0
+        fresh = {s.hex(): module.moments(params, s, 21) for s in (0.0, -0.0, 0.25)}
+        builds = self.count_builds(monkeypatch, module)
+        matrices = grids.shared_moments(module.moments, params, NORM_N_MAX_CAP + 1)
+        for s in (-0.0, 0.0, 0.25, -0.0):
+            block = matrices(s, 21)
+            np.testing.assert_array_equal(block, fresh[s.hex()], strict=True)
+            assert np.array_equal(np.signbit(block), np.signbit(fresh[s.hex()]))
+        assert builds == [((0.0, -0.0), NORM_N_MAX_CAP + 1), (0.25, NORM_N_MAX_CAP + 1)]
+        assert [math.copysign(1.0, s) for s in builds[0][0]] == [1.0, -1.0]
 
     @pytest.mark.parametrize("module, params", [
         (har, HarmonicParams(MarketParams(0.2, 0.05), 0.36)),

@@ -487,7 +487,9 @@ class TestMonteCarlo:
         cfg = small_cfg(paths=2500, steps=16)
         _simulate_block(3, 2500, X0, LOG_A, LOG_B, 0.2, 0.05, 0.5, cfg,
                         Payoff.call(100.0))
-        assert [c.shape for c in chunks] == [(1024, 16), (1024, 16), (452, 16)]
+        full, rest = divmod(2500, MC_CHUNK_PATHS)
+        assert rest  # the block ends in a partial chunk
+        assert [c.shape for c in chunks] == [(MC_CHUNK_PATHS, 16)] * full + [(rest, 16)]
         dt = 0.5 / 16
         drift_line = X0 + (0.05 - 0.02) * dt * np.arange(1, 17)
         for chunk in chunks:
@@ -500,6 +502,19 @@ class TestMonteCarlo:
         normals = (steps - (0.05 - 0.02) * dt) / (0.2 * math.sqrt(dt))
         np.testing.assert_allclose(normals, pair_normals(3, 2500, cfg), rtol=0.0,
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_chunk_size_never_changes_a_price(self, monkeypatch, bridge):
+        # pairs form inside a chunk and each chunk draws its rows in order from
+        # the block's stream, so the pair means, and their sums, do not move;
+        # the last block is 1000 paths, a partial chunk at every size
+        cfg = small_cfg(paths=2 * MC_BLOCK_PATHS + 1000, bridge_correction=bridge)
+        prices = set()
+        for chunk in (2, 64, 256, 1024, 8192):
+            monkeypatch.setattr(pricing, "MC_CHUNK_PATHS", chunk)
+            got = price_mc_barrier(Payoff.call(100.0), 100.0, BARRIERS, 0.2, 0.05, 0.5, cfg)
+            prices.add((got.value, got.stderr))
+        assert len(prices) == 1
 
     def test_value_and_stderr_are_taken_over_pairs(self):
         cfg = small_cfg(paths=2 * MC_BLOCK_PATHS + 2500, steps=16)

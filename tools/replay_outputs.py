@@ -7,15 +7,18 @@
 For every seed and workload, each argv that the tree's
 ``perfbench/workload.py`` builds with ``build_ops`` is run in process through
 ``pbk.cli.main`` with ``--out``, in a child process per tree that imports pbk
-from ``TREE/src``. So is each argv of REFUSALS, which the parser or a command
-refuses, fails or answers with help: without ``--out``, its standard output is
-captured and a ``SystemExit`` gives its exit code. For each argv one line
-says: identical; exit code or stderr differs; output differs (text that is no
-report); text differs, with the fields whose strings, booleans or nulls
-changed; or the largest relative numeric move, |a - b| / max(|a|, |b|), by
-field. Kernel tables are compared by column and method; a JSON report by the
-path of each leaf in it. The last lines give each field's largest move
-over all argvs and each tree's total line count of ``src/pbk/*.py``.
+from ``TREE/src``. So is each argv of GRID_SWEEP, the harmonic grid route over
+a grid of markets and mode counts. Each argv of REFUSALS, which the parser or
+a command refuses, fails or answers with help, is run without ``--out``: its
+standard output is captured and a ``SystemExit`` gives its exit code. For
+each argv one line says: identical; exit code or stderr differs; output
+differs (text that is no report); text differs, with the fields whose
+strings, booleans or nulls changed; or the largest relative numeric move,
+|a - b| / max(|a|, |b|), by field. Kernel tables are compared by column and
+method; a JSON report by the path of each leaf in it. The last lines give,
+for each diagnose check, how many of its figures rose, fell or held over
+every argv that reports it in both trees, each field's largest move over all
+argvs, and each tree's total line count of ``src/pbk/*.py``.
 
 The exit status is 1 when any argv's exit code, stderr, plain-text output,
 set of fields (a field dropped or added, or a field with a different count
@@ -75,6 +78,11 @@ REFUSALS = (
     "price --help",
     "--help",
 )
+# the harmonic grid route over markets and mode counts, each run with --out
+GRID_SWEEP = tuple(
+    f"diagnose --model harmonic --route grid --nmax {nmax} --sigma {sigma} --r {r}"
+    for sigma in ("0.02", "0.05", "0.1", "0.2", "0.3162278", "0.5", "1.2", "3", "5")
+    for r in ("0.02", "0.05", "0.1") for nmax in (20, 40))
 
 
 def collect(tree: Path, seeds, workloads) -> list:
@@ -87,18 +95,23 @@ def collect(tree: Path, seeds, workloads) -> list:
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "out"
+
+        def run(name, seed, label, argv):
+            if out.exists():
+                out.unlink()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", str(out)])
+            text = out.read_text(encoding="utf-8") if out.exists() else ""
+            runs.append({"workload": name, "seed": seed, "label": label, "argv": argv,
+                         "code": code, "stderr": err.getvalue(), "output": text})
+
         for seed in seeds:
             for name in workloads:
                 for op in bench.build_ops(name, seed):
-                    if out.exists():
-                        out.unlink()
-                    err = io.StringIO()
-                    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                        code = main(op.argv + ["--out", str(out)])
-                    text = out.read_text(encoding="utf-8") if out.exists() else ""
-                    runs.append({"workload": name, "seed": seed, "label": op.label,
-                                 "argv": op.argv, "code": code, "stderr": err.getvalue(),
-                                 "output": text})
+                    run(name, seed, op.label, op.argv)
+        for line in GRID_SWEEP:
+            run("grid sweep", "-", repr(line), line.split())
     for line in REFUSALS:
         argv = line.split()
         err, out = io.StringIO(), io.StringIO()
@@ -149,6 +162,16 @@ def _fields(text: str) -> Optional[dict]:
 def source_lines(tree: Path) -> int:
     """The newlines in the tree's src/pbk/*.py, as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "pbk").glob("*.py"))
+
+
+def _check_figures(text: str) -> dict:
+    """A diagnose report's max_residual by check; empty for any other output."""
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return {}
+    checks = report.get("checks", []) if isinstance(report, dict) else []
+    return {c["check"]: c["max_residual"] for c in checks}
 
 
 def _move(a: float, b: float) -> float:
@@ -213,18 +236,25 @@ def main() -> int:
         runs.append(json.loads(child.stdout))
     worst = defaultdict(float)
     counts = defaultdict(int)
+    figures = defaultdict(lambda: {"rose": 0, "fell": 0, "held": 0})
     for parent, change in zip(*runs):
         if parent["argv"] != change["argv"]:
             raise SystemExit(f"the trees build different argvs: {parent['argv']} "
                              f"vs {change['argv']}")
         kind, detail, moves = compare(parent, change)
         counts[kind] += 1
+        old, new = _check_figures(parent["output"]), _check_figures(change["output"])
+        for check in old.keys() & new.keys():
+            a, b = old[check], new[check]
+            figures[check]["rose" if b > a else "fell" if b < a else "held"] += 1
         for field, move in moves.items():
             key = f"{parent['workload']} {field}"
             worst[key] = max(worst[key], move)
         print(f"{parent['workload']} seed {parent['seed']} {parent['label']}: {kind}"
               + (f" {detail}" if detail else ""))
     print(f"# {len(runs[0])} argvs: " + ", ".join(f"{n} {k}" for k, n in sorted(counts.items())))
+    for check, tally in sorted(figures.items()):
+        print(f"# diagnose {check}: " + ", ".join(f"{n} {k}" for k, n in tally.items()))
     for key, move in sorted(worst.items()):
         print(f"# largest move of {key}: {move:.3g}")
     print("# src/pbk/*.py lines: " + " -> ".join(f"{source_lines(tree)} in {tree}"
