@@ -5,14 +5,14 @@ Dirichlet sine eigenfunctions Phi_n = sqrt(2/L) sin(lambda_{n+1}(x-a)) with
 lambda_n = n pi / L, and the tilt produces biorthogonal families varphi_n =
 e^{beta x} Phi_n, psi_n = e^{-beta x} Phi_n exactly as on the whole line.
 
-Two ladder constructions live here side by side:
+Two ladder constructions meet here:
 
-* the naive differential factorization (apply_A_naive / apply_B_naive) built
-  from the cotangent superpotential. Its product reproduces the Hamiltonian,
-  and A annihilates the ground state, but B does NOT map varphi_0 to
-  varphi_1; it produces a cosine profile instead. The
-  failed_factorization_residual quantifies exactly how far from a ladder it
-  is (about 0.53 at beta = 0, never below 0.1);
+* the naive differential factorization built from the cotangent
+  superpotential. Its product reproduces the Hamiltonian, and A annihilates
+  the ground state, but B does NOT map varphi_0 to varphi_1; it produces a
+  tilted cosine instead. Only its failed_factorization_residual lives here,
+  in closed form: how far from a ladder it is, 0.52867 at beta = 0 and more
+  at any other beta;
 * the spectral ladder (apply_A_hat / apply_B_hat), defined directly on
   expansion coefficients with the strictly increasing sequence
   rho_n = lambda_{n+1}^2 - lambda_1^2. These are exact coefficient shifts
@@ -35,13 +35,12 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import Expansion, GridFunction, mode_sum, pad, unit_coefficients
+from .grids import Expansion, mode_sum, pad, unit_coefficients
 from .market import MarketParams, MarketView
 # not called here: perfbench/tracing.py patches this name in this module
 from .quadrature import legendre_rule  # noqa: F401
 
 MAX_SINE_MODES = 4096  # caps a spectral sum's sine table
-FACTORIZATION_POINTS = 16001  # failed_factorization_residual's interior grid
 
 
 @dataclass(frozen=True)
@@ -177,61 +176,42 @@ def psi_n(params: BarrierParams, n: int) -> Callable:
 # The naive differential factorization (the one that fails to ladder)
 
 
-def _require_interior_grid(params: BarrierParams, f: GridFunction) -> None:
-    slack = 1e-9 * f.dx
-    lo = f.x0
-    hi = f.x0 + f.dx * (f.n - 1)
-    if lo < params.a + 2.0 * f.dx - slack or hi > params.b - 2.0 * f.dx + slack:
-        raise ValueError(
-            "grid must stay at least 2 steps clear of the cotangent singularities "
-            f"at the barriers: got [{lo}, {hi}] inside ({params.a}, {params.b}) "
-            f"with step {f.dx}"
-        )
-
-
-def _naive_first_order(params: BarrierParams, f: GridFunction, d_sign: float, beta_sign: float):
-    from .grids import derivative
-
-    _require_interior_grid(params, f)
-    lam1 = params.wavenumber(1)
-    d = derivative(f)
-    mid = f.interior(4)
-    cot = lam1 / np.tan(lam1 * (d.x - params.a))
-    vals = d_sign * d.samples - cot * mid.samples + beta_sign * params.beta * mid.samples
-    return d.with_samples(vals)
-
-
-def apply_A_naive(params: BarrierParams, f: GridFunction) -> GridFunction:
-    """A = d/dx - lambda_1 cot(lambda_1 (x-a)) - beta; annihilates varphi_0."""
-    return _naive_first_order(params, f, +1.0, -1.0)
-
-
-def apply_B_naive(params: BarrierParams, f: GridFunction) -> GridFunction:
-    """B = -d/dx - lambda_1 cot(lambda_1 (x-a)) + beta.
-
-    Together with A it factorizes the Hamiltonian, but it is not a raising
-    operator: B varphi_0 is a tilted cosine, not varphi_1.
-    """
-    return _naive_first_order(params, f, -1.0, +1.0)
-
-
 def failed_factorization_residual(params: BarrierParams) -> float:
-    """min over c of ||B varphi_0 - c varphi_1|| / ||B varphi_0|| on an interior grid.
+    """min over c of ||B varphi_0 - c varphi_1|| / ||B varphi_0||, in closed form,
+    for the cotangent factorization B = -d/dx - lambda_1 cot(lambda_1 (x-a)) + beta.
 
-    This is the quantitative form of the no-go observation: were B a genuine
-    raising operator the residual would vanish. At beta = 0 it equals
-    sqrt(1 - (8/(3 pi))^2) ~ 0.5288, and it stays above 0.1 for every market.
+    This is the quantitative form of the no-go observation: B factorizes the
+    Hamiltonian, but it is not a raising operator, and were it one the
+    residual would vanish. The cotangent cancels the sine's derivative, so
+    B varphi_0 = -2 lambda_1 sqrt(2/L) e^{beta x} cos(lambda_1 (x - a)) exactly.
+    With y = x - a, omega = lambda_1 = pi / L and c = 2 beta, the residual is
+    sqrt(1 - I_cs^2 / (I_cc I_ss)) for I_cs, I_cc and I_ss the integrals over
+    (0, L) of e^{c y} times cos(omega y) sin(2 omega y), cos^2(omega y) and
+    sin^2(2 omega y): halves of S_1 + S_3, C_0 + C_2 and C_0 - C_4, where
+    C_k = c ((-1)^k e^{c L} - 1) / (c^2 + (k omega)^2) and
+    S_k = k omega (1 - (-1)^k e^{c L}) / (c^2 + (k omega)^2) integrate
+    e^{c y} cos(k omega y) and e^{c y} sin(k omega y) (Gradshteyn & Ryzhik
+    2.663). With t = c / omega, u = t^2 and M = omega C_0 = expm1(pi t) / t
+    (pi at t = 0) they are one fraction each, with no term that cancels:
+    omega I_cs = (1 + e^{pi t}) (1 / (u + 1) + 3 / (u + 9)) / 2,
+    omega I_cc = M (u + 2) / (u + 4) and omega I_ss = 8 M / (u + 16).
+
+    The figure depends on beta L alone. Reflecting x -> a + b - x flips the
+    sign of c and leaves the ratio as it is, so c = -2 |beta| is exact, and
+    no exponential overflows. At beta = 0 the residual is
+    sqrt(1 - (8/(3 pi))^2) = 0.52867; it rises toward sqrt(1/2) as |beta| L
+    grows. A figure that is not finite (u = t^2 overflows) raises ValueError.
     """
-    h = params.width / (FACTORIZATION_POINTS + 3)
-    x = params.a + 2.0 * h + h * np.arange(FACTORIZATION_POINTS)
-    grid = GridFunction(params.a + 2.0 * h, h, varphi_n(params, 0)(x))
-    raised = apply_B_naive(params, grid)
-    target = varphi_n(params, 1)(raised.x)
-    num = float(np.sum(raised.samples * target))
-    corr_sq = num * num / (
-        float(np.sum(raised.samples**2)) * float(np.sum(target**2))
-    )
-    return math.sqrt(max(0.0, 1.0 - corr_sq))
+    t = -2.0 * abs(params.beta) / params.wavenumber(1)
+    u = t * t
+    inv_mass = t / math.expm1(math.pi * t) if t else 1.0 / math.pi  # 1 / M
+    cross = (1.0 + math.exp(math.pi * t)) / 2.0 * (1.0 / (u + 1.0) + 3.0 / (u + 9.0))
+    ratio = (cross * inv_mass) ** 2 * (u + 4.0) / (u + 2.0) * (u + 16.0) / 8.0
+    residual = math.sqrt(1.0 - ratio)
+    if not math.isfinite(residual):
+        raise ValueError(f"the factorization residual at beta = {params.beta} on "
+                         f"({params.a}, {params.b}) is not finite")
+    return residual
 
 
 # ---------------------------------------------------------------------------

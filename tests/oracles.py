@@ -7,16 +7,21 @@ the payoff on Gauss-Legendre panels, where pbk prices in coefficient space;
 the Black-Scholes price is the wide-barrier limit; quadrature of sampled
 expansions, Gauss-Hermite on the line and Gauss-Legendre on (a, b), checks
 the Gram matrices that pbk takes from moment matrices in coefficient space.
+The naive cotangent factorization of the barrier Hamiltonian acts on grid
+samples here, and its failed-ladder residual is integrated with mpmath,
+where pbk takes the residual in closed form.
 """
 
 import math
 from functools import lru_cache
 from typing import Callable, Sequence, Tuple
 
+import mpmath
 import numpy as np
 
 import pbk.quadrature
 from pbk.barrier import BarrierParams
+from pbk.grids import GridFunction, derivative
 from pbk.kernels import kernel_values
 from pbk.pricing import PAYOFF_KINDS
 from pbk.quadrature import QuadratureRule, _adaptive, _samples
@@ -31,6 +36,66 @@ def sine_mode(params: BarrierParams, n: int, x):
     outside (a, b); pbk reads it as row n of a table built by a recurrence
     in n."""
     return math.sqrt(2.0 / params.width) * np.sin(params.wavenumber(n + 1) * (x - params.a))
+
+
+# ---------------------------------------------------------------------------
+# the naive differential factorization, on grid samples
+
+
+def _require_interior_grid(params: BarrierParams, f: GridFunction) -> None:
+    slack = 1e-9 * f.dx
+    lo = f.x0
+    hi = f.x0 + f.dx * (f.n - 1)
+    if lo < params.a + 2.0 * f.dx - slack or hi > params.b - 2.0 * f.dx + slack:
+        raise ValueError(
+            "grid must stay at least 2 steps clear of the cotangent singularities "
+            f"at the barriers: got [{lo}, {hi}] inside ({params.a}, {params.b}) "
+            f"with step {f.dx}"
+        )
+
+
+def _naive_first_order(params: BarrierParams, f: GridFunction, d_sign: float, beta_sign: float):
+    _require_interior_grid(params, f)
+    lam1 = params.wavenumber(1)
+    d = derivative(f)
+    mid = f.interior(4)
+    cot = lam1 / np.tan(lam1 * (d.x - params.a))
+    vals = d_sign * d.samples - cot * mid.samples + beta_sign * params.beta * mid.samples
+    return d.with_samples(vals)
+
+
+def apply_A_naive(params: BarrierParams, f: GridFunction) -> GridFunction:
+    """A = d/dx - lambda_1 cot(lambda_1 (x-a)) - beta; annihilates varphi_0."""
+    return _naive_first_order(params, f, +1.0, -1.0)
+
+
+def apply_B_naive(params: BarrierParams, f: GridFunction) -> GridFunction:
+    """B = -d/dx - lambda_1 cot(lambda_1 (x-a)) + beta.
+
+    Together with A it factorizes the Hamiltonian, but it is not a raising
+    operator: B varphi_0 is a tilted cosine, not varphi_1.
+    """
+    return _naive_first_order(params, f, -1.0, +1.0)
+
+
+def factorization_residual(params: BarrierParams):
+    """sqrt(1 - <f, g>^2 / (<f, f> <g, g>)) for f = e^{beta x} cos(lambda_1 (x - a))
+    and g = varphi_1, each integral by mpmath at 30 digits on 8 equal panels
+    of (a, b).
+
+    The weight is taken relative to the end where it peaks, which scales the
+    three integrals alike and keeps mpmath's tolerance relative.
+    """
+    with mpmath.workdps(30):
+        a, b, beta = (mpmath.mpf(v) for v in (params.a, params.b, params.beta))
+        lam = mpmath.pi / (b - a)
+        peak = b if beta > 0 else a
+        f = lambda x: mpmath.exp(beta * (x - peak)) * mpmath.cos(lam * (x - a))
+        g = lambda x: mpmath.exp(beta * (x - peak)) * mpmath.sin(2 * lam * (x - a))
+        panels = mpmath.linspace(a, b, 9)
+        fg, ff, gg = (mpmath.quad(h, panels) for h in
+                      (lambda x: f(x) * g(x), lambda x: f(x) ** 2, lambda x: g(x) ** 2))
+        return mpmath.sqrt(1 - fg**2 / (ff * gg))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ from pbk.barrier import (
     analyze_phi,
     analyze_psi,
     apply_A_hat,
-    apply_A_naive,
     apply_B_hat,
-    apply_B_naive,
     eigenvalue,
     failed_factorization_residual,
     mode_table,
@@ -43,7 +41,8 @@ from pbk.quadrature import legendre_rule
 from pbk.specialfn import MAX_DEGREE
 from pbk.systems import barrier_system
 
-from oracles import gram_matrix, sine_mode
+from oracles import (apply_A_naive, apply_B_naive, factorization_residual, gram_matrix,
+                     sine_mode)
 
 TRUNCATION = 128  # the top index of the long coefficient vectors built here
 
@@ -202,7 +201,7 @@ class TestModes:
 
 
 # ---------------------------------------------------------------------------
-# the naive differential factorization
+# the naive differential factorization, on grid samples (tests/oracles.py)
 
 
 class TestNaiveFactorization:
@@ -214,9 +213,9 @@ class TestNaiveFactorization:
 
     def test_vacuum_residual_shrinks_at_second_order(self, box):
         errs = []
-        # the eighth-order stencil reaches rounding, about 1e-14, at 8e-3 * width;
-        # these steps read 1.0e-10, 5.1e-13 and 6.4e-15
-        for h in (box.width / 32, box.width / 64, box.width / 128):
+        # the eighth-order stencil reaches rounding, about 1.1e-14, at width/256;
+        # these steps read 3.3e-9, 1.9e-11 and 8.9e-14 (orders 7.45 and 7.73)
+        for h in (box.width / 20, box.width / 40, box.width / 80):
             grid = interior_grid(box, h)
             out = apply_A_naive(box, grid.sample(varphi_n(box, 0)))
             scale = row_norm(varphi_n(box, 0)(out.x), out.dx)
@@ -225,14 +224,18 @@ class TestNaiveFactorization:
         assert min(orders) > 1.9
 
     def test_raising_produces_tilted_cosine(self, box):
-        # B varphi_0 = -2 lambda_1 e^{beta x} cos(lambda_1 (x - a)), not varphi_1
-        lam1 = box.wavenumber(1)
-        amp = math.sqrt(2.0 / box.width)
-        grid = interior_grid(box, 2.5e-4 * box.width)
-        out = apply_B_naive(box, grid.sample(varphi_n(box, 0)))
-        expected = -2.0 * lam1 * amp * np.exp(box.beta * out.x) * np.cos(lam1 * (out.x - box.a))
-        rel = row_norm(out.samples - expected, out.dx) / row_norm(expected, out.dx)
-        assert rel < 1e-6
+        # B varphi_0 = -2 lambda_1 e^{beta x} cos(lambda_1 (x - a)), not varphi_1:
+        # the premise of failed_factorization_residual's closed form
+        for params in (box, BarrierParams(market_with_beta(0.5), 0.0, math.pi),
+                       BarrierParams(box.market, -0.4, 1.8)):
+            lam1 = params.wavenumber(1)
+            amp = math.sqrt(2.0 / params.width)
+            grid = interior_grid(params, 2.5e-4 * params.width)
+            out = apply_B_naive(params, grid.sample(varphi_n(params, 0)))
+            expected = (-2.0 * lam1 * amp * np.exp(params.beta * out.x)
+                        * np.cos(lam1 * (out.x - params.a)))
+            rel = row_norm(out.samples - expected, out.dx) / row_norm(expected, out.dx)
+            assert rel < 1e-6
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5])
     def test_product_still_factorizes_hamiltonian(self, box, n):
@@ -282,11 +285,32 @@ class TestNaiveFactorization:
 
 
 class TestFailedLadderResidual:
-    def test_reference_value_at_beta_zero(self):
-        params = BarrierParams(market_with_beta(0.0), 0.0, math.pi)
-        expected = math.sqrt(1.0 - (8.0 / (3.0 * math.pi)) ** 2)
-        assert failed_factorization_residual(params) == pytest.approx(expected, abs=1e-3)
+    def test_reference_value_at_beta_zero(self, market_beta0):
+        # beta exactly 0.0 twice, where omega C_0 = expm1(pi t) / t is 0/0 and a
+        # RuntimeWarning would fail the test, and beta = 1.1e-16, where
+        # exp(pi t) - 1 in place of expm1 would read 0.458
+        expected = math.sqrt(1.0 - (8.0 / (3.0 * math.pi)) ** 2)  # 0.5286717367233115
+        for market in (market_with_beta(0.0), MarketParams(0.5, 0.125), market_beta0):
+            params = BarrierParams(market, 0.0, math.pi)
+            assert failed_factorization_residual(params) == pytest.approx(expected, rel=1e-12)
         assert abs(failed_factorization_residual(params) - 0.5287) < 1e-3
+
+    @pytest.mark.parametrize("beta, a, b", [(-1.0, 0.0, math.pi), (-0.25, 0.0, math.pi),
+                                            (0.5, 0.0, math.pi), (-0.75, 0.0, 300.0),
+                                            (-0.75, 0.0, 900.0), (0.5, 0.0, 300.0),
+                                            (0.5, 0.0, 900.0), (-0.75, -0.4, 1.8)])
+    def test_matches_mpmath_integrals(self, beta, a, b):
+        # a 16001-point grid read 0.0 at (0, 900), beta 0.5, after overflowing,
+        # 0.6545 at (0, 300), beta -0.75, and 0.5728 at (-0.4, 1.8)
+        params = BarrierParams(market_with_beta(beta), a, b)
+        expected = float(factorization_residual(params))
+        assert failed_factorization_residual(params) == pytest.approx(expected, rel=1e-12)
+
+    def test_non_finite_figure_raises(self):
+        # |beta| L = 3e160: u = t^2 overflows, and the ratio is inf / inf
+        params = BarrierParams(MarketParams(1e-105, 1e-50), 0.0, math.pi)
+        with pytest.raises(ValueError, match="not finite"):
+            failed_factorization_residual(params)
 
     @pytest.mark.parametrize("beta", [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5])
     def test_never_small(self, beta):
@@ -299,7 +323,7 @@ class TestFailedLadderResidual:
         plus = failed_factorization_residual(BarrierParams(market_with_beta(beta), 0.0, math.pi))
         minus = failed_factorization_residual(
             BarrierParams(market_with_beta(-beta), 0.0, math.pi))
-        assert plus == pytest.approx(minus, abs=1e-9)
+        assert plus == minus
 
     def test_other_interval(self, market):
         params = BarrierParams(market, -0.4, 1.8)
