@@ -2,16 +2,20 @@
 
 Exit codes: 0 on success (all checks pass / table written / price within
 oracle bounds), 1 when a diagnostic check or oracle comparison fails, 2 for
-invalid parameters, a kernel value, tail, price or check residual that is not
-finite, or a Monte Carlo value with no spread that differs from the spectral
-price.
+invalid parameters (a kernel request too large to build among them), a
+kernel value, tail, price or check residual that is not finite, or a Monte
+Carlo value with no spread that differs from the spectral price.
 
-Every input goes through one parser. A `--params file.json` is read as
-`--key=value` flags placed before the written ones, so a file value is typed
-and checked as its flag is, a switch (`bridge`, `flip_beta`) takes JSON true
-or false, and a written flag wins. Keys that name no option of the command
-are skipped; `model`, `params` and `out` are never read from a file. Flags
-are not abbreviated. A diagnose report's `params_echo`, or a price's
+Every input goes through one parser, argparse's, which defines every flag.
+Each command's flag table is built from its parser at import: a valid argv
+is read with one table lookup per token, and any other (help, a refusal, a
+token the table lacks) by argparse itself, which alone prints help, usage
+and refusals. A `--params file.json` is read as `--key=value` flags placed
+before the written ones, so a file value is typed and checked as its flag
+is, a switch (`bridge`, `flip_beta`) takes JSON true or false, and a
+written flag wins. Keys that name no option of the command are skipped;
+`model`, `params` and `out` are never read from a file. Flags are not
+abbreviated. A diagnose report's `params_echo`, or a price's
 `config_echo`, given back with the same `--model`, reproduces the report.
 CSV output is RFC-4180 with floats at 17 significant digits.
 """
@@ -29,7 +33,7 @@ import numpy as np
 
 from .barrier import BarrierParams
 from .harmonic import HarmonicParams
-from .kernels import KernelTable, kernel_rows
+from .kernels import MAX_TABLE_ROWS, KernelTable, kernel_rows
 from .market import MarketParams, beta_is_degenerate
 from .pb_core import run_all_checks
 from .pricing import MCConfig, Payoff, price_mc_barrier, price_spectral
@@ -73,6 +77,8 @@ def _parse_point_list(spec: str) -> List[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError(f"range count must be >= 1, got {count}")
+        if count > MAX_TABLE_ROWS or not math.isfinite(hi - lo):
+            raise ValueError(f"range {spec!r} needs a finite span and <= {MAX_TABLE_ROWS} points")
         if count == 1:
             return [lo]
         step = (hi - lo) / (count - 1)
@@ -321,26 +327,64 @@ def cmd_price(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _flag_table(parser: argparse.ArgumentParser):
+    """The parser, its stores and switches by option string (help and other
+    actions are left to argparse), the namespace argparse starts from (a
+    shared dest's first default, a string default typed), and required dests."""
+    start = {}
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS and action.dest not in start:
+            start[action.dest] = (parser._get_value(action, action.default)
+                                  if isinstance(action.default, str) else action.default)
+    flags = {flag: action for action in parser._actions if action.nargs in (None, 0)
+             and isinstance(action, (argparse._StoreAction, argparse._StoreConstAction))
+             for flag in action.option_strings}
+    return parser, flags, start, {action.dest for action in parser._actions if action.required}
+
+
 # Built once per process: parsing reads the parser and changes nothing in it,
 # so every main() call in one process shares it.
 _PARSER = build_parser()
 # each command's parser (the choices of the subparsers action), whose options
 # name the --params keys that the command reads
 _COMMANDS = next(action.choices for action in _PARSER._actions if action.dest == "command")
+_TABLES = {name: _flag_table(parser) for name, parser in _COMMANDS.items()}
+
+
+def _read(argv: List[str]) -> Optional[argparse.Namespace]:
+    """A command argv's namespace from its flag table, one lookup per token, or
+    None for argparse to read it: a token that is no flag (help, --, a
+    positional), a switch given a value, a value missing, read by argparse as a
+    flag or refused by its type or choices, or a required flag left out."""
+    parser, flags, start, required = _TABLES[argv[0]]
+    values, seen, tokens = dict(start), set(), iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        action = flags.get(flag)
+        if action is None or eq and action.nargs == 0:
+            return None
+        if not eq and action.nargs is None:  # --flag value
+            text = next(tokens, "-")  # a missing value reads as a flag
+            if text[:1] == "-" and not parser._negative_number_matcher.match(text):
+                return None
+        try:
+            value = action.const if action.nargs == 0 else (action.type or str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action.dest)
+    args = argparse.Namespace(command=argv[0])
+    vars(args).update(values)  # one update, not a setattr per dest
+    return args if required <= seen else None
 
 
 def _parse(argv: List[str]) -> argparse.Namespace:
-    """argv as _PARSER reads it, with one parse: a command's arguments go to
-    that command's parser, and a leftover token is refused with _PARSER's
-    usage, as _PARSER refuses it. Any other argv, which only asks for help or
-    is refused, goes to _PARSER itself."""
-    if not argv or argv[0] not in _COMMANDS:
-        return _PARSER.parse_args(argv)
-    args, extra = _COMMANDS[argv[0]].parse_known_args(argv[1:])
-    if extra:
-        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    """argv as _PARSER reads it: from its command's flag table where _read can,
+    else by _PARSER itself, which alone gives help and refusals."""
+    args = _read(argv) if argv and argv[0] in _TABLES else None
+    return args or _PARSER.parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -42,6 +42,10 @@ ModelParams = Union[HarmonicParams, BarrierParams]
 
 _SIGNS = {"p1": 1.0, "p2": -1.0}
 _METHODS = ("spectral", "closed")
+# kernel_rows' limits: a table row peaks near 800 bytes through the CLI, and a
+# spectral sum holds 8 bytes a (mode, x, x') term, so either peaks near 0.8 GB
+MAX_TABLE_ROWS = 10**6
+MAX_SUM_CELLS = 10**8
 
 
 class _Model(NamedTuple):
@@ -283,7 +287,8 @@ def kernel_rows(params: ModelParams, xs, x_primes, taus,
     """The table of every (tau, x, x', which, method) combination, each value
     bit for bit kernel_values' over the whole x by x' grid. Every tau reads
     row slices of one mode table on xs and x_primes, and forms its spectral
-    sum and its closed form's tilt-free part once for all whichs.
+    sum and its closed form's tilt-free part once for all whichs. A request
+    over MAX_TABLE_ROWS or MAX_SUM_CELLS is refused before it allocates.
     """
     xs = np.asarray(xs, dtype=float)
     x_primes = np.asarray(x_primes, dtype=float)
@@ -291,10 +296,14 @@ def kernel_rows(params: ModelParams, xs, x_primes, taus,
     whichs, methods = tuple(whichs), tuple(methods)
     model, tilts = _request(params, whichs, methods, taus.tolist(), beta,
                             x=xs, x_prime=x_primes)
-    table = None
-    if "spectral" in methods and taus.size:
-        n_top = max(top_mode(params, tau) for tau in taus.tolist())
-        table = model.mode_table(params, n_top, np.concatenate((xs, x_primes)))
+    n_top = (max(top_mode(params, tau) for tau in taus.tolist())
+             if "spectral" in methods and taus.size else -1)
+    rows = taus.size * xs.size * x_primes.size * len(whichs) * len(methods)
+    cells = (n_top + 1) * xs.size * x_primes.size  # of the largest spectral sum
+    if rows > MAX_TABLE_ROWS or cells > MAX_SUM_CELLS:
+        raise ValueError(f"the request needs {rows} table rows and {cells} spectral sum terms, "
+                         f"over the limits of {MAX_TABLE_ROWS} rows and {MAX_SUM_CELLS} terms")
+    table = None if n_top < 0 else model.mode_table(params, n_top, np.concatenate((xs, x_primes)))
     value = np.empty((taus.size, xs.size, x_primes.size, len(whichs), len(methods)))
     tail = np.empty_like(value)
     x, xp = xs[:, None], x_primes[None, :]

@@ -4,19 +4,24 @@ Most tests call main() in-process for speed; one subprocess test confirms the
 module entry point is wired up.
 """
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import pbk.barrier
 import pbk.cli
@@ -753,6 +758,43 @@ def test_price_echo_reproduces_the_report(capsys, tmp_path, argv):
 
 
 # ---------------------------------------------------------------------------
+# kernel requests too large to serve
+
+
+def _limit_address_space():
+    # about 1.5 GiB: room to import pbk, not to build what these requests ask
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "harmonic", "--x", "0:1:100000000"],
+     "range '0:1:100000000' needs a finite span and <= 1000000 points"),
+    (["--model", "harmonic", "--x", "0:1:3000", "--x-prime", "0:1:3000", "--method", "closed"],
+     "the request needs 18000000 table rows and 0 spectral sum terms, over the limits of "
+     "1000000 rows and 100000000 terms"),
+    (["--model", "barrier", "--a", "0", "--b", "3", "--x", "0.5:2.5:300",
+      "--x-prime", "0.5:2.5:300", "--tau", "1.2e-4", "--which", "p1", "--method", "spectral"],
+     "the request needs 90000 table rows and 336690000 spectral sum terms, over the limits "
+     "of 1000000 rows and 100000000 terms"),
+    (["--model", "harmonic", "--x", "inf:1:3"],
+     "range 'inf:1:3' needs a finite span and <= 1000000 points"),
+    (["--model", "harmonic", "--x-prime", "0:nan:3"],
+     "range '0:nan:3' needs a finite span and <= 1000000 points"),
+], ids=["range-count", "table-rows", "sum-cells", "range-inf", "range-nan"])
+def test_oversize_kernel_requests_exit_2_before_they_allocate(argv, message):
+    # in a child whose address space holds about 1.5 GiB; each is refused by
+    # name before it allocates, where building the first three would end in a
+    # MemoryError (exit 1) or an out-of-memory kill
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbk.cli", "kernel", *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
 # one parser per process
 
 
@@ -773,13 +815,113 @@ def _exit_of(capsys, parse, argv):
     [],
     ["quote", "--model", "harmonic"],
     ["price", "--help"],
+    ["kernel", "--model", "harmonic", "--x", "-1e-3"],
+    ["price", "--model", "harmonic", "--flip-beta=1"],
+    ["price", "--model", "harmonic", "--tau="],
+    ["price", "--model", "harmonic", "--", "--tau", "1"],
+    PRICE_BARRIER + ["--oracle", "mc", "--paths", "1e5"],
+    ["price", "--model"],
+    ["price", "--model", "harmonic", "--x", "-5."],
 ], ids=["unknown-flag", "abbreviated-flag", "stray-positional", "missing-model",
-        "bad-choice", "no-command", "unknown-command", "price-help"])
+        "bad-choice", "no-command", "unknown-command", "price-help", "value-like-a-flag",
+        "switch-with-value", "empty-value", "double-dash", "int-in-float-form",
+        "missing-value", "dot-ended-negative"])
 def test_main_parses_as_the_shared_parser(capsys, argv):
-    # main parses a command's argv with that command's parser alone; its
-    # refusals and help are the shared parser's, usage lines included
+    # main reads a valid argv from its flag table and hands every other one
+    # to argparse; its refusals and help are the shared parser's, usage
+    # lines included
     assert (_exit_of(capsys, main, argv)
             == _exit_of(capsys, pbk.cli._PARSER.parse_args, argv))
+
+
+def _by_argparse(argv):
+    """repr of the namespace of argv's command parser, with the command first
+    as _PARSER sets it, or None if that parser leaves a token over."""
+    args, extra = pbk.cli._COMMANDS[argv[0]].parse_known_args(argv[1:])
+    return None if extra else repr({"command": argv[0], **vars(args)})
+
+
+def _argparse_only():
+    """A context in which pbk.cli reads no argv from its flag table."""
+    return mock.patch.object(pbk.cli, "_read", lambda argv: None)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--model", "harmonic", "--x", "-0.2, 0.1", "--method", "closed"],
+    ["price", "--model=harmonic", "--x", "-.5", "--tau", "0.5", "--tau", "1"],
+    ["price", "--model", "barrier", "--params", "PARAMS", "--no-bridge", "--bridge",
+     "--oracle", "mc", "--paths", "2048", "--steps", "16"],
+], ids=["value-with-space", "repeated-flag", "params-file"])
+def test_valid_argvs_read_as_argparse_reads_them(capsys, tmp_path, argv):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"lower": 70, "upper": 130.5, "s0": 95, "flip_beta": True,
+                                "payoff": "put", "sigma": 0.25, "steps": 8}))
+    argv = [str(path) if token == "PARAMS" else token for token in argv]
+    args = pbk.cli._parse(argv)
+    assert repr(vars(args)) == _by_argparse(argv)
+    if args.params:  # main's second parse, with the file's flags first
+        file_argv = argv[:1] + pbk.cli._file_flags(args) + argv[1:]
+        assert repr(vars(pbk.cli._parse(file_argv))) == _by_argparse(file_argv)
+    with _argparse_only():
+        expected = run_cli(capsys, argv)
+    assert expected[0] in (0, 1)
+    assert run_cli(capsys, argv) == expected
+
+
+def _outcome(argv):
+    """repr of _parse(argv)'s namespace, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(vars(pbk.cli._parse(argv)))
+        except SystemExit as stop:
+            return stop.code, out.getvalue(), err.getvalue()
+
+
+# values that argparse reads as a flag, or that a type or choice refuses, and
+# tokens that are no flag of any command
+_EDGES = ("", "-", "--", "-h", "-5.", "-1e-3", "x", "-0.2, 0.1", "true", "inf", "p3")
+_STRAYS = ("--help", "-h", "--", "stray", "--bogus", "--mod", "--model")
+# values that each type takes
+_GOOD = {float: ("0", "1", "0.5", "-.5", "-1", "2", "1e5", "nan"), int: ("0", "1", "-1", "64"),
+         None: ("0", "0.5", "-.5", "0:1:3", "0.1,0.2", "file")}
+
+
+@st.composite
+def _command_argvs(draw):
+    """A command, usually its --model, and up to six tokens drawn from its
+    flag table: a flag with a separate value or with =value (mostly one its
+    type and choices take), one with no value, a switch alone or given a
+    value, and now and then a token that is no flag."""
+    command = draw(st.sampled_from(sorted(pbk.cli._TABLES)))
+    flags = pbk.cli._TABLES[command][1]
+    argv = [command, *draw(st.sampled_from((["--model", "harmonic"], ["--model=barrier"],
+                                            ["--model", "barrier"], [])))]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(sorted(flags)))
+        action, form = flags[flag], draw(st.integers(0, 19))
+        if form == 0:
+            argv.append(draw(st.sampled_from(_STRAYS)))
+        elif action.nargs == 0:
+            argv.append(flag if form > 1 else f"{flag}={draw(st.sampled_from(('1', '')))}")
+        else:
+            good = tuple(map(str, action.choices or ())) or _GOOD[action.type]
+            value = draw(st.sampled_from(good * 10 + _EDGES))
+            argv += [flag, value] if form > 7 else [f"{flag}={value}"] if form > 1 else [flag]
+    return argv
+
+
+@seed(37)
+@settings(max_examples=400, deadline=None, database=None)
+@given(_command_argvs())
+def test_flag_table_reads_as_argparse(argv):
+    # a namespace read from the table equals argparse's, and any argv that
+    # argparse refuses or answers with help exits as argparse exits
+    outcome = _outcome(argv)
+    with _argparse_only():
+        assert outcome == _outcome(argv)
+    if isinstance(outcome, str):
+        assert outcome == _by_argparse(argv)
 
 
 def test_shared_parser_keeps_no_state(capsys):

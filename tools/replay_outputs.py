@@ -77,6 +77,13 @@ REFUSALS = (
     "quote --model harmonic",
     "price --help",
     "--help",
+    "kernel --model harmonic --x -1e-3",
+    "price --model harmonic --flip-beta=1",
+    "price --model harmonic --tau=",
+    "price --model harmonic -- --tau 1",
+    "price --model barrier --lower 80 --upper 120 --oracle mc --paths 1e5",
+    "price --model",
+    "price --model harmonic --x -5.",
 )
 # the harmonic grid route over markets and mode counts, each run with --out
 GRID_SWEEP = tuple(
